@@ -27,8 +27,12 @@ import time
 import tracemalloc
 from dataclasses import dataclass
 
+from repro.crawler.crawl import bucket_probe_key
+from repro.dht.keyspace import KEY_BITS
+from repro.dht.routing_table import K_BUCKET_SIZE, RoutingTable
 from repro.experiments.perf import PerfConfig, run_perf_experiment
 from repro.experiments.scenario import ScenarioConfig, build_scenario
+from repro.multiformats.peerid import PeerId
 from repro.simnet.compact import build_compact_world
 from repro.workloads.compact import generate_compact_population
 from repro.simnet.sim import Future, Simulator
@@ -154,6 +158,52 @@ def bench_process_switch(n_switches: int = 50_000) -> BenchResult:
     return BenchResult(
         "process_switch", n_switches / wall, "switches/s", wall,
         {"n_switches": n_switches},
+    )
+
+
+# -- micro: the routing table ------------------------------------------------
+
+def bench_routing_table_closest(
+    n_network: int, n_calls: int = 100_000
+) -> BenchResult:
+    """``RoutingTable.closest`` on the table one peer holds in a network
+    of ``n_network`` servers (2 800 -> ~160 entries, the e2e ``crawl``
+    world; 200 000 -> ~280, paper scale), over the two kinds of target
+    it serves: the crawler's bucket probes (a key at cpl 0..7 from the
+    table's own, as ``bucket_queries=8`` sends) and the uniformly
+    random keys of DHT walks. Every FIND_NODE handler makes this call."""
+    own = PeerId.from_public_key(b"bench-table-own")
+    table = RoutingTable(own)
+    for index in range(n_network):
+        table.add(PeerId.from_public_key(b"bench-table-%d" % index))
+    rng = derive_rng(42, "bench-closest")
+    per_kind = n_calls // 2
+    targets = {
+        "bucket_probe": [
+            bucket_probe_key(table.own_key, call % 8, rng)
+            for call in range(per_kind)
+        ],
+        "random": [
+            rng.getrandbits(KEY_BITS).to_bytes(KEY_BITS // 8, "big")
+            for _ in range(per_kind)
+        ],
+    }
+    closest = table.closest
+    walls = {}
+    returned = 0
+    for kind, keys in targets.items():
+        t0 = time.perf_counter()
+        for key in keys:
+            returned += len(closest(key))
+        walls[kind] = time.perf_counter() - t0
+    assert returned == 2 * per_kind * K_BUCKET_SIZE
+    wall = sum(walls.values())
+    return BenchResult(
+        f"routing_table_closest_{round(len(table) / 20) * 20}",
+        2 * per_kind / wall, "calls/s", wall,
+        {"n_network": n_network, "entries": len(table), "calls": 2 * per_kind,
+         **{f"{kind}_us": round(w / per_kind * 1e6, 2)
+            for kind, w in walls.items()}},
     )
 
 
@@ -304,6 +354,8 @@ QUICK_BENCHES = (
     bench_kernel_timer_cancel,
     bench_future_callback_dispatch,
     lambda: bench_process_switch(100_000),
+    lambda: bench_routing_table_closest(2_800),
+    lambda: bench_routing_table_closest(200_000),
     lambda: bench_world_build(1000),
     lambda: bench_macro_perf_experiment(800, 4),
     # Memory gates run at full size even in CI: bytes/peer is
@@ -319,6 +371,8 @@ FULL_BENCHES = (
     bench_kernel_timer_cancel,
     bench_future_callback_dispatch,
     bench_process_switch,
+    lambda: bench_routing_table_closest(2_800),
+    lambda: bench_routing_table_closest(200_000),
     lambda: bench_world_build(1000),
     lambda: bench_world_build(10_000),
     bench_churn_events,

@@ -19,7 +19,7 @@ from repro.dht import rpc
 from repro.dht.keyspace import KEY_BITS, key_for_peer
 from repro.multiformats.peerid import PeerId
 from repro.simnet.network import SimHost, SimNetwork
-from repro.simnet.sim import Future, Simulator, any_of, with_timeout
+from repro.simnet.sim import Future, Simulator, all_of, with_timeout
 
 
 @dataclass
@@ -44,7 +44,9 @@ class CrawlResult:
 
     @property
     def dialable_fraction(self) -> float:
-        total = len(self.peers_seen)
+        # A crawl visits each peer once, so the two sets are disjoint
+        # and their sizes add up to the number of peers seen.
+        total = len(self.dialable) + len(self.undialable)
         return len(self.dialable) / total if total else 0.0
 
 
@@ -94,26 +96,35 @@ class Crawler:
         result = CrawlResult(started_at=self.sim.now)
         frontier: list[PeerId] = list(dict.fromkeys(bootstrap))
         queued: set[PeerId] = set(frontier)
-        inflight: dict[int, tuple[PeerId, Future]] = {}
-        tag = 0
+        # Finished visits queue up in `done` in completion order and
+        # resolve the one future the loop sleeps on, so a completion
+        # costs O(1) however many visits are in flight.
+        done: list[Future] = []
+        wake: Future | None = None
+        inflight = 0
+
+        def visit_done(visit: Future) -> None:
+            done.append(visit)
+            if wake is not None:
+                wake.resolve()
+
         while frontier or inflight:
-            while frontier and len(inflight) < self.concurrency:
-                peer_id = frontier.pop()
-                process = self.sim.spawn(self._visit(peer_id, result))
-                outcome: Future = Future()
-                process.future.add_callback(lambda f, o=outcome: o.resolve(f))
-                inflight[tag] = (peer_id, outcome)
-                tag += 1
-            _, settled = yield any_of([f for _, f in inflight.values()])
-            finished = [t for t, (_, f) in inflight.items() if f.done]
-            for t in finished:
-                peer_id, future = inflight.pop(t)
-                inner = future.result()
-                discovered = [] if inner.failed else inner.result()
+            while frontier and inflight < self.concurrency:
+                inflight += 1
+                process = self.sim.spawn(self._visit(frontier.pop(), result))
+                process.future.add_callback(visit_done)
+            if not done:
+                wake = Future()
+                yield wake
+                wake = None
+            for visit in done:
+                discovered = [] if visit.failed else visit.result()
                 for found in discovered:
                     if found not in queued and found != self.host.peer_id:
                         queued.add(found)
                         frontier.append(found)
+            inflight -= len(done)
+            done.clear()
         result.finished_at = self.sim.now
         return result
 
@@ -146,8 +157,6 @@ class Crawler:
                     self.rpc_timeout_s,
                 )
             )
-        from repro.simnet.sim import all_of
-
         responses = yield all_of(probes)
         for response in responses:
             if isinstance(response, BaseException):

@@ -42,15 +42,13 @@ def join_network(node: DhtNode, bootstrap_peers: list[PeerId]) -> Generator:
 def populate_routing_tables(
     nodes: list[DhtNode],
     rng: random.Random,
-    sample_cap: int | None = None,
     stale_fraction: float = 0.05,
 ) -> None:
     """Fill k-buckets of every node from the server subset of ``nodes``.
 
     Only DHT servers are inserted into tables (the client/server rule
     of Section 2.3); client nodes still get tables so they can launch
-    lookups. ``sample_cap`` bounds entries per bucket (defaults to each
-    table's own bucket size).
+    lookups. Each bucket receives at most its table's bucket size.
 
     ``stale_fraction`` bounds the share of *unreachable* peers per
     bucket. Live routing tables are continuously maintained, so they
@@ -77,7 +75,7 @@ def populate_routing_tables(
 
     for node in nodes:
         own_int = node.host.peer_id.dht_key_int()
-        cap = sample_cap if sample_cap is not None else node.routing_table.bucket_size
+        cap = node.routing_table.bucket_size
         add = node.routing_table.add
         # [cur_lo, cur_hi) tracks the servers sharing our first `bucket`
         # key bits; bucket `bucket`'s interval is its sibling half, so

@@ -13,9 +13,10 @@ performance boost.
 
 from __future__ import annotations
 
-import heapq
+from collections.abc import Iterator, Sequence
 
 from repro.dht.keyspace import KEY_BITS, key_int_for_peer, key_for_peer
+from repro.errors import SimulationError
 from repro.multiformats.peerid import PeerId
 
 #: Bucket capacity and record replication factor (Section 2.3).
@@ -53,10 +54,6 @@ class RoutingTable:
         self._buckets: dict[int, dict[PeerId, int]] = {}
         self._size = 0
         self._failures: dict[PeerId, int] = {}
-        #: flat ``(key_int, peer_id)`` snapshot of every entry, rebuilt
-        #: lazily after membership changes; :meth:`closest` scans this
-        #: single list instead of 256 bucket dicts.
-        self._flat: list[tuple[int, PeerId]] | None = None
         #: peers evicted by the failure score (degradation telemetry)
         self.evictions = 0
         #: optional circuit-breaker registry (anything with
@@ -108,8 +105,46 @@ class RoutingTable:
             return False
         bucket[peer_id] = key_int
         self._size += 1
-        self._flat = None
         return True
+
+    def load(self, peers: Sequence[PeerId]) -> None:
+        """Fill this *empty* table from ``peers`` in one pass.
+
+        Equivalent to calling :meth:`add` on each peer in order — same
+        buckets, same least-recently-seen order within each — for a
+        list that ``add`` would accept whole: no duplicate, not our own
+        id, at most ``bucket_size`` peers per bucket. That is what a
+        precomputed fill holds by construction, so the per-peer checks
+        of ``add`` collapse into one check after the loop; a list that
+        breaks them raises :class:`SimulationError` and leaves the
+        table empty.
+        """
+        if self._size:
+            raise SimulationError("bulk load needs an empty routing table")
+        own = self.own_key_int
+        buckets = self._buckets
+        for peer_id in peers:
+            key_int = peer_id.dht_key_int()
+            # our own key (distance 0) lands in the top bucket here and
+            # is rejected below
+            index = min(KEY_BITS - (own ^ key_int).bit_length(), KEY_BITS - 1)
+            bucket = buckets.get(index)
+            if bucket is None:
+                buckets[index] = {peer_id: key_int}
+            else:
+                bucket[peer_id] = key_int
+        size = sum(map(len, buckets.values()))
+        if (
+            size != len(peers)
+            or self.own_id in buckets.get(KEY_BITS - 1, ())
+            or any(len(bucket) > self.bucket_size for bucket in buckets.values())
+        ):
+            buckets.clear()
+            raise SimulationError(
+                "bulk load needs distinct peers other than our own id, "
+                f"at most {self.bucket_size} per bucket"
+            )
+        self._size = size
 
     def remove(self, peer_id: PeerId) -> None:
         """Evict a peer (e.g. after a failed dial)."""
@@ -118,7 +153,6 @@ class RoutingTable:
         if peer_id in bucket:
             del bucket[peer_id]
             self._size -= 1
-            self._flat = None
 
     # -- failure scoring ---------------------------------------------------
 
@@ -145,47 +179,60 @@ class RoutingTable:
         """Current consecutive-failure count for ``peer_id``."""
         return self._failures.get(peer_id, 0)
 
-    def _flat_entries(self) -> list[tuple[int, PeerId]]:
-        flat = self._flat
-        if flat is None:
-            # Sorted bucket indexes keep the flat order identical to
-            # the dense-list era (ascending bucket, insertion order
-            # within) regardless of which bucket was touched first.
-            flat = [
-                (key_int, peer_id)
-                for index in sorted(self._buckets)
-                for peer_id, key_int in self._buckets[index].items()
-            ]
-            self._flat = flat
-        return flat
+    def _nearest_first(self, split: int) -> Iterator[Sequence[int]]:
+        """Populated bucket indexes in groups, nearest group first, for
+        a target sharing ``split`` leading bits with our own key."""
+        buckets = self._buckets
+        if split in buckets:
+            yield (split,)
+        deeper = [index for index in buckets if index > split]
+        if deeper:
+            yield deeper
+        for index in sorted(buckets, reverse=True):
+            if index < split:
+                yield (index,)
 
     def closest(self, target_key: bytes, count: int = K_BUCKET_SIZE) -> list[PeerId]:
         """The ``count`` known peers closest to ``target_key`` by XOR.
 
-        Routing tables hold O(k log n) entries, so an exact scan plus
-        partial sort is both correct and cheap. The scan runs over a
-        flat cached ``(key_int, peer_id)`` list in a single C-speed
-        comprehension — this is the hottest routing-table path (every
-        FIND_NODE handler calls it), and the distance/peer pairs form a
-        total order, so the selection is independent of scan order.
+        Exact, but without scanning the whole table (the selection of
+        go-libp2p-kbucket's ``NearestPeers``). Let the target share
+        ``c`` leading bits with our own key. Entries of bucket ``c``
+        differ from us at bit ``c``, as the target does, so they share
+        more than ``c`` bits with it; entries of every bucket above
+        ``c`` agree with us at bit ``c``, so they share exactly ``c``;
+        entries of a bucket ``j < c`` share exactly ``j``. A longer
+        shared prefix is a smaller distance, hence every entry of
+        bucket ``c`` is closer than every entry of the buckets above it
+        (one group, their distances interleave), which are closer than
+        bucket ``c - 1``, then ``c - 2``, ... ``0``. Sort group by
+        group and stop once ``count`` peers are out: this is the
+        hottest routing-table path (every FIND_NODE handler calls it),
+        and a full bucket ``c`` answers it by sorting 20 entries.
+        Distinct entries have distinct distances, so the result does
+        not depend on scan order.
         """
         target = int.from_bytes(target_key, "big")
-        if self.breakers is not None:
-            is_open = self.breakers.is_open
+        split = min(
+            KEY_BITS - (self.own_key_int ^ target).bit_length(), KEY_BITS - 1
+        )
+        buckets = self._buckets
+        is_open = None if self.breakers is None else self.breakers.is_open
+        found: list[PeerId] = []
+        for group in self._nearest_first(split):
             pairs = [
                 (key_int ^ target, peer_id)
-                for key_int, peer_id in self._flat_entries()
-                if not is_open(peer_id)
+                for index in group
+                for peer_id, key_int in buckets[index].items()
             ]
-        else:
-            pairs = [
-                (key_int ^ target, peer_id)
-                for key_int, peer_id in self._flat_entries()
-            ]
-        if count >= len(pairs):
+            if is_open is not None:
+                pairs = [pair for pair in pairs if not is_open(pair[1])]
             pairs.sort()
-            return [peer_id for _, peer_id in pairs]
-        return [peer_id for _, peer_id in heapq.nsmallest(count, pairs)]
+            found += [peer_id for _, peer_id in pairs]
+            if len(found) >= count:
+                del found[count:]
+                break
+        return found
 
     def peers(self) -> list[PeerId]:
         """All table entries (used by the crawler's bucket dumps)."""

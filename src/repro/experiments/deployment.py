@@ -73,8 +73,13 @@ class CrawlCampaignResults:
 
     def timeseries(self) -> list[tuple[float, int, int, int]]:
         """(start, total, dialable, undialable) per crawl (Fig 4a)."""
+        # dialable and undialable are disjoint (one visit per peer), so
+        # the total needs no union of the two sets
         return [
-            (c.started_at, len(c.peers_seen), len(c.dialable), len(c.undialable))
+            (
+                c.started_at, len(c.dialable) + len(c.undialable),
+                len(c.dialable), len(c.undialable),
+            )
             for c in self.crawls
         ]
 
@@ -119,7 +124,7 @@ def run_crawl_timeseries(
             result = yield from crawler.crawl(scenario.bootstrap_ids)
             results.crawls.append(result)
             if config.probe_peers:
-                watched = sorted(result.peers_seen)
+                watched = sorted(result.peers_seen, key=PeerId.to_bytes)
                 if config.probe_sample < 1.0:
                     cutoff = int(config.probe_sample * 2**32)
                     watched = [

@@ -312,16 +312,12 @@ class CompactWorld:
             server=self.nat_peers_in_dht or reach != _REACH_NEVER,
         )
         engine = BitswapEngine(self.sim, self.net, host, MemoryBlockstore())
-        # Replay the precomputed fill: same entries in the same
+        # The precomputed fill in one load: same entries in the same
         # insertion order the legacy populate produced, so LRU order
-        # matches too. No add can be rejected (each bucket received at
-        # most `cap` entries from the fill).
-        add = node.routing_table.add
-        order = self._server_order
-        pid_at = compact.peer_id_at
-        entries = self._table_entries
-        for pos in entries[self._table_off[index]:self._table_off[index + 1]]:
-            add(pid_at(order[pos]))
+        # matches too. The fill never stores our own id and puts at
+        # most K_BUCKET_SIZE entries in a bucket, which is what `load`
+        # requires (and checks).
+        node.routing_table.load(self.table_peer_ids(index))
         self._hosts[index] = host
         self.nodes[peer_id] = node
         self.engines[peer_id] = engine
@@ -377,10 +373,7 @@ class CompactWorld:
     # -- routing-table precompute --------------------------------------
 
     def _fill_tables(
-        self,
-        rng: random.Random,
-        sample_cap: int | None = None,
-        stale_fraction: float = 0.05,
+        self, rng: random.Random, stale_fraction: float = 0.05
     ) -> None:
         """Replay ``populate_routing_tables`` draw-for-draw into flat
         position arrays (see module docstring for why views, not
@@ -406,7 +399,7 @@ class CompactWorld:
         append = entries.append
         bl = bisect.bisect_left
         sample = rng.sample
-        cap = sample_cap if sample_cap is not None else K_BUCKET_SIZE
+        cap = K_BUCKET_SIZE
         n_servers = len(keys)
         for i in range(n):
             own_int = key_ints[i]

@@ -1,5 +1,7 @@
 """Tests for the DHT crawler, uptime prober, and session extraction."""
 
+import hashlib
+
 import pytest
 
 from repro.crawler.crawl import Crawler, bucket_probe_key
@@ -9,6 +11,7 @@ from repro.dht.keyspace import common_prefix_length, key_for_peer
 from repro.multiformats.peerid import PeerId
 from repro.simnet.latency import PeerClass, Region
 from repro.simnet.network import SimHost
+from repro.simnet.sim import Future
 from repro.utils.rng import derive_rng
 from tests.helpers import build_world
 
@@ -105,6 +108,44 @@ class TestCrawl:
 
         result = world.sim.run_process(proc())
         assert result.peers_seen == set()
+
+    def test_waiting_costs_constant_work_per_visit(self, monkeypatch):
+        # The worker loop once re-armed a wait over all 64 in-flight
+        # visits after every completion: ~71 callback registrations per
+        # visit on this world, of which the visits' own dial, RPCs and
+        # timeouts are ~15. The result is pinned to what that loop
+        # produced for the same seed.
+        world = build_world(
+            n=300, seed=77, offline_fraction=0.3, client_fraction=0.1
+        )
+        crawler = attach_crawler(world)
+        bootstrap = [world.node(i).host.peer_id for i in range(4)]
+        registrations = 0
+        add_callback = Future.add_callback
+
+        def counting(future, callback):
+            nonlocal registrations
+            registrations += 1
+            add_callback(future, callback)
+
+        monkeypatch.setattr(Future, "add_callback", counting)
+        result = world.sim.run_process(crawler.crawl(bootstrap))
+        monkeypatch.undo()
+
+        visits = len(result.dialable) + len(result.undialable)
+        assert visits == len(result.peers_seen) == 270
+        assert registrations <= 20 * visits
+        assert (len(result.dialable), len(result.undialable)) == (189, 81)
+        assert result.rpcs_sent == 1512
+        assert result.finished_at == 11.436717758783027
+        digest = hashlib.sha256()
+        for group in (result.dialable, result.undialable):
+            for peer_id in sorted(group, key=PeerId.to_bytes):
+                digest.update(peer_id.to_bytes())
+            digest.update(b"|")
+        assert digest.hexdigest() == (
+            "b35530cc93ae635bcce302b78fa971a059370f26d1da3bab0b1a9bad6c01e877"
+        )
 
 
 class TestProber:

@@ -1,10 +1,15 @@
 """Tests for the k-bucket routing table."""
 
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dht.keyspace import key_for_peer, xor_distance
+from repro.crawler.crawl import bucket_probe_key
+from repro.dht.keyspace import bucket_index, key_for_peer, xor_distance
 from repro.dht.routing_table import K_BUCKET_SIZE, RoutingTable
+from repro.errors import SimulationError
 from repro.multiformats.peerid import PeerId
 
 
@@ -58,8 +63,6 @@ def test_full_bucket_rejects_newcomer():
     table = RoutingTable(pid(0), bucket_size=2)
     # Find three peers that land in the same bucket.
     own_key = key_for_peer(pid(0))
-    from repro.dht.keyspace import bucket_index
-
     by_bucket: dict[int, list[PeerId]] = {}
     for n in range(1, 500):
         bucket = bucket_index(own_key, key_for_peer(pid(n)))
@@ -161,3 +164,190 @@ def test_closest_is_exact_property(ns):
     got = table.closest(target, 5)
     expected = sorted(table.peers(), key=lambda p: xor_distance(key_for_peer(p), target))[:5]
     assert got == expected
+
+
+# -- bucket-ordered ``closest`` ≡ brute force ---------------------------------
+
+OWN = pid(0)
+OWN_KEY = key_for_peer(OWN)
+
+
+def _peer_pool() -> list[PeerId]:
+    """Up to 25 peers per bucket of OWN's table, so that deep buckets
+    (hash-derived keys reach cpl ~11 in a few thousand draws) are as
+    likely to be drawn as bucket 0."""
+    by_bucket: dict[int, list[PeerId]] = {}
+    for n in range(1, 4000):
+        peer = pid(n)
+        bucket = by_bucket.setdefault(bucket_index(OWN_KEY, key_for_peer(peer)), [])
+        if len(bucket) < 25:
+            bucket.append(peer)
+    return [peer for bucket in by_bucket.values() for peer in bucket]
+
+
+POOL = _peer_pool()
+
+
+class OpenBreakers:
+    """The slice of the breaker registry ``closest`` consults."""
+
+    def __init__(self, open_peers: set[PeerId]) -> None:
+        self.open_peers = open_peers
+
+    def is_open(self, peer_id: PeerId) -> bool:
+        return peer_id in self.open_peers
+
+
+def brute_force_closest(table: RoutingTable, target: bytes, count: int) -> list[PeerId]:
+    breakers = table.breakers
+    candidates = [
+        p for p in table.peers() if breakers is None or not breakers.is_open(p)
+    ]
+    candidates.sort(key=lambda p: xor_distance(key_for_peer(p), target))
+    return candidates[:count]
+
+
+def probe_targets(table: RoutingTable, rng: random.Random) -> list[bytes]:
+    """Our own key, an entry's key, one key at every cpl 0..12 from our
+    own (each picks a different first group) and a few random keys."""
+    targets = [OWN_KEY]
+    entries = table.peers()
+    if entries:
+        targets.append(key_for_peer(rng.choice(entries)))
+    targets += [bucket_probe_key(OWN_KEY, cpl, rng) for cpl in range(13)]
+    targets += [rng.getrandbits(256).to_bytes(32, "big") for _ in range(3)]
+    return targets
+
+
+peers_st = st.sampled_from(POOL)
+#: offered peers: near-empty tables and ones with full buckets alike
+offered_st = st.one_of(
+    st.lists(peers_st, max_size=30),
+    st.lists(peers_st, min_size=100, max_size=250),
+)
+#: interleaved table traffic: (operation, peer)
+ops_st = st.lists(
+    st.tuples(st.sampled_from(["add", "remove", "record_failure"]), peers_st),
+    max_size=40,
+)
+
+
+def apply_ops(table: RoutingTable, ops: list[tuple[str, PeerId]]) -> None:
+    for op, peer in ops:
+        getattr(table, op)(peer)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    initial=offered_st,
+    ops=ops_st,
+    open_peers=st.sets(peers_st, max_size=30),
+    bucket_size=st.sampled_from([3, K_BUCKET_SIZE]),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_closest_equals_brute_force(initial, ops, open_peers, bucket_size, seed):
+    rng = random.Random(seed)
+    table = RoutingTable(OWN, bucket_size=bucket_size, failure_threshold=2)
+
+    def check():
+        for target in probe_targets(table, rng):
+            for count in (1, rng.randint(2, 19), K_BUCKET_SIZE, rng.randint(21, 50)):
+                assert table.closest(target, count) == brute_force_closest(
+                    table, target, count
+                )
+
+    for peer in initial:
+        table.add(peer)  # repeats in `initial` are refreshes
+    check()
+    apply_ops(table, ops)
+    check()
+    table.breakers = OpenBreakers(open_peers)
+    check()
+
+
+def test_closest_spills_past_a_filtered_first_bucket():
+    # With the whole nearest bucket behind open breakers the answer
+    # must come from the following groups, still in distance order.
+    table = RoutingTable(OWN)
+    for peer in POOL:
+        table.add(peer)
+    target = bucket_probe_key(OWN_KEY, 1, random.Random(5))
+    table.breakers = OpenBreakers(
+        {p for p in table.peers() if bucket_index(OWN_KEY, key_for_peer(p)) == 1}
+    )
+    got = table.closest(target, K_BUCKET_SIZE)
+    assert len(got) == K_BUCKET_SIZE
+    assert got == brute_force_closest(table, target, K_BUCKET_SIZE)
+
+
+# -- bulk ``load`` ≡ replayed ``add`` -----------------------------------------
+
+
+def bucket_layout(table: RoutingTable) -> dict[int, list[tuple[PeerId, int]]]:
+    """Populated buckets with their entries in least-recently-seen order."""
+    return {
+        index: list(bucket.items())
+        for index, bucket in table._buckets.items()
+        if bucket
+    }
+
+
+def assert_same_table(loaded: RoutingTable, replayed: RoutingTable) -> None:
+    assert bucket_layout(loaded) == bucket_layout(replayed)
+    assert loaded.peers() == replayed.peers()
+    assert len(loaded) == len(replayed)
+    assert loaded.bucket_sizes() == replayed.bucket_sizes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    offered=offered_st.map(lambda peers: list(dict.fromkeys(peers))),
+    ops=ops_st,
+    bucket_size=st.sampled_from([3, K_BUCKET_SIZE]),
+)
+def test_load_equals_replayed_add(offered, ops, bucket_size):
+    replayed = RoutingTable(OWN, bucket_size=bucket_size)
+    # what a precomputed fill stores: the peers `add` accepted, in order
+    accepted = [peer for peer in offered if replayed.add(peer)]
+    loaded = RoutingTable(OWN, bucket_size=bucket_size)
+    loaded.load(accepted)
+    assert_same_table(loaded, replayed)
+    # ... and the two stay the same table under later traffic:
+    # refreshes, rejections by full buckets, evictions
+    apply_ops(loaded, ops)
+    apply_ops(replayed, ops)
+    assert_same_table(loaded, replayed)
+    assert loaded.evictions == replayed.evictions
+    target = key_for_peer(pid(123456))
+    assert loaded.closest(target) == replayed.closest(target)
+
+
+def _same_bucket_peers(count: int) -> list[PeerId]:
+    return [
+        p for p in POOL if bucket_index(OWN_KEY, key_for_peer(p)) == 0
+    ][:count]
+
+
+@pytest.mark.parametrize(
+    "peers",
+    [
+        pytest.param([POOL[0], OWN, POOL[1]], id="own-id"),
+        pytest.param([POOL[0], POOL[1], POOL[0]], id="duplicate"),
+        pytest.param(_same_bucket_peers(4), id="over-full-bucket"),
+    ],
+)
+def test_load_rejects_what_add_would_not_take_whole(peers):
+    table = RoutingTable(OWN, bucket_size=3)
+    with pytest.raises(SimulationError):
+        table.load(peers)
+    assert len(table) == 0 and table.peers() == []
+    table.load(peers[:1])  # still usable: the failed load left it empty
+    assert table.peers() == peers[:1]
+
+
+def test_load_rejects_a_non_empty_table():
+    table = RoutingTable(OWN)
+    table.add(POOL[0])
+    with pytest.raises(SimulationError):
+        table.load([POOL[1]])
+    assert table.peers() == [POOL[0]]
