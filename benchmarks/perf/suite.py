@@ -35,6 +35,7 @@ from repro.experiments.scenario import ScenarioConfig, build_scenario
 from repro.multiformats.peerid import PeerId
 from repro.simnet.compact import build_compact_world
 from repro.workloads.compact import generate_compact_population
+from repro.workloads.gateway_trace import GatewayTraceConfig, generate_columnar_trace
 from repro.simnet.sim import Future, Simulator
 from repro.utils.rng import derive_rng
 from repro.workloads.population import PopulationConfig, generate_population
@@ -230,6 +231,39 @@ def bench_world_build(n_peers: int) -> BenchResult:
     )
 
 
+def bench_compact_world_build(n_peers: int) -> BenchResult:
+    """Compact-world build (dominated by ``CompactWorld._fill_tables``).
+
+    ``world_build_*`` above times the *legacy* ``build_scenario`` and
+    ``world_memory_*`` gates only bytes, so neither holds the compact
+    fill's speed; the population is generated outside the timed region.
+    """
+    seed = 42
+    compact = generate_compact_population(
+        PopulationConfig(n_peers=n_peers), derive_rng(seed, "bench-kernel-pop")
+    )
+    t0 = time.perf_counter()
+    world = build_compact_world(compact, ScenarioConfig(seed=seed))
+    wall = time.perf_counter() - t0
+    return BenchResult(
+        f"compact_world_build_{n_peers // 1000}k", n_peers / wall, "peers/s", wall,
+        {"n_peers": n_peers, "table_entries": len(world._table_entries)},
+    )
+
+
+def bench_columnar_trace_generate(scale: int = 120) -> BenchResult:
+    """The gateway day as columns (scale 120 = 59 166 requests): the
+    draw-for-draw hot loop plus the sort and column permutations."""
+    config = GatewayTraceConfig(scale=scale)
+    t0 = time.perf_counter()
+    trace = generate_columnar_trace(config, derive_rng(42, "trace"))
+    wall = time.perf_counter() - t0
+    return BenchResult(
+        "columnar_trace_generate", len(trace) / wall, "requests/s", wall,
+        {"scale": scale, "n_requests": len(trace)},
+    )
+
+
 def bench_world_memory(n_peers: int, traced: bool | None = None) -> BenchResult:
     """Bytes per peer for a compact (unmaterialized) world.
 
@@ -357,6 +391,8 @@ QUICK_BENCHES = (
     lambda: bench_routing_table_closest(2_800),
     lambda: bench_routing_table_closest(200_000),
     lambda: bench_world_build(1000),
+    lambda: bench_compact_world_build(10_000),
+    bench_columnar_trace_generate,
     lambda: bench_macro_perf_experiment(800, 4),
     # Memory gates run at full size even in CI: bytes/peer is
     # deterministic for a fixed Python, and the 100k point is where a
@@ -375,6 +411,8 @@ FULL_BENCHES = (
     lambda: bench_routing_table_closest(200_000),
     lambda: bench_world_build(1000),
     lambda: bench_world_build(10_000),
+    lambda: bench_compact_world_build(10_000),
+    bench_columnar_trace_generate,
     bench_churn_events,
     bench_macro_perf_experiment,
     lambda: bench_world_memory(10_000),

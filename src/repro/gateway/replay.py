@@ -592,16 +592,14 @@ def run_replay(config: ReplayConfig, workers: int = 1) -> ReplayResult:
                         tiers[index] = TIER_SHED
                     cursor += 1
 
-    counts = {"nginx": 0, "node_store": 0, "non_cached": 0, "shed": 0}
-    tier_bytes = {"nginx": 0, "node_store": 0, "non_cached": 0, "shed": 0}
+    names = ("nginx", "node_store", "non_cached", "shed")
+    counts = dict.fromkeys(names, 0)
     windows: list[WindowSummary] = []
     for start, stop, window in slices:
-        per_window = [0, 0, 0, 0]
-        for index in range(start, stop):
-            per_window[tiers[index]] += 1
-        names = ("nginx", "node_store", "non_cached", "shed")
-        for code, name in enumerate(names):
-            counts[name] += per_window[code]
+        window_tiers = tiers[start:stop]
+        per_window = [window_tiers.count(code) for code in range(len(names))]
+        for name, count in zip(names, per_window):
+            counts[name] += count
         windows.append(
             WindowSummary(
                 window=window,
@@ -612,11 +610,11 @@ def run_replay(config: ReplayConfig, workers: int = 1) -> ReplayResult:
                 shed=per_window[TIER_SHED],
             )
         )
-    for index, tier in enumerate(tiers):
-        if tier != TIER_SHED:
-            tier_bytes[
-                ("nginx", "node_store", "non_cached")[tier]
-            ] += sizes[trace.cid_ids[index]]
+    bytes_by_tier = [0] * len(names)
+    for tier, cid in zip(tiers, trace.cid_ids):
+        bytes_by_tier[tier] += sizes[cid]
+    bytes_by_tier[TIER_SHED] = 0  # a shed request served nothing
+    tier_bytes = dict(zip(names, bytes_by_tier))
 
     if config.miss_backend == "model":
         node_store = _sorted_array(r["node_store"] for r in cell_results)
@@ -667,7 +665,7 @@ def run_replay(config: ReplayConfig, workers: int = 1) -> ReplayResult:
     timings["merge_s"] = time.perf_counter() - merge_started
     timings["total_s"] = time.perf_counter() - started
 
-    referred_count = sum(1 for code in trace.referrer_codes if code != 0)
+    referred_count = len(trace) - trace.referrer_codes.count(0)
     semi_popular_count = sum(1 for code in trace.referrer_codes if code > 0)
 
     return ReplayResult(

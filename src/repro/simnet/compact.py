@@ -13,9 +13,11 @@ This module builds the *same world* from columnar state:
 - peer attributes stay in the arrays of
   :class:`~repro.workloads.compact.CompactPopulation`;
 - routing tables are precomputed as flat position arrays by replaying
-  :func:`~repro.dht.bootstrap.populate_routing_tables` draw-for-draw
-  against zero-copy views of the sorted server order (the slice copies
-  made the legacy fill quadratic in network size);
+  :func:`~repro.dht.bootstrap.populate_routing_tables` draw-for-draw:
+  each bucket's ``rng.sample`` is a kernel over a window of the sorted
+  server order that spells out the stdlib's draws and indexes the
+  window in place (the slice copies made the legacy fill quadratic in
+  network size);
 - churn schedules are precomputed per peer into one flat delay array
   (the per-peer streams of :class:`~repro.simnet.churn.SessionProcess`,
   drawn ahead of time instead of lazily — same values, same order);
@@ -46,7 +48,6 @@ import math
 import random
 import sys
 from array import array
-from collections.abc import Sequence
 from functools import partial
 
 from repro.bitswap.engine import BitswapEngine
@@ -80,36 +81,40 @@ _REACH_NEVER = REACHABILITY_NAMES.index("never")
 _REGION_INDEX = {region: index for index, region in enumerate(Region)}
 
 
-class _SliceView(Sequence):
-    """A zero-copy window onto a sorted positions array.
+def _sample_window(getrandbits, base: list[int], lo: int, hi: int, k: int) -> list[int]:
+    """``random.Random.sample(base[lo:hi], k)``, draw for draw, given
+    the generator's bound ``getrandbits``.
 
-    ``random.sample`` only needs ``len`` and integer ``__getitem__``,
-    and its draws depend solely on the population *length* — so handing
-    it a view over ``positions[lo:hi]`` consumes the exact RNG stream
-    the legacy fill's slice copies did, without the O(interval) copy
-    that made bucket 0 (half the keyspace) quadratic over all nodes.
+    Both of ``sample``'s branches, with ``_randbelow`` spelled out
+    (``getrandbits(n.bit_length())`` redrawn until ``< n``): a copied
+    pool with swap-removal for short windows, else a set of picked
+    offsets indexed straight into ``base`` — so bucket 0 (half the
+    keyspace) costs no O(interval) copy and no Python frame per draw.
+    ``tests/simnet/test_sample_window.py`` holds it equal to the
+    running interpreter's stdlib, generator state included.
     """
-
-    __slots__ = ("_base", "_lo", "_hi")
-
-    def __init__(self, base, lo: int, hi: int) -> None:
-        self._base = base
-        self._lo = lo
-        self._hi = hi
-
-    def __len__(self) -> int:
-        return self._hi - self._lo
-
-    def __getitem__(self, index: int) -> int:
-        # random.sample only indexes 0 <= j < len(self); the base
-        # list's own bounds check guards the upper edge.
-        return self._base[self._lo + index]
-
-    def __iter__(self):
-        # sample's pool path (len <= 85) and the rare leftovers scan
-        # iterate the view; one C-level slice beats the Sequence
-        # mixin's per-element __getitem__ protocol.
-        return iter(self._base[self._lo:self._hi])
+    n = hi - lo
+    setsize = 21  # size of a small set minus size of an empty list
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))  # table size for big sets
+    result = []
+    if n <= setsize:
+        pool = base[lo:hi]
+        for remaining in range(n, n - k, -1):
+            nbits = remaining.bit_length()
+            while (j := getrandbits(nbits)) >= remaining:
+                pass
+            result.append(pool[j])
+            pool[j] = pool[remaining - 1]  # move non-selected item into vacancy
+    else:
+        selected: set[int] = set()
+        nbits = n.bit_length()
+        for _ in range(k):
+            while (j := getrandbits(nbits)) >= n or j in selected:
+                pass
+            selected.add(j)
+            result.append(base[lo + j])
+    return result
 
 
 # -- chunked per-peer precompute ----------------------------------------
@@ -376,8 +381,8 @@ class CompactWorld:
         self, rng: random.Random, stale_fraction: float = 0.05
     ) -> None:
         """Replay ``populate_routing_tables`` draw-for-draw into flat
-        position arrays (see module docstring for why views, not
-        slices)."""
+        position arrays (:func:`_sample_window` stands in for the
+        ``rng.sample`` of each bucket's slice copy)."""
         compact = self.compact
         n = self.n
         reach = compact.peer_reach
@@ -397,9 +402,11 @@ class CompactWorld:
         entries = self._table_entries
         off = self._table_off
         append = entries.append
+        extend = entries.extend
         bl = bisect.bisect_left
-        sample = rng.sample
+        bits = rng.getrandbits
         cap = K_BUCKET_SIZE
+        max_stale = int(cap * stale_fraction)
         n_servers = len(keys)
         for i in range(n):
             own_int = key_ints[i]
@@ -422,25 +429,28 @@ class CompactWorld:
                     cur_hi = mid
                 if start >= end:
                     continue
+                # A sibling half never holds our own key (it differs at
+                # bit `bucket`), so its picks need no own-key filter.
                 if end - start <= cap:
-                    for pos in range(start, end):
-                        if keys[pos] != own_int:
-                            append(pos)
+                    extend(range(start, end))
                     continue
-                live_view = _SliceView(live, bl(live, start), bl(live, end))
-                stale_view = _SliceView(stale, bl(stale, start), bl(stale, end))
-                n_stale = min(len(stale_view), int(cap * stale_fraction))
-                chosen = sample(live_view, min(len(live_view), cap - n_stale))
-                chosen += sample(stale_view, n_stale)
+                live_lo, live_hi = bl(live, start), bl(live, end)
+                stale_lo, stale_hi = bl(stale, start), bl(stale, end)
+                n_stale = min(stale_hi - stale_lo, max_stale)
+                chosen = _sample_window(
+                    bits, live, live_lo, live_hi,
+                    min(live_hi - live_lo, cap - n_stale),
+                )
+                chosen += _sample_window(bits, stale, stale_lo, stale_hi, n_stale)
                 if len(chosen) < cap:
                     taken = set(chosen)
-                    leftovers = [p for p in stale_view if p not in taken]
-                    chosen += sample(
+                    leftovers = [
+                        p for p in stale[stale_lo:stale_hi] if p not in taken
+                    ]
+                    chosen += rng.sample(
                         leftovers, min(len(leftovers), cap - len(chosen))
                     )
-                for pos in chosen:
-                    if keys[pos] != own_int:
-                        append(pos)
+                extend(chosen)
             off.append(len(entries))
         self._server_order = array("i", order)
 

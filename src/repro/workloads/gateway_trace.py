@@ -23,6 +23,7 @@ import hashlib
 import math
 import random
 from array import array
+from bisect import bisect
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -251,7 +252,7 @@ _LONG_TAIL_SITES = 2000
 class ColumnarTrace:
     """The day of traffic as parallel arrays instead of request objects.
 
-    Per-request state is four machine-typed arrays (~28 bytes per
+    Per-request state is four machine-typed arrays (18 bytes per
     request instead of a ~250-byte :class:`GatewayRequest`); everything
     else (country, size, pinned flag, user/referrer strings) is derived
     on demand from the per-user / per-CID side tables. Aggregates are
@@ -260,9 +261,9 @@ class ColumnarTrace:
 
     config: GatewayTraceConfig
     timestamps: array  # 'd', sorted ascending (gateway clock seconds)
-    user_ids: array  # 'l', index into user_countries
-    cid_ids: array  # 'l', index into cid_sizes; pinned iff < n_pinned
-    referrer_codes: array  # 'l', see _REFERRER_NONE encoding above
+    user_ids: array  # 'i', index into user_countries
+    cid_ids: array  # 'i', index into cid_sizes; pinned iff < n_pinned
+    referrer_codes: array  # 'h', see _REFERRER_NONE encoding above
     cid_sizes: list[int]
     user_countries: list[str]
     n_pinned: int
@@ -344,14 +345,17 @@ def generate_columnar_trace(
 ) -> ColumnarTrace:
     """Columnar twin of :func:`generate_gateway_trace`.
 
-    Consumes the RNG stream call-for-call identically to the legacy
-    generator (same seed => byte-identical request streams, pinned by
-    tests), but stores the day as arrays and runs the hot loop with
-    precomputed cumulative Zipf weights: ``rng.choices(pop, weights)``
-    re-accumulates its weight list on *every* call (O(n_cids) per
-    request — infeasible at 274 k CIDs), while passing ``cum_weights=``
-    draws the identical sample from the identical single ``random()``
-    call in O(log n_cids).
+    Consumes the RNG stream draw-for-draw identically to the legacy
+    generator (same seed => byte-identical request streams and the same
+    ``rng.getstate()`` afterwards, pinned by tests), but stores the day
+    as arrays and spells out in the hot loop what the stdlib calls
+    consume, so no Python frame is entered per draw: ``rng.choice(seq)``
+    is ``getrandbits(len(seq).bit_length())`` redrawn until ``<
+    len(seq)``; ``rng.choices(pop, weights)[0]`` is one ``random()``
+    bisected into the cumulative weights (precomputed once — the legacy
+    call re-accumulates them per request, O(n_cids) each); and
+    :func:`_sample_diurnal_time` / :func:`_diurnal_weight` are inlined
+    term for term (float addition does not associate: nothing is folded).
     """
     countries, country_weights = _country_pool(rng)
 
@@ -361,60 +365,89 @@ def generate_columnar_trace(
     cid_sizes = [sample_object_size(rng) for _ in range(config.n_cids)]
     n_pinned = max(1, int(config.n_cids * config.pinned_cid_fraction))
     # list(accumulate(w)) is exactly the cum_weights rng.choices()
-    # builds internally, so the bisect lands on the same index.
+    # builds internally; it bisects random() * (cum[-1] + 0.0) over
+    # [0, len - 1), so these land on the same index.
     pinned_cum = list(accumulate(_zipf_weights(n_pinned, config.zipf_exponent)))
+    pinned_total = pinned_cum[-1] + 0.0
+    pinned_hi = n_pinned - 1
     open_cum = list(
         accumulate(_zipf_weights(config.n_cids - n_pinned, config.zipf_exponent))
     )
-    pinned_range = range(n_pinned)
-    open_range = range(n_pinned, config.n_cids)
-    site_codes = range(1, SEMI_POPULAR_SITES + 1)
-    tail_codes = range(-1, -_LONG_TAIL_SITES - 1, -1)
+    open_total = open_cum[-1] + 0.0
+    open_hi = len(open_cum) - 1
 
     n = config.n_requests
-    user_ids = array("l", rng.choices(range(config.n_users), user_weights, k=n))
+    user_ids = array("i", rng.choices(range(config.n_users), user_weights, k=n))
     timestamps = array("d", [0.0]) * n
-    cid_ids = array("l", [0]) * n
-    referrer_codes = array("l", [0]) * n
+    cid_ids = array("i", [0]) * n
+    referrer_codes = array("h", [0]) * n
 
-    offset_table = _COUNTRY_UTC_OFFSET
-    pinned_share = config.pinned_request_share
-    day = config.seconds_per_day
-    rng_random = rng.random
-    rng_choice = rng.choice
-    rng_choices = rng.choices
+    # One table lookup per user, not per request; None marks a tail
+    # country, whose offset is the per-request fallback draw.
+    user_offsets = [_COUNTRY_UTC_OFFSET.get(country) for country in user_countries]
+    fallback_offsets = (-8, -5, 0, 1, 8)
+    n_fallback = len(fallback_offsets)
+    fallback_bits = n_fallback.bit_length()
+    n_sites = SEMI_POPULAR_SITES
+    site_bits = n_sites.bit_length()
+    n_tail = _LONG_TAIL_SITES
+    tail_bits = n_tail.bit_length()
     referred = REFERRED_FRACTION
     semi_popular = SEMI_POPULAR_FRACTION
-    sweep_stride = _catalog_sweep_stride(config)
-    for index in range(n):
-        country = user_countries[user_ids[index]]
+    pinned_share = config.pinned_request_share
+    day = config.seconds_per_day
+    rnd = rng.random
+    bits = rng.getrandbits
+    cos = math.cos
+    pi = math.pi
+    for index, user_id in enumerate(user_ids):
         # The legacy path evaluates dict.get's default argument eagerly,
         # drawing one rng.choice per request even when the country is in
         # the table — replicated here so the streams stay identical.
-        fallback = rng_choice([-8, -5, 0, 1, 8])
-        offset = offset_table.get(country, fallback)
-        timestamps[index] = _sample_diurnal_time(rng, offset, day)
-        if rng_random() < pinned_share:
-            cid_ids[index] = rng_choices(pinned_range, cum_weights=pinned_cum)[0]
+        while (draw := bits(fallback_bits)) >= n_fallback:
+            pass
+        offset = user_offsets[user_id]
+        if offset is None:
+            offset = fallback_offsets[draw]
+        while True:
+            # uniform(0, day) is 0 + (day - 0) * random(): exactly this.
+            second = day * rnd()
+            local_hour = ((second / 3600.0) + 8 + offset) % 24
+            primary = cos((local_hour - 15.0) / 24.0 * 2 * pi)
+            evening = 0.45 * cos((local_hour - 21.0) / 24.0 * 2 * pi)
+            weight = 0.6 + primary + evening
+            if rnd() < (weight if weight > 0.08 else 0.08) / 2.2:
+                break
+        timestamps[index] = second
+        if rnd() < pinned_share:
+            cid_ids[index] = bisect(pinned_cum, rnd() * pinned_total, 0, pinned_hi)
         else:
-            cid_ids[index] = rng_choices(open_range, cum_weights=open_cum)[0]
-        if sweep_stride and index % sweep_stride == 0:
-            sweep_slot = index // sweep_stride
-            if sweep_slot < config.n_cids:
-                cid_ids[index] = sweep_slot
-        if rng_random() < referred:
-            if rng_random() < semi_popular:
-                referrer_codes[index] = rng_choice(site_codes)
+            cid_ids[index] = n_pinned + bisect(
+                open_cum, rnd() * open_total, 0, open_hi
+            )
+        if rnd() < referred:
+            if rnd() < semi_popular:
+                while (draw := bits(site_bits)) >= n_sites:
+                    pass
+                referrer_codes[index] = draw + 1
             else:
-                referrer_codes[index] = rng_choice(tail_codes)
+                while (draw := bits(tail_bits)) >= n_tail:
+                    pass
+                referrer_codes[index] = -1 - draw
+    # The full-catalog override touches no draw, so it runs after them:
+    # positions 0, stride, 2*stride, ... take catalog slots 0, 1, 2, ...
+    sweep_stride = _catalog_sweep_stride(config)
+    if sweep_stride:
+        for slot, index in zip(range(config.n_cids), range(0, n, sweep_stride)):
+            cid_ids[index] = slot
 
     # Stable argsort by timestamp: the same permutation list.sort(key=
     # timestamp) applies to the legacy request list.
     order = sorted(range(n), key=timestamps.__getitem__)
-    timestamps = array("d", map(timestamps.__getitem__, order))
-    user_ids = array("l", map(user_ids.__getitem__, order))
-    cid_ids = array("l", map(cid_ids.__getitem__, order))
-    referrer_codes = array("l", map(referrer_codes.__getitem__, order))
+    timestamps = array("d", [timestamps[i] for i in order])
+    user_ids = array("i", [user_ids[i] for i in order])
+    cid_ids = array("i", [cid_ids[i] for i in order])
+    referrer_codes = array("h", [referrer_codes[i] for i in order])
 
     return ColumnarTrace(
         config=config,

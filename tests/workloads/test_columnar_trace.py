@@ -21,6 +21,9 @@ from repro.workloads.gateway_trace import (
 
 SCALE = 1000
 
+#: ``trace_stream_sha256`` of the seed-42 day at ``SCALE``.
+SEED_42_SHA256 = "0958f820ca785deefaa8e509390b1ddf7a9fcf1acfb420511f703ba318eb7a19"
+
 
 @pytest.fixture(scope="module")
 def config():
@@ -57,6 +60,42 @@ class TestByteIdentity:
         rebuilt = columnar.to_gateway_trace()
         assert rebuilt.requests == legacy.requests
         assert rebuilt.pinned_cids == legacy.pinned_cids
+
+
+class TestStreamPosition:
+    """The columnar hot loop spells out the stdlib's draws instead of
+    calling ``choice``/``choices``/``uniform``; it must consume exactly
+    the draws the legacy generator does — same requests *and* the
+    generator left at the same stream position."""
+
+    @pytest.mark.parametrize("full_catalog", [False, True])
+    @pytest.mark.parametrize("seed", [42, 43, 44])
+    def test_same_stream_and_same_rng_state(self, seed, full_catalog):
+        config = GatewayTraceConfig(scale=SCALE, full_catalog=full_catalog)
+        legacy_rng = derive_rng(seed, "trace")
+        columnar_rng = derive_rng(seed, "trace")
+        legacy = generate_gateway_trace(config, legacy_rng)
+        columnar = generate_columnar_trace(config, columnar_rng)
+        assert trace_stream_sha256(columnar.iter_requests()) == (
+            trace_stream_sha256(legacy.requests)
+        )
+        assert columnar_rng.getstate() == legacy_rng.getstate()
+
+    def test_seed_42_stream_is_pinned(self, columnar):
+        # A constant, so both generators drifting together cannot pass.
+        assert trace_stream_sha256(columnar.iter_requests()) == SEED_42_SHA256
+
+    def test_fallback_offset_branch_is_exercised(self, columnar):
+        # Tail countries have no UTC-offset table entry: their requests
+        # take the per-request fallback draw as their offset.
+        countries = {columnar.user_countries[user] for user in columnar.user_ids}
+        assert any(country.startswith("T") for country in countries)
+
+    def test_narrow_column_typecodes(self, columnar):
+        assert columnar.timestamps.typecode == "d"
+        assert columnar.user_ids.typecode == "i"
+        assert columnar.cid_ids.typecode == "i"
+        assert columnar.referrer_codes.typecode == "h"
 
 
 class TestAggregates:
