@@ -27,6 +27,8 @@ import time
 import tracemalloc
 from dataclasses import dataclass
 
+from repro.blockstore.block import Block
+from repro.blockstore.memory import MemoryBlockstore
 from repro.crawler.crawl import bucket_probe_key
 from repro.dht.keyspace import KEY_BITS
 from repro.dht.routing_table import K_BUCKET_SIZE, RoutingTable
@@ -205,6 +207,35 @@ def bench_routing_table_closest(
         {"n_network": n_network, "entries": len(table), "calls": 2 * per_kind,
          **{f"{kind}_us": round(w / per_kind * 1e6, 2)
             for kind, w in walls.items()}},
+    )
+
+
+# -- micro: the block hop ----------------------------------------------------
+
+def bench_block_hop(n_hops: int = 400_000, block_size: int = 256 * 1024) -> BenchResult:
+    """What one retrieval hop does to a 256 KiB block: ``get`` from the
+    sender's store, ``verify`` (Bitswap's check), ``put`` into the
+    receiver's (which verifies again). The object that travels is the
+    sender's own verified block, so a hop costs dict traffic; a sha256
+    over the payload per hop (≈ 0.2 ms) would cut this figure by two
+    orders of magnitude."""
+    rng = derive_rng(42, "bench-block-hop")
+    sender, receiver = MemoryBlockstore(), MemoryBlockstore()
+    cids = []
+    for _ in range(16):
+        block = Block.from_data(rng.randbytes(block_size))
+        sender.put(block)
+        cids.append(block.cid)
+    t0 = time.perf_counter()
+    for hop in range(n_hops):
+        block = sender.get(cids[hop & 15])
+        assert block.verify()
+        receiver.put(block)
+    wall = time.perf_counter() - t0
+    assert receiver.size_bytes() == 16 * block_size
+    return BenchResult(
+        f"block_hop_{block_size // 1024}k", n_hops / wall, "blocks/s", wall,
+        {"n_hops": n_hops, "block_size": block_size},
     )
 
 
@@ -390,6 +421,7 @@ QUICK_BENCHES = (
     lambda: bench_process_switch(100_000),
     lambda: bench_routing_table_closest(2_800),
     lambda: bench_routing_table_closest(200_000),
+    bench_block_hop,
     lambda: bench_world_build(1000),
     lambda: bench_compact_world_build(10_000),
     bench_columnar_trace_generate,
@@ -409,6 +441,7 @@ FULL_BENCHES = (
     bench_process_switch,
     lambda: bench_routing_table_closest(2_800),
     lambda: bench_routing_table_closest(200_000),
+    bench_block_hop,
     lambda: bench_world_build(1000),
     lambda: bench_world_build(10_000),
     lambda: bench_compact_world_build(10_000),

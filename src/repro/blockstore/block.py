@@ -27,11 +27,23 @@ class Block:
             cid = make_cid(data)
         else:
             cid = make_cid(data, codec=codec)
-        return cls(cid, data)
+        block = cls(cid, data)
+        block.__dict__["_verified"] = True  # the CID was just derived from `data`
+        return block
 
     def verify(self) -> bool:
-        """Self-certification: the data must hash to the CID."""
-        return self.cid.verify(self.data)
+        """Self-certification: the data must hash to the CID.
+
+        Hashed at most once per block object. The answer is kept in the
+        instance dict, not in a field, so equality, ``repr`` and
+        ``dataclasses.replace`` never see it: bytes that arrive as a new
+        object (from disk, from a peer that built its own) hash again.
+        """
+        memo = self.__dict__
+        verified = memo.get("_verified")
+        if verified is None:
+            verified = memo["_verified"] = self.cid.verify(self.data)
+        return verified
 
     @property
     def size(self) -> int:

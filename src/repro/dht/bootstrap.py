@@ -55,6 +55,10 @@ def populate_routing_tables(
     are much healthier than the crawl-wide 45.5 % undialable rate —
     but never perfectly clean, and those stale entries are what the
     walk's dial timeouts hit.
+
+    Every table must be empty on entry: each node's picks go to
+    :meth:`RoutingTable.load` in one call, which raises
+    :class:`~repro.errors.SimulationError` on a table that holds a peer.
     """
     servers = [n for n in nodes if n.server]
     ordered = sorted(
@@ -76,7 +80,7 @@ def populate_routing_tables(
     for node in nodes:
         own_int = node.host.peer_id.dht_key_int()
         cap = node.routing_table.bucket_size
-        add = node.routing_table.add
+        picks: list[PeerId] = []
         # [cur_lo, cur_hi) tracks the servers sharing our first `bucket`
         # key bits; bucket `bucket`'s interval is its sibling half, so
         # one boundary bisect (bounded to the parent interval) per
@@ -89,9 +93,10 @@ def populate_routing_tables(
                 # `cap` and is inserted wholesale — same entries the
                 # per-bucket walk would add, without iterating the
                 # ~240 empty tail buckets.
-                for index in range(cur_lo, cur_hi):
-                    if keys[index] != own_int:
-                        add(ids[index])
+                picks += [
+                    ids[index] for index in range(cur_lo, cur_hi)
+                    if keys[index] != own_int
+                ]
                 break
             shift = KEY_BITS - bucket - 1
             prefix = own_int >> shift
@@ -121,10 +126,10 @@ def populate_routing_tables(
                 chosen = rng.sample(live, min(len(live), cap - n_stale))
                 chosen += rng.sample(stale, n_stale)
                 if len(chosen) < cap:
-                    leftovers = [i for i in stale if i not in set(chosen)]
+                    taken = set(chosen)
+                    leftovers = [i for i in stale if i not in taken]
                     chosen += rng.sample(
                         leftovers, min(len(leftovers), cap - len(chosen))
                     )
-            for index in chosen:
-                if keys[index] != own_int:
-                    add(ids[index])
+            picks += [ids[index] for index in chosen if keys[index] != own_int]
+        node.routing_table.load(picks)

@@ -19,6 +19,7 @@ Every receipt carries the per-phase timings the paper's Figures 9 and
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 from collections.abc import Generator
@@ -94,8 +95,13 @@ class RetrievalReceipt:
         return self.provider_walk_duration + self.peer_walk_duration
 
 
+@functools.cache
 def synthesize_multiaddr(peer_id: PeerId) -> Multiaddr:
-    """A deterministic, syntactically valid address for a simulated peer."""
+    """A deterministic, syntactically valid address for a simulated peer.
+
+    A pure function of an immutable id, computed once per peer: every
+    address book that learns the peer shares the one ``Multiaddr``.
+    """
     digest = hashlib.sha256(b"addr" + peer_id.to_bytes()).digest()
     octets = (digest[0] % 223 + 1, digest[1], digest[2], digest[3] % 254 + 1)
     return Multiaddr.build(

@@ -1,9 +1,14 @@
 """Tests for the blockstore implementations."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.blockstore.filestore import FileBlockstore
 from repro.blockstore.lru import LruBlockstore
 from repro.blockstore.memory import MemoryBlockstore
 from repro.blockstore.pinning import PinningBlockstore
@@ -11,6 +16,70 @@ from repro.errors import BlockNotFoundError, DagError
 from repro.merkledag.builder import DagBuilder
 from repro.blockstore.block import Block
 from repro.multiformats.cid import make_cid
+from tests.helpers import counted_digests
+
+
+class TestVerifyMemo:
+    """A block object is hashed at most once; a new object hashes again."""
+
+    def test_forged_block_fails_twice_on_one_digest(self):
+        cid = make_cid(b"real")
+        with counted_digests() as sizes:
+            forged = Block(cid, b"forged")
+            assert forged.verify() is False
+            assert forged.verify() is False
+        assert sizes == [len(b"forged")]
+
+    def test_from_data_block_verifies_without_a_second_digest(self):
+        with counted_digests() as sizes:
+            block = Block.from_data(b"payload")
+            derived = len(sizes)
+            assert block.verify() is True
+            MemoryBlockstore().put(block)
+        assert derived == len(sizes) == 1
+
+    def test_foreign_bytes_are_hashed_on_first_use(self):
+        cid = make_cid(b"payload")
+        with counted_digests() as sizes:
+            rebuilt = Block(cid, b"payload")
+            assert rebuilt.verify() and rebuilt.verify()
+        assert sizes == [len(b"payload")]
+
+    def test_replace_is_hashed_afresh_and_fails(self):
+        block = Block.from_data(b"payload")
+        with counted_digests() as sizes:
+            swapped = dataclasses.replace(block, data=b"other")
+            assert swapped.verify() is False
+        assert sizes == [len(b"other")]
+        assert block.verify()
+
+    def test_memo_is_outside_equality_hash_and_repr(self):
+        built, derived = Block(make_cid(b"payload"), b"payload"), Block.from_data(b"payload")
+        before = repr(built)
+        assert built.verify()
+        assert built == derived
+        assert hash(built) == hash(derived)
+        assert repr(built) == before == repr(derived)
+        assert [f.name for f in dataclasses.fields(Block)] == ["cid", "data"]
+
+    @pytest.mark.parametrize(
+        "clone", [copy.copy, copy.deepcopy, lambda b: pickle.loads(pickle.dumps(b))]
+    )
+    def test_copies_still_verify(self, clone):
+        for block in (Block.from_data(b"payload"), Block(make_cid(b"payload"), b"payload")):
+            twin = clone(block)
+            assert twin == block
+            assert twin.verify()
+
+    def test_filestore_rehashes_what_it_reads_back(self, tmp_path):
+        store = FileBlockstore(tmp_path / "blocks")
+        block = Block.from_data(b"will be corrupted later")
+        store.put(block)
+        assert store.get(block.cid) == block  # a successful read first
+        store._path_for(block.cid).write_bytes(b"bitrot")
+        with pytest.raises(DagError):
+            store.get(block.cid)
+        assert block.verify()  # the caller's own object is untouched
 
 
 class TestMemoryBlockstore:

@@ -1,0 +1,147 @@
+"""``populate_routing_tables`` hands each node's picks to
+``RoutingTable.load`` in one call. The per-entry ``add`` loop it
+replaced is kept here as the reference: same tables, same order, same
+RNG stream."""
+
+import bisect
+import random
+
+import pytest
+
+from repro.dht.bootstrap import populate_routing_tables
+from repro.dht.keyspace import KEY_BITS, key_for_peer
+from repro.dht.routing_table import RoutingTable
+from repro.errors import SimulationError
+from tests.helpers import build_world
+
+
+def _populate_by_add(nodes, rng, stale_fraction=0.05):
+    """The fill as it was before the bulk load: one ``add`` per pick."""
+    servers = [n for n in nodes if n.server]
+    ordered = sorted(
+        (int.from_bytes(key_for_peer(n.host.peer_id), "big"), n.host.peer_id, n)
+        for n in servers
+    )
+    keys = [key for key, _, _ in ordered]
+    ids = [peer_id for _, peer_id, _ in ordered]
+    reachable = [n.host.reachable for _, _, n in ordered]
+    live_positions = [i for i, ok in enumerate(reachable) if ok]
+    stale_positions = [i for i, ok in enumerate(reachable) if not ok]
+    leftover_draws = 0
+
+    for node in nodes:
+        own_int = node.host.peer_id.dht_key_int()
+        cap = node.routing_table.bucket_size
+        add = node.routing_table.add
+        cur_lo, cur_hi = 0, len(keys)
+        for bucket in range(KEY_BITS):
+            if cur_hi - cur_lo <= cap:
+                for index in range(cur_lo, cur_hi):
+                    if keys[index] != own_int:
+                        add(ids[index])
+                break
+            shift = KEY_BITS - bucket - 1
+            prefix = own_int >> shift
+            if prefix & 1:
+                mid = bisect.bisect_left(keys, prefix << shift, cur_lo, cur_hi)
+                start, end = cur_lo, mid
+                cur_lo = mid
+            else:
+                mid = bisect.bisect_left(keys, (prefix ^ 1) << shift, cur_lo, cur_hi)
+                start, end = mid, cur_hi
+                cur_hi = mid
+            if start >= end:
+                continue
+            population = range(start, end)
+            if len(population) <= cap:
+                chosen = list(population)
+            else:
+                live = live_positions[
+                    bisect.bisect_left(live_positions, start):
+                    bisect.bisect_left(live_positions, end)
+                ]
+                stale = stale_positions[
+                    bisect.bisect_left(stale_positions, start):
+                    bisect.bisect_left(stale_positions, end)
+                ]
+                n_stale = min(len(stale), int(cap * stale_fraction))
+                chosen = rng.sample(live, min(len(live), cap - n_stale))
+                chosen += rng.sample(stale, n_stale)
+                if len(chosen) < cap:
+                    leftover_draws += 1
+                    leftovers = [i for i in stale if i not in set(chosen)]
+                    chosen += rng.sample(
+                        leftovers, min(len(leftovers), cap - len(chosen))
+                    )
+            for index in chosen:
+                if keys[index] != own_int:
+                    add(ids[index])
+    return leftover_draws
+
+
+def _mixed_world(n, seed):
+    """Servers, clients and offline (stale) servers; tables left empty."""
+    return build_world(
+        n=n, seed=seed, offline_fraction=0.45, client_fraction=0.2, populate=False
+    )
+
+
+@pytest.mark.parametrize("seed", [42, 43, 44])
+@pytest.mark.parametrize("n", [60, 400, 1500])
+def test_bulk_load_equals_the_add_loop(n, seed):
+    expected, actual = _mixed_world(n, seed), _mixed_world(n, seed)
+    assert [a.host.peer_id for a in actual.nodes] == [e.host.peer_id for e in expected.nodes]
+    assert any(not node.server for node in actual.nodes)
+    assert any(node.server and not node.host.reachable for node in actual.nodes)
+
+    expected_rng, actual_rng = random.Random(seed), random.Random(seed)
+    leftover_draws = _populate_by_add(expected.nodes, expected_rng)
+    populate_routing_tables(actual.nodes, actual_rng)
+
+    assert actual_rng.getstate() == expected_rng.getstate()
+    for ours, theirs in zip(actual.nodes, expected.nodes):
+        # peers() lists buckets in index order and each bucket in
+        # least-recently-seen order, so equal lists mean equal tables
+        assert ours.routing_table.peers() == theirs.routing_table.peers()
+        assert len(ours.routing_table) == len(theirs.routing_table)
+    if n >= 400:
+        # the hoisted leftovers filter is on the compared path
+        assert leftover_draws > 0
+
+
+def test_fill_never_calls_add(monkeypatch):
+    def no_add(self, peer_id):
+        raise AssertionError("populate_routing_tables must bulk-load")
+
+    monkeypatch.setattr(RoutingTable, "add", no_add)
+    world = _mixed_world(120, 7)
+    populate_routing_tables(world.nodes, random.Random(7))
+    assert all(len(node.routing_table) for node in world.nodes)
+
+
+def test_non_empty_table_is_refused_and_left_as_it_was():
+    world = _mixed_world(80, 5)
+    first = world.nodes[0]
+    resident = next(n.host.peer_id for n in world.nodes[1:] if n.server)
+    assert first.routing_table.add(resident)
+    with pytest.raises(SimulationError):
+        populate_routing_tables(world.nodes, random.Random(5))
+    assert first.routing_table.peers() == [resident]
+    assert len(first.routing_table) == 1
+
+
+def test_emptied_tables_can_be_filled_again():
+    # The hydra ablation's path: remove every entry (which leaves the
+    # emptied bucket dicts behind), widen the node list, fill again.
+    world = _mixed_world(200, 9)
+    populate_routing_tables(world.nodes, random.Random(9))
+    for node in world.nodes:
+        for peer_id in node.routing_table.peers():
+            node.routing_table.remove(peer_id)
+        assert len(node.routing_table) == 0
+    fresh = _mixed_world(200, 9)
+    populate_routing_tables(world.nodes, random.Random(10))
+    populate_routing_tables(fresh.nodes, random.Random(10))
+    for ours, theirs in zip(world.nodes, fresh.nodes):
+        assert ours.routing_table.peers() == theirs.routing_table.peers()
+        assert len(ours.routing_table) == len(theirs.routing_table)

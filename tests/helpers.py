@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from unittest import mock
 
 from repro.dht.bootstrap import populate_routing_tables
 from repro.dht.dht_node import DhtNode
+from repro.multiformats import multihash
 from repro.multiformats.peerid import PeerId
 from repro.simnet.latency import PeerClass, Region
 from repro.simnet.network import SimHost, SimNetwork
@@ -71,3 +75,19 @@ def build_world(
     if populate:
         populate_routing_tables(nodes, rng)
     return world
+
+
+@contextlib.contextmanager
+def counted_digests() -> Iterator[list[int]]:
+    """Record the payload size of every sha2-256 multihash digest
+    computed inside the block (CID derivation and ``verify`` both go
+    through ``multihash._HASHERS``)."""
+    name, hasher = multihash._HASHERS[multihash.SHA2_256]
+    sizes: list[int] = []
+
+    def counting(data: bytes) -> bytes:
+        sizes.append(len(data))
+        return hasher(data)
+
+    with mock.patch.dict(multihash._HASHERS, {multihash.SHA2_256: (name, counting)}):
+        yield sizes

@@ -11,6 +11,7 @@ from repro.simnet.latency import PeerClass, Region
 from repro.simnet.network import SimNetwork
 from repro.simnet.sim import Simulator
 from repro.utils.rng import derive_rng
+from tests.helpers import counted_digests
 
 
 def build_node_world(n=40, seed=30, offline_fraction=0.0, config=None):
@@ -182,6 +183,32 @@ class TestRetrieval:
         assert nodes[0].peer_id in getter.address_book
         assert second.peer_walk_duration == 0.0  # address book hit
 
+    def test_block_payloads_are_hashed_once_per_object(self):
+        # Import, publish and five retrievals of a 3-block object (two
+        # leaves under one root) hash only at import: two leaf CIDs,
+        # the root node's CID and the first verify of the root block,
+        # which is built from a CID computed beside its bytes. What
+        # travels is the publisher's verified object, so no hop hashes.
+        sim, net, nodes = build_node_world(seed=45)
+        publisher, getters = nodes[0], nodes[5:10]
+        payload = derive_rng(45, "payload").randbytes(2 * publisher.config.chunk_size)
+
+        def proc():
+            yield from publisher.publish_peer_record()
+            root, _ = yield from publisher.add_and_publish(payload)
+            fetched = []
+            for getter in getters:
+                getter.disconnect_all()
+                fetched.append((yield from getter.retrieve_bytes(root)))
+            return root, fetched
+
+        with counted_digests() as sizes:
+            root, fetched = sim.run_process(proc())
+        assert len(publisher.reader.all_cids(root)) == 3
+        assert all(data == payload for data, _ in fetched)
+        assert len(sizes) <= 4, sizes
+        assert sizes.count(publisher.config.chunk_size) == 2  # one digest per leaf
+
     def test_unpublished_content_not_found(self):
         sim, net, nodes = build_node_world(seed=38)
 
@@ -248,8 +275,9 @@ class TestIdentity:
         sim, net, nodes = world
         a = synthesize_multiaddr(nodes[0].peer_id)
         b = synthesize_multiaddr(nodes[0].peer_id)
-        assert a == b
+        assert a is b  # one address object per peer, shared by every observer
         assert a.peer_id_str() == nodes[0].peer_id.encode()
+        assert nodes[0].addresses == (a,)
 
     def test_nat_node_defaults_to_dht_client(self):
         sim = Simulator()
