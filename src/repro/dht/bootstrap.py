@@ -16,12 +16,17 @@ Two ways to wire up a simulated DHT:
 The bucket-fill trick: peers whose key shares exactly ``i`` leading
 bits with ours occupy one contiguous interval of the sorted key space,
 so each bucket is a binary search plus a bounded sample.
+:func:`sample_table_positions` is that walk for one node; it works on
+positions in the sorted server order, so the same code fills object
+tables here and the flat arrays of
+:class:`~repro.simnet.compact.CompactWorld`.
 """
 
 from __future__ import annotations
 
-import bisect
+import math
 import random
+from bisect import bisect_left
 from collections.abc import Generator
 
 from repro.dht.dht_node import DhtNode
@@ -39,10 +44,117 @@ def join_network(node: DhtNode, bootstrap_peers: list[PeerId]) -> Generator:
     return stats
 
 
+#: Default cap on the share of unreachable peers per filled bucket.
+STALE_FRACTION = 0.05
+
+
+def _sample_window(getrandbits, base: list[int], lo: int, hi: int, k: int) -> list[int]:
+    """``random.Random.sample(base[lo:hi], k)``, draw for draw, given
+    the generator's bound ``getrandbits``.
+
+    Both of ``sample``'s branches, with ``_randbelow`` spelled out
+    (``getrandbits(n.bit_length())`` redrawn until ``< n``): a copied
+    pool with swap-removal for short windows, else a set of picked
+    offsets indexed straight into ``base`` — so bucket 0 (half the
+    keyspace) costs no O(interval) copy and no Python frame per draw.
+    ``tests/simnet/test_sample_window.py`` holds it equal to the
+    running interpreter's stdlib, generator state included.
+    """
+    n = hi - lo
+    setsize = 21  # size of a small set minus size of an empty list
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))  # table size for big sets
+    result = []
+    if n <= setsize:
+        pool = base[lo:hi]
+        for remaining in range(n, n - k, -1):
+            nbits = remaining.bit_length()
+            while (j := getrandbits(nbits)) >= remaining:
+                pass
+            result.append(pool[j])
+            pool[j] = pool[remaining - 1]  # move non-selected item into vacancy
+    else:
+        selected: set[int] = set()
+        nbits = n.bit_length()
+        for _ in range(k):
+            while (j := getrandbits(nbits)) >= n or j in selected:
+                pass
+            selected.add(j)
+            result.append(base[lo + j])
+    return result
+
+
+def sample_table_positions(
+    sink,
+    own_int: int,
+    keys: list[int],
+    live: list[int],
+    stale: list[int],
+    cap: int,
+    max_stale: int,
+    rng: random.Random,
+) -> None:
+    """One node's k-bucket fill, as positions into the sorted servers.
+
+    ``keys`` are the servers' DHT keys in ascending order; ``live`` and
+    ``stale`` are the ascending positions of the reachable and
+    unreachable ones, so a bucket's live set is a bisect window of
+    ``live`` rather than a scan of the bucket interval (bucket 0 spans
+    half the keyspace). Chosen positions go to ``sink.extend`` (a list
+    or an ``array``) bucket by bucket: at most
+    ``cap`` per bucket, of which at most ``max_stale`` unreachable
+    unless the live ones run out. The node's own key is never chosen.
+    """
+    extend = sink.extend
+    bits = rng.getrandbits
+    # [cur_lo, cur_hi) tracks the servers sharing our first `bucket` key
+    # bits; bucket `bucket`'s interval is its sibling half, so one
+    # boundary bisect (bounded to the parent interval) per bucket
+    # replaces two over the whole key list.
+    cur_lo, cur_hi = 0, len(keys)
+    for bucket in range(KEY_BITS):
+        if cur_hi - cur_lo <= cap:
+            # Every remaining peer shares >= bucket leading bits with
+            # us, so each deeper bucket's slice fits under `cap` and is
+            # taken wholesale — the same entries the per-bucket walk
+            # would add, without iterating the ~240 empty tail buckets.
+            extend([pos for pos in range(cur_lo, cur_hi) if keys[pos] != own_int])
+            return
+        shift = KEY_BITS - bucket - 1
+        prefix = own_int >> shift
+        if prefix & 1:
+            mid = bisect_left(keys, prefix << shift, cur_lo, cur_hi)
+            start, end = cur_lo, mid
+            cur_lo = mid
+        else:
+            mid = bisect_left(keys, (prefix ^ 1) << shift, cur_lo, cur_hi)
+            start, end = mid, cur_hi
+            cur_hi = mid
+        if start >= end:
+            continue
+        # A sibling half never holds our own key (it differs at bit
+        # `bucket`), so its picks need no own-key filter.
+        if end - start <= cap:
+            extend(range(start, end))
+            continue
+        live_lo, live_hi = bisect_left(live, start), bisect_left(live, end)
+        stale_lo, stale_hi = bisect_left(stale, start), bisect_left(stale, end)
+        n_stale = min(stale_hi - stale_lo, max_stale)
+        chosen = _sample_window(
+            bits, live, live_lo, live_hi, min(live_hi - live_lo, cap - n_stale)
+        )
+        chosen += _sample_window(bits, stale, stale_lo, stale_hi, n_stale)
+        if len(chosen) < cap:
+            taken = set(chosen)
+            leftovers = [p for p in stale[stale_lo:stale_hi] if p not in taken]
+            chosen += rng.sample(leftovers, min(len(leftovers), cap - len(chosen)))
+        extend(chosen)
+
+
 def populate_routing_tables(
     nodes: list[DhtNode],
     rng: random.Random,
-    stale_fraction: float = 0.05,
+    stale_fraction: float = STALE_FRACTION,
 ) -> None:
     """Fill k-buckets of every node from the server subset of ``nodes``.
 
@@ -60,76 +172,23 @@ def populate_routing_tables(
     :meth:`RoutingTable.load` in one call, which raises
     :class:`~repro.errors.SimulationError` on a table that holds a peer.
     """
-    servers = [n for n in nodes if n.server]
     ordered = sorted(
         (int.from_bytes(key_for_peer(n.host.peer_id), "big"), n.host.peer_id, n)
-        for n in servers
+        for n in nodes
+        if n.server
     )
     keys = [key for key, _, _ in ordered]
     ids = [peer_id for _, peer_id, _ in ordered]
-    reachable = [n.host.reachable for _, _, n in ordered]
-    # Ascending positions of live / stale servers. A bucket's live set
-    # is then a bisect slice of these instead of a comprehension over
-    # the whole bucket interval — bucket 0 spans half the keyspace, so
-    # the comprehensions made table fill quadratic in network size.
-    # Slicing preserves the exact ascending order the comprehensions
-    # produced, so rng.sample draws identical elements.
-    live_positions = [i for i, ok in enumerate(reachable) if ok]
-    stale_positions = [i for i, ok in enumerate(reachable) if not ok]
+    live: list[int] = []
+    stale: list[int] = []
+    for position, (_, _, node) in enumerate(ordered):
+        (live if node.host.reachable else stale).append(position)
 
     for node in nodes:
-        own_int = node.host.peer_id.dht_key_int()
         cap = node.routing_table.bucket_size
-        picks: list[PeerId] = []
-        # [cur_lo, cur_hi) tracks the servers sharing our first `bucket`
-        # key bits; bucket `bucket`'s interval is its sibling half, so
-        # one boundary bisect (bounded to the parent interval) per
-        # bucket replaces two over the whole key list.
-        cur_lo, cur_hi = 0, len(keys)
-        for bucket in range(KEY_BITS):
-            if cur_hi - cur_lo <= cap:
-                # Every remaining peer shares >= bucket leading bits
-                # with us, so each deeper bucket's slice fits under
-                # `cap` and is inserted wholesale — same entries the
-                # per-bucket walk would add, without iterating the
-                # ~240 empty tail buckets.
-                picks += [
-                    ids[index] for index in range(cur_lo, cur_hi)
-                    if keys[index] != own_int
-                ]
-                break
-            shift = KEY_BITS - bucket - 1
-            prefix = own_int >> shift
-            if prefix & 1:
-                mid = bisect.bisect_left(keys, prefix << shift, cur_lo, cur_hi)
-                start, end = cur_lo, mid
-                cur_lo = mid
-            else:
-                mid = bisect.bisect_left(keys, (prefix ^ 1) << shift, cur_lo, cur_hi)
-                start, end = mid, cur_hi
-                cur_hi = mid
-            if start >= end:
-                continue
-            population = range(start, end)
-            if len(population) <= cap:
-                chosen = list(population)
-            else:
-                live = live_positions[
-                    bisect.bisect_left(live_positions, start):
-                    bisect.bisect_left(live_positions, end)
-                ]
-                stale = stale_positions[
-                    bisect.bisect_left(stale_positions, start):
-                    bisect.bisect_left(stale_positions, end)
-                ]
-                n_stale = min(len(stale), int(cap * stale_fraction))
-                chosen = rng.sample(live, min(len(live), cap - n_stale))
-                chosen += rng.sample(stale, n_stale)
-                if len(chosen) < cap:
-                    taken = set(chosen)
-                    leftovers = [i for i in stale if i not in taken]
-                    chosen += rng.sample(
-                        leftovers, min(len(leftovers), cap - len(chosen))
-                    )
-            picks += [ids[index] for index in chosen if keys[index] != own_int]
-        node.routing_table.load(picks)
+        picks: list[int] = []
+        sample_table_positions(
+            picks, node.host.peer_id.dht_key_int(), keys, live, stale,
+            cap, int(cap * stale_fraction), rng,
+        )
+        node.routing_table.load([ids[position] for position in picks])

@@ -8,8 +8,9 @@ replays the same day in three batched stages:
 
 1. **Columnar trace** —
    :func:`~repro.workloads.gateway_trace.generate_columnar_trace`
-   produces the day as parallel arrays, RNG-identical to the legacy
-   generator (same seed ⇒ byte-identical request stream).
+   produces the day as parallel arrays (``generate_gateway_trace``
+   is the object view of the same arrays: same seed ⇒ byte-identical
+   request stream).
 2. **Tier resolution** — one sequential, RNG-free pass over the CID
    column with a plain-dict LRU replicating
    :class:`~repro.gateway.cache.ObjectCache` semantics exactly

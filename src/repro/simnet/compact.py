@@ -12,12 +12,11 @@ This module builds the *same world* from columnar state:
 
 - peer attributes stay in the arrays of
   :class:`~repro.workloads.compact.CompactPopulation`;
-- routing tables are precomputed as flat position arrays by replaying
-  :func:`~repro.dht.bootstrap.populate_routing_tables` draw-for-draw:
-  each bucket's ``rng.sample`` is a kernel over a window of the sorted
-  server order that spells out the stdlib's draws and indexes the
-  window in place (the slice copies made the legacy fill quadratic in
-  network size);
+- routing tables are precomputed as flat position arrays by the same
+  per-node kernel :func:`~repro.dht.bootstrap.populate_routing_tables`
+  uses (:func:`~repro.dht.bootstrap.sample_table_positions`), which
+  samples each bucket from a window of the sorted server order in
+  place;
 - churn schedules are precomputed per peer into one flat delay array
   (the per-peer streams of :class:`~repro.simnet.churn.SessionProcess`,
   drawn ahead of time instead of lazily — same values, same order);
@@ -33,16 +32,13 @@ trace.
 
 Determinism across workers: the event queue is a
 :class:`~repro.simnet.shard.ShardedSimulator` whose merge executes the
-global ``(time, sequence)`` order for any shard count, and the per-peer
-precompute is chunked through the same pure functions a worker pool
-would run, so every artifact is byte-identical for ``workers`` of 1, 2,
-4, ... — the property pinned for the crawl/churn experiments at paper
-scale.
+global ``(time, sequence)`` order for any shard count, so every
+artifact is byte-identical for ``workers`` of 1, 2, 4, ... — the
+property pinned for the crawl/churn experiments at paper scale.
 """
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import math
 import random
@@ -52,8 +48,8 @@ from functools import partial
 
 from repro.bitswap.engine import BitswapEngine
 from repro.blockstore.memory import MemoryBlockstore
+from repro.dht.bootstrap import STALE_FRACTION, sample_table_positions
 from repro.dht.dht_node import DhtNode
-from repro.dht.keyspace import KEY_BITS
 from repro.dht.routing_table import K_BUCKET_SIZE
 from repro.errors import SimulationError
 from repro.multiformats.peerid import PeerId
@@ -81,57 +77,11 @@ _REACH_NEVER = REACHABILITY_NAMES.index("never")
 _REGION_INDEX = {region: index for index, region in enumerate(Region)}
 
 
-def _sample_window(getrandbits, base: list[int], lo: int, hi: int, k: int) -> list[int]:
-    """``random.Random.sample(base[lo:hi], k)``, draw for draw, given
-    the generator's bound ``getrandbits``.
-
-    Both of ``sample``'s branches, with ``_randbelow`` spelled out
-    (``getrandbits(n.bit_length())`` redrawn until ``< n``): a copied
-    pool with swap-removal for short windows, else a set of picked
-    offsets indexed straight into ``base`` — so bucket 0 (half the
-    keyspace) costs no O(interval) copy and no Python frame per draw.
-    ``tests/simnet/test_sample_window.py`` holds it equal to the
-    running interpreter's stdlib, generator state included.
-    """
-    n = hi - lo
-    setsize = 21  # size of a small set minus size of an empty list
-    if k > 5:
-        setsize += 4 ** math.ceil(math.log(k * 3, 4))  # table size for big sets
-    result = []
-    if n <= setsize:
-        pool = base[lo:hi]
-        for remaining in range(n, n - k, -1):
-            nbits = remaining.bit_length()
-            while (j := getrandbits(nbits)) >= remaining:
-                pass
-            result.append(pool[j])
-            pool[j] = pool[remaining - 1]  # move non-selected item into vacancy
-    else:
-        selected: set[int] = set()
-        nbits = n.bit_length()
-        for _ in range(k):
-            while (j := getrandbits(nbits)) >= n or j in selected:
-                pass
-            selected.add(j)
-            result.append(base[lo + j])
-    return result
+# -- per-peer precompute ------------------------------------------------
 
 
-# -- chunked per-peer precompute ----------------------------------------
-#
-# Each helper is a pure function of (population, chunk bounds): the
-# build runs them over `workers` contiguous chunks and concatenates, so
-# the merged arrays are byte-identical for any worker count.
-
-
-def _chunk_bounds(n: int, workers: int) -> list[tuple[int, int]]:
-    """``workers`` contiguous [lo, hi) chunks covering ``range(n)``."""
-    step = (n + workers - 1) // workers if workers else n
-    return [(lo, min(lo + step, n)) for lo in range(0, n, step)] if n else []
-
-
-def _keys_chunk(lo: int, hi: int) -> tuple[list[bytes], list[int]]:
-    """PeerID digests and DHT key ints for peers ``lo..hi`` by formula.
+def _peer_keys(n: int) -> tuple[list[bytes], list[int]]:
+    """PeerID digests and DHT key ints for peers ``0..n`` by formula.
 
     ``PeerId.from_public_key(b"population-peer-%d" % i)`` is sha256 of
     the key material; the DHT key is sha256 of the multihash encoding
@@ -141,7 +91,7 @@ def _keys_chunk(lo: int, hi: int) -> tuple[list[bytes], list[int]]:
     sha = hashlib.sha256
     digests: list[bytes] = []
     key_ints: list[int] = []
-    for index in range(lo, hi):
+    for index in range(n):
         digest = sha(b"population-peer-%d" % index).digest()
         digests.append(digest)
         key_ints.append(
@@ -150,46 +100,44 @@ def _keys_chunk(lo: int, hi: int) -> tuple[list[bytes], list[int]]:
     return digests, key_ints
 
 
-def _churn_chunk(
+def _churn_schedules(
     compact: CompactPopulation,
     seed: int,
     initial_online_probability: float,
     horizon_s: float,
-    lo: int,
-    hi: int,
 ) -> tuple[bytearray, array, array]:
-    """Initial online flags + pre-drawn transition delays for a chunk.
+    """Initial online flags, per-peer ``[off, off+1)`` slices and the
+    pre-drawn transition delays they index, for every peer.
 
     Replays :class:`~repro.simnet.churn.SessionProcess` exactly: the
     initial draw, then alternating session/gap samples from the same
     per-peer derived stream. Delays are stored *raw* (not accumulated):
     the churn callback schedules ``delay`` so event times come out of
-    the same ``now + delay`` float accumulation the legacy callbacks
-    produce, bit for bit.
+    the same ``now + delay`` float accumulation ``SessionProcess``'s
+    callbacks produce, bit for bit.
     """
-    online = bytearray(hi - lo)
-    counts = array("I")
+    online = bytearray(len(compact))
+    off = array("Q", [0])
     delays = array("d")
     reach = compact.peer_reach
-    for index in range(lo, hi):
+    for index in range(len(compact)):
         if reach[index] != _REACH_CHURNING:
-            online[index - lo] = 1 if reach[index] != _REACH_NEVER else 0
-            counts.append(0)
+            online[index] = 1 if reach[index] != _REACH_NEVER else 0
+            off.append(len(delays))
             continue
         model = compact.churn_model_at(index)
         rng = derive_rng(seed, "churn", str(index))
         if math.isinf(model.median_session_s):
-            online[index - lo] = 1
-            counts.append(0)
+            online[index] = 1
+            off.append(len(delays))
             continue
         is_online = rng.random() < initial_online_probability
-        online[index - lo] = 1 if is_online else 0
+        online[index] = 1 if is_online else 0
         elapsed = 0.0
-        drawn = 0
         state = is_online
         # One overshoot draw past the horizon: every transition a run
         # bounded by the horizon can execute exists, scheduled exactly
-        # when the legacy callbacks would schedule it.
+        # when SessionProcess would schedule it.
         while elapsed <= horizon_s:
             if state:
                 delay = model.sample_session_length(rng)
@@ -197,10 +145,9 @@ def _churn_chunk(
                 delay = model.sample_gap_length(rng)
             delays.append(delay)
             elapsed += delay
-            drawn += 1
             state = not state
-        counts.append(drawn)
-    return online, counts, delays
+        off.append(len(delays))
+    return online, off, delays
 
 
 class CompactWorld:
@@ -317,11 +264,11 @@ class CompactWorld:
             server=self.nat_peers_in_dht or reach != _REACH_NEVER,
         )
         engine = BitswapEngine(self.sim, self.net, host, MemoryBlockstore())
-        # The precomputed fill in one load: same entries in the same
-        # insertion order the legacy populate produced, so LRU order
-        # matches too. The fill never stores our own id and puts at
-        # most K_BUCKET_SIZE entries in a bucket, which is what `load`
-        # requires (and checks).
+        # The precomputed fill in one load: the same entries in the
+        # same insertion order populate_routing_tables loads into an
+        # object world, so LRU order matches too. The fill never stores
+        # our own id and puts at most K_BUCKET_SIZE entries in a
+        # bucket, which is what `load` requires (and checks).
         node.routing_table.load(self.table_peer_ids(index))
         self._hosts[index] = host
         self.nodes[peer_id] = node
@@ -377,19 +324,15 @@ class CompactWorld:
 
     # -- routing-table precompute --------------------------------------
 
-    def _fill_tables(
-        self, rng: random.Random, stale_fraction: float = 0.05
-    ) -> None:
-        """Replay ``populate_routing_tables`` draw-for-draw into flat
-        position arrays (:func:`_sample_window` stands in for the
-        ``rng.sample`` of each bucket's slice copy)."""
-        compact = self.compact
-        n = self.n
-        reach = compact.peer_reach
-        key_ints = self._key_ints
+    def _fill_tables(self, rng: random.Random, key_ints: list[int]) -> None:
+        """Every peer's routing table as positions into the sorted
+        server order: :func:`~repro.dht.bootstrap.sample_table_positions`
+        per peer (``key_ints[i]`` is peer ``i``'s DHT key), appended to
+        one flat array."""
+        reach = self.compact.peer_reach
         in_dht = self.nat_peers_in_dht
         order = sorted(
-            (i for i in range(n) if in_dht or reach[i] != _REACH_NEVER),
+            (i for i in range(self.n) if in_dht or reach[i] != _REACH_NEVER),
             key=key_ints.__getitem__,
         )
         keys = [key_ints[i] for i in order]
@@ -401,56 +344,11 @@ class CompactWorld:
 
         entries = self._table_entries
         off = self._table_off
-        append = entries.append
-        extend = entries.extend
-        bl = bisect.bisect_left
-        bits = rng.getrandbits
-        cap = K_BUCKET_SIZE
-        max_stale = int(cap * stale_fraction)
-        n_servers = len(keys)
-        for i in range(n):
-            own_int = key_ints[i]
-            cur_lo, cur_hi = 0, n_servers
-            for bucket in range(KEY_BITS):
-                if cur_hi - cur_lo <= cap:
-                    for pos in range(cur_lo, cur_hi):
-                        if keys[pos] != own_int:
-                            append(pos)
-                    break
-                shift = KEY_BITS - bucket - 1
-                prefix = own_int >> shift
-                if prefix & 1:
-                    mid = bl(keys, prefix << shift, cur_lo, cur_hi)
-                    start, end = cur_lo, mid
-                    cur_lo = mid
-                else:
-                    mid = bl(keys, (prefix ^ 1) << shift, cur_lo, cur_hi)
-                    start, end = mid, cur_hi
-                    cur_hi = mid
-                if start >= end:
-                    continue
-                # A sibling half never holds our own key (it differs at
-                # bit `bucket`), so its picks need no own-key filter.
-                if end - start <= cap:
-                    extend(range(start, end))
-                    continue
-                live_lo, live_hi = bl(live, start), bl(live, end)
-                stale_lo, stale_hi = bl(stale, start), bl(stale, end)
-                n_stale = min(stale_hi - stale_lo, max_stale)
-                chosen = _sample_window(
-                    bits, live, live_lo, live_hi,
-                    min(live_hi - live_lo, cap - n_stale),
-                )
-                chosen += _sample_window(bits, stale, stale_lo, stale_hi, n_stale)
-                if len(chosen) < cap:
-                    taken = set(chosen)
-                    leftovers = [
-                        p for p in stale[stale_lo:stale_hi] if p not in taken
-                    ]
-                    chosen += rng.sample(
-                        leftovers, min(len(leftovers), cap - len(chosen))
-                    )
-                extend(chosen)
+        max_stale = int(K_BUCKET_SIZE * STALE_FRACTION)
+        for own_int in key_ints:
+            sample_table_positions(
+                entries, own_int, keys, live, stale, K_BUCKET_SIZE, max_stale, rng
+            )
             off.append(len(entries))
         self._server_order = array("i", order)
 
@@ -483,12 +381,10 @@ def build_compact_world(
     *,
     workers: int = 1,
     churn_horizon_s: float = DEFAULT_CHURN_HORIZON_S,
-    lookahead: float | None = None,
 ) -> CompactWorld:
     """Build the scenario ``build_scenario`` would build, compactly.
 
-    ``workers`` shards both the per-peer precompute (chunked through
-    pure functions) and the kernel's event queue; results are
+    ``workers`` shards the kernel's event queue; results are
     byte-identical for any value. ``config`` is a
     :class:`~repro.experiments.scenario.ScenarioConfig` (NAT worlds are
     not supported compactly yet — build those with ``build_scenario``).
@@ -505,7 +401,7 @@ def build_compact_world(
         raise SimulationError(f"need at least one worker, got {workers}")
 
     n = len(compact)
-    sim = ShardedSimulator(shards=workers, lookahead=lookahead)
+    sim = ShardedSimulator(shards=workers)
     net = SimNetwork(sim, derive_rng(config.seed, "net"))
     world = CompactWorld(compact, config, sim, net)
 
@@ -518,31 +414,18 @@ def build_compact_world(
         if draw() < 0.05:
             ws[index] = 1
 
-    bounds = _chunk_bounds(n, workers)
-
-    # Identity: PeerID digests + DHT key ints, chunked.
-    digests: list[bytes] = []
-    key_ints: list[int] = []
-    for lo, hi in bounds:
-        chunk_digests, chunk_keys = _keys_chunk(lo, hi)
-        digests.extend(chunk_digests)
-        key_ints.extend(chunk_keys)
+    # Identity: PeerID digests + DHT key ints.
+    digests, key_ints = _peer_keys(n)
     world._index = {digest: index for index, digest in enumerate(digests)}
-    world._key_ints = key_ints
 
-    # Churn: initial draws + pre-drawn schedules, chunked. The initial
-    # draw happens at SessionProcess construction in build_scenario,
-    # i.e. *before* table fill — reachability at fill time reflects it.
+    # Churn: initial draws + pre-drawn schedules. The initial draw
+    # happens at SessionProcess construction in build_scenario, i.e.
+    # *before* table fill — reachability at fill time reflects it.
     if config.with_churn:
-        for (lo, hi) in bounds:
-            online, counts, delays = _churn_chunk(
-                compact, config.seed, config.initial_online_probability,
-                churn_horizon_s, lo, hi,
-            )
-            world._online[lo:hi] = online
-            for count in counts:
-                world._churn_off.append(world._churn_off[-1] + count)
-            world._churn_delays.extend(delays)
+        world._online, world._churn_off, world._churn_delays = _churn_schedules(
+            compact, config.seed, config.initial_online_probability,
+            churn_horizon_s,
+        )
     else:
         reach = compact.peer_reach
         for index in range(n):
@@ -567,7 +450,6 @@ def build_compact_world(
         bootstrap = [compact.peer_id_at(i) for i in range(min(n, N_BOOTSTRAP))]
     world.bootstrap_ids = bootstrap
 
-    world._fill_tables(derive_rng(config.seed, "tables"))
-    del world._key_ints  # only needed during the fill
+    world._fill_tables(derive_rng(config.seed, "tables"), key_ints)
     net.host_resolver = world._resolve
     return world

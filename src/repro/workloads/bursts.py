@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass
 
 from repro.errors import ReproError
-from repro.workloads.gateway_trace import _diurnal_weight, _zipf_weights
+from repro.workloads.gateway_trace import _zipf_weights, diurnal_weight
 
 #: Region-skewed country pool for the storm generator: (country, share,
 #: rough UTC offset), a condensed version of Fig 6's geography.
@@ -213,7 +213,7 @@ def generate_diurnal_storm(
         )
         peak_rate = config.baseline_rate_hz * share * 2.2 * peak_multiplier
         for timestamp in _poisson_arrivals(rng, peak_rate, 0.0, config.duration_s):
-            weight = _diurnal_weight(timestamp * day_scale, utc_offset) / 2.2
+            weight = diurnal_weight(timestamp * day_scale, utc_offset) / 2.2
             in_storm = (
                 country == config.storm_country
                 and config.storm_start_s <= timestamp < storm_end

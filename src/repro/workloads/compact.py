@@ -1,26 +1,25 @@
-"""Compact struct-of-arrays population state for million-peer worlds.
+"""The peer population generator, and its struct-of-arrays result.
 
-:func:`repro.workloads.population.generate_population` builds one
-``PeerSpec`` dataclass, one ``PeerId``, and several string IPs per peer
-— about 2 KB/peer of object graph, which caps practical world sizes
-around 50k peers. This module is its *columnar twin* (the same idiom as
-``ColumnarTrace`` for the gateway day): the generator consumes the RNG
-stream call-for-call identically to the legacy generator — precomputed
-``cum_weights`` draws, packed-integer IP synthesis with the identical
-collision-retry loop — but stores the result as parallel arrays:
+:func:`generate_compact_population` is the one place the population's
+random draws are made. It stores the result as parallel arrays — about
+a hundred bytes per peer instead of the ~2 KB/peer object graph of
+``PeerSpec`` + ``PeerId`` + string IPs, which is what lets worlds reach
+a million peers (the same idiom as ``ColumnarTrace`` for the gateway
+day):
 
 - per peer: country code, reachability, peer class, agent version, and
   an offset into the flat address table;
 - per address slot: packed IPv4, ASN, country code, cloud code.
 
-``PeerSpec``/``PeerId`` objects are materialized lazily, only when
-protocol or analysis code touches one peer, and
-:meth:`CompactPopulation.to_population` rebuilds the full legacy
-``Population`` (specs + registries) for the differential tests.
+``PeerSpec``/``PeerId`` objects are views over the arrays:
+:meth:`CompactPopulation.spec_at` builds one peer's on demand, and
+:meth:`CompactPopulation.to_population` builds the whole
+``Population`` (specs + registries) — that is all
+:func:`repro.workloads.population.generate_population` does.
 
-Equivalence is pinned by ``tests/workloads/test_compact_population.py``:
-for the same (config, seed) the materialized specs and registries are
-equal to the legacy generator's output, field for field.
+``tests/workloads/test_compact_population.py`` pins the output (specs,
+registry contents in insertion order, and the generator's final state)
+to sha256 literals.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ from repro.workloads.population import (
     PeerSpec,
 )
 
-#: Reachability codes (array values -> the legacy string tags).
+#: Reachability codes (array values -> ``PeerSpec.reachability`` tags).
 REACHABILITY_NAMES = ("churning", "reliable", "never")
 REACH_CHURNING, REACH_RELIABLE, REACH_NEVER = 0, 1, 2
 
@@ -188,7 +187,7 @@ class CompactPopulation:
         return None if code < 0 else CLOUD_SHARES[code][0]
 
     def spec_at(self, index: int) -> PeerSpec:
-        """Materialize the full legacy ``PeerSpec`` for one peer."""
+        """Materialize the full ``PeerSpec`` for one peer."""
         lo, hi = self.ip_off[index], self.ip_off[index + 1]
         country = self.country_at(index)
         return PeerSpec(
@@ -209,14 +208,13 @@ class CompactPopulation:
             agent_version=_AGENT_NAMES[self.peer_agent[index]],
         )
 
-    # -- the legacy bridge ----------------------------------------------
+    # -- the object view ------------------------------------------------
 
     def to_population(self) -> Population:
-        """Materialize the full legacy ``Population`` (specs + registries).
+        """Materialize the full ``Population`` (specs + registries).
 
-        Registries are rebuilt by replaying address creation order:
-        the ten mega IPs first, then each address slot's IP on first
-        sight — the same insertion order the legacy generator produced.
+        Registries are filled in address creation order: the ten mega
+        IPs first, then each address slot's IP on first sight.
         """
         geo = GeoIpRegistry()
         clouds = CloudRegistry()
@@ -246,13 +244,8 @@ class CompactPopulation:
         return Population(peers, geo, clouds, self.config)
 
 
-def _synth_ip_packed(rng: random.Random, used: set[int]) -> int:
-    """The legacy ``_synth_ip`` draw loop over packed integers.
-
-    Draw-for-draw identical: the packed value collides exactly when the
-    dotted string would (the mapping is a bijection), so the retry loop
-    consumes the same number of draws.
-    """
+def _draw_packed_ip(rng: random.Random, used: set[int]) -> int:
+    """A fresh IPv4 address as a packed integer (redrawn on collision)."""
     while True:
         packed = (
             (((rng.randrange(1, 224) << 8) | rng.randrange(256)) << 16)
@@ -263,8 +256,8 @@ def _synth_ip_packed(rng: random.Random, used: set[int]) -> int:
             return packed
 
 
-def _sample_cloud_code(rng: random.Random) -> int:
-    """``_sample_cloud`` with the identical accumulation, as an index."""
+def _draw_cloud_code(rng: random.Random) -> int:
+    """Index into :data:`CLOUD_SHARES` (Table 3), or -1 for non-cloud."""
     roll = rng.random()
     cumulative = 0.0
     for code, (_name, share) in enumerate(CLOUD_SHARES):
@@ -277,12 +270,17 @@ def _sample_cloud_code(rng: random.Random) -> int:
 def generate_compact_population(
     config: PopulationConfig, rng: random.Random
 ) -> CompactPopulation:
-    """The columnar twin of :func:`generate_population`.
+    """Generate the population as arrays.
 
-    Consumes ``rng`` in the identical call sequence (``cum_weights``
-    choices draw exactly like weighted choices; the packed-IP synth
-    retries exactly when the string synth would), so for the same
-    (config, seed) the materialized output equals the legacy one.
+    Deterministic for a given (config, RNG state). Draw order: the AS
+    table's tail countries; the ten mega IPs (Fig 7c); then per peer its
+    country (Fig 5 marginals), a mega-IP roll where the country hosts
+    one, else its addresses within that country's ASes
+    (:func:`_draw_addresses`), its reachability, class and agent
+    version. A new address draws its AS, its four octets (redrawn on
+    collision) and its cloud roll, in that order. Per-country IP
+    multipliers and the mega-IP skew reproduce the IP-level marginals
+    (Table 2, Fig 7c).
     """
     as_table = _build_as_table(rng, config.n_tail_ases)
 
@@ -299,10 +297,9 @@ def generate_compact_population(
             countries.append(country)
         return code
 
-    # Per-country AS index with precomputed cumulative weights:
-    # ``choices(asns, cum_weights=...)`` draws the same single
-    # ``random()`` as ``choices(asns, weights)`` and selects the same
-    # element, in O(log n) instead of O(n).
+    # Per-country AS index (weights = the AS's global share),
+    # accumulated once: ``choices(asns, cum_weights=...)`` draws one
+    # ``random()`` and bisects, O(log n) per address.
     by_country: dict[str, tuple[list[int], list[float]]] = {}
     for info, country, share in as_table:
         asns, weights = by_country.setdefault(country, ([], []))
@@ -318,15 +315,17 @@ def generate_compact_population(
     used: set[int] = set()
 
     def new_ip(country: str) -> tuple[int, int, int, int]:
-        """(packed ip, asn, cloud code, country code) — legacy draw order."""
+        """(packed ip, asn, cloud code, country code)."""
         asns, cum = by_country_cum.get(country, (fallback_asns, fallback_cum))
         asn = rng.choices(asns, cum_weights=cum)[0]
-        packed = _synth_ip_packed(rng, used)
-        cloud = _sample_cloud_code(rng)
+        packed = _draw_packed_ip(rng, used)
+        cloud = _draw_cloud_code(rng)
         return packed, asn, cloud, intern(country)
 
-    sample_country = _compact_country_sampler(rng)
+    sample_country = _peer_country_draw(rng)
 
+    # The ten mega IPs (Fig 7c), in fixed countries roughly matching
+    # the peer-country distribution so they do not skew Fig 5.
     mega_creations: list[tuple[int, int, int, int]] = []
     mega_by_country: dict[str, tuple[list[tuple[int, int, int]], list[float]]] = {}
     for position, country in enumerate(_MEGA_IP_COUNTRIES):
@@ -366,9 +365,9 @@ def generate_compact_population(
             packed, asn, cloud = rng.choices(entries, weights)[0]
             push_slot(packed, asn, cloud, country_code)
         else:
-            _give_addresses_compact(
+            _draw_addresses(
                 rng, country, country_code, new_ip, sample_country,
-                shared_pool, intern, push_slot,
+                shared_pool, push_slot,
             )
         first = ip_off[index]
         cloud_name = (
@@ -399,17 +398,17 @@ def generate_compact_population(
     )
 
 
-def _compact_country_sampler(rng: random.Random):
-    """``_country_sampler`` with the cum-weights fast path.
+def _peer_country_draw(rng: random.Random):
+    """Returns a zero-arg sampler of peer countries (Fig 5 targets).
 
-    Builds the identical country/weight tables (the legacy helper
-    re-accumulates 152 weights per call — this is the hottest draw of
-    the generator at 1M peers).
+    The 152 weights are accumulated once: this is the hottest draw of
+    the generator at 1M peers.
     """
     countries = [c for c, _ in PEER_COUNTRY_SHARES]
     weights = [s * _NAMED_SHARE_SCALE for _, s in PEER_COUNTRY_SHARES]
     tail = ["X%03d" % i for i in range(N_TAIL_COUNTRIES)]
     tail_total = 1.0 - sum(weights)
+    # Zipf-ish tail so some pseudo countries are visibly larger.
     tail_raw = [1.0 / (i + 1) for i in range(N_TAIL_COUNTRIES)]
     scale = tail_total / sum(tail_raw)
     countries += tail
@@ -422,11 +421,18 @@ def _compact_country_sampler(rng: random.Random):
     return sample
 
 
-def _give_addresses_compact(
-    rng, country, country_code, new_ip, sample_country, shared_pool,
-    intern, push_slot,
+def _draw_addresses(
+    rng, country, country_code, new_ip, sample_country, shared_pool, push_slot,
 ) -> None:
-    """``_give_addresses`` writing address slots instead of lists."""
+    """Regular peers: 1..N address slots, mostly within their country.
+
+    The per-country multiplier (see :data:`IP_MULTIPLIER`) gives
+    address-rotating ISPs (HKT, Brazilian and Chinese carriers) more
+    IPs per peer, reconciling Fig 5 with Table 2. A small fraction of
+    primary addresses is drawn from a shared pool (university NATs,
+    small hosters), producing the 2-10-PeerID IPs below the mega tier
+    in Figure 7c.
+    """
     multiplier = IP_MULTIPLIER.get(country, 1.0)
     base = _sample_extra_ip_count(rng)
     extra = min(9, round(base * multiplier + (multiplier - 1.0)))
@@ -440,6 +446,8 @@ def _give_addresses_compact(
             if len(pool) > 40:
                 pool.pop(0)
     push_slot(packed, asn, cloud, country_code)
+    # Target ~8.8 % multihomed peers overall; only regular peers (about
+    # two thirds of the population) can be, hence the 0.13 local rate.
     multihomed = rng.random() < 0.13
     for position in range(max(extra, 1 if multihomed else extra)):
         other_country = country

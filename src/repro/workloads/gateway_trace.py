@@ -139,11 +139,14 @@ def _country_pool(rng: random.Random) -> tuple[list[str], list[float]]:
     return countries + tail, weights + tail_weights
 
 
-def _diurnal_weight(second: float, utc_offset: int) -> float:
+def diurnal_weight(second: float, utc_offset: int) -> float:
     """Relative demand at a gateway-clock time for users at an offset.
 
     Users are active in their local daytime: a raised cosine peaking at
-    local 15:00 with a secondary evening bump.
+    local 15:00 with a secondary evening bump. The trace generator's
+    hot loop writes these four lines out in place, term for term (float
+    addition does not associate); ``tests/workloads/test_columnar_trace.py``
+    holds the two equal.
     """
     local_hour = ((second / 3600.0) + 8 + utc_offset) % 24  # gateway is PST (UTC-8)
     primary = math.cos((local_hour - 15.0) / 24.0 * 2 * math.pi)
@@ -169,77 +172,8 @@ def _catalog_sweep_stride(config: GatewayTraceConfig) -> int:
     return config.n_requests // config.n_cids
 
 
-def generate_gateway_trace(
-    config: GatewayTraceConfig, rng: random.Random
-) -> GatewayTrace:
-    """Generate the full day of requests, sorted by timestamp."""
-    countries, country_weights = _country_pool(rng)
-
-    # Users: each bound to a country; per-user demand is heavy-tailed.
-    user_countries = rng.choices(countries, country_weights, k=config.n_users)
-    user_weights = [rng.paretovariate(1.3) for _ in range(config.n_users)]
-
-    # CID universe: sizes and pinned set.
-    cid_sizes = [sample_object_size(rng) for _ in range(config.n_cids)]
-    n_pinned = max(1, int(config.n_cids * config.pinned_cid_fraction))
-    pinned_cids = set(range(n_pinned))  # the most popular slots: pinning
-    # targets exactly the content initiatives push through the gateway.
-    pinned_weights = _zipf_weights(n_pinned, config.zipf_exponent)
-    open_indices = list(range(n_pinned, config.n_cids))
-    open_weights = _zipf_weights(len(open_indices), config.zipf_exponent)
-
-    referrer_sites = [
-        "site-%02d.example" % index for index in range(SEMI_POPULAR_SITES)
-    ]
-    long_tail_sites = ["tail-%04d.example" % index for index in range(2000)]
-
-    requests: list[GatewayRequest] = []
-    user_indices = list(range(config.n_users))
-    chosen_users = rng.choices(user_indices, user_weights, k=config.n_requests)
-    sweep_stride = _catalog_sweep_stride(config)
-    for index, user_index in enumerate(chosen_users):
-        country = user_countries[user_index]
-        offset = _COUNTRY_UTC_OFFSET.get(country, rng.choice([-8, -5, 0, 1, 8]))
-        timestamp = _sample_diurnal_time(rng, offset, config.seconds_per_day)
-        if rng.random() < config.pinned_request_share:
-            cid_index = rng.choices(range(n_pinned), pinned_weights)[0]
-        else:
-            cid_index = rng.choices(open_indices, open_weights)[0]
-        if sweep_stride and index % sweep_stride == 0:
-            sweep_slot = index // sweep_stride
-            if sweep_slot < config.n_cids:
-                cid_index = sweep_slot
-        referrer = None
-        if rng.random() < REFERRED_FRACTION:
-            if rng.random() < SEMI_POPULAR_FRACTION:
-                referrer = rng.choice(referrer_sites)
-            else:
-                referrer = rng.choice(long_tail_sites)
-        requests.append(
-            GatewayRequest(
-                timestamp=timestamp,
-                user="user-%06d" % user_index,
-                country=country,
-                cid_index=cid_index,
-                size=cid_sizes[cid_index],
-                pinned=cid_index in pinned_cids,
-                referrer=referrer,
-            )
-        )
-    requests.sort(key=lambda request: request.timestamp)
-    return GatewayTrace(requests, config, cid_sizes, pinned_cids)
-
-
-def _sample_diurnal_time(rng: random.Random, utc_offset: int, day: int) -> float:
-    """Rejection-sample a request time from the diurnal curve."""
-    while True:
-        second = rng.uniform(0, day)
-        if rng.random() < _diurnal_weight(second, utc_offset) / 2.2:
-            return second
-
-
 # --------------------------------------------------------------------------
-# Columnar trace: the full 7.1 M-request day without 7.1 M objects.
+# The generator: the full 7.1 M-request day without 7.1 M objects.
 # --------------------------------------------------------------------------
 
 #: ``referrer_codes`` encoding: 0 = direct hit, positive v = semi-popular
@@ -309,7 +243,7 @@ class ColumnarTrace:
         return (self.request_at(index) for index in range(len(self.timestamps)))
 
     def to_gateway_trace(self) -> GatewayTrace:
-        """Materialize the legacy list-of-objects trace (small scales)."""
+        """Materialize the list-of-objects trace (small scales)."""
         return GatewayTrace(
             list(self.iter_requests()),
             self.config,
@@ -319,12 +253,9 @@ class ColumnarTrace:
 
 
 def trace_stream_sha256(requests: Iterable[GatewayRequest]) -> str:
-    """Canonical digest of a request stream.
-
-    Both generators hash to the same value for the same seed — the
-    byte-identity contract between the legacy list path and the
-    columnar path.
-    """
+    """Canonical digest of a request stream: the byte-identity
+    contract the tests pin per seed, for the columnar trace's
+    ``iter_requests()`` and for ``GatewayTrace.requests`` alike."""
     digest = hashlib.sha256()
     for request in requests:
         line = "%r|%s|%s|%d|%d|%d|%s\n" % (
@@ -343,25 +274,33 @@ def trace_stream_sha256(requests: Iterable[GatewayRequest]) -> str:
 def generate_columnar_trace(
     config: GatewayTraceConfig, rng: random.Random
 ) -> ColumnarTrace:
-    """Columnar twin of :func:`generate_gateway_trace`.
+    """Generate the full day of requests, sorted by timestamp, as arrays.
 
-    Consumes the RNG stream draw-for-draw identically to the legacy
-    generator (same seed => byte-identical request streams and the same
-    ``rng.getstate()`` afterwards, pinned by tests), but stores the day
-    as arrays and spells out in the hot loop what the stdlib calls
-    consume, so no Python frame is entered per draw: ``rng.choice(seq)``
-    is ``getrandbits(len(seq).bit_length())`` redrawn until ``<
-    len(seq)``; ``rng.choices(pop, weights)[0]`` is one ``random()``
-    bisected into the cumulative weights (precomputed once — the legacy
-    call re-accumulates them per request, O(n_cids) each); and
-    :func:`_sample_diurnal_time` / :func:`_diurnal_weight` are inlined
-    term for term (float addition does not associate: nothing is folded).
+    Draw order: each user's country, then each user's Pareto demand
+    weight; each CID's size; the user of every request (one
+    ``choices`` call); then per request, in generation order — the
+    fallback UTC offset (drawn for *every* request, used only for tail
+    countries), the rejection-sampled time of day, the pinned/open
+    roll, the Zipf CID, the referred roll and, when referred, the
+    semi-popular roll and the site. The same seed gives a byte-identical
+    stream and leaves ``rng`` in the same state; tests pin both.
+
+    The hot loop spells out what the stdlib calls would consume, so no
+    Python frame is entered per draw: ``rng.choice(seq)`` is
+    ``getrandbits(len(seq).bit_length())`` redrawn until ``< len(seq)``;
+    ``rng.choices(pop, weights)[0]`` is one ``random()`` bisected into
+    the cumulative weights (accumulated once, not per request); and
+    :func:`diurnal_weight` is written out term for term.
     """
     countries, country_weights = _country_pool(rng)
 
+    # Users: each bound to a country; per-user demand is heavy-tailed.
     user_countries = rng.choices(countries, country_weights, k=config.n_users)
     user_weights = [rng.paretovariate(1.3) for _ in range(config.n_users)]
 
+    # CID universe: sizes, and the pinned set — the most popular slots,
+    # since pinning targets exactly the content initiatives push
+    # through the gateway.
     cid_sizes = [sample_object_size(rng) for _ in range(config.n_cids)]
     n_pinned = max(1, int(config.n_cids * config.pinned_cid_fraction))
     # list(accumulate(w)) is exactly the cum_weights rng.choices()
@@ -401,9 +340,9 @@ def generate_columnar_trace(
     cos = math.cos
     pi = math.pi
     for index, user_id in enumerate(user_ids):
-        # The legacy path evaluates dict.get's default argument eagerly,
-        # drawing one rng.choice per request even when the country is in
-        # the table — replicated here so the streams stay identical.
+        # The fallback offset is drawn for every request, whether or not
+        # the user's country needs it: that is the stream the pinned
+        # digests (and every BENCH_*.json built on this trace) define.
         while (draw := bits(fallback_bits)) >= n_fallback:
             pass
         offset = user_offsets[user_id]
@@ -441,8 +380,8 @@ def generate_columnar_trace(
         for slot, index in zip(range(config.n_cids), range(0, n, sweep_stride)):
             cid_ids[index] = slot
 
-    # Stable argsort by timestamp: the same permutation list.sort(key=
-    # timestamp) applies to the legacy request list.
+    # Stable argsort by timestamp: requests with equal timestamps keep
+    # their generation order.
     order = sorted(range(n), key=timestamps.__getitem__)
     timestamps = array("d", [timestamps[i] for i in order])
     user_ids = array("i", [user_ids[i] for i in order])
@@ -462,3 +401,11 @@ def generate_columnar_trace(
         user_count=len(set(user_ids)),
         cid_count=len(set(cid_ids)),
     )
+
+
+def generate_gateway_trace(
+    config: GatewayTraceConfig, rng: random.Random
+) -> GatewayTrace:
+    """The day as :class:`GatewayRequest` objects (small scales): the
+    object view of :func:`generate_columnar_trace`'s arrays."""
+    return generate_columnar_trace(config, rng).to_gateway_trace()

@@ -240,17 +240,6 @@ def _build_as_table(rng: random.Random, n_tail: int) -> list[tuple[AsInfo, str, 
     return table
 
 
-def _synth_ip(rng: random.Random, used: set[str]) -> str:
-    while True:
-        ip = "%d.%d.%d.%d" % (
-            rng.randrange(1, 224), rng.randrange(256),
-            rng.randrange(256), rng.randrange(1, 255),
-        )
-        if ip not in used:
-            used.add(ip)
-            return ip
-
-
 def _churn_model_for(country: str) -> ChurnModel:
     median_min = CHURN_MEDIAN_MIN.get(country, DEFAULT_CHURN_MEDIAN_MIN)
     return ChurnModel(median_session_s=median_min * 60.0)
@@ -263,109 +252,20 @@ _AGENT_VERSIONS = [
 ]
 
 
-def _country_sampler(rng: random.Random):
-    """Returns a zero-arg sampler of peer countries (Fig 5 targets)."""
-    countries = [c for c, _ in PEER_COUNTRY_SHARES]
-    weights = [s * _NAMED_SHARE_SCALE for _, s in PEER_COUNTRY_SHARES]
-    tail = ["X%03d" % i for i in range(N_TAIL_COUNTRIES)]
-    tail_total = 1.0 - sum(weights)
-    # Zipf-ish tail so some pseudo countries are visibly larger.
-    tail_raw = [1.0 / (i + 1) for i in range(N_TAIL_COUNTRIES)]
-    scale = tail_total / sum(tail_raw)
-    countries += tail
-    weights += [w * scale for w in tail_raw]
-
-    def sample() -> str:
-        return rng.choices(countries, weights)[0]
-
-    return sample
-
-
 def generate_population(
     config: PopulationConfig, rng: random.Random
 ) -> Population:
     """Generate a population plus its consistent registries.
 
-    Deterministic for a given (config, RNG state). Peers get their
-    country first (Fig 5 marginals), then addresses within that
-    country's ASes; per-country IP multipliers and the mega-IP skew
-    reproduce the IP-level marginals (Table 2, Fig 7c).
+    Deterministic for a given (config, RNG state). The draws are made
+    once, by :func:`repro.workloads.compact.generate_compact_population`
+    (country first, then addresses within that country's ASes; see its
+    docstring for the order); this is the object view of its arrays.
     """
-    geo = GeoIpRegistry()
-    clouds = CloudRegistry()
-    for name, _ in CLOUD_SHARES:
-        clouds.add_provider(name)
-    as_table = _build_as_table(rng, config.n_tail_ases)
-    for info, _country, _share in as_table:
-        geo.add_as(info)
+    # Imported here: compact.py imports this module's tables and types.
+    from repro.workloads.compact import generate_compact_population
 
-    # Per-country AS index (weights = the AS's global share).
-    by_country: dict[str, tuple[list[int], list[float]]] = {}
-    for info, country, share in as_table:
-        asns, weights = by_country.setdefault(country, ([], []))
-        asns.append(info.asn)
-        weights.append(share)
-    fallback_asns = [info.asn for info, _, _ in as_table[:200]]
-    fallback_weights = [share for _, _, share in as_table[:200]]
-
-    used_ips: set[str] = set()
-
-    def new_ip(country: str) -> tuple[str, int]:
-        asns, weights = by_country.get(country, (fallback_asns, fallback_weights))
-        asn = rng.choices(asns, weights)[0]
-        ip = _synth_ip(rng, used_ips)
-        geo.add_ip(ip, country, asn)
-        cloud = _sample_cloud(rng)
-        if cloud is not None:
-            clouds.add_ip(ip, cloud)
-        return ip, asn
-
-    sample_country = _country_sampler(rng)
-
-    # The ten mega IPs (Fig 7c), in fixed countries roughly matching
-    # the peer-country distribution so they do not skew Fig 5.
-    mega_by_country: dict[str, list[tuple[str, int, float]]] = {}
-    for position, country in enumerate(_MEGA_IP_COUNTRIES):
-        ip, asn = new_ip(country)
-        mega_by_country.setdefault(country, []).append(
-            (ip, asn, 1.0 / (position + 1))
-        )
-
-    shared_pool: dict[str, list[tuple[str, int]]] = {}
-    agent_names = [name for name, _ in _AGENT_VERSIONS]
-    agent_weights = [weight for _, weight in _AGENT_VERSIONS]
-
-    peers: list[PeerSpec] = []
-    for index in range(config.n_peers):
-        peer_id = PeerId.from_public_key(b"population-peer-%d" % index)
-        country = sample_country()
-        megas = mega_by_country.get(country)
-        if megas is not None and rng.random() < _mega_probability(country):
-            ips_list, asns, countries = _place_on_mega(rng, megas, country)
-        else:
-            ips_list, asns, countries = _give_addresses(
-                rng, country, new_ip, sample_country, shared_pool
-            )
-        cloud_provider = clouds.provider(ips_list[0])
-        reachability = _sample_reachability(rng, config, cloud_provider)
-        peer_class = _sample_class(rng, config, cloud_provider)
-        peers.append(
-            PeerSpec(
-                index=index,
-                peer_id=peer_id,
-                ips=tuple(ips_list),
-                country=country,
-                countries=tuple(countries),
-                asn=asns[0],
-                region=COUNTRY_REGION.get(country, Region.EU),
-                cloud_provider=cloud_provider,
-                reachability=reachability,
-                peer_class=peer_class,
-                churn_model=_churn_model_for(country),
-                agent_version=rng.choices(agent_names, agent_weights)[0],
-            )
-        )
-    return Population(peers, geo, clouds, config)
+    return generate_compact_population(config, rng).to_population()
 
 
 def _mega_probability(country: str) -> float:
@@ -375,52 +275,6 @@ def _mega_probability(country: str) -> float:
     Countries with mega IPs cover ~85 % of peers, so 0.33/0.85 ≈ 0.39.
     """
     return MEGA_PEER_FRACTION / 0.85
-
-
-def _place_on_mega(rng, megas, country):
-    ips_weights = [weight for _, _, weight in megas]
-    ip, asn, _ = rng.choices(megas, ips_weights)[0]
-    return [ip], [asn], [country]
-
-
-def _give_addresses(rng, country, new_ip, sample_country, shared_pool):
-    """Regular peers: 1..N addresses, mostly within their country.
-
-    The per-country multiplier (see :data:`IP_MULTIPLIER`) gives
-    address-rotating ISPs (HKT, Brazilian and Chinese carriers) more
-    IPs per peer, reconciling Fig 5 with Table 2. A small fraction of
-    primary addresses is drawn from a shared pool (university NATs,
-    small hosters), producing the 2-10-PeerID IPs below the mega tier
-    in Figure 7c.
-    """
-    multiplier = IP_MULTIPLIER.get(country, 1.0)
-    base = _sample_extra_ip_count(rng)
-    extra = min(9, round(base * multiplier + (multiplier - 1.0)))
-    pool = shared_pool.setdefault(country, [])
-    if pool and rng.random() < 0.08:
-        ip, asn = rng.choice(pool)
-    else:
-        ip, asn = new_ip(country)
-        if rng.random() < 0.05:
-            pool.append((ip, asn))
-            if len(pool) > 40:
-                pool.pop(0)
-    ips_list, asns, countries = [ip], [asn], [country]
-    # Target ~8.8 % multihomed peers overall; only regular peers (about
-    # two thirds of the population) can be, hence the 0.13 local rate.
-    multihomed = rng.random() < 0.13
-    for position in range(max(extra, 1 if multihomed else extra)):
-        other_country = country
-        if multihomed and position == 0:
-            for _ in range(4):
-                other_country = sample_country()
-                if other_country != country:
-                    break
-        ip, asn = new_ip(other_country)
-        ips_list.append(ip)
-        asns.append(asn)
-        countries.append(other_country)
-    return ips_list, asns, countries
 
 
 def _sample_extra_ip_count(rng: random.Random) -> int:
@@ -434,16 +288,6 @@ def _sample_extra_ip_count(rng: random.Random) -> int:
     if roll < 0.85:
         return 2
     return 3
-
-
-def _sample_cloud(rng: random.Random) -> str | None:
-    roll = rng.random()
-    cumulative = 0.0
-    for name, share in CLOUD_SHARES:
-        cumulative += share
-        if roll < cumulative:
-            return name
-    return None
 
 
 def _sample_reachability(

@@ -1,6 +1,8 @@
-"""``populate_routing_tables`` hands each node's picks to
-``RoutingTable.load`` in one call. The per-entry ``add`` loop it
-replaced is kept here as the reference: same tables, same order, same
+"""``populate_routing_tables`` runs the one fill kernel
+(``sample_table_positions``, which spells out ``random.sample``'s
+draws) and hands each node's picks to ``RoutingTable.load`` in one
+call. The loop it replaced — real ``rng.sample`` calls, one ``add`` per
+pick — is kept here as the reference: same tables, same order, same
 RNG stream."""
 
 import bisect
@@ -87,16 +89,26 @@ def _mixed_world(n, seed):
 
 
 @pytest.mark.parametrize("seed", [42, 43, 44])
-@pytest.mark.parametrize("n", [60, 400, 1500])
-def test_bulk_load_equals_the_add_loop(n, seed):
+@pytest.mark.parametrize(
+    "n, stale_fraction, bucket_size",
+    [
+        (60, 0.05, 20), (400, 0.05, 20), (1500, 0.05, 20),
+        # the kernel's other parameters: no stale quota at all, the
+        # client/server ablation's larger one, a non-default bucket
+        (400, 0.0, 20), (400, 0.25, 20), (400, 0.05, 8),
+    ],
+)
+def test_bulk_load_equals_the_add_loop(n, stale_fraction, bucket_size, seed):
     expected, actual = _mixed_world(n, seed), _mixed_world(n, seed)
+    for node in expected.nodes + actual.nodes:
+        node.routing_table.bucket_size = bucket_size
     assert [a.host.peer_id for a in actual.nodes] == [e.host.peer_id for e in expected.nodes]
     assert any(not node.server for node in actual.nodes)
     assert any(node.server and not node.host.reachable for node in actual.nodes)
 
     expected_rng, actual_rng = random.Random(seed), random.Random(seed)
-    leftover_draws = _populate_by_add(expected.nodes, expected_rng)
-    populate_routing_tables(actual.nodes, actual_rng)
+    leftover_draws = _populate_by_add(expected.nodes, expected_rng, stale_fraction)
+    populate_routing_tables(actual.nodes, actual_rng, stale_fraction)
 
     assert actual_rng.getstate() == expected_rng.getstate()
     for ours, theirs in zip(actual.nodes, expected.nodes):

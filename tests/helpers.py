@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -75,6 +76,11 @@ def build_world(
     if populate:
         populate_routing_tables(nodes, rng)
     return world
+
+
+def rng_state_sha256(rng: random.Random) -> str:
+    """Digest of a generator's stream position, for literal pins."""
+    return hashlib.sha256(repr(rng.getstate()).encode("ascii")).hexdigest()
 
 
 @contextlib.contextmanager

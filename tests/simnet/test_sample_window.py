@@ -1,14 +1,15 @@
-"""Property test: the compact fill's sample kernel is ``random.sample``.
+"""Property test: the table fill's sample kernel is ``random.sample``.
 
-``CompactWorld._fill_tables`` draws every bucket through
-:func:`repro.simnet.compact._sample_window`, which spells out what
-``random.Random.sample`` consumes instead of calling it. The worlds it
-builds are equal to the legacy ``populate_routing_tables`` worlds only
-while that spelling matches the running interpreter's stdlib, so the
-kernel is held to the real ``sample`` here: same picks in the same
-order *and* the same generator state afterwards. A CPython change to
-``sample`` (thresholds, branch choice, draw order) fails this test
-loudly instead of silently building a different world.
+:func:`repro.dht.bootstrap.sample_table_positions` draws every bucket
+through :func:`repro.dht.bootstrap._sample_window`, which spells out
+what ``random.Random.sample`` consumes instead of calling it. The
+tables it fills match the pinned ones (and the stdlib-calling reference
+in ``tests/dht/test_bootstrap.py``) only while that spelling matches
+the running interpreter's stdlib, so the kernel is held to the real
+``sample`` here: same picks in the same order *and* the same generator
+state afterwards. A CPython change to ``sample`` (thresholds, branch
+choice, draw order) fails this test loudly instead of silently building
+a different world.
 
 Population lengths 0..200 cross both of ``sample``'s pool/set
 thresholds (21 for ``k <= 5``, 85 for the fill's ``k = 19``).
@@ -21,7 +22,7 @@ import random
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.simnet.compact import _sample_window
+from repro.dht.bootstrap import _sample_window
 
 
 @st.composite

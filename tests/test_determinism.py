@@ -128,12 +128,12 @@ def test_population_is_reproducible_across_processes():
     population = generate_population(
         PopulationConfig(n_peers=50), derive_rng(1234, "fingerprint")
     )
-    fingerprint = str(population.peers[0].peer_id)
-    # If this assertion ever fails, seed-derived streams changed and
-    # every published result in EXPERIMENTS.md must be regenerated.
-    assert fingerprint == str(population.peers[0].peer_id)
-    ips = population.peers[0].ips
-    again = generate_population(
-        PopulationConfig(n_peers=50), derive_rng(1234, "fingerprint")
-    )
-    assert again.peers[0].ips == ips
+    # Literals, not a second in-process run: CI repeats this under
+    # several PYTHONHASHSEED values. If they ever fail, seed-derived
+    # streams changed and every published result in EXPERIMENTS.md must
+    # be regenerated.
+    first = population.peers[0]
+    assert str(first.peer_id) == "QmVfxp9vCET3itQZGSG7Kwa9Uk3Bvx4oU4zbwEjQieLBfn"
+    assert first.ips == ("42.42.99.60",)
+    # the last peer's address sits behind every draw before it
+    assert population.peers[-1].ips == ("154.230.196.96",)

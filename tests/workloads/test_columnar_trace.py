@@ -1,28 +1,113 @@
-"""Columnar trace generator: byte-identity with the legacy path.
+"""The gateway day's generator, pinned.
 
-The batched replay engine (PR 9) generates the day as parallel arrays
-instead of 7.1 M ``GatewayRequest`` objects.  These tests pin the
-contract that makes that safe: for the same seed the columnar stream is
-**byte-identical** to the legacy object stream (same sha256 over a
-canonical per-request serialization), so every consumer downstream of
-the generator — tier resolution, grading, golden artifacts — sees
-exactly the trace it always saw.
+:func:`generate_columnar_trace` makes the day's draws and stores them
+as parallel arrays instead of 7.1 M ``GatewayRequest`` objects;
+``generate_gateway_trace`` and ``iter_requests`` are object views of
+those arrays. Three things hold the generator in place:
+
+- sha256 literals of the request stream and of the generator's final
+  state, recorded from the separate object generator
+  ``generate_gateway_trace`` used to be, at the commit before it was
+  removed;
+- a reference loop written with plain ``rng.choice`` / ``rng.choices``
+  / ``rng.uniform`` calls (the generator's hot loop spells out what
+  those consume), compared on stream *and* generator state, so a
+  CPython change to any of them fails here instead of silently
+  generating a different day;
+- the view tests: objects, aggregates and typecodes.
 """
 
 import pytest
 
 from repro.utils.rng import derive_rng
 from repro.workloads.gateway_trace import (
+    _COUNTRY_UTC_OFFSET,
+    REFERRED_FRACTION,
+    SEMI_POPULAR_FRACTION,
+    SEMI_POPULAR_SITES,
+    GatewayRequest,
     GatewayTraceConfig,
+    _country_pool,
+    _zipf_weights,
+    diurnal_weight,
     generate_columnar_trace,
     generate_gateway_trace,
     trace_stream_sha256,
 )
+from repro.workloads.objects import sample_object_size
+from tests.helpers import rng_state_sha256
 
 SCALE = 1000
 
-#: ``trace_stream_sha256`` of the seed-42 day at ``SCALE``.
-SEED_42_SHA256 = "0958f820ca785deefaa8e509390b1ddf7a9fcf1acfb420511f703ba318eb7a19"
+#: (seed, full_catalog) -> (trace_stream_sha256, sha256 of the repr of
+#: ``rng.getstate()`` afterwards) at ``SCALE``. The full-catalog
+#: override touches no draw: the state column repeats per seed.
+PINNED = {
+    (42, False): (
+        "0958f820ca785deefaa8e509390b1ddf7a9fcf1acfb420511f703ba318eb7a19",
+        "c0931b6b47135da7c947ead85f771228841d576db2f17b4fb5f80b25407e45c5",
+    ),
+    (42, True): (
+        "a168164bde1f04d92d6247829dc325e080915517c608ba13d5f28c4b8087817b",
+        "c0931b6b47135da7c947ead85f771228841d576db2f17b4fb5f80b25407e45c5",
+    ),
+    (43, False): (
+        "c4947872a85cba287927e63959886a514f7fa32148fb199ccd5b2b3c9e3f05dd",
+        "271949a2675c79157e996d2dc035fb2ddf033bc03c0485a5c1b834b2bbf87c67",
+    ),
+    (43, True): (
+        "9ad50a6b7d68eefc68e94e8e3f98c6b11b545ed10e38b8cd47ba377ec872393a",
+        "271949a2675c79157e996d2dc035fb2ddf033bc03c0485a5c1b834b2bbf87c67",
+    ),
+    (44, False): (
+        "d04d01e37771baca0a1e726658627f5583fd3d115d816d50edf4974274e2082a",
+        "7bdab9e12c5198b203b22405a169176e3036e736491af1a225e1699c6ddab366",
+    ),
+    (44, True): (
+        "8b743d907ca93ab2e3ad5f4a33c6343dc6c78403deeb986609b877a6578cec7d",
+        "7bdab9e12c5198b203b22405a169176e3036e736491af1a225e1699c6ddab366",
+    ),
+}
+
+
+def _reference_requests(config, rng):
+    """The day drawn with the stdlib's own ``choice`` / ``choices`` /
+    ``uniform`` and :func:`diurnal_weight` as a call: what the
+    generator's hot loop writes out by hand."""
+    countries, country_weights = _country_pool(rng)
+    user_countries = rng.choices(countries, country_weights, k=config.n_users)
+    user_weights = [rng.paretovariate(1.3) for _ in range(config.n_users)]
+    cid_sizes = [sample_object_size(rng) for _ in range(config.n_cids)]
+    n_pinned = max(1, int(config.n_cids * config.pinned_cid_fraction))
+    pinned_weights = _zipf_weights(n_pinned, config.zipf_exponent)
+    open_indices = list(range(n_pinned, config.n_cids))
+    open_weights = _zipf_weights(len(open_indices), config.zipf_exponent)
+    sites = ["site-%02d.example" % i for i in range(SEMI_POPULAR_SITES)]
+    tail_sites = ["tail-%04d.example" % i for i in range(2000)]
+    requests = []
+    users = rng.choices(range(config.n_users), user_weights, k=config.n_requests)
+    for user in users:
+        country = user_countries[user]
+        # dict.get evaluates its default eagerly: one choice per request
+        offset = _COUNTRY_UTC_OFFSET.get(country, rng.choice([-8, -5, 0, 1, 8]))
+        while True:
+            second = rng.uniform(0, config.seconds_per_day)
+            if rng.random() < diurnal_weight(second, offset) / 2.2:
+                break
+        if rng.random() < config.pinned_request_share:
+            cid = rng.choices(range(n_pinned), pinned_weights)[0]
+        else:
+            cid = rng.choices(open_indices, open_weights)[0]
+        referrer = None
+        if rng.random() < REFERRED_FRACTION:
+            semi_popular = rng.random() < SEMI_POPULAR_FRACTION
+            referrer = rng.choice(sites if semi_popular else tail_sites)
+        requests.append(GatewayRequest(
+            second, "user-%06d" % user, country, cid, cid_sizes[cid],
+            cid < n_pinned, referrer,
+        ))
+    requests.sort(key=lambda request: request.timestamp)
+    return requests
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +116,7 @@ def config():
 
 
 @pytest.fixture(scope="module")
-def legacy(config):
+def objects(config):
     return generate_gateway_trace(config, derive_rng(42, "trace"))
 
 
@@ -40,56 +125,28 @@ def columnar(config):
     return generate_columnar_trace(config, derive_rng(42, "trace"))
 
 
-class TestByteIdentity:
-    def test_same_seed_same_sha256(self, legacy, columnar):
-        assert trace_stream_sha256(columnar.iter_requests()) == (
-            trace_stream_sha256(legacy.requests)
-        )
-
-    def test_different_seed_differs(self, config, legacy):
-        other = generate_columnar_trace(config, derive_rng(43, "trace"))
-        assert trace_stream_sha256(other.iter_requests()) != (
-            trace_stream_sha256(legacy.requests)
-        )
-
-    def test_requests_field_equal(self, legacy, columnar):
-        for got, want in zip(columnar.iter_requests(), legacy.requests):
-            assert got == want
-
-    def test_to_gateway_trace_round_trip(self, legacy, columnar):
-        rebuilt = columnar.to_gateway_trace()
-        assert rebuilt.requests == legacy.requests
-        assert rebuilt.pinned_cids == legacy.pinned_cids
-
-
-class TestStreamPosition:
-    """The columnar hot loop spells out the stdlib's draws instead of
-    calling ``choice``/``choices``/``uniform``; it must consume exactly
-    the draws the legacy generator does — same requests *and* the
-    generator left at the same stream position."""
-
-    @pytest.mark.parametrize("full_catalog", [False, True])
-    @pytest.mark.parametrize("seed", [42, 43, 44])
-    def test_same_stream_and_same_rng_state(self, seed, full_catalog):
+class TestPinnedStream:
+    @pytest.mark.parametrize("seed, full_catalog", sorted(PINNED))
+    def test_stream_and_rng_state_are_pinned(self, seed, full_catalog):
         config = GatewayTraceConfig(scale=SCALE, full_catalog=full_catalog)
-        legacy_rng = derive_rng(seed, "trace")
-        columnar_rng = derive_rng(seed, "trace")
-        legacy = generate_gateway_trace(config, legacy_rng)
-        columnar = generate_columnar_trace(config, columnar_rng)
-        assert trace_stream_sha256(columnar.iter_requests()) == (
-            trace_stream_sha256(legacy.requests)
-        )
-        assert columnar_rng.getstate() == legacy_rng.getstate()
+        rng = derive_rng(seed, "trace")
+        columnar = generate_columnar_trace(config, rng)
+        assert (
+            trace_stream_sha256(columnar.iter_requests()), rng_state_sha256(rng)
+        ) == PINNED[seed, full_catalog]
 
-    def test_seed_42_stream_is_pinned(self, columnar):
-        # A constant, so both generators drifting together cannot pass.
-        assert trace_stream_sha256(columnar.iter_requests()) == SEED_42_SHA256
-
-    def test_fallback_offset_branch_is_exercised(self, columnar):
-        # Tail countries have no UTC-offset table entry: their requests
-        # take the per-request fallback draw as their offset.
-        countries = {columnar.user_countries[user] for user in columnar.user_ids}
+    @pytest.mark.parametrize("seed", [42, 43])
+    def test_hand_spelled_draws_equal_the_stdlib_calls(self, seed):
+        config = GatewayTraceConfig(scale=2000)
+        reference_rng, rng = derive_rng(seed, "trace"), derive_rng(seed, "trace")
+        reference = _reference_requests(config, reference_rng)
+        columnar = generate_columnar_trace(config, rng)
+        assert list(columnar.iter_requests()) == reference
+        assert rng.getstate() == reference_rng.getstate()
+        # both sides of the fallback-offset branch were compared
+        countries = {request.country for request in reference}
         assert any(country.startswith("T") for country in countries)
+        assert any(country in _COUNTRY_UTC_OFFSET for country in countries)
 
     def test_narrow_column_typecodes(self, columnar):
         assert columnar.timestamps.typecode == "d"
@@ -98,15 +155,26 @@ class TestStreamPosition:
         assert columnar.referrer_codes.typecode == "h"
 
 
-class TestAggregates:
-    def test_counts_match_legacy(self, legacy, columnar):
-        assert len(columnar) == len(legacy.requests)
-        assert columnar.user_count == len(legacy.users())
-        assert columnar.cid_count == len(legacy.unique_cids())
-        assert columnar.total_bytes == legacy.total_bytes()
+class TestObjectView:
+    def test_gateway_trace_is_the_columnar_stream(self, objects, columnar):
+        assert objects.requests == list(columnar.iter_requests())
+        assert trace_stream_sha256(objects.requests) == PINNED[42, False][0]
+        assert objects.pinned_cids == columnar.pinned_cids
+        assert objects.cid_sizes == columnar.cid_sizes
 
-    def test_pinned_cids_match(self, legacy, columnar):
-        assert columnar.pinned_cids == legacy.pinned_cids
+    def test_different_seed_differs(self, config, objects):
+        other = generate_columnar_trace(config, derive_rng(43, "trace"))
+        assert trace_stream_sha256(other.iter_requests()) != (
+            trace_stream_sha256(objects.requests)
+        )
+
+
+class TestAggregates:
+    def test_counts_match_the_object_view(self, objects, columnar):
+        assert len(columnar) == len(objects.requests)
+        assert columnar.user_count == len(objects.users())
+        assert columnar.cid_count == len(objects.unique_cids())
+        assert columnar.total_bytes == objects.total_bytes()
 
     def test_timestamps_sorted(self, columnar):
         ts = columnar.timestamps
