@@ -55,7 +55,7 @@ class BitswapSession:
         self.resilience = resilience
         #: per-provider jitter streams so sessions re-wanting after the
         #: same silence window don't back off in lockstep.
-        self._jitter = JitterStreams(str(engine.host.peer_id), "bitswap-jitter")
+        self._jitter = JitterStreams(engine.host.peer_id, "bitswap-jitter")
         self.blocks_fetched = 0
         self.bytes_fetched = 0
 

@@ -140,7 +140,7 @@ class Crawler:
         result.dialable.add(peer_id)
         remote = self.network.host(peer_id)
         if remote is not None:
-            result.agent_versions[peer_id] = getattr(remote, "agent_version", "unknown")
+            result.agent_versions[peer_id] = remote.agent_version
         remote_key = key_for_peer(peer_id)
         discovered: list[PeerId] = []
         probes = []

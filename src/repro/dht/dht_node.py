@@ -15,7 +15,7 @@ Mode is decided at join time by AutoNAT (see
 from __future__ import annotations
 
 import random
-from collections.abc import Generator
+from collections.abc import Callable, Generator
 
 from repro.dht import rpc
 from repro.dht.keyspace import key_for_cid, key_for_peer
@@ -52,7 +52,7 @@ class DhtNode:
         sim: Simulator,
         network: SimNetwork,
         host: SimHost,
-        rng: random.Random,
+        rng: random.Random | Callable[[], random.Random],
         server: bool = True,
         lookup_config: LookupConfig | None = None,
         resilience: Resilience | None = None,
@@ -60,7 +60,8 @@ class DhtNode:
         self.sim = sim
         self.network = network
         self.host = host
-        self.rng = rng
+        #: a stream, or a factory for one, called on first read of `rng`
+        self._rng = rng
         self.server = server
         self.config = lookup_config if lookup_config is not None else LookupConfig()
         self.resilience = (
@@ -76,7 +77,7 @@ class DhtNode:
         #: per-remote-peer RNG streams for retry backoff jitter, so one
         #: incident failing many RPCs at once cannot re-fire them in
         #: lockstep (see :class:`~repro.utils.retry.JitterStreams`).
-        self.retry_jitter = JitterStreams(str(host.peer_id))
+        self.retry_jitter = JitterStreams(host.peer_id)
         self.provider_store = ProviderStore()
         self.peer_record_store = PeerRecordStore()
         #: addresses self-reported by providers in ADD_PROVIDER, kept
@@ -97,10 +98,16 @@ class DhtNode:
         # Mark the host so remote handlers know whether to add us to
         # their routing tables (the real network learns this via the
         # libp2p identify protocol).
-        host.dht_server = server  # type: ignore[attr-defined]
-        host.dht_node = self  # type: ignore[attr-defined]
+        host.dht_server = server
         if server:
             self._register_handlers()
+
+    @property
+    def rng(self) -> random.Random:
+        rng = self._rng
+        if not isinstance(rng, random.Random):
+            rng = self._rng = rng()
+        return rng
 
     # ------------------------------------------------------------------
     # server side
@@ -118,7 +125,7 @@ class DhtNode:
     def _learn_about(self, sender: PeerId) -> None:
         """Add an RPC sender to our routing table if it is a server."""
         remote = self.network.host(sender)
-        if remote is not None and getattr(remote, "dht_server", False):
+        if remote is not None and remote.dht_server:
             self.routing_table.add(sender)
 
     def _closer_peers(self, target_key: bytes) -> tuple[PeerId, ...]:
@@ -207,7 +214,7 @@ class DhtNode:
         """Seed the routing table with the canonical bootstrap peers."""
         for peer_id in seeds:
             remote = self.network.host(peer_id)
-            if remote is not None and getattr(remote, "dht_server", False):
+            if remote is not None and remote.dht_server:
                 self.routing_table.add(peer_id)
 
     def _store_rpc(

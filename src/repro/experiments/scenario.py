@@ -218,7 +218,7 @@ def build_scenario(
             host.dcutr = True
         if config.nat_world is not None:
             nat_modes[spec.peer_id] = nat_mode.value
-        host.agent_version = spec.agent_version  # type: ignore[attr-defined]
+        host.agent_version = spec.agent_version
         net.register(host)
         # Never-reachable peers still appear in routing tables (stale
         # entries are exactly what slows real walks down), so they are

@@ -1,12 +1,9 @@
 """Compact worlds: million-peer scenarios without per-peer object graphs.
 
-``build_scenario`` materializes every backdrop peer up front — a
-SimHost, a DhtNode with a filled routing table, a Bitswap engine and a
-churn process each — which is a few kilobytes and tens of microseconds
-per peer. That is fine at the 10-50 k scale of the per-figure
-experiments and hopeless at the network's real size (the paper crawls
-~few hundred thousand concurrently-online peers out of tens of
-millions of observed ones).
+``build_scenario`` builds a SimHost, a DhtNode with a filled routing
+table, a Bitswap engine and a churn process for every backdrop peer:
+kilobytes and tens of microseconds each, fine at the 10-50 k scale of
+the per-figure experiments and hopeless at the network's real size.
 
 This module builds the *same world* from columnar state:
 
@@ -20,9 +17,16 @@ This module builds the *same world* from columnar state:
 - churn schedules are precomputed per peer into one flat delay array
   (the per-peer streams of :class:`~repro.simnet.churn.SessionProcess`,
   drawn ahead of time instead of lazily — same values, same order);
-- full ``SimHost``/``DhtNode``/``BitswapEngine`` objects exist only for
-  peers some protocol actually touches, materialized on demand through
-  :attr:`~repro.simnet.network.SimNetwork.host_resolver`.
+- objects appear in two stages. A dial needs a host: naming a peer
+  (``net.host_resolver``, ``host_at``) builds only the ``SimHost``,
+  with all that dials, remote handlers, the prober and the crawler
+  read (region, class, transports, NAT flag, online bit,
+  ``agent_version``, ``dht_server``). An RPC needs a node: the first
+  *delivered* ``dht/…`` RPC attaches the ``DhtNode`` and loads its
+  table, the first ``bitswap/…`` one the ``BitswapEngine`` (the host's
+  ``attach_protocol`` hook). That is exact: constructors schedule and
+  draw nothing, tables come from build-time arrays, and only a node's
+  own handlers ever mutate it.
 
 Equivalence is not asserted by analogy but *proved* by the differential
 harness in ``tests/simnet/test_compact_equivalence.py``: the same
@@ -212,26 +216,75 @@ class CompactWorld:
         return bool(self._online[index])
 
     def is_materialized(self, index: int) -> bool:
-        return index in self._hosts
+        return self.peer_id_at(index) in self.nodes
 
     # -- lazy materialization ------------------------------------------
 
     def host_at(self, index: int) -> SimHost:
+        """Stage 1: the bare host, carrying every fact a dial, a remote
+        ``_learn_about``, the prober and the crawler read; the protocol
+        stack waits for the first delivered RPC (:meth:`_attach`)."""
         host = self._hosts.get(index)
-        return host if host is not None else self._materialize(index)
+        if host is None:
+            compact = self.compact
+            reach = compact.peer_reach[index]
+            host = SimHost(
+                compact.peer_id_at(index),
+                region=compact.region_at(index),
+                peer_class=compact.peer_class_at(index),
+                transports=_WS_ONLY if self._ws[index] else _ALL_TRANSPORTS,
+                nat_private=reach == _REACH_NEVER,
+                online=bool(self._online[index]),
+            )
+            host.agent_version = compact.agent_at(index)
+            host.dht_server = self.nat_peers_in_dht or reach != _REACH_NEVER
+            host.attach_protocol = partial(self._attach, index)
+            self.net.register(host)
+            self._hosts[index] = host
+        return host
 
     def node_at(self, index: int) -> DhtNode:
-        self.host_at(index)
-        return self.nodes[self.peer_id_at(index)]
+        """Stage 2, ``dht/…``: the node and its loaded routing table."""
+        peer_id = self.peer_id_at(index)
+        node = self.nodes.get(peer_id)
+        if node is None:
+            host = self.host_at(index)
+            node = DhtNode(
+                self.sim, self.net, host,
+                partial(derive_rng, self.seed, "dht", str(index)),
+                server=host.dht_server,
+            )
+            # The precomputed fill in one load: the entries, in the
+            # insertion (= LRU) order, populate_routing_tables loads into
+            # an object world; never our own id, at most K_BUCKET_SIZE
+            # per bucket, which is what `load` requires (and checks).
+            node.routing_table.load(self.table_peer_ids(index))
+            self.nodes[peer_id] = node
+            self.materialized += 1
+        return node
 
     def engine_at(self, index: int) -> BitswapEngine:
-        self.host_at(index)
-        return self.engines[self.peer_id_at(index)]
+        """Stage 2, ``bitswap/…``: an engine over an empty store."""
+        peer_id = self.peer_id_at(index)
+        engine = self.engines.get(peer_id)
+        if engine is None:
+            engine = self.engines[peer_id] = BitswapEngine(
+                self.sim, self.net, self.host_at(index), MemoryBlockstore()
+            )
+        return engine
+
+    def _attach(self, index: int, method: str) -> None:
+        """``SimHost.attach_protocol``: build the stack ``method`` speaks."""
+        if method.startswith("dht/"):
+            self.node_at(index)
+        elif method.startswith("bitswap/"):
+            self.engine_at(index)
 
     def materialize_all(self) -> None:
         """Force the full object world (small-n differential tests)."""
         for index in range(self.n):
-            self.host_at(index)
+            self.node_at(index)
+            self.engine_at(index)
 
     def table_peer_ids(self, index: int) -> list[PeerId]:
         """Peer ``index``'s routing-table entries, in insertion order,
@@ -243,38 +296,6 @@ class CompactWorld:
             pid_at(order[pos])
             for pos in entries[self._table_off[index]:self._table_off[index + 1]]
         ]
-
-    def _materialize(self, index: int) -> SimHost:
-        compact = self.compact
-        reach = compact.peer_reach[index]
-        peer_id = compact.peer_id_at(index)
-        host = SimHost(
-            peer_id,
-            region=compact.region_at(index),
-            peer_class=compact.peer_class_at(index),
-            transports=_WS_ONLY if self._ws[index] else _ALL_TRANSPORTS,
-            nat_private=reach == _REACH_NEVER,
-            online=bool(self._online[index]),
-        )
-        host.agent_version = compact.agent_at(index)  # type: ignore[attr-defined]
-        self.net.register(host)
-        node = DhtNode(
-            self.sim, self.net, host,
-            derive_rng(self.seed, "dht", str(index)),
-            server=self.nat_peers_in_dht or reach != _REACH_NEVER,
-        )
-        engine = BitswapEngine(self.sim, self.net, host, MemoryBlockstore())
-        # The precomputed fill in one load: the same entries in the
-        # same insertion order populate_routing_tables loads into an
-        # object world, so LRU order matches too. The fill never stores
-        # our own id and puts at most K_BUCKET_SIZE entries in a
-        # bucket, which is what `load` requires (and checks).
-        node.routing_table.load(self.table_peer_ids(index))
-        self._hosts[index] = host
-        self.nodes[peer_id] = node
-        self.engines[peer_id] = engine
-        self.materialized += 1
-        return host
 
     def _resolve(self, peer_id: PeerId) -> SimHost | None:
         index = self._index.get(peer_id.multihash.digest)

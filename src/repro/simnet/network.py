@@ -136,6 +136,13 @@ class SimHost:
         self.autonat_verdict: str | None = None
         #: whether this host speaks DCUtR (hole-punch upgrades)
         self.dcutr = False
+        #: identify facts, set by whoever builds the host: is this a DHT
+        #: server (only those enter routing tables), and its agent string
+        self.dht_server = False
+        self.agent_version = "unknown"
+        #: optional hook (compact worlds) called with the method name on
+        #: a :meth:`handler_for` miss; it may attach the protocol's stack
+        self.attach_protocol: Callable[[str], None] | None = None
         self.network: SimNetwork | None = None
         self.connections: dict[PeerId, Connection] = {}
         #: access-link serialization: times until which this host's
@@ -161,9 +168,12 @@ class SimHost:
         try:
             return self._handlers[method]
         except KeyError:
-            raise SimulationError(
-                f"{self.peer_id} has no handler for {method!r}"
-            ) from None
+            pass
+        if self.attach_protocol is not None:
+            self.attach_protocol(method)
+            if method in self._handlers:
+                return self._handlers[method]
+        raise SimulationError(f"{self.peer_id} has no handler for {method!r}")
 
     @property
     def reachable(self) -> bool:

@@ -104,12 +104,13 @@ class JitterStreams:
     pure function of the owner identity, so seeded runs stay
     reproducible for any interleaving of retries.
 
-    Streams are created lazily on first use; an operation that never
-    retries (or whose policy is unjittered) never draws, so runs
-    without retries remain byte-identical to the pre-jitter tree.
+    Streams are created lazily on first use (``owner`` is not even
+    stringified before then); an operation that never retries (or whose
+    policy is unjittered) never draws, so runs without retries remain
+    byte-identical to the pre-jitter tree.
     """
 
-    def __init__(self, owner: int | str | bytes, *labels: str) -> None:
+    def __init__(self, owner: object, *labels: str) -> None:
         self._owner = owner
         self._labels = labels if labels else ("retry-jitter",)
         self._streams: dict[str, random.Random] = {}
@@ -119,7 +120,7 @@ class JitterStreams:
         key = str(peer_id)
         stream = self._streams.get(key)
         if stream is None:
-            stream = derive_rng(self._owner, *self._labels, key)
+            stream = derive_rng(str(self._owner), *self._labels, key)
             self._streams[key] = stream
         return stream
 

@@ -149,19 +149,29 @@ def _campaign_digest(world) -> tuple[str, object]:
 
 def test_protocol_run_byte_identical(populations):
     """The pinned golden trace: legacy and compact (all worker counts)
-    run the crawler campaign to the byte-identical event trace."""
+    run the crawler campaign to the byte-identical event trace — and so
+    does a compact world whose every stack was attached up front, which
+    is what makes attaching on the first delivered RPC exact."""
     legacy_pop, compact_pop = populations
     digests = {}
     scenario = build_scenario(legacy_pop, ScenarioConfig(seed=SEED))
     digests["legacy"], legacy_results = _campaign_digest(scenario)
-    for workers in WORKER_COUNTS:
+    arms = [(f"w{workers}", workers, False) for workers in WORKER_COUNTS]
+    arms.append(("eager", 1, True))
+    for arm, workers, eager in arms:
         world = build_compact_world(
             compact_pop, ScenarioConfig(seed=SEED), workers=workers
         )
-        digests[f"compact-w{workers}"], results = _campaign_digest(world)
+        if eager:
+            world.materialize_all()
+        digests[f"compact-{arm}"], results = _campaign_digest(world)
         assert results.timeseries() == legacy_results.timeseries()
         assert results.sessions == legacy_results.sessions
         assert results.uptime_by_peer == legacy_results.uptime_by_peer
+        # lazily, only peers that answered an RPC have a node, and the
+        # crawler never speaks Bitswap
+        assert (world.materialized == N_PEERS) == eager
+        assert len(world.engines) == (N_PEERS if eager else 0)
     assert digests == {
         name: GOLDEN_CRAWL_TRACE_SHA256 for name in digests
     }, f"trace digests diverged: {digests}"

@@ -289,3 +289,26 @@ class TestJitterStreams:
         assert [plain.random() for _ in range(4)] != [
             labelled.random() for _ in range(4)
         ]
+
+    def test_owner_is_stringified_on_first_use_only(self):
+        """The owner label is part of the lazy work: building the
+        streams costs no ``str(owner)`` (a base58 encode for a PeerId),
+        and the stream is still ``derive_rng(str(owner), label, str(p))``
+        draw for draw."""
+
+        class Owner:
+            calls = 0
+
+            def __str__(self):
+                Owner.calls += 1
+                return "QmOwner"
+
+        streams = JitterStreams(Owner())
+        assert Owner.calls == 0
+        lazy = streams.for_peer(17)
+        assert Owner.calls == 1
+        pinned = derive_rng("QmOwner", "retry-jitter", "17")
+        assert [lazy.random() for _ in range(16)] == [
+            pinned.random() for _ in range(16)
+        ]
+        assert lazy.getstate() == pinned.getstate()
