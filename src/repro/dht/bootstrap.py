@@ -14,12 +14,18 @@ Two ways to wire up a simulated DHT:
   paper's experiments measure.
 
 The bucket-fill trick: peers whose key shares exactly ``i`` leading
-bits with ours occupy one contiguous interval of the sorted key space,
-so each bucket is a binary search plus a bounded sample.
-:func:`sample_table_positions` is that walk for one node; it works on
-positions in the sorted server order, so the same code fills object
-tables here and the flat arrays of
-:class:`~repro.simnet.compact.CompactWorld`.
+bits with ours are one contiguous interval of the sorted server keys —
+the sibling subtree at depth ``i`` of our path through the binary trie
+over those keys. All peers walk the *same* trie, so it is built once
+per world (:class:`KeyspaceTree`, about one node per 14 servers) and a
+fill (:func:`sample_table_positions`) is a chain of node hits, one key
+comparison per level and a bounded sample of the other side. A node
+holds only what the sorted keys and the live/stale split determine —
+bucket size, stale quota and every draw stay in the walk — so one tree
+serves any bucket size, and creating nodes on first reach is
+order-independent and RNG-free. The walk yields positions in the
+sorted server order, so the same code fills object tables here and the
+flat arrays of :class:`~repro.simnet.compact.CompactWorld`.
 """
 
 from __future__ import annotations
@@ -84,66 +90,89 @@ def _sample_window(getrandbits, base: list[int], lo: int, hi: int, k: int) -> li
     return result
 
 
+class KeyspaceTree:
+    """The binary trie over one sorted server list, grown on demand.
+
+    ``keys``: the servers' DHT keys, ascending; ``live`` / ``stale``:
+    the ascending positions of the reachable / unreachable ones. A
+    *window* ``(start, end, live_lo, live_hi, stale_lo, stale_hi)`` is
+    the servers under one key prefix and the slices of ``live`` and
+    ``stale`` among them (so bucket 0, half the keyspace, is never
+    scanned). ``nodes[depth, start]`` splits a ``depth``-bit prefix's
+    window at the next bit: ``(boundary, low, high)`` — the upper
+    half's smallest possible key and both half windows, empty or not.
+    """
+
+    __slots__ = ("keys", "live", "stale", "root", "nodes")
+
+    def __init__(self, keys: list[int], live: list[int], stale: list[int]) -> None:
+        self.keys, self.live, self.stale = keys, live, stale
+        self.root = (0, len(keys), 0, len(live), 0, len(stale))
+        self.nodes: dict[tuple[int, int], tuple] = {}
+
+    def split(self, depth: int, window: tuple) -> tuple:
+        """Create the node under the (non-empty) ``window`` at ``depth``."""
+        start, end, live_lo, live_hi, stale_lo, stale_hi = window
+        shift = KEY_BITS - depth - 1
+        boundary = (self.keys[start] >> shift | 1) << shift
+        mid = bisect_left(self.keys, boundary, start, end)
+        live_mid = bisect_left(self.live, mid, live_lo, live_hi)
+        stale_mid = bisect_left(self.stale, mid, stale_lo, stale_hi)
+        low = (start, mid, live_lo, live_mid, stale_lo, stale_mid)
+        high = (mid, end, live_mid, live_hi, stale_mid, stale_hi)
+        node = self.nodes[depth, start] = (boundary, low, high)
+        return node
+
+
 def sample_table_positions(
-    sink,
-    own_int: int,
-    keys: list[int],
-    live: list[int],
-    stale: list[int],
-    cap: int,
-    max_stale: int,
-    rng: random.Random,
+    sink, own_int: int, tree: KeyspaceTree, cap: int, max_stale: int, rng: random.Random
 ) -> None:
     """One node's k-bucket fill, as positions into the sorted servers.
 
-    ``keys`` are the servers' DHT keys in ascending order; ``live`` and
-    ``stale`` are the ascending positions of the reachable and
-    unreachable ones, so a bucket's live set is a bisect window of
-    ``live`` rather than a scan of the bucket interval (bucket 0 spans
-    half the keyspace). Chosen positions go to ``sink.extend`` (a list
-    or an ``array``) bucket by bucket: at most
+    Walks ``tree`` from the root towards ``own_int`` (which need not be
+    a server's key): at each level the half on our side is the next
+    window, the other half is bucket ``depth``. Chosen positions go to
+    ``sink.extend`` (a list or an ``array``) bucket by bucket: at most
     ``cap`` per bucket, of which at most ``max_stale`` unreachable
     unless the live ones run out. The node's own key is never chosen.
     """
     extend = sink.extend
     bits = rng.getrandbits
-    # [cur_lo, cur_hi) tracks the servers sharing our first `bucket` key
-    # bits; bucket `bucket`'s interval is its sibling half, so one
-    # boundary bisect (bounded to the parent interval) per bucket
-    # replaces two over the whole key list.
-    cur_lo, cur_hi = 0, len(keys)
-    for bucket in range(KEY_BITS):
-        if cur_hi - cur_lo <= cap:
-            # Every remaining peer shares >= bucket leading bits with
+    keys, live, stale, nodes = tree.keys, tree.live, tree.stale, tree.nodes
+    own = tree.root
+    for depth in range(KEY_BITS):
+        if own[1] - own[0] <= cap:
+            # Every remaining peer shares >= depth leading bits with
             # us, so each deeper bucket's slice fits under `cap` and is
             # taken wholesale — the same entries the per-bucket walk
             # would add, without iterating the ~240 empty tail buckets.
-            extend([pos for pos in range(cur_lo, cur_hi) if keys[pos] != own_int])
+            extend([pos for pos in range(own[0], own[1]) if keys[pos] != own_int])
             return
-        shift = KEY_BITS - bucket - 1
-        prefix = own_int >> shift
-        if prefix & 1:
-            mid = bisect_left(keys, prefix << shift, cur_lo, cur_hi)
-            start, end = cur_lo, mid
-            cur_lo = mid
+        boundary, low, high = nodes.get((depth, own[0])) or tree.split(depth, own)
+        # We share the window's prefix, so one comparison reads our bit.
+        if own_int >= boundary:
+            own, (start, end, live_lo, live_hi, stale_lo, stale_hi) = high, low
         else:
-            mid = bisect_left(keys, (prefix ^ 1) << shift, cur_lo, cur_hi)
-            start, end = mid, cur_hi
-            cur_hi = mid
-        if start >= end:
-            continue
+            own, (start, end, live_lo, live_hi, stale_lo, stale_hi) = low, high
         # A sibling half never holds our own key (it differs at bit
-        # `bucket`), so its picks need no own-key filter.
+        # `depth`), so its picks need no own-key filter.
         if end - start <= cap:
             extend(range(start, end))
             continue
-        live_lo, live_hi = bisect_left(live, start), bisect_left(live, end)
-        stale_lo, stale_hi = bisect_left(stale, start), bisect_left(stale, end)
         n_stale = min(stale_hi - stale_lo, max_stale)
         chosen = _sample_window(
             bits, live, live_lo, live_hi, min(live_hi - live_lo, cap - n_stale)
         )
-        chosen += _sample_window(bits, stale, stale_lo, stale_hi, n_stale)
+        if n_stale == 1:
+            # The default quota (int(20 * 0.05)): both branches of
+            # `sample(window, 1)` are one `_randbelow(len(window))`.
+            n = stale_hi - stale_lo
+            nbits = n.bit_length()
+            while (j := bits(nbits)) >= n:
+                pass
+            chosen.append(stale[stale_lo + j])
+        else:
+            chosen += _sample_window(bits, stale, stale_lo, stale_hi, n_stale)
         if len(chosen) < cap:
             taken = set(chosen)
             leftovers = [p for p in stale[stale_lo:stale_hi] if p not in taken]
@@ -184,11 +213,12 @@ def populate_routing_tables(
     for position, (_, _, node) in enumerate(ordered):
         (live if node.host.reachable else stale).append(position)
 
+    tree = KeyspaceTree(keys, live, stale)
     for node in nodes:
         cap = node.routing_table.bucket_size
         picks: list[int] = []
         sample_table_positions(
-            picks, node.host.peer_id.dht_key_int(), keys, live, stale,
+            picks, node.host.peer_id.dht_key_int(), tree,
             cap, int(cap * stale_fraction), rng,
         )
         node.routing_table.load([ids[position] for position in picks])

@@ -34,6 +34,7 @@ import resource
 import time
 from dataclasses import dataclass
 
+from repro.errors import SimulationError
 from repro.experiments.deployment import (
     CrawlCampaignConfig,
     CrawlCampaignResults,
@@ -327,6 +328,11 @@ def run_scale_crawl(config: ScaleCrawlConfig) -> ScaleCrawlReport:
     run_start = time.monotonic()
     results = run_crawl_timeseries(world, config.campaign())
     run_wall_s = time.monotonic() - run_start
+    if world.churn_exhausted:
+        # Hosts frozen in their last state would still grade.
+        raise SimulationError(
+            f"{world.churn_exhausted} churn schedules ran out before the campaign ended"
+        )
 
     telemetry = ScaleTelemetry(
         build_wall_s=build_wall_s,

@@ -11,9 +11,9 @@ This module builds the *same world* from columnar state:
   :class:`~repro.workloads.compact.CompactPopulation`;
 - routing tables are precomputed as flat position arrays by the same
   per-node kernel :func:`~repro.dht.bootstrap.populate_routing_tables`
-  uses (:func:`~repro.dht.bootstrap.sample_table_positions`), which
-  samples each bucket from a window of the sorted server order in
-  place;
+  uses (:func:`~repro.dht.bootstrap.sample_table_positions`), walking
+  one :class:`~repro.dht.bootstrap.KeyspaceTree` per world and
+  sampling each bucket from a window of the sorted server order;
 - churn schedules are precomputed per peer into one flat delay array
   (the per-peer streams of :class:`~repro.simnet.churn.SessionProcess`,
   drawn ahead of time instead of lazily — same values, same order);
@@ -52,7 +52,7 @@ from functools import partial
 
 from repro.bitswap.engine import BitswapEngine
 from repro.blockstore.memory import MemoryBlockstore
-from repro.dht.bootstrap import STALE_FRACTION, sample_table_positions
+from repro.dht.bootstrap import STALE_FRACTION, KeyspaceTree, sample_table_positions
 from repro.dht.dht_node import DhtNode
 from repro.dht.routing_table import K_BUCKET_SIZE
 from repro.errors import SimulationError
@@ -65,9 +65,9 @@ from repro.utils.rng import derive_rng
 from repro.workloads.compact import REACHABILITY_NAMES, CompactPopulation
 
 #: Churn schedules are pre-drawn out to this horizon (simulated
-#: seconds); runs past it leave hosts frozen in their final state (and
-#: counted in :attr:`CompactWorld.churn_exhausted`). The default covers
-#: the paper's 12 h crawl campaigns twice over.
+#: seconds); runs past it leave hosts frozen in their final state and
+#: counted in :attr:`CompactWorld.churn_exhausted`, which the graded
+#: campaign refuses. The default covers the 12 h crawls twice over.
 DEFAULT_CHURN_HORIZON_S = 24 * 3600.0
 
 _ALL_TRANSPORTS = frozenset({Transport.TCP, Transport.QUIC, Transport.WEBSOCKET})
@@ -348,8 +348,8 @@ class CompactWorld:
     def _fill_tables(self, rng: random.Random, key_ints: list[int]) -> None:
         """Every peer's routing table as positions into the sorted
         server order: :func:`~repro.dht.bootstrap.sample_table_positions`
-        per peer (``key_ints[i]`` is peer ``i``'s DHT key), appended to
-        one flat array."""
+        per peer (``key_ints[i]`` is peer ``i``'s DHT key) over one
+        shared tree, dropped on return, appended to one flat array."""
         reach = self.compact.peer_reach
         in_dht = self.nat_peers_in_dht
         order = sorted(
@@ -366,9 +366,10 @@ class CompactWorld:
         entries = self._table_entries
         off = self._table_off
         max_stale = int(K_BUCKET_SIZE * STALE_FRACTION)
+        tree = KeyspaceTree(keys, live, stale)
         for own_int in key_ints:
             sample_table_positions(
-                entries, own_int, keys, live, stale, K_BUCKET_SIZE, max_stale, rng
+                entries, own_int, tree, K_BUCKET_SIZE, max_stale, rng
             )
             off.append(len(entries))
         self._server_order = array("i", order)

@@ -1,15 +1,17 @@
 """``populate_routing_tables`` runs the one fill kernel
-(``sample_table_positions``, which spells out ``random.sample``'s
-draws) and hands each node's picks to ``RoutingTable.load`` in one
-call. The loop it replaced — real ``rng.sample`` calls, one ``add`` per
-pick — is kept here as the reference: same tables, same order, same
-RNG stream."""
+(``sample_table_positions``: a walk down the per-world ``KeyspaceTree``
+that spells out ``random.sample``'s draws) and hands each node's picks
+to ``RoutingTable.load`` in one call. The loop it replaced — a shift
+and five bisects per bucket for every node, real ``rng.sample`` calls,
+one ``add`` per pick — is kept here as the reference: same tables, same
+order, same RNG stream."""
 
 import bisect
 import random
 
 import pytest
 
+from repro.dht import bootstrap
 from repro.dht.bootstrap import populate_routing_tables
 from repro.dht.keyspace import KEY_BITS, key_for_peer
 from repro.dht.routing_table import RoutingTable
@@ -18,7 +20,8 @@ from tests.helpers import build_world
 
 
 def _populate_by_add(nodes, rng, stale_fraction=0.05):
-    """The fill as it was before the bulk load: one ``add`` per pick."""
+    """The fill as it was before the bulk load and the shared tree:
+    every node rediscovers its bucket intervals, one ``add`` per pick."""
     servers = [n for n in nodes if n.server]
     ordered = sorted(
         (int.from_bytes(key_for_peer(n.host.peer_id), "big"), n.host.peer_id, n)
@@ -96,12 +99,17 @@ def _mixed_world(n, seed):
         # the kernel's other parameters: no stale quota at all, the
         # client/server ablation's larger one, a non-default bucket
         (400, 0.0, 20), (400, 0.25, 20), (400, 0.05, 8),
+        # bucket sizes alternating over one call: the tree is shared, so
+        # a cap-dependent value cached in a node would leak between them
+        (400, 0.05, (8, 20)),
     ],
 )
 def test_bulk_load_equals_the_add_loop(n, stale_fraction, bucket_size, seed):
     expected, actual = _mixed_world(n, seed), _mixed_world(n, seed)
-    for node in expected.nodes + actual.nodes:
-        node.routing_table.bucket_size = bucket_size
+    sizes = bucket_size if isinstance(bucket_size, tuple) else (bucket_size,)
+    for world in (expected, actual):
+        for index, node in enumerate(world.nodes):
+            node.routing_table.bucket_size = sizes[index % len(sizes)]
     assert [a.host.peer_id for a in actual.nodes] == [e.host.peer_id for e in expected.nodes]
     assert any(not node.server for node in actual.nodes)
     assert any(node.server and not node.host.reachable for node in actual.nodes)
@@ -119,6 +127,38 @@ def test_bulk_load_equals_the_add_loop(n, stale_fraction, bucket_size, seed):
     if n >= 400:
         # the hoisted leftovers filter is on the compared path
         assert leftover_draws > 0
+
+
+def test_one_tree_per_call_and_one_boundary_bisect_per_node(monkeypatch):
+    """Work is counted, not timed: the reference loop bisects the keys
+    once per node per bucket; the tree once per trie node, and a second
+    call starts from an empty tree (nothing outlives a call)."""
+    trees, boundary_bisects = [], []
+
+    class RecordedTree(bootstrap.KeyspaceTree):
+        def __init__(self, keys, live, stale):
+            super().__init__(keys, live, stale)
+            trees.append(self)
+            boundary_bisects.append(0)
+
+    def counting_bisect(a, x, lo, hi):
+        if a is trees[-1].keys:
+            boundary_bisects[-1] += 1
+        return bisect.bisect_left(a, x, lo, hi)
+
+    monkeypatch.setattr(bootstrap, "KeyspaceTree", RecordedTree)
+    monkeypatch.setattr(bootstrap, "bisect_left", counting_bisect)
+    world = _mixed_world(1500, 42)
+    servers = sum(node.server for node in world.nodes)
+    for seed in (42, 43):
+        populate_routing_tables(world.nodes, random.Random(seed))
+        for node in world.nodes:
+            for peer_id in node.routing_table.peers():
+                node.routing_table.remove(peer_id)
+    first, second = trees
+    assert set(first.nodes) == set(second.nodes)  # a function of the keys alone
+    for tree, count in zip(trees, boundary_bisects):
+        assert 0 < count <= len(tree.nodes) <= servers / 4
 
 
 def test_fill_never_calls_add(monkeypatch):

@@ -135,6 +135,37 @@ def test_churn_transition_logs_identical(populations, workers):
     assert logs[0] == logs[1]
 
 
+def test_churn_past_the_horizon_is_counted_and_frozen(populations):
+    """Schedules are pre-drawn to ``churn_horizon_s`` plus one overshoot
+    draw: a run inside the horizon never reaches a schedule's end, a
+    run past it counts every peer that did and leaves it where its last
+    transition put it."""
+    _, compact_pop = populations
+    config = ScenarioConfig(seed=SEED)
+    inside = build_compact_world(compact_pop, config, churn_horizon_s=3600.0)
+    inside.sim.run(until=3600.0)
+    assert inside.churn_exhausted == 0
+
+    world = build_compact_world(compact_pop, config, churn_horizon_s=600.0)
+    initially_online = [world.online_at(i) for i in range(N_PEERS)]
+    off, delays = world._churn_off, world._churn_delays
+    world.sim.run(until=3600.0)
+    ran_out = []
+    for index in range(N_PEERS):
+        # accumulated as the kernel does, now + delay (3.12's sum() compensates)
+        fires_at = 0.0
+        for delay in delays[off[index]:off[index + 1]]:
+            fires_at += delay
+        if off[index + 1] > off[index] and fires_at <= 3600.0:
+            ran_out.append(index)
+            flips = off[index + 1] - off[index]
+            assert world.online_at(index) == initially_online[index] ^ (flips % 2)
+    assert 0 < len(ran_out) == world.churn_exhausted
+    frozen = [world.online_at(index) for index in ran_out]
+    world.sim.run(until=6 * 3600.0)
+    assert [world.online_at(index) for index in ran_out] == frozen
+
+
 def _campaign_digest(world) -> tuple[str, object]:
     obs = Observability()
     world.net.install_observability(obs)

@@ -2,7 +2,10 @@
 
 :func:`repro.dht.bootstrap.sample_table_positions` draws every bucket
 through :func:`repro.dht.bootstrap._sample_window`, which spells out
-what ``random.Random.sample`` consumes instead of calling it. The
+what ``random.Random.sample`` consumes instead of calling it (the
+default quota's single stale pick is written inline as the one
+``_randbelow`` both branches reduce to at ``k = 1``; the stdlib-calling
+reference loop in ``tests/dht/test_bootstrap.py`` holds that). The
 tables it fills match the pinned ones (and the stdlib-calling reference
 in ``tests/dht/test_bootstrap.py``) only while that spelling matches
 the running interpreter's stdlib, so the kernel is held to the real
