@@ -1,13 +1,10 @@
 """Attack×defense matrix bench: the adversarial what-if suite.
 
-The smoke test regenerates the committed ``BENCH_attack.json``
-configuration and checks both the grades (every attack's degradation
-recovered by the defense arm) and the bytes (the canonical artifact
-must match the committed baseline exactly — same check CI's
-``attack-smoke`` job performs via ``cmp``).
+The smoke test runs the committed ``BENCH_attack.json`` configuration
+and checks the grades (every attack's degradation recovered by the
+defense arm); the bytes are pinned for every graded artifact at once by
+``test_graded_bench.py``.
 """
-
-import pathlib
 
 from conftest import save_report
 
@@ -18,26 +15,21 @@ from repro.adversary import (
 )
 from repro.validation.compare import Grade
 
-BASELINE = pathlib.Path(__file__).resolve().parent.parent / "BENCH_attack.json"
-
 
 def test_attack_smoke():
     """Fast end-to-end pass for CI: the frozen bench matrix, sharded,
-    must reproduce the committed artifact byte-for-byte and grade PASS."""
+    must grade PASS."""
     results = run_attack_matrix(bench_attack_config(), workers=2)
     report = grade_matrix(results)
     save_report("attack_matrix", report.render_text())
 
-    assert report.clean_grade is Grade.PASS
+    claims = {(claim.key, claim.scope): claim for claim in report.claims}
+    assert claims["attack.clean_success", ""].grade is Grade.PASS
     assert report.overall is Grade.PASS
-    # The eclipse row is the headline acceptance criterion: measurable
-    # suppression, majority recovery.
-    eclipse = next(row for row in report.rows if row.attack == "eclipse")
-    assert eclipse.suppression > 0.25
-    assert eclipse.recovery is not None and eclipse.recovery >= 0.5
-
-    assert report.to_json() == BASELINE.read_text(), (
-        "graded attack matrix drifted from the committed BENCH_attack.json; "
-        "regenerate with: python -m repro.tools.cli attack --bench "
-        "--export BENCH_attack.json"
-    )
+    # The full-strength eclipse is the headline acceptance criterion:
+    # measurable suppression, majority recovery.
+    clean = results.cell("none", "off")
+    eclipsed = results.cell("eclipse", "off", 1.0)
+    assert clean.success_rate - eclipsed.success_rate > 0.25
+    recovery = claims["attack.recovery", "eclipse@1"].measured
+    assert recovery is not None and recovery >= 0.5

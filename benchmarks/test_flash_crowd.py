@@ -1,13 +1,10 @@
 """Flash-crowd overload bench: the gateway fleet under burst load.
 
-The smoke test regenerates the committed ``BENCH_overload.json``
-configuration and checks both the grades (the hardened fleet sustains
-the spike the stock round-robin fleet collapses under) and the bytes
-(the canonical artifact must match the committed baseline exactly —
-same check CI's ``overload-smoke`` job performs via ``cmp``).
+The smoke test runs the committed ``BENCH_overload.json`` configuration
+and checks the grades (the hardened fleet sustains the spike the stock
+round-robin fleet collapses under); the bytes are pinned for every
+graded artifact at once by ``test_graded_bench.py``.
 """
-
-import pathlib
 
 from conftest import save_report
 
@@ -18,14 +15,10 @@ from repro.experiments.flash_crowd import (
 )
 from repro.validation.compare import Grade
 
-BASELINE = (
-    pathlib.Path(__file__).resolve().parent.parent / "BENCH_overload.json"
-)
-
 
 def test_overload_smoke():
     """Fast end-to-end pass for CI: the frozen bench grid, sharded,
-    must reproduce the committed artifact byte-for-byte and grade PASS."""
+    must grade PASS."""
     results = run_flash_crowd(bench_overload_config(), workers=2)
     report = grade_flash_crowd(results)
     save_report("flash_crowd", report.render_text())
@@ -39,10 +32,3 @@ def test_overload_smoke():
     assert hardened.spike_goodput >= 2.0 * stock.spike_goodput
     assert hardened.hot_duplicate_launches == 0
     assert stock.duplicate_launches > 100  # round-robin re-fetch storm
-
-    assert report.to_json() == BASELINE.read_text(), (
-        "graded flash-crowd grid drifted from the committed "
-        "BENCH_overload.json; regenerate with: "
-        "python -m repro.tools.cli flash-crowd --bench "
-        "--export BENCH_overload.json"
-    )

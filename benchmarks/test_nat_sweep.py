@@ -1,14 +1,11 @@
 """NAT dialability sweep bench: the emergent-reachability suite.
 
-The smoke test regenerates the committed ``BENCH_nat.json``
-configuration and checks both the grades (the default NAT mix lands in
-the PASS band of the paper's 45.5 % undialable share, AutoNAT agrees
-with ground truth, punches land, relays keep content reachable) and
-the bytes (the canonical artifact must match the committed baseline
-exactly — same check CI's ``nat-smoke`` job performs via ``cmp``).
+The smoke test runs the committed ``BENCH_nat.json`` configuration and
+checks the grades (the default NAT mix lands in the PASS band of the
+paper's 45.5 % undialable share, AutoNAT agrees with ground truth,
+punches land, relays keep content reachable); the bytes are pinned for
+every graded artifact at once by ``test_graded_bench.py``.
 """
-
-import pathlib
 
 from conftest import save_report
 
@@ -19,12 +16,10 @@ from repro.experiments.nat_sweep import (
 )
 from repro.validation.compare import Grade
 
-BASELINE = pathlib.Path(__file__).resolve().parent.parent / "BENCH_nat.json"
-
 
 def test_nat_smoke():
     """Fast end-to-end pass for CI: the frozen bench sweep, sharded,
-    must reproduce the committed artifact byte-for-byte and grade PASS."""
+    must grade PASS."""
     results = run_nat_sweep(bench_nat_config(), workers=2)
     report = grade_sweep(results)
     save_report("nat_sweep", report.render_text())
@@ -43,9 +38,3 @@ def test_nat_smoke():
         cell = results.cell("symmetric_heavy", 1.0, ttl)
         assert cell.punches_succeeded < cell.punches_attempted / 4
         assert cell.success_rate >= 0.75
-
-    assert report.to_json() == BASELINE.read_text(), (
-        "graded NAT sweep drifted from the committed BENCH_nat.json; "
-        "regenerate with: python -m repro.tools.cli nat-sweep --bench "
-        "--export BENCH_nat.json"
-    )

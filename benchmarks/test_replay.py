@@ -1,12 +1,10 @@
 """Full-day replay bench: the batched 7.1 M-request pipeline, CI-sized.
 
-The smoke test regenerates the committed ``BENCH_replay.json`` grid
-(a model arm at the quick-tier scale and a live-fleet arm) sharded
-across workers, and checks both the grades and the bytes — the same
-check CI's ``replay`` matrix cell performs via ``cmp``.
+The smoke test runs the committed ``BENCH_replay.json`` grid (a model
+arm at the quick-tier scale and a live-fleet arm) sharded across
+workers and checks the grades; the bytes are pinned for every graded
+artifact at once by ``test_graded_bench.py``.
 """
-
-import pathlib
 
 from conftest import save_report
 
@@ -17,14 +15,10 @@ from repro.experiments.replay import (
 )
 from repro.validation.compare import Grade
 
-BASELINE = (
-    pathlib.Path(__file__).resolve().parent.parent / "BENCH_replay.json"
-)
-
 
 def test_replay_smoke():
     """Fast end-to-end pass for CI: the frozen bench grid, sharded,
-    must reproduce the committed artifact byte-for-byte and grade PASS."""
+    must grade PASS."""
     results = run_replay_grid(bench_replay_configs(), workers=2)
     report = grade_replay(results)
     save_report("replay", report.render_text())
@@ -39,10 +33,3 @@ def test_replay_smoke():
     assert abs(model.node_store_share - 0.402) / 0.402 < 0.08
     assert model.combined_hit_rate > 0.80
     assert fleet.answered_fraction == 1.0
-
-    assert report.to_json() == BASELINE.read_text(), (
-        "graded replay grid drifted from the committed "
-        "BENCH_replay.json; regenerate with: "
-        "python -m repro.tools.cli replay --bench "
-        "--export BENCH_replay.json"
-    )

@@ -27,6 +27,7 @@ from repro.adversary.experiment import (
     AttackMatrixResults,
     bench_attack_config,
     grade_matrix,
+    matrix_config,
     run_attack_matrix,
 )
 from repro.adversary.sybil import closest_distance, mine_sybil_ids
@@ -44,6 +45,7 @@ __all__ = [
     "closest_distance",
     "defended_node_config",
     "grade_matrix",
+    "matrix_config",
     "mine_sybil_ids",
     "run_attack_matrix",
 ]

@@ -25,10 +25,10 @@ the matrix is byte-identical for any ``workers`` count.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from repro.adversary.attacks import (
+    ATTACK_KINDS,
     AttackSpec,
     install_incident,
     install_placement,
@@ -46,7 +46,8 @@ from repro.simnet.faults import FaultInjector
 from repro.simnet.sim import with_timeout
 from repro.utils.rng import derive_rng
 from repro.utils.stats import percentiles
-from repro.validation.compare import Grade, grade_at_least, worst_grade
+from repro.validation.compare import Grade, grade_at_least
+from repro.validation.report import Claim, GradedReport
 from repro.workloads.population import PopulationConfig, generate_population
 
 #: Suppression below this (in success-rate points) means the attack
@@ -71,14 +72,7 @@ CLEAN_SUCCESS_FLOOR = 0.9
 
 
 def default_attacks() -> tuple[AttackSpec, ...]:
-    return (
-        AttackSpec("none"),
-        AttackSpec("eclipse"),
-        AttackSpec("censor"),
-        AttackSpec("churn_storm"),
-        AttackSpec("partition"),
-        AttackSpec("cloud_exodus"),
-    )
+    return tuple(AttackSpec(kind) for kind in ATTACK_KINDS)
 
 
 @dataclass(frozen=True)
@@ -97,6 +91,20 @@ class AttackMatrixConfig:
     retrieval_spacing_s: float = 130.0
     attacks: tuple[AttackSpec, ...] = field(default_factory=default_attacks)
     defenses: tuple[str, ...] = ("off", "on")
+
+
+def matrix_config(
+    kinds: tuple[str, ...] = ATTACK_KINDS, intensity: float = 1.0, **fields
+) -> AttackMatrixConfig:
+    """A matrix over ``kinds`` at one ``intensity``; the clean ``none``
+    spec, which grading needs, is added when missing."""
+    if "none" not in kinds:
+        kinds = ("none", *kinds)
+    attacks = tuple(
+        AttackSpec(kind) if kind == "none" else AttackSpec(kind, intensity)
+        for kind in kinds
+    )
+    return AttackMatrixConfig(attacks=attacks, **fields)
 
 
 #: The severity grid frozen into ``BENCH_attack.json``: every attack
@@ -158,12 +166,14 @@ class AttackCellResult:
             return 0.0
         return self.dials_succeeded / self.dials_attempted
 
-    def ttfb(self) -> tuple[float | None, float | None]:
-        """(p50, p95) of successful retrieval durations."""
-        if not self.latencies:
-            return None, None
-        p50, p95 = percentiles(self.latencies, [50, 95])
-        return p50, p95
+    @property
+    def ttfb_p50(self) -> float | None:
+        """Median successful retrieval duration."""
+        return percentiles(self.latencies, [50])[0] if self.latencies else None
+
+    @property
+    def ttfb_p95(self) -> float | None:
+        return percentiles(self.latencies, [95])[0] if self.latencies else None
 
 
 def _run_cell(
@@ -292,198 +302,78 @@ def run_attack_matrix(
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class AttackGradeRow:
-    """The graded verdict for one attack kind."""
-
-    attack: str
-    intensity: float
-    clean_success: float
-    attacked_success: float
-    defended_success: float
-    suppression: float
-    #: fraction of the suppressed success rate the defenses won back
-    #: (``None`` when the attack did not measurably bite).
-    recovery: float | None
-    recovery_grade: Grade
-    slowdown: float | None
-    slowdown_grade: Grade
-    dialability: float
-    dialability_grade: Grade
-
-    @property
-    def grade(self) -> Grade:
-        return worst_grade(
-            [self.recovery_grade, self.slowdown_grade, self.dialability_grade]
-        )
+CELL_FIELDS = (
+    "attack:", "intensity:g", "defense:", "attempted", "succeeded",
+    "success_rate:.2f", "ttfb_p50:.2f", "ttfb_p95", "dialability:.2f",
+    "dials_attempted", "dials_succeeded", "faults_injected:",
+    "retries_attempted:", "records_suppressed", "queries_censored",
+)
 
 
 def _grade_attack(
     clean: AttackCellResult,
     attacked: AttackCellResult,
     defended: AttackCellResult,
-) -> AttackGradeRow:
+) -> list[Claim]:
+    """Recovery, slowdown and dialability of one attack at one
+    intensity, scoped ``kind@intensity``."""
+    scope = f"{attacked.attack}@{attacked.intensity:g}"
+
     suppression = clean.success_rate - attacked.success_rate
     if suppression > SUPPRESSION_EPSILON:
         recovery = (defended.success_rate - attacked.success_rate) / suppression
-        _, recovery_grade = grade_at_least(recovery, 0.5, 0.5)
+        recovery_verdict = grade_at_least(recovery, 0.5, 0.5)
     else:
-        recovery, recovery_grade = None, Grade.PASS
+        recovery, recovery_verdict = None, (None, Grade.PASS)
 
-    clean_p50, _ = clean.ttfb()
-    defended_p50, _ = defended.ttfb()
+    clean_p50, defended_p50 = clean.ttfb_p50, defended.ttfb_p50
     if defended_p50 is None or clean_p50 is None or clean_p50 <= 0:
-        slowdown, slowdown_grade = None, Grade.FAIL
+        slowdown, slowdown_verdict = None, (None, Grade.FAIL)
     else:
         slowdown = defended_p50 / clean_p50
-        _, slowdown_grade = grade_at_least(TTFB_SLOWDOWN_CAP / slowdown, 1.0, 1.0)
+        slowdown_verdict = grade_at_least(TTFB_SLOWDOWN_CAP / slowdown, 1.0, 1.0)
 
-    if clean.dialability > 0:
-        _, dialability_grade = grade_at_least(
-            defended.dialability, DIALABILITY_FLOOR * clean.dialability, 0.5
-        )
+    dial_floor = DIALABILITY_FLOOR * clean.dialability
+    if dial_floor > 0:
+        dial_verdict = grade_at_least(defended.dialability, dial_floor, 0.5)
     else:
-        dialability_grade = Grade.FAIL
+        dial_verdict = (None, Grade.FAIL)
 
-    return AttackGradeRow(
-        attack=attacked.attack,
-        intensity=attacked.intensity,
-        clean_success=clean.success_rate,
-        attacked_success=attacked.success_rate,
-        defended_success=defended.success_rate,
-        suppression=suppression,
-        recovery=recovery,
-        recovery_grade=recovery_grade,
-        slowdown=slowdown,
-        slowdown_grade=slowdown_grade,
-        dialability=defended.dialability,
-        dialability_grade=dialability_grade,
-    )
-
-
-@dataclass
-class AttackReport:
-    """Graded matrix: the artifact behind ``BENCH_attack.json``."""
-
-    results: AttackMatrixResults
-    rows: list[AttackGradeRow]
-    clean_grade: Grade
-
-    @property
-    def overall(self) -> Grade:
-        return worst_grade([self.clean_grade] + [row.grade for row in self.rows])
-
-    # -- canonical artifact -------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        config = self.results.config
-
-        def r(value):
-            return None if value is None else round(value, 6)
-
-        cells = []
-        for cell in self.results.cells:
-            p50, p95 = cell.ttfb()
-            cells.append({
-                "attack": cell.attack,
-                "intensity": r(cell.intensity),
-                "defense": cell.defense,
-                "attempted": cell.attempted,
-                "succeeded": cell.succeeded,
-                "success_rate": r(cell.success_rate),
-                "ttfb_p50": r(p50),
-                "ttfb_p95": r(p95),
-                "dialability": r(cell.dialability),
-                "dials_attempted": cell.dials_attempted,
-                "dials_succeeded": cell.dials_succeeded,
-                "faults_injected": cell.faults_injected,
-                "retries_attempted": cell.retries_attempted,
-                "records_suppressed": cell.records_suppressed,
-                "queries_censored": cell.queries_censored,
-            })
-        rows = [
-            {
-                "attack": row.attack,
-                "intensity": r(row.intensity),
-                "clean_success": r(row.clean_success),
-                "attacked_success": r(row.attacked_success),
-                "defended_success": r(row.defended_success),
-                "suppression": r(row.suppression),
-                "recovery": r(row.recovery),
-                "recovery_grade": row.recovery_grade.value,
-                "slowdown": r(row.slowdown),
-                "slowdown_grade": row.slowdown_grade.value,
-                "dialability": r(row.dialability),
-                "dialability_grade": row.dialability_grade.value,
-                "grade": row.grade.value,
-            }
-            for row in self.rows
-        ]
-        return {
-            "schema": "repro.attack/v1",
-            "config": {
-                "seed": config.seed,
-                "n_peers": config.n_peers,
-                "retrievals_per_cell": config.retrievals_per_cell,
-                "object_size": config.object_size,
-                "retrieval_budget_s": r(config.retrieval_budget_s),
-                "defenses": list(config.defenses),
-                "attacks": [
-                    {"kind": attack.kind, "intensity": r(attack.intensity)}
-                    for attack in config.attacks
-                ],
-            },
-            "cells": cells,
-            "grades": rows,
-            "clean_grade": self.clean_grade.value,
-            "overall": self.overall.value,
-        }
-
-    def to_json(self) -> str:
-        """Canonical bytes: stable ordering, no timestamps, 6-decimal
-        floats — ``cmp``-able against a committed baseline."""
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
-
-    def render_text(self) -> str:
-        lines = [
-            "attack matrix "
-            f"(n_peers={self.results.config.n_peers}, "
-            f"retrievals={self.results.config.retrievals_per_cell}, "
-            f"defenses={'/'.join(self.results.config.defenses)})",
-            "",
-            f"{'attack':<19} {'clean':>6} {'hit':>6} {'def':>6} "
-            f"{'recov':>6} {'slow':>6} {'grade':>5}",
-        ]
-        for row in self.rows:
-            recovery = "-" if row.recovery is None else f"{row.recovery:.2f}"
-            slowdown = "-" if row.slowdown is None else f"{row.slowdown:.1f}x"
-            label = f"{row.attack}@{row.intensity:g}"
-            lines.append(
-                f"{label:<19} {row.clean_success:>6.2f} "
-                f"{row.attacked_success:>6.2f} {row.defended_success:>6.2f} "
-                f"{recovery:>6} {slowdown:>6} {row.grade.value:>5}"
-            )
-        lines.append("")
-        lines.append(
-            f"clean floor: {self.clean_grade.value}   "
-            f"overall: {self.overall.value}"
-        )
-        return "\n".join(lines)
-
-
-def grade_matrix(results: AttackMatrixResults) -> AttackReport:
-    """Grade every attacked kind against the clean cell."""
-    clean = results.cell("none", "off")
-    _, clean_grade = grade_at_least(
-        clean.success_rate, CLEAN_SUCCESS_FLOOR, 0.25
-    )
-    rows = [
-        _grade_attack(
-            clean,
-            results.cell(attack.kind, "off", attack.intensity),
-            results.cell(attack.kind, "on", attack.intensity),
-        )
-        for attack in results.config.attacks
-        if attack.kind != "none"
+    return [
+        Claim.graded(
+            "attack.recovery", recovery, 0.5, recovery_verdict, scope=scope,
+            description=(
+                f"share of the {suppression:.2f} suppressed success rate the "
+                "defenses won back"
+            ),
+        ),
+        Claim.graded(
+            "attack.slowdown", slowdown, TTFB_SLOWDOWN_CAP, slowdown_verdict,
+            scope=scope, description="defended / clean median fetch time (cap)",
+        ),
+        Claim.graded(
+            "attack.dialability", defended.dialability, dial_floor,
+            dial_verdict, scope=scope,
+            description="defended dial success vs 30 % of the clean world's",
+        ),
     ]
-    return AttackReport(results=results, rows=rows, clean_grade=clean_grade)
+
+
+def grade_matrix(results: AttackMatrixResults) -> GradedReport:
+    """Grade the clean floor, then every attack against the clean cell."""
+    clean = results.cell("none", "off")
+    claims = [Claim.graded(
+        "attack.clean_success", clean.success_rate, CLEAN_SUCCESS_FLOOR,
+        grade_at_least(clean.success_rate, CLEAN_SUCCESS_FLOOR, 0.25),
+        description="the attack-free world retrieves",
+    )]
+    for attack in results.config.attacks:
+        if attack.kind != "none":
+            claims.extend(_grade_attack(
+                clean,
+                results.cell(attack.kind, "off", attack.intensity),
+                results.cell(attack.kind, "on", attack.intensity),
+            ))
+    return GradedReport(
+        "attack", results.config, results.cells, CELL_FIELDS, claims
+    )

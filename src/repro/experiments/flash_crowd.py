@@ -41,7 +41,6 @@ the assembled results are byte-identical for any ``workers`` count.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from repro.dht.bootstrap import populate_routing_tables
@@ -56,7 +55,8 @@ from repro.simnet.network import SimNetwork
 from repro.simnet.sim import Simulator, with_timeout
 from repro.utils.rng import derive_rng
 from repro.utils.stats import percentiles
-from repro.validation.compare import Grade, grade_at_least, worst_grade
+from repro.validation.compare import Grade, grade_at_least
+from repro.validation.report import Claim, GradedReport
 from repro.workloads.bursts import (
     DiurnalStormConfig,
     NftDropConfig,
@@ -430,15 +430,15 @@ def run_flash_crowd(
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class OverloadGradeRow:
-    """One graded metric of the flash-crowd comparison."""
-
-    metric: str
-    storm: str
-    measured: float
-    floor: float
-    grade: Grade
+CELL_FIELDS = (
+    "storm:", "arm:", "attempted:", "served", "shed:", "failed",
+    "goodput:.2f", "spike_attempted", "spike_served", "spike_goodput:.2f",
+    "answered_fraction", "pre_spike_goodput", "latency_p50", "latency_p95",
+    "latency_p99:.1f", "duplicate_launches:", "hot_duplicate_launches",
+    "coalesced_joins", "single_flights", "brownout_stale_served",
+    "brownout_paths_dropped", "hint_fetches", "hint_fallbacks", "failovers",
+    "marked_offline", "down_errors",
+)
 
 
 def _ratio(numerator: float, denominator: float) -> float:
@@ -447,182 +447,53 @@ def _ratio(numerator: float, denominator: float) -> float:
     return min(RATIO_CAP, numerator / denominator)
 
 
-def grade_flash_crowd(results: FlashCrowdResults) -> "OverloadReport":
+def grade_flash_crowd(results: FlashCrowdResults) -> GradedReport:
     """Grade the hardened arm against stock, storm by storm."""
-    rows: list[OverloadGradeRow] = []
+    claims: list[Claim] = []
+
+    def floor(metric: str, storm: str, measured: float, minimum: float, slack: float):
+        claims.append(Claim.graded(
+            f"overload.{metric}", measured, minimum,
+            grade_at_least(measured, minimum, slack), scope=storm,
+        ))
+
     for storm in results.config.storms:
         stock = results.cell(storm, "stock")
         hard = results.cell(storm, "hardened")
-
-        floor = (
+        floor(
+            "spike_goodput_ratio", storm,
+            _ratio(hard.spike_goodput, stock.spike_goodput),
             GOODPUT_RATIO_FLOOR if storm == "nft_drop"
-            else STORM_GOODPUT_RATIO_FLOOR
+            else STORM_GOODPUT_RATIO_FLOOR,
+            0.25,
         )
-        ratio = _ratio(hard.spike_goodput, stock.spike_goodput)
-        _, grade = grade_at_least(ratio, floor, 0.25)
-        rows.append(
-            OverloadGradeRow("spike_goodput_ratio", storm, ratio, floor, grade)
+        floor(
+            "answered_fraction", storm,
+            hard.answered_fraction, ANSWERED_FRACTION_FLOOR, 0.15,
         )
-
-        _, grade = grade_at_least(
-            hard.answered_fraction, ANSWERED_FRACTION_FLOOR, 0.15
+        floor(
+            "p99_ratio", storm,
+            _ratio(stock.latency_p99, hard.latency_p99), 1.0, 0.2,
         )
-        rows.append(
-            OverloadGradeRow(
-                "answered_fraction", storm,
-                hard.answered_fraction, ANSWERED_FRACTION_FLOOR, grade,
-            )
+        floor(
+            "baseline_goodput", storm,
+            stock.pre_spike_goodput, BASELINE_GOODPUT_FLOOR, 0.25,
         )
 
-        p99_ratio = _ratio(stock.latency_p99, hard.latency_p99)
-        _, grade = grade_at_least(p99_ratio, 1.0, 0.2)
-        rows.append(
-            OverloadGradeRow("p99_ratio", storm, p99_ratio, 1.0, grade)
+    if "nft_drop" in results.config.storms:  # the only storm with a hot set
+        drop_hard = results.cell("nft_drop", "hardened")
+        # Zero tolerance: single-flight must fully suppress duplicate
+        # upstream retrievals of the hot set, and must actually have
+        # coalesced something (a vacuous zero would also "pass").
+        suppressed = (
+            drop_hard.hot_duplicate_launches == 0
+            and drop_hard.coalesced_joins > 0
         )
-
-        _, grade = grade_at_least(
-            stock.pre_spike_goodput, BASELINE_GOODPUT_FLOOR, 0.25
-        )
-        rows.append(
-            OverloadGradeRow(
-                "baseline_goodput", storm,
-                stock.pre_spike_goodput, BASELINE_GOODPUT_FLOOR, grade,
-            )
-        )
-
-    drop_hard = results.cell("nft_drop", "hardened")
-    # Zero tolerance: single-flight must fully suppress duplicate
-    # upstream retrievals of the hot set, and must actually have
-    # coalesced something (a vacuous zero would also "pass").
-    suppressed = (
-        drop_hard.hot_duplicate_launches == 0 and drop_hard.coalesced_joins > 0
-    )
-    rows.append(
-        OverloadGradeRow(
-            "hot_duplicate_launches", "nft_drop",
+        claims.append(Claim(
+            "overload.hot_duplicate_launches",
             float(drop_hard.hot_duplicate_launches), 0.0,
-            Grade.PASS if suppressed else Grade.FAIL,
-        )
+            Grade.PASS if suppressed else Grade.FAIL, scope="nft_drop",
+        ))
+    return GradedReport(
+        "overload", results.config, results.cells, CELL_FIELDS, claims
     )
-    return OverloadReport(results=results, rows=rows)
-
-
-@dataclass
-class OverloadReport:
-    """Graded comparison: the artifact behind ``BENCH_overload.json``."""
-
-    results: FlashCrowdResults
-    rows: list[OverloadGradeRow]
-
-    @property
-    def overall(self) -> Grade:
-        return worst_grade([row.grade for row in self.rows])
-
-    # -- canonical artifact -------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        config = self.results.config
-
-        def r(value):
-            return None if value is None else round(value, 6)
-
-        cells = [
-            {
-                "storm": cell.storm,
-                "arm": cell.arm,
-                "attempted": cell.attempted,
-                "served": cell.served,
-                "shed": cell.shed,
-                "failed": cell.failed,
-                "goodput": r(cell.goodput),
-                "spike_attempted": cell.spike_attempted,
-                "spike_served": cell.spike_served,
-                "spike_goodput": r(cell.spike_goodput),
-                "answered_fraction": r(cell.answered_fraction),
-                "pre_spike_goodput": r(cell.pre_spike_goodput),
-                "latency_p50": r(cell.latency_p50),
-                "latency_p95": r(cell.latency_p95),
-                "latency_p99": r(cell.latency_p99),
-                "duplicate_launches": cell.duplicate_launches,
-                "hot_duplicate_launches": cell.hot_duplicate_launches,
-                "coalesced_joins": cell.coalesced_joins,
-                "single_flights": cell.single_flights,
-                "brownout_stale_served": cell.brownout_stale_served,
-                "brownout_paths_dropped": cell.brownout_paths_dropped,
-                "hint_fetches": cell.hint_fetches,
-                "hint_fallbacks": cell.hint_fallbacks,
-                "failovers": cell.failovers,
-                "marked_offline": cell.marked_offline,
-                "down_errors": cell.down_errors,
-            }
-            for cell in self.results.cells
-        ]
-        rows = [
-            {
-                "metric": row.metric,
-                "storm": row.storm,
-                "measured": r(row.measured),
-                "floor": r(row.floor),
-                "grade": row.grade.value,
-            }
-            for row in self.rows
-        ]
-        return {
-            "schema": "repro.overload/v1",
-            "config": {
-                "seed": config.seed,
-                "n_gateways": config.n_gateways,
-                "n_backdrop": config.n_backdrop,
-                "object_size": config.object_size,
-                "deadline_s": r(config.deadline_s),
-                "storms": list(config.storms),
-                "arms": list(config.arms),
-                "overload": {
-                    "coalesce": config.overload.coalesce,
-                    "max_inflight_misses": config.overload.max_inflight_misses,
-                    "queue_capacity_bytes": config.overload.queue_capacity_bytes,
-                    "queue_deadline_s": r(config.overload.queue_deadline_s),
-                    "brownout_threshold": r(config.overload.brownout_threshold),
-                },
-                "fleet": {
-                    "routing": config.fleet.routing,
-                    "virtual_nodes": config.fleet.virtual_nodes,
-                    "failover": config.fleet.failover,
-                    "probe_interval_s": r(config.fleet.probe_interval_s),
-                },
-            },
-            "cells": cells,
-            "grades": rows,
-            "overall": self.overall.value,
-        }
-
-    def to_json(self) -> str:
-        """Canonical bytes: stable ordering, no timestamps, 6-decimal
-        floats — ``cmp``-able against a committed baseline."""
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
-
-    def render_text(self) -> str:
-        config = self.results.config
-        lines = [
-            "flash crowd "
-            f"(gateways={config.n_gateways}, object={config.object_size} B, "
-            f"deadline={config.deadline_s:g}s)",
-            "",
-            f"{'storm':<14} {'arm':<9} {'goodput':>8} {'spike':>6} {'shed':>5} "
-            f"{'p99':>7} {'dups':>5}",
-        ]
-        for cell in self.results.cells:
-            lines.append(
-                f"{cell.storm:<14} {cell.arm:<9} {cell.goodput:>8.2f} "
-                f"{cell.spike_goodput:>6.2f} {cell.shed:>5} "
-                f"{cell.latency_p99:>6.1f}s {cell.duplicate_launches:>5}"
-            )
-        lines.append("")
-        for row in self.rows:
-            lines.append(
-                f"{row.metric:<24} {row.storm:<14} "
-                f"{row.measured:>8.2f} >= {row.floor:<6.2f} {row.grade.value}"
-            )
-        lines.append("")
-        lines.append(f"overall: {self.overall.value}")
-        return "\n".join(lines)

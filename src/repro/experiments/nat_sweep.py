@@ -23,7 +23,6 @@ The report grades four claims through :mod:`repro.validation`:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from repro.dht.bootstrap import join_network
@@ -50,7 +49,8 @@ from repro.simnet.nat import (
 from repro.simnet.sim import with_timeout
 from repro.utils.rng import derive_rng
 from repro.utils.stats import percentiles
-from repro.validation.compare import Grade, grade_at_least, worst_grade
+from repro.validation.compare import grade_at_least
+from repro.validation.report import Claim, GradedReport
 from repro.validation.targets import TARGETS_BY_KEY
 from repro.workloads.population import PopulationConfig, generate_population
 
@@ -131,6 +131,7 @@ def bench_nat_config() -> NatSweepConfig:
 class NatCellResult:
     """Everything one (mix, adoption, ttl) cell measured."""
 
+    seed: int
     mix: str
     adoption: float
     mapping_ttl_s: float
@@ -153,7 +154,8 @@ class NatCellResult:
     def success_rate(self) -> float:
         return self.succeeded / self.attempted if self.attempted else 0.0
 
-    def p50(self) -> float | None:
+    @property
+    def ttfb_p50_s(self) -> float | None:
         if not self.latencies:
             return None
         (p50,) = percentiles(self.latencies, [50])
@@ -301,6 +303,7 @@ def _run_cell(
     sim.run_process(driver())
     dialer = scenario.circuit_dialer
     return NatCellResult(
+        seed=config.seed,
         mix=mix_name,
         adoption=adoption,
         mapping_ttl_s=ttl,
@@ -362,145 +365,28 @@ def run_nat_sweep(
     return NatSweepResults(config=config, cells=list(results))
 
 
-@dataclass(frozen=True)
-class GradedClaim:
-    key: str
-    description: str
-    measured: float
-    expected: float
-    error: float
-    grade: Grade
+#: Held by ``benchmarks/e2e/seams.py``; the row type is
+#: :class:`repro.validation.report.Claim`.
+GradedClaim = Claim
+
+#: What a cell publishes (see :func:`repro.validation.report.cell_field`).
+CELL_FIELDS = (
+    "mix:", "adoption:.1f", "mapping_ttl_s:.0f", "boxed_peers",
+    "undialable:.3f", "autonat_agreement:.3f", "autonat_checked",
+    "attempted:", "succeeded:", "success_rate", "ttfb_p50_s:.2f",
+    "punches_attempted:", "punches_succeeded:", "relay_dials",
+    "direct_upgrades",
+)
 
 
-@dataclass
-class NatReport:
-    """The graded sweep: per-cell table plus the four claims."""
-
-    results: NatSweepResults
-    claims: list[GradedClaim]
-
-    @property
-    def overall(self) -> Grade:
-        return worst_grade([claim.grade for claim in self.claims])
-
-    def failed(self) -> bool:
-        return self.overall is Grade.FAIL
-
-    def to_json_dict(self) -> dict:
-        def r(value: float | None) -> float | None:
-            return None if value is None else round(value, 6)
-
-        return {
-            "schema": "repro.nat/v1",
-            "config": {
-                "seed": self.results.config.seed,
-                "n_peers": self.results.config.n_peers,
-                "crawl_hours": self.results.config.crawl_hours,
-                "retrievals_per_cell": self.results.config.retrievals_per_cell,
-                "mixes": list(self.results.config.mixes),
-                "adoptions": list(self.results.config.adoptions),
-                "mapping_ttls": list(self.results.config.mapping_ttls),
-            },
-            "cells": [
-                {
-                    "mix": cell.mix,
-                    "adoption": cell.adoption,
-                    "mapping_ttl_s": cell.mapping_ttl_s,
-                    "boxed_peers": cell.boxed_peers,
-                    "undialable": r(cell.undialable),
-                    "autonat_agreement": r(cell.autonat_agreement),
-                    "autonat_checked": cell.autonat_checked,
-                    "attempted": cell.attempted,
-                    "succeeded": cell.succeeded,
-                    "success_rate": r(cell.success_rate),
-                    "ttfb_p50_s": r(cell.p50()),
-                    "punches_attempted": cell.punches_attempted,
-                    "punches_succeeded": cell.punches_succeeded,
-                    "relay_dials": cell.relay_dials,
-                    "direct_upgrades": cell.direct_upgrades,
-                }
-                for cell in self.results.cells
-            ],
-            "claims": [
-                {
-                    "key": claim.key,
-                    "description": claim.description,
-                    "measured": r(claim.measured),
-                    "expected": r(claim.expected),
-                    "error": r(claim.error),
-                    "grade": claim.grade.value,
-                }
-                for claim in self.claims
-            ],
-            "overall": self.overall.value,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
-
-    def render_text(self) -> str:
-        lines = [
-            "NAT dialability sweep",
-            f"{'mix':<16} {'adopt':>5} {'ttl':>5} {'undial':>7} "
-            f"{'autonat':>7} {'ok':>5} {'p50':>7} {'punch':>9}",
-        ]
-        for cell in self.results.cells:
-            p50 = cell.p50()
-            lines.append(
-                f"{cell.mix:<16} {cell.adoption:>5.1f} "
-                f"{cell.mapping_ttl_s:>5.0f} {cell.undialable:>7.3f} "
-                f"{cell.autonat_agreement:>7.3f} "
-                f"{cell.succeeded:>2}/{cell.attempted:<2} "
-                f"{(f'{p50:7.2f}' if p50 is not None else '      -')} "
-                f"{cell.punches_succeeded:>4}/{cell.punches_attempted:<4}"
-            )
-        lines.append("")
-        for claim in self.claims:
-            lines.append(
-                f"[{claim.grade.value:>4}] {claim.key}: measured "
-                f"{claim.measured:.3f} vs {claim.expected:.3f} "
-                f"(error {claim.error:.3f}) — {claim.description}"
-            )
-        lines.append(f"overall: {self.overall.value}")
-        return "\n".join(lines)
-
-
-def grade_sweep(results: NatSweepResults) -> NatReport:
+def grade_sweep(results: NatSweepResults) -> GradedReport:
     """Grade the four claims the sweep is designed to check."""
     config = results.config
     default_ttl = config.mapping_ttls[0]
     baseline = results.cell("default", config.adoptions[0], default_ttl)
-    claims: list[GradedClaim] = []
 
     target = TARGETS_BY_KEY["peer.undialable_fraction"]
-    error, grade = target.grade(baseline.undialable)
-    claims.append(
-        GradedClaim(
-            key="nat.undialable_fraction",
-            description=(
-                "emergent undialable share of the default mix vs the "
-                "paper's 45.5 % (Fig 4a / Section 5.3)"
-            ),
-            measured=baseline.undialable,
-            expected=target.paper_value,
-            error=error,
-            grade=grade,
-        )
-    )
-
     min_agreement = min(cell.autonat_agreement for cell in results.cells)
-    error, grade = grade_at_least(min_agreement, AUTONAT_AGREEMENT_FLOOR, 0.05)
-    claims.append(
-        GradedClaim(
-            key="nat.autonat_agreement",
-            description="worst-cell AutoNAT vs ground-truth agreement",
-            measured=min_agreement,
-            expected=AUTONAT_AGREEMENT_FLOOR,
-            error=error,
-            grade=grade,
-        )
-    )
-
     # DCUtR upgrades must actually land when both sides speak the
     # protocol: grade the punch success rate of the fully-adopted
     # default-mix cell.  The default mix leaves ~60 % of boxed pairs
@@ -512,35 +398,36 @@ def grade_sweep(results: NatSweepResults) -> NatReport:
         punch_rate = adopted.punches_succeeded / adopted.punches_attempted
     else:
         punch_rate = 0.0
-    error, grade = grade_at_least(punch_rate, PUNCH_SUCCESS_FLOOR, 0.2)
-    claims.append(
-        GradedClaim(
-            key="nat.punch_success_rate",
+    min_success = min(cell.success_rate for cell in results.cells)
+    claims = [
+        Claim.graded(
+            "nat.undialable_fraction", baseline.undialable, target.paper_value,
+            target.grade(baseline.undialable),
+            description=(
+                "emergent undialable share of the default mix vs the "
+                "paper's 45.5 % (Fig 4a / Section 5.3)"
+            ),
+        ),
+        Claim.graded(
+            "nat.autonat_agreement", min_agreement, AUTONAT_AGREEMENT_FLOOR,
+            grade_at_least(min_agreement, AUTONAT_AGREEMENT_FLOOR, 0.05),
+            description="worst-cell AutoNAT vs ground-truth agreement",
+        ),
+        Claim.graded(
+            "nat.punch_success_rate", punch_rate, PUNCH_SUCCESS_FLOOR,
+            grade_at_least(punch_rate, PUNCH_SUCCESS_FLOOR, 0.2),
             description=(
                 "DCUtR hole-punch success rate with full adoption "
                 "(emergent from the NAT-type compatibility matrix)"
             ),
-            measured=punch_rate,
-            expected=PUNCH_SUCCESS_FLOOR,
-            error=error,
-            grade=grade,
-        )
-    )
-
-    min_success = min(cell.success_rate for cell in results.cells)
-    error, grade = grade_at_least(min_success, RELAY_SUCCESS_FLOOR, 0.3)
-    claims.append(
-        GradedClaim(
-            key="nat.relay_fallback_success",
+        ),
+        Claim.graded(
+            "nat.relay_fallback_success", min_success, RELAY_SUCCESS_FLOOR,
+            grade_at_least(min_success, RELAY_SUCCESS_FLOOR, 0.3),
             description=(
                 "worst-cell retrieval success from a NAT'ed publisher "
                 "(relay fallback keeps content reachable)"
             ),
-            measured=min_success,
-            expected=RELAY_SUCCESS_FLOOR,
-            error=error,
-            grade=grade,
-        )
-    )
-
-    return NatReport(results=results, claims=claims)
+        ),
+    ]
+    return GradedReport("nat", config, results.cells, CELL_FIELDS, claims)

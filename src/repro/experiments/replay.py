@@ -33,8 +33,7 @@ informational.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+import dataclasses
 
 from repro.gateway.replay import ReplayConfig, ReplayResult, run_replay
 from repro.validation.compare import (
@@ -42,8 +41,8 @@ from repro.validation.compare import (
     grade_at_least,
     grade_distance,
     grade_relative_error,
-    worst_grade,
 )
+from repro.validation.report import Claim, GradedReport
 from repro.workloads.gateway_trace import GatewayTraceConfig
 
 #: Paper values and tolerance bands (mirroring validation.targets).
@@ -110,6 +109,22 @@ def full_day_config(seed: int = 42) -> ReplayConfig:
     )
 
 
+def day_grid(
+    seed: int = 42, scale: int = 1, full_catalog: bool = False, **overrides
+) -> list[ReplayConfig]:
+    """A one-arm grid replaying the day at ``scale``. The calibrated
+    cache budget of :func:`full_day_config` only applies at paper
+    scale; any other scale sizes its cache from the corpus."""
+    if scale == 1:
+        config = full_day_config(seed)
+    else:
+        config = ReplayConfig(
+            seed=seed,
+            trace=GatewayTraceConfig(scale=scale, full_catalog=full_catalog),
+        )
+    return [dataclasses.replace(config, **overrides)]
+
+
 def run_replay_grid(
     configs: list[ReplayConfig], workers: int = 1
 ) -> list[ReplayResult]:
@@ -117,35 +132,45 @@ def run_replay_grid(
     return [run_replay(config, workers) for config in configs]
 
 
-@dataclass
-class ReplayGradeRow:
-    """One graded (or informational) metric of a replay run."""
+#: Held by ``benchmarks/e2e/seams.py``; the types are
+#: :class:`repro.validation.report.Claim` and ``GradedReport``.
+ReplayGradeRow = Claim
+ReplayReport = GradedReport
 
-    metric: str
-    backend: str
-    measured: float
-    expected: float | None
-    grade: Grade | None  # None = informational, excluded from overall
+#: One cell per run (backend arm); ``windows`` is the Fig 11b series.
+CELL_FIELDS = (
+    "backend:", "config.seed:", "config.trace.scale:", "config.window_s",
+    "n_requests:", "user_count:", "cid_count:", "total_bytes:",
+    "served_bytes", "tier_counts", "tier_bytes", "referred_count",
+    "semi_popular_count", "overload_totals", "failovers", "down_errors",
+    "windows",
+)
 
 
-def _grade_run(result: ReplayResult) -> list[ReplayGradeRow]:
-    rows: list[ReplayGradeRow] = []
+def _grade_run(result: ReplayResult) -> list[Claim]:
+    """The claims of one run, scoped by its backend."""
+    rows: list[Claim] = []
     backend = result.backend
 
     def rel(metric: str, measured: float, spec: tuple[float, float, float]):
         expected, pass_tol, warn_tol = spec
-        _, grade = grade_relative_error(measured, expected, pass_tol, warn_tol)
-        rows.append(ReplayGradeRow(metric, backend, measured, expected, grade))
+        rows.append(Claim.graded(
+            f"replay.{metric}", measured, expected,
+            grade_relative_error(measured, expected, pass_tol, warn_tol),
+            scope=backend,
+        ))
 
     def floor(metric: str, measured: float, spec: tuple[float, float]):
         floor_value, warn_slack = spec
-        _, grade = grade_at_least(measured, floor_value, warn_slack)
-        rows.append(
-            ReplayGradeRow(metric, backend, measured, floor_value, grade)
-        )
+        rows.append(Claim.graded(
+            f"replay.{metric}", measured, floor_value,
+            grade_at_least(measured, floor_value, warn_slack), scope=backend,
+        ))
 
     def info(metric: str, measured: float, expected: float | None = None):
-        rows.append(ReplayGradeRow(metric, backend, measured, expected, None))
+        rows.append(
+            Claim(f"replay.{metric}", measured, expected, None, scope=backend)
+        )
 
     model = backend == "model"
 
@@ -215,12 +240,10 @@ def _grade_run(result: ReplayResult) -> list[ReplayGradeRow]:
             if len(result.node_store_latencies) else 0.0
         )
         overshoot = max(0.0, (store_max - NODE_STORE_MAX_S) / NODE_STORE_MAX_S)
-        _, grade = grade_distance(overshoot, 0.01, 0.10)
-        rows.append(
-            ReplayGradeRow(
-                "node_store_max_s", backend, store_max, NODE_STORE_MAX_S, grade
-            )
-        )
+        rows.append(Claim.graded(
+            "replay.node_store_max_s", store_max, NODE_STORE_MAX_S,
+            grade_distance(overshoot, 0.01, 0.10), scope=backend,
+        ))
         for q in (50, 90, 95, 99):
             info("ttfb_p%d_s" % q, result.latency_percentile(q))
         info("non_cached_p90_s", result.tier_percentile("non_cached", 90))
@@ -232,12 +255,10 @@ def _grade_run(result: ReplayResult) -> list[ReplayGradeRow]:
             ANSWERED_FRACTION_FLOOR,
         )
         duplicates = result.overload_totals.get("duplicate_launches", 0)
-        rows.append(
-            ReplayGradeRow(
-                "fleet_duplicate_launches", backend, float(duplicates), 0.0,
-                Grade.PASS if duplicates == 0 else Grade.FAIL,
-            )
-        )
+        rows.append(Claim(
+            "replay.fleet_duplicate_launches", float(duplicates), 0.0,
+            Grade.PASS if duplicates == 0 else Grade.FAIL, scope=backend,
+        ))
         info("shed_requests", float(result.tier_counts["shed"]))
         info(
             "coalesced_joins",
@@ -252,126 +273,16 @@ def _grade_run(result: ReplayResult) -> list[ReplayGradeRow]:
     return rows
 
 
-def grade_replay(results: list[ReplayResult]) -> "ReplayReport":
+def grade_replay(results: list[ReplayResult]) -> GradedReport:
     """Grade every run into one report. Front-end tier equivalence
     between the arms holds by construction (both replay the same
     stage-2 tier sequence; the fleet arm may only recolor misses into
     sheds) and is pinned by the test suite rather than re-derived
     here."""
-    rows: list[ReplayGradeRow] = []
+    claims: list[Claim] = []
     for result in results:
-        rows.extend(_grade_run(result))
-    return ReplayReport(results=results, rows=rows)
-
-
-@dataclass
-class ReplayReport:
-    """The graded artifact behind ``BENCH_replay.json``."""
-
-    results: list[ReplayResult]
-    rows: list[ReplayGradeRow]
-
-    @property
-    def overall(self) -> Grade:
-        return worst_grade(
-            [row.grade for row in self.rows if row.grade is not None]
-        )
-
-    def to_json_dict(self) -> dict:
-        def r(value):
-            return None if value is None else round(value, 6)
-
-        runs = []
-        for result in self.results:
-            config = result.config
-            runs.append(
-                {
-                    "backend": result.backend,
-                    "seed": config.seed,
-                    "scale": config.trace.scale,
-                    "window_s": r(config.window_s),
-                    "n_requests": result.n_requests,
-                    "user_count": result.user_count,
-                    "cid_count": result.cid_count,
-                    "total_bytes": result.total_bytes,
-                    "served_bytes": result.served_bytes,
-                    "tier_counts": dict(result.tier_counts),
-                    "tier_bytes": dict(result.tier_bytes),
-                    "referred_count": result.referred_count,
-                    "semi_popular_count": result.semi_popular_count,
-                    "overload_totals": dict(result.overload_totals),
-                    "failovers": result.failovers,
-                    "down_errors": result.down_errors,
-                    "windows": [
-                        {
-                            "window": window.window,
-                            "requests": window.requests,
-                            "nginx": window.nginx,
-                            "node_store": window.node_store,
-                            "non_cached": window.non_cached,
-                            "shed": window.shed,
-                        }
-                        for window in result.windows
-                    ],
-                }
-            )
-        rows = [
-            {
-                "metric": row.metric,
-                "backend": row.backend,
-                "measured": r(row.measured),
-                "expected": r(row.expected),
-                "grade": row.grade.value if row.grade is not None else "info",
-            }
-            for row in self.rows
-        ]
-        return {
-            "schema": "repro.replay/v1",
-            "runs": runs,
-            "grades": rows,
-            "overall": self.overall.value,
-        }
-
-    def to_json(self) -> str:
-        """Canonical bytes: stable ordering, no wall-clock, 6-decimal
-        floats — ``cmp``-able against a committed baseline."""
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
-
-    def render_text(self) -> str:
-        lines = []
-        for result in self.results:
-            config = result.config
-            lines.append(
-                f"replay[{result.backend}] scale={config.trace.scale} "
-                f"n={result.n_requests} users={result.user_count} "
-                f"cids={result.cid_count} bytes={result.total_bytes:.3e}"
-            )
-            counts = result.tier_counts
-            lines.append(
-                f"  tiers: nginx={counts['nginx']} "
-                f"node_store={counts['node_store']} "
-                f"non_cached={counts['non_cached']} shed={counts['shed']}"
-            )
-            timing = result.timings
-            lines.append(
-                "  wall-clock: generate=%.1fs resolve=%.1fs windows=%.1fs "
-                "merge=%.1fs total=%.1fs"
-                % (
-                    timing.get("generate_s", 0.0),
-                    timing.get("resolve_s", 0.0),
-                    timing.get("windows_s", 0.0),
-                    timing.get("merge_s", 0.0),
-                    timing.get("total_s", 0.0),
-                )
-            )
-        lines.append("")
-        for row in self.rows:
-            expected = "" if row.expected is None else f" vs {row.expected:g}"
-            grade = row.grade.value if row.grade is not None else "info"
-            lines.append(
-                f"{row.metric:<28} {row.backend:<6} "
-                f"{row.measured:>12.6g}{expected:<14} {grade}"
-            )
-        lines.append("")
-        lines.append(f"overall: {self.overall.value}")
-        return "\n".join(lines)
+        claims.extend(_grade_run(result))
+    return GradedReport(
+        "replay", [result.config for result in results], results,
+        CELL_FIELDS, claims,
+    )

@@ -11,11 +11,10 @@ own scale: the crawler saw ~25-50 k concurrent peers in a network
 estimated at hundreds of thousands, so a 200 k world is the first point
 where the simulated monitor operates at deployment proportions.
 
-Grading follows the convention of :mod:`repro.experiments.nat_sweep`:
-each claim is a :class:`GradedClaim` row tied to a paper number or
-one-sided floor, the report's overall grade is the worst row, and the
-JSON artifact carries config + telemetry so CI trends wall-clock and
-RSS alongside fidelity.
+Grading follows the one graded shape of :mod:`repro.validation.report`:
+each claim is tied to a paper number or one-sided floor, and the
+report's telemetry block lets CI trend wall-clock and RSS alongside
+fidelity.
 
 Two knobs make 200 k tractable without touching fidelity:
 
@@ -29,7 +28,7 @@ Two knobs make 200 k tractable without touching fidelity:
 
 from __future__ import annotations
 
-import json
+import dataclasses
 import resource
 import time
 from dataclasses import dataclass
@@ -40,16 +39,11 @@ from repro.experiments.deployment import (
     CrawlCampaignResults,
     run_crawl_timeseries,
 )
-from repro.experiments.nat_sweep import GradedClaim
 from repro.experiments.scenario import ScenarioConfig
 from repro.simnet.compact import CompactWorld, build_compact_world
 from repro.utils.rng import derive_rng
-from repro.validation.compare import (
-    Grade,
-    grade_at_least,
-    grade_distance,
-    worst_grade,
-)
+from repro.validation.compare import grade_at_least, grade_distance
+from repro.validation.report import Claim, GradedReport
 from repro.validation.targets import TARGETS_BY_KEY
 from repro.workloads.compact import generate_compact_population
 from repro.workloads.population import PopulationConfig
@@ -81,207 +75,75 @@ class ScaleCrawlConfig:
         )
 
 
-@dataclass
-class ScaleTelemetry:
-    """Where the time and memory went — the scale story itself."""
-
-    build_wall_s: float
-    run_wall_s: float
-    peak_rss_mb: float
-    compact_bytes_per_peer: float
-    materialized: int
-    events_processed: int
-
-
-@dataclass
-class ScaleCrawlReport:
-    config: ScaleCrawlConfig
-    results: CrawlCampaignResults
-    telemetry: ScaleTelemetry
-    claims: list[GradedClaim]
-
-    @property
-    def overall(self) -> Grade:
-        return worst_grade([claim.grade for claim in self.claims])
-
-    def failed(self) -> bool:
-        return self.overall is Grade.FAIL
-
-    def to_json_dict(self) -> dict:
-        def r(value: float) -> float:
-            return round(value, 6)
-
-        return {
-            "schema": "repro.scale/v1",
-            "config": {
-                "n_peers": self.config.n_peers,
-                "seed": self.config.seed,
-                "workers": self.config.workers,
-                "duration_s": self.config.duration_s,
-                "crawl_interval_s": self.config.crawl_interval_s,
-                "bucket_queries": self.config.bucket_queries,
-                "probe_sample": self.config.probe_sample,
-                "campaign_seed": self.config.campaign_seed,
-            },
-            "timeseries": [
-                {
-                    "started_at": r(start),
-                    "total": total,
-                    "dialable": dialable,
-                    "undialable": undialable,
-                }
-                for start, total, dialable, undialable in
-                self.results.timeseries()
-            ],
-            "claims": [
-                {
-                    "key": claim.key,
-                    "description": claim.description,
-                    "measured": r(claim.measured),
-                    "expected": r(claim.expected),
-                    "error": r(claim.error),
-                    "grade": claim.grade.name,
-                }
-                for claim in self.claims
-            ],
-            "telemetry": {
-                "build_wall_s": r(self.telemetry.build_wall_s),
-                "run_wall_s": r(self.telemetry.run_wall_s),
-                "peak_rss_mb": r(self.telemetry.peak_rss_mb),
-                "compact_bytes_per_peer": r(
-                    self.telemetry.compact_bytes_per_peer
-                ),
-                "materialized": self.telemetry.materialized,
-                "events_processed": self.telemetry.events_processed,
-            },
-            "overall": self.overall.name,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
-    def render_text(self) -> str:
-        lines = [
-            f"scale crawl: {self.config.n_peers} peers, "
-            f"{self.config.workers} workers, "
-            f"{self.config.duration_s / 3600:.0f} h campaign",
-            f"  build {self.telemetry.build_wall_s:.1f} s, "
-            f"run {self.telemetry.run_wall_s:.1f} s, "
-            f"peak RSS {self.telemetry.peak_rss_mb:.0f} MB, "
-            f"{self.telemetry.compact_bytes_per_peer:.0f} B/peer compact, "
-            f"{self.telemetry.materialized} materialized",
-            "",
-        ]
-        for start, total, dialable, undialable in self.results.timeseries():
-            lines.append(
-                f"  t={start / 3600:5.1f}h  seen={total:7d}  "
-                f"dialable={dialable:7d}  undialable={undialable:7d}"
-            )
-        lines.append("")
-        for claim in self.claims:
-            lines.append(
-                f"  [{claim.grade.name:4s}] {claim.key}: "
-                f"measured {claim.measured:.4f} vs {claim.expected:.4f} "
-                f"(err {claim.error:.3f}) — {claim.description}"
-            )
-        lines.append(f"  overall: {self.overall.name}")
-        return "\n".join(lines)
+#: One cell per crawl: a row of ``CrawlCampaignResults.timeseries()``.
+CELL_FIELDS = ("started_at:.0f", "total:", "dialable:", "undialable:")
 
 
 def grade_scale_results(
     config: ScaleCrawlConfig, results: CrawlCampaignResults
-) -> list[GradedClaim]:
+) -> list[Claim]:
     """Grade a campaign against Figure 4a/8 paper numbers and floors."""
-    claims: list[GradedClaim] = []
-
-    # Fig 4a: the undialable share of every crawl hovers around the
-    # paper's 45.5 % DHT-server measurement.
     timeseries = results.timeseries()
     undialable_fracs = [
         undialable / total for _, total, _, undialable in timeseries if total
     ]
     mean_undialable = sum(undialable_fracs) / len(undialable_fracs)
-    target = TARGETS_BY_KEY["peer.undialable_fraction"]
-    error, grade = target.grade(mean_undialable)
-    claims.append(GradedClaim(
-        key="scale.undialable_fraction",
-        description=target.description,
-        measured=mean_undialable,
-        expected=target.paper_value,
-        error=error,
-        grade=grade,
-    ))
-
-    # Fig 4a: crawl-to-crawl stability. The paper's timeseries is flat
-    # (no growth or collapse over the window); require the smallest
-    # crawl to stay within 85 % of the largest.
     totals = [total for _, total, _, _ in timeseries]
     stability = min(totals) / max(totals)
-    error, grade = grade_at_least(stability, 0.85, warn_slack=0.1)
-    claims.append(GradedClaim(
-        key="scale.crawl_stability",
-        description="smallest crawl within 85% of largest (flat Fig 4a)",
-        measured=stability,
-        expected=0.85,
-        error=error,
-        grade=grade,
-    ))
-
     summary = results.churn_summary()
-
-    # Fig 8: 87.6 % of sessions shorter than 8 h.
-    target = TARGETS_BY_KEY["peer.session_under_8h"]
-    error, grade = target.grade(summary.under_8h_fraction)
-    claims.append(GradedClaim(
-        key="scale.session_under_8h",
-        description=target.description,
-        measured=summary.under_8h_fraction,
-        expected=target.paper_value,
-        error=error,
-        grade=grade,
-    ))
-
-    # Fig 8: sessions over 24 h are rare (paper: 2.5 %).
-    error, grade = grade_distance(
-        summary.over_24h_fraction, pass_max=0.05, warn_max=0.12
-    )
-    claims.append(GradedClaim(
-        key="scale.session_over_24h",
-        description="sessions over 24 h stay rare (paper 2.5%)",
-        measured=summary.over_24h_fraction,
-        expected=0.025,
-        error=error,
-        grade=grade,
-    ))
-
-    # Statistical power: the sampled prober still sees enough sessions
-    # for the CDFs to mean anything.
-    floor = 300.0
-    error, grade = grade_at_least(
-        float(summary.session_count), floor, warn_slack=0.3
-    )
-    claims.append(GradedClaim(
-        key="scale.session_count",
-        description="probed session sample is large enough",
-        measured=float(summary.session_count),
-        expected=floor,
-        error=error,
-        grade=grade,
-    ))
-
+    undialable_target = TARGETS_BY_KEY["peer.undialable_fraction"]
+    under_8h_target = TARGETS_BY_KEY["peer.session_under_8h"]
+    claims = [
+        # Fig 4a: the undialable share of every crawl hovers around the
+        # paper's 45.5 % DHT-server measurement.
+        Claim.graded(
+            "scale.undialable_fraction", mean_undialable,
+            undialable_target.paper_value,
+            undialable_target.grade(mean_undialable),
+            description=undialable_target.description,
+        ),
+        # Fig 4a: crawl-to-crawl stability. The paper's timeseries is
+        # flat (no growth or collapse over the window); require the
+        # smallest crawl to stay within 85 % of the largest.
+        Claim.graded(
+            "scale.crawl_stability", stability, 0.85,
+            grade_at_least(stability, 0.85, warn_slack=0.1),
+            description="smallest crawl within 85% of largest (flat Fig 4a)",
+        ),
+        # Fig 8: 87.6 % of sessions shorter than 8 h.
+        Claim.graded(
+            "scale.session_under_8h", summary.under_8h_fraction,
+            under_8h_target.paper_value,
+            under_8h_target.grade(summary.under_8h_fraction),
+            description=under_8h_target.description,
+        ),
+        # Fig 8: sessions over 24 h are rare (paper: 2.5 %).
+        Claim.graded(
+            "scale.session_over_24h", summary.over_24h_fraction, 0.025,
+            grade_distance(
+                summary.over_24h_fraction, pass_max=0.05, warn_max=0.12
+            ),
+            description="sessions over 24 h stay rare (paper 2.5%)",
+        ),
+        # Statistical power: the sampled prober still sees enough
+        # sessions for the CDFs to mean anything.
+        Claim.graded(
+            "scale.session_count", float(summary.session_count), 300.0,
+            grade_at_least(
+                float(summary.session_count), 300.0, warn_slack=0.3
+            ),
+            description="probed session sample is large enough",
+        ),
+    ]
     # Fig 8 ordering: Germany's median session is longer than Hong
     # Kong's (paper: roughly 2x).
     cdfs = results.churn_cdfs()
     if "DE" in cdfs and "HK" in cdfs:
         ratio = cdfs["DE"].value_at(0.5) / cdfs["HK"].value_at(0.5)
-        error, grade = grade_at_least(ratio, 1.0, warn_slack=0.15)
-        claims.append(GradedClaim(
-            key="scale.de_over_hk_median",
+        claims.append(Claim.graded(
+            "scale.de_over_hk_median", ratio, 1.0,
+            grade_at_least(ratio, 1.0, warn_slack=0.15),
             description="DE median session exceeds HK's (Fig 8 ordering)",
-            measured=ratio,
-            expected=1.0,
-            error=error,
-            grade=grade,
         ))
     return claims
 
@@ -318,7 +180,7 @@ def build_scale_world(config: ScaleCrawlConfig) -> CompactWorld:
     )
 
 
-def run_scale_crawl(config: ScaleCrawlConfig) -> ScaleCrawlReport:
+def run_scale_crawl(config: ScaleCrawlConfig) -> GradedReport:
     """Build the compact world, run the campaign, grade the result."""
     build_start = time.monotonic()
     world = build_scale_world(config)
@@ -334,15 +196,25 @@ def run_scale_crawl(config: ScaleCrawlConfig) -> ScaleCrawlReport:
             f"{world.churn_exhausted} churn schedules ran out before the campaign ended"
         )
 
-    telemetry = ScaleTelemetry(
-        build_wall_s=build_wall_s,
-        run_wall_s=run_wall_s,
-        peak_rss_mb=_peak_rss_mb(),
-        compact_bytes_per_peer=compact_bytes_per_peer,
-        materialized=world.materialized,
-        events_processed=world.sim.events_processed,
-    )
-    claims = grade_scale_results(config, results)
-    return ScaleCrawlReport(
-        config=config, results=results, telemetry=telemetry, claims=claims
+    # ``workers`` shards the event queue and cannot move a result, so it
+    # is reported with the wall clock it does move, not with the config
+    # the byte-for-byte gates compare.
+    shape = dataclasses.asdict(config)
+    telemetry = {
+        "workers": shape.pop("workers"),
+        "build_wall_s": build_wall_s,
+        "run_wall_s": run_wall_s,
+        "peak_rss_mb": _peak_rss_mb(),
+        "compact_bytes_per_peer": compact_bytes_per_peer,
+        "materialized": world.materialized,
+        "events_processed": world.sim.events_processed,
+    }
+    cells = [
+        {"started_at": start, "total": total, "dialable": dialable,
+         "undialable": undialable}
+        for start, total, dialable, undialable in results.timeseries()
+    ]
+    return GradedReport(
+        "scale", shape, cells, CELL_FIELDS,
+        grade_scale_results(config, results), telemetry,
     )

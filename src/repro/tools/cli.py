@@ -3,13 +3,16 @@
 Usage::
 
     python -m repro.tools.cli perf --peers 1500 --rounds 5
-    python -m repro.tools.cli deployment --peers 50000
     python -m repro.tools.cli crawl --peers 600 --hours 6 --export crawl.csv
-    python -m repro.tools.cli gateway --scale 100 --export log.csv
+    python -m repro.tools.cli attack --bench --workers 4 --export attack.json
 
-Each subcommand builds the corresponding experiment, prints the
-reproduced tables/figures via :mod:`repro.experiments.report`, and
-optionally exports the raw dataset.
+``perf``, ``deployment``, ``crawl``, ``chaos``, ``chaos-recovery``,
+``trace`` and ``gateway`` reproduce tables and figures: each builds its
+experiment, prints through :mod:`repro.experiments.report` and
+optionally exports the raw dataset. ``validate``, ``attack``,
+``nat-sweep``, ``flash-crowd``, ``scale-crawl`` and ``replay`` are
+*graded*: one entry each in :data:`GRADED`, all run by the one path of
+:mod:`repro.tools.graded` (exit 1 when a claim FAILs).
 """
 
 from __future__ import annotations
@@ -19,13 +22,12 @@ import dataclasses
 import sys
 
 from repro.adversary import (
-    AttackMatrixConfig,
-    AttackSpec,
+    ATTACK_KINDS,
     bench_attack_config,
     grade_matrix,
+    matrix_config,
     run_attack_matrix,
 )
-from repro.adversary.attacks import ATTACK_KINDS
 from repro.experiments.chaos import (
     ChaosConfig,
     run_chaos_experiment,
@@ -60,7 +62,7 @@ from repro.experiments.nat_sweep import (
 from repro.experiments.perf import PerfConfig, run_perf_experiment
 from repro.experiments.replay import (
     bench_replay_configs,
-    full_day_config,
+    day_grid,
     grade_replay,
     run_replay_grid,
 )
@@ -69,7 +71,6 @@ from repro.experiments.scale import (
     bench_scale_config,
     run_scale_crawl,
 )
-from repro.gateway.replay import ReplayConfig
 from repro.experiments.report import render_cdf, render_share_table, render_table
 from repro.experiments.scenario import AWS_REGIONS, ScenarioConfig, build_scenario
 from repro.node.config import NodeConfig
@@ -82,14 +83,11 @@ from repro.obs import (
     walk_share,
 )
 from repro.tools import export
+from repro.tools.graded import Graded, add_graded, csv_of, flag, run_graded, scaled
 from repro.utils.rng import derive_rng
 from repro.utils.stats import Cdf
-from repro.validation.conformance import (
-    config_for_tier,
-    run_conformance,
-    write_fidelity_artifact,
-)
-from repro.validation.nat_tier import run_nat_tier
+from repro.validation.conformance import QUICK, config_for_tier, run_conformance
+from repro.validation.nat_tier import NatTierConfig, run_nat_tier
 from repro.workloads.gateway_trace import GatewayTraceConfig
 from repro.workloads.population import PopulationConfig, generate_population
 
@@ -138,11 +136,109 @@ def _resilience_from_args(args) -> ResilienceConfig | None:
     )
 
 
+#: The graded subcommands (see :mod:`repro.tools.graded`). A new graded
+#: experiment is its module plus one entry here.
+GRADED = (
+    Graded(
+        "validate",
+        "paper-fidelity conformance: grade the reproduction against the "
+        "paper's reported numbers",
+        "BENCH_fidelity.json",
+        # the nat tier sweeps its own seeds; the others are re-seedable
+        lambda seed, tier: (
+            NatTierConfig() if tier == "nat" else config_for_tier(tier, seed)
+        ),
+        lambda: QUICK,
+        lambda config, workers: (
+            run_nat_tier if isinstance(config, NatTierConfig) else run_conformance
+        )(config, workers),
+        [flag("--tier", "tier", "quick = CI scales, full = nightly scales, "
+              "nat = NAT-model seed stability",
+              choices=("quick", "full", "nat"), default="quick")],
+    ),
+    Graded(
+        "attack",
+        "adversarial attack x defense matrix with graded degradation",
+        "BENCH_attack.json", matrix_config, bench_attack_config,
+        lambda config, workers: grade_matrix(run_attack_matrix(config, workers)),
+        [flag("--peers", "n_peers", "world size (default 160)", type=int),
+         flag("--retrievals", "retrievals_per_cell",
+              "retrievals per matrix cell (default 6)", type=int),
+         flag("--attacks", "kinds", "comma-separated attack kinds (default: "
+              f"all of {','.join(ATTACK_KINDS)})", type=csv_of(ATTACK_KINDS)),
+         flag("--intensity", "intensity", "attack intensity in [0, 1] for "
+              "every non-'none' attack (default 1)", type=float)],
+    ),
+    Graded(
+        "nat-sweep",
+        "NAT-mode mix x hole-punch adoption x mapping-TTL dialability "
+        "sweep, graded vs the paper's 45.5 %%",
+        "BENCH_nat.json", NatSweepConfig, bench_nat_config,
+        lambda config, workers: grade_sweep(run_nat_sweep(config, workers)),
+        [flag("--peers", "n_peers", "backdrop peers per cell", type=int),
+         flag("--hours", "crawl_hours", "crawl campaign hours per cell",
+              type=float),
+         flag("--retrievals", "retrievals_per_cell",
+              "retrievals per cell through the NAT'ed pair", type=int)],
+    ),
+    Graded(
+        "flash-crowd",
+        "overload storms vs the gateway fleet, stock vs hardened, graded "
+        "on spike goodput / sheds / p99",
+        "BENCH_overload.json", FlashCrowdConfig, bench_overload_config,
+        lambda config, workers: grade_flash_crowd(run_flash_crowd(config, workers)),
+        [flag("--gateways", "n_gateways", "fleet size", type=int),
+         flag("--object-kib", "object_size", "catalogue object size in KiB",
+              type=scaled(int, 1024)),
+         flag("--deadline", "deadline_s",
+              "client abandon deadline in simulated seconds", type=float),
+         flag("--storms", "storms", "comma-separated storm shapes (default: "
+              f"{','.join(FlashCrowdConfig.storms)})",
+              type=csv_of(FlashCrowdConfig.storms))],
+    ),
+    Graded(
+        "scale-crawl",
+        "paper-scale Fig 4a/8 crawl+churn campaign over a compact world "
+        "(200 k peers by default), graded vs the paper",
+        "BENCH_scale.json", ScaleCrawlConfig, bench_scale_config,
+        lambda config, workers: run_scale_crawl(
+            dataclasses.replace(config, workers=workers)
+        ),
+        [flag("--peers", "n_peers", "world size (default 200000)", type=int),
+         flag("--hours", "duration_s", "campaign hours (default 12; Fig 8 "
+              "needs the full window)", type=scaled(float, 3600.0)),
+         flag("--probe-sample", "probe_sample", "keyspace fraction of seen "
+              "peers the uptime prober follows (default 0.05)", type=float)],
+    ),
+    Graded(
+        "replay",
+        "batched full-day gateway replay graded against Table 5 / Fig 11 "
+        "(scale=1 = the paper's 7.1 M requests)",
+        "BENCH_replay.json", day_grid, bench_replay_configs,
+        lambda configs, workers: grade_replay(run_replay_grid(configs, workers)),
+        [flag("--scale", "scale", "trace scale divisor (default 1: the full "
+              "7.1 M-request day)", type=int, default=1),
+         flag("--backend", "miss_backend", "miss tail: fitted latency model "
+              "(default) or a live simulated gateway fleet (PR-8 overload "
+              "semantics)", choices=("model", "fleet")),
+         flag("--window", "window_s", "batch window in trace seconds "
+              "(default 1800, the Fig 11b bin width)", type=float),
+         flag("--cache-fraction", "cache_fraction_of_corpus", "nginx cache "
+              "budget as a corpus fraction (default: calibrated per scale)",
+              type=float),
+         flag("--full-catalog", "full_catalog", "spread demand over the "
+              "whole CID catalog (grades requests-per-CID and coverage; "
+              "always on at --scale 1)", action="store_true")],
+    ),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="IPFS reproduction experiment runner"
     )
-    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--seed", type=int,
+                        help="default 42 (under --bench: the frozen seed)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     perf = sub.add_parser("perf", help="six-region publish/retrieve experiment")
@@ -219,148 +315,8 @@ def _build_parser() -> argparse.ArgumentParser:
     gateway.add_argument("--export", metavar="FILE", default=None,
                          help="write the access-log CSV")
 
-    validate = sub.add_parser(
-        "validate",
-        help="paper-fidelity conformance: grade the reproduction "
-             "against the paper's reported numbers",
-    )
-    validate.add_argument("--tier", choices=("quick", "full", "nat"),
-                          default="quick",
-                          help="quick = CI scales, full = nightly scales, "
-                               "nat = NAT-model seed stability")
-    validate.add_argument("--workers", type=int, default=1,
-                          help="worker processes sharding the three "
-                               "dataset cells; output is identical for "
-                               "any value")
-    validate.add_argument("--export", metavar="FILE", default=None,
-                          help="write the fidelity JSON artifact "
-                               "(BENCH_fidelity.json style)")
-
-    attack = sub.add_parser(
-        "attack",
-        help="adversarial attack x defense matrix with graded degradation",
-    )
-    attack.add_argument("--peers", type=int, default=160)
-    attack.add_argument("--retrievals", type=int, default=6,
-                        help="retrievals per matrix cell")
-    attack.add_argument("--attacks", default=None,
-                        help="comma-separated attack kinds "
-                             f"(default: all of {','.join(ATTACK_KINDS)})")
-    attack.add_argument("--intensity", type=float, default=1.0,
-                        help="attack intensity in [0, 1] for every "
-                             "non-'none' attack")
-    attack.add_argument("--workers", type=int, default=1,
-                        help="worker processes sharding the matrix "
-                             "cells; output is identical for any value")
-    attack.add_argument("--export", metavar="FILE", default=None,
-                        help="write the graded attack JSON artifact "
-                             "(BENCH_attack.json style)")
-    attack.add_argument("--bench", action="store_true",
-                        help="use the frozen BENCH_attack.json "
-                             "configuration (overrides --peers/"
-                             "--retrievals/--attacks/--intensity)")
-
-    nat = sub.add_parser(
-        "nat-sweep",
-        help="NAT-mode mix x hole-punch adoption x mapping-TTL "
-             "dialability sweep, graded vs the paper's 45.5 %",
-    )
-    nat.add_argument("--peers", type=int, default=None,
-                     help="backdrop peers per cell (default: sweep default)")
-    nat.add_argument("--hours", type=float, default=None,
-                     help="crawl campaign hours per cell")
-    nat.add_argument("--retrievals", type=int, default=None,
-                     help="retrievals per cell through the NAT'ed pair")
-    nat.add_argument("--workers", type=int, default=1,
-                     help="worker processes sharding the sweep cells; "
-                          "output is identical for any value")
-    nat.add_argument("--export", metavar="FILE", default=None,
-                     help="write the graded sweep JSON artifact "
-                          "(BENCH_nat.json style)")
-    nat.add_argument("--bench", action="store_true",
-                     help="use the frozen BENCH_nat.json configuration "
-                          "(overrides --peers/--hours/--retrievals)")
-
-    flash = sub.add_parser(
-        "flash-crowd",
-        help="overload storms vs the gateway fleet, stock vs hardened, "
-             "graded on spike goodput / sheds / p99",
-    )
-    flash.add_argument("--gateways", type=int, default=None,
-                       help="fleet size (default: experiment default)")
-    flash.add_argument("--object-kib", type=int, default=None,
-                       help="catalogue object size in KiB")
-    flash.add_argument("--deadline", type=float, default=None,
-                       help="client abandon deadline in simulated seconds")
-    flash.add_argument("--storms", default=None,
-                       help="comma-separated storm shapes "
-                            "(default: nft_drop,diurnal_storm)")
-    flash.add_argument("--workers", type=int, default=1,
-                       help="worker processes sharding the (storm, arm) "
-                            "cells; output is identical for any value")
-    flash.add_argument("--export", metavar="FILE", default=None,
-                       help="write the graded overload JSON artifact "
-                            "(BENCH_overload.json style)")
-    flash.add_argument("--bench", action="store_true",
-                       help="use the frozen BENCH_overload.json "
-                            "configuration (overrides the shape flags)")
-
-    scale = sub.add_parser(
-        "scale-crawl",
-        help="paper-scale Fig 4a/8 crawl+churn campaign over a compact "
-             "world (200 k peers by default), graded vs the paper",
-    )
-    scale.add_argument("--peers", type=int, default=None,
-                       help="world size (default 200000)")
-    scale.add_argument("--hours", type=float, default=None,
-                       help="campaign hours (default 12; Fig 8 needs the "
-                            "full window)")
-    scale.add_argument("--workers", type=int, default=None,
-                       help="event-queue shards (region partition); "
-                            "output is identical for any value")
-    scale.add_argument("--probe-sample", type=float, default=None,
-                       help="keyspace fraction of seen peers the uptime "
-                            "prober follows (default 0.05)")
-    scale.add_argument("--export", metavar="FILE", default=None,
-                       help="write the graded scale JSON artifact "
-                            "(BENCH_scale.json style)")
-    scale.add_argument("--bench", action="store_true",
-                       help="use the frozen BENCH_scale.json configuration "
-                            "(overrides --peers/--hours/--probe-sample)")
-
-    replay = sub.add_parser(
-        "replay",
-        help="batched full-day gateway replay graded against "
-             "Table 5 / Fig 11 (scale=1 = the paper's 7.1 M requests)",
-    )
-    replay.add_argument("--scale", type=int, default=1,
-                        help="trace scale divisor (default 1: the full "
-                             "7.1 M-request day)")
-    replay.add_argument("--backend", choices=["model", "fleet"],
-                        default="model",
-                        help="miss tail: fitted latency model (full-scale "
-                             "grading) or a live simulated gateway fleet "
-                             "(PR-8 overload semantics)")
-    replay.add_argument("--window", type=float, default=None,
-                        help="batch window in trace seconds "
-                             "(default 1800, the Fig 11b bin width)")
-    replay.add_argument("--cache-fraction", type=float, default=None,
-                        help="nginx cache budget as a corpus fraction "
-                             "(default: calibrated per scale)")
-    replay.add_argument("--full-catalog", action="store_true",
-                        help="spread demand over the whole CID catalog "
-                             "(grades requests-per-CID and coverage; "
-                             "always on at --scale 1)")
-    replay.add_argument("--workers", type=int, default=1,
-                        help="worker processes sharding the time-window "
-                             "cells; output is identical for any value")
-    replay.add_argument("--export", metavar="FILE", default=None,
-                        help="write the graded replay JSON artifact "
-                             "(BENCH_replay.json style)")
-    replay.add_argument("--bench", action="store_true",
-                        help="use the frozen BENCH_replay.json grid "
-                             "(model + fleet arms, CI-sized; overrides "
-                             "the shape flags)")
+    for entry in GRADED:
+        add_graded(sub, entry)
     return parser
 
 
@@ -621,181 +577,12 @@ def _cmd_gateway(args) -> None:
         print(f"wrote {rows} log rows to {args.export}")
 
 
-def _cmd_validate(args) -> int:
-    """Graded paper-fidelity report; exit 1 when any metric FAILs."""
-    if args.tier == "nat":
-        report = run_nat_tier(workers=args.workers)
-        print(report.render_text())
-        if args.export:
-            with open(args.export, "w", encoding="utf-8") as handle:
-                handle.write(report.to_json())
-            print(f"\nwrote NAT tier report to {args.export}")
-        return 1 if report.failed() else 0
-    config = config_for_tier(args.tier, seed=args.seed)
-    report = run_conformance(config, workers=args.workers)
-    print(report.render_text())
-    if args.export:
-        count = write_fidelity_artifact(report, args.export)
-        print(f"\nwrote {count} graded metrics to {args.export}")
-    return 1 if report.failed() else 0
-
-
-def _cmd_attack(args) -> int:
-    """Graded attack/defense matrix; exit 1 when any grade FAILs."""
-    if args.bench:
-        config = bench_attack_config()
-        if args.seed != 42:
-            config = dataclasses.replace(config, seed=args.seed)
-    else:
-        if args.attacks is None:
-            kinds = ATTACK_KINDS
-        else:
-            kinds = tuple(part.strip() for part in args.attacks.split(","))
-        if "none" not in kinds:
-            kinds = ("none",) + kinds  # grading needs the clean cell
-        attacks = tuple(
-            AttackSpec(kind)
-            if kind == "none"
-            else AttackSpec(kind, intensity=args.intensity)
-            for kind in kinds
-        )
-        config = AttackMatrixConfig(
-            seed=args.seed,
-            n_peers=args.peers,
-            retrievals_per_cell=args.retrievals,
-            attacks=attacks,
-        )
-    results = run_attack_matrix(config, workers=args.workers)
-    report = grade_matrix(results)
-    print(report.render_text())
-    if args.export:
-        with open(args.export, "w", encoding="utf-8") as handle:
-            handle.write(report.to_json())
-        print(f"\nwrote graded attack matrix to {args.export}")
-    return 1 if report.overall.value == "FAIL" else 0
-
-
-def _cmd_nat_sweep(args) -> int:
-    """Graded NAT dialability sweep; exit 1 when any claim FAILs."""
-    if args.bench:
-        config = bench_nat_config()
-        if args.seed != 42:
-            config = dataclasses.replace(config, seed=args.seed)
-    else:
-        overrides = {"seed": args.seed}
-        if args.peers is not None:
-            overrides["n_peers"] = args.peers
-        if args.hours is not None:
-            overrides["crawl_hours"] = args.hours
-        if args.retrievals is not None:
-            overrides["retrievals_per_cell"] = args.retrievals
-        config = NatSweepConfig(**overrides)
-    results = run_nat_sweep(config, workers=args.workers)
-    report = grade_sweep(results)
-    print(report.render_text())
-    if args.export:
-        with open(args.export, "w", encoding="utf-8") as handle:
-            handle.write(report.to_json())
-        print(f"\nwrote graded NAT sweep to {args.export}")
-    return 1 if report.overall.value == "FAIL" else 0
-
-
-def _cmd_flash_crowd(args) -> int:
-    """Graded flash-crowd comparison; exit 1 when any grade FAILs."""
-    if args.bench:
-        config = bench_overload_config()
-        if args.seed != 42:  # parser default — an explicit seed wins
-            config = dataclasses.replace(config, seed=args.seed)
-    else:
-        overrides = {"seed": args.seed}
-        if args.gateways is not None:
-            overrides["n_gateways"] = args.gateways
-        if args.object_kib is not None:
-            overrides["object_size"] = args.object_kib * 1024
-        if args.deadline is not None:
-            overrides["deadline_s"] = args.deadline
-        if args.storms is not None:
-            overrides["storms"] = tuple(
-                part.strip() for part in args.storms.split(",")
-            )
-        config = FlashCrowdConfig(**overrides)
-    results = run_flash_crowd(config, workers=args.workers)
-    report = grade_flash_crowd(results)
-    print(report.render_text())
-    if args.export:
-        with open(args.export, "w", encoding="utf-8") as handle:
-            handle.write(report.to_json())
-        print(f"\nwrote graded overload report to {args.export}")
-    return 1 if report.overall.value == "FAIL" else 0
-
-
-def _cmd_scale_crawl(args) -> int:
-    """Graded paper-scale crawl campaign; exit 1 when any claim FAILs."""
-    if args.bench:
-        config = bench_scale_config()
-        if args.seed != 42:
-            config = dataclasses.replace(config, seed=args.seed)
-        if args.workers is not None:
-            config = dataclasses.replace(config, workers=args.workers)
-    else:
-        overrides = {"seed": args.seed}
-        if args.peers is not None:
-            overrides["n_peers"] = args.peers
-        if args.hours is not None:
-            overrides["duration_s"] = args.hours * 3600.0
-        if args.workers is not None:
-            overrides["workers"] = args.workers
-        if args.probe_sample is not None:
-            overrides["probe_sample"] = args.probe_sample
-        config = ScaleCrawlConfig(**overrides)
-    report = run_scale_crawl(config)
-    print(report.render_text())
-    if args.export:
-        with open(args.export, "w", encoding="utf-8") as handle:
-            handle.write(report.to_json())
-        print(f"\nwrote graded scale report to {args.export}")
-    return 1 if report.overall.value == "FAIL" else 0
-
-
-def _cmd_replay(args) -> int:
-    """Graded batched day replay; exit 1 when any grade FAILs."""
-    if args.bench:
-        configs = bench_replay_configs()
-        if args.seed != 42:  # parser default — an explicit seed wins
-            configs = [
-                dataclasses.replace(config, seed=args.seed)
-                for config in configs
-            ]
-    else:
-        if args.scale == 1:
-            # The calibrated full-day cache budget (see
-            # full_day_config) only applies at paper scale.
-            config = full_day_config(seed=args.seed)
-        else:
-            config = ReplayConfig(
-                seed=args.seed,
-                trace=GatewayTraceConfig(
-                    scale=args.scale, full_catalog=args.full_catalog
-                ),
-            )
-        overrides = {"miss_backend": args.backend}
-        if args.window is not None:
-            overrides["window_s"] = args.window
-        if args.cache_fraction is not None:
-            overrides["cache_fraction_of_corpus"] = args.cache_fraction
-        configs = [dataclasses.replace(config, **overrides)]
-    results = run_replay_grid(configs, workers=args.workers)
-    report = grade_replay(results)
-    print(report.render_text())
-    if args.export:
-        with open(args.export, "w", encoding="utf-8") as handle:
-            handle.write(report.to_json())
-        print(f"\nwrote graded replay report to {args.export}")
-    return 1 if report.overall.value == "FAIL" else 0
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.seed is None and not getattr(args, "bench", False):
+        args.seed = 42
+    if "graded" in args:
+        return run_graded(args)
     handlers = {
         "perf": _cmd_perf,
         "deployment": _cmd_deployment,
@@ -804,12 +591,6 @@ def main(argv: list[str] | None = None) -> int:
         "chaos-recovery": _cmd_chaos_recovery,
         "gateway": _cmd_gateway,
         "trace": _cmd_trace,
-        "validate": _cmd_validate,
-        "attack": _cmd_attack,
-        "nat-sweep": _cmd_nat_sweep,
-        "flash-crowd": _cmd_flash_crowd,
-        "replay": _cmd_replay,
-        "scale-crawl": _cmd_scale_crawl,
     }
     return handlers[args.command](args) or 0
 

@@ -20,19 +20,12 @@ from repro.validation.conformance import (
     FULL,
     QUICK,
     TIERS,
-    FidelityReport,
-    GradedMetric,
     ValidationConfig,
     config_for_tier,
     grade_measurements,
     run_conformance,
-    write_fidelity_artifact,
 )
-from repro.validation.nat_tier import (
-    NatTierConfig,
-    NatTierReport,
-    run_nat_tier,
-)
+from repro.validation.report import Claim, GradedReport
 from repro.validation.targets import (
     DATASETS,
     RETRIEVAL_CDF_FIG9D,
@@ -43,13 +36,11 @@ from repro.validation.targets import (
 )
 
 __all__ = [
+    "Claim",
     "DATASETS",
     "FULL",
-    "FidelityReport",
     "Grade",
-    "GradedMetric",
-    "NatTierConfig",
-    "NatTierReport",
+    "GradedReport",
     "PaperTarget",
     "PercentileCheck",
     "QUICK",
@@ -69,8 +60,6 @@ __all__ = [
     "percentile_band",
     "relative_error",
     "run_conformance",
-    "run_nat_tier",
     "targets_for",
     "worst_grade",
-    "write_fidelity_artifact",
 ]

@@ -16,7 +16,6 @@ hooks and flips no feature flags, so the golden trace is untouched.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, replace
 
@@ -30,12 +29,12 @@ from repro.experiments.gateway_exp import (
     run_gateway_experiment,
 )
 from repro.experiments.perf import PerfConfig, run_perf_experiment
-from repro.experiments.report import check_shape, render_table
 from repro.experiments.runner import Cell, run_cells
 from repro.experiments.scenario import AWS_REGIONS, ScenarioConfig, build_scenario
 from repro.utils.rng import derive_rng
 from repro.utils.stats import percentiles
-from repro.validation.compare import Grade, ks_against_reference, worst_grade
+from repro.validation.compare import ks_against_reference
+from repro.validation.report import Claim, GradedReport
 from repro.validation.targets import (
     DATASETS,
     GATEWAY,
@@ -44,7 +43,6 @@ from repro.validation.targets import (
     RETRIEVAL_CDF_FIG9D,
     TARGETS,
     TARGETS_BY_KEY,
-    PaperTarget,
 )
 from repro.workloads.gateway_trace import GatewayTraceConfig
 from repro.workloads.population import PopulationConfig, generate_population
@@ -231,142 +229,37 @@ _DATASET_RUNNERS = {
 
 
 # --------------------------------------------------------------------------
-# Report
+# Grading
 # --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GradedMetric:
-    """One paper quantity, measured and graded."""
-
-    target: PaperTarget
-    measured: float
-    error: float
-    grade: Grade
-
-
-@dataclass(frozen=True)
-class FidelityReport:
-    """The graded conformance result of one tier run."""
-
-    tier: str
-    seed: int
-    metrics: tuple[GradedMetric, ...]
-
-    def counts(self) -> dict[str, int]:
-        tally = Counter(metric.grade.value for metric in self.metrics)
-        return {grade.value: tally.get(grade.value, 0) for grade in Grade}
-
-    def worst(self) -> Grade:
-        return worst_grade([metric.grade for metric in self.metrics])
-
-    def failed(self) -> tuple[GradedMetric, ...]:
-        return tuple(m for m in self.metrics if m.grade is Grade.FAIL)
-
-    def to_json_dict(self) -> dict:
-        """A canonical, deterministic dict (no timestamps, fixed float
-        rounding) so equal runs serialize to identical bytes."""
-        return {
-            "schema": "repro.fidelity/v1",
-            "tier": self.tier,
-            "seed": self.seed,
-            "summary": {
-                "metrics": len(self.metrics),
-                "datasets": sorted({m.target.dataset for m in self.metrics}),
-                "grades": self.counts(),
-                "worst": self.worst().value,
-            },
-            "metrics": [
-                {
-                    "key": metric.target.key,
-                    "dataset": metric.target.dataset,
-                    "description": metric.target.description,
-                    "source": metric.target.source,
-                    "kind": metric.target.kind,
-                    "unit": metric.target.unit,
-                    "paper": round(metric.target.paper_value, 6),
-                    "measured": round(metric.measured, 6),
-                    "error": round(metric.error, 6),
-                    "tolerance": {
-                        "pass": metric.target.pass_tol,
-                        "warn": metric.target.warn_tol,
-                    },
-                    "grade": metric.grade.value,
-                }
-                for metric in self.metrics
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
-
-    def render_text(self) -> str:
-        """The human-readable graded table (per-dataset sections)."""
-        rows = [
-            (
-                f"[{metric.grade.value}]",
-                metric.target.key,
-                _format_value(metric.target.paper_value, metric.target),
-                _format_value(metric.measured, metric.target),
-                f"{metric.error * 100:5.1f} %",
-                metric.target.source,
-            )
-            for metric in self.metrics
-        ]
-        counts = self.counts()
-        table = render_table(
-            f"Fidelity — {self.tier} tier, seed {self.seed}",
-            ["grade", "metric", "paper", "measured", "err", "source"],
-            rows,
-            note=(
-                f"{len(self.metrics)} metrics over {len(DATASETS)} datasets; "
-                f"{counts['PASS']} PASS / {counts['WARN']} WARN / "
-                f"{counts['FAIL']} FAIL"
-            ),
-        )
-        verdict = check_shape(
-            "all graded metrics inside their tolerance bands",
-            self.worst() is not Grade.FAIL,
-        )
-        return f"{table}\n{verdict}"
-
-
-def _format_value(value: float, target: PaperTarget) -> str:
-    if target.kind == "ordering":
-        return "holds" if value >= 1.0 else "flipped"
-    suffix = f" {target.unit}" if target.unit else ""
-    return f"{value:.4g}{suffix}"
 
 
 def grade_measurements(
     config: ValidationConfig, measured: dict[str, float]
-) -> FidelityReport:
-    """Grade a measurement dict against the registry (registry order)."""
+) -> GradedReport:
+    """Grade a measurement dict against the registry (registry order):
+    one claim per paper target, scoped by its dataset."""
     missing = [t.key for t in TARGETS if t.key not in measured]
     if missing:
         raise ValueError(f"measurements missing for targets: {missing}")
     unknown = sorted(set(measured) - set(TARGETS_BY_KEY))
     if unknown:
         raise ValueError(f"measurements with no registered target: {unknown}")
-    metrics = []
-    for target in TARGETS:
-        error, grade = target.grade(measured[target.key])
-        metrics.append(
-            GradedMetric(
-                target=target,
-                measured=measured[target.key],
-                error=error,
-                grade=grade,
-            )
+    claims = [
+        Claim.graded(
+            target.key, measured[target.key], target.paper_value,
+            target.grade(measured[target.key]), scope=target.dataset,
+            description=f"{target.description} ({target.source})",
         )
-    return FidelityReport(
-        tier=config.tier, seed=config.seed, metrics=tuple(metrics)
-    )
+        for target in TARGETS
+    ]
+    # The three dataset cells hand back exactly the measured values the
+    # claims carry, so there is no per-cell table to publish.
+    return GradedReport("fidelity", config, (), (), claims)
 
 
 def run_conformance(
     config: ValidationConfig, workers: int = 1
-) -> FidelityReport:
+) -> GradedReport:
     """Run all three dataset cells and grade the merged measurements.
 
     The cells are independent (each derives its RNGs from the seed and
@@ -386,10 +279,3 @@ def run_conformance(
             )
         measured.update(result)
     return grade_measurements(config, measured)
-
-
-def write_fidelity_artifact(report: FidelityReport, path) -> int:
-    """Write the canonical JSON artifact; returns the metric count."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(report.to_json())
-    return len(report.metrics)

@@ -8,13 +8,14 @@ AutoNAT classifier keep agreeing with ground truth?  A model that only
 hits the band at one lucky seed is curve fitting, not reproduction.
 
 Each seed gets its own fresh world (default NAT mix, no hole-punch
-adoption, default mapping TTL) and contributes two graded claims:
+adoption, default mapping TTL) and contributes two graded claims,
+scoped ``seed=<seed>``:
 
-- ``nat.undialable@<seed>`` — crawl-measured undialable fraction vs
-  the paper's 45.5 %, using the same tolerance bands as the fidelity
+- ``nat.undialable`` — crawl-measured undialable fraction vs the
+  paper's 45.5 %, using the same tolerance bands as the fidelity
   registry entry ``peer.undialable_fraction``.
-- ``nat.autonat@<seed>`` — AutoNAT verdict vs ground-truth agreement,
-  floor 95 %.
+- ``nat.autonat`` — AutoNAT verdict vs ground-truth agreement, floor
+  95 %.
 
 Seeds shard through :func:`repro.experiments.runner.run_cells`, so the
 report bytes are identical for any ``--workers N``.
@@ -22,17 +23,19 @@ report bytes are identical for any ``--workers N``.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
+from repro.experiments.nat_sweep import (
+    AUTONAT_AGREEMENT_FLOOR,
+    NatCellResult,
+    NatSweepConfig,
+    _run_cell,
+)
 from repro.experiments.runner import Cell, run_cells
 from repro.simnet.nat import DEFAULT_MAPPING_TTL_S
-from repro.validation.compare import Grade, grade_at_least, worst_grade
+from repro.validation.compare import grade_at_least
+from repro.validation.report import Claim, GradedReport
 from repro.validation.targets import TARGETS_BY_KEY
-
-if TYPE_CHECKING:
-    from repro.experiments.nat_sweep import GradedClaim, NatCellResult
 
 DEFAULT_TIER_SEEDS = (42, 43, 44)
 
@@ -50,10 +53,6 @@ class NatTierConfig:
 
 def _seed_cell(config: NatTierConfig, seed: int) -> NatCellResult:
     """Crawl + AutoNAT measurement for one seed (no retrievals)."""
-    # Imported here (not at module top): the sweep module itself pulls
-    # in repro.validation, and a top-level import would be circular.
-    from repro.experiments.nat_sweep import NatSweepConfig, _run_cell
-
     sweep_config = NatSweepConfig(
         seed=seed,
         n_peers=config.n_peers,
@@ -65,128 +64,39 @@ def _seed_cell(config: NatTierConfig, seed: int) -> NatCellResult:
     return _run_cell(sweep_config, "default", 0.0, DEFAULT_MAPPING_TTL_S)
 
 
-@dataclass
-class NatTierReport:
-    """Per-seed rows plus the graded claims."""
+CELL_FIELDS = (
+    "seed:", "boxed_peers:", "undialable:.3f", "autonat_agreement:.3f",
+    "autonat_checked:",
+)
 
-    config: NatTierConfig
-    rows: list[NatCellResult]
-    claims: list[GradedClaim] = field(default_factory=list)
 
-    @property
-    def overall(self) -> Grade:
-        return worst_grade([claim.grade for claim in self.claims])
-
-    def failed(self) -> bool:
-        return self.overall is Grade.FAIL
-
-    def to_json_dict(self) -> dict:
-        def r(value: float) -> float:
-            return round(value, 6)
-
-        return {
-            "schema": "repro.nat-tier/v1",
-            "config": {
-                "seeds": list(self.config.seeds),
-                "n_peers": self.config.n_peers,
-                "crawl_hours": self.config.crawl_hours,
-                "autonat_helpers": self.config.autonat_helpers,
-            },
-            "seeds": [
-                {
-                    "seed": seed,
-                    "boxed_peers": row.boxed_peers,
-                    "undialable": r(row.undialable),
-                    "autonat_agreement": r(row.autonat_agreement),
-                    "autonat_checked": row.autonat_checked,
-                }
-                for seed, row in zip(self.config.seeds, self.rows)
-            ],
-            "claims": [
-                {
-                    "key": claim.key,
-                    "description": claim.description,
-                    "measured": r(claim.measured),
-                    "expected": r(claim.expected),
-                    "error": r(claim.error),
-                    "grade": claim.grade.value,
-                }
-                for claim in self.claims
-            ],
-            "overall": self.overall.value,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
-
-    def render_text(self) -> str:
-        lines = [
-            "NAT conformance tier (seed stability)",
-            f"{'seed':>6} {'boxed':>6} {'undialable':>11} {'autonat':>8} "
-            f"{'checked':>8}",
-        ]
-        for seed, row in zip(self.config.seeds, self.rows):
-            lines.append(
-                f"{seed:>6} {row.boxed_peers:>6} {row.undialable:>11.3f} "
-                f"{row.autonat_agreement:>8.3f} {row.autonat_checked:>8}"
-            )
-        lines.append("")
-        for claim in self.claims:
-            lines.append(
-                f"[{claim.grade.value:>4}] {claim.key}: measured "
-                f"{claim.measured:.3f} vs {claim.expected:.3f} "
-                f"(error {claim.error:.3f}) — {claim.description}"
-            )
-        lines.append(f"overall: {self.overall.value}")
-        return "\n".join(lines)
+def grade_nat_tier(
+    config: NatTierConfig, cells: list[NatCellResult]
+) -> GradedReport:
+    target = TARGETS_BY_KEY["peer.undialable_fraction"]
+    claims = []
+    for cell in cells:
+        scope = f"seed={cell.seed}"
+        claims.append(Claim.graded(
+            "nat.undialable", cell.undialable, target.paper_value,
+            target.grade(cell.undialable), scope=scope,
+            description="emergent undialable share vs the paper's 45.5 %",
+        ))
+        claims.append(Claim.graded(
+            "nat.autonat", cell.autonat_agreement, AUTONAT_AGREEMENT_FLOOR,
+            grade_at_least(cell.autonat_agreement, AUTONAT_AGREEMENT_FLOOR, 0.05),
+            scope=scope, description="AutoNAT vs ground-truth agreement",
+        ))
+    return GradedReport("nat-tier", config, cells, CELL_FIELDS, claims)
 
 
 def run_nat_tier(
     config: NatTierConfig | None = None, workers: int = 1
-) -> NatTierReport:
+) -> GradedReport:
     """Run one world per seed (sharded) and grade seed stability."""
-    from repro.experiments.nat_sweep import (
-        AUTONAT_AGREEMENT_FLOOR,
-        GradedClaim,
-    )
-
     config = config if config is not None else NatTierConfig()
     cells = [
         Cell(label=f"nat-tier:seed={seed}", fn=_seed_cell, args=(config, seed))
         for seed in config.seeds
     ]
-    rows = list(run_cells(cells, workers=workers))
-
-    target = TARGETS_BY_KEY["peer.undialable_fraction"]
-    claims: list[GradedClaim] = []
-    for seed, row in zip(config.seeds, rows):
-        error, grade = target.grade(row.undialable)
-        claims.append(
-            GradedClaim(
-                key=f"nat.undialable@{seed}",
-                description=(
-                    f"seed-{seed} emergent undialable share vs the "
-                    "paper's 45.5 %"
-                ),
-                measured=row.undialable,
-                expected=target.paper_value,
-                error=error,
-                grade=grade,
-            )
-        )
-        error, grade = grade_at_least(
-            row.autonat_agreement, AUTONAT_AGREEMENT_FLOOR, 0.05
-        )
-        claims.append(
-            GradedClaim(
-                key=f"nat.autonat@{seed}",
-                description=(
-                    f"seed-{seed} AutoNAT vs ground-truth agreement"
-                ),
-                measured=row.autonat_agreement,
-                expected=AUTONAT_AGREEMENT_FLOOR,
-                error=error,
-                grade=grade,
-            )
-        )
-    return NatTierReport(config=config, rows=rows, claims=claims)
+    return grade_nat_tier(config, run_cells(cells, workers=workers))

@@ -52,12 +52,16 @@ class TestEclipseAcceptance:
         assert defended.success_rate > attacked.success_rate
 
         report = grade_matrix(eclipse_results)
-        (row,) = report.rows
-        assert row.attack == "eclipse"
-        assert row.recovery is not None and row.recovery >= 0.5
-        assert row.recovery_grade is Grade.PASS
-        assert row.grade is Grade.PASS
-        assert report.clean_grade is Grade.PASS
+        claims = {claim.key: claim for claim in report.claims}
+        assert [claim.scope for claim in report.claims] == [
+            "", "eclipse@1", "eclipse@1", "eclipse@1",
+        ]
+        recovery = claims["attack.recovery"]
+        assert recovery.measured is not None and recovery.measured >= 0.5
+        assert recovery.grade is Grade.PASS
+        assert claims["attack.slowdown"].grade is Grade.PASS
+        assert claims["attack.dialability"].grade is Grade.PASS
+        assert claims["attack.clean_success"].grade is Grade.PASS
         assert report.overall is Grade.PASS
 
 
@@ -99,10 +103,11 @@ class TestArtifact:
         report = grade_matrix(eclipse_results)
         text = report.to_json()
         payload = json.loads(text)
-        assert payload["schema"] == "repro.attack/v1"
+        assert payload["schema"] == "repro.graded/v1"
+        assert payload["experiment"] == "attack"
         assert payload["overall"] == report.overall.value
         assert len(payload["cells"]) == 4
-        assert len(payload["grades"]) == 1
+        assert len(payload["claims"]) == 4  # the clean floor + 3 per attack
         # Canonical bytes: re-serialising the parsed payload the same
         # way reproduces the text exactly (no timestamps, stable order).
         assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == text

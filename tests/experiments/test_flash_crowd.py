@@ -85,16 +85,17 @@ class TestReport:
                 assert 0.0 <= cell.goodput <= 1.0
                 assert 0.0 <= cell.spike_goodput <= 1.0
         report = grade_flash_crowd(results)
-        metrics = {(row.storm, row.metric) for row in report.rows}
-        assert ("nft_drop", "spike_goodput_ratio") in metrics
-        assert ("diurnal_storm", "spike_goodput_ratio") in metrics
-        assert ("nft_drop", "hot_duplicate_launches") in metrics
+        metrics = {(claim.scope, claim.key) for claim in report.claims}
+        assert ("nft_drop", "overload.spike_goodput_ratio") in metrics
+        assert ("diurnal_storm", "overload.spike_goodput_ratio") in metrics
+        assert ("nft_drop", "overload.hot_duplicate_launches") in metrics
         assert report.overall.name in {"PASS", "WARN", "FAIL"}
 
     def test_json_round_trips(self):
         report = grade_flash_crowd(run_flash_crowd(tiny_config(), workers=2))
         payload = json.loads(report.to_json())
-        assert payload["schema"] == "repro.overload/v1"
+        assert payload["schema"] == "repro.graded/v1"
+        assert payload["experiment"] == "overload"
         assert payload["config"]["n_gateways"] == 2
         assert payload["config"]["fleet"]["routing"] == "consistent_hash"
         assert len(payload["cells"]) == 4

@@ -29,9 +29,13 @@ TINY = NatSweepConfig(
 
 
 @pytest.fixture(scope="module")
-def tiny_report():
-    results = run_nat_sweep(TINY, workers=1)
-    return grade_sweep(results)
+def tiny_results():
+    return run_nat_sweep(TINY, workers=1)
+
+
+@pytest.fixture(scope="module")
+def tiny_report(tiny_results):
+    return grade_sweep(tiny_results)
 
 
 class TestSharding:
@@ -40,7 +44,7 @@ class TestSharding:
         assert sharded.to_json() == tiny_report.to_json()
 
     def test_grid_covers_cross_product(self, tiny_report):
-        cells = tiny_report.results.cells
+        cells = tiny_report.cells
         assert len(cells) == (
             len(TINY.mixes) * len(TINY.adoptions) * len(TINY.mapping_ttls)
         )
@@ -51,25 +55,25 @@ class TestSharding:
 
 
 class TestCellSemantics:
-    def test_adoption_changes_punches_not_dialability(self, tiny_report):
+    def test_adoption_changes_punches_not_dialability(self, tiny_results):
         """Hole punching rescues *connections*, not the crawler's raw
         dialability measurement: adoption flips punch counters while
         the undialable share stays put."""
-        off = tiny_report.results.cell("default", 0.0, 120.0)
-        on = tiny_report.results.cell("default", 1.0, 120.0)
+        off = tiny_results.cell("default", 0.0, 120.0)
+        on = tiny_results.cell("default", 1.0, 120.0)
         assert off.punches_attempted == 0
         assert on.punches_attempted > 0
         assert on.undialable == off.undialable
 
-    def test_cone_heavy_is_more_dialable(self, tiny_report):
+    def test_cone_heavy_is_more_dialable(self, tiny_results):
         """More full-cone peers (cold-dialable once their keepalive
         mapping is up) -> fewer undialable DHT entries."""
-        default = tiny_report.results.cell("default", 0.0, 120.0)
-        cone = tiny_report.results.cell("cone_heavy", 0.0, 120.0)
+        default = tiny_results.cell("default", 0.0, 120.0)
+        cone = tiny_results.cell("cone_heavy", 0.0, 120.0)
         assert cone.undialable < default.undialable
 
-    def test_boxed_peer_count_is_emergent(self, tiny_report):
-        for cell in tiny_report.results.cells:
+    def test_boxed_peer_count_is_emergent(self, tiny_results):
+        for cell in tiny_results.cells:
             assert 0 < cell.boxed_peers < TINY.n_peers
 
     def test_cell_is_deterministic(self):
@@ -97,8 +101,9 @@ class TestReport:
 
     def test_json_round_trips(self, tiny_report):
         data = json.loads(tiny_report.to_json())
-        assert data["schema"] == "repro.nat/v1"
-        assert len(data["cells"]) == len(tiny_report.results.cells)
+        assert data["schema"] == "repro.graded/v1"
+        assert data["experiment"] == "nat"
+        assert len(data["cells"]) == len(tiny_report.cells)
         assert data["overall"] == tiny_report.overall.value
 
     def test_render_text_mentions_every_mix(self, tiny_report):
@@ -107,9 +112,9 @@ class TestReport:
             assert mix in text
         assert "overall:" in text
 
-    def test_unknown_cell_lookup_raises(self, tiny_report):
+    def test_unknown_cell_lookup_raises(self, tiny_results):
         with pytest.raises(KeyError):
-            tiny_report.results.cell("default", 0.5, 120.0)
+            tiny_results.cell("default", 0.5, 120.0)
 
 
 def test_mix_weights_are_normalized():

@@ -5,7 +5,6 @@ import dataclasses
 import pytest
 
 from repro.experiments.replay import (
-    ReplayGradeRow,
     bench_replay_configs,
     full_day_config,
     grade_replay,
@@ -13,6 +12,7 @@ from repro.experiments.replay import (
 )
 from repro.gateway.replay import ReplayConfig, run_replay
 from repro.validation.compare import Grade
+from repro.validation.report import Claim
 from repro.workloads.gateway_trace import GatewayTraceConfig
 
 
@@ -82,11 +82,11 @@ class TestGrading:
         report = grade_replay(results)
 
         def grade_of(metric: str, backend: str) -> Grade | None:
-            (row,) = [
-                r for r in report.rows
-                if r.metric == metric and r.backend == backend
+            (claim,) = [
+                c for c in report.claims
+                if c.key == f"replay.{metric}" and c.scope == backend
             ]
-            return row.grade
+            return claim.grade
 
         assert grade_of("nginx_request_share", "model") is not None
         assert grade_of("nginx_request_share", "fleet") is None
@@ -108,19 +108,19 @@ class TestGrading:
             base, trace=GatewayTraceConfig(scale=2000, full_catalog=True)
         )
         report = grade_replay(run_replay_grid([full]))
-        rows = {row.metric: row for row in report.rows}
-        coverage = rows["catalog_coverage"]
-        per_cid = rows["requests_per_cid"]
+        rows = {claim.key: claim for claim in report.claims}
+        coverage = rows["replay.catalog_coverage"]
+        per_cid = rows["replay.requests_per_cid"]
         assert coverage.measured == 1.0
         assert coverage.grade is Grade.PASS
         assert per_cid.grade is Grade.PASS
         assert abs(per_cid.measured - 7_100_000 / 274_000) < 0.5
 
         ungraded = grade_replay(run_replay_grid([base]))
-        ungraded_rows = {row.metric: row for row in ungraded.rows}
-        assert ungraded_rows["requests_per_cid"].grade is None
-        assert "catalog_coverage" not in ungraded_rows
-        assert ungraded_rows["unique_cids_requested"].measured < (
+        ungraded_rows = {claim.key: claim for claim in ungraded.claims}
+        assert ungraded_rows["replay.requests_per_cid"].grade is None
+        assert "replay.catalog_coverage" not in ungraded_rows
+        assert ungraded_rows["replay.unique_cids_requested"].measured < (
             base.trace.n_cids
         )
 
@@ -132,13 +132,15 @@ class TestGrading:
         assert config.miss_backend == "model"
 
     def test_info_rows_do_not_gate(self):
-        report_rows = [
-            ReplayGradeRow("x", "model", 1.0, None, None),
-            ReplayGradeRow("y", "model", 1.0, 1.0, Grade.PASS),
-        ]
         results = run_replay_grid(
             [ReplayConfig(trace=GatewayTraceConfig(scale=5000))]
         )
         report = grade_replay(results)
-        report.rows = report_rows
+        report.claims = [
+            Claim("x", 1.0, None, None, scope="model"),
+            Claim("y", 1.0, 1.0, Grade.PASS, scope="model"),
+        ]
         assert report.overall is Grade.PASS
+        # An informational row stays informational even next to a FAIL.
+        report.claims.append(Claim("z", 0.0, 1.0, Grade.FAIL, scope="model"))
+        assert report.overall is Grade.FAIL and report.failed()

@@ -15,7 +15,10 @@ import pytest
 from repro.crawler.crawl import CrawlResult
 from repro.errors import SimulationError
 from repro.experiments import scale
-from repro.experiments.deployment import CrawlCampaignResults
+from repro.experiments.deployment import (
+    CrawlCampaignResults,
+    run_crawl_timeseries,
+)
 from repro.experiments.scale import (
     ScaleCrawlConfig,
     grade_scale_results,
@@ -105,18 +108,29 @@ def test_grading_warns_on_truncated_sessions():
     assert by_key["scale.session_under_8h"].grade is not Grade.PASS
 
 
-def test_tiny_end_to_end_report():
+def test_tiny_end_to_end_report(monkeypatch):
+    campaigns = []
+
+    def recording(world, config):
+        campaigns.append(run_crawl_timeseries(world, config))
+        return campaigns[-1]
+
+    monkeypatch.setattr(scale, "run_crawl_timeseries", recording)
     report = run_scale_crawl(TINY)
     doc = report.to_json_dict()
-    assert doc["schema"] == "repro.scale/v1"
+    assert doc["schema"] == "repro.graded/v1"
+    assert doc["experiment"] == "scale"
     assert doc["config"]["n_peers"] == TINY.n_peers
-    assert len(doc["timeseries"]) == 4  # 2 h / 30 min
-    for row in doc["timeseries"]:
+    # sharding cannot move a result, so it is telemetry, not config
+    assert "workers" not in doc["config"]
+    assert doc["telemetry"]["workers"] == TINY.workers
+    assert len(doc["cells"]) == 4  # 2 h / 30 min
+    for row in doc["cells"]:
         assert row["total"] == row["dialable"] + row["undialable"]
     assert doc["telemetry"]["events_processed"] > 0
     # a DHT node exists only where a FIND_NODE was delivered, and the
     # crawler only sends one to a peer it dialed
-    dialed = set().union(*(crawl.dialable for crawl in report.results.crawls))
+    dialed = set().union(*(crawl.dialable for crawl in campaigns[0].crawls))
     assert 0 < doc["telemetry"]["materialized"] <= len(dialed) < TINY.n_peers
     assert 0 < doc["telemetry"]["compact_bytes_per_peer"] < 5000
     assert doc["overall"] in {"PASS", "WARN", "FAIL"}
@@ -150,7 +164,6 @@ def test_worker_count_does_not_change_results():
             duration_s=TINY.duration_s, probe_sample=TINY.probe_sample,
         ))
         doc = report.to_json_dict()
-        doc.pop("telemetry")
-        doc["config"].pop("workers")
+        assert doc.pop("telemetry")["workers"] == workers
         docs.append(doc)
     assert docs[0] == docs[1]

@@ -30,25 +30,20 @@ class TestValidateCommand:
         code, path, output = quick_run
         assert code == 0
         assert path.exists()
-        assert "Fidelity" in output
-        assert "PASS" in output
+        assert "fidelity (tier=quick, seed=42" in output
+        assert "overall: PASS" in output
 
     def test_artifact_schema(self, quick_run):
         _, path, _ = quick_run
         doc = json.loads(path.read_text())
-        assert doc["schema"] == "repro.fidelity/v1"
-        assert doc["tier"] == "quick"
-        assert doc["seed"] == 42
-        assert doc["summary"]["metrics"] >= 12
-        assert doc["summary"]["datasets"] == sorted(DATASETS)
-        assert doc["summary"]["grades"]["FAIL"] == 0
-        assert len(doc["metrics"]) == len(TARGETS)
-        for entry in doc["metrics"]:
-            assert set(entry) == {
-                "key", "dataset", "description", "source", "unit",
-                "kind", "paper", "measured", "error", "grade",
-                "tolerance",
-            }
+        assert doc["schema"] == "repro.graded/v1"
+        assert doc["experiment"] == "fidelity"
+        assert doc["config"]["tier"] == "quick"
+        assert doc["config"]["seed"] == 42
+        assert len(doc["claims"]) == len(TARGETS) >= 12
+        assert {entry["scope"] for entry in doc["claims"]} == set(DATASETS)
+        assert all(entry["grade"] != "FAIL" for entry in doc["claims"])
+        assert doc["overall"] == "PASS"
 
     def test_matches_committed_artifact(self, quick_run):
         # The committed BENCH_fidelity.json is the quick-tier seed-42

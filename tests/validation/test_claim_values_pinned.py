@@ -1,0 +1,231 @@
+"""Every graded value of the committed artifacts, frozen as literals.
+
+The six ``BENCH_*.json`` artifacts are this repo's deliverable: graded
+claims against the paper's numbers. Their *layout* may change (one
+schema replaced six); their *content* may not. This file holds a
+layout-independent projection of each artifact — every graded and
+informational row as ``(experiment, key, scope, measured, expected,
+grade)``, the overall grade, and a sha256 of the canonical JSON of the
+cell sub-tree — written against the pre-unification artifacts (PR 18
+froze them at its parent commit, before it replaced the six layouts).
+The literals are the oracle: regenerating an artifact must reproduce
+them, and they are not to be edited to make a layout change pass.
+
+Reads files only (stdlib, no simulation), so it belongs in tier-1.
+"""
+
+import hashlib
+import json
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+
+
+def project(name: str, doc: dict) -> tuple:
+    """(overall, sha256 of the cell sub-tree, sorted claim rows).
+
+    Written against the six pre-unification layouts through one small
+    adapter each (``grades`` / ``claims`` / ``metrics``; ``floor`` /
+    ``paper`` / ``expected``; ``cells`` / ``runs`` / ``timeseries``);
+    with one schema there is one layout left to read.
+    """
+    rows = sorted(
+        (name, claim["key"], claim["scope"], claim["measured"],
+         claim["expected"], claim["grade"] or "info")
+        for claim in doc["claims"]
+    )
+    digest = hashlib.sha256(
+        json.dumps(doc["cells"], sort_keys=True).encode()
+    ).hexdigest()
+    return doc["overall"], digest, rows
+
+
+#: name -> (overall, sha256 of the cell sub-tree, sorted rows)
+PINNED = {
+    "attack": (
+        "PASS",
+        "656edb1fdf6fb673049e635fde9b5faa9c2b7846cd318749d1a9d2d4e3c9cde5",
+        [
+            ('attack', 'attack.clean_success', '', 1.0, 0.9, 'PASS'),
+            ('attack', 'attack.dialability', 'censor@0.25', 0.582569, 0.225389, 'PASS'),
+            ('attack', 'attack.dialability', 'censor@0.5', 0.625268, 0.225389, 'PASS'),
+            ('attack', 'attack.dialability', 'censor@1', 0.616633, 0.225389, 'PASS'),
+            ('attack', 'attack.dialability', 'churn_storm@0.25', 0.456401, 0.225389, 'PASS'),
+            ('attack', 'attack.dialability', 'churn_storm@0.5', 0.419414, 0.225389, 'PASS'),
+            ('attack', 'attack.dialability', 'churn_storm@1', 0.42807, 0.225389, 'PASS'),
+            ('attack', 'attack.dialability', 'cloud_exodus@0.25', 0.577181, 0.225389, 'PASS'),
+            ('attack', 'attack.dialability', 'cloud_exodus@0.5', 0.577181, 0.225389, 'PASS'),
+            ('attack', 'attack.dialability', 'cloud_exodus@1', 0.577181, 0.225389, 'PASS'),
+            ('attack', 'attack.dialability', 'eclipse@0.25', 0.58473, 0.225389, 'PASS'),
+            ('attack', 'attack.dialability', 'eclipse@0.5', 0.615385, 0.225389, 'PASS'),
+            ('attack', 'attack.dialability', 'eclipse@1', 0.639376, 0.225389, 'PASS'),
+            ('attack', 'attack.dialability', 'partition@0.25', 0.572797, 0.225389, 'PASS'),
+            ('attack', 'attack.dialability', 'partition@0.5', 0.512915, 0.225389, 'PASS'),
+            ('attack', 'attack.dialability', 'partition@1', 0.414122, 0.225389, 'PASS'),
+            ('attack', 'attack.recovery', 'censor@0.25', None, 0.5, 'PASS'),
+            ('attack', 'attack.recovery', 'censor@0.5', None, 0.5, 'PASS'),
+            ('attack', 'attack.recovery', 'censor@1', 1.0, 0.5, 'PASS'),
+            ('attack', 'attack.recovery', 'churn_storm@0.25', None, 0.5, 'PASS'),
+            ('attack', 'attack.recovery', 'churn_storm@0.5', None, 0.5, 'PASS'),
+            ('attack', 'attack.recovery', 'churn_storm@1', 1.0, 0.5, 'PASS'),
+            ('attack', 'attack.recovery', 'cloud_exodus@0.25', None, 0.5, 'PASS'),
+            ('attack', 'attack.recovery', 'cloud_exodus@0.5', None, 0.5, 'PASS'),
+            ('attack', 'attack.recovery', 'cloud_exodus@1', None, 0.5, 'PASS'),
+            ('attack', 'attack.recovery', 'eclipse@0.25', None, 0.5, 'PASS'),
+            ('attack', 'attack.recovery', 'eclipse@0.5', None, 0.5, 'PASS'),
+            ('attack', 'attack.recovery', 'eclipse@1', 1.0, 0.5, 'PASS'),
+            ('attack', 'attack.recovery', 'partition@0.25', None, 0.5, 'PASS'),
+            ('attack', 'attack.recovery', 'partition@0.5', None, 0.5, 'PASS'),
+            ('attack', 'attack.recovery', 'partition@1', None, 0.5, 'PASS'),
+            ('attack', 'attack.slowdown', 'censor@0.25', 0.897111, 15.0, 'PASS'),
+            ('attack', 'attack.slowdown', 'censor@0.5', 3.032212, 15.0, 'PASS'),
+            ('attack', 'attack.slowdown', 'censor@1', 6.531565, 15.0, 'PASS'),
+            ('attack', 'attack.slowdown', 'churn_storm@0.25', 0.889622, 15.0, 'PASS'),
+            ('attack', 'attack.slowdown', 'churn_storm@0.5', 0.895078, 15.0, 'PASS'),
+            ('attack', 'attack.slowdown', 'churn_storm@1', 0.889767, 15.0, 'PASS'),
+            ('attack', 'attack.slowdown', 'cloud_exodus@0.25', 0.901355, 15.0, 'PASS'),
+            ('attack', 'attack.slowdown', 'cloud_exodus@0.5', 0.901355, 15.0, 'PASS'),
+            ('attack', 'attack.slowdown', 'cloud_exodus@1', 0.901355, 15.0, 'PASS'),
+            ('attack', 'attack.slowdown', 'eclipse@0.25', 0.870479, 15.0, 'PASS'),
+            ('attack', 'attack.slowdown', 'eclipse@0.5', 0.874789, 15.0, 'PASS'),
+            ('attack', 'attack.slowdown', 'eclipse@1', 0.885965, 15.0, 'PASS'),
+            ('attack', 'attack.slowdown', 'partition@0.25', 0.900739, 15.0, 'PASS'),
+            ('attack', 'attack.slowdown', 'partition@0.5', 0.955589, 15.0, 'PASS'),
+            ('attack', 'attack.slowdown', 'partition@1', 0.937363, 15.0, 'PASS'),
+        ],
+    ),
+    "fidelity": (
+        "PASS",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        [
+            ('fidelity', 'gateway.combined_hit_rate', 'gateway', 0.886387, 0.8, 'PASS'),
+            ('fidelity', 'gateway.nginx_request_share', 'gateway', 0.487814, 0.46, 'PASS'),
+            ('fidelity', 'gateway.node_store_request_share', 'gateway', 0.398574, 0.402, 'PASS'),
+            ('fidelity', 'gateway.object_size_median_kb', 'gateway', 663.691, 664.59, 'PASS'),
+            ('fidelity', 'gateway.object_size_over_100kb', 'gateway', 0.77442, 0.791, 'PASS'),
+            ('fidelity', 'gateway.referred_share', 'gateway', 0.518913, 0.518, 'PASS'),
+            ('fidelity', 'gateway.requests_per_cid', 'gateway', 29.927162, 25.912409, 'PASS'),
+            ('fidelity', 'gateway.requests_per_user', 'gateway', 70.351962, 70.29703, 'PASS'),
+            ('fidelity', 'gateway.semi_popular_referral_share', 'gateway', 0.703668, 0.706, 'PASS'),
+            ('fidelity', 'gateway.user_share_cn', 'gateway', 0.318668, 0.319, 'PASS'),
+            ('fidelity', 'gateway.user_share_us', 'gateway', 0.510107, 0.504, 'PASS'),
+            ('fidelity', 'peer.cloud_ip_share', 'peer', 0.023118, 0.023, 'PASS'),
+            ('fidelity', 'peer.country_share_cn', 'peer', 0.244167, 0.242, 'PASS'),
+            ('fidelity', 'peer.country_share_us', 'peer', 0.2935, 0.285, 'PASS'),
+            ('fidelity', 'peer.multihoming_share', 'peer', 0.088333, 0.088, 'PASS'),
+            ('fidelity', 'peer.never_reachable_share', 'peer', 0.318833, 0.333333, 'PASS'),
+            ('fidelity', 'peer.session_under_8h', 'peer', 0.951743, 0.876, 'PASS'),
+            ('fidelity', 'peer.top100_as_share', 'peer', 0.928124, 0.906, 'PASS'),
+            ('fidelity', 'peer.top10_as_share', 'peer', 0.649748, 0.649, 'PASS'),
+            ('fidelity', 'peer.undialable_fraction', 'peer', 0.468333, 0.455, 'PASS'),
+            ('fidelity', 'perf.publication_p50_s', 'performance', 34.074011, 33.8, 'PASS'),
+            ('fidelity', 'perf.retrieval_cdf_ks', 'performance', 0.147914, 0.0, 'PASS'),
+            ('fidelity', 'perf.retrieval_p50_s', 'performance', 2.896205, 2.9, 'PASS'),
+            ('fidelity', 'perf.retrieval_p90_s', 'performance', 4.040882, 4.34, 'PASS'),
+            ('fidelity', 'perf.retrieval_p95_s', 'performance', 4.510718, 4.74, 'PASS'),
+            ('fidelity', 'perf.retrieval_success_rate', 'performance', 1.0, 0.99, 'PASS'),
+            ('fidelity', 'perf.slowest_region_is_far', 'performance', 1.0, 1.0, 'PASS'),
+        ],
+    ),
+    "nat": (
+        "PASS",
+        "fe36f12e72ad84c20acc11cecaffc815428fca2fa34f06abb4c0ec9cc0fc2f7a",
+        [
+            ('nat', 'nat.autonat_agreement', '', 0.995283, 0.95, 'PASS'),
+            ('nat', 'nat.punch_success_rate', '', 0.837838, 0.5, 'PASS'),
+            ('nat', 'nat.relay_fallback_success', '', 1.0, 0.75, 'PASS'),
+            ('nat', 'nat.undialable_fraction', '', 0.470667, 0.455, 'PASS'),
+        ],
+    ),
+    "overload": (
+        "PASS",
+        "22aa8936be0408cea07571d7c148c79e01d9c77b23f90c9c00d8b35339662564",
+        [
+            ('overload', 'overload.answered_fraction', 'diurnal_storm', 1.0, 0.75, 'PASS'),
+            ('overload', 'overload.answered_fraction', 'nft_drop', 0.919557, 0.75, 'PASS'),
+            ('overload', 'overload.baseline_goodput', 'diurnal_storm', 1.0, 0.9, 'PASS'),
+            ('overload', 'overload.baseline_goodput', 'nft_drop', 1.0, 0.9, 'PASS'),
+            ('overload', 'overload.hot_duplicate_launches', 'nft_drop', 0.0, 0.0, 'PASS'),
+            ('overload', 'overload.p99_ratio', 'diurnal_storm', 6.988723, 1.0, 'PASS'),
+            ('overload', 'overload.p99_ratio', 'nft_drop', 1.0, 1.0, 'PASS'),
+            ('overload', 'overload.spike_goodput_ratio', 'diurnal_storm', 1.292419, 1.2, 'PASS'),
+            ('overload', 'overload.spike_goodput_ratio', 'nft_drop', 2.513393, 2.0, 'PASS'),
+        ],
+    ),
+    "replay": (
+        "PASS",
+        "659976d3a36452a754e4caf65f9c9f504f9798a21decca9ba92724e45af1e9d8",
+        [
+            ('replay', 'replay.answered_fraction', 'fleet', 1.0, 0.75, 'PASS'),
+            ('replay', 'replay.catalog_coverage', 'model', 1.0, 1.0, 'PASS'),
+            ('replay', 'replay.coalesced_joins', 'fleet', 0.0, None, 'info'),
+            ('replay', 'replay.combined_hit_rate', 'fleet', 0.914366, 0.8, 'info'),
+            ('replay', 'replay.combined_hit_rate', 'model', 0.85081, 0.8, 'PASS'),
+            ('replay', 'replay.daily_bytes', 'fleet', 2700742088.0, 3285000000.0, 'info'),
+            ('replay', 'replay.daily_bytes', 'model', 59636892958.0, 54750000000.0, 'PASS'),
+            ('replay', 'replay.fleet_duplicate_launches', 'fleet', 0.0, 0.0, 'PASS'),
+            ('replay', 'replay.hint_fetches', 'fleet', 0.0, None, 'info'),
+            ('replay', 'replay.nginx_request_share', 'fleet', 0.502535, 0.46, 'info'),
+            ('replay', 'replay.nginx_request_share', 'model', 0.466197, 0.46, 'PASS'),
+            ('replay', 'replay.node_store_max_s', 'model', 0.024, 0.024, 'PASS'),
+            ('replay', 'replay.node_store_median_s', 'model', 0.007961, 0.008, 'PASS'),
+            ('replay', 'replay.node_store_request_share', 'fleet', 0.411831, 0.402, 'info'),
+            ('replay', 'replay.node_store_request_share', 'model', 0.384613, 0.402, 'PASS'),
+            ('replay', 'replay.non_cached_median_s', 'model', 4.037644, 4.04, 'PASS'),
+            ('replay', 'replay.non_cached_p50_s', 'fleet', 0.077657, None, 'info'),
+            ('replay', 'replay.non_cached_p90_s', 'model', 8.907869, None, 'info'),
+            ('replay', 'replay.non_cached_p99_s', 'fleet', 0.089419, None, 'info'),
+            ('replay', 'replay.non_cached_p99_s', 'model', 17.638169, None, 'info'),
+            ('replay', 'replay.referred_share', 'fleet', 0.509577, 0.518, 'info'),
+            ('replay', 'replay.referred_share', 'model', 0.518913, 0.518, 'PASS'),
+            ('replay', 'replay.requests_per_cid', 'fleet', 26.691729, 25.912409, 'info'),
+            ('replay', 'replay.requests_per_cid', 'model', 25.9159, 25.912409, 'PASS'),
+            ('replay', 'replay.requests_per_user', 'fleet', 71.0, 70.29703, 'info'),
+            ('replay', 'replay.requests_per_user', 'model', 70.351962, 70.29703, 'PASS'),
+            ('replay', 'replay.semi_popular_referral_share', 'fleet', 0.710337, 0.706, 'info'),
+            ('replay', 'replay.semi_popular_referral_share', 'model', 0.703668, 0.706, 'PASS'),
+            ('replay', 'replay.shed_requests', 'fleet', 0.0, None, 'info'),
+            ('replay', 'replay.ttfb_p50_s', 'model', 0.004088, None, 'info'),
+            ('replay', 'replay.ttfb_p90_s', 'model', 3.199619, None, 'info'),
+            ('replay', 'replay.ttfb_p95_s', 'model', 5.144855, None, 'info'),
+            ('replay', 'replay.ttfb_p99_s', 'model', 10.23011, None, 'info'),
+            ('replay', 'replay.unique_cids_requested', 'fleet', 133.0, None, 'info'),
+        ],
+    ),
+    "scale": (
+        "PASS",
+        "70bc881d8663dd37b82ee6d1b0a7c1d2b49e2af3266ea867ebc20033dd312858",
+        [
+            ('scale', 'scale.crawl_stability', '', 1.0, 0.85, 'PASS'),
+            ('scale', 'scale.de_over_hk_median', '', 2.670553, 1.0, 'PASS'),
+            ('scale', 'scale.session_count', '', 2411.0, 300.0, 'PASS'),
+            ('scale', 'scale.session_over_24h', '', 0.0, 0.025, 'PASS'),
+            ('scale', 'scale.session_under_8h', '', 0.930734, 0.876, 'PASS'),
+            ('scale', 'scale.undialable_fraction', '', 0.462117, 0.455, 'PASS'),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_committed_artifact_matches_the_frozen_projection(name):
+    doc = json.loads((ROOT / f"BENCH_{name}.json").read_text())
+    overall, cells_sha256, rows = project(name, doc)
+    pinned_overall, pinned_cells, pinned_rows = PINNED[name]
+    assert rows == pinned_rows
+    assert overall == pinned_overall
+    assert cells_sha256 == pinned_cells
+
+
+def test_row_counts_are_the_ones_the_artifacts_were_frozen_with():
+    graded = {
+        name: sum(1 for row in rows if row[-1] != "info")
+        for name, (_, _, rows) in PINNED.items()
+    }
+    assert graded == {
+        "attack": 46, "fidelity": 27, "nat": 4, "overload": 9,
+        "replay": 14, "scale": 6,
+    }
+    assert sum(1 for row in PINNED["replay"][2] if row[-1] == "info") == 20

@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from repro.tools.graded import write_atomic
 from repro.validation.compare import Grade
 from repro.validation.conformance import (
     FULL,
@@ -19,7 +20,6 @@ from repro.validation.conformance import (
     config_for_tier,
     grade_measurements,
     run_conformance,
-    write_fidelity_artifact,
 )
 from repro.validation.targets import DATASETS, TARGETS
 
@@ -59,42 +59,46 @@ class TestDeterminism:
 
 class TestReportStructure:
     def test_covers_every_registered_target(self, tiny_report):
-        assert [m.target.key for m in tiny_report.metrics] == [
-            t.key for t in TARGETS
+        assert [(c.key, c.scope) for c in tiny_report.claims] == [
+            (t.key, t.dataset) for t in TARGETS
         ]
-        assert {m.target.dataset for m in tiny_report.metrics} == set(DATASETS)
+        assert {c.scope for c in tiny_report.claims} == set(DATASETS)
 
     def test_json_schema(self, tiny_report):
         doc = json.loads(tiny_report.to_json())
-        assert doc["schema"] == "repro.fidelity/v1"
-        assert doc["tier"] == "quick"
-        assert doc["seed"] == 7
-        assert set(doc["summary"]) == {
-            "metrics", "datasets", "grades", "worst"
-        }
-        assert doc["summary"]["datasets"] == sorted(DATASETS)
-        assert len(doc["metrics"]) == len(TARGETS)
-        for entry in doc["metrics"]:
+        assert doc["schema"] == "repro.graded/v1"
+        assert doc["experiment"] == "fidelity"
+        assert doc["config"] == dataclasses.asdict(TINY)
+        assert doc["cells"] == []
+        assert len(doc["claims"]) == len(TARGETS)
+        for entry, target in zip(doc["claims"], TARGETS):
             assert set(entry) == {
-                "key", "dataset", "description", "source", "unit",
-                "kind", "paper", "measured", "error", "grade",
-                "tolerance",
+                "key", "scope", "description", "measured", "expected",
+                "error", "grade",
             }
+            assert entry["expected"] == round(target.paper_value, 6)
+            assert target.source in entry["description"]
 
     def test_counts_sum_to_metric_count(self, tiny_report):
-        counts = tiny_report.counts()
-        assert sum(counts.values()) == len(tiny_report.metrics)
-        assert len(tiny_report.failed()) == counts["FAIL"]
+        grades = [claim.grade for claim in tiny_report.claims]
+        tally = tiny_report.render_text().splitlines()[-1]
+        assert tally == (
+            f"overall: {tiny_report.overall.value} "
+            f"({grades.count(Grade.PASS)} PASS / {grades.count(Grade.WARN)} "
+            f"WARN / {grades.count(Grade.FAIL)} FAIL)"
+        )
+        assert tiny_report.failed() == (Grade.FAIL in grades)
 
     def test_render_text_lists_every_metric(self, tiny_report):
         text = tiny_report.render_text()
-        for metric in tiny_report.metrics:
-            assert metric.target.key in text
+        for claim in tiny_report.claims:
+            assert claim.key in text
 
     def test_artifact_round_trips(self, tiny_report, tmp_path):
         path = tmp_path / "fidelity.json"
-        write_fidelity_artifact(tiny_report, path)
+        write_atomic(str(path), tiny_report.to_json())
         assert path.read_text() == tiny_report.to_json()
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestGradeMeasurements:
@@ -103,7 +107,8 @@ class TestGradeMeasurements:
 
     def test_paper_values_grade_pass(self):
         report = grade_measurements(QUICK, self._measurements())
-        assert all(m.grade is Grade.PASS for m in report.metrics)
+        assert all(c.grade is Grade.PASS for c in report.claims)
+        assert report.overall is Grade.PASS and not report.failed()
 
     def test_missing_key_rejected(self):
         broken = self._measurements()

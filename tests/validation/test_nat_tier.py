@@ -24,15 +24,15 @@ def test_workers_do_not_change_bytes(tiny_report):
 
 
 def test_one_row_and_two_claims_per_seed(tiny_report):
-    assert len(tiny_report.rows) == len(TINY.seeds)
-    assert [claim.key for claim in tiny_report.claims] == [
-        "nat.undialable@7", "nat.autonat@7",
-        "nat.undialable@8", "nat.autonat@8",
+    assert [cell.seed for cell in tiny_report.cells] == list(TINY.seeds)
+    assert [(claim.key, claim.scope) for claim in tiny_report.claims] == [
+        ("nat.undialable", "seed=7"), ("nat.autonat", "seed=7"),
+        ("nat.undialable", "seed=8"), ("nat.autonat", "seed=8"),
     ]
 
 
 def test_rows_are_seed_sensitive(tiny_report):
-    first, second = tiny_report.rows
+    first, second = tiny_report.cells
     assert (first.undialable, first.boxed_peers) != (
         second.undialable, second.boxed_peers
     )
@@ -40,7 +40,7 @@ def test_rows_are_seed_sensitive(tiny_report):
 
 def test_agreement_claims_grade_against_floor(tiny_report):
     for claim in tiny_report.claims:
-        if claim.key.startswith("nat.autonat@"):
+        if claim.key == "nat.autonat":
             assert claim.expected == 0.95
             assert 0.0 <= claim.measured <= 1.0
 
@@ -51,8 +51,9 @@ def test_overall_and_failed_are_consistent(tiny_report):
 
 def test_json_round_trips(tiny_report):
     data = json.loads(tiny_report.to_json())
-    assert data["schema"] == "repro.nat-tier/v1"
-    assert [row["seed"] for row in data["seeds"]] == list(TINY.seeds)
+    assert data["schema"] == "repro.graded/v1"
+    assert data["experiment"] == "nat-tier"
+    assert [row["seed"] for row in data["cells"]] == list(TINY.seeds)
     assert data["overall"] == tiny_report.overall.value
 
 

@@ -18,11 +18,8 @@ SEEDS = (42, 43, 44)
 def test_quick_tier_within_band_for_seed(seed):
     report = run_conformance(config_for_tier("quick", seed=seed), workers=3)
     failed = [
-        f"{m.target.key}: measured={m.measured:.4f} "
-        f"paper={m.target.paper_value:.4f} error={m.error:.3f}"
-        for m in report.metrics
-        if m.grade is Grade.FAIL
+        claim.render() for claim in report.claims if claim.grade is Grade.FAIL
     ]
     assert not failed, f"seed {seed} out of tolerance: {failed}"
-    assert len(report.metrics) >= 12
-    assert {m.target.dataset for m in report.metrics} == set(DATASETS)
+    assert len(report.claims) >= 12
+    assert {claim.scope for claim in report.claims} == set(DATASETS)
