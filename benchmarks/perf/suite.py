@@ -284,7 +284,7 @@ def bench_compact_world_build(n_peers: int) -> BenchResult:
 
 def bench_columnar_trace_generate(scale: int = 120) -> BenchResult:
     """The gateway day as columns (scale 120 = 59 166 requests): the
-    draw-for-draw hot loop plus the sort and column permutations."""
+    draw-for-draw hot loop plus the per-bin sort and gathers."""
     config = GatewayTraceConfig(scale=scale)
     t0 = time.perf_counter()
     trace = generate_columnar_trace(config, derive_rng(42, "trace"))
@@ -292,6 +292,33 @@ def bench_columnar_trace_generate(scale: int = 120) -> BenchResult:
     return BenchResult(
         "columnar_trace_generate", len(trace) / wall, "requests/s", wall,
         {"scale": scale, "n_requests": len(trace)},
+    )
+
+
+def bench_trace_memory(scale: int = 120) -> BenchResult:
+    """Requests per MiB of tracemalloc *peak* while the gateway day is
+    generated (bigger is better; not normalized, like ``world_memory_*``).
+
+    The finished columns are 18 B per request; the peak is what the
+    generator holds on the way there (~38 B: at this size the one
+    chunk of drawn users). A whole-day list of boxed values — an
+    argsort of the day and four gathered columns peak at 102 B — fails
+    the gate whatever the host's speed.
+    """
+    config = GatewayTraceConfig(scale=scale)
+    tracemalloc.start()
+    before, _ = tracemalloc.get_traced_memory()
+    t0 = time.perf_counter()
+    trace = generate_columnar_trace(config, derive_rng(42, "trace"))
+    wall = time.perf_counter() - t0
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    used = peak - before
+    return BenchResult(
+        "trace_memory", len(trace) / (used / (1024 * 1024)), "requests/MiB", wall,
+        {"scale": scale, "n_requests": len(trace),
+         "peak_bytes_per_request": round(used / len(trace), 1)},
+        normalize=False,
     )
 
 
@@ -425,6 +452,7 @@ QUICK_BENCHES = (
     lambda: bench_world_build(1000),
     lambda: bench_compact_world_build(10_000),
     bench_columnar_trace_generate,
+    bench_trace_memory,
     lambda: bench_macro_perf_experiment(800, 4),
     # Memory gates run at full size even in CI: bytes/peer is
     # deterministic for a fixed Python, and the 100k point is where a
@@ -446,6 +474,7 @@ FULL_BENCHES = (
     lambda: bench_world_build(10_000),
     lambda: bench_compact_world_build(10_000),
     bench_columnar_trace_generate,
+    bench_trace_memory,
     bench_churn_events,
     bench_macro_perf_experiment,
     lambda: bench_world_memory(10_000),

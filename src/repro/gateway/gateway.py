@@ -29,6 +29,7 @@ _NON_CACHED_SIGMA = 0.75
 #: Node-store hits complete "consistently ... below 24 ms" with an
 #: 8 ms median (Section 6.3).
 _NODE_STORE_MEDIAN_S = 0.008
+_NODE_STORE_SIGMA = 0.5
 _NODE_STORE_MAX_S = 0.024
 
 
@@ -41,7 +42,8 @@ def default_upstream_model(request: GatewayRequest, rng: random.Random) -> float
 def node_store_latency(rng: random.Random) -> float:
     """Latency of a pinned-store hit (disk read, no network)."""
     return min(
-        rng.lognormvariate(math.log(_NODE_STORE_MEDIAN_S), 0.5), _NODE_STORE_MAX_S
+        rng.lognormvariate(math.log(_NODE_STORE_MEDIAN_S), _NODE_STORE_SIGMA),
+        _NODE_STORE_MAX_S,
     )
 
 

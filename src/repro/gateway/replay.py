@@ -49,11 +49,12 @@ Two miss-tail backends:
 from __future__ import annotations
 
 import math
+import random
 import time
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 from repro.dht.bootstrap import populate_routing_tables
 from repro.errors import ReproError
@@ -61,9 +62,11 @@ from repro.experiments.runner import Cell, run_cells
 from repro.gateway.bridge import GatewayBridge
 from repro.gateway.fleet import FleetConfig, GatewayFleet
 from repro.gateway.gateway import (
+    _NODE_STORE_MAX_S,
+    _NODE_STORE_MEDIAN_S,
+    _NODE_STORE_SIGMA,
     _NON_CACHED_MEDIAN_REMAINDER_S,
     _NON_CACHED_SIGMA,
-    node_store_latency,
 )
 from repro.gateway.logs import CacheTier
 from repro.gateway.overload import OverloadConfig, ProviderHintCache
@@ -95,10 +98,10 @@ TIER_NAMES: dict[int, CacheTier] = {
     TIER_SHED: CacheTier.SHED,
 }
 
-# default_upstream_model's fitted constants, hoisted for the hot loop
-# (sampling 1.0 + lognormvariate draws the identical distribution).
+# The fitted constants of default_upstream_model and node_store_latency,
+# hoisted for _model_cell's loop.
 _LOG_REMAINDER = math.log(_NON_CACHED_MEDIAN_REMAINDER_S)
-_SIGMA = _NON_CACHED_SIGMA
+_LOG_STORE_MEDIAN = math.log(_NODE_STORE_MEDIAN_S)
 
 
 def _default_overload() -> OverloadConfig:
@@ -238,15 +241,38 @@ def _model_cell(seed: int, window: int, tier_bytes: bytes) -> dict:
     every window is independent of its siblings and of the worker
     layout, which is what makes the merged day byte-identical for any
     worker count.
+
+    Per node-store byte the loop draws what
+    :func:`~repro.gateway.gateway.node_store_latency` draws, per
+    non-cached byte what
+    :func:`~repro.gateway.gateway.default_upstream_model` draws — one
+    ``lognormvariate`` each, written out so that no stdlib frame is
+    entered per sample; nginx and shed bytes draw nothing. Tests hold
+    the samples and the final generator state equal to the calls'.
     """
-    rng = derive_rng(seed, "replay-latency", str(window))
+    rnd = derive_rng(seed, "replay-latency", str(window)).random
+    log, exp = math.log, math.exp
+    magic = random.NV_MAGICCONST
+    store_mu, store_sigma, store_max = (
+        _LOG_STORE_MEDIAN, _NODE_STORE_SIGMA, _NODE_STORE_MAX_S
+    )
+    rest_mu, rest_sigma = _LOG_REMAINDER, _NON_CACHED_SIGMA
     node_store = array("d")
     non_cached = array("d")
     for tier in tier_bytes:
-        if tier == TIER_NODE_STORE:
-            node_store.append(node_store_latency(rng))
-        elif tier == TIER_NON_CACHED:
-            non_cached.append(1.0 + rng.lognormvariate(_LOG_REMAINDER, _SIGMA))
+        if tier == TIER_NODE_STORE or tier == TIER_NON_CACHED:
+            # rng.normalvariate(0, 1), spelled out: Kinderman-Monahan.
+            while True:
+                u1 = rnd()
+                u2 = 1.0 - rnd()
+                z = magic * (u1 - 0.5) / u2
+                if z * z / 4.0 <= -log(u2):
+                    break
+            if tier == TIER_NODE_STORE:
+                latency = exp(store_mu + z * store_sigma)
+                node_store.append(latency if latency < store_max else store_max)
+            else:
+                non_cached.append(1.0 + exp(rest_mu + z * rest_sigma))
     return {
         "window": window,
         "node_store": node_store,
@@ -470,13 +496,6 @@ class ReplayResult:
         """Overall TTFB percentile across every *served* request:
         nginx hits (0.0 s) merge with the sorted node-store and
         non-cached samples without materializing the zeros."""
-        merged_len = (
-            self.tier_counts["nginx"]
-            + len(self.node_store_latencies)
-            + len(self.non_cached_latencies)
-        )
-        if merged_len == 0:
-            return 0.0
         zeros = self.tier_counts["nginx"]
         store = self.node_store_latencies
         upstream = self.non_cached_latencies
@@ -492,25 +511,35 @@ class ReplayResult:
                 return store[i]
             return upstream[i - len(store)]
 
-        position = (merged_len - 1) * q / 100.0
-        lower = int(position)
-        upper = min(lower + 1, merged_len - 1)
-        fraction = position - lower
-        return at(lower) * (1.0 - fraction) + at(upper) * fraction
+        return _percentile(at, zeros + len(store) + len(upstream), q)
 
     def tier_percentile(self, tier: str, q: float) -> float:
-        """Percentile within one tier's sorted latency samples."""
-        samples = (
-            self.node_store_latencies if tier == "node_store"
-            else self.non_cached_latencies
-        )
-        if not len(samples):
-            return 0.0
-        position = (len(samples) - 1) * q / 100.0
-        lower = int(position)
-        upper = min(lower + 1, len(samples) - 1)
-        fraction = position - lower
-        return samples[lower] * (1.0 - fraction) + samples[upper] * fraction
+        """Percentile within one tier's latencies (nginx hits are all
+        0.0 s; a shed request has no latency, so ``"shed"`` is not a
+        tier here)."""
+        if tier == "nginx":
+            samples = ()  # nothing is sampled: every nginx hit is 0.0 s
+        elif tier == "node_store":
+            samples = self.node_store_latencies
+        elif tier == "non_cached":
+            samples = self.non_cached_latencies
+        else:
+            raise ReproError(f"no latency samples for tier {tier!r}")
+        return _percentile(samples.__getitem__, len(samples), q)
+
+
+def _percentile(at: Callable[[int], float], n: int, q: float) -> float:
+    """Linear-interpolated ``q``-th percentile of the sorted samples
+    ``at(0) .. at(n - 1)``; 0.0 when there are none."""
+    if not 0 <= q <= 100:
+        raise ReproError(f"percentile must be within [0, 100], got {q}")
+    if n == 0:
+        return 0.0
+    position = (n - 1) * q / 100.0
+    lower = int(position)
+    upper = min(lower + 1, n - 1)
+    fraction = position - lower
+    return at(lower) * (1.0 - fraction) + at(upper) * fraction
 
 
 def _sorted_array(chunks: Iterable[array]) -> array:

@@ -83,7 +83,15 @@ from repro.obs import (
     walk_share,
 )
 from repro.tools import export
-from repro.tools.graded import Graded, add_graded, csv_of, flag, run_graded, scaled
+from repro.tools.graded import (
+    Graded,
+    add_graded,
+    csv_of,
+    flag,
+    positive_int,
+    run_graded,
+    scaled,
+)
 from repro.utils.rng import derive_rng
 from repro.utils.stats import Cdf
 from repro.validation.conformance import QUICK, config_for_tier, run_conformance
@@ -217,7 +225,7 @@ GRADED = (
         "BENCH_replay.json", day_grid, bench_replay_configs,
         lambda configs, workers: grade_replay(run_replay_grid(configs, workers)),
         [flag("--scale", "scale", "trace scale divisor (default 1: the full "
-              "7.1 M-request day)", type=int, default=1),
+              "7.1 M-request day)", type=positive_int, default=1),
          flag("--backend", "miss_backend", "miss tail: fitted latency model "
               "(default) or a live simulated gateway fleet (PR-8 overload "
               "semantics)", choices=("model", "fleet")),
@@ -310,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="write the span/event JSONL trace")
 
     gateway = sub.add_parser("gateway", help="gateway day replay (Fig 11/Table 5)")
-    gateway.add_argument("--scale", type=int, default=100,
+    gateway.add_argument("--scale", type=positive_int, default=100,
                          help="divide the 7.1M-request day by this")
     gateway.add_argument("--export", metavar="FILE", default=None,
                          help="write the access-log CSV")

@@ -26,8 +26,10 @@ from array import array
 from bisect import bisect
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import itemgetter
 
+from repro.errors import ReproError
 from repro.workloads.objects import sample_object_size
 
 #: Fig 6 user-country shares (top five are from the paper).
@@ -35,8 +37,10 @@ USER_COUNTRY_SHARES: list[tuple[str, float]] = [
     ("US", 0.504), ("CN", 0.319), ("HK", 0.066), ("CA", 0.046), ("JP", 0.017),
 ]
 
-#: Rough UTC offsets used to shape each country's diurnal curve.
+#: Rough UTC offsets used to shape each country's diurnal curve; a
+#: request from any other country draws one of the fallbacks.
 _COUNTRY_UTC_OFFSET = {"US": -8, "CN": 8, "HK": 8, "CA": -5, "JP": 9}
+_FALLBACK_UTC_OFFSETS = (-8, -5, 0, 1, 8)
 
 #: Referrer calibration (Section 6.3, "Gateway Referrals").
 REFERRED_FRACTION = 0.518
@@ -82,6 +86,13 @@ class GatewayTraceConfig:
     #: override happens after the draws, so the RNG stream (and hence
     #: every other request field) is identical with the flag on or off.
     full_catalog: bool = False
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.scale <= self.total_requests:
+            raise ReproError(
+                f"scale must be between 1 and total_requests "
+                f"({self.total_requests}), got {self.scale}"
+            )
 
     @property
     def n_requests(self) -> int:
@@ -143,15 +154,49 @@ def diurnal_weight(second: float, utc_offset: int) -> float:
     """Relative demand at a gateway-clock time for users at an offset.
 
     Users are active in their local daytime: a raised cosine peaking at
-    local 15:00 with a secondary evening bump. The trace generator's
-    hot loop writes these four lines out in place, term for term (float
-    addition does not associate); ``tests/workloads/test_columnar_trace.py``
-    holds the two equal.
+    local 15:00 with a secondary evening bump. This is the only place
+    the curve is defined: the trace generator's rejection test decides
+    from the one-cosine form below where that is safe and calls this
+    function where it is not (``_SQUEEZE_GUARD``).
     """
     local_hour = ((second / 3600.0) + 8 + utc_offset) % 24  # gateway is PST (UTC-8)
     primary = math.cos((local_hour - 15.0) / 24.0 * 2 * math.pi)
     evening = 0.45 * math.cos((local_hour - 21.0) / 24.0 * 2 * math.pi)
     return max(0.08, 0.6 + primary + evening)
+
+
+#: The one-cosine form of :func:`diurnal_weight`. Its two cosines sit a
+#: quarter period apart (21 h - 15 h = 6 h of 24), so with
+#: t = (local_hour - 15) / 24 * 2 pi their sum is cos t + 0.45 sin t =
+#: hypot(1, 0.45) * cos(t - atan2(0.45, 1)), and t is linear in
+#: ``second`` (``% 24`` moves it by whole periods only):
+#:
+#:     0.6 + _SQUEEZE_AMPLITUDE * cos(second * _SQUEEZE_OMEGA
+#:                                    + _squeeze_phase(utc_offset))
+#:
+#: equals the unfloored sum up to rounding — 2.5e-15 at worst over the
+#: offsets in use; tests hold it under 1e-12. The trace generator
+#: accepts a draw when ``roll < diurnal_weight(...) / 2.2``. It decides
+#: that from the sign of ``max(0.08, one cosine) - roll * 2.2`` when the
+#: difference is further than _SQUEEZE_GUARD from zero, which the two
+#: forms' disagreement (and the rounding of ``* 2.2`` against ``/ 2.2``,
+#: ~1e-16) cannot bridge, and evaluates the definition's own test inside
+#: the band. Either way the decision is the definition's, which is what
+#: keeps the day bit-identical.
+_SQUEEZE_AMPLITUDE = math.hypot(1.0, 0.45)
+_SQUEEZE_OMEGA = 2 * math.pi / 86_400
+_SQUEEZE_GUARD = 1e-9
+
+#: Requests are appended to the columns of their time-of-day bin as
+#: they are drawn (15-minute bins) and sorted bin by bin; the user
+#: column is drawn this many requests at a time.
+_TIME_BINS = 96
+_USER_CHUNK = 65_536
+
+
+def _squeeze_phase(utc_offset: int) -> float:
+    """Phase of the one-cosine diurnal curve for users at an offset."""
+    return (8 + utc_offset - 15.0) / 24.0 * 2 * math.pi - math.atan2(0.45, 1.0)
 
 
 def _zipf_weights(n: int, exponent: float) -> list[float]:
@@ -271,6 +316,33 @@ def trace_stream_sha256(requests: Iterable[GatewayRequest]) -> str:
     return digest.hexdigest()
 
 
+def _sorted_columns(
+    bins: list[tuple[array, array, array, array]]
+) -> tuple[array, array, array, array]:
+    """Concatenate the time bins into the day's four sorted columns.
+
+    Bins arrive in time order and no timestamp straddles two of them,
+    so a stable argsort inside each bin is the stable argsort of the
+    whole day: requests with equal timestamps keep generation order.
+    The list is emptied on the way, so each bin is freed once copied.
+    """
+    day = (array("d"), array("i"), array("i"), array("h"))
+    bins.reverse()
+    while bins:
+        columns = bins.pop()
+        seconds = columns[0].tolist()
+        if len(seconds) > 1:  # itemgetter needs two indices to return a tuple
+            in_order = itemgetter(
+                *sorted(range(len(seconds)), key=seconds.__getitem__)
+            )
+            columns = [
+                array(column.typecode, in_order(column)) for column in columns
+            ]
+        for merged, column in zip(day, columns):
+            merged.extend(column)
+    return day
+
+
 def generate_columnar_trace(
     config: GatewayTraceConfig, rng: random.Random
 ) -> ColumnarTrace:
@@ -278,19 +350,27 @@ def generate_columnar_trace(
 
     Draw order: each user's country, then each user's Pareto demand
     weight; each CID's size; the user of every request (one
-    ``choices`` call); then per request, in generation order — the
-    fallback UTC offset (drawn for *every* request, used only for tail
-    countries), the rejection-sampled time of day, the pinned/open
-    roll, the Zipf CID, the referred roll and, when referred, the
-    semi-popular roll and the site. The same seed gives a byte-identical
-    stream and leaves ``rng`` in the same state; tests pin both.
+    ``choices`` call's worth of draws); then per request, in generation
+    order — the fallback UTC offset (drawn for *every* request, used
+    only for tail countries), the rejection-sampled time of day, the
+    pinned/open roll, the Zipf CID, the referred roll and, when
+    referred, the semi-popular roll and the site. The same seed gives a
+    byte-identical stream and leaves ``rng`` in the same state; tests
+    pin both.
 
     The hot loop spells out what the stdlib calls would consume, so no
     Python frame is entered per draw: ``rng.choice(seq)`` is
     ``getrandbits(len(seq).bit_length())`` redrawn until ``< len(seq)``;
     ``rng.choices(pop, weights)[0]`` is one ``random()`` bisected into
-    the cumulative weights (accumulated once, not per request); and
-    :func:`diurnal_weight` is written out term for term.
+    the cumulative weights (accumulated once, not per request). The
+    rejection test is decided by the one-cosine form of
+    :func:`diurnal_weight` and calls the definition itself only inside
+    the ``_SQUEEZE_GUARD`` band around equality (see the constants).
+
+    No per-request Python object outlives its iteration: the user
+    column is drawn in chunks straight into its array, each accepted
+    request is appended to the four typed columns of its time bin, and
+    :func:`_sorted_columns` sorts bin by bin.
     """
     countries, country_weights = _country_pool(rng)
 
@@ -316,17 +396,32 @@ def generate_columnar_trace(
     open_hi = len(open_cum) - 1
 
     n = config.n_requests
-    user_ids = array("i", rng.choices(range(config.n_users), user_weights, k=n))
-    timestamps = array("d", [0.0]) * n
-    cid_ids = array("i", [0]) * n
-    referrer_codes = array("h", [0]) * n
+    rnd = rng.random
+    # rng.choices(range(n_users), user_weights, k=n), spelled out the
+    # same way and drawn a chunk at a time so the n boxed ints it would
+    # return never exist at once.
+    user_cum = list(accumulate(user_weights))
+    user_total = user_cum[-1] + 0.0
+    user_hi = config.n_users - 1
+    drawn_users = array("i")
+    for start in range(0, n, _USER_CHUNK):
+        drawn_users.extend(
+            [
+                bisect(user_cum, rnd() * user_total, 0, user_hi)
+                for _ in repeat(None, min(_USER_CHUNK, n - start))
+            ]
+        )
 
     # One table lookup per user, not per request; None marks a tail
     # country, whose offset is the per-request fallback draw.
     user_offsets = [_COUNTRY_UTC_OFFSET.get(country) for country in user_countries]
-    fallback_offsets = (-8, -5, 0, 1, 8)
+    fallback_offsets = _FALLBACK_UTC_OFFSETS
     n_fallback = len(fallback_offsets)
     fallback_bits = n_fallback.bit_length()
+    phases = {
+        offset: _squeeze_phase(offset)
+        for offset in {*fallback_offsets, *_COUNTRY_UTC_OFFSET.values()}
+    }
     n_sites = SEMI_POPULAR_SITES
     site_bits = n_sites.bit_length()
     n_tail = _LONG_TAIL_SITES
@@ -335,11 +430,30 @@ def generate_columnar_trace(
     semi_popular = SEMI_POPULAR_FRACTION
     pinned_share = config.pinned_request_share
     day = config.seconds_per_day
-    rnd = rng.random
     bits = rng.getrandbits
     cos = math.cos
-    pi = math.pi
-    for index, user_id in enumerate(user_ids):
+    amplitude = _SQUEEZE_AMPLITUDE
+    omega = _SQUEEZE_OMEGA
+    guard = _SQUEEZE_GUARD
+    # int(second * bins_per_second) is non-decreasing in second; the
+    # product day * random() can round up to day itself, hence the
+    # extra bin.
+    bins_per_second = _TIME_BINS / day
+    bins = [
+        (array("d"), array("i"), array("i"), array("h"))
+        for _ in range(_TIME_BINS + 1)
+    ]
+    appenders = [tuple(column.append for column in columns) for columns in bins]
+    # The full-catalog override touches no draw: generation positions
+    # 0, stride, 2*stride, ... take catalog slots 0, 1, 2, ...
+    sweep_stride = _catalog_sweep_stride(config)
+    sweeps = (
+        zip(range(0, n, sweep_stride), range(config.n_cids))
+        if sweep_stride
+        else iter(())
+    )
+    next_sweep, sweep_slot = next(sweeps, (-1, 0))
+    for index, user_id in enumerate(drawn_users):
         # The fallback offset is drawn for every request, whether or not
         # the user's country needs it: that is the stream the pinned
         # digests (and every BENCH_*.json built on this trace) define.
@@ -348,45 +462,44 @@ def generate_columnar_trace(
         offset = user_offsets[user_id]
         if offset is None:
             offset = fallback_offsets[draw]
+        phase = phases[offset]
         while True:
             # uniform(0, day) is 0 + (day - 0) * random(): exactly this.
             second = day * rnd()
-            local_hour = ((second / 3600.0) + 8 + offset) % 24
-            primary = cos((local_hour - 15.0) / 24.0 * 2 * pi)
-            evening = 0.45 * cos((local_hour - 21.0) / 24.0 * 2 * pi)
-            weight = 0.6 + primary + evening
-            if rnd() < (weight if weight > 0.08 else 0.08) / 2.2:
+            weight = 0.6 + amplitude * cos(second * omega + phase)
+            margin = (weight if weight > 0.08 else 0.08) - (roll := rnd()) * 2.2
+            if margin > guard or (
+                margin >= -guard and roll < diurnal_weight(second, offset) / 2.2
+            ):
                 break
-        timestamps[index] = second
         if rnd() < pinned_share:
-            cid_ids[index] = bisect(pinned_cum, rnd() * pinned_total, 0, pinned_hi)
+            cid = bisect(pinned_cum, rnd() * pinned_total, 0, pinned_hi)
         else:
-            cid_ids[index] = n_pinned + bisect(
-                open_cum, rnd() * open_total, 0, open_hi
-            )
+            cid = n_pinned + bisect(open_cum, rnd() * open_total, 0, open_hi)
+        if index == next_sweep:
+            cid = sweep_slot
+            next_sweep, sweep_slot = next(sweeps, (-1, 0))
+        code = _REFERRER_NONE
         if rnd() < referred:
             if rnd() < semi_popular:
                 while (draw := bits(site_bits)) >= n_sites:
                     pass
-                referrer_codes[index] = draw + 1
+                code = draw + 1
             else:
                 while (draw := bits(tail_bits)) >= n_tail:
                     pass
-                referrer_codes[index] = -1 - draw
-    # The full-catalog override touches no draw, so it runs after them:
-    # positions 0, stride, 2*stride, ... take catalog slots 0, 1, 2, ...
-    sweep_stride = _catalog_sweep_stride(config)
-    if sweep_stride:
-        for slot, index in zip(range(config.n_cids), range(0, n, sweep_stride)):
-            cid_ids[index] = slot
-
-    # Stable argsort by timestamp: requests with equal timestamps keep
-    # their generation order.
-    order = sorted(range(n), key=timestamps.__getitem__)
-    timestamps = array("d", [timestamps[i] for i in order])
-    user_ids = array("i", [user_ids[i] for i in order])
-    cid_ids = array("i", [cid_ids[i] for i in order])
-    referrer_codes = array("h", [referrer_codes[i] for i in order])
+                code = -1 - draw
+        add_second, add_user, add_cid, add_referrer = appenders[
+            int(second * bins_per_second)
+        ]
+        add_second(second)
+        add_user(user_id)
+        add_cid(cid)
+        add_referrer(code)
+    # The bound appends hold the bins; without them each bin is freed
+    # as soon as _sorted_columns has copied it out.
+    del drawn_users, appenders
+    timestamps, user_ids, cid_ids, referrer_codes = _sorted_columns(bins)
 
     return ColumnarTrace(
         config=config,

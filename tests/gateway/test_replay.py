@@ -7,16 +7,25 @@ miss.  These tests replay the same trace through both and require the
 tier sequences to be equal element-for-element.
 """
 
+from array import array
+
 import pytest
 
-from repro.gateway.gateway import Gateway
+from repro.errors import ReproError
+from repro.gateway.gateway import (
+    Gateway,
+    default_upstream_model,
+    node_store_latency,
+)
 from repro.gateway.logs import CacheTier
 from repro.gateway.replay import (
     TIER_NAMES,
     TIER_NGINX,
     TIER_NODE_STORE,
     TIER_NON_CACHED,
+    TIER_SHED,
     ReplayConfig,
+    _model_cell,
     resolve_tiers,
     run_replay,
     window_slices,
@@ -97,6 +106,42 @@ class TestWindowSlices:
         assert slices == [(0, len(trace), 0)]
 
 
+class TestModelCell:
+    def test_spelled_out_sampling_equals_the_model_calls(self, monkeypatch):
+        """``_model_cell`` writes ``lognormvariate`` out by hand; the
+        reference calls the two latency models once per byte. Samples
+        and final generator state must agree, so a CPython change to
+        ``normalvariate`` fails here, not in a digest three layers up."""
+        tier_rng = derive_rng(9, "tiers")
+        codes = (TIER_NGINX, TIER_NODE_STORE, TIER_NON_CACHED, TIER_SHED)
+        tier_bytes = bytes(tier_rng.choices(codes, k=4000))
+        assert set(tier_bytes) == set(codes)
+
+        rngs = []
+
+        def remembered(*labels):
+            rngs.append(derive_rng(*labels))
+            return rngs[-1]
+
+        monkeypatch.setattr("repro.gateway.replay.derive_rng", remembered)
+        result = _model_cell(42, 7, tier_bytes)
+        (cell_rng,) = rngs
+
+        rng = derive_rng(42, "replay-latency", "7")
+        node_store, non_cached = array("d"), array("d")
+        for tier in tier_bytes:
+            if tier == TIER_NODE_STORE:
+                node_store.append(node_store_latency(rng))
+            elif tier == TIER_NON_CACHED:
+                non_cached.append(default_upstream_model(None, rng))
+        assert result["node_store"] == node_store
+        assert result["non_cached"] == non_cached
+        assert cell_rng.getstate() == rng.getstate()
+        assert max(node_store) == 0.024  # the clamp was compared too
+        assert result["window"] == 7
+        assert result["shed"] == bytes(len(tier_bytes))
+
+
 class TestRunReplay:
     def test_counts_are_consistent(self):
         config = ReplayConfig(trace=GatewayTraceConfig(scale=2000))
@@ -131,3 +176,31 @@ class TestRunReplay:
         # median sits in the node-store band (single-digit ms).
         assert p50 < 0.1
         assert p99 > 1.0  # the non-cached tail is seconds-scale
+
+    def test_tier_percentile_answers_only_what_it_was_asked(self):
+        result = run_replay(ReplayConfig(trace=GatewayTraceConfig(scale=2000)))
+        store, upstream = result.node_store_latencies, result.non_cached_latencies
+        assert result.tier_percentile("node_store", 0) == store[0]
+        assert result.tier_percentile("node_store", 100) == store[-1]
+        assert result.tier_percentile("non_cached", 0) == upstream[0]
+        assert result.tier_percentile("non_cached", 100) == upstream[-1]
+        assert upstream[0] < result.tier_percentile("non_cached", 50) < upstream[-1]
+        # nginx hits are 0 s; this used to return the non-cached median
+        assert result.tier_counts["nginx"] > 0
+        assert result.tier_percentile("nginx", 50) == 0.0
+        for tier in ("shed", "NODE_STORE", ""):
+            with pytest.raises(ReproError, match="no latency samples for tier"):
+                result.tier_percentile(tier, 50)
+
+    @pytest.mark.parametrize("q", [-1, -0.001, 100.001, 250, float("nan")])
+    def test_percentile_outside_0_100_is_refused(self, q):
+        # a negative q used to wrap round to the top sample, q > 100
+        # to raise IndexError
+        result = run_replay(ReplayConfig(trace=GatewayTraceConfig(scale=5000)))
+        for ask in (
+            result.latency_percentile,
+            lambda q: result.tier_percentile("non_cached", q),
+            lambda q: result.tier_percentile("nginx", q),
+        ):
+            with pytest.raises(ReproError, match="percentile must be within"):
+                ask(q)

@@ -200,6 +200,18 @@ class TestBadInput:
         assert "usage:" in capsys.readouterr().err
         assert recorded == []
 
+    @pytest.mark.parametrize("command", ["replay", "gateway"])
+    @pytest.mark.parametrize("scale", ["0", "-5", "twelve"])
+    def test_scale_must_be_a_positive_integer(
+        self, command, scale, recorded, capsys
+    ):
+        # 0 and -5 used to end in a ZeroDivisionError traceback
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([command, "--scale", scale])
+        assert exit_info.value.code == 2
+        assert "expected a positive integer" in capsys.readouterr().err
+        assert recorded == []
+
     @pytest.mark.parametrize("argv", [
         ["attack", "--attacks", "bogus"],
         ["attack", "--attacks", "eclipse,bogus"],

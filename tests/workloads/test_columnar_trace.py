@@ -15,19 +15,39 @@ those arrays. Three things hold the generator in place:
   CPython change to any of them fails here instead of silently
   generating a different day;
 - the view tests: objects, aggregates and typecodes.
+
+The rejection test in the hot loop is decided by a one-cosine form of
+:func:`diurnal_weight` and by the definition itself inside a guard band
+around equality; ``TestSqueeze`` holds the cheap form to the definition
+(the two differ by far less than the guard, and the day is the pinned
+day whichever of them decides), and ``TestTimeBins`` holds the per-bin
+sort to the whole-day stable sort it replaced.
 """
+
+import math
+import random
+import tracemalloc
+from array import array
 
 import pytest
 
 from repro.utils.rng import derive_rng
+from repro.workloads import gateway_trace
 from repro.workloads.gateway_trace import (
     _COUNTRY_UTC_OFFSET,
+    _FALLBACK_UTC_OFFSETS,
+    _SQUEEZE_AMPLITUDE,
+    _SQUEEZE_GUARD,
+    _SQUEEZE_OMEGA,
+    _TIME_BINS,
     REFERRED_FRACTION,
     SEMI_POPULAR_FRACTION,
     SEMI_POPULAR_SITES,
     GatewayRequest,
     GatewayTraceConfig,
     _country_pool,
+    _sorted_columns,
+    _squeeze_phase,
     _zipf_weights,
     diurnal_weight,
     generate_columnar_trace,
@@ -153,6 +173,127 @@ class TestPinnedStream:
         assert columnar.user_ids.typecode == "i"
         assert columnar.cid_ids.typecode == "i"
         assert columnar.referrer_codes.typecode == "h"
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The ``(second, offset)`` pairs the generator hands to
+    :func:`diurnal_weight`: one per rejection-test iteration that
+    lands inside the guard band."""
+    calls = []
+
+    def counted(second, utc_offset):
+        calls.append((second, utc_offset))
+        return diurnal_weight(second, utc_offset)
+
+    monkeypatch.setattr(gateway_trace, "diurnal_weight", counted)
+    return calls
+
+
+def assert_every_pinned_day():
+    """All six ``PINNED`` pairs, under whatever the caller patched."""
+    for (seed, full_catalog), pinned in sorted(PINNED.items()):
+        config = GatewayTraceConfig(scale=SCALE, full_catalog=full_catalog)
+        rng = derive_rng(seed, "trace")
+        columnar = generate_columnar_trace(config, rng)
+        stream = trace_stream_sha256(columnar.iter_requests())
+        assert (stream, rng_state_sha256(rng)) == pinned
+
+
+class TestSqueeze:
+    def test_the_definition_decides_the_same_day(self, fallbacks, monkeypatch):
+        # guard 10: wider than the curve, every iteration asks the definition
+        monkeypatch.setattr(gateway_trace, "_SQUEEZE_GUARD", 10.0)
+        assert_every_pinned_day()
+        every_iteration = len(fallbacks)
+        assert every_iteration > len(PINNED) * 2 * (7_100_000 // SCALE)
+
+        # guard 0.05: some iterations ask, the others take the one cosine
+        del fallbacks[:]
+        monkeypatch.setattr(gateway_trace, "_SQUEEZE_GUARD", 0.05)
+        assert_every_pinned_day()
+        assert 0 < len(fallbacks) < every_iteration / 10
+
+        # the shipped guard: none of these days comes within 1e-9
+        del fallbacks[:]
+        monkeypatch.setattr(gateway_trace, "_SQUEEZE_GUARD", _SQUEEZE_GUARD)
+        assert_every_pinned_day()
+        assert fallbacks == []
+
+    def test_one_cosine_is_the_two_cosine_sum(self):
+        offsets = sorted({*_FALLBACK_UTC_OFFSETS, *_COUNTRY_UTC_OFFSET.values()})
+        assert offsets == [-8, -5, 0, 1, 8, 9]
+        rng = random.Random(20)
+        worst = 0.0
+        for offset in offsets:
+            phase = _squeeze_phase(offset)
+            for _ in range(100_000):
+                second = rng.uniform(0, 86_400)
+                squeezed = 0.6 + _SQUEEZE_AMPLITUDE * math.cos(
+                    second * _SQUEEZE_OMEGA + phase
+                )
+                # diurnal_weight's sum before the 0.08 floor
+                local_hour = ((second / 3600.0) + 8 + offset) % 24
+                primary = math.cos((local_hour - 15.0) / 24.0 * 2 * math.pi)
+                evening = 0.45 * math.cos((local_hour - 21.0) / 24.0 * 2 * math.pi)
+                defined = 0.6 + primary + evening
+                assert max(0.08, defined) == diurnal_weight(second, offset)
+                worst = max(worst, abs(squeezed - defined))
+        assert worst < 1e-12
+        assert worst * 1000 < _SQUEEZE_GUARD  # three orders inside the band
+
+
+class TestTimeBins:
+    def test_bin_index_is_monotone_and_bounded(self):
+        for day in (86_400, 86_399, 3600, 7):
+            bins_per_second = _TIME_BINS / day
+            rng = random.Random(day)
+            seconds = sorted(day * rng.random() for _ in range(20_000))
+            # the generator's product day * random() can round up to day
+            seconds += [math.nextafter(day, 0), float(day)]
+            indices = [int(second * bins_per_second) for second in seconds]
+            assert indices == sorted(indices)
+            assert indices[0] >= 0 and indices[-1] <= _TIME_BINS
+
+    def test_equal_timestamps_keep_generation_order(self):
+        def bin_of(*rows):
+            columns = array("d"), array("i"), array("i"), array("h")
+            for row in rows:
+                for column, value in zip(columns, row):
+                    column.append(value)
+            return columns
+
+        bins = [
+            bin_of((5.0, 1, 10, 0), (2.5, 2, 20, -7), (5.0, 3, 30, 4), (2.5, 4, 40, 0)),
+            bin_of(),  # an empty and a one-request bin pass through
+            bin_of((9.0, 5, 50, 1)),
+            bin_of((11.0, 7, 70, 0), (11.0, 6, 60, 0)),
+        ]
+        timestamps, user_ids, cid_ids, referrer_codes = _sorted_columns(bins)
+        assert bins == []  # each bin is released as it is copied out
+        assert timestamps == array("d", [2.5, 2.5, 5.0, 5.0, 9.0, 11.0, 11.0])
+        assert user_ids == array("i", [2, 4, 1, 3, 5, 7, 6])
+        assert cid_ids == array("i", [20, 40, 10, 30, 50, 70, 60])
+        assert referrer_codes == array("h", [-7, 0, 0, 4, 1, 0, 0])
+
+    def test_chunked_user_draw_is_one_choices_call(self, monkeypatch):
+        # 7 100 requests in chunks of 1 000: seven full chunks and a rest
+        monkeypatch.setattr(gateway_trace, "_USER_CHUNK", 1000)
+        assert_every_pinned_day()
+
+    def test_no_whole_day_list_is_built(self):
+        # 18 B of columns per request. The whole-day argsort and its four
+        # gathered lists of boxed values peaked at 102 B per request
+        # (at any scale; 600 keeps the traced run under two seconds).
+        config = GatewayTraceConfig(scale=600, full_catalog=True)
+        rng = derive_rng(42, "trace")
+        tracemalloc.start()
+        try:
+            columnar = generate_columnar_trace(config, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / len(columnar) <= 60
 
 
 class TestObjectView:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ReproError
 from repro.utils.rng import derive_rng
 from repro.workloads.gateway_trace import (
     GatewayTraceConfig,
@@ -30,6 +31,18 @@ class TestScaling:
     def test_user_and_cid_universes(self, trace):
         assert len(trace.users()) <= trace.config.n_users
         assert len(trace.unique_cids()) <= trace.config.n_cids
+
+    @pytest.mark.parametrize("scale", [0, -5, 7_100_001])
+    def test_scale_outside_the_day_is_refused(self, scale):
+        # 0 used to divide by zero in n_users, the others generated an
+        # empty day that divided by zero in ReplayResult.nginx_share
+        with pytest.raises(ReproError, match="scale must be between 1 and"):
+            GatewayTraceConfig(scale=scale)
+
+    def test_the_one_request_day_is_the_largest_scale(self):
+        config = GatewayTraceConfig(scale=7_100_000)
+        trace = generate_gateway_trace(config, derive_rng(77, "trace"))
+        assert len(trace.requests) == config.n_requests == 1
 
 
 class TestStructure:
