@@ -13,7 +13,7 @@ import dataclasses
 from conftest import save_report
 
 from repro.experiments.chaos import ChaosConfig, run_chaos_experiment
-from repro.experiments.report import check_shape, render_table
+from repro.experiments.report import render_table
 from repro.resilience import ResilienceConfig
 
 CHAOS_PEERS = 300
@@ -40,20 +40,15 @@ def test_chaos_smoke():
     assert level.faults_injected > 0
 
 
-def test_chaos_sweep(benchmark):
+def test_chaos_sweep():
     config = ChaosConfig(
         n_peers=CHAOS_PEERS,
         intensities=INTENSITIES,
         retrievals_per_level=CHAOS_RETRIEVALS,
     )
 
-    def run():
-        baseline = run_chaos_experiment(
-            dataclasses.replace(config, with_retries=False)
-        )
-        return baseline, run_chaos_experiment(config)
-
-    baseline, resilient = benchmark.pedantic(run, iterations=1, rounds=1)
+    baseline = run_chaos_experiment(dataclasses.replace(config, with_retries=False))
+    resilient = run_chaos_experiment(config)
 
     def fmt_pcts(level):
         pcts = level.latency_percentiles()
@@ -76,27 +71,17 @@ def test_chaos_sweep(benchmark):
         note=f"{CHAOS_RETRIEVALS} retrievals per level, {CHAOS_PEERS} peers",
     )
 
+    save_report("chaos_sweep", report)
+
     by_intensity = {level.intensity: level for level in baseline.levels}
     retry_by_intensity = {level.intensity: level for level in resilient.levels}
-    checks = [
-        check_shape(
-            "baseline success at 30% loss is no better than at 0%",
-            by_intensity[0.3].success_rate <= by_intensity[0.0].success_rate,
-        ),
-        check_shape(
-            "retries beat fire-and-forget at 10% loss "
-            f"({retry_by_intensity[0.1].success_rate:.0%} vs "
-            f"{by_intensity[0.1].success_rate:.0%})",
-            retry_by_intensity[0.1].success_rate
-            > by_intensity[0.1].success_rate,
-        ),
-        check_shape(
-            "faults were actually injected at every non-zero level",
-            all(
-                level.faults_injected > 0
-                for level in baseline.levels if level.intensity > 0
-            ),
-        ),
-    ]
-    save_report("chaos_sweep", report + "\n" + "\n".join(checks))
-    assert all("PASS" in line for line in checks)
+    assert by_intensity[0.3].success_rate <= by_intensity[0.0].success_rate, (
+        "baseline success at 30% loss is no better than at 0%"
+    )
+    assert (
+        retry_by_intensity[0.1].success_rate > by_intensity[0.1].success_rate
+    ), "retries beat fire-and-forget at 10% loss"
+    assert all(
+        level.faults_injected > 0
+        for level in baseline.levels if level.intensity > 0
+    ), "faults were actually injected at every non-zero level"

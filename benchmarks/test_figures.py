@@ -1,41 +1,19 @@
-"""The paper's figures, frozen before their benches were converted.
+"""Figures bench: the paper's Figs 4-11, Tables 1-5 and the six design
+ablations at the frozen bench shape (``BENCH_figures.json``, pinned by
+``test_graded_bench.py``), written to ``results/figures.txt``.
 
-``BODY_SHA256`` is the sha256 of each committed
-``benchmarks/results/<file>.txt`` above its first ``[PASS]``/``[FAIL]``
-line (the rendered table or figure) and ``CHECKS`` the description of
-every shape check below it, all 77 of them ``[PASS]``, as the parent
-commit's code regenerates them (Table 5's ``Shed`` row fixed,
-``ablation_parallel_lookup`` refreshed: 1 838 -> 2 256 RPCs). The
-literals are the oracle for the conversion to one ``FIGURES`` registry:
-they are keyed by registry name and are not to be edited to make the
-conversion pass — only a displayed number really moving edits them.
+``BODY_SHA256`` and ``CHECKS`` were frozen from the 21 per-figure
+benches this registry replaced, before they were deleted: the sha256 of
+every rendered table or figure and the description of each of its 77
+shape checks, all ``[PASS]``. A displayed number that moves must edit
+them; nothing else may.
 """
 
-import hashlib
-import pathlib
-import re
-
 import pytest
+from conftest import save_report
 
-RESULTS = pathlib.Path(__file__).parent / "results"
-
-#: registry name -> the result file the parent's bench writes
-FILES = {
-    "fig04a": "fig04a_crawl_timeseries", "fig04b": "fig04b_gateway_requests",
-    "fig05": "fig05_geo_peers", "fig06": "fig06_geo_users",
-    "fig07": "fig07_peer_structure", "fig08": "fig08_churn",
-    "fig09abc": "fig09_publication", "fig09def": "fig09_retrieval",
-    "fig10": "fig10_stretch", "fig11": "fig11_gateway_perf",
-    "table1": "table1_operation_counts", "table2": "table2_top_ases",
-    "table3": "table3_cloud", "table4": "table4_latency_percentiles",
-    "table5": "table5_cache_tiers",
-    "ablation.alpha": "ablation_alpha",
-    "ablation.client_server": "ablation_client_server",
-    "ablation.gateway_cache": "ablation_gateway_cache",
-    "ablation.hydra": "ablation_hydra",
-    "ablation.parallel_lookup": "ablation_parallel_lookup",
-    "ablation.replication": "ablation_replication",
-}
+from repro.experiments.figures import FiguresConfig, run_figures
+from repro.validation.compare import Grade
 
 BODY_SHA256 = {
     "fig04a":
@@ -205,23 +183,21 @@ CHECKS = {
 }
 
 
-def split(text: str) -> tuple[str, list[str]]:
-    """(body, check lines) of one result file."""
-    lines = text.split("\n")
-    first = next(
-        index for index, line in enumerate(lines)
-        if re.match(r"\[(PASS|FAIL)\] ", line)
-    )
-    return "\n".join(lines[:first]), [line for line in lines[first:] if line]
+@pytest.fixture(scope="module")
+def report():
+    report = run_figures(FiguresConfig())
+    save_report("figures", report.render_text())
+    return report
 
 
-@pytest.mark.parametrize("name", sorted(FILES))
-def test_committed_result_matches_the_frozen_literals(name):
-    body, checks = split((RESULTS / f"{FILES[name]}.txt").read_text())
-    assert hashlib.sha256(body.encode()).hexdigest() == BODY_SHA256[name]
-    assert checks == [f"[PASS] {description}" for description in CHECKS[name]]
+def test_figures_bench(report):
+    assert report.overall is Grade.PASS
+    assert {cell["figure"]: cell["body_sha256"] for cell in report.cells} == BODY_SHA256
 
 
-def test_seventy_seven_checks_are_frozen():
-    assert set(BODY_SHA256) == set(CHECKS) == set(FILES)
-    assert sum(len(checks) for checks in CHECKS.values()) == 77
+@pytest.mark.parametrize("figure", sorted(CHECKS))
+def test_shape_checks_became_passing_claims(report, figure):
+    graded = [c for c in report.claims if c.scope == figure and c.grade is not None]
+    assert [(c.grade, c.description) for c in graded] == [
+        (Grade.PASS, description) for description in CHECKS[figure]
+    ]

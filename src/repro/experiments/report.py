@@ -86,9 +86,3 @@ def render_series(
             continue
         lines.append(f"{x_label}={x:>10.0f}  {y}")
     return "\n".join(lines)
-
-
-def check_shape(description: str, condition: bool) -> str:
-    """A PASS/FAIL line for a shape assertion (who wins / rough factor)."""
-    status = "PASS" if condition else "FAIL"
-    return f"[{status}] {description}"

@@ -6,13 +6,15 @@ Usage::
     python -m repro.tools.cli crawl --peers 600 --hours 6 --export crawl.csv
     python -m repro.tools.cli attack --bench --workers 4 --export attack.json
 
-``perf``, ``deployment``, ``crawl``, ``chaos``, ``chaos-recovery``,
-``trace`` and ``gateway`` reproduce tables and figures: each builds its
-experiment, prints through :mod:`repro.experiments.report` and
-optionally exports the raw dataset. ``validate``, ``attack``,
-``nat-sweep``, ``flash-crowd``, ``scale-crawl`` and ``replay`` are
-*graded*: one entry each in :data:`GRADED`, all run by the one path of
-:mod:`repro.tools.graded` (exit 1 when a claim FAILs).
+``perf``, ``deployment``, ``crawl`` and ``gateway`` run one dataset of
+:mod:`repro.experiments.datasets` at the given size, print the figures
+:mod:`repro.experiments.figures` builds from it and optionally export
+the raw dataset; ``chaos``, ``chaos-recovery`` and ``trace`` print
+their own tables.
+``figures``, ``validate``, ``attack``, ``nat-sweep``, ``flash-crowd``,
+``scale-crawl`` and ``replay`` are *graded*: one entry each in
+:data:`GRADED`, all run by the one path of :mod:`repro.tools.graded`
+(exit 1 when a claim FAILs).
 """
 
 from __future__ import annotations
@@ -38,15 +40,15 @@ from repro.experiments.chaos_recovery import (
     full_resilience_config,
     run_chaos_recovery_pair,
 )
-from repro.experiments.deployment import (
-    CrawlCampaignConfig,
-    analyze_population,
-    run_crawl_timeseries,
+from repro.experiments import figures
+from repro.experiments.datasets import (
+    crawl_dataset,
+    deployment_dataset,
+    gateway_dataset,
+    perf_dataset,
 )
-from repro.experiments.gateway_exp import (
-    GatewayExperimentConfig,
-    run_gateway_experiment,
-)
+from repro.experiments.deployment import CrawlCampaignConfig
+from repro.experiments.figures import render_dataset
 from repro.experiments.flash_crowd import (
     FlashCrowdConfig,
     bench_overload_config,
@@ -59,7 +61,6 @@ from repro.experiments.nat_sweep import (
     grade_sweep,
     run_nat_sweep,
 )
-from repro.experiments.perf import PerfConfig, run_perf_experiment
 from repro.experiments.replay import (
     bench_replay_configs,
     day_grid,
@@ -71,8 +72,7 @@ from repro.experiments.scale import (
     bench_scale_config,
     run_scale_crawl,
 )
-from repro.experiments.report import render_cdf, render_share_table, render_table
-from repro.experiments.scenario import AWS_REGIONS, ScenarioConfig, build_scenario
+from repro.experiments.report import render_table
 from repro.node.config import NodeConfig
 from repro.resilience import ResilienceConfig
 from repro.obs import (
@@ -92,12 +92,8 @@ from repro.tools.graded import (
     run_graded,
     scaled,
 )
-from repro.utils.rng import derive_rng
-from repro.utils.stats import Cdf
 from repro.validation.conformance import QUICK, config_for_tier, run_conformance
 from repro.validation.nat_tier import NatTierConfig, run_nat_tier
-from repro.workloads.gateway_trace import GatewayTraceConfig
-from repro.workloads.population import PopulationConfig, generate_population
 
 
 def _intensity_list(text: str) -> tuple[float, ...]:
@@ -147,6 +143,14 @@ def _resilience_from_args(args) -> ResilienceConfig | None:
 #: The graded subcommands (see :mod:`repro.tools.graded`). A new graded
 #: experiment is its module plus one entry here.
 GRADED = (
+    Graded(
+        "figures",
+        "the paper's Figs 4-11, Tables 1-5 and the six design ablations "
+        "at the frozen bench shape, every shape check a graded claim",
+        "BENCH_figures.json",
+        lambda seed: dataclasses.replace(figures.BENCH, seed=seed),
+        lambda: figures.BENCH, figures.run_figures,
+    ),
     Graded(
         "validate",
         "paper-fidelity conformance: grade the reproduction against the "
@@ -329,43 +333,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_perf(args) -> None:
-    population = generate_population(
-        PopulationConfig(n_peers=args.peers), derive_rng(args.seed, "cli-pop")
-    )
     resilience = _resilience_from_args(args)
-    node_config = (
-        NodeConfig(resilience=resilience) if resilience is not None else None
-    )
-    scenario = build_scenario(
-        population,
-        ScenarioConfig(seed=args.seed, node_config=node_config),
-        vantage_regions=AWS_REGIONS,
-    )
     obs = Observability() if args.trace else None
-    results = run_perf_experiment(
-        scenario, PerfConfig(rounds=args.rounds, seed=args.seed), obs=obs
+    _, results = perf_dataset(
+        args.peers, args.rounds, seed=args.seed, run_seed=args.seed,
+        label="cli-pop", obs=obs,
+        node_config=None if resilience is None else NodeConfig(resilience=resilience),
     )
-    table = results.latency_percentiles()
-    print(render_table(
-        "Table 4 — latency percentiles p50/p90/p95 (s)",
-        ["region", "publication", "retrieval"],
-        [
-            (
-                region,
-                " / ".join(f"{x:.1f}" for x in row.get("publication", [])),
-                " / ".join(f"{x:.2f}" for x in row.get("retrieval", [])),
-            )
-            for region, row in table.items()
-        ],
-    ))
-    retrievals = results.all_retrievals()
-    if retrievals:
-        print()
-        print(render_cdf(
-            "Fig 9d — retrieval durations",
-            Cdf.from_samples(r.total_duration for r in retrievals),
-            grid=[1, 2, 3, 4, 5],
-        ))
+    print(render_dataset("perf", results))
     if args.export:
         rows = export.export_perf_dataset(results, args.export)
         print(f"\nwrote {rows} operation records to {args.export}")
@@ -375,55 +350,25 @@ def _cmd_perf(args) -> None:
 
 
 def _cmd_deployment(args) -> None:
-    population = generate_population(
-        PopulationConfig(n_peers=args.peers), derive_rng(args.seed, "cli-pop")
-    )
-    analysis = analyze_population(population)
-    print(render_share_table("Fig 5 — peers by country", analysis.country_shares))
-    print()
-    print(render_table(
-        "Table 2 — top ASes",
-        ["share", "ASN", "name"],
-        [
-            (f"{row.share:6.1%}", row.asn, row.name[:50])
-            for row in analysis.as_rows[:8]
-        ],
-    ))
-    print()
-    rows, non_cloud = analysis.cloud_rows, analysis.non_cloud
-    print(render_table(
-        "Table 3 — cloud providers",
-        ["provider", "share"],
-        [(r.provider, f"{r.share:6.2%}") for r in rows[:8]]
-        + [("Non-Cloud", f"{non_cloud.share:6.2%}")],
-    ))
+    _, analysis = deployment_dataset(args.peers, seed=args.seed, label="cli-pop")
+    print(render_dataset("deployment", analysis))
 
 
 def _cmd_crawl(args) -> None:
-    population = generate_population(
-        PopulationConfig(n_peers=args.peers), derive_rng(args.seed, "cli-pop")
+    # --seed picks the world; the campaign keeps its own default seed
+    dataset = crawl_dataset(
+        args.peers, args.hours, args.interval_minutes * 60.0,
+        seed=args.seed, run_seed=CrawlCampaignConfig.seed, label="cli-pop",
     )
-    scenario = build_scenario(population, ScenarioConfig(seed=args.seed))
-    config = CrawlCampaignConfig(
-        crawl_interval_s=args.interval_minutes * 60.0,
-        duration_s=args.hours * 3600.0,
-    )
-    results = run_crawl_timeseries(scenario, config)
-    print(render_table(
-        "Fig 4a — peers per crawl",
-        ["t", "total", "dialable", "undialable"],
-        [
-            (f"{start:.0f}", total, dialable, undialable)
-            for start, total, dialable, undialable in results.timeseries()
-        ],
-    ))
-    summary = results.churn_summary()
-    print(f"\nsessions: {summary.session_count}, median "
-          f"{summary.median_s / 60:.1f} min, "
-          f"{summary.under_8h_fraction:.1%} under 8 h")
+    print(render_dataset("crawl", dataset))
     if args.export:
-        rows = export.export_crawl_dataset(results, args.export)
-        print(f"wrote {rows} crawl rows to {args.export}")
+        rows = export.export_crawl_dataset(dataset[1], args.export)
+        print(f"\nwrote {rows} crawl rows to {args.export}")
+
+
+def _fmt_percentiles(level) -> str:
+    pcts = level.latency_percentiles()
+    return "-" if pcts is None else " / ".join(f"{x:.1f}" for x in pcts)
 
 
 def _cmd_chaos(args) -> None:
@@ -446,18 +391,12 @@ def _cmd_chaos(args) -> None:
         obs = None
         baseline, resilient = run_chaos_pair(config, workers=args.workers)
 
-    def fmt_pcts(level) -> str:
-        pcts = level.latency_percentiles()
-        if pcts is None:
-            return "-"
-        return " / ".join(f"{x:.1f}" for x in pcts)
-
     rows = []
     for base, ret in zip(baseline.levels, resilient.levels):
         rows.append((
             f"{base.intensity:.0%}",
-            f"{base.success_rate:.0%}", fmt_pcts(base),
-            f"{ret.success_rate:.0%}", fmt_pcts(ret),
+            f"{base.success_rate:.0%}", _fmt_percentiles(base),
+            f"{ret.success_rate:.0%}", _fmt_percentiles(ret),
             ret.retries_attempted, ret.evictions,
         ))
     print(render_table(
@@ -488,18 +427,12 @@ def _cmd_chaos_recovery(args) -> None:
     )
     baseline, resilient = run_chaos_recovery_pair(config, workers=args.workers)
 
-    def fmt_pcts(level) -> str:
-        pcts = level.latency_percentiles()
-        if pcts is None:
-            return "-"
-        return " / ".join(f"{x:.1f}" for x in pcts)
-
     rows = []
     for base, res in zip(baseline.levels, resilient.levels):
         rows.append((
             f"{base.intensity:.0%}",
-            f"{base.success_rate:.0%}", fmt_pcts(base),
-            f"{res.success_rate:.0%}", fmt_pcts(res),
+            f"{base.success_rate:.0%}", _fmt_percentiles(base),
+            f"{res.success_rate:.0%}", _fmt_percentiles(res),
             res.breaker_opened, res.hedges_launched,
             f"{res.fallback_hits}/{res.fallback_broadcasts}",
         ))
@@ -525,37 +458,22 @@ def _cmd_chaos_recovery(args) -> None:
 
 def _cmd_trace(args) -> None:
     """Traced perf run; the Fig 9 walk/fetch split, read off the spans."""
-    population = generate_population(
-        PopulationConfig(n_peers=args.peers), derive_rng(args.seed, "cli-pop")
-    )
-    scenario = build_scenario(
-        population, ScenarioConfig(seed=args.seed), vantage_regions=AWS_REGIONS
-    )
     obs = Observability()
-    run_perf_experiment(
-        scenario, PerfConfig(rounds=args.rounds, seed=args.seed), obs=obs
+    perf_dataset(
+        args.peers, args.rounds, seed=args.seed, run_seed=args.seed,
+        label="cli-pop", obs=obs,
     )
     records = records_from_tracer(obs.tracer)
 
-    def rows_for(breakdown) -> list[tuple]:
-        return [
+    for title, breakdown in (
+        ("Publication phases — from recorded spans (§6.1)", publication_breakdown),
+        ("Retrieval phases — from recorded spans (§6.2)", retrieval_breakdown),
+    ):
+        print(render_table(title, ["phase", "total s", "share", "spans"], [
             (row.phase, f"{row.total_s:8.1f}", f"{row.share:6.1%}", row.count)
-            for row in breakdown
-        ]
-
-    print(render_table(
-        "Publication phases — from recorded spans (§6.1)",
-        ["phase", "total s", "share", "spans"],
-        rows_for(publication_breakdown(records)),
-    ))
-    print()
-    print(render_table(
-        "Retrieval phases — from recorded spans (§6.2)",
-        ["phase", "total s", "share", "spans"],
-        rows_for(retrieval_breakdown(records)),
-    ))
-    share = walk_share(records)
-    print(f"\nDHT walk share of publication time: {share:.1%}"
+            for row in breakdown(records)
+        ]) + "\n")
+    print(f"DHT walk share of publication time: {walk_share(records):.1%}"
           " (paper §6.1: 87.9%)")
     print(f"spans recorded: {len(records)}"
           f" ({len(obs.tracer.open_spans())} left open)")
@@ -565,24 +483,11 @@ def _cmd_trace(args) -> None:
 
 
 def _cmd_gateway(args) -> None:
-    results = run_gateway_experiment(
-        GatewayExperimentConfig(
-            trace=GatewayTraceConfig(scale=args.scale), seed=args.seed
-        )
-    )
-    print(render_table(
-        "Table 5 — cache tiers",
-        ["tier", "median latency", "requests", "traffic"],
-        [
-            (row.tier.value, f"{row.median_latency:.3f} s",
-             f"{row.request_share:6.1%}", f"{row.traffic_share:6.1%}")
-            for row in results.tier_table()
-        ],
-    ))
-    print(f"\ncombined hit rate: {results.combined_hit_rate():.1%}")
+    results = gateway_dataset(args.scale, seed=args.seed)
+    print(render_dataset("gateway", results))
     if args.export:
         rows = export.export_gateway_log(results.log, args.export)
-        print(f"wrote {rows} log rows to {args.export}")
+        print(f"\nwrote {rows} log rows to {args.export}")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -19,19 +19,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 
-from repro.experiments.deployment import (
-    CrawlCampaignConfig,
-    analyze_population,
-    run_crawl_timeseries,
+from repro.experiments.datasets import (
+    crawl_dataset,
+    deployment_dataset,
+    gateway_dataset,
+    perf_dataset,
 )
-from repro.experiments.gateway_exp import (
-    GatewayExperimentConfig,
-    run_gateway_experiment,
-)
-from repro.experiments.perf import PerfConfig, run_perf_experiment
 from repro.experiments.runner import Cell, run_cells
-from repro.experiments.scenario import AWS_REGIONS, ScenarioConfig, build_scenario
-from repro.utils.rng import derive_rng
 from repro.utils.stats import percentiles
 from repro.validation.compare import ks_against_reference
 from repro.validation.report import Claim, GradedReport
@@ -44,8 +38,6 @@ from repro.validation.targets import (
     TARGETS,
     TARGETS_BY_KEY,
 )
-from repro.workloads.gateway_trace import GatewayTraceConfig
-from repro.workloads.population import PopulationConfig, generate_population
 
 #: Regions the paper finds slowest for retrievals (Table 4 / Fig 9a:
 #: af_south and ap_southeast; sa_east sits in the same far band).
@@ -108,27 +100,16 @@ METRIC_KEYS_BY_DATASET: dict[str, tuple[str, ...]] = {
 
 def run_peer_dataset(config: ValidationConfig) -> dict[str, float]:
     """Population analysis + crawl/probe campaign (Section 5)."""
-    population = generate_population(
-        PopulationConfig(n_peers=config.population_peers),
-        derive_rng(config.seed, "validate-pop"),
+    population, analysis = deployment_dataset(
+        config.population_peers, seed=config.seed, label="validate-pop"
     )
-    analysis = analyze_population(population)
     never = sum(
         1 for spec in population.peers if spec.reachability == "never"
     ) / len(population.peers)
 
-    crawl_population = generate_population(
-        PopulationConfig(n_peers=config.crawl_peers),
-        derive_rng(config.seed, "validate-crawl-pop"),
-    )
-    scenario = build_scenario(crawl_population, ScenarioConfig(seed=config.seed))
-    campaign = run_crawl_timeseries(
-        scenario,
-        CrawlCampaignConfig(
-            crawl_interval_s=config.crawl_interval_s,
-            duration_s=config.crawl_hours * 3600.0,
-            seed=config.seed,
-        ),
+    _, campaign = crawl_dataset(
+        config.crawl_peers, config.crawl_hours, config.crawl_interval_s,
+        seed=config.seed, run_seed=config.seed, label="validate-crawl-pop",
     )
     crawls = campaign.timeseries()
     undialable = sum(u / total for _, total, _, u in crawls if total) / len(crawls)
@@ -149,12 +130,7 @@ def run_peer_dataset(config: ValidationConfig) -> dict[str, float]:
 
 def run_gateway_dataset(config: ValidationConfig) -> dict[str, float]:
     """One replayed day of gateway traffic (Sections 4.2, 6.3)."""
-    results = run_gateway_experiment(
-        GatewayExperimentConfig(
-            trace=GatewayTraceConfig(scale=config.gateway_scale),
-            seed=config.seed,
-        )
-    )
+    results = gateway_dataset(config.gateway_scale, seed=config.seed)
     country_by_user = {entry.user: entry.country for entry in results.log}
     user_countries = Counter(country_by_user.values())
     n_users = sum(user_countries.values())
@@ -185,15 +161,9 @@ def run_gateway_dataset(config: ValidationConfig) -> dict[str, float]:
 
 def run_performance_dataset(config: ValidationConfig) -> dict[str, float]:
     """The six-region publish/retrieve experiment (Sections 6.1-6.2)."""
-    population = generate_population(
-        PopulationConfig(n_peers=config.perf_peers),
-        derive_rng(config.seed, "validate-perf-pop"),
-    )
-    scenario = build_scenario(
-        population, ScenarioConfig(seed=config.seed), vantage_regions=AWS_REGIONS
-    )
-    results = run_perf_experiment(
-        scenario, PerfConfig(rounds=config.perf_rounds, seed=config.seed)
+    _, results = perf_dataset(
+        config.perf_peers, config.perf_rounds, seed=config.seed,
+        run_seed=config.seed, label="validate-perf-pop",
     )
     publications = [r.total_duration for r in results.all_publications()]
     retrievals = [r.total_duration for r in results.all_retrievals()]

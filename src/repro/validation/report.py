@@ -115,6 +115,9 @@ class GradedReport:
     #: wall clock, RSS and the like: machine-dependent, so kept apart
     #: from everything the byte-for-byte gates compare.
     telemetry: dict[str, Any] | None = None
+    #: rendered tables and figures the claims were read off: printed by
+    #: :meth:`render_text` above the claims, not part of the artifact.
+    body: str | None = None
 
     @property
     def overall(self) -> Grade:
@@ -176,6 +179,8 @@ class GradedReport:
                     for cell in self.cells
                 ],
             )]
+        if self.body is not None:
+            lines += ["", self.body]
         lines += ["", *(claim.render() for claim in self.claims)]
         tally = Counter(claim.tag for claim in self.claims)
         counts = " / ".join(f"{tally[grade.value]} {grade.value}" for grade in Grade)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.experiments.report import (
-    check_shape,
     render_cdf,
     render_series,
     render_share_table,
@@ -67,10 +66,6 @@ class TestRenderSeriesAndChecks:
         series = [(float(i), i) for i in range(10)]
         text = render_series("X", series, every=5)
         assert text.count("t=") == 2
-
-    def test_check_shape_pass_fail(self):
-        assert check_shape("good", True).startswith("[PASS]")
-        assert check_shape("bad", False).startswith("[FAIL]")
 
 
 class TestTransportSelection:

@@ -1,4 +1,5 @@
-"""Shared test helpers: compact simulated-world builders."""
+"""Shared test helpers: compact simulated-world builders, and the
+sub-second shape of the ``figures`` datasets."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from unittest import mock
 
 from repro.dht.bootstrap import populate_routing_tables
 from repro.dht.dht_node import DhtNode
+from repro.experiments import figures
 from repro.multiformats import multihash
 from repro.multiformats.peerid import PeerId
 from repro.simnet.latency import PeerClass, Region
@@ -97,3 +99,11 @@ def counted_digests() -> Iterator[list[int]]:
 
     with mock.patch.dict(multihash._HASHERS, {multihash.SHA2_256: (name, counting)}):
         yield sizes
+
+
+#: The four datasets of the frozen ``figures`` bench shape, shrunk to
+#: well under a second.
+TINY_FIGURES = figures.FiguresConfig(
+    perf_peers=120, perf_rounds=1, population_peers=800, crawl_peers=40,
+    crawl_hours=2.0, gateway_scale=2000,
+)

@@ -8,16 +8,19 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments import figures
 from repro.tools import cli
 from repro.tools.graded import write_atomic
 from repro.validation import conformance
 from repro.validation.compare import Grade, worst_grade
 from repro.validation.report import SCHEMA, GradedReport
+from tests.helpers import TINY_FIGURES
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 #: Flags that shrink each entry to well under a second.
 TINY_FLAGS = {
+    "figures": [],  # no flags of its own: the frozen shape is shrunk below
     "validate": ["--tier", "quick"],  # with the quick tier shrunk below
     "attack": ["--peers", "80", "--retrievals", "1", "--attacks", "eclipse"],
     "nat-sweep": ["--peers", "40", "--hours", "0.5", "--retrievals", "0"],
@@ -61,6 +64,10 @@ def test_every_entry_has_tiny_flags():
 @entries
 def test_run_export_and_exit_code(entry, tmp_path, capsys, monkeypatch):
     monkeypatch.setitem(conformance.TIERS, "quick", TINY_QUICK_TIER)
+    monkeypatch.setattr(figures, "BENCH", TINY_FIGURES)
+    monkeypatch.setattr(figures, "FIGURES", tuple(  # the ablations shrink in test_figures.py
+        figure for figure in figures.FIGURES if not figure.name.startswith("ablation.")
+    ))
     texts = []
     for run in ("a", "b"):
         path = tmp_path / f"{run}.json"

@@ -1,13 +1,14 @@
 """Every graded value of the committed artifacts, frozen as literals.
 
-The six ``BENCH_*.json`` artifacts are this repo's deliverable: graded
+The graded ``BENCH_*.json`` artifacts are this repo's deliverable: graded
 claims against the paper's numbers. Their *layout* may change (one
 schema replaced six); their *content* may not. This file holds a
 layout-independent projection of each artifact — every graded and
 informational row as ``(experiment, key, scope, measured, expected,
 grade)``, the overall grade, and a sha256 of the canonical JSON of the
 cell sub-tree — written against the pre-unification artifacts (PR 18
-froze them at its parent commit, before it replaced the six layouts).
+froze them at its parent commit, before it replaced the six layouts; the
+``figures`` block is the first ``BENCH_figures.json``, PR 21).
 The literals are the oracle: regenerating an artifact must reproduce
 them, and they are not to be edited to make a layout change pass.
 
@@ -206,6 +207,94 @@ PINNED = {
             ('scale', 'scale.undialable_fraction', '', 0.462117, 0.455, 'PASS'),
         ],
     ),
+    "figures": (
+        "PASS",
+        "eaa28d15ce0c6b3ba513a4b08d4acd791220236c426a51c89515364032303fb3",
+        [
+            ('figures', 'ablation.alpha.alpha6_over_alpha3_p50', 'ablation.alpha', 0.790883, 0.4, 'PASS'),
+            ('figures', 'ablation.alpha.serial_over_alpha3_p50', 'ablation.alpha', 2.292033, 1.0, 'PASS'),
+            ('figures', 'ablation.client_server.post_over_pre_failed_rpcs', 'ablation.client_server', 0.014019, 1.0, 'PASS'),
+            ('figures', 'ablation.client_server.post_over_pre_p50', 'ablation.client_server', 0.135025, 0.75, 'PASS'),
+            ('figures', 'ablation.gateway_cache.gain_from_15_to_30_percent', 'ablation.gateway_cache', 0.045528, 0.15, 'PASS'),
+            ('figures', 'ablation.gateway_cache.largest_hit_share_drop', 'ablation.gateway_cache', -0.045528, 0.02, 'PASS'),
+            ('figures', 'ablation.gateway_cache.smallest_cache_hit_share', 'ablation.gateway_cache', 0.257558, 0.15, 'PASS'),
+            ('figures', 'ablation.hydra.boosted_over_plain_p90', 'ablation.hydra', 0.386502, 1.25, 'PASS'),
+            ('figures', 'ablation.hydra.plain_over_boosted_p50', 'ablation.hydra', 1.195835, 1.0, 'PASS'),
+            ('figures', 'ablation.parallel_lookup.p50_saved_s', 'ablation.parallel_lookup', 1.1019, 1.2, 'PASS'),
+            ('figures', 'ablation.parallel_lookup.parallel_over_sequential_rpcs', 'ablation.parallel_lookup', 0.98094, 0.95, 'PASS'),
+            ('figures', 'ablation.replication.k1_survival', 'ablation.replication', 0.333333, 0.75, 'PASS'),
+            ('figures', 'ablation.replication.k20_survival', 'ablation.replication', 1.0, 0.95, 'PASS'),
+            ('figures', 'ablation.replication.low_over_high_k_survival', 'ablation.replication', 0.666667, 1.0, 'PASS'),
+            ('figures', 'fig04a.coverage_swing', 'fig04a', 0.0, 0.4, 'PASS'),
+            ('figures', 'fig04a.crawls', 'fig04a', 24.0, 8.0, 'PASS'),
+            ('figures', 'fig04a.min_crawl_coverage', 'fig04a', 1.0, 0.7, 'PASS'),
+            ('figures', 'fig04a.never_reachable_share', 'fig04a', 0.33, 0.2, 'PASS'),
+            ('figures', 'fig04a.undialable_fraction', 'fig04a', 0.486198, 0.45, 'PASS'),
+            ('figures', 'fig04b.bins', 'fig04b', 288.0, 280.0, 'PASS'),
+            ('figures', 'fig04b.min_bin_requests', 'fig04b', 125.0, 1.0, 'PASS'),
+            ('figures', 'fig04b.peak_over_trough', 'fig04b', 8.032, 1.5, 'PASS'),
+            ('figures', 'fig05.countries', 'fig05', 152.0, 140.0, 'PASS'),
+            ('figures', 'fig05.fr_tw_kr_in_ranks_3_to_5', 'fig05', 3.0, 3.0, 'PASS'),
+            ('figures', 'fig05.multihoming_share', 'fig05', 0.089567, 0.09, 'PASS'),
+            ('figures', 'fig05.top5_share_max_deviation', 'fig05', 0.005533, 0.03, 'PASS'),
+            ('figures', 'fig05.us_cn_lead_margin', 'fig05', 1.157487, 1.0, 'PASS'),
+            ('figures', 'fig06.countries', 'fig06', 54.0, 55.0, 'PASS'),
+            ('figures', 'fig06.us_cn_lead_margin', 'fig06', 1.596343, 1.0, 'PASS'),
+            ('figures', 'fig06.us_share_deviation', 'fig06', 0.03133, 0.05, 'PASS'),
+            ('figures', 'fig07.largest_ip_peers', 'fig07', 4226.0, 1000.0, 'PASS'),
+            ('figures', 'fig07.largest_reliable_country_share', 'fig07', 0.005517, 0.015, 'PASS'),
+            ('figures', 'fig07.never_reachable_share', 'fig07', 0.328317, 0.325, 'PASS'),
+            ('figures', 'fig07.reliable_share', 'fig07', 0.021483, 0.0225, 'PASS'),
+            ('figures', 'fig07.single_peer_ip_floor', 'fig07', 0.987717, 0.9, 'PASS'),
+            ('figures', 'fig07.single_peer_ip_share', 'fig07', 0.987717, 0.923, 'info'),
+            ('figures', 'fig07.top100_as_share', 'fig07', 0.915401, 0.9, 'PASS'),
+            ('figures', 'fig07.top10_as_share', 'fig07', 0.642247, 0.65, 'PASS'),
+            ('figures', 'fig08.de_over_hk_median', 'fig08', 1.780369, 1.0, 'PASS'),
+            ('figures', 'fig08.session_count', 'fig08', 1939.0, 300.0, 'PASS'),
+            ('figures', 'fig08.session_over_24h', 'fig08', 0.0, 0.12, 'PASS'),
+            ('figures', 'fig08.session_under_8h', 'fig08', 0.938112, 0.75, 'PASS'),
+            ('figures', 'fig09abc.publication_p50_s', 'fig09abc', 35.055792, 52.5, 'PASS'),
+            ('figures', 'fig09abc.rpc_batch_over_5s', 'fig09abc', 0.383333, 0.55, 'PASS'),
+            ('figures', 'fig09abc.rpc_batch_under_2s', 'fig09abc', 0.466667, 0.45, 'PASS'),
+            ('figures', 'fig09abc.walk_share', 'fig09abc', 0.913232, 0.87, 'PASS'),
+            ('figures', 'fig09def.both_walks_under_2s', 'fig09def', 0.723333, 0.5, 'PASS'),
+            ('figures', 'fig09def.fetch_under_1_26s', 'fig09def', 1.0, 0.9, 'PASS'),
+            ('figures', 'fig09def.retrieval_min_s', 'fig09def', 1.742558, 1.0, 'PASS'),
+            ('figures', 'fig09def.retrieval_success_rate', 'fig09def', 1.0, 1.0, 'PASS'),
+            ('figures', 'fig09def.single_walk_p50_s', 'fig09def', 0.646129, 1.0, 'PASS'),
+            ('figures', 'fig10.eu_stretch_under_2_share', 'fig10', 0.14, 0.8, 'info'),
+            ('figures', 'fig10.eu_under_2_floor', 'fig10', 0.14, 0.1, 'PASS'),
+            ('figures', 'fig10.stretch_p50', 'fig10', 4.817836, 4.5, 'PASS'),
+            ('figures', 'fig10.window_over_no_window_p50', 'fig10', 1.549429, 1.0, 'PASS'),
+            ('figures', 'fig11.min_bin_cached_share', 'fig11', 0.840479, 0.5, 'PASS'),
+            ('figures', 'fig11.object_size_p50_kib', 'fig11', 512.761719, 750.0, 'PASS'),
+            ('figures', 'fig11.objects_under_100k', 'fig11', 0.141707, 0.4, 'PASS'),
+            ('figures', 'fig11.served_under_250ms', 'fig11', 0.908169, 0.6, 'PASS'),
+            ('figures', 'fig11.size_latency_abs_r', 'fig11', 0.023543, 0.3, 'PASS'),
+            ('figures', 'table1.min_operations_per_region', 'table1', 10.0, 1.0, 'PASS'),
+            ('figures', 'table1.retrievals_per_publication_worst', 'table1', 5.0, 4.0, 'PASS'),
+            ('figures', 'table2.chinese_backbones_share', 'table2', 0.325214, 0.25, 'PASS'),
+            ('figures', 'table2.paper_order_margin', 'table2', 1.191664, 1.0, 'PASS'),
+            ('figures', 'table2.top5_share', 'table2', 0.511751, 0.5, 'PASS'),
+            ('figures', 'table2.top_as_max_deviation', 'table2', 0.013564, 0.025, 'PASS'),
+            ('figures', 'table3.cloud_share', 'table3', 0.023217, 0.035, 'PASS'),
+            ('figures', 'table3.contabo_aws_lead_margin', 'table3', 1.183727, 1.0, 'PASS'),
+            ('figures', 'table3.non_cloud_share', 'table3', 0.976783, 0.965, 'PASS'),
+            ('figures', 'table4.fastest_region_margin', 'table4', 1.2434, 1.0, 'PASS'),
+            ('figures', 'table4.min_publication_over_retrieval', 'table4', 8.872899, 5.0, 'PASS'),
+            ('figures', 'table4.publication_median_worst_s', 'table4', 33.911226, 50.0, 'PASS'),
+            ('figures', 'table4.publication_p90_s', 'table4', 46.117106, 112.3, 'info'),
+            ('figures', 'table4.publication_p95_s', 'table4', 53.864957, 138.1, 'info'),
+            ('figures', 'table4.retrieval_median_worst_s', 'table4', 2.500065, 3.75, 'PASS'),
+            ('figures', 'table5.cached_over_non_cached_requests', 'table5', 4.371656, 1.0, 'PASS'),
+            ('figures', 'table5.combined_hit_rate', 'table5', 0.908169, 0.75, 'PASS'),
+            ('figures', 'table5.latency_ordering_margin', 'table5', 0.001995, 1.0, 'PASS'),
+            ('figures', 'table5.node_store_p50_s', 'table5', 0.008028, 0.024, 'PASS'),
+            ('figures', 'table5.node_store_traffic_share', 'table5', 0.298268, 0.38, 'info'),
+            ('figures', 'table5.non_cached_p50_s', 'table5', 4.023252, 5.0, 'PASS'),
+            ('figures', 'table5.referred_share', 'table5', 0.518073, 0.51, 'PASS'),
+        ],
+    ),
 }
 
 
@@ -226,6 +315,7 @@ def test_row_counts_are_the_ones_the_artifacts_were_frozen_with():
     }
     assert graded == {
         "attack": 46, "fidelity": 27, "nat": 4, "overload": 9,
-        "replay": 14, "scale": 6,
+        "replay": 14, "scale": 6, "figures": 77,
     }
     assert sum(1 for row in PINNED["replay"][2] if row[-1] == "info") == 20
+    assert sum(1 for row in PINNED["figures"][2] if row[-1] == "info") == 5
