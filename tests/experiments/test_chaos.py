@@ -2,6 +2,9 @@
 retries, and the zero-intensity no-op guarantee."""
 
 import dataclasses
+import hashlib
+import json
+import math
 
 import pytest
 
@@ -9,6 +12,11 @@ from repro.experiments.chaos import (
     ChaosConfig,
     resilient_node_config,
     run_chaos_experiment,
+    run_chaos_pair,
+)
+from repro.experiments.chaos_recovery import (
+    ChaosRecoveryConfig,
+    run_chaos_recovery_pair,
 )
 from repro.experiments.perf import PerfConfig, run_perf_experiment
 from repro.experiments.scenario import ScenarioConfig, build_scenario
@@ -111,3 +119,78 @@ def test_resilient_node_config_enables_every_layer():
     assert config.lookup.failure_threshold > 1
     assert config.dial_retry.enabled
     assert config.bitswap_retry.enabled
+
+
+# ----------------------------------------------------------------------
+# the oracle: the level records of the two bench shapes, frozen at the
+# commit before the two chaos modules were unified. The literals are the
+# sha256 of the JSONL the exporters of that commit wrote
+# (``export_chaos_dataset([bare, retry])`` at 300 peers / 12 retrievals
+# / 5 intensities, ``export_chaos_recovery_dataset([retry, resilient])``
+# at 250 / 8+3 / 3, the latter byte-equal to the then-committed
+# ``benchmarks/results/chaos_recovery.jsonl``); the loop below spells
+# those two record layouts with the stdlib alone, so it outlives the
+# exporters. Neither is to be edited to make a refactor pass.
+# ----------------------------------------------------------------------
+
+SWEEP_SHA256 = "62883e06055961e74cf2b0df1454afba5437418581028907d1f5c21f9085bb50"
+RECOVERY_SHA256 = "5041edca4044a3fc5d3d60a94dfe14279efbab854736db3a45352f11d84bd057"
+
+SWEEP_TAIL = ("faults_injected", "retries_attempted", "rpcs_timed_out", "evictions")
+RECOVERY_TAIL = (
+    "unannounced_attempted", "unannounced_succeeded", "faults_injected",
+    "retries_attempted", "rpcs_timed_out", "breaker_opened", "breaker_skips",
+    "hedges_launched", "hedge_wins", "fallback_broadcasts", "fallback_hits",
+    "adaptive_deadlines",
+)
+
+
+def _percentile(ordered, q):
+    """numpy's "linear" percentile of a sorted list, ``None`` if empty."""
+    if not ordered:
+        return None
+    rank = (len(ordered) - 1) * q / 100.0
+    low, high = math.floor(rank), math.ceil(rank)
+    if low == high:
+        return float(ordered[low])
+    fraction = rank - low
+    return ordered[low] * (1.0 - fraction) + ordered[high] * fraction
+
+
+def records_sha256(flag, flagged_levels, tail):
+    """sha256 of one JSON line per ``(flag value, level)``, in order."""
+    lines = []
+    for flagged, level in flagged_levels:
+        ordered = sorted(level.latencies)
+        record = {
+            "intensity": level.intensity,
+            flag: flagged,
+            "attempted": level.attempted,
+            "succeeded": level.succeeded,
+            "success_rate": level.success_rate,
+            "latency_p50_s": _percentile(ordered, 50),
+            "latency_p90_s": _percentile(ordered, 90),
+            "latency_p95_s": _percentile(ordered, 95),
+        }
+        record.update((name, getattr(level, name)) for name in tail)
+        lines.append(json.dumps(record) + "\n")
+    return hashlib.sha256("".join(lines).encode()).hexdigest()
+
+
+def test_loss_sweep_bench_records_match_the_frozen_sha256():
+    bare, retry = run_chaos_pair(ChaosConfig(), workers=2)
+    levels = [(False, level) for level in bare.levels]
+    levels += [(True, level) for level in retry.levels]
+    assert records_sha256("with_retries", levels, SWEEP_TAIL) == SWEEP_SHA256
+
+
+def test_recovery_bench_records_match_the_frozen_sha256():
+    retry, resilient = run_chaos_recovery_pair(
+        ChaosRecoveryConfig(
+            n_peers=250, retrievals_per_level=8, unannounced_retrievals=3
+        ),
+        workers=2,
+    )
+    levels = [(False, level) for level in retry.levels]
+    levels += [(True, level) for level in resilient.levels]
+    assert records_sha256("with_resilience", levels, RECOVERY_TAIL) == RECOVERY_SHA256
