@@ -24,8 +24,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from repro.errors import ReproError
-from repro.experiments.chaos import resilient_node_config
-from repro.experiments.chaos_recovery import full_resilience_config
+from repro.experiments.chaos import full_resilience_config, resilient_node_config
 from repro.node.config import NodeConfig
 
 #: Hydra-style replication factor for record stores (2x the paper's k).

@@ -38,12 +38,11 @@ from repro.dht.keyspace import key_for_cid
 from repro.experiments.chaos import (
     GETTER_REGION,
     PUBLISHER_REGION,
-    _drain_unpinned,
+    cold_retrieve,
 )
 from repro.experiments.runner import Cell, run_cells
 from repro.experiments.scenario import ScenarioConfig, build_scenario
 from repro.simnet.faults import FaultInjector
-from repro.simnet.sim import with_timeout
 from repro.utils.rng import derive_rng
 from repro.utils.stats import percentiles
 from repro.validation.compare import Grade, grade_at_least
@@ -225,17 +224,9 @@ def _run_cell(
             slot = incident_start + index * config.retrieval_spacing_s
             if slot > sim.now:
                 yield slot - sim.now
-            getter.disconnect_all()
-            getter.address_book.forget(publisher.peer_id)
-            _drain_unpinned(getter)
-            started = sim.now
-            process = sim.spawn(getter.retrieve(root))
-            try:
-                yield with_timeout(sim, process.future, config.retrieval_budget_s)
-            except Exception:  # noqa: BLE001 - a failed retrieval, count it
-                outcomes.append(None)
-            else:
-                outcomes.append(sim.now - started)
+            outcomes.append((yield from cold_retrieve(
+                getter, publisher, root, config.retrieval_budget_s
+            )))
 
     sim.run_process(driver())
     return AttackCellResult(

@@ -1,48 +1,74 @@
-"""Chaos sweep: retrieval resilience under injected faults.
+"""The chaos experiment: retrieval under injected faults, arm by arm.
 
 The paper evaluates IPFS in its network's steady state; this experiment
-asks how retrieval *degrades* when the network misbehaves. It sweeps an
-RPC-loss intensity across otherwise-identical worlds and measures the
-end-to-end retrieval success rate and latency percentiles at each
-level, once with the seed's fire-and-forget protocol stack and once
-with the retry/backoff stack enabled — the delta is the value of the
-resilience layer.
+asks how retrieval *degrades* when the network misbehaves, and what
+each layer of protection buys back. Three protocol stacks form a
+ladder (:data:`ARMS`): ``bare`` is the seed's fire-and-forget stack,
+``retry`` adds retry/backoff everywhere, ``resilient`` adds the
+:mod:`repro.resilience` layer (breakers, hedging, adaptive deadlines,
+degraded-mode fallbacks) on top of the retries. Two sweeps
+(:data:`SWEEPS`) run arms of that ladder across a fault intensity:
 
-Protocol per intensity level: build a fresh static world (no churn, so
-injected faults are the only variable), publish one object from the
-EU vantage node in calm weather, install the fault plan, then have the
-US vantage node retrieve the object repeatedly, disconnecting and
-dropping its blocks between attempts so every retrieval pays the full
-DHT + dial + Bitswap path. A lost WANT_BLOCK with retries disabled
-leaves the fetch pending forever, so each retrieval runs under a
-simulated-time budget and counts as failed when the budget expires.
+- ``loss`` — a *static* world under silent RPC loss, ``bare`` vs
+  ``retry``: the delta is the value of blindly paying for failures;
+- ``recovery`` — a *churning* world (Fig 8: median sessions under 10
+  minutes) under a loss + reset + malformed-reply diet, ``retry`` vs
+  ``resilient``: the delta is what *learning about failures* buys
+  beyond retrying them, plus retrievals of content that is cached near
+  its key but announced by nobody, which only the fallback broadcast
+  can find.
+
+Protocol per (arm, intensity) level: build a fresh world, publish one
+object from the EU vantage node in calm weather, install the fault
+plan, then have the US vantage node retrieve it repeatedly, cold every
+time (:func:`cold_retrieve`). Levels are independent cells — every RNG
+stream derives from the seed, the arm and the intensity — so
+:func:`run_chaos` shards them over any number of workers with
+identical results, and :func:`grade_chaos` turns the sweep's expected
+shapes into claims (``chaos`` / ``chaos-recovery`` subcommands,
+``BENCH_chaos.json`` / ``BENCH_chaos_recovery.json``).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Generator
-from dataclasses import dataclass, field
+import operator
+from collections.abc import Callable, Generator, Mapping
+from dataclasses import dataclass
+from typing import Any
 
+from repro.blockstore.memory import MemoryBlockstore
+from repro.dht.keyspace import key_for_cid, key_for_peer, xor_distance
 from repro.dht.lookup import LookupConfig
-from repro.experiments.runner import Cell, run_cells
-from repro.experiments.scenario import ScenarioConfig, build_scenario
+from repro.errors import ReproError
+from repro.experiments.datasets import build_world
+from repro.experiments.runner import run_cells, sweep_cells
+from repro.experiments.scenario import Scenario
+from repro.merkledag.builder import DagBuilder
 from repro.node.config import NodeConfig
 from repro.obs import Observability
-from repro.resilience import ResilienceConfig
+from repro.resilience import BreakerConfig, ResilienceConfig
+from repro.simnet.faults import FaultInjector, FaultKind, FaultPlan, FaultRule
 from repro.simnet.network import NetworkStats
-from repro.simnet.faults import FaultInjector, FaultPlan
 from repro.simnet.sim import with_timeout
 from repro.utils.retry import RetryPolicy
 from repro.utils.rng import derive_rng
 from repro.utils.stats import percentiles
-from repro.workloads.population import PopulationConfig, generate_population
+from repro.validation.compare import Grade
+from repro.validation.report import Claim, GradedReport
 
 #: One fixed publisher/getter pair (the perf experiment rotates all six
-#: regions; the sweep holds the path constant so fault intensity is the
+#: regions; the sweeps hold the path constant so fault intensity is the
 #: only variable).
 PUBLISHER_REGION = "eu_central_1"
 GETTER_REGION = "us_west_1"
+
+OBJECT_SIZE = 64 * 1024
+#: Simulated seconds before an unfinished retrieval counts as failed (a
+#: lost want with no retry never settles on its own).
+RETRIEVAL_BUDGET_S = 180.0
+#: How many near-key dialable peers cache the unannounced object.
+UNANNOUNCED_REPLICAS = 8
 
 
 def resilient_node_config() -> NodeConfig:
@@ -69,68 +95,152 @@ def resilient_node_config() -> NodeConfig:
     )
 
 
+def full_resilience_config() -> ResilienceConfig:
+    """Every resilience feature on, tuned for incident weather.
+
+    The breaker trips after two consecutive failures (the sweep's
+    retrievals are minutes apart, so a 90 s cooldown spans roughly one
+    retrieval — long enough to skip a dead peer for the rest of an
+    attempt, short enough to re-probe within the level).
+    """
+    return ResilienceConfig(
+        breakers=True,
+        hedging=True,
+        adaptive_timeouts=True,
+        fallbacks=True,
+        breaker=BreakerConfig(failure_threshold=2, cooldown_s=90.0),
+    )
+
+
+#: The ladder, weakest first: arm -> the :class:`NodeConfig` every node
+#: of its worlds runs (``None`` = the stock config, exactly the seed's
+#: stack). The four :class:`ResilienceConfig` flags are only ever all
+#: off or all on, so they are this one step.
+ARMS: dict[str, Callable[[], NodeConfig | None]] = {
+    "bare": lambda: None,
+    "retry": resilient_node_config,
+    "resilient": lambda: dataclasses.replace(
+        resilient_node_config(), resilience=full_resilience_config()
+    ),
+}
+
+#: Summed over the vantage nodes' ``ResilienceStats`` into each level
+#: (zero below the ``resilient`` arm by construction).
+RESILIENCE_COUNTERS = (
+    "breaker_opened", "breaker_skips", "hedges_launched", "hedge_wins",
+    "fallback_broadcasts", "fallback_hits", "adaptive_deadlines",
+)
+
+
+def mixed_fault_plan(intensity: float) -> FaultPlan:
+    """A fault diet at overall probability ``intensity`` per RPC.
+
+    60 % of the budget is silent loss, 20 % mid-RPC resets, 20 %
+    malformed replies — covering the distinct failure signatures the
+    resilience layer must handle (timeout, fast error, garbage that
+    must not count as success).
+    """
+    if intensity <= 0.0:
+        return FaultPlan.of()
+    return FaultPlan.of(
+        FaultRule(FaultKind.LOSS, 0.6 * intensity),
+        FaultRule(FaultKind.RESET, 0.2 * intensity),
+        FaultRule(FaultKind.MALFORMED, 0.2 * intensity),
+    )
+
+
 @dataclass(frozen=True)
 class ChaosConfig:
+    """One sweep; the defaults are the ``loss`` bench shape."""
+
     seed: int = 42
     n_peers: int = 300
-    #: RPC-loss probabilities to sweep.
+    #: a row of :data:`SWEEPS`.
+    sweep: str = "loss"
+    #: per-RPC fault probabilities to sweep.
     intensities: tuple[float, ...] = (0.0, 0.05, 0.1, 0.2, 0.3)
     retrievals_per_level: int = 12
-    object_size: int = 64 * 1024
-    #: False runs the seed's fire-and-forget stack (the baseline).
-    with_retries: bool = True
-    #: Simulated seconds before an unfinished retrieval counts as
-    #: failed (a lost want with no retry never settles on its own).
-    retrieval_budget_s: float = 180.0
+    #: Per level, extra retrievals of content that is *cached but not
+    #: announced*: copies live on the peers closest to the key, but no
+    #: provider record exists (the paper's re-provide problem — Section
+    #: 6.4 measures providing as the dominant cost, and nodes that skip
+    #: it leave their caches invisible to the DHT). Only the
+    #: degraded-mode broadcast can find these.
+    unannounced_retrievals: int = 0
+    #: rungs of :data:`ARMS` to run; grading sets the last against the
+    #: first.
+    arms: tuple[str, ...] = ("bare", "retry")
     #: Extra simulated seconds to run each level's world after the last
     #: retrieval, letting in-flight dials and timers settle so the
-    #: reported :class:`NetworkStats` are coherent (the invariant tests
-    #: set this; 0 reports the instant the sweep ends, as always).
+    #: level's :class:`NetworkStats` are coherent (the invariant tests
+    #: set this; 0 reports the instant the sweep ends).
     settle_s: float = 0.0
-    #: Optional resilience feature flags applied to every node (on top
-    #: of whatever retry stack ``with_retries`` selects); ``None``
-    #: leaves the stock disabled-by-default config in place.
-    resilience: ResilienceConfig | None = None
+
+    def __post_init__(self) -> None:
+        if self.sweep not in SWEEPS:
+            raise ReproError(
+                f"unknown sweep {self.sweep!r} (choose from {', '.join(SWEEPS)})"
+            )
+        if not self.arms or not set(self.arms) <= set(ARMS):
+            raise ReproError(
+                f"arms must name rungs of {', '.join(ARMS)}, got {self.arms!r}"
+            )
+        # written so NaN is refused too
+        if not self.intensities or not all(
+            0.0 <= intensity <= 1.0 for intensity in self.intensities
+        ):
+            raise ReproError(
+                f"intensities must be probabilities in [0, 1], got {self.intensities!r}"
+            )
+        if self.retrievals_per_level < 1:
+            raise ReproError(
+                f"retrievals_per_level must be at least 1, got {self.retrievals_per_level}"
+            )
 
 
 @dataclass
-class ChaosLevelResult:
-    """One intensity level: outcomes plus the resilience telemetry."""
+class ChaosLevel:
+    """One (arm, intensity) level: outcomes plus what the protocol
+    stack and the resilience layer did to get them."""
 
+    arm: str
     intensity: float
     attempted: int
-    latencies: list[float] = field(default_factory=list)
-    faults_injected: int = 0
-    faults_by_kind: dict = field(default_factory=dict)
-    retries_attempted: int = 0
-    rpcs_timed_out: int = 0
-    evictions: int = 0
-    #: snapshot of the level's :class:`NetworkStats` at sweep end (each
-    #: level runs its own world, so these are per-level counters).
-    stats: NetworkStats | None = None
+    #: successful *announced-content* retrieval latencies; the
+    #: percentiles compare like-for-like across arms, so the
+    #: unannounced retrievals (which only one arm can win) stay out.
+    latencies: list[float]
+    #: [p50, p90, p95] of ``latencies``; ``None`` with no success.
+    latency_p50_s: float | None
+    latency_p90_s: float | None
+    latency_p95_s: float | None
+    #: the cached-but-unannounced retrievals, reported apart (they
+    #: count toward ``attempted`` / ``succeeded``).
+    unannounced_attempted: int
+    unannounced_succeeded: int
+    faults_injected: int
+    faults_by_kind: dict[str, int]
+    retries_attempted: int
+    rpcs_timed_out: int
+    evictions: int
+    #: the level's :class:`NetworkStats` at sweep end (each level runs
+    #: its own world, so these are per-level counters).
+    stats: NetworkStats
+    breaker_opened: int = 0
+    breaker_skips: int = 0
+    hedges_launched: int = 0
+    hedge_wins: int = 0
+    fallback_broadcasts: int = 0
+    fallback_hits: int = 0
+    adaptive_deadlines: int = 0
 
     @property
     def succeeded(self) -> int:
-        return len(self.latencies)
+        return len(self.latencies) + self.unannounced_succeeded
 
     @property
     def success_rate(self) -> float:
         return self.succeeded / self.attempted if self.attempted else 0.0
-
-    def latency_percentiles(self) -> list[float] | None:
-        """[p50, p90, p95] of successful retrievals, or ``None``."""
-        if not self.latencies:
-            return None
-        return percentiles(self.latencies, [50, 90, 95])
-
-
-@dataclass
-class ChaosResults:
-    config: ChaosConfig
-    levels: list[ChaosLevelResult] = field(default_factory=list)
-
-    def success_curve(self) -> list[tuple[float, float]]:
-        return [(level.intensity, level.success_rate) for level in self.levels]
 
 
 def _drain_unpinned(node) -> None:
@@ -139,42 +249,81 @@ def _drain_unpinned(node) -> None:
             node.blockstore.delete(cid)
 
 
-def _run_level(
+def cold_retrieve(
+    getter, publisher, root, budget_s: float
+) -> Generator[Any, Any, float | None]:
+    """One retrieval of ``root`` that pays the full discovery + dial +
+    Bitswap path: ``getter`` first drops its connections, what it knows
+    of ``publisher`` and every unpinned block. Returns the latency, or
+    ``None`` when the retrieval failed or outlived ``budget_s``."""
+    sim = getter.sim
+    getter.disconnect_all()
+    getter.address_book.forget(publisher.peer_id)
+    _drain_unpinned(getter)
+    started = sim.now
+    process = sim.spawn(getter.retrieve(root))
+    try:
+        yield with_timeout(sim, process.future, budget_s)
+    except Exception:  # noqa: BLE001 - a failed retrieval, count it
+        return None
+    return sim.now - started
+
+
+def _seed_unannounced(config: ChaosConfig, label: str, scenario: Scenario):
+    """Plant an object in near-key caches with *no* provider record.
+
+    Builds a DAG nobody announces and copies its blocks into the caches
+    of the ``UNANNOUNCED_REPLICAS`` dialable backdrop peers closest to
+    the root's DHT key — exactly the peers a provider walk for that key
+    converges on. The walk finds no records (there are none), so only
+    the degraded-mode broadcast over the connections the walk opened
+    can discover the copies. Returns the root CID.
+    """
+    store = MemoryBlockstore()
+    payload = derive_rng(config.seed, f"{label}-unannounced").randbytes(OBJECT_SIZE)
+    root = DagBuilder(store).add_bytes(payload).root
+    target = key_for_cid(root)
+    dialable = [
+        node for node in scenario.backdrop if not node.host.nat_private
+    ]
+    dialable.sort(
+        key=lambda node: xor_distance(target, key_for_peer(node.host.peer_id))
+    )
+    for node in dialable[:UNANNOUNCED_REPLICAS]:
+        cache = scenario.engines[node.host.peer_id].blockstore
+        for cid in list(store.cids()):
+            cache.put(store.get(cid))
+    return root
+
+
+def run_level(
     config: ChaosConfig,
+    arm: str,
     intensity: float,
     obs: Observability | None = None,
-) -> ChaosLevelResult:
-    population = generate_population(
-        PopulationConfig(n_peers=config.n_peers),
-        derive_rng(config.seed, "chaos-pop"),
-    )
-    node_config = resilient_node_config() if config.with_retries else None
-    if config.resilience is not None:
-        node_config = dataclasses.replace(
-            node_config if node_config is not None else NodeConfig(),
-            resilience=config.resilience,
-        )
-    scenario = build_scenario(
-        population,
-        ScenarioConfig(seed=config.seed, with_churn=False, node_config=node_config),
-        vantage_regions=[PUBLISHER_REGION, GETTER_REGION],
+) -> ChaosLevel:
+    """One arm at one intensity, in its own fresh world."""
+    sweep = SWEEPS[config.sweep]
+    label = sweep.label
+    scenario = build_world(
+        config.n_peers, config.seed, f"{label}-pop",
+        [PUBLISHER_REGION, GETTER_REGION],
+        with_churn=sweep.churn, node_config=ARMS[arm](),
     )
     sim, net = scenario.sim, scenario.net
     if obs is not None:
         net.install_observability(obs)
-        obs.tracer.event(
-            "chaos.level", intensity=intensity, with_retries=config.with_retries
-        )
     publisher = scenario.vantage[PUBLISHER_REGION]
     getter = scenario.vantage[GETTER_REGION]
     injector = FaultInjector(
-        FaultPlan.rpc_loss(intensity),
+        sweep.plan(intensity),
         derive_rng(
-            config.seed, "chaos-faults", f"{intensity:g}",
-            "retries" if config.with_retries else "baseline",
+            config.seed, f"{label}-faults", f"{intensity:g}",
+            sweep.fault_tags.get(arm, arm),
         ),
     )
     outcomes: list[float | None] = []
+    unannounced: list[float | None] = []
 
     def driver() -> Generator:
         # Publish in calm weather: the incident starts after the object
@@ -182,97 +331,237 @@ def _run_level(
         # rather than publication noise compounding it.
         for node in scenario.vantage.values():
             yield from node.publish_peer_record()
-        payload = derive_rng(config.seed, "chaos-object").randbytes(
-            config.object_size
-        )
+        payload = derive_rng(config.seed, f"{label}-object").randbytes(OBJECT_SIZE)
         root = publisher.add_bytes(payload).root
         yield from publisher.publish(root)
         net.install_faults(injector)
         for _ in range(config.retrievals_per_level):
-            getter.disconnect_all()
-            getter.address_book.forget(publisher.peer_id)
-            _drain_unpinned(getter)
-            started = sim.now
-            process = sim.spawn(getter.retrieve(root))
-            try:
-                yield with_timeout(sim, process.future, config.retrieval_budget_s)
-            except Exception:  # noqa: BLE001 - a failed retrieval, count it
-                outcomes.append(None)
-            else:
-                outcomes.append(sim.now - started)
+            outcomes.append((yield from cold_retrieve(
+                getter, publisher, root, RETRIEVAL_BUDGET_S
+            )))
+        if config.unannounced_retrievals > 0:
+            hidden = _seed_unannounced(config, label, scenario)
+            for _ in range(config.unannounced_retrievals):
+                unannounced.append((yield from cold_retrieve(
+                    getter, publisher, hidden, RETRIEVAL_BUDGET_S
+                )))
 
     sim.run_process(driver())
     if config.settle_s > 0.0:
         sim.run(until=sim.now + config.settle_s)
 
-    evictions = sum(node.routing_table.evictions for node in scenario.backdrop)
-    evictions += sum(
-        node.dht.routing_table.evictions for node in scenario.vantage.values()
+    latencies = [latency for latency in outcomes if latency is not None]
+    p50, p90, p95 = (
+        percentiles(latencies, [50, 90, 95]) if latencies else (None, None, None)
     )
-    return ChaosLevelResult(
+    vantage = list(scenario.vantage.values())
+    evictions = sum(node.routing_table.evictions for node in scenario.backdrop)
+    evictions += sum(node.dht.routing_table.evictions for node in vantage)
+    return ChaosLevel(
+        arm=arm,
         intensity=intensity,
-        attempted=len(outcomes),
-        latencies=[latency for latency in outcomes if latency is not None],
+        attempted=len(outcomes) + len(unannounced),
+        latencies=latencies,
+        latency_p50_s=p50,
+        latency_p90_s=p90,
+        latency_p95_s=p95,
+        unannounced_attempted=len(unannounced),
+        unannounced_succeeded=sum(
+            latency is not None for latency in unannounced
+        ),
         faults_injected=net.stats.faults_injected,
         faults_by_kind=dict(injector.stats.by_kind),
         retries_attempted=net.stats.retries_attempted,
         rpcs_timed_out=net.stats.rpcs_timed_out,
         evictions=evictions,
         stats=dataclasses.replace(net.stats),
+        **{
+            name: sum(getattr(node.resilience.stats, name) for node in vantage)
+            for name in RESILIENCE_COUNTERS
+        },
     )
 
 
-def run_chaos_experiment(
-    config: ChaosConfig | None = None,
-    obs: Observability | None = None,
-    workers: int = 1,
-) -> ChaosResults:
-    """Sweep the configured intensities; one fresh world per level.
+def run_chaos(config: ChaosConfig, workers: int = 1) -> list[ChaosLevel]:
+    """Every (arm, intensity) level of the sweep, arm-major; one pool
+    shares all of them, and the levels are identical for any
+    ``workers``."""
+    return run_cells(
+        sweep_cells(
+            SWEEPS[config.sweep].label, run_level, config,
+            config.arms, config.intensities,
+        ),
+        workers,
+    )
 
-    With an :class:`~repro.obs.Observability`, the tracer is carried
-    across the per-level worlds (clock rebinding included) so one trace
-    stream covers the whole sweep — a shared tracer cannot cross
-    process boundaries, so passing one forces ``workers`` to 1.
 
-    Levels are independent cells (each derives its RNGs from the seed
-    and its own intensity), so ``workers > 1`` shards them across
-    processes with results identical to the sequential sweep.
-    """
-    config = config if config is not None else ChaosConfig()
-    results = ChaosResults(config=config)
-    if obs is not None:
-        for intensity in config.intensities:
-            results.levels.append(_run_level(config, intensity, obs))
-        return results
-    cells = [
-        Cell(f"chaos@{intensity:g}", _run_level, (config, intensity))
-        for intensity in config.intensities
+# -- grading --------------------------------------------------------------------
+
+#: The recovery claims about latency, breakers and hedges are made
+#: where the faults are meaningful.
+HOT_INTENSITY = 0.2
+#: Where the loss sweep asks that retries strictly beat fire-and-forget.
+RETRY_GAIN_INTENSITY = 0.1
+
+#: What a level publishes (see :func:`repro.validation.report.cell_field`).
+CELL_FIELDS = (
+    "arm:", "intensity:.2f", "attempted", "succeeded", "success_rate:.0%",
+    "latency_p50_s:.1f", "latency_p90_s:.1f", "latency_p95_s:.1f",
+    "unannounced_attempted", "unannounced_succeeded:", "faults_injected:",
+    "faults_by_kind", "retries_attempted:", "rpcs_timed_out", "evictions:",
+    "breaker_opened:", "breaker_skips", "hedges_launched:", "hedge_wins",
+    "fallback_broadcasts:", "fallback_hits:", "adaptive_deadlines:",
+)
+
+
+def _claim(
+    key: str, scope: str, measured, holds: Callable[[Any, Any], bool],
+    expected, description: str,
+) -> Claim:
+    """``measured`` set against ``expected`` by the ordering ``holds``:
+    the sweeps' claims compare one level with another, not a number
+    with the paper's. A quantity a level could not produce (a
+    percentile of no successes) FAILs."""
+    ok = measured is not None and expected is not None and holds(measured, expected)
+    return Claim(
+        key,
+        None if measured is None else float(measured),
+        None if expected is None else float(expected),
+        Grade.PASS if ok else Grade.FAIL,
+        scope=scope, description=description,
+    )
+
+
+def _grade_loss(intensities, base, treated) -> list[Claim]:
+    calm, peak = min(intensities), max(intensities)
+    claims = [_claim(
+        "chaos.degradation", "", base[peak].success_rate, operator.le,
+        base[calm].success_rate,
+        f"baseline success at {peak:.0%} loss is no better than at {calm:.0%}",
+    )]
+    if RETRY_GAIN_INTENSITY in base:
+        claims.append(_claim(
+            "chaos.retry_gain", f"loss@{RETRY_GAIN_INTENSITY:g}",
+            treated[RETRY_GAIN_INTENSITY].succeeded, operator.gt,
+            base[RETRY_GAIN_INTENSITY].succeeded,
+            "retries beat fire-and-forget at 10% loss (retrievals succeeded)",
+        ))
+    claims += [
+        _claim(
+            "chaos.faults_injected", f"loss@{intensity:g}",
+            base[intensity].faults_injected, operator.gt, 0,
+            "faults were actually injected at a non-zero level",
+        )
+        for intensity in intensities if intensity > 0
     ]
-    results.levels.extend(run_cells(cells, workers))
-    return results
+    return claims
 
 
-def run_chaos_pair(
-    config: ChaosConfig,
-    workers: int = 1,
-) -> tuple[ChaosResults, ChaosResults]:
-    """Baseline (fire-and-forget) and retry arms as one fan-out.
-
-    With ``workers > 1`` every (arm, intensity) cell shares one pool,
-    so both sweeps' worlds build concurrently; results are reassembled
-    in the order the sequential pair of sweeps produces.
-    """
-    baseline_config = dataclasses.replace(config, with_retries=False)
-    n = len(config.intensities)
-    cells = [
-        Cell(f"chaos[base]@{i:g}", _run_level, (baseline_config, i))
-        for i in config.intensities
+def _grade_recovery(intensities, base, treated) -> list[Claim]:
+    hot = [intensity for intensity in intensities if intensity >= HOT_INTENSITY]
+    scope = "recovery@{:g}".format
+    claims = [
+        _claim(
+            "recovery.success_rate", scope(i), treated[i].success_rate,
+            operator.ge, base[i].success_rate,
+            "at >=20% faults the resilient arm succeeds at least as often",
+        )
+        for i in hot
     ] + [
-        Cell(f"chaos[retry]@{i:g}", _run_level, (config, i))
-        for i in config.intensities
+        _claim(
+            "recovery.latency_p95_s", scope(i), treated[i].latency_p95_s,
+            operator.lt, base[i].latency_p95_s,
+            "at >=20% faults the resilient arm has a lower p95",
+        )
+        for i in hot
     ]
-    levels = run_cells(cells, workers)
-    return (
-        ChaosResults(config=baseline_config, levels=levels[:n]),
-        ChaosResults(config=config, levels=levels[n:]),
+    if hot:
+        claims += [
+            _claim(
+                f"recovery.{counter}", "",
+                sum(getattr(treated[i], counter) for i in hot), operator.gt, 0,
+                f"{counter.replace('_', ' ')} at >=20% faults",
+            )
+            for counter in ("breaker_opened", "hedges_launched")
+        ]
+    claims.append(_claim(
+        "recovery.fallback_hits", "",
+        max(
+            min(treated[i].fallback_broadcasts, treated[i].fallback_hits)
+            for i in intensities
+        ),
+        operator.gt, 0,
+        "at some level fallback broadcasts both fired and hit",
+    ))
+    claims += [
+        _claim(
+            "recovery.unannounced_rescued", scope(i),
+            treated[i].unannounced_succeeded, operator.gt,
+            base[i].unannounced_succeeded,
+            "only fallbacks rescue cached-but-unannounced content",
+        )
+        for i in intensities
+    ] + [
+        _claim(
+            "recovery.baseline_resilience_events", scope(i),
+            base[i].breaker_opened + base[i].hedges_launched
+            + base[i].fallback_broadcasts + base[i].adaptive_deadlines,
+            operator.eq, 0,
+            "the baseline arm keeps every resilience counter at zero",
+        )
+        for i in intensities
+    ]
+    return claims
+
+
+def grade_chaos(config: ChaosConfig, levels: list[ChaosLevel]) -> GradedReport:
+    """The sweep's expected shapes as claims: the last arm of
+    ``config.arms`` set against the first, one scope per intensity
+    where the shape is asked of every level."""
+    by_arm: dict[str, dict[float, ChaosLevel]] = {arm: {} for arm in config.arms}
+    for level in levels:
+        by_arm[level.arm][level.intensity] = level
+    sweep = SWEEPS[config.sweep]
+    claims = sweep.grade(
+        config.intensities, by_arm[config.arms[0]], by_arm[config.arms[-1]]
     )
+    return GradedReport(
+        sweep.label.replace("-", "_"), config, levels, CELL_FIELDS, claims
+    )
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """One row of :data:`SWEEPS`: the world, the fault diet and the
+    claims — and the names the two modules this one replaced gave their
+    RNG streams, kept so every level is bit-identical to theirs."""
+
+    #: churn the backdrop while retrieving.
+    churn: bool
+    plan: Callable[[float], FaultPlan]
+    grade: Callable[..., list[Claim]]
+    #: prefix of the population / object / fault-stream rng labels, and
+    #: (``BENCH_<label>.json``) the artifact's ``experiment``.
+    label: str
+    #: arm -> the tag its fault stream is derived under (an arm the
+    #: sweep never ran before uses its own name).
+    fault_tags: Mapping[str, str]
+
+
+SWEEPS: dict[str, Sweep] = {
+    "loss": Sweep(
+        False, FaultPlan.rpc_loss, _grade_loss,
+        "chaos", {"bare": "baseline", "retry": "retries"},
+    ),
+    "recovery": Sweep(
+        True, mixed_fault_plan, _grade_recovery,
+        "chaos-recovery", {"retry": "baseline", "resilient": "resilient"},
+    ),
+}
+
+#: The ``recovery`` bench shape (``chaos-recovery`` without flags).
+RECOVERY = ChaosConfig(
+    sweep="recovery", n_peers=250, intensities=(0.0, 0.2, 0.3),
+    retrievals_per_level=8, unannounced_retrievals=3,
+    arms=("retry", "resilient"),
+)

@@ -58,6 +58,13 @@ from repro.gateway.logs import CacheTier, TierSummary
 from repro.measurement.stretch import retrieval_stretch
 from repro.multiformats.cid import make_cid
 from repro.node.config import NodeConfig
+from repro.obs import (
+    Tracer,
+    publication_breakdown,
+    records_from_tracer,
+    retrieval_breakdown,
+    walk_share,
+)
 from repro.utils.rng import derive_rng
 from repro.utils.stats import Cdf, mean, percentile
 from repro.validation.compare import Grade, grade_at_least, grade_distance
@@ -1008,6 +1015,28 @@ def build_dataset(dataset: str, results: Any) -> list[tuple[str, str, list[Claim
 def render_dataset(dataset: str, results: Any) -> str:
     """The bodies of ``dataset``'s figures, as its subcommand prints them."""
     return "\n\n".join(body for _, body, _ in build_dataset(dataset, results))
+
+
+def render_phases(tracer: Tracer) -> str:
+    """The Fig 9 walk/fetch split read off a traced perf run's spans, as
+    the ``trace`` subcommand prints it."""
+    records = records_from_tracer(tracer)
+    tables = [
+        render_table(title, ["phase", "total s", "share", "spans"], [
+            (row.phase, f"{row.total_s:8.1f}", f"{row.share:6.1%}", row.count)
+            for row in breakdown(records)
+        ]) + "\n"
+        for title, breakdown in (
+            ("Publication phases — from recorded spans (§6.1)", publication_breakdown),
+            ("Retrieval phases — from recorded spans (§6.2)", retrieval_breakdown),
+        )
+    ]
+    return "\n".join([
+        *tables,
+        f"DHT walk share of publication time: {walk_share(records):.1%}"
+        " (paper §6.1: 87.9%)",
+        f"spans recorded: {len(records)} ({len(tracer.open_spans())} left open)",
+    ])
 
 
 def _run_cell(dataset: str, config: FiguresConfig) -> list[tuple[str, str, list[Claim]]]:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.dht.bootstrap import join_network
-from repro.experiments.chaos import GETTER_REGION, PUBLISHER_REGION, _drain_unpinned
+from repro.experiments.chaos import GETTER_REGION, PUBLISHER_REGION, cold_retrieve
 from repro.experiments.deployment import CrawlCampaignConfig, run_crawl_timeseries
 from repro.experiments.runner import Cell, run_cells
 from repro.experiments.scenario import (
@@ -46,7 +46,6 @@ from repro.simnet.nat import (
     ground_truth_public,
     seed_keepalive_mapping,
 )
-from repro.simnet.sim import with_timeout
 from repro.utils.rng import derive_rng
 from repro.utils.stats import percentiles
 from repro.validation.compare import grade_at_least
@@ -288,17 +287,9 @@ def _run_cell(
             slot = start + index * config.retrieval_spacing_s
             if slot > sim.now:
                 yield slot - sim.now
-            getter.disconnect_all()
-            getter.address_book.forget(publisher.peer_id)
-            _drain_unpinned(getter)
-            started = sim.now
-            process = sim.spawn(getter.retrieve(root))
-            try:
-                yield with_timeout(sim, process.future, config.retrieval_budget_s)
-            except Exception:  # noqa: BLE001 - a failed retrieval, count it
-                outcomes.append(None)
-            else:
-                outcomes.append(sim.now - started)
+            outcomes.append((yield from cold_retrieve(
+                getter, publisher, root, config.retrieval_budget_s
+            )))
 
     sim.run_process(driver())
     dialer = scenario.circuit_dialer

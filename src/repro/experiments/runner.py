@@ -1,7 +1,7 @@
 """Multiprocess fan-out over independent experiment cells.
 
-Sweep experiments (chaos, chaos recovery, ablations) decompose into
-*cells* — (arm, intensity, seed) combinations that each build a fresh
+Sweep experiments (chaos, the attack matrix, the figures) decompose
+into *cells* — (arm, intensity, seed) combinations that each build a fresh
 world from RNGs derived deterministically from the experiment seed and
 the cell's own identity (see :func:`repro.utils.rng.derive_rng`). No
 state flows between cells, so they can run in any order on any number
@@ -16,9 +16,8 @@ code always made), larger values shard cells across a
 results into JSONL get byte-identical files for any worker count.
 
 Cells must be picklable: module-level functions with dataclass/config
-arguments. Closures and per-cell ``Observability`` objects are not —
-callers that thread a shared tracer through a sweep must run it
-serially (the CLI does this automatically when ``--trace`` is given).
+arguments. Closures and per-cell ``Observability`` objects are not — a
+caller that wants a level traced runs that cell's function itself.
 """
 
 from __future__ import annotations
@@ -93,18 +92,17 @@ def run_cells(cells: Iterable[Cell], workers: int = 1) -> list[Any]:
 def sweep_cells(
     label: str,
     fn: Callable[..., Any],
-    configs: Sequence[Any],
-    values: Sequence[Any],
+    config: Any,
+    arms: Sequence[str],
+    values: Sequence[float],
 ) -> list[Cell]:
-    """Cells for a (config x value) sweep: one cell per pair.
-
-    ``configs`` and ``values`` are zipped against their cross product:
-    for each config (an experiment arm) every value (e.g. a fault
-    intensity) yields ``Cell(fn, (config, value))``, in arm-major
-    order — the order sequential sweep code runs them in.
+    """Cells for an (arm x value) sweep of one config: for each named
+    arm every value (e.g. a fault intensity) yields
+    ``Cell(fn, (config, arm, value))`` labelled ``label[arm]@value``, in
+    arm-major order — the order sequential sweep code runs them in.
     """
     return [
-        Cell(f"{label}[{arm}]@{value!r}", fn, (config, value))
-        for arm, config in enumerate(configs)
+        Cell(f"{label}[{arm}]@{value:g}", fn, (config, arm, value))
+        for arm in arms
         for value in values
     ]

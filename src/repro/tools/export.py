@@ -19,8 +19,6 @@ import json
 import pathlib
 from collections.abc import Iterable
 
-from repro.experiments.chaos import ChaosResults
-from repro.experiments.chaos_recovery import ChaosRecoveryResults
 from repro.experiments.deployment import CrawlCampaignResults
 from repro.experiments.perf import PerfResults
 from repro.gateway.logs import AccessLogEntry
@@ -92,76 +90,6 @@ def export_gateway_log(
                 entry.tier.value, entry.referrer or "",
             ])
             rows += 1
-    return rows
-
-
-def export_chaos_dataset(
-    sweeps: Iterable[ChaosResults], path: str | pathlib.Path
-) -> int:
-    """Write per-level chaos sweep records (JSON lines)."""
-    path = pathlib.Path(path)
-    rows = 0
-    with path.open("w") as handle:
-        for sweep in sweeps:
-            for level in sweep.levels:
-                pcts = level.latency_percentiles()
-                handle.write(json.dumps({
-                    "intensity": level.intensity,
-                    "with_retries": sweep.config.with_retries,
-                    "attempted": level.attempted,
-                    "succeeded": level.succeeded,
-                    "success_rate": level.success_rate,
-                    "latency_p50_s": pcts[0] if pcts else None,
-                    "latency_p90_s": pcts[1] if pcts else None,
-                    "latency_p95_s": pcts[2] if pcts else None,
-                    "faults_injected": level.faults_injected,
-                    "retries_attempted": level.retries_attempted,
-                    "rpcs_timed_out": level.rpcs_timed_out,
-                    "evictions": level.evictions,
-                }) + "\n")
-                rows += 1
-    return rows
-
-
-def export_chaos_recovery_dataset(
-    sweeps: Iterable[ChaosRecoveryResults], path: str | pathlib.Path
-) -> int:
-    """Write per-level chaos-recovery records (JSON lines).
-
-    One row per (arm, intensity) with the retrieval outcomes plus the
-    resilience telemetry — breaker, hedge, fallback and adaptive
-    deadline counters — so the exported dataset carries everything the
-    on/off comparison needs.
-    """
-    path = pathlib.Path(path)
-    rows = 0
-    with path.open("w") as handle:
-        for sweep in sweeps:
-            for level in sweep.levels:
-                pcts = level.latency_percentiles()
-                handle.write(json.dumps({
-                    "intensity": level.intensity,
-                    "with_resilience": level.with_resilience,
-                    "attempted": level.attempted,
-                    "succeeded": level.succeeded,
-                    "success_rate": level.success_rate,
-                    "latency_p50_s": pcts[0] if pcts else None,
-                    "latency_p90_s": pcts[1] if pcts else None,
-                    "latency_p95_s": pcts[2] if pcts else None,
-                    "unannounced_attempted": level.unannounced_attempted,
-                    "unannounced_succeeded": level.unannounced_succeeded,
-                    "faults_injected": level.faults_injected,
-                    "retries_attempted": level.retries_attempted,
-                    "rpcs_timed_out": level.rpcs_timed_out,
-                    "breaker_opened": level.breaker_opened,
-                    "breaker_skips": level.breaker_skips,
-                    "hedges_launched": level.hedges_launched,
-                    "hedge_wins": level.hedge_wins,
-                    "fallback_broadcasts": level.fallback_broadcasts,
-                    "fallback_hits": level.fallback_hits,
-                    "adaptive_deadlines": level.adaptive_deadlines,
-                }) + "\n")
-                rows += 1
     return rows
 
 

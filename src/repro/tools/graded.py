@@ -1,4 +1,5 @@
-"""The one path every graded subcommand takes.
+"""The one path every graded subcommand takes, and the one the dataset
+subcommands take.
 
 A graded experiment is *config → cells → claims*
 (:mod:`repro.validation.report`), so its subcommand is one
@@ -9,6 +10,10 @@ the shared ``--workers`` / ``--export`` / ``--bench``) and
 code. Bad input is refused by the parser (exit 2, nothing run); the
 artifact is written through a temp file and ``os.replace``, so an
 interrupted run cannot truncate a committed ``BENCH_*.json``.
+
+A dataset subcommand is *run → figures → records*: one
+:class:`Dataset` entry in :data:`repro.tools.cli.DATASETS`, parsed by
+:func:`add_dataset` and run by :func:`run_dataset`.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ import os
 from collections.abc import Callable, Sequence
 from typing import Any
 
+from repro.experiments.figures import render_dataset
+from repro.obs import Observability
 from repro.validation.report import GradedReport
 
 
@@ -71,6 +78,22 @@ def csv_of(choices: Sequence[str]) -> Callable[[str], tuple[str, ...]]:
         return values
 
     return parse
+
+
+def probability_list(text: str) -> tuple[float, ...]:
+    """An argparse type: comma-separated probabilities in [0, 1]."""
+    try:
+        values = tuple(float(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated probabilities, got {text!r}"
+        ) from None
+    for value in values:
+        if not 0.0 <= value <= 1.0:  # written so NaN is refused too
+            raise argparse.ArgumentTypeError(
+                f"expected probabilities in [0, 1], got {value}"
+            )
+    return values
 
 
 def scaled(parse: Callable[[str], Any], factor: float) -> Callable[[str], Any]:
@@ -147,3 +170,48 @@ def run_graded(args: argparse.Namespace) -> int:
         write_atomic(args.export, report.to_json())
         print(f"\nwrote graded {entry.name} report to {args.export}")
     return 1 if report.failed() else 0
+
+
+@dataclasses.dataclass(frozen=True)
+class Dataset:
+    """One dataset subcommand."""
+
+    name: str
+    help: str
+    #: argparse arguments: ``(option, kwargs)``.
+    flags: Sequence[tuple[str, dict[str, Any]]]
+    #: ``run(args, obs) -> results``; ``obs`` records spans when the
+    #: subcommand has a ``body`` or ``--trace FILE`` was given.
+    run: Callable[[argparse.Namespace, Observability | None], Any]
+    #: file flags: ``(dest, help, what a row is called,
+    #: write(results, obs, path) -> rows)``.
+    outputs: Sequence[tuple[str, str, str, Callable[[Any, Any, str], int]]] = ()
+    #: ``body(obs) -> str``, for a subcommand that prints what it reads
+    #: off the run's spans (so always traced) instead of the figures of
+    #: the dataset named like it.
+    body: Callable[[Observability], str] | None = None
+
+
+def add_dataset(sub: Any, entry: Dataset) -> None:
+    parser = sub.add_parser(entry.name, help=entry.help)
+    parser.set_defaults(dataset=entry)
+    for option, kwargs in entry.flags:
+        parser.add_argument(option, **kwargs)
+    for dest, text, _, _ in entry.outputs:
+        parser.add_argument(f"--{dest}", metavar="FILE", type=writable_path,
+                            help=text)
+
+
+def run_dataset(args: argparse.Namespace) -> int:
+    entry: Dataset = args.dataset
+    obs = Observability() if entry.body or getattr(args, "trace", None) else None
+    results = entry.run(args, obs)
+    print(entry.body(obs) if entry.body else render_dataset(entry.name, results))
+    paths = [(getattr(args, dest), noun, write) for dest, _, noun, write in entry.outputs]
+    written = [
+        f"wrote {write(results, obs, path)} {noun} to {path}"
+        for path, noun, write in paths if path
+    ]
+    if written:
+        print("\n" + "\n".join(written))
+    return 0

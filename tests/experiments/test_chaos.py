@@ -1,5 +1,6 @@
-"""Tests for the chaos sweep: graceful degradation, the value of
-retries, and the zero-intensity no-op guarantee."""
+"""Tests for the chaos experiment: the two bench sweeps against their
+frozen records, graceful degradation, what each rung of the arm ladder
+buys, and the zero-intensity no-op guarantee."""
 
 import dataclasses
 import hashlib
@@ -8,117 +9,40 @@ import math
 
 import pytest
 
+from repro.errors import ReproError
 from repro.experiments.chaos import (
+    RECOVERY,
     ChaosConfig,
+    full_resilience_config,
+    grade_chaos,
     resilient_node_config,
-    run_chaos_experiment,
-    run_chaos_pair,
-)
-from repro.experiments.chaos_recovery import (
-    ChaosRecoveryConfig,
-    run_chaos_recovery_pair,
+    run_chaos,
+    run_level,
 )
 from repro.experiments.perf import PerfConfig, run_perf_experiment
 from repro.experiments.scenario import ScenarioConfig, build_scenario
+from repro.obs import Observability
 from repro.simnet.faults import FaultInjector, FaultPlan
 from repro.utils.rng import derive_rng
+from repro.validation.compare import Grade
 from repro.workloads.population import PopulationConfig, generate_population
 
 
 @pytest.fixture(scope="module")
-def ten_percent_loss():
-    """Both protocol stacks at 10 % RPC loss (shared by the asserts)."""
-    config = ChaosConfig(
-        n_peers=200, intensities=(0.1,), retrievals_per_level=12
-    )
-    baseline = run_chaos_experiment(
-        dataclasses.replace(config, with_retries=False)
-    )
-    resilient = run_chaos_experiment(config)
-    return baseline.levels[0], resilient.levels[0]
+def loss_bench():
+    """The ``loss`` bench sweep, ``{(arm, intensity): level}``."""
+    return {
+        (level.arm, level.intensity): level
+        for level in run_chaos(ChaosConfig(), workers=2)
+    }
 
 
-def test_retries_beat_fire_and_forget_at_10_percent_loss(ten_percent_loss):
-    baseline, resilient = ten_percent_loss
-    assert resilient.success_rate > baseline.success_rate
-
-
-def test_resilience_telemetry_is_observable(ten_percent_loss):
-    baseline, resilient = ten_percent_loss
-    # The baseline stack never retries; the resilient one does, and
-    # both surface the injected faults through the network counters.
-    assert baseline.retries_attempted == 0
-    assert resilient.retries_attempted > 0
-    assert baseline.faults_injected > 0
-    assert resilient.faults_injected > 0
-    # Evict-on-first-failure (baseline) evicts more than threshold-3.
-    assert baseline.evictions > 0
-    assert resilient.evictions <= baseline.evictions
-
-
-def test_success_degrades_with_intensity():
-    config = ChaosConfig(
-        n_peers=200, intensities=(0.0, 0.3), retrievals_per_level=6,
-        with_retries=False,
-    )
-    results = run_chaos_experiment(config)
-    calm, stormy = results.levels
-    assert calm.success_rate == 1.0
-    assert stormy.success_rate <= calm.success_rate
-    assert stormy.faults_injected > 0
-    assert calm.faults_injected == 0
-
-
-def test_latency_percentiles_only_over_successes():
-    level_cls = run_chaos_experiment(
-        ChaosConfig(n_peers=200, intensities=(0.0,), retrievals_per_level=2)
-    ).levels[0]
-    pcts = level_cls.latency_percentiles()
-    assert pcts is not None and len(pcts) == 3
-    assert pcts[0] <= pcts[1] <= pcts[2]
-
-
-def test_zero_intensity_plan_is_byte_identical_to_no_injector():
-    """Installing an all-zero FaultPlan must not perturb a seeded run:
-    the injector draws from its own RNG stream and a zero-probability
-    rule never draws at all."""
-
-    def run(install_zero_plan: bool):
-        population = generate_population(
-            PopulationConfig(n_peers=150), derive_rng(11, "chaos-ident-pop")
-        )
-        scenario = build_scenario(
-            population,
-            ScenarioConfig(seed=11),
-            vantage_regions=["eu_central_1", "us_west_1"],
-        )
-        if install_zero_plan:
-            scenario.net.install_faults(FaultInjector(
-                FaultPlan.rpc_loss(0.0), derive_rng(11, "chaos-ident-faults")
-            ))
-        results = run_perf_experiment(
-            scenario,
-            PerfConfig(
-                rounds=1, seed=11, regions=("eu_central_1", "us_west_1")
-            ),
-        )
-        return (
-            results.all_publications(),
-            results.all_retrievals(),
-            results.failures,
-            dataclasses.asdict(scenario.net.stats),
-        )
-
-    assert run(False) == run(True)
-
-
-def test_resilient_node_config_enables_every_layer():
-    config = resilient_node_config()
-    assert config.lookup.rpc_retry.enabled
-    assert config.lookup.store_retry.enabled
-    assert config.lookup.failure_threshold > 1
-    assert config.dial_retry.enabled
-    assert config.bitswap_retry.enabled
+@pytest.fixture(scope="module")
+def recovery_bench():
+    return {
+        (level.arm, level.intensity): level
+        for level in run_chaos(RECOVERY, workers=2)
+    }
 
 
 # ----------------------------------------------------------------------
@@ -177,20 +101,196 @@ def records_sha256(flag, flagged_levels, tail):
     return hashlib.sha256("".join(lines).encode()).hexdigest()
 
 
-def test_loss_sweep_bench_records_match_the_frozen_sha256():
-    bare, retry = run_chaos_pair(ChaosConfig(), workers=2)
-    levels = [(False, level) for level in bare.levels]
-    levels += [(True, level) for level in retry.levels]
+def test_loss_sweep_bench_records_match_the_frozen_sha256(loss_bench):
+    levels = [(level.arm != "bare", level) for level in loss_bench.values()]
     assert records_sha256("with_retries", levels, SWEEP_TAIL) == SWEEP_SHA256
 
 
-def test_recovery_bench_records_match_the_frozen_sha256():
-    retry, resilient = run_chaos_recovery_pair(
-        ChaosRecoveryConfig(
-            n_peers=250, retrievals_per_level=8, unannounced_retrievals=3
-        ),
-        workers=2,
-    )
-    levels = [(False, level) for level in retry.levels]
-    levels += [(True, level) for level in resilient.levels]
+def test_recovery_bench_records_match_the_frozen_sha256(recovery_bench):
+    levels = [(level.arm == "resilient", level) for level in recovery_bench.values()]
     assert records_sha256("with_resilience", levels, RECOVERY_TAIL) == RECOVERY_SHA256
+
+
+def test_both_bench_sweeps_grade_pass(loss_bench, recovery_bench):
+    for config, levels in ((ChaosConfig(), loss_bench), (RECOVERY, recovery_bench)):
+        report = grade_chaos(config, list(levels.values()))
+        assert report.overall is Grade.PASS
+        assert all(claim.grade is Grade.PASS for claim in report.claims)
+
+
+def test_a_level_with_no_successes_fails_its_claim_instead_of_raising(recovery_bench):
+    levels = [
+        dataclasses.replace(level, latencies=[], latency_p95_s=None)
+        if (level.arm, level.intensity) == ("resilient", 0.2) else level
+        for level in recovery_bench.values()
+    ]
+    report = grade_chaos(RECOVERY, levels)
+    (claim,) = [
+        claim for claim in report.claims
+        if claim.key == "recovery.latency_p95_s" and claim.scope == "recovery@0.2"
+    ]
+    assert (claim.measured, claim.grade) == (None, Grade.FAIL)
+    assert report.failed()
+
+
+def test_retries_beat_fire_and_forget_at_10_percent_loss(loss_bench):
+    assert loss_bench["retry", 0.1].success_rate > loss_bench["bare", 0.1].success_rate
+
+
+def test_resilience_telemetry_is_observable(loss_bench):
+    baseline, resilient = loss_bench["bare", 0.1], loss_bench["retry", 0.1]
+    # The baseline stack never retries; the resilient one does, and
+    # both surface the injected faults through the network counters.
+    assert baseline.retries_attempted == 0
+    assert resilient.retries_attempted > 0
+    assert baseline.faults_injected > 0
+    assert resilient.faults_injected > 0
+    # Evict-on-first-failure (baseline) evicts more than threshold-3.
+    assert baseline.evictions > 0
+    assert resilient.evictions <= baseline.evictions
+
+
+def test_success_degrades_with_intensity(loss_bench):
+    calm, stormy = loss_bench["bare", 0.0], loss_bench["bare", 0.3]
+    assert calm.success_rate == 1.0
+    assert stormy.success_rate <= calm.success_rate
+    assert stormy.faults_injected > 0
+    assert calm.faults_injected == 0
+
+
+def test_latency_percentiles_only_over_successes(loss_bench):
+    level = loss_bench["bare", 0.3]
+    assert 0 < len(level.latencies) == level.succeeded < level.attempted
+    assert (
+        min(level.latencies) <= level.latency_p50_s <= level.latency_p90_s
+        <= level.latency_p95_s <= max(level.latencies)
+    )
+
+
+def test_zero_intensity_plan_is_byte_identical_to_no_injector():
+    """Installing an all-zero FaultPlan must not perturb a seeded run:
+    the injector draws from its own RNG stream and a zero-probability
+    rule never draws at all."""
+
+    def run(install_zero_plan: bool):
+        population = generate_population(
+            PopulationConfig(n_peers=150), derive_rng(11, "chaos-ident-pop")
+        )
+        scenario = build_scenario(
+            population,
+            ScenarioConfig(seed=11),
+            vantage_regions=["eu_central_1", "us_west_1"],
+        )
+        if install_zero_plan:
+            scenario.net.install_faults(FaultInjector(
+                FaultPlan.rpc_loss(0.0), derive_rng(11, "chaos-ident-faults")
+            ))
+        results = run_perf_experiment(
+            scenario,
+            PerfConfig(
+                rounds=1, seed=11, regions=("eu_central_1", "us_west_1")
+            ),
+        )
+        return (
+            results.all_publications(),
+            results.all_retrievals(),
+            results.failures,
+            dataclasses.asdict(scenario.net.stats),
+        )
+
+    assert run(False) == run(True)
+
+
+def test_resilient_node_config_enables_every_layer():
+    config = resilient_node_config()
+    assert config.lookup.rpc_retry.enabled
+    assert config.lookup.store_retry.enabled
+    assert config.lookup.failure_threshold > 1
+    assert config.dial_retry.enabled
+    assert config.bitswap_retry.enabled
+
+
+@pytest.mark.parametrize("fields", [
+    {"intensities": (0.1, 1.5)},
+    {"intensities": (-0.1,)},
+    {"intensities": (float("nan"),)},
+    {"intensities": ()},
+    {"sweep": "hurricane"},
+    {"arms": ("bare", "turbo")},
+    {"arms": ()},
+    {"retrievals_per_level": 0},
+])
+def test_config_refuses_bad_input_where_the_library_is_entered(fields):
+    with pytest.raises(ReproError):
+        ChaosConfig(**fields)
+
+
+TINY = dataclasses.replace(
+    RECOVERY, seed=7, n_peers=80, intensities=(0.15,), retrievals_per_level=2,
+    unannounced_retrievals=2,
+)
+
+RESILIENCE_METRICS = (
+    "resilience.breaker.opened",
+    "resilience.hedge.launched",
+    "resilience.fallback.broadcasts",
+)
+
+
+def resilience_counters(obs):
+    return {
+        name: record["value"]
+        for name, record in obs.metrics.snapshot().items()
+        if name.startswith("resilience.") and record["type"] == "counter"
+    }
+
+
+class TestChaosRecovery:
+    @pytest.fixture(scope="class")
+    def resilient(self):
+        obs = Observability()
+        return run_level(TINY, "resilient", 0.15, obs=obs), obs
+
+    @pytest.fixture(scope="class")
+    def baseline(self):
+        obs = Observability()
+        return run_level(TINY, "retry", 0.15, obs=obs), obs
+
+    def test_resilient_arm_reports_coherent_telemetry(self, resilient):
+        level, _ = resilient
+        assert level.arm == "resilient"
+        assert level.attempted == 4  # 2 announced + 2 unannounced
+        assert level.unannounced_attempted == 2
+        assert level.succeeded == len(level.latencies) + level.unannounced_succeeded
+        assert 0.0 <= level.success_rate <= 1.0
+        assert level.faults_injected > 0
+        # The unannounced objects have no provider record anywhere, so
+        # every rescue came through the degraded-mode broadcast.
+        assert level.fallback_broadcasts >= level.unannounced_succeeded > 0
+        assert level.fallback_hits >= level.unannounced_succeeded
+
+    def test_resilient_arm_lands_its_counters_in_the_exported_metrics(self, resilient):
+        level, obs = resilient
+        counters = resilience_counters(obs)
+        assert all(counters.get(name, 0) > 0 for name in RESILIENCE_METRICS), counters
+        # the getter is the only node that retrieves, so its stats are
+        # what the level reports
+        assert counters["resilience.hedge.launched"] == level.hedges_launched
+        assert counters["resilience.fallback.broadcasts"] == level.fallback_broadcasts
+
+    def test_baseline_arm_runs_without_resilience_counters(self, baseline):
+        level, obs = baseline
+        assert level.arm == "retry"
+        assert level.breaker_opened == 0
+        assert level.hedges_launched == 0
+        assert level.fallback_broadcasts == 0
+        assert level.adaptive_deadlines == 0
+        assert not any(resilience_counters(obs).values())
+        # Unannounced content is invisible without the fallback.
+        assert level.unannounced_succeeded == 0
+
+    def test_full_resilience_config_turns_everything_on(self):
+        flags = full_resilience_config()
+        assert flags.breakers and flags.hedging
+        assert flags.adaptive_timeouts and flags.fallbacks
+        assert flags.any_enabled

@@ -6,7 +6,7 @@ import dataclasses
 
 import pytest
 
-from repro.experiments.chaos import ChaosConfig, run_chaos_experiment
+from repro.experiments.chaos import ChaosConfig, run_chaos
 from repro.experiments.runner import Cell, CellError, run_cells, sweep_cells
 
 
@@ -48,12 +48,13 @@ class TestRunCells:
 
 class TestSweepCells:
     def test_arm_major_order(self):
-        cells = sweep_cells("s", _square, ["cfgA", "cfgB"], [1, 2])
+        cells = sweep_cells("s", _square, "cfg", ["a", "b"], [0.0, 0.25])
         assert [c.args for c in cells] == [
-            ("cfgA", 1), ("cfgA", 2), ("cfgB", 1), ("cfgB", 2),
+            ("cfg", "a", 0.0), ("cfg", "a", 0.25),
+            ("cfg", "b", 0.0), ("cfg", "b", 0.25),
         ]
-        assert cells[0].label == "s[0]@1"
-        assert cells[3].label == "s[1]@2"
+        assert cells[0].label == "s[a]@0"
+        assert cells[3].label == "s[b]@0.25"
 
 
 class TestChaosSharding:
@@ -64,13 +65,18 @@ class TestChaosSharding:
     )
 
     def test_workers_do_not_change_results(self):
-        serial = run_chaos_experiment(self.CONFIG, workers=1)
-        sharded = run_chaos_experiment(self.CONFIG, workers=2)
-        assert dataclasses.asdict(serial) == dataclasses.asdict(sharded)
+        serial = run_chaos(self.CONFIG, workers=1)
+        sharded = run_chaos(self.CONFIG, workers=2)
+        assert [level.arm for level in serial] == ["bare", "bare", "retry", "retry"]
+        assert list(map(dataclasses.asdict, serial)) == list(
+            map(dataclasses.asdict, sharded)
+        )
 
     def test_level_results_pickle_roundtrip(self):
         import pickle
 
-        result = run_chaos_experiment(self.CONFIG, workers=1)
-        clone = pickle.loads(pickle.dumps(result))
-        assert dataclasses.asdict(clone) == dataclasses.asdict(result)
+        levels = run_chaos(dataclasses.replace(self.CONFIG, arms=("retry",)))
+        clone = pickle.loads(pickle.dumps(levels))
+        assert list(map(dataclasses.asdict, clone)) == list(
+            map(dataclasses.asdict, levels)
+        )

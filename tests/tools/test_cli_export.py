@@ -121,20 +121,6 @@ class TestCli:
         assert "Fig 4a" in output
         assert out.exists()
 
-    def test_chaos_command(self, capsys, tmp_path):
-        levels = tmp_path / "levels.jsonl"
-        assert main([
-            "chaos", "--peers", "80", "--intensities", "0.1",
-            "--retrievals", "2", "--export", str(levels),
-        ]) == 0
-        output = capsys.readouterr().out
-        assert "Chaos sweep" in output
-        lines = levels.read_text().splitlines()
-        assert len(lines) == 2  # one baseline + one retry level
-        assert {json.loads(line)["with_retries"] for line in lines} == {
-            True, False,
-        }
-
     def test_trace_command(self, capsys, tmp_path):
         trace = tmp_path / "trace.jsonl"
         assert main([
@@ -172,36 +158,8 @@ class TestCli:
 
 
 class TestResilienceCli:
-    def test_chaos_recovery_command_with_export(self, capsys, tmp_path):
-        levels = tmp_path / "recovery.jsonl"
-        assert main([
-            "chaos-recovery", "--peers", "80", "--intensities", "0.15",
-            "--retrievals", "2", "--unannounced", "1",
-            "--export", str(levels),
-        ]) == 0
-        output = capsys.readouterr().out
-        assert "Chaos recovery" in output
-        assert "fallback hit/cast" in output
-        lines = levels.read_text().splitlines()
-        assert len(lines) == 2  # one level x (baseline + resilient arm)
-        rows = [json.loads(line) for line in lines]
-        assert {row["with_resilience"] for row in rows} == {True, False}
-        for row in rows:
-            assert row["attempted"] == 3  # 2 announced + 1 unannounced
-            assert "breaker_opened" in row
-            assert "fallback_hits" in row
-            assert "unannounced_succeeded" in row
-
-    def test_chaos_command_accepts_resilience_flags(self, capsys):
-        assert main([
-            "chaos", "--peers", "80", "--intensities", "0.1",
-            "--retrievals", "2",
-            "--breakers", "--hedging", "--adaptive-timeouts", "--fallbacks",
-        ]) == 0
-        assert "Chaos sweep" in capsys.readouterr().out
-
     def test_perf_command_accepts_resilience_flags(self, capsys):
         assert main([
-            "perf", "--peers", "150", "--rounds", "1", "--breakers",
+            "perf", "--peers", "150", "--rounds", "1", "--resilient",
         ]) == 0
         assert "Table 4" in capsys.readouterr().out

@@ -28,6 +28,9 @@ TINY_FLAGS = {
                     "--storms", "diurnal_storm"],
     "scale-crawl": ["--peers", "200", "--hours", "0.5", "--probe-sample", "0.5"],
     "replay": ["--scale", "5000"],
+    "chaos": ["--peers", "80", "--intensities", "0.1", "--retrievals", "2"],
+    "chaos-recovery": ["--peers", "80", "--intensities", "0.15",
+                       "--retrievals", "2", "--unannounced", "1"],
 }
 
 TINY_QUICK_TIER = conformance.ValidationConfig(
@@ -225,6 +228,11 @@ class TestBadInput:
         ["flash-crowd", "--storms", "bogus"],
         ["validate", "--tier", "huge"],
         ["replay", "--backend", "cloud"],
+        ["chaos", "--arms", "bare,turbo"],
+        ["chaos", "--intensities", "0.1,1.5"],
+        ["chaos-recovery", "--intensities", "nan"],
+        ["chaos-recovery", "--intensities", "ten percent"],
+        ["chaos", "--retrievals", "0"],
     ])
     def test_unknown_names_are_refused_by_the_parser(self, argv, recorded, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -258,3 +266,14 @@ class TestFlagsReachTheConfig:
         ]
         assert (replay.trace.scale, replay.trace.full_catalog) == (50, True)
         assert replay.miss_backend == "fleet"
+
+    def test_both_chaos_sweeps_share_their_flags(self, recorded, capsys):
+        cli.main(["chaos", "--arms", "retry,resilient", "--intensities", "0,0.5"])
+        cli.main(["chaos-recovery", "--peers", "90", "--unannounced", "1"])
+        loss, recovery = recorded
+        assert (loss.sweep, loss.arms, loss.intensities, loss.n_peers) == (
+            "loss", ("retry", "resilient"), (0.0, 0.5), 300,
+        )
+        assert dataclasses.replace(
+            recovery, n_peers=250, unannounced_retrievals=3
+        ) == cli.GRADED[-1].bench()

@@ -8,7 +8,10 @@ informational row as ``(experiment, key, scope, measured, expected,
 grade)``, the overall grade, and a sha256 of the canonical JSON of the
 cell sub-tree — written against the pre-unification artifacts (PR 18
 froze them at its parent commit, before it replaced the six layouts; the
-``figures`` block is the first ``BENCH_figures.json``, PR 21).
+``figures`` block is the first ``BENCH_figures.json``, PR 21; the
+``chaos`` / ``chaos_recovery`` blocks the first of theirs, PR 22, whose
+level records are held to the pre-unification modules by the sha256
+oracle of ``tests/experiments/test_chaos.py``).
 The literals are the oracle: regenerating an artifact must reproduce
 them, and they are not to be edited to make a layout change pass.
 
@@ -295,6 +298,37 @@ PINNED = {
             ('figures', 'table5.referred_share', 'table5', 0.518073, 0.51, 'PASS'),
         ],
     ),
+    "chaos": (
+        "PASS",
+        "8934f2e2f8b1339ee1f92d23dfa7b416af820e380d2a5a6efdb1c8e13ca2be70",
+        [
+            ('chaos', 'chaos.degradation', '', 0.583333, 1.0, 'PASS'),
+            ('chaos', 'chaos.faults_injected', 'loss@0.05', 3.0, 0.0, 'PASS'),
+            ('chaos', 'chaos.faults_injected', 'loss@0.1', 5.0, 0.0, 'PASS'),
+            ('chaos', 'chaos.faults_injected', 'loss@0.2', 18.0, 0.0, 'PASS'),
+            ('chaos', 'chaos.faults_injected', 'loss@0.3', 23.0, 0.0, 'PASS'),
+            ('chaos', 'chaos.retry_gain', 'loss@0.1', 12.0, 11.0, 'PASS'),
+        ],
+    ),
+    "chaos_recovery": (
+        "PASS",
+        "f9e23c4251963e7d1f9b46305e58de96a4d65e460cf3cec609a58a7bd383c1cc",
+        [
+            ('chaos_recovery', 'recovery.baseline_resilience_events', 'recovery@0', 0.0, 0.0, 'PASS'),
+            ('chaos_recovery', 'recovery.baseline_resilience_events', 'recovery@0.2', 0.0, 0.0, 'PASS'),
+            ('chaos_recovery', 'recovery.baseline_resilience_events', 'recovery@0.3', 0.0, 0.0, 'PASS'),
+            ('chaos_recovery', 'recovery.breaker_opened', '', 21.0, 0.0, 'PASS'),
+            ('chaos_recovery', 'recovery.fallback_hits', '', 3.0, 0.0, 'PASS'),
+            ('chaos_recovery', 'recovery.hedges_launched', '', 119.0, 0.0, 'PASS'),
+            ('chaos_recovery', 'recovery.latency_p95_s', 'recovery@0.2', 4.233956, 18.945378, 'PASS'),
+            ('chaos_recovery', 'recovery.latency_p95_s', 'recovery@0.3', 2.604326, 10.160956, 'PASS'),
+            ('chaos_recovery', 'recovery.success_rate', 'recovery@0.2', 1.0, 0.727273, 'PASS'),
+            ('chaos_recovery', 'recovery.success_rate', 'recovery@0.3', 1.0, 0.636364, 'PASS'),
+            ('chaos_recovery', 'recovery.unannounced_rescued', 'recovery@0', 3.0, 0.0, 'PASS'),
+            ('chaos_recovery', 'recovery.unannounced_rescued', 'recovery@0.2', 3.0, 0.0, 'PASS'),
+            ('chaos_recovery', 'recovery.unannounced_rescued', 'recovery@0.3', 3.0, 0.0, 'PASS'),
+        ],
+    ),
 }
 
 
@@ -315,7 +349,8 @@ def test_row_counts_are_the_ones_the_artifacts_were_frozen_with():
     }
     assert graded == {
         "attack": 46, "fidelity": 27, "nat": 4, "overload": 9,
-        "replay": 14, "scale": 6, "figures": 77,
+        "replay": 14, "scale": 6, "figures": 77, "chaos": 6,
+        "chaos_recovery": 13,
     }
     assert sum(1 for row in PINNED["replay"][2] if row[-1] == "info") == 20
     assert sum(1 for row in PINNED["figures"][2] if row[-1] == "info") == 5
