@@ -13,7 +13,6 @@ from repro.experiments.gateway_exp import (
     GatewayExperimentConfig,
     run_gateway_experiment,
 )
-from repro.gateway.logs import CacheTier
 from repro.workloads.gateway_trace import GatewayTraceConfig
 
 

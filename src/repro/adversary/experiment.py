@@ -33,11 +33,12 @@ from repro.adversary.attacks import (
     install_incident,
     install_placement,
 )
-from repro.adversary.defenses import defense
+from repro.adversary.defenses import DEFENSES, defense
 from repro.dht.keyspace import key_for_cid
 from repro.experiments.chaos import (
     GETTER_REGION,
     PUBLISHER_REGION,
+    RETRIEVAL_SPACING_S,
     cold_retrieve,
 )
 from repro.experiments.runner import Cell, run_cells
@@ -80,16 +81,7 @@ class AttackMatrixConfig:
     n_peers: int = 160
     retrievals_per_cell: int = 6
     object_size: int = 32 * 1024
-    #: simulated seconds before an unfinished retrieval counts failed.
-    retrieval_budget_s: float = 180.0
-    #: retrieval start times are pinned to this grid (measured from the
-    #: incident start), so both arms sample the *same* points of the
-    #: attack timeline — back-to-back retrievals would let an arm whose
-    #: failures burn more simulated time drift into calmer weather and
-    #: look better for it.
-    retrieval_spacing_s: float = 130.0
     attacks: tuple[AttackSpec, ...] = field(default_factory=default_attacks)
-    defenses: tuple[str, ...] = ("off", "on")
 
 
 def matrix_config(
@@ -221,12 +213,10 @@ def _run_cell(
             publisher.start_republisher()
         incident_start = sim.now
         for index in range(config.retrievals_per_cell):
-            slot = incident_start + index * config.retrieval_spacing_s
+            slot = incident_start + index * RETRIEVAL_SPACING_S
             if slot > sim.now:
                 yield slot - sim.now
-            outcomes.append((yield from cold_retrieve(
-                getter, publisher, root, config.retrieval_budget_s
-            )))
+            outcomes.append((yield from cold_retrieve(getter, publisher, root)))
 
     sim.run_process(driver())
     return AttackCellResult(
@@ -281,7 +271,7 @@ def run_attack_matrix(
         Cell(f"attack[{attack.label}|{defense_name}]", _run_cell,
              (config, attack, defense_name))
         for attack in config.attacks
-        for defense_name in config.defenses
+        for defense_name in DEFENSES
     ]
     results = AttackMatrixResults(config=config)
     results.cells.extend(run_cells(cells, workers))

@@ -20,15 +20,19 @@ from repro.multiformats.peerid import PeerId
 from repro.simnet.sim import Future, TimeoutError_, with_timeout
 from repro.utils.retry import JitterStreams, RetryPolicy, retry
 
+#: how long a provider may stay silent on a want before the session
+#: re-sends it or moves on.
+SILENCE_TIMEOUT_S = 8.0
+
 
 class BitswapSession:
     """Fetches whole Merkle-DAGs, tracking useful peers.
 
     With a ``retry_policy`` the session re-broadcasts a want to the
-    same provider after ``silence_timeout_s`` of no answer (go-bitswap
-    re-sends its wantlist on session timeouts) before moving to the
-    next provider; without one (the default) a provider gets exactly
-    one chance per block, as the seed behaviour had it.
+    same provider after :data:`SILENCE_TIMEOUT_S` of no answer
+    (go-bitswap re-sends its wantlist on session timeouts) before
+    moving to the next provider; without one (the default) a provider
+    gets exactly one chance per block, as the seed behaviour had it.
     """
 
     def __init__(
@@ -37,7 +41,6 @@ class BitswapSession:
         providers: list[PeerId],
         retry_policy: RetryPolicy | None = None,
         rng: random.Random | None = None,
-        silence_timeout_s: float = 8.0,
         resilience=None,
     ) -> None:
         if not providers:
@@ -46,7 +49,6 @@ class BitswapSession:
         self.providers = list(providers)
         self.retry_policy = retry_policy
         self.rng = rng
-        self.silence_timeout_s = silence_timeout_s
         #: optional :class:`repro.resilience.Resilience`; when set with
         #: breakers on, failed providers feed the breaker and providers
         #: with open breakers are tried last. Block durations are *not*
@@ -62,10 +64,10 @@ class BitswapSession:
     def _silence_timeout(self, peer_id: PeerId) -> float:
         res = self.resilience
         if res is None or not res.adaptive_on:
-            return self.silence_timeout_s
+            return SILENCE_TIMEOUT_S
         remote = self.engine.network.host(peer_id)
         region = remote.region if remote is not None else None
-        return res.rpc_deadline_s(region, self.silence_timeout_s)
+        return res.rpc_deadline_s(region, SILENCE_TIMEOUT_S)
 
     def _ordered_providers(self) -> list[PeerId]:
         """Session providers, open-breaker peers pushed to the back."""

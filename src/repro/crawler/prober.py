@@ -29,8 +29,6 @@ ADAPT_FACTOR = 0.5
 @dataclass
 class ProbeConfig:
     probe_via_dial: bool = False
-    min_interval_s: float = MIN_INTERVAL_S
-    max_interval_s: float = MAX_INTERVAL_S
 
 
 @dataclass
@@ -74,7 +72,7 @@ class UptimeProber:
 
     def _interval_for(self, timeline: PeerTimeline) -> float:
         interval = ADAPT_FACTOR * timeline.current_uptime_s
-        return min(max(interval, self.config.min_interval_s), self.config.max_interval_s)
+        return min(max(interval, MIN_INTERVAL_S), MAX_INTERVAL_S)
 
     def _probe_once(self, peer_id: PeerId) -> Generator:
         self.probes_sent += 1

@@ -20,6 +20,7 @@ from collections.abc import Callable, Generator
 from repro.dht import rpc
 from repro.dht.keyspace import key_for_cid, key_for_peer
 from repro.dht.lookup import (
+    RPC_TIMEOUT_S,
     LookupConfig,
     LookupStats,
     find_peer_record,
@@ -362,7 +363,7 @@ class DhtNode:
             futures = [
                 self._store_rpc(
                     peer_id, rpc.PUT_PEER_RECORD, rpc.PutPeerRecordRequest(record),
-                    request_size=rpc.PEER_ENTRY_SIZE, timeout_s=self.config.rpc_timeout_s,
+                    request_size=rpc.PEER_ENTRY_SIZE, timeout_s=RPC_TIMEOUT_S,
                 )
                 for peer_id in closest
             ]
@@ -388,7 +389,7 @@ class DhtNode:
             futures = [
                 self._store_rpc(
                     peer_id, rpc.PUT_VALUE, rpc.PutValueRequest(key, value),
-                    request_size=64 + len(value), timeout_s=self.config.rpc_timeout_s,
+                    request_size=64 + len(value), timeout_s=RPC_TIMEOUT_S,
                 )
                 for peer_id in closest
             ]

@@ -35,6 +35,14 @@ if TYPE_CHECKING:
 
 #: Lookup concurrency (α) from the original Kademlia paper.
 ALPHA = 3
+#: per-query timeout of a walk hop and of the small record stores.
+RPC_TIMEOUT_S = 10.0
+#: a walk stops launching new queries after this many.
+MAX_RPCS = 150
+#: go-libp2p keeps a dial queue ahead of the query slots: candidate
+#: connections are opened in the background so dial failures prune
+#: the shortlist without blocking one of the α query slots.
+DIAL_AHEAD = 3
 
 
 @dataclass(frozen=True)
@@ -43,12 +51,6 @@ class LookupConfig:
 
     alpha: int = ALPHA
     k: int = 20
-    rpc_timeout_s: float = 10.0
-    max_rpcs: int = 150
-    #: go-libp2p keeps a dial queue ahead of the query slots: candidate
-    #: connections are opened in the background so dial failures prune
-    #: the shortlist without blocking one of the α query slots.
-    dial_ahead: int = 3
     #: per-hop retry schedule; the default (max_attempts=1) reproduces
     #: go-ipfs v0.10, which abandons a candidate on its first failure.
     rpc_retry: RetryPolicy = RetryPolicy()
@@ -179,7 +181,7 @@ class _Walk:
 
         def attempt(attempt_index: int) -> Future:
             self.stats.rpcs_sent += 1
-            timeout_s = self.config.rpc_timeout_s
+            timeout_s = RPC_TIMEOUT_S
             if res.adaptive_on:
                 timeout_s = res.rpc_deadline_s(region, timeout_s)
             wrapped = with_timeout(
@@ -214,9 +216,7 @@ class _Walk:
                     policy, attempt, on_retry,
                     # Adaptive mode keeps the whole retried hop inside
                     # the fixed budget one un-retried hop used to get.
-                    deadline_s=(
-                        self.config.rpc_timeout_s if res.adaptive_on else None
-                    ),
+                    deadline_s=RPC_TIMEOUT_S if res.adaptive_on else None,
                 )
             ).future
         else:
@@ -265,7 +265,7 @@ class _Walk:
         it from the routing table) without occupying a query slot —
         go-libp2p's dial-queue behaviour.
         """
-        budget = self.config.dial_ahead - len(self._dialing)
+        budget = DIAL_AHEAD - len(self._dialing)
         if budget <= 0:
             return
         for candidate in live:
@@ -337,7 +337,7 @@ class _Walk:
                 if top and all(c.state == "ok" for c in top):
                     return [c.peer_id for c in top]
             # Launch new RPCs from the closest unqueried candidates.
-            budget_left = self.stats.rpcs_sent < config.max_rpcs
+            budget_left = self.stats.rpcs_sent < MAX_RPCS
             if budget_left:
                 for candidate in live:
                     if len(self.inflight) >= config.alpha + self._hedge_slots:

@@ -67,6 +67,12 @@ OBJECT_SIZE = 64 * 1024
 #: Simulated seconds before an unfinished retrieval counts as failed (a
 #: lost want with no retry never settles on its own).
 RETRIEVAL_BUDGET_S = 180.0
+#: The attack and NAT sweeps pin retrieval start times to this grid
+#: (measured from the incident start), so both arms sample the *same*
+#: points of the timeline — back-to-back retrievals would let an arm
+#: whose failures burn more simulated time drift into calmer weather
+#: and look better for it.
+RETRIEVAL_SPACING_S = 130.0
 #: How many near-key dialable peers cache the unannounced object.
 UNANNOUNCED_REPLICAS = 8
 
@@ -249,13 +255,12 @@ def _drain_unpinned(node) -> None:
             node.blockstore.delete(cid)
 
 
-def cold_retrieve(
-    getter, publisher, root, budget_s: float
-) -> Generator[Any, Any, float | None]:
+def cold_retrieve(getter, publisher, root) -> Generator[Any, Any, float | None]:
     """One retrieval of ``root`` that pays the full discovery + dial +
     Bitswap path: ``getter`` first drops its connections, what it knows
     of ``publisher`` and every unpinned block. Returns the latency, or
-    ``None`` when the retrieval failed or outlived ``budget_s``."""
+    ``None`` when the retrieval failed or outlived
+    :data:`RETRIEVAL_BUDGET_S`."""
     sim = getter.sim
     getter.disconnect_all()
     getter.address_book.forget(publisher.peer_id)
@@ -263,7 +268,7 @@ def cold_retrieve(
     started = sim.now
     process = sim.spawn(getter.retrieve(root))
     try:
-        yield with_timeout(sim, process.future, budget_s)
+        yield with_timeout(sim, process.future, RETRIEVAL_BUDGET_S)
     except Exception:  # noqa: BLE001 - a failed retrieval, count it
         return None
     return sim.now - started
@@ -336,15 +341,13 @@ def run_level(
         yield from publisher.publish(root)
         net.install_faults(injector)
         for _ in range(config.retrievals_per_level):
-            outcomes.append((yield from cold_retrieve(
-                getter, publisher, root, RETRIEVAL_BUDGET_S
-            )))
+            outcomes.append((yield from cold_retrieve(getter, publisher, root)))
         if config.unannounced_retrievals > 0:
             hidden = _seed_unannounced(config, label, scenario)
             for _ in range(config.unannounced_retrievals):
-                unannounced.append((yield from cold_retrieve(
-                    getter, publisher, hidden, RETRIEVAL_BUDGET_S
-                )))
+                unannounced.append(
+                    (yield from cold_retrieve(getter, publisher, hidden))
+                )
 
     sim.run_process(driver())
     if config.settle_s > 0.0:

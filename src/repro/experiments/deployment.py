@@ -52,7 +52,6 @@ class CrawlCampaignConfig:
     crawl_interval_s: float = 1800.0
     duration_s: float = 12 * 3600.0
     bucket_queries: int = 8
-    probe_peers: bool = True
     #: fraction of seen peers handed to the uptime prober. 1.0 (the
     #: default) probes everything, as the paper's monitor does; scale
     #: runs sample down (200 k peers x a 30 s minimum probe interval is
@@ -82,6 +81,12 @@ class CrawlCampaignResults:
             )
             for c in self.crawls
         ]
+
+    def undialable_fraction(self) -> float | None:
+        """Mean undialable share over the non-empty crawls (Fig 4a);
+        ``None`` when no crawl saw a peer."""
+        shares = [u / total for _, total, _, u in self.timeseries() if total]
+        return sum(shares) / len(shares) if shares else None
 
     def churn_summary(self) -> ChurnSummary:
         return session_statistics(self.sessions)
@@ -123,15 +128,14 @@ def run_crawl_timeseries(
             crawl_started = sim.now
             result = yield from crawler.crawl(scenario.bootstrap_ids)
             results.crawls.append(result)
-            if config.probe_peers:
-                watched = sorted(result.peers_seen, key=PeerId.to_bytes)
-                if config.probe_sample < 1.0:
-                    cutoff = int(config.probe_sample * 2**32)
-                    watched = [
-                        peer_id for peer_id in watched
-                        if int.from_bytes(peer_id.dht_key()[:4], "big") < cutoff
-                    ]
-                prober.watch(watched)
+            watched = sorted(result.peers_seen, key=PeerId.to_bytes)
+            if config.probe_sample < 1.0:
+                cutoff = int(config.probe_sample * 2**32)
+                watched = [
+                    peer_id for peer_id in watched
+                    if int.from_bytes(peer_id.dht_key()[:4], "big") < cutoff
+                ]
+            prober.watch(watched)
             remaining = config.crawl_interval_s - (sim.now - crawl_started)
             if remaining > 0:
                 yield remaining

@@ -176,7 +176,7 @@ def _fig04a(dataset: tuple[Scenario, CrawlCampaignResults], c: _Claims) -> str:
     reliable, intermittent, never = observed_reliability(campaign)
     probed = len(reliable) + len(intermittent) + len(never)
     coverage = [total for _, total, _, _ in series]
-    mean_undialable = mean([und / total for _, total, _, und in series])
+    mean_undialable = campaign.undialable_fraction()
     c.at_least("crawls", len(series), 8,
                f"{len(series)} crawls completed over the campaign window")
     c.at_least("never_reachable_share", _ratio(len(never), probed) if reliable else None, 0.2,
@@ -185,16 +185,17 @@ def _fig04a(dataset: tuple[Scenario, CrawlCampaignResults], c: _Claims) -> str:
     c.at_least("min_crawl_coverage", min(coverage) / len(scenario.backdrop), 0.7,
                "every crawl reaches the bulk of the server population")
     c.within("undialable_fraction", mean_undialable, 0.25, 0.65,
-             f"a large minority of crawled peers is undialable "
-             f"(measured {mean_undialable:.0%}, paper ~45.5% of addresses)")
-    c.at_most("coverage_swing", (max(coverage) - min(coverage)) / max(coverage), 0.4,
+             "a large minority of crawled peers is undialable (measured "
+             + ("nothing" if mean_undialable is None else f"{mean_undialable:.0%}")
+             + ", paper ~45.5% of addresses)")
+    c.at_most("coverage_swing", _ratio(max(coverage) - min(coverage), max(coverage)), 0.4,
               "peer counts are stable crawl over crawl (no collapse)")
     return render_series(
         "Fig 4a — peers seen per crawl (total / dialable / undialable); "
         "paper: ~45.5% of addresses never reachable",
         [
             (start, f"total={total:4d} dialable={dialable:4d} undialable={undialable:4d} "
-                    f"({undialable / total:5.1%} undialable)")
+                    f"({undialable / max(total, 1):5.1%} undialable)")
             for start, total, dialable, undialable in series
         ],
     ) + (

@@ -26,7 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.dht.bootstrap import join_network
-from repro.experiments.chaos import GETTER_REGION, PUBLISHER_REGION, cold_retrieve
+from repro.experiments.chaos import (
+    GETTER_REGION,
+    PUBLISHER_REGION,
+    RETRIEVAL_SPACING_S,
+    cold_retrieve,
+)
 from repro.experiments.deployment import CrawlCampaignConfig, run_crawl_timeseries
 from repro.experiments.runner import Cell, run_cells
 from repro.experiments.scenario import (
@@ -39,6 +44,7 @@ from repro.experiments.scenario import (
 from repro.node.host import IpfsNode
 from repro.simnet.latency import AWS_REGION_MAP, PeerClass
 from repro.simnet.nat import (
+    DEFAULT_KEEPALIVE_INTERVAL_S,
     DEFAULT_MAPPING_TTL_S,
     AutoNatService,
     NatBox,
@@ -96,6 +102,10 @@ AUTONAT_AGREEMENT_FLOOR = 0.95
 #: Minimum retrieval success rate for any cell (relay fallback floor).
 RELAY_SUCCESS_FLOOR = 0.75
 PUNCH_SUCCESS_FLOOR = 0.5
+#: How many public peers a cell's AutoNAT service probes from.
+AUTONAT_HELPERS = 12
+#: Bytes of the object each cell's NAT'ed pair publishes and retrieves.
+OBJECT_SIZE = 16 * 1024
 
 
 @dataclass(frozen=True)
@@ -105,12 +115,7 @@ class NatSweepConfig:
     seed: int = 42
     n_peers: int = 250
     crawl_hours: float = 2.0
-    crawl_interval_s: float = 1800.0
-    autonat_helpers: int = 12
     retrievals_per_cell: int = 5
-    object_size: int = 16 * 1024
-    retrieval_budget_s: float = 180.0
-    retrieval_spacing_s: float = 130.0
     mixes: tuple[str, ...] = ("default", "cone_heavy", "symmetric_heavy")
     adoptions: tuple[float, ...] = (0.0, 1.0)
     mapping_ttls: tuple[float, ...] = (DEFAULT_MAPPING_TTL_S, 30.0)
@@ -135,7 +140,8 @@ class NatCellResult:
     adoption: float
     mapping_ttl_s: float
     boxed_peers: int
-    undialable: float
+    #: ``None`` when no crawl saw a peer.
+    undialable: float | None
     autonat_agreement: float
     autonat_checked: int
     attempted: int
@@ -161,18 +167,16 @@ class NatCellResult:
         return p50
 
 
-def _measure_undialable(scenario: Scenario, config: NatSweepConfig) -> float:
-    campaign = run_crawl_timeseries(
+def _measure_undialable(
+    scenario: Scenario, config: NatSweepConfig
+) -> float | None:
+    return run_crawl_timeseries(
         scenario,
         CrawlCampaignConfig(
-            crawl_interval_s=config.crawl_interval_s,
             duration_s=config.crawl_hours * 3600.0,
             seed=config.seed,
         ),
-    )
-    crawls = campaign.timeseries()
-    shares = [u / total for _, total, _, u in crawls if total]
-    return sum(shares) / len(shares) if shares else 0.0
+    ).undialable_fraction()
 
 
 def _measure_autonat(
@@ -193,7 +197,7 @@ def _measure_autonat(
             scenario.spec_by_peer[host.peer_id].reachability != "reliable"
         )
     )
-    helpers = [host.peer_id for host in candidates][: config.autonat_helpers]
+    helpers = [host.peer_id for host in candidates][:AUTONAT_HELPERS]
 
     agreements: list[bool] = []
 
@@ -239,7 +243,7 @@ def _run_cell(
             nat = NatBox(
                 mode,
                 mapping_ttl_s=nat_world.mapping_ttl_s,
-                keepalive_interval_s=nat_world.keepalive_interval_s,
+                keepalive_interval_s=DEFAULT_KEEPALIVE_INTERVAL_S,
                 port_base=500_000,
             )
         node = IpfsNode(
@@ -264,9 +268,7 @@ def _run_cell(
     )
     getter = boxed_node("nat-sweep-get", GETTER_REGION, GETTER_MODE[mix_name])
 
-    payload = derive_rng(config.seed, "nat-sweep-object").randbytes(
-        config.object_size
-    )
+    payload = derive_rng(config.seed, "nat-sweep-object").randbytes(OBJECT_SIZE)
     root = publisher.add_bytes(payload).root
     traversal = scenario.traversal
     punches_before = (0, 0)
@@ -284,12 +286,10 @@ def _run_cell(
         yield from publisher.publish(root)
         start = sim.now
         for index in range(config.retrievals_per_cell):
-            slot = start + index * config.retrieval_spacing_s
+            slot = start + index * RETRIEVAL_SPACING_S
             if slot > sim.now:
                 yield slot - sim.now
-            outcomes.append((yield from cold_retrieve(
-                getter, publisher, root, config.retrieval_budget_s
-            )))
+            outcomes.append((yield from cold_retrieve(getter, publisher, root)))
 
     sim.run_process(driver())
     dialer = scenario.circuit_dialer

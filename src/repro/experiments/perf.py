@@ -29,7 +29,6 @@ from repro.workloads.objects import PERF_OBJECT_SIZE
 @dataclass(frozen=True)
 class PerfConfig:
     rounds: int = 12  # publications per region (paper: ~547)
-    object_size: int = PERF_OBJECT_SIZE
     seed: int = 7
     regions: tuple[str, ...] = tuple(AWS_REGIONS)
 
@@ -109,7 +108,7 @@ def run_perf_experiment(
                         publisher=publisher_region,
                     )
                 publisher = scenario.vantage[publisher_region]
-                payload = rng.randbytes(config.object_size)
+                payload = rng.randbytes(PERF_OBJECT_SIZE)
                 root = publisher.add_bytes(payload).root
                 try:
                     receipt = yield from publisher.publish(root)

@@ -63,15 +63,15 @@ class ScaleCrawlConfig:
     #: 200 k peers at the prober's 30 s floor would be millions of
     #: probe events, and a uniform 5 % slice estimates the same CDFs.
     probe_sample: float = 0.05
-    campaign_seed: int = 13
 
     def campaign(self) -> CrawlCampaignConfig:
+        """The campaign at this shape; ``seed`` picks the world, the
+        crawler keeps :class:`CrawlCampaignConfig`'s own seed."""
         return CrawlCampaignConfig(
             crawl_interval_s=self.crawl_interval_s,
             duration_s=self.duration_s,
             bucket_queries=self.bucket_queries,
             probe_sample=self.probe_sample,
-            seed=self.campaign_seed,
         )
 
 
@@ -83,12 +83,8 @@ def grade_scale_results(
     config: ScaleCrawlConfig, results: CrawlCampaignResults
 ) -> list[Claim]:
     """Grade a campaign against Figure 4a/8 paper numbers and floors."""
-    timeseries = results.timeseries()
-    undialable_fracs = [
-        undialable / total for _, total, _, undialable in timeseries if total
-    ]
-    mean_undialable = sum(undialable_fracs) / len(undialable_fracs)
-    totals = [total for _, total, _, _ in timeseries]
+    mean_undialable = results.undialable_fraction()
+    totals = [total for _, total, _, _ in results.timeseries()]
     stability = min(totals) / max(totals)
     summary = results.churn_summary()
     undialable_target = TARGETS_BY_KEY["peer.undialable_fraction"]

@@ -22,7 +22,7 @@ from repro.dht.dht_node import DhtNode
 from repro.multiformats.peerid import PeerId
 from repro.node.config import NodeConfig
 from repro.node.host import IpfsNode
-from repro.simnet.churn import SessionProcess
+from repro.simnet.churn import WORLD_INITIAL_ONLINE_PROBABILITY, SessionProcess
 from repro.simnet.latency import AWS_REGION_MAP, PeerClass
 from repro.simnet.nat import (
     DEFAULT_KEEPALIVE_INTERVAL_S,
@@ -50,6 +50,9 @@ AWS_REGIONS = [
 
 #: The network runs six canonical bootstrap peers (Section 4.1).
 N_BOOTSTRAP = 6
+
+#: How many reliable public peers act as circuit relays in a NAT world.
+N_RELAYS = 4
 
 #: Default NAT-mode mix for the never-reachable cohort, calibrated so
 #: the emergent undialable share stays inside the paper's 45.5 % PASS
@@ -79,13 +82,8 @@ class NatWorldConfig:
     #: (mode name, weight) pairs; weights need not sum to 1.
     mix: tuple[tuple[str, float], ...] = DEFAULT_NAT_MIX
     mapping_ttl_s: float = DEFAULT_MAPPING_TTL_S
-    keepalive_interval_s: float = DEFAULT_KEEPALIVE_INTERVAL_S
     #: probability a NAT'ed peer speaks DCUtR (public peers always do)
     punch_adoption: float = 0.0
-    #: how many reliable public peers act as circuit relays
-    relays: int = 4
-    #: reservation slots per relay; default scales with the population
-    relay_capacity: int | None = None
 
 
 #: NAT layer on, zero boxes: byte-identical to a NAT-free world.
@@ -112,8 +110,6 @@ class ScenarioConfig:
     seed: int = 42
     #: start churn processes for the backdrop (disable for static worlds)
     with_churn: bool = True
-    #: initial online probability for churning peers
-    initial_online_probability: float = 0.8
     node_config: NodeConfig | None = None
     #: When False, never-reachable (NAT'ed) peers are built as DHT
     #: *clients*, so they cannot enter anyone's routing table — the
@@ -207,7 +203,7 @@ def build_scenario(
             host.nat = NatBox(
                 nat_mode,
                 mapping_ttl_s=config.nat_world.mapping_ttl_s,
-                keepalive_interval_s=config.nat_world.keepalive_interval_s,
+                keepalive_interval_s=DEFAULT_KEEPALIVE_INTERVAL_S,
                 port_base=1024 + 64 * spec.index,
             )
             host.dcutr = nat_rng.random() < config.nat_world.punch_adoption
@@ -238,7 +234,7 @@ def build_scenario(
             SessionProcess(
                 sim, host, spec.churn_model,
                 derive_rng(config.seed, "churn", str(spec.index)),
-                initial_online_probability=config.initial_online_probability,
+                initial_online_probability=WORLD_INITIAL_ONLINE_PROBABILITY,
             )
 
     scenario = Scenario(
@@ -278,14 +274,12 @@ def build_scenario(
     # the dial path — and the golden trace — is untouched.
     if config.nat_world is not None and boxed_hosts:
         dialer = CircuitDialer(net)
-        capacity = config.nat_world.relay_capacity
-        if capacity is None:
-            capacity = len(population.peers)
         relay_hosts = [
             node.host for node in reliable if node.host.nat is None
-        ][: max(1, config.nat_world.relays)]
+        ][:N_RELAYS]
         for relay_host in relay_hosts:
-            dialer.enable_relay(relay_host, capacity=capacity)
+            # reservation slots scale with the population
+            dialer.enable_relay(relay_host, capacity=len(population.peers))
         n_relays = len(relay_hosts)
         for index, host in boxed_hosts:
             # Bootstrap keepalive: the long-lived connection every node

@@ -186,7 +186,6 @@ class GatewayBridge:
             node.bitswap, [provider],
             retry_policy=node.config.bitswap_retry,
             rng=node.rng,
-            silence_timeout_s=node.config.bitswap_silence_timeout_s,
             resilience=node.resilience if node.config.resilience.any_enabled else None,
         )
         fetch_start = node.sim.now

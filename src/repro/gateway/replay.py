@@ -73,7 +73,7 @@ from repro.gateway.overload import OverloadConfig, ProviderHintCache
 from repro.node.host import IpfsNode
 from repro.simnet.latency import PeerClass, Region
 from repro.simnet.network import SimNetwork
-from repro.simnet.sim import Simulator, with_timeout
+from repro.simnet.sim import Simulator
 from repro.utils.rng import derive_rng
 from repro.workloads.gateway_trace import (
     ColumnarTrace,
@@ -104,48 +104,6 @@ _LOG_REMAINDER = math.log(_NON_CACHED_MEDIAN_REMAINDER_S)
 _LOG_STORE_MEDIAN = math.log(_NODE_STORE_MEDIAN_S)
 
 
-def _default_overload() -> OverloadConfig:
-    return OverloadConfig(
-        coalesce=True,
-        max_inflight_misses=8,
-        queue_capacity_bytes=64 * 1024 * 1024,
-        queue_deadline_s=20.0,
-        brownout_threshold=0.9,
-        default_size_hint=256 * 1024,
-    )
-
-
-def _default_fleet() -> FleetConfig:
-    return FleetConfig(
-        routing="consistent_hash",
-        failover=True,
-        health_window=16,
-        min_observations=8,
-    )
-
-
-@dataclass(frozen=True)
-class FleetTailConfig:
-    """The per-window mini-world the ``fleet`` backend replays misses
-    against: a DATACENTER publisher holding every missed object,
-    ``n_gateways`` bridge nodes behind the hardened fleet, and a small
-    DHT backdrop."""
-
-    n_gateways: int = 3
-    n_backdrop: int = 12
-    #: bytes actually published/fetched per missed object (the trace's
-    #: own sizes budget admission control via ``size_hint``; shipping
-    #: multi-MB payloads through the simulated network would only slow
-    #: the replay down without changing the overload semantics).
-    payload_size: int = 24 * 1024
-    #: per-bridge nginx cache.
-    bridge_cache_bytes: int = 256 * 1024 * 1024
-    #: simulated seconds a client waits before abandoning (None = wait).
-    deadline_s: float | None = None
-    overload: OverloadConfig = field(default_factory=_default_overload)
-    fleet: FleetConfig = field(default_factory=_default_fleet)
-
-
 @dataclass(frozen=True)
 class ReplayConfig:
     """One replay run: a trace scale, a cache size and a miss backend."""
@@ -154,9 +112,7 @@ class ReplayConfig:
     trace: GatewayTraceConfig = field(
         default_factory=lambda: GatewayTraceConfig(scale=1)
     )
-    #: absolute nginx-cache budget; None sizes it from the corpus.
-    cache_capacity_bytes: int | None = None
-    #: corpus fraction used when ``cache_capacity_bytes`` is None. The
+    #: nginx-cache budget as a fraction of the corpus bytes. The
     #: legacy default (0.15) lands Table 5's ≈46 % nginx share at the
     #: conformance harness's scales; the full-scale day calibrates its
     #: own fraction (see ``full_day_config``).
@@ -164,7 +120,6 @@ class ReplayConfig:
     #: window/cell width in trace seconds (Fig 11b uses 1800 s bins).
     window_s: float = 1800.0
     miss_backend: str = "model"
-    fleet_tail: FleetTailConfig = field(default_factory=FleetTailConfig)
 
     def __post_init__(self) -> None:
         if self.miss_backend not in {"model", "fleet"}:
@@ -281,6 +236,34 @@ def _model_cell(seed: int, window: int, tier_bytes: bytes) -> dict:
     }
 
 
+#: The per-window mini-world the ``fleet`` backend replays misses
+#: against: a DATACENTER publisher holding every missed object, this
+#: many bridge nodes behind the hardened fleet, and a small DHT backdrop.
+FLEET_GATEWAYS = 3
+FLEET_BACKDROP = 12
+#: bytes actually published/fetched per missed object (the trace's own
+#: sizes budget admission control via ``size_hint``; shipping multi-MB
+#: payloads through the simulated network would only slow the replay
+#: down without changing the overload semantics).
+FLEET_PAYLOAD_SIZE = 24 * 1024
+#: per-bridge nginx cache.
+FLEET_BRIDGE_CACHE_BYTES = 256 * 1024 * 1024
+FLEET_OVERLOAD = OverloadConfig(
+    coalesce=True,
+    max_inflight_misses=8,
+    queue_capacity_bytes=64 * 1024 * 1024,
+    queue_deadline_s=20.0,
+    brownout_threshold=0.9,
+    default_size_hint=256 * 1024,
+)
+FLEET_ROUTING = FleetConfig(
+    routing="consistent_hash",
+    failover=True,
+    health_window=16,
+    min_observations=8,
+)
+
+
 def _fleet_cell(
     seed: int,
     window: int,
@@ -288,7 +271,6 @@ def _fleet_cell(
     rel_ts: array,
     miss_cids: array,
     size_hints: array,
-    tail: FleetTailConfig,
 ) -> dict:
     """Replay one window's miss tail through a real gateway fleet.
 
@@ -311,14 +293,14 @@ def _fleet_cell(
             sim, net, derive_rng(seed, "replay-gw", label, str(index)),
             region=Region.NA_WEST, peer_class=PeerClass.DATACENTER,
         )
-        for index in range(tail.n_gateways)
+        for index in range(FLEET_GATEWAYS)
     ]
     backdrop = [
         IpfsNode(
             sim, net, derive_rng(seed, "replay-bg", label, str(index)),
             region=world_rng.choice(list(Region)),
         )
-        for index in range(tail.n_backdrop)
+        for index in range(FLEET_BACKDROP)
     ]
     populate_routing_tables(
         [n.dht for n in [publisher, *gateway_nodes, *backdrop]], world_rng
@@ -328,13 +310,13 @@ def _fleet_cell(
     bridges = [
         GatewayBridge(
             node,
-            cache_capacity_bytes=tail.bridge_cache_bytes,
-            overload=tail.overload,
+            cache_capacity_bytes=FLEET_BRIDGE_CACHE_BYTES,
+            overload=FLEET_OVERLOAD,
             provider_hints=hints,
         )
         for node in gateway_nodes
     ]
-    fleet = GatewayFleet(sim, bridges, tail.fleet)
+    fleet = GatewayFleet(sim, bridges, FLEET_ROUTING)
 
     distinct = list(dict.fromkeys(miss_cids))  # first-appearance order
     payload_rng = derive_rng(seed, "replay-objects", label)
@@ -345,15 +327,7 @@ def _fleet_cell(
 
     def client(index: int, cid, hint: int):
         started = sim.now
-        if tail.deadline_s is None:
-            response = yield from fleet.get(
-                cid, user="replay", size_hint=hint
-            )
-        else:
-            process = sim.spawn(fleet.get(cid, user="replay", size_hint=hint))
-            response = yield with_timeout(
-                sim, process.future, tail.deadline_s
-            )
+        response = yield from fleet.get(cid, user="replay", size_hint=hint)
         latencies[index] = sim.now - started
         shed_flags[index] = 1 if response.shed else 0
 
@@ -362,7 +336,7 @@ def _fleet_cell(
         cid_map = {}
         for trace_cid in distinct:
             root, _ = yield from publisher.add_and_publish(
-                payload_rng.randbytes(tail.payload_size)
+                payload_rng.randbytes(FLEET_PAYLOAD_SIZE)
             )
             cid_map[trace_cid] = root
         replay_start = sim.now
@@ -562,10 +536,8 @@ def run_replay(config: ReplayConfig, workers: int = 1) -> ReplayResult:
     trace = generate_columnar_trace(config.trace, derive_rng(config.seed, "trace"))
     timings["generate_s"] = time.perf_counter() - started
 
-    capacity = config.cache_capacity_bytes
-    if capacity is None:
-        corpus = sum(trace.cid_sizes)
-        capacity = max(1, int(corpus * config.cache_fraction_of_corpus))
+    corpus = sum(trace.cid_sizes)
+    capacity = max(1, int(corpus * config.cache_fraction_of_corpus))
 
     resolve_started = time.perf_counter()
     tiers = resolve_tiers(trace, capacity)
@@ -600,7 +572,7 @@ def run_replay(config: ReplayConfig, workers: int = 1) -> ReplayResult:
                     _fleet_cell,
                     (
                         config.seed, window, window_start,
-                        rel_ts, miss_cids, size_hints, config.fleet_tail,
+                        rel_ts, miss_cids, size_hints,
                     ),
                 )
             )

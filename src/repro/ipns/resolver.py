@@ -93,7 +93,8 @@ class IpnsResolver:
     """
 
     #: fixed ceiling on one resolution walk; with adaptive timeouts on,
-    #: the budget tightens to ``walk_hop_budget`` per-hop deadlines.
+    #: the budget tightens to
+    #: :data:`~repro.resilience.core.WALK_HOP_BUDGET` per-hop deadlines.
     RESOLVE_BUDGET_S = 60.0
 
     def __init__(

@@ -1,14 +1,11 @@
-"""Node configuration: every paper-specified default in one place."""
+"""Node configuration: what an experiment arm varies about a node."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.bitswap.messages import BITSWAP_TIMEOUT_S
 from repro.dht.lookup import LookupConfig
-from repro.dht.records import EXPIRY_INTERVAL_S, REPUBLISH_INTERVAL_S
-from repro.merkledag.chunker import DEFAULT_CHUNK_SIZE
-from repro.node.addressbook import ADDRESS_BOOK_CAPACITY
+from repro.dht.records import REPUBLISH_INTERVAL_S
 from repro.resilience import ResilienceConfig
 from repro.utils.retry import RetryPolicy
 
@@ -17,17 +14,16 @@ from repro.utils.retry import RetryPolicy
 class NodeConfig:
     """Tunables of an :class:`~repro.node.host.IpfsNode`.
 
-    Defaults reproduce go-ipfs v0.10 as described in the paper:
-    256 kB chunks, k = 20 replication, α = 3 lookups, 1 s Bitswap
-    window, 12 h republish / 24 h expiry, 900-entry address book.
+    Defaults reproduce go-ipfs v0.10 as described in the paper: k = 20
+    replication, α = 3 lookups, 12 h republish. What no arm varies is
+    a constant of the module that reads it: 256 kB chunks and the
+    174-link fanout (:mod:`repro.merkledag`), the 1 s Bitswap window
+    (:data:`~repro.bitswap.messages.BITSWAP_TIMEOUT_S`), 24 h expiry
+    (:data:`~repro.dht.records.EXPIRY_INTERVAL_S`), the 900-entry
+    address book (:data:`~repro.node.addressbook.ADDRESS_BOOK_CAPACITY`).
     """
 
-    chunk_size: int = DEFAULT_CHUNK_SIZE
-    dag_fanout: int = 174
-    bitswap_timeout_s: float = BITSWAP_TIMEOUT_S
     republish_interval_s: float = REPUBLISH_INTERVAL_S
-    expiry_interval_s: float = EXPIRY_INTERVAL_S
-    address_book_capacity: int = ADDRESS_BOOK_CAPACITY
     lookup: LookupConfig = field(default_factory=LookupConfig)
     #: Run DHT lookups in parallel with the Bitswap window instead of
     #: after it — the optimization Section 6.2 proposes as future work
@@ -46,11 +42,11 @@ class NodeConfig:
         max_attempts=2, base_delay_s=0.0, max_delay_s=0.0
     )
     #: Per-provider Bitswap re-want policy: after
-    #: ``bitswap_silence_timeout_s`` of silence the session re-sends
-    #: the want instead of writing the provider off. Off by default
-    #: (the paper's go-bitswap session behaviour at measurement time).
+    #: :data:`~repro.bitswap.session.SILENCE_TIMEOUT_S` of silence the
+    #: session re-sends the want instead of writing the provider off.
+    #: Off by default (the paper's go-bitswap session behaviour at
+    #: measurement time).
     bitswap_retry: RetryPolicy = RetryPolicy()
-    bitswap_silence_timeout_s: float = 8.0
     #: Graceful-degradation features (circuit breakers, adaptive
     #: deadlines, hedging, fallbacks); every flag defaults off, so the
     #: stock node is byte-identical to the pre-resilience stack.

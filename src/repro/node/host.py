@@ -39,6 +39,7 @@ from repro.multiformats.peerid import PeerId
 from repro.node.addressbook import AddressBook
 from repro.node.config import NodeConfig
 from repro.resilience import Resilience, hedged_call
+from repro.resilience.core import FALLBACK_WINDOW_S
 from repro.simnet.latency import PeerClass, Region
 from repro.simnet.nat import NatBox
 from repro.simnet.network import SimHost, SimNetwork
@@ -158,7 +159,7 @@ class IpfsNode:
                            resilience=self.resilience)
         self.blockstore = PinningBlockstore()
         self.bitswap = BitswapEngine(sim, network, self.host, self.blockstore)
-        self.address_book = AddressBook(self.config.address_book_capacity)
+        self.address_book = AddressBook()
         self.reader = DagReader(self.blockstore)
         self.published: set[Cid] = set()
         self.addresses = (synthesize_multiaddr(self.peer_id),)
@@ -185,10 +186,7 @@ class IpfsNode:
 
     def add_bytes(self, data: bytes, pin: bool = True) -> ImportResult:
         """Import content locally; nothing touches the network yet."""
-        builder = DagBuilder(
-            self.blockstore, chunk_size=self.config.chunk_size,
-            fanout=self.config.dag_fanout,
-        )
+        builder = DagBuilder(self.blockstore)
         result = builder.add_bytes(data)
         if pin:
             self.blockstore.pin(result.root)
@@ -343,7 +341,6 @@ class IpfsNode:
                 self.bitswap, [provider],
                 retry_policy=self.config.bitswap_retry,
                 rng=self.rng,
-                silence_timeout_s=self.config.bitswap_silence_timeout_s,
                 resilience=self.resilience if self.config.resilience.any_enabled else None,
             )
             with tracer.span("retrieve.fetch"):
@@ -381,9 +378,7 @@ class IpfsNode:
         the primary.
         """
         window_start = self.sim.now
-        peer = yield from self.bitswap.discover_connected(
-            cid, self.config.bitswap_timeout_s
-        )
+        peer = yield from self.bitswap.discover_connected(cid)
         bitswap_window = self.sim.now - window_start
         if peer is not None:
             return peer, [], (bitswap_window, 0.0, True, False)
@@ -407,7 +402,7 @@ class IpfsNode:
         """Race the Bitswap window against the DHT walk (Section 6.2)."""
         start = self.sim.now
         bitswap_process = self.sim.spawn(
-            self.bitswap.discover_connected(cid, self.config.bitswap_timeout_s)
+            self.bitswap.discover_connected(cid)
         )
         walk_process = self.sim.spawn(self.dht.find_providers(cid))
 
@@ -457,9 +452,7 @@ class IpfsNode:
                 "resilience.fallback", cid=str(cid),
                 connected=len(self.host.connections),
             )
-        peer = yield from self.bitswap.discover_connected(
-            cid, res.config.fallback_window_s
-        )
+        peer = yield from self.bitswap.discover_connected(cid, FALLBACK_WINDOW_S)
         if peer is not None:
             res.count_fallback_hit()
         return peer

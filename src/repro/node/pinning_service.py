@@ -76,11 +76,7 @@ class PinningService:
 
     def _on_upload(self, sender: PeerId, data: bytes):
         """Receive uploaded bytes; import + pin them locally."""
-        builder = DagBuilder(
-            self.node.blockstore,
-            chunk_size=self.node.config.chunk_size,
-            fanout=self.node.config.dag_fanout,
-        )
+        builder = DagBuilder(self.node.blockstore)
         result = builder.add_bytes(data)
         self.node.blockstore.pin(result.root)
         record = PinRecord(result.root, sender, len(data), self.node.sim.now)

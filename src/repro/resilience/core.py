@@ -30,11 +30,18 @@ from repro.resilience.breaker import (
     BreakerConfig,
     BreakerRegistry,
 )
-from repro.resilience.rtt import AdaptiveTimeoutConfig, RttEstimator
+from repro.resilience.rtt import RttEstimator
 
 if TYPE_CHECKING:
     from repro.simnet.network import Network
     from repro.simnet.sim import Simulator
+
+#: hedge-delay fallback while the estimator is cold.
+HEDGE_DEFAULT_DELAY_S = 2.0
+#: how long a fallback Bitswap broadcast waits for an IHAVE.
+FALLBACK_WINDOW_S = 2.0
+#: adaptive cap on an IPNS resolve: this many per-hop deadlines.
+WALK_HOP_BUDGET = 6
 
 
 @dataclass(frozen=True)
@@ -56,14 +63,6 @@ class ResilienceConfig:
     fallbacks: bool = False
 
     breaker: BreakerConfig = field(default_factory=BreakerConfig)
-    adaptive: AdaptiveTimeoutConfig = field(default_factory=AdaptiveTimeoutConfig)
-
-    #: hedge-delay fallback while the estimator is cold.
-    hedge_default_delay_s: float = 2.0
-    #: how long a fallback Bitswap broadcast waits for an IHAVE.
-    fallback_window_s: float = 2.0
-    #: adaptive cap on an IPNS resolve: this many per-hop deadlines.
-    walk_hop_budget: int = 6
 
     @property
     def any_enabled(self) -> bool:
@@ -117,7 +116,7 @@ class Resilience:
         # Hedging shares the estimator: its launch delay is a quantile
         # of the same observed durations the deadline is derived from.
         self.rtt: RttEstimator | None = (
-            RttEstimator(config.adaptive)
+            RttEstimator()
             if (config.adaptive_timeouts or config.hedging)
             else None
         )
@@ -180,7 +179,7 @@ class Resilience:
         return deadline
 
     def walk_budget_s(self, default: float) -> float:
-        """An adaptive overall budget: ``walk_hop_budget`` hop deadlines.
+        """An adaptive overall budget: :data:`WALK_HOP_BUDGET` hop deadlines.
 
         Never exceeds ``default`` — adaptation only tightens budgets.
         """
@@ -189,13 +188,13 @@ class Resilience:
         deadline = self.rtt.deadline_s(None, None)
         if deadline is None:
             return default
-        return min(default, deadline * self.config.walk_hop_budget)
+        return min(default, deadline * WALK_HOP_BUDGET)
 
     def hedge_delay_s(self, region: Hashable) -> float:
         """How long the original request runs before a hedge launches."""
         if self.rtt is None:
-            return self.config.hedge_default_delay_s
-        return self.rtt.hedge_delay_s(region, self.config.hedge_default_delay_s)
+            return HEDGE_DEFAULT_DELAY_S
+        return self.rtt.hedge_delay_s(region, HEDGE_DEFAULT_DELAY_S)
 
     # -- event counters ---------------------------------------------------
 

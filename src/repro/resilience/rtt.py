@@ -32,6 +32,13 @@ from typing import Hashable
 from repro.errors import ReproError
 from repro.utils.stats import percentile
 
+#: spread percentile feeding the deadline.
+DEADLINE_PERCENTILE = 95.0
+#: spread percentile for the hedge delay (when the original has been
+#: out longer than this, a second copy launches), and its floor.
+HEDGE_PERCENTILE = 90.0
+MIN_HEDGE_DELAY_S = 0.25
+
 
 @dataclass(frozen=True)
 class AdaptiveTimeoutConfig:
@@ -42,8 +49,6 @@ class AdaptiveTimeoutConfig:
     ewma_alpha: float = 0.2
     #: samples kept per region for the percentile term.
     window: int = 64
-    #: spread percentile feeding the deadline.
-    deadline_percentile: float = 95.0
     #: safety factor over the estimate.
     multiplier: float = 3.0
     #: deadline clamp. The ceiling stays at the fixed 10 s default so
@@ -52,10 +57,6 @@ class AdaptiveTimeoutConfig:
     max_deadline_s: float = 10.0
     #: samples a key needs before its estimate is trusted.
     warmup: int = 5
-    #: spread percentile for the hedge delay (when the original has
-    #: been out longer than this, a second copy launches).
-    hedge_percentile: float = 90.0
-    min_hedge_delay_s: float = 0.25
 
     def __post_init__(self) -> None:
         if not 0.0 < self.ewma_alpha <= 1.0:
@@ -140,7 +141,7 @@ class RttEstimator:
         deadline replaces; ``None`` lets callers detect coldness).
         """
         config = self.config
-        estimate = self.estimate_s(key, config.deadline_percentile)
+        estimate = self.estimate_s(key, DEADLINE_PERCENTILE)
         if estimate is None:
             return default
         return min(
@@ -156,7 +157,7 @@ class RttEstimator:
         tail-tolerant hedging policy (Dean & Barroso, "The Tail at
         Scale"). Falls back to ``default`` while cold.
         """
-        estimate = self.estimate_s(key, self.config.hedge_percentile)
+        estimate = self.estimate_s(key, HEDGE_PERCENTILE)
         if estimate is None:
             return default
-        return max(self.config.min_hedge_delay_s, estimate)
+        return max(MIN_HEDGE_DELAY_S, estimate)

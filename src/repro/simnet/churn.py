@@ -42,6 +42,9 @@ class ChurnModel:
 #: A host that should never churn (e.g. controlled experiment nodes).
 ALWAYS_ON = ChurnModel(median_session_s=float("inf"))
 
+#: Share of a built world's churning peers that start online.
+WORLD_INITIAL_ONLINE_PROBABILITY = 0.8
+
 
 class SessionProcess:
     """Drives a host's online flag through alternating sessions/gaps.

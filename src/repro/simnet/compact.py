@@ -57,6 +57,7 @@ from repro.dht.dht_node import DhtNode
 from repro.dht.routing_table import K_BUCKET_SIZE
 from repro.errors import SimulationError
 from repro.multiformats.peerid import PeerId
+from repro.simnet.churn import WORLD_INITIAL_ONLINE_PROBABILITY
 from repro.simnet.latency import Region
 from repro.simnet.network import SimHost, SimNetwork
 from repro.simnet.shard import ShardedSimulator
@@ -107,7 +108,6 @@ def _peer_keys(n: int) -> tuple[list[bytes], list[int]]:
 def _churn_schedules(
     compact: CompactPopulation,
     seed: int,
-    initial_online_probability: float,
     horizon_s: float,
 ) -> tuple[bytearray, array, array]:
     """Initial online flags, per-peer ``[off, off+1)`` slices and the
@@ -135,7 +135,7 @@ def _churn_schedules(
             online[index] = 1
             off.append(len(delays))
             continue
-        is_online = rng.random() < initial_online_probability
+        is_online = rng.random() < WORLD_INITIAL_ONLINE_PROBABILITY
         online[index] = 1 if is_online else 0
         elapsed = 0.0
         state = is_online
@@ -445,8 +445,7 @@ def build_compact_world(
     # *before* table fill — reachability at fill time reflects it.
     if config.with_churn:
         world._online, world._churn_off, world._churn_delays = _churn_schedules(
-            compact, config.seed, config.initial_online_probability,
-            churn_horizon_s,
+            compact, config.seed, churn_horizon_s,
         )
     else:
         reach = compact.peer_reach

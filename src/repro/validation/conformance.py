@@ -98,7 +98,7 @@ METRIC_KEYS_BY_DATASET: dict[str, tuple[str, ...]] = {
 }
 
 
-def run_peer_dataset(config: ValidationConfig) -> dict[str, float]:
+def run_peer_dataset(config: ValidationConfig) -> dict[str, float | None]:
     """Population analysis + crawl/probe campaign (Section 5)."""
     population, analysis = deployment_dataset(
         config.population_peers, seed=config.seed, label="validate-pop"
@@ -111,8 +111,6 @@ def run_peer_dataset(config: ValidationConfig) -> dict[str, float]:
         config.crawl_peers, config.crawl_hours, config.crawl_interval_s,
         seed=config.seed, run_seed=config.seed, label="validate-crawl-pop",
     )
-    crawls = campaign.timeseries()
-    undialable = sum(u / total for _, total, _, u in crawls if total) / len(crawls)
     churn = campaign.churn_summary()
 
     return {
@@ -123,7 +121,7 @@ def run_peer_dataset(config: ValidationConfig) -> dict[str, float]:
         "peer.top100_as_share": analysis.top100_as_share,
         "peer.cloud_ip_share": sum(row.share for row in analysis.cloud_rows),
         "peer.never_reachable_share": never,
-        "peer.undialable_fraction": undialable,
+        "peer.undialable_fraction": campaign.undialable_fraction(),
         "peer.session_under_8h": churn.under_8h_fraction,
     }
 

@@ -47,8 +47,6 @@ class NatTierConfig:
     seeds: tuple[int, ...] = DEFAULT_TIER_SEEDS
     n_peers: int = 250
     crawl_hours: float = 2.0
-    crawl_interval_s: float = 1800.0
-    autonat_helpers: int = 12
 
 
 def _seed_cell(config: NatTierConfig, seed: int) -> NatCellResult:
@@ -57,8 +55,6 @@ def _seed_cell(config: NatTierConfig, seed: int) -> NatCellResult:
         seed=seed,
         n_peers=config.n_peers,
         crawl_hours=config.crawl_hours,
-        crawl_interval_s=config.crawl_interval_s,
-        autonat_helpers=config.autonat_helpers,
         retrievals_per_cell=0,
     )
     return _run_cell(sweep_config, "default", 0.0, DEFAULT_MAPPING_TTL_S)

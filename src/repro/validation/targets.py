@@ -34,6 +34,7 @@ from repro.validation.compare import (
     grade_distance,
     grade_relative_error,
 )
+from repro.workloads.gateway_trace import TOTAL_CIDS, TOTAL_REQUESTS, TOTAL_USERS
 
 PEER = "peer"
 GATEWAY = "gateway"
@@ -56,8 +57,11 @@ class PaperTarget:
     warn_tol: float = 0.25
     unit: str = ""
 
-    def grade(self, measured: float) -> tuple[float, Grade]:
-        """(error, grade) of a measured value against this target."""
+    def grade(self, measured: float | None) -> tuple[float | None, Grade]:
+        """(error, grade) of a measured value against this target; a
+        quantity the run could not define (``None``) FAILs."""
+        if measured is None:
+            return None, Grade.FAIL
         if self.kind == "relative":
             return grade_relative_error(
                 measured, self.paper_value, self.pass_tol, self.warn_tol
@@ -188,7 +192,7 @@ TARGETS: tuple[PaperTarget, ...] = (
         dataset=GATEWAY,
         description="requests per distinct user over the day",
         source="Section 4.2 (7.1 M requests / 101 k users)",
-        paper_value=7_100_000 / 101_000,
+        paper_value=TOTAL_REQUESTS / TOTAL_USERS,
         pass_tol=0.10, warn_tol=0.20,
     ),
     PaperTarget(
@@ -196,7 +200,7 @@ TARGETS: tuple[PaperTarget, ...] = (
         dataset=GATEWAY,
         description="requests per distinct CID over the day",
         source="Section 4.2 (7.1 M requests / 274 k CIDs)",
-        paper_value=7_100_000 / 274_000,
+        paper_value=TOTAL_REQUESTS / TOTAL_CIDS,
         pass_tol=0.25, warn_tol=0.40,
     ),
     PaperTarget(

@@ -51,6 +51,13 @@ class BurstRequest:
     country: str
 
 
+#: popularity skew inside the drop's hot set and background catalogue
+#: (flatter than the steady-state day: a fresh collection has no
+#: established favourites yet), and across the storm's objects.
+NFT_DROP_ZIPF_EXPONENT = 0.9
+DIURNAL_STORM_ZIPF_EXPONENT = 1.1
+
+
 @dataclass(frozen=True)
 class NftDropConfig:
     """Shape of the minting-rush spike."""
@@ -68,10 +75,6 @@ class NftDropConfig:
     #: for the whole spike instead of one warm object's cache window.
     n_hot_objects: int = 100
     n_background_objects: int = 24
-    #: popularity skew inside the hot set and the background catalogue
-    #: (flatter than the steady-state day: a fresh collection has no
-    #: established favourites yet).
-    zipf_exponent: float = 0.9
 
     def __post_init__(self) -> None:
         if self.duration_s <= 0 or self.spike_duration_s <= 0:
@@ -109,7 +112,6 @@ class DiurnalStormConfig:
     #: demand multiplier for the storm region inside the window.
     storm_multiplier: float = 10.0
     n_objects: int = 40
-    zipf_exponent: float = 1.1
 
     def __post_init__(self) -> None:
         if self.duration_s <= 0 or self.storm_duration_s <= 0:
@@ -147,9 +149,9 @@ def generate_nft_drop(
     """The minting rush: baseline catalogue traffic plus a hot-set
     spike starting at ``drop_at_s``, sorted by timestamp."""
     background_weights = _zipf_weights(
-        config.n_background_objects, config.zipf_exponent
+        config.n_background_objects, NFT_DROP_ZIPF_EXPONENT
     )
-    hot_weights = _zipf_weights(config.n_hot_objects, config.zipf_exponent)
+    hot_weights = _zipf_weights(config.n_hot_objects, NFT_DROP_ZIPF_EXPONENT)
     countries = [country for country, _, _ in STORM_COUNTRIES]
     country_weights = [share for _, share, _ in STORM_COUNTRIES]
 
@@ -195,7 +197,7 @@ def generate_diurnal_storm(
 ) -> list[BurstRequest]:
     """The regional surge: diurnal per-country demand over a compressed
     day, with the storm region's rate multiplied inside its window."""
-    object_weights = _zipf_weights(config.n_objects, config.zipf_exponent)
+    object_weights = _zipf_weights(config.n_objects, DIURNAL_STORM_ZIPF_EXPONENT)
     #: map compressed-trace seconds onto the 86 400 s diurnal curve.
     day_scale = 86_400.0 / config.duration_s
     storm_end = min(

@@ -282,7 +282,7 @@ def generate_compact_population(
     multipliers and the mega-IP skew reproduce the IP-level marginals
     (Table 2, Fig 7c).
     """
-    as_table = _build_as_table(rng, config.n_tail_ases)
+    as_table = _build_as_table(rng)
 
     # Country-code interning: sampler countries first (stable codes for
     # the hot path), then any AS-table-only countries on first sight.
@@ -373,8 +373,8 @@ def generate_compact_population(
         cloud_name = (
             None if addr_cloud[first] < 0 else CLOUD_SHARES[addr_cloud[first]][0]
         )
-        reachability = _sample_reachability(rng, config, cloud_name)
-        peer_klass = _sample_class(rng, config, cloud_name)
+        reachability = _sample_reachability(rng, cloud_name)
+        peer_klass = _sample_class(rng, cloud_name)
         peer_country[index] = country_code
         peer_reach[index] = _REACH_CODE[reachability]
         peer_class[index] = _CLASS_CODE[peer_klass]

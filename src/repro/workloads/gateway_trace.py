@@ -32,6 +32,20 @@ from operator import itemgetter
 from repro.errors import ReproError
 from repro.workloads.objects import sample_object_size
 
+#: The ipfs.io day (Section 4.2): requests, users and requested CIDs.
+TOTAL_REQUESTS = 7_100_000
+TOTAL_USERS = 101_000
+TOTAL_CIDS = 274_000
+SECONDS_PER_DAY = 86_400
+
+#: CID popularity is Zipf with this exponent, within the pinned slice
+#: (the most popular ``PINNED_CID_FRACTION`` of slots) and outside it.
+ZIPF_EXPONENT = 1.15
+PINNED_CID_FRACTION = 0.04
+#: Probability mass of requests that target pinned CIDs (~40 % of
+#: requests are served from the node store in Table 5).
+PINNED_REQUEST_SHARE = 0.402
+
 #: Fig 6 user-country shares (top five are from the paper).
 USER_COUNTRY_SHARES: list[tuple[str, float]] = [
     ("US", 0.504), ("CN", 0.319), ("HK", 0.066), ("CA", 0.046), ("JP", 0.017),
@@ -64,19 +78,10 @@ class GatewayRequest:
 
 @dataclass(frozen=True)
 class GatewayTraceConfig:
-    """Scale knobs; defaults are the paper's numbers divided by
-    ``scale`` (the full trace is 7.1 M requests)."""
+    """The day's size: the paper's totals divided by ``scale`` (the
+    full trace is 7.1 M requests)."""
 
     scale: int = 50
-    total_requests: int = 7_100_000
-    total_users: int = 101_000
-    total_cids: int = 274_000
-    zipf_exponent: float = 1.15
-    pinned_cid_fraction: float = 0.04
-    #: Probability mass of requests that target pinned CIDs (~40 % of
-    #: requests are served from the node store in Table 5).
-    pinned_request_share: float = 0.402
-    seconds_per_day: int = 86_400
     #: Spread demand over the *whole* CID catalog: every ``stride``-th
     #: request (stride = requests // cids) is redirected to the next
     #: catalog slot, guaranteeing each of the day's CIDs at least one
@@ -88,23 +93,22 @@ class GatewayTraceConfig:
     full_catalog: bool = False
 
     def __post_init__(self) -> None:
-        if not 1 <= self.scale <= self.total_requests:
+        if not 1 <= self.scale <= TOTAL_REQUESTS:
             raise ReproError(
-                f"scale must be between 1 and total_requests "
-                f"({self.total_requests}), got {self.scale}"
+                f"scale must be between 1 and {TOTAL_REQUESTS}, got {self.scale}"
             )
 
     @property
     def n_requests(self) -> int:
-        return self.total_requests // self.scale
+        return TOTAL_REQUESTS // self.scale
 
     @property
     def n_users(self) -> int:
-        return max(1, self.total_users // self.scale)
+        return max(1, TOTAL_USERS // self.scale)
 
     @property
     def n_cids(self) -> int:
-        return max(10, self.total_cids // self.scale)
+        return max(10, TOTAL_CIDS // self.scale)
 
 
 @dataclass
@@ -184,7 +188,7 @@ def diurnal_weight(second: float, utc_offset: int) -> float:
 #: the band. Either way the decision is the definition's, which is what
 #: keeps the day bit-identical.
 _SQUEEZE_AMPLITUDE = math.hypot(1.0, 0.45)
-_SQUEEZE_OMEGA = 2 * math.pi / 86_400
+_SQUEEZE_OMEGA = 2 * math.pi / SECONDS_PER_DAY
 _SQUEEZE_GUARD = 1e-9
 
 #: Requests are appended to the columns of their time-of-day bin as
@@ -382,16 +386,14 @@ def generate_columnar_trace(
     # since pinning targets exactly the content initiatives push
     # through the gateway.
     cid_sizes = [sample_object_size(rng) for _ in range(config.n_cids)]
-    n_pinned = max(1, int(config.n_cids * config.pinned_cid_fraction))
+    n_pinned = max(1, int(config.n_cids * PINNED_CID_FRACTION))
     # list(accumulate(w)) is exactly the cum_weights rng.choices()
     # builds internally; it bisects random() * (cum[-1] + 0.0) over
     # [0, len - 1), so these land on the same index.
-    pinned_cum = list(accumulate(_zipf_weights(n_pinned, config.zipf_exponent)))
+    pinned_cum = list(accumulate(_zipf_weights(n_pinned, ZIPF_EXPONENT)))
     pinned_total = pinned_cum[-1] + 0.0
     pinned_hi = n_pinned - 1
-    open_cum = list(
-        accumulate(_zipf_weights(config.n_cids - n_pinned, config.zipf_exponent))
-    )
+    open_cum = list(accumulate(_zipf_weights(config.n_cids - n_pinned, ZIPF_EXPONENT)))
     open_total = open_cum[-1] + 0.0
     open_hi = len(open_cum) - 1
 
@@ -428,8 +430,8 @@ def generate_columnar_trace(
     tail_bits = n_tail.bit_length()
     referred = REFERRED_FRACTION
     semi_popular = SEMI_POPULAR_FRACTION
-    pinned_share = config.pinned_request_share
-    day = config.seconds_per_day
+    pinned_share = PINNED_REQUEST_SHARE
+    day = SECONDS_PER_DAY
     bits = rng.getrandbits
     cos = math.cos
     amplitude = _SQUEEZE_AMPLITUDE

@@ -147,17 +147,22 @@ MEAN_IPS_PER_PEER = 2.3
 #: Fraction of peers advertising IPs in multiple countries.
 MULTIHOMING_FRACTION = 0.088
 
+#: Fabricated tail ASes: + 10 named = 2715 total (Section 5.2).
+N_TAIL_ASES = 2705
+#: Peers never accessible (Fig 7b) and peers with > 90 % uptime
+#: (Fig 7a), among peers outside the clouds.
+NEVER_REACHABLE_FRACTION = 0.33
+RELIABLE_FRACTION = 0.014
+#: Home peers on a slow access link.
+SLOW_FRACTION_OF_HOME = 0.10
+
 
 @dataclass(frozen=True)
 class PopulationConfig:
-    """Scale and mixture knobs (defaults reproduce the paper)."""
+    """The population's scale; the mixture is the paper's, in the
+    tables and constants above."""
 
     n_peers: int = 5000
-    n_tail_ases: int = 2705  # + 10 named = 2715 total (Section 5.2)
-    never_reachable_fraction: float = 0.33
-    reliable_fraction: float = 0.014
-    cloud_always_on: bool = True
-    slow_fraction_of_home: float = 0.10
 
 
 @dataclass(frozen=True)
@@ -205,7 +210,7 @@ class Population:
         return out
 
 
-def _build_as_table(rng: random.Random, n_tail: int) -> list[tuple[AsInfo, str, float]]:
+def _build_as_table(rng: random.Random) -> list[tuple[AsInfo, str, float]]:
     """The global AS share table: named heads + Zipf tail.
 
     Tail shares are scaled so ranks 11-100 sum to ~25.7 % (making the
@@ -220,14 +225,14 @@ def _build_as_table(rng: random.Random, n_tail: int) -> list[tuple[AsInfo, str, 
     tail_total = 1.0 - 0.906  # ranks 101..
     mid_weights = [1.0 / i for i in range(1, 91)]
     mid_scale = mid_total / sum(mid_weights)
-    far_count = n_tail - 90
+    far_count = N_TAIL_ASES - 90
     far_weights = [1.0 / i for i in range(1, far_count + 1)]
     far_scale = tail_total / sum(far_weights)
     countries = [c for c, _ in _TAIL_AS_COUNTRIES]
     weights = [w for _, w in _TAIL_AS_COUNTRIES]
     next_asn = 60000
     next_rank = 300
-    for position in range(n_tail):
+    for position in range(N_TAIL_ASES):
         share = (
             mid_weights[position] * mid_scale
             if position < 90
@@ -290,24 +295,20 @@ def _sample_extra_ip_count(rng: random.Random) -> int:
     return 3
 
 
-def _sample_reachability(
-    rng: random.Random, config: PopulationConfig, cloud: str | None
-) -> str:
-    if cloud is not None and config.cloud_always_on:
+def _sample_reachability(rng: random.Random, cloud: str | None) -> str:
+    if cloud is not None:  # cloud hosts are never behind a NAT
         return "reliable" if rng.random() < 0.5 else "churning"
     roll = rng.random()
-    if roll < config.never_reachable_fraction:
+    if roll < NEVER_REACHABLE_FRACTION:
         return "never"
-    if roll < config.never_reachable_fraction + config.reliable_fraction:
+    if roll < NEVER_REACHABLE_FRACTION + RELIABLE_FRACTION:
         return "reliable"
     return "churning"
 
 
-def _sample_class(
-    rng: random.Random, config: PopulationConfig, cloud: str | None
-) -> PeerClass:
+def _sample_class(rng: random.Random, cloud: str | None) -> PeerClass:
     if cloud is not None:
         return PeerClass.DATACENTER
-    if rng.random() < config.slow_fraction_of_home:
+    if rng.random() < SLOW_FRACTION_OF_HOME:
         return PeerClass.SLOW
     return PeerClass.HOME

@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.adversary import (
+    DEFENSES,
     AttackMatrixConfig,
     AttackSpec,
     grade_matrix,
@@ -85,7 +86,7 @@ class TestDeterminism:
             attacks=(AttackSpec("none"), AttackSpec("eclipse", 0.0)),
         )
         results = run_attack_matrix(config)
-        for arm in config.defenses:
+        for arm in DEFENSES:
             clean = results.cell("none", arm)
             disarmed = results.cell("eclipse", arm)
             # Identical worlds: every measurement, not just the rates.

@@ -1,9 +1,14 @@
 """Integration tests for the deployment and gateway experiments."""
 
+import dataclasses
+
 import pytest
 
+from repro.crawler.crawl import CrawlResult
+from repro.experiments import figures
 from repro.experiments.deployment import (
     CrawlCampaignConfig,
+    CrawlCampaignResults,
     analyze_population,
     observed_reliability,
     run_crawl_timeseries,
@@ -15,6 +20,8 @@ from repro.experiments.gateway_exp import (
 from repro.experiments.scenario import ScenarioConfig, build_scenario
 from repro.gateway.logs import CacheTier
 from repro.utils.rng import derive_rng
+from repro.validation.compare import Grade
+from repro.validation.targets import TARGETS_BY_KEY
 from repro.workloads.gateway_trace import GatewayTraceConfig
 from repro.workloads.population import PopulationConfig, generate_population
 
@@ -52,6 +59,28 @@ class TestCrawlCampaign:
         _, results = campaign
         assert results.uptime_by_peer
         assert all(0 <= u <= 1.0 + 1e-9 for u in results.uptime_by_peer.values())
+
+    def test_undialable_fraction_is_the_mean_over_non_empty_crawls(self, campaign):
+        scenario, results = campaign
+        shares = [u / total for _, total, _, u in results.timeseries()]
+        assert results.undialable_fraction() == sum(shares) / len(shares)
+        # a crawl that saw nobody (every bootstrap peer offline at that
+        # instant) neither counts in the mean nor divides it
+        padded = dataclasses.replace(
+            results, crawls=[CrawlResult(0.0), *results.crawls]
+        )
+        assert padded.undialable_fraction() == results.undialable_fraction()
+        fig04a = next(f for f in figures.FIGURES if f.name == "fig04a")
+        _, claims = fig04a.build((scenario, padded))
+        measured = {claim.key: claim.measured for claim in claims}
+        assert measured["fig04a.undialable_fraction"] == results.undialable_fraction()
+
+    def test_undialable_fraction_is_undefined_when_no_crawl_saw_a_peer(self):
+        assert CrawlCampaignResults().undialable_fraction() is None
+        assert CrawlCampaignResults([CrawlResult(0.0)]).undialable_fraction() is None
+        # ... and an undefined quantity FAILs its claim
+        target = TARGETS_BY_KEY["peer.undialable_fraction"]
+        assert target.grade(None) == (None, Grade.FAIL)
 
     def test_reliability_split(self, campaign):
         _, results = campaign

@@ -10,6 +10,7 @@ graded rows, and JSON export is stable.
 import json
 
 from repro.experiments.flash_crowd import (
+    ARMS,
     FlashCrowdConfig,
     grade_flash_crowd,
     run_flash_crowd,
@@ -79,7 +80,7 @@ class TestReport:
         results = run_flash_crowd(config, workers=2)
         assert len(results.cells) == 4
         for storm in config.storms:
-            for arm in config.arms:
+            for arm in ARMS:
                 cell = results.cell(storm, arm)
                 assert cell.attempted > 0
                 assert 0.0 <= cell.goodput <= 1.0
@@ -97,7 +98,7 @@ class TestReport:
         assert payload["schema"] == "repro.graded/v1"
         assert payload["experiment"] == "overload"
         assert payload["config"]["n_gateways"] == 2
-        assert payload["config"]["fleet"]["routing"] == "consistent_hash"
+        assert payload["config"]["storm"]["storm_country"] == "US"
         assert len(payload["cells"]) == 4
         for cell in payload["cells"]:
             assert set(cell) >= {

@@ -4,6 +4,7 @@ import pytest
 
 from repro.dht.bootstrap import populate_routing_tables
 from repro.errors import ProviderNotFoundError, RetrievalError
+from repro.merkledag.chunker import DEFAULT_CHUNK_SIZE
 from repro.multiformats.cid import make_cid
 from repro.node.config import NodeConfig
 from repro.node.host import IpfsNode, synthesize_multiaddr
@@ -191,7 +192,7 @@ class TestRetrieval:
         # travels is the publisher's verified object, so no hop hashes.
         sim, net, nodes = build_node_world(seed=45)
         publisher, getters = nodes[0], nodes[5:10]
-        payload = derive_rng(45, "payload").randbytes(2 * publisher.config.chunk_size)
+        payload = derive_rng(45, "payload").randbytes(2 * DEFAULT_CHUNK_SIZE)
 
         def proc():
             yield from publisher.publish_peer_record()
@@ -207,7 +208,7 @@ class TestRetrieval:
         assert len(publisher.reader.all_cids(root)) == 3
         assert all(data == payload for data, _ in fetched)
         assert len(sizes) <= 4, sizes
-        assert sizes.count(publisher.config.chunk_size) == 2  # one digest per leaf
+        assert sizes.count(DEFAULT_CHUNK_SIZE) == 2  # one digest per leaf
 
     def test_unpublished_content_not_found(self):
         sim, net, nodes = build_node_world(seed=38)

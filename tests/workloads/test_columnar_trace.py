@@ -40,9 +40,13 @@ from repro.workloads.gateway_trace import (
     _SQUEEZE_GUARD,
     _SQUEEZE_OMEGA,
     _TIME_BINS,
+    PINNED_CID_FRACTION,
+    PINNED_REQUEST_SHARE,
     REFERRED_FRACTION,
+    SECONDS_PER_DAY,
     SEMI_POPULAR_FRACTION,
     SEMI_POPULAR_SITES,
+    ZIPF_EXPONENT,
     GatewayRequest,
     GatewayTraceConfig,
     _country_pool,
@@ -98,10 +102,10 @@ def _reference_requests(config, rng):
     user_countries = rng.choices(countries, country_weights, k=config.n_users)
     user_weights = [rng.paretovariate(1.3) for _ in range(config.n_users)]
     cid_sizes = [sample_object_size(rng) for _ in range(config.n_cids)]
-    n_pinned = max(1, int(config.n_cids * config.pinned_cid_fraction))
-    pinned_weights = _zipf_weights(n_pinned, config.zipf_exponent)
+    n_pinned = max(1, int(config.n_cids * PINNED_CID_FRACTION))
+    pinned_weights = _zipf_weights(n_pinned, ZIPF_EXPONENT)
     open_indices = list(range(n_pinned, config.n_cids))
-    open_weights = _zipf_weights(len(open_indices), config.zipf_exponent)
+    open_weights = _zipf_weights(len(open_indices), ZIPF_EXPONENT)
     sites = ["site-%02d.example" % i for i in range(SEMI_POPULAR_SITES)]
     tail_sites = ["tail-%04d.example" % i for i in range(2000)]
     requests = []
@@ -111,10 +115,10 @@ def _reference_requests(config, rng):
         # dict.get evaluates its default eagerly: one choice per request
         offset = _COUNTRY_UTC_OFFSET.get(country, rng.choice([-8, -5, 0, 1, 8]))
         while True:
-            second = rng.uniform(0, config.seconds_per_day)
+            second = rng.uniform(0, SECONDS_PER_DAY)
             if rng.random() < diurnal_weight(second, offset) / 2.2:
                 break
-        if rng.random() < config.pinned_request_share:
+        if rng.random() < PINNED_REQUEST_SHARE:
             cid = rng.choices(range(n_pinned), pinned_weights)[0]
         else:
             cid = rng.choices(open_indices, open_weights)[0]
