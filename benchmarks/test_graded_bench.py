@@ -4,7 +4,7 @@ the same path CI's ``suite-gates`` rows take (``<name> --bench
 --workers N --export FILE`` then ``cmp``).
 
 The comparison is on the canonical text with the ``telemetry`` block
-(wall clock, RSS, shard count — present on ``scale-crawl`` only)
+(wall clock, RSS — present on ``scale-crawl`` only)
 removed; for every other artifact that is a byte-for-byte check.
 """
 

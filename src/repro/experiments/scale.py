@@ -16,14 +16,11 @@ each claim is tied to a paper number or one-sided floor, and the
 report's telemetry block lets CI trend wall-clock and RSS alongside
 fidelity.
 
-Two knobs make 200 k tractable without touching fidelity:
-
-- ``workers`` shards the event queue by region (deterministic merge —
-  results are byte-identical for any worker count);
-- ``probe_sample`` hands only a fixed keyspace slice of discovered
-  peers to the uptime prober. Sampling is by DHT-key prefix, so it is
-  deterministic and unbiased; session statistics are estimates over a
-  uniform subsample rather than the full population.
+One knob makes 200 k tractable without touching fidelity:
+``probe_sample`` hands only a fixed keyspace slice of discovered peers
+to the uptime prober. Sampling is by DHT-key prefix, so it is
+deterministic and unbiased; session statistics are estimates over a
+uniform subsample rather than the full population.
 """
 
 from __future__ import annotations
@@ -55,7 +52,6 @@ class ScaleCrawlConfig:
 
     n_peers: int = 200_000
     seed: int = 42
-    workers: int = 4
     duration_s: float = 12 * 3600.0
     crawl_interval_s: float = 1800.0
     bucket_queries: int = 8
@@ -153,7 +149,7 @@ def bench_scale_config() -> ScaleCrawlConfig:
     does not shrink.
     """
     return ScaleCrawlConfig(
-        n_peers=2500, workers=2, duration_s=12 * 3600.0, probe_sample=0.4
+        n_peers=2500, duration_s=12 * 3600.0, probe_sample=0.4
     )
 
 
@@ -171,7 +167,6 @@ def build_scale_world(config: ScaleCrawlConfig) -> CompactWorld:
     return build_compact_world(
         compact,
         ScenarioConfig(seed=config.seed),
-        workers=config.workers,
         churn_horizon_s=config.duration_s + 2 * config.crawl_interval_s,
     )
 
@@ -192,12 +187,7 @@ def run_scale_crawl(config: ScaleCrawlConfig) -> GradedReport:
             f"{world.churn_exhausted} churn schedules ran out before the campaign ended"
         )
 
-    # ``workers`` shards the event queue and cannot move a result, so it
-    # is reported with the wall clock it does move, not with the config
-    # the byte-for-byte gates compare.
-    shape = dataclasses.asdict(config)
     telemetry = {
-        "workers": shape.pop("workers"),
         "build_wall_s": build_wall_s,
         "run_wall_s": run_wall_s,
         "peak_rss_mb": _peak_rss_mb(),
@@ -211,6 +201,6 @@ def run_scale_crawl(config: ScaleCrawlConfig) -> GradedReport:
         for start, total, dialable, undialable in results.timeseries()
     ]
     return GradedReport(
-        "scale", shape, cells, CELL_FIELDS,
+        "scale", dataclasses.asdict(config), cells, CELL_FIELDS,
         grade_scale_results(config, results), telemetry,
     )

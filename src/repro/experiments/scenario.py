@@ -23,6 +23,7 @@ from repro.multiformats.peerid import PeerId
 from repro.node.config import NodeConfig
 from repro.node.host import IpfsNode
 from repro.simnet.churn import WORLD_INITIAL_ONLINE_PROBABILITY, SessionProcess
+from repro.simnet.compact import N_BOOTSTRAP
 from repro.simnet.latency import AWS_REGION_MAP, PeerClass
 from repro.simnet.nat import (
     DEFAULT_KEEPALIVE_INTERVAL_S,
@@ -47,9 +48,6 @@ AWS_REGIONS = [
     "sa_east_1",
     "us_west_1",
 ]
-
-#: The network runs six canonical bootstrap peers (Section 4.1).
-N_BOOTSTRAP = 6
 
 #: How many reliable public peers act as circuit relays in a NAT world.
 N_RELAYS = 4

@@ -33,12 +33,6 @@ harness in ``tests/simnet/test_compact_equivalence.py``: the same
 seeded population built both ways yields identical routing tables,
 address books, churn transition logs, and a byte-identical protocol
 trace.
-
-Determinism across workers: the event queue is a
-:class:`~repro.simnet.shard.ShardedSimulator` whose merge executes the
-global ``(time, sequence)`` order for any shard count, so every
-artifact is byte-identical for ``workers`` of 1, 2, 4, ... — the
-property pinned for the crawl/churn experiments at paper scale.
 """
 
 from __future__ import annotations
@@ -58,9 +52,8 @@ from repro.dht.routing_table import K_BUCKET_SIZE
 from repro.errors import SimulationError
 from repro.multiformats.peerid import PeerId
 from repro.simnet.churn import WORLD_INITIAL_ONLINE_PROBABILITY
-from repro.simnet.latency import Region
 from repro.simnet.network import SimHost, SimNetwork
-from repro.simnet.shard import ShardedSimulator
+from repro.simnet.sim import Simulator
 from repro.simnet.transport import Transport
 from repro.utils.rng import derive_rng
 from repro.workloads.compact import REACHABILITY_NAMES, CompactPopulation
@@ -78,8 +71,8 @@ _REACH_CHURNING = REACHABILITY_NAMES.index("churning")
 _REACH_RELIABLE = REACHABILITY_NAMES.index("reliable")
 _REACH_NEVER = REACHABILITY_NAMES.index("never")
 
-#: stable region -> shard-key mapping (enum definition order)
-_REGION_INDEX = {region: index for index, region in enumerate(Region)}
+#: The network runs six canonical bootstrap peers (Section 4.1).
+N_BOOTSTRAP = 6
 
 
 # -- per-peer precompute ------------------------------------------------
@@ -167,7 +160,7 @@ class CompactWorld:
         self,
         compact: CompactPopulation,
         config,
-        sim: ShardedSimulator,
+        sim: Simulator,
         net: SimNetwork,
     ) -> None:
         self.compact = compact
@@ -307,26 +300,19 @@ class CompactWorld:
         """Schedule every churning peer's first transition, in peer
         order — the same schedule-call order ``build_scenario``'s
         SessionProcess constructions make, so sequence numbers match."""
-        sim = self.sim
-        shards = sim.n_shards
+        schedule = self.sim.schedule
         off = self._churn_off
         delays = self._churn_delays
-        region_at = self.compact.region_at
         fire = self._churn_fire
         for index in range(self.n):
             lo = off[index]
             if off[index + 1] == lo:
                 continue
-            sim.schedule(
-                delays[lo], partial(fire, index),
-                shard=_REGION_INDEX[region_at(index)] % shards,
-            )
+            schedule(delays[lo], partial(fire, index))
 
     def _churn_fire(self, index: int) -> None:
         # Transitions strictly alternate from the initial state, so the
-        # flip needs no parity bookkeeping. Follow-up events inherit
-        # the firing event's shard, keeping each peer's churn chain in
-        # its region's queue.
+        # flip needs no parity bookkeeping.
         self._set_online(index, not self._online[index])
         cursor = self._churn_cursor[index] + 1
         self._churn_cursor[index] = cursor
@@ -399,31 +385,21 @@ class CompactWorld:
 
 def build_compact_world(
     compact: CompactPopulation,
-    config=None,
+    config,
     *,
-    workers: int = 1,
     churn_horizon_s: float = DEFAULT_CHURN_HORIZON_S,
 ) -> CompactWorld:
     """Build the scenario ``build_scenario`` would build, compactly.
 
-    ``workers`` shards the kernel's event queue; results are
-    byte-identical for any value. ``config`` is a
-    :class:`~repro.experiments.scenario.ScenarioConfig` (NAT worlds are
-    not supported compactly yet — build those with ``build_scenario``).
+    ``config`` is a :class:`~repro.experiments.scenario.ScenarioConfig`
+    (NAT worlds are not supported compactly yet — build those with
+    ``build_scenario``).
     """
-    if config is None:
-        # Imported here: simnet sits below the experiments layer, and
-        # only this convenience default reaches upward.
-        from repro.experiments.scenario import ScenarioConfig
-
-        config = ScenarioConfig()
-    if getattr(config, "nat_world", None) is not None:
+    if config.nat_world is not None:
         raise SimulationError("compact worlds do not support NAT worlds yet")
-    if workers < 1:
-        raise SimulationError(f"need at least one worker, got {workers}")
 
     n = len(compact)
-    sim = ShardedSimulator(shards=workers)
+    sim = Simulator()
     net = SimNetwork(sim, derive_rng(config.seed, "net"))
     world = CompactWorld(compact, config, sim, net)
 
@@ -458,8 +434,6 @@ def build_compact_world(
 
     # Canonical bootstrap peers: the first reliable peers, as in
     # build_scenario (fall back to the head of the population).
-    from repro.experiments.scenario import N_BOOTSTRAP
-
     bootstrap: list[PeerId] = []
     reach = compact.peer_reach
     for index in range(n):

@@ -1,5 +1,8 @@
 """Sharded event queues with a deterministic merge.
 
+No world uses this; kept only because ``benchmarks/e2e/seams.py::WRAPS``
+resolves its names — delete with ROADMAP 4(b).
+
 The experiment runner already shards work *across* simulations
 (``repro.experiments.runner``); this module generalizes the idea to
 *within* one world: the kernel's single event heap becomes one heap per

@@ -169,9 +169,8 @@ GRADED = (
         "paper-scale Fig 4a/8 crawl+churn campaign over a compact world "
         "(200 k peers by default), graded vs the paper",
         "BENCH_scale.json", ScaleCrawlConfig, bench_scale_config,
-        lambda config, workers: run_scale_crawl(
-            dataclasses.replace(config, workers=workers)
-        ),
+        # one world = one cell: nothing for --workers to shard
+        lambda config, workers: run_scale_crawl(config),
         [flag("--peers", "n_peers", "world size (default 200000)", type=int),
          flag("--hours", "duration_s", "campaign hours (default 12; Fig 8 "
               "needs the full window)", type=scaled(float, 3600.0)),

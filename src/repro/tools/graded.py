@@ -135,9 +135,10 @@ def add_graded(sub: Any, entry: Graded) -> None:
     for option, kwargs in entry.flags:
         parser.add_argument(option, **kwargs)
     parser.add_argument("--workers", type=positive_int, default=1,
-                        help="worker processes sharding the cells (event-"
-                             "queue shards for scale-crawl); output is "
-                             "identical for any value")
+                        help="worker processes sharding the cells "
+                             "(scale-crawl is one world = one cell and "
+                             "ignores it); output is identical for any "
+                             "value")
     parser.add_argument("--export", metavar="FILE", type=writable_path,
                         help=f"write the graded JSON artifact "
                              f"({entry.baseline} style)")

@@ -3,9 +3,8 @@ worlds).
 
 Grading logic is pinned against synthetic campaign results (fast, no
 world); the end-to-end path runs a deliberately tiny world and checks
-the report's structure, determinism, and worker-count independence —
-the 200 k graded run itself lives in the nightly job and
-``benchmarks/test_scale_crawl.py``.
+the report's structure and determinism — the 200 k graded run itself
+lives in the nightly job and ``benchmarks/test_scale_crawl.py``.
 """
 
 from __future__ import annotations
@@ -29,9 +28,7 @@ from repro.multiformats.peerid import PeerId
 from repro.simnet.compact import build_compact_world
 from repro.validation.compare import Grade
 
-TINY = ScaleCrawlConfig(
-    n_peers=500, workers=2, duration_s=2 * 3600.0, probe_sample=0.5
-)
+TINY = ScaleCrawlConfig(n_peers=500, duration_s=2 * 3600.0, probe_sample=0.5)
 
 
 def _peer(i: int) -> PeerId:
@@ -121,9 +118,6 @@ def test_tiny_end_to_end_report(monkeypatch):
     assert doc["schema"] == "repro.graded/v1"
     assert doc["experiment"] == "scale"
     assert doc["config"]["n_peers"] == TINY.n_peers
-    # sharding cannot move a result, so it is telemetry, not config
-    assert "workers" not in doc["config"]
-    assert doc["telemetry"]["workers"] == TINY.workers
     assert len(doc["cells"]) == 4  # 2 h / 30 min
     for row in doc["cells"]:
         assert row["total"] == row["dialable"] + row["undialable"]
@@ -142,28 +136,21 @@ def test_campaign_that_outlives_the_churn_horizon_is_refused(monkeypatch):
     this cannot happen by configuration; a world whose churn stopped
     early must not grade if it ever does."""
 
-    def short_horizon(compact, config, *, workers, churn_horizon_s):
-        return build_compact_world(
-            compact, config, workers=workers, churn_horizon_s=600.0
-        )
+    def short_horizon(compact, config, *, churn_horizon_s):
+        return build_compact_world(compact, config, churn_horizon_s=600.0)
 
     monkeypatch.setattr(scale, "build_compact_world", short_horizon)
     with pytest.raises(SimulationError, match="churn schedules ran out"):
         run_scale_crawl(ScaleCrawlConfig(
-            n_peers=300, workers=1, duration_s=3600.0, probe_sample=0.5
+            n_peers=300, duration_s=3600.0, probe_sample=0.5
         ))
 
 
-def test_worker_count_does_not_change_results():
-    """The sharded build is byte-identical for any worker count, so the
-    graded document (minus wall-clock telemetry) must match too."""
+def test_rerun_gives_the_same_document():
+    """Same config, same graded document (minus wall-clock telemetry)."""
     docs = []
-    for workers in (1, 2):
-        report = run_scale_crawl(ScaleCrawlConfig(
-            n_peers=TINY.n_peers, workers=workers,
-            duration_s=TINY.duration_s, probe_sample=TINY.probe_sample,
-        ))
-        doc = report.to_json_dict()
-        assert doc.pop("telemetry")["workers"] == workers
+    for _ in range(2):
+        doc = run_scale_crawl(TINY).to_json_dict()
+        del doc["telemetry"]
         docs.append(doc)
     assert docs[0] == docs[1]

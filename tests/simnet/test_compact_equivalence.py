@@ -3,7 +3,7 @@
 ``build_compact_world`` promises to build *the same world*
 ``build_scenario`` builds — same routing tables, same address books,
 same churn schedules, same protocol behavior — while holding peers as
-array rows until protocol code touches them, for any worker count.
+array rows until protocol code touches them.
 This suite is the proof:
 
 - structural equality, unmaterialized: bootstrap set, online flags,
@@ -15,8 +15,7 @@ This suite is the proof:
   ``(time, peer, online)`` transition logs;
 - protocol byte-identity: drive the actual crawler + prober campaign
   over legacy and compact worlds and compare exported trace digests
-  against a pinned golden hash — one constant guards both the compact
-  path and the sharded merge for every worker count.
+  against a pinned golden hash.
 
 Regenerate GOLDEN_CRAWL_TRACE_SHA256 with:
 
@@ -40,11 +39,10 @@ from repro.workloads.population import PopulationConfig, generate_population
 
 N_PEERS = 300
 SEED = 42
-WORKER_COUNTS = (1, 2, 4)
 
 #: sha256 of the exported event trace of a 1 h crawl+probe campaign
 #: over the 300-peer seed-42 world. The legacy scenario and the compact
-#: world must both produce exactly this file, for every worker count.
+#: world must both produce exactly this file.
 GOLDEN_CRAWL_TRACE_SHA256 = (
     "934037dc54cd32f2de0d9d3dddeae0ebb821c364f20ffb1d7f2bfb4da1c25a4e"
 )
@@ -62,7 +60,6 @@ def populations():
     return _populations()
 
 
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
 @pytest.mark.parametrize(
     "config",
     [
@@ -72,10 +69,10 @@ def populations():
     ],
     ids=["default", "no-churn", "no-nat-servers"],
 )
-def test_structural_equality(populations, config, workers):
+def test_structural_equality(populations, config):
     legacy_pop, compact_pop = populations
     scenario = build_scenario(legacy_pop, config)
-    world = build_compact_world(compact_pop, config, workers=workers)
+    world = build_compact_world(compact_pop, config)
 
     assert world.bootstrap_ids == scenario.bootstrap_ids
     assert world.materialized == 0, "building must not materialize anyone"
@@ -107,14 +104,13 @@ def test_structural_equality(populations, config, workers):
         assert mat.server == node.server
 
 
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
-def test_churn_transition_logs_identical(populations, workers):
+def test_churn_transition_logs_identical(populations):
     """Run six simulated hours of churn on both kernels and compare
     every (time, peer, online) transition."""
     legacy_pop, compact_pop = populations
     config = ScenarioConfig(seed=SEED)
     scenario = build_scenario(legacy_pop, config)
-    world = build_compact_world(compact_pop, config, workers=workers)
+    world = build_compact_world(compact_pop, config)
     world.materialize_all()
 
     logs = []
@@ -179,20 +175,16 @@ def _campaign_digest(world) -> tuple[str, object]:
 
 
 def test_protocol_run_byte_identical(populations):
-    """The pinned golden trace: legacy and compact (all worker counts)
-    run the crawler campaign to the byte-identical event trace — and so
-    does a compact world whose every stack was attached up front, which
-    is what makes attaching on the first delivered RPC exact."""
+    """The pinned golden trace: legacy and compact run the crawler
+    campaign to the byte-identical event trace — and so does a compact
+    world whose every stack was attached up front, which is what makes
+    attaching on the first delivered RPC exact."""
     legacy_pop, compact_pop = populations
     digests = {}
     scenario = build_scenario(legacy_pop, ScenarioConfig(seed=SEED))
     digests["legacy"], legacy_results = _campaign_digest(scenario)
-    arms = [(f"w{workers}", workers, False) for workers in WORKER_COUNTS]
-    arms.append(("eager", 1, True))
-    for arm, workers, eager in arms:
-        world = build_compact_world(
-            compact_pop, ScenarioConfig(seed=SEED), workers=workers
-        )
+    for arm, eager in (("lazy", False), ("eager", True)):
+        world = build_compact_world(compact_pop, ScenarioConfig(seed=SEED))
         if eager:
             world.materialize_all()
         digests[f"compact-{arm}"], results = _campaign_digest(world)

@@ -8,10 +8,12 @@ informational row as ``(experiment, key, scope, measured, expected,
 grade)``, the overall grade, and a sha256 of the canonical JSON of the
 cell sub-tree — written against the pre-unification artifacts (PR 18
 froze them at its parent commit, before it replaced the six layouts; the
-``figures`` block is the first ``BENCH_figures.json``, PR 21; the
-``chaos`` / ``chaos_recovery`` blocks the first of theirs, PR 22, whose
-level records are held to the pre-unification modules by the sha256
-oracle of ``tests/experiments/test_chaos.py``).
+``figures`` block is the first ``BENCH_figures.json``, PR 21, with the
+``expected`` of eleven rows re-frozen once in PR 24, when those claims
+took the registry's value and band — DESIGN §5m has old and new side by
+side; the ``chaos`` / ``chaos_recovery`` blocks the first of theirs,
+PR 22, whose level records are held to the pre-unification modules by
+the sha256 oracle of ``tests/experiments/test_chaos.py``).
 The literals are the oracle: regenerating an artifact must reproduce
 them, and they are not to be edited to make a layout change pass.
 
@@ -232,13 +234,13 @@ PINNED = {
             ('figures', 'fig04a.crawls', 'fig04a', 24.0, 8.0, 'PASS'),
             ('figures', 'fig04a.min_crawl_coverage', 'fig04a', 1.0, 0.7, 'PASS'),
             ('figures', 'fig04a.never_reachable_share', 'fig04a', 0.33, 0.2, 'PASS'),
-            ('figures', 'fig04a.undialable_fraction', 'fig04a', 0.486198, 0.45, 'PASS'),
+            ('figures', 'fig04a.undialable_fraction', 'fig04a', 0.486198, 0.455, 'PASS'),
             ('figures', 'fig04b.bins', 'fig04b', 288.0, 280.0, 'PASS'),
             ('figures', 'fig04b.min_bin_requests', 'fig04b', 125.0, 1.0, 'PASS'),
             ('figures', 'fig04b.peak_over_trough', 'fig04b', 8.032, 1.5, 'PASS'),
             ('figures', 'fig05.countries', 'fig05', 152.0, 140.0, 'PASS'),
             ('figures', 'fig05.fr_tw_kr_in_ranks_3_to_5', 'fig05', 3.0, 3.0, 'PASS'),
-            ('figures', 'fig05.multihoming_share', 'fig05', 0.089567, 0.09, 'PASS'),
+            ('figures', 'fig05.multihoming_share', 'fig05', 0.089567, 0.088, 'PASS'),
             ('figures', 'fig05.top5_share_max_deviation', 'fig05', 0.005533, 0.03, 'PASS'),
             ('figures', 'fig05.us_cn_lead_margin', 'fig05', 1.157487, 1.0, 'PASS'),
             ('figures', 'fig06.countries', 'fig06', 54.0, 55.0, 'PASS'),
@@ -246,24 +248,24 @@ PINNED = {
             ('figures', 'fig06.us_share_deviation', 'fig06', 0.03133, 0.05, 'PASS'),
             ('figures', 'fig07.largest_ip_peers', 'fig07', 4226.0, 1000.0, 'PASS'),
             ('figures', 'fig07.largest_reliable_country_share', 'fig07', 0.005517, 0.015, 'PASS'),
-            ('figures', 'fig07.never_reachable_share', 'fig07', 0.328317, 0.325, 'PASS'),
+            ('figures', 'fig07.never_reachable_share', 'fig07', 0.328317, 0.333333, 'PASS'),
             ('figures', 'fig07.reliable_share', 'fig07', 0.021483, 0.0225, 'PASS'),
             ('figures', 'fig07.single_peer_ip_floor', 'fig07', 0.987717, 0.9, 'PASS'),
             ('figures', 'fig07.single_peer_ip_share', 'fig07', 0.987717, 0.923, 'info'),
-            ('figures', 'fig07.top100_as_share', 'fig07', 0.915401, 0.9, 'PASS'),
-            ('figures', 'fig07.top10_as_share', 'fig07', 0.642247, 0.65, 'PASS'),
+            ('figures', 'fig07.top100_as_share', 'fig07', 0.915401, 0.906, 'PASS'),
+            ('figures', 'fig07.top10_as_share', 'fig07', 0.642247, 0.649, 'PASS'),
             ('figures', 'fig08.de_over_hk_median', 'fig08', 1.780369, 1.0, 'PASS'),
             ('figures', 'fig08.session_count', 'fig08', 1939.0, 300.0, 'PASS'),
             ('figures', 'fig08.session_over_24h', 'fig08', 0.0, 0.12, 'PASS'),
-            ('figures', 'fig08.session_under_8h', 'fig08', 0.938112, 0.75, 'PASS'),
-            ('figures', 'fig09abc.publication_p50_s', 'fig09abc', 35.055792, 52.5, 'PASS'),
+            ('figures', 'fig08.session_under_8h', 'fig08', 0.938112, 0.876, 'PASS'),
+            ('figures', 'fig09abc.publication_p50_s', 'fig09abc', 35.055792, 33.8, 'PASS'),
             ('figures', 'fig09abc.rpc_batch_over_5s', 'fig09abc', 0.383333, 0.55, 'PASS'),
             ('figures', 'fig09abc.rpc_batch_under_2s', 'fig09abc', 0.466667, 0.45, 'PASS'),
             ('figures', 'fig09abc.walk_share', 'fig09abc', 0.913232, 0.87, 'PASS'),
             ('figures', 'fig09def.both_walks_under_2s', 'fig09def', 0.723333, 0.5, 'PASS'),
             ('figures', 'fig09def.fetch_under_1_26s', 'fig09def', 1.0, 0.9, 'PASS'),
             ('figures', 'fig09def.retrieval_min_s', 'fig09def', 1.742558, 1.0, 'PASS'),
-            ('figures', 'fig09def.retrieval_success_rate', 'fig09def', 1.0, 1.0, 'PASS'),
+            ('figures', 'fig09def.retrieval_success_rate', 'fig09def', 1.0, 0.99, 'PASS'),
             ('figures', 'fig09def.single_walk_p50_s', 'fig09def', 0.646129, 1.0, 'PASS'),
             ('figures', 'fig10.eu_stretch_under_2_share', 'fig10', 0.14, 0.8, 'info'),
             ('figures', 'fig10.eu_under_2_floor', 'fig10', 0.14, 0.1, 'PASS'),
@@ -280,7 +282,7 @@ PINNED = {
             ('figures', 'table2.paper_order_margin', 'table2', 1.191664, 1.0, 'PASS'),
             ('figures', 'table2.top5_share', 'table2', 0.511751, 0.5, 'PASS'),
             ('figures', 'table2.top_as_max_deviation', 'table2', 0.013564, 0.025, 'PASS'),
-            ('figures', 'table3.cloud_share', 'table3', 0.023217, 0.035, 'PASS'),
+            ('figures', 'table3.cloud_share', 'table3', 0.023217, 0.023, 'PASS'),
             ('figures', 'table3.contabo_aws_lead_margin', 'table3', 1.183727, 1.0, 'PASS'),
             ('figures', 'table3.non_cloud_share', 'table3', 0.976783, 0.965, 'PASS'),
             ('figures', 'table4.fastest_region_margin', 'table4', 1.2434, 1.0, 'PASS'),
@@ -290,12 +292,12 @@ PINNED = {
             ('figures', 'table4.publication_p95_s', 'table4', 53.864957, 138.1, 'info'),
             ('figures', 'table4.retrieval_median_worst_s', 'table4', 2.500065, 3.75, 'PASS'),
             ('figures', 'table5.cached_over_non_cached_requests', 'table5', 4.371656, 1.0, 'PASS'),
-            ('figures', 'table5.combined_hit_rate', 'table5', 0.908169, 0.75, 'PASS'),
+            ('figures', 'table5.combined_hit_rate', 'table5', 0.908169, 0.8, 'PASS'),
             ('figures', 'table5.latency_ordering_margin', 'table5', 0.001995, 1.0, 'PASS'),
             ('figures', 'table5.node_store_p50_s', 'table5', 0.008028, 0.024, 'PASS'),
             ('figures', 'table5.node_store_traffic_share', 'table5', 0.298268, 0.38, 'info'),
             ('figures', 'table5.non_cached_p50_s', 'table5', 4.023252, 5.0, 'PASS'),
-            ('figures', 'table5.referred_share', 'table5', 0.518073, 0.51, 'PASS'),
+            ('figures', 'table5.referred_share', 'table5', 0.518073, 0.518, 'PASS'),
         ],
     ),
     "chaos": (
