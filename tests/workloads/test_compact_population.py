@@ -71,6 +71,46 @@ def test_population_is_pinned(seed):
     assert (population_sha256(population), rng_state_sha256(rng)) == PINNED[seed]
 
 
+#: seed -> (arrays_sha256, rng_state_sha256) at 20 000 peers, recorded
+#: before the generator's stdlib calls were written out inline. At this
+#: size the shared pools fill past their 40-entry cap (225 evictions)
+#: and one packed-IP draw collides and is redrawn; the 400-peer rows
+#: reach neither. The arrays stand in for ``to_population()``, which
+#: would more than double the row's time.
+PINNED_ARRAYS = {
+    42: (
+        "2d7f50e0817cd567d55edb1f8ca20fef49368787f61f815914f03dc755cfe760",
+        "25935095eb65b72f2b46526c48d7e71dc19cde968c0dd782e41fb3b800be5663",
+    ),
+}
+
+
+def compact_sha256(compact) -> str:
+    """Canonical digest of the arrays, the country codes and the mega IPs."""
+    digest = hashlib.sha256()
+    for name in (
+        "peer_country", "peer_reach", "peer_class", "peer_agent",
+        "ip_off", "addr_ip", "addr_asn", "addr_country", "addr_cloud",
+    ):
+        column = getattr(compact, name)
+        digest.update(b"%s:%d:%d\n" % (name.encode(), column.itemsize, len(column)))
+        digest.update(column.tobytes())
+    digest.update(repr(compact.countries).encode("ascii"))
+    digest.update(repr(compact.mega_creations).encode("ascii"))
+    return digest.hexdigest()
+
+
+def _arrays_digests(seed: int) -> tuple[str, str]:
+    rng = derive_rng(seed, "population")
+    compact = generate_compact_population(PopulationConfig(n_peers=20_000), rng)
+    return compact_sha256(compact), rng_state_sha256(rng)
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_ARRAYS))
+def test_arrays_are_pinned_at_scale(seed):
+    assert _arrays_digests(seed) == PINNED_ARRAYS[seed]
+
+
 @pytest.mark.parametrize("seed", [42, 7])
 def test_accessors_and_spec_at_agree_with_the_population_view(seed):
     config = PopulationConfig(n_peers=300)
