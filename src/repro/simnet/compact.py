@@ -55,7 +55,7 @@ from repro.simnet.churn import WORLD_INITIAL_ONLINE_PROBABILITY
 from repro.simnet.network import SimHost, SimNetwork
 from repro.simnet.sim import Simulator
 from repro.simnet.transport import Transport
-from repro.utils.rng import derive_rng
+from repro.utils.rng import _seed_to_bytes, derive_rng
 from repro.workloads.compact import REACHABILITY_NAMES, CompactPopulation
 
 #: Churn schedules are pre-drawn out to this horizon (simulated
@@ -112,35 +112,75 @@ def _churn_schedules(
     the churn callback schedules ``delay`` so event times come out of
     the same ``now + delay`` float accumulation ``SessionProcess``'s
     callbacks produce, bit for bit.
+
+    The replay's stdlib calls are written out as the draws they make,
+    so no ``random.py`` frame is entered per draw
+    (``tests/workloads/test_spelled_draws.py`` holds the spelling, and
+    a loop making the calls, to the running interpreter):
+
+    - ``derive_rng(seed, "churn", str(index))`` hashes its constant
+      ``seed``/``"churn"`` prefix once per world, then per peer only the
+      index, and re-seeds one generator with the result;
+    - ``model.sample_session_length(rng)`` / ``sample_gap_length(rng)``
+      — ``rng.lognormvariate(log(median), sigma)``, which is
+      ``exp(rng.normalvariate(...))`` — is the Kinderman–Monahan loop
+      inline, with ``log(median)`` taken once per country's model;
+    - a model whose median session is infinite (``SessionProcess``
+      holds such a host online and draws nothing more) has no
+      parameters, so its peer is handled like a reliable one.
     """
+    # Per country code: the lognormvariate arguments (mu, sigma) of a
+    # session, then of a gap; None for a model that never ends a session.
+    params = [
+        None if math.isinf(model.median_session_s) else (
+            math.log(model.median_session_s), model.session_sigma,
+            math.log(model.median_gap_s), model.gap_sigma,
+        )
+        for model in compact.churn_models()
+    ]
+    prefix = hashlib.sha256(_seed_to_bytes(seed) + b"/churn").digest() + b"/"
+    # One generator for the world, re-seeded per peer: for an int,
+    # ``Random(x)`` and ``Random.seed`` only forward to the C seed
+    # (and clear the ``gauss`` cache, which nothing here reads).
+    rng = random.Random()
+    reseed, rnd = super(random.Random, rng).seed, rng.random
+    sha256, log, exp = hashlib.sha256, math.log, math.exp
+    magic = random.NV_MAGICCONST
     online = bytearray(len(compact))
     off = array("Q", [0])
     delays = array("d")
+    append = delays.append
     reach = compact.peer_reach
+    country = compact.peer_country
     for index in range(len(compact)):
-        if reach[index] != _REACH_CHURNING:
-            online[index] = 1 if reach[index] != _REACH_NEVER else 0
+        draws = params[country[index]] if reach[index] == _REACH_CHURNING else None
+        if draws is None:
+            online[index] = reach[index] != _REACH_NEVER
             off.append(len(delays))
             continue
-        model = compact.churn_model_at(index)
-        rng = derive_rng(seed, "churn", str(index))
-        if math.isinf(model.median_session_s):
-            online[index] = 1
-            off.append(len(delays))
-            continue
-        is_online = rng.random() < WORLD_INITIAL_ONLINE_PROBABILITY
-        online[index] = 1 if is_online else 0
+        session_mu, session_sigma, gap_mu, gap_sigma = draws
+        # derive_rng(seed, "churn", str(index))
+        reseed(int.from_bytes(sha256(prefix + b"%d" % index).digest()[:8], "big"))
+        state = rnd() < WORLD_INITIAL_ONLINE_PROBABILITY
+        online[index] = state
         elapsed = 0.0
-        state = is_online
         # One overshoot draw past the horizon: every transition a run
         # bounded by the horizon can execute exists, scheduled exactly
         # when SessionProcess would schedule it.
         while elapsed <= horizon_s:
+            # rng.normalvariate(0, 1): Kinderman–Monahan.
+            while True:
+                u1 = rnd()
+                u2 = 1.0 - rnd()
+                z = magic * (u1 - 0.5) / u2
+                if z * z / 4.0 <= -log(u2):
+                    break
+            # rng.lognormvariate(mu, sigma) is exp(mu + z * sigma)
             if state:
-                delay = model.sample_session_length(rng)
+                delay = exp(session_mu + z * session_sigma)
             else:
-                delay = model.sample_gap_length(rng)
-            delays.append(delay)
+                delay = exp(gap_mu + z * gap_sigma)
+            append(delay)
             elapsed += delay
             state = not state
         off.append(len(delays))

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import random
 from array import array
+from bisect import bisect
 from itertools import accumulate
 
 from repro.measurement.registries import CloudRegistry, GeoIpRegistry
@@ -42,6 +43,7 @@ from repro.workloads.population import (
     _MEGA_IP_COUNTRIES,
     _NAMED_SHARE_SCALE,
     _build_as_table,
+    _choices_table,
     _churn_model_for,
     _mega_probability,
     _sample_class,
@@ -178,6 +180,12 @@ class CompactPopulation:
     def churn_model_at(self, index: int) -> ChurnModel:
         return _churn_model_for(self.country_at(index))
 
+    def churn_models(self) -> list[ChurnModel]:
+        """Each country code's model (``peer_country`` indexes it): what
+        :meth:`churn_model_at` builds, once per country instead of per
+        peer."""
+        return [_churn_model_for(name) for name in self.countries]
+
     def ips_at(self, index: int) -> tuple[str, ...]:
         lo, hi = self.ip_off[index], self.ip_off[index + 1]
         return tuple(unpack_ip(self.addr_ip[slot]) for slot in range(lo, hi))
@@ -244,27 +252,29 @@ class CompactPopulation:
         return Population(peers, geo, clouds, self.config)
 
 
-def _draw_packed_ip(rng: random.Random, used: set[int]) -> int:
-    """A fresh IPv4 address as a packed integer (redrawn on collision)."""
-    while True:
-        packed = (
-            (((rng.randrange(1, 224) << 8) | rng.randrange(256)) << 16)
-            | (rng.randrange(256) << 8) | rng.randrange(1, 255)
-        )
-        if packed not in used:
-            used.add(packed)
-            return packed
+def _peer_country_table() -> tuple[list[str], list[float], float, int]:
+    """The peer-country draw's :func:`_choices_table` (Fig 5 targets):
+    the 20 named shares, then a Zipf-ish tail of pseudo countries so
+    some are visibly larger. The hottest draw of the generator at 1M
+    peers."""
+    countries = [c for c, _ in PEER_COUNTRY_SHARES]
+    weights = [s * _NAMED_SHARE_SCALE for _, s in PEER_COUNTRY_SHARES]
+    tail_total = 1.0 - sum(weights)
+    tail_raw = [1.0 / (i + 1) for i in range(N_TAIL_COUNTRIES)]
+    scale = tail_total / sum(tail_raw)
+    countries += ["X%03d" % i for i in range(N_TAIL_COUNTRIES)]
+    weights += [w * scale for w in tail_raw]
+    return _choices_table(countries, weights)
 
 
-def _draw_cloud_code(rng: random.Random) -> int:
-    """Index into :data:`CLOUD_SHARES` (Table 3), or -1 for non-cloud."""
-    roll = rng.random()
-    cumulative = 0.0
-    for code, (_name, share) in enumerate(CLOUD_SHARES):
-        cumulative += share
-        if roll < cumulative:
-            return code
-    return -1
+_PEER_COUNTRIES = _peer_country_table()
+_AGENTS = _choices_table(
+    list(range(len(_AGENT_VERSIONS))), [weight for _, weight in _AGENT_VERSIONS]
+)
+#: Table 3's shares accumulated once: a cloud roll is one ``random()``
+#: bisected into them, and one past the last provider is "not a cloud".
+_CLOUD_CUM = list(accumulate(share for _, share in CLOUD_SHARES))
+_N_CLOUDS = len(CLOUD_SHARES)
 
 
 def generate_compact_population(
@@ -281,8 +291,29 @@ def generate_compact_population(
     collision) and its cloud roll, in that order. Per-country IP
     multipliers and the mega-IP skew reproduce the IP-level marginals
     (Table 2, Fig 7c).
+
+    Every draw goes through the generator's own ``random()`` and
+    ``getrandbits()``, spent exactly as the stdlib call it stands for
+    would spend them, so no ``random.py`` frame is entered per draw
+    (``tests/workloads/test_spelled_draws.py`` holds each spelling, and
+    a generator making the calls, to the running interpreter):
+
+    - ``rng.choices(seq, weights)[0]`` / ``rng.choices(seq,
+      cum_weights=cum)[0]`` — the country, the AS, the mega IP, the
+      agent version, the AS table's tail countries — is
+      ``seq[bisect(cum, random() * total, 0, hi)]`` over a
+      :func:`~repro.workloads.population._choices_table` built once;
+    - ``rng.randrange(a, b)`` — the four octets — is ``a + r`` for the
+      first ``r = getrandbits((b - a).bit_length())`` below ``b - a``,
+      and ``rng.choice(pool)`` is ``pool[r]`` the same way with
+      ``len(pool)``;
+    - the cloud roll is one ``random()`` bisected into Table 3's shares,
+      accumulated at module load: the first provider whose running share
+      exceeds the roll, none past the last.
     """
     as_table = _build_as_table(rng)
+    rnd = rng.random
+    getrandbits = rng.getrandbits
 
     # Country-code interning: sampler countries first (stable codes for
     # the hot path), then any AS-table-only countries on first sight.
@@ -298,46 +329,65 @@ def generate_compact_population(
         return code
 
     # Per-country AS index (weights = the AS's global share),
-    # accumulated once: ``choices(asns, cum_weights=...)`` draws one
-    # ``random()`` and bisects, O(log n) per address.
+    # accumulated once: one ``random()`` and a bisect per address.
     by_country: dict[str, tuple[list[int], list[float]]] = {}
     for info, country, share in as_table:
         asns, weights = by_country.setdefault(country, ([], []))
         asns.append(info.asn)
         weights.append(share)
-    by_country_cum = {
-        country: (asns, list(accumulate(weights)))
+    as_draws = {
+        country: _choices_table(asns, weights)
         for country, (asns, weights) in by_country.items()
     }
-    fallback_asns = [info.asn for info, _, _ in as_table[:200]]
-    fallback_cum = list(accumulate(share for _, _, share in as_table[:200]))
+    fallback = _choices_table(
+        [info.asn for info, _, _ in as_table[:200]],
+        [share for _, _, share in as_table[:200]],
+    )
 
     used: set[int] = set()
 
     def new_ip(country: str) -> tuple[int, int, int, int]:
         """(packed ip, asn, cloud code, country code)."""
-        asns, cum = by_country_cum.get(country, (fallback_asns, fallback_cum))
-        asn = rng.choices(asns, cum_weights=cum)[0]
-        packed = _draw_packed_ip(rng, used)
-        cloud = _draw_cloud_code(rng)
-        return packed, asn, cloud, intern(country)
-
-    sample_country = _peer_country_draw(rng)
+        asns, cum, total, hi = as_draws.get(country, fallback)
+        # rng.choices(asns, cum_weights=cum)[0]
+        asn = asns[bisect(cum, rnd() * total, 0, hi)]
+        # rng.randrange(1, 224), randrange(256), randrange(256),
+        # randrange(1, 255); the address redrawn while it is taken.
+        while True:
+            while (a := getrandbits(8)) >= 223:
+                pass
+            while (b := getrandbits(9)) >= 256:
+                pass
+            while (c := getrandbits(9)) >= 256:
+                pass
+            while (d := getrandbits(8)) >= 254:
+                pass
+            packed = ((((a + 1) << 8) | b) << 16) | (c << 8) | (d + 1)
+            if packed not in used:
+                break
+        used.add(packed)
+        cloud = bisect(_CLOUD_CUM, rnd())
+        return packed, asn, cloud if cloud < _N_CLOUDS else -1, intern(country)
 
     # The ten mega IPs (Fig 7c), in fixed countries roughly matching
     # the peer-country distribution so they do not skew Fig 5.
     mega_creations: list[tuple[int, int, int, int]] = []
-    mega_by_country: dict[str, tuple[list[tuple[int, int, int]], list[float]]] = {}
+    mega_lists: dict[str, tuple[list[tuple[int, int, int]], list[float]]] = {}
     for position, country in enumerate(_MEGA_IP_COUNTRIES):
         packed, asn, cloud, country_code = new_ip(country)
         mega_creations.append((packed, country_code, asn, cloud))
-        entries, weights = mega_by_country.setdefault(country, ([], []))
+        entries, weights = mega_lists.setdefault(country, ([], []))
         entries.append((packed, asn, cloud))
         weights.append(1.0 / (position + 1))
+    # country -> (P(the peer lives on a mega IP), the mega IPs' table)
+    mega_by_country = {
+        country: (_mega_probability(country), _choices_table(entries, weights))
+        for country, (entries, weights) in mega_lists.items()
+    }
 
     shared_pool: dict[str, list[tuple[int, int, int]]] = {}
-    agent_indexes = list(range(len(_AGENT_VERSIONS)))
-    agent_cum = list(accumulate(weight for _, weight in _AGENT_VERSIONS))
+    names, country_cum, country_total, country_hi = _PEER_COUNTRIES
+    agents, agent_cum, agent_total, agent_hi = _AGENTS
 
     n = config.n_peers
     peer_country = array("H", bytes(2 * n))
@@ -357,17 +407,18 @@ def generate_compact_population(
         addr_cloud.append(cloud)
 
     for index in range(n):
-        country = sample_country()
+        # rng.choices(countries, cum_weights=cum)[0]
+        country = names[bisect(country_cum, rnd() * country_total, 0, country_hi)]
         country_code = intern(country)
-        megas = mega_by_country.get(country)
-        if megas is not None and rng.random() < _mega_probability(country):
-            entries, weights = megas
-            packed, asn, cloud = rng.choices(entries, weights)[0]
+        mega = mega_by_country.get(country)
+        if mega is not None and rnd() < mega[0]:
+            entries, cum, total, hi = mega[1]
+            # rng.choices(entries, weights)[0]
+            packed, asn, cloud = entries[bisect(cum, rnd() * total, 0, hi)]
             push_slot(packed, asn, cloud, country_code)
         else:
             _draw_addresses(
-                rng, country, country_code, new_ip, sample_country,
-                shared_pool, push_slot,
+                rng, country, country_code, new_ip, shared_pool, push_slot,
             )
         first = ip_off[index]
         cloud_name = (
@@ -378,7 +429,8 @@ def generate_compact_population(
         peer_country[index] = country_code
         peer_reach[index] = _REACH_CODE[reachability]
         peer_class[index] = _CLASS_CODE[peer_klass]
-        peer_agent[index] = rng.choices(agent_indexes, cum_weights=agent_cum)[0]
+        # rng.choices(agents, cum_weights=cum)[0]
+        peer_agent[index] = agents[bisect(agent_cum, rnd() * agent_total, 0, agent_hi)]
         ip_off[index + 1] = len(addr_ip)
 
     return CompactPopulation(
@@ -398,31 +450,8 @@ def generate_compact_population(
     )
 
 
-def _peer_country_draw(rng: random.Random):
-    """Returns a zero-arg sampler of peer countries (Fig 5 targets).
-
-    The 152 weights are accumulated once: this is the hottest draw of
-    the generator at 1M peers.
-    """
-    countries = [c for c, _ in PEER_COUNTRY_SHARES]
-    weights = [s * _NAMED_SHARE_SCALE for _, s in PEER_COUNTRY_SHARES]
-    tail = ["X%03d" % i for i in range(N_TAIL_COUNTRIES)]
-    tail_total = 1.0 - sum(weights)
-    # Zipf-ish tail so some pseudo countries are visibly larger.
-    tail_raw = [1.0 / (i + 1) for i in range(N_TAIL_COUNTRIES)]
-    scale = tail_total / sum(tail_raw)
-    countries += tail
-    weights += [w * scale for w in tail_raw]
-    cum = list(accumulate(weights))
-
-    def sample() -> str:
-        return rng.choices(countries, cum_weights=cum)[0]
-
-    return sample
-
-
 def _draw_addresses(
-    rng, country, country_code, new_ip, sample_country, shared_pool, push_slot,
+    rng, country, country_code, new_ip, shared_pool, push_slot,
 ) -> None:
     """Regular peers: 1..N address slots, mostly within their country.
 
@@ -433,27 +462,35 @@ def _draw_addresses(
     small hosters), producing the 2-10-PeerID IPs below the mega tier
     in Figure 7c.
     """
+    rnd = rng.random
     multiplier = IP_MULTIPLIER.get(country, 1.0)
     base = _sample_extra_ip_count(rng)
     extra = min(9, round(base * multiplier + (multiplier - 1.0)))
     pool = shared_pool.setdefault(country, [])
-    if pool and rng.random() < 0.08:
-        packed, asn, cloud = rng.choice(pool)
+    if pool and rnd() < 0.08:
+        # rng.choice(pool)
+        size = len(pool)
+        nbits = size.bit_length()
+        while (j := rng.getrandbits(nbits)) >= size:
+            pass
+        packed, asn, cloud = pool[j]
     else:
         packed, asn, cloud, _code = new_ip(country)
-        if rng.random() < 0.05:
+        if rnd() < 0.05:
             pool.append((packed, asn, cloud))
             if len(pool) > 40:
                 pool.pop(0)
     push_slot(packed, asn, cloud, country_code)
     # Target ~8.8 % multihomed peers overall; only regular peers (about
     # two thirds of the population) can be, hence the 0.13 local rate.
-    multihomed = rng.random() < 0.13
+    multihomed = rnd() < 0.13
     for position in range(max(extra, 1 if multihomed else extra)):
         other_country = country
         if multihomed and position == 0:
+            names, cum, total, hi = _PEER_COUNTRIES
             for _ in range(4):
-                other_country = sample_country()
+                # rng.choices(countries, cum_weights=cum)[0], as for the peer
+                other_country = names[bisect(cum, rnd() * total, 0, hi)]
                 if other_country != country:
                     break
         packed, asn, cloud, other_code = new_ip(other_country)

@@ -27,7 +27,9 @@ distribution — the same mechanism the paper observes.
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from dataclasses import dataclass
+from itertools import accumulate
 
 from repro.measurement.registries import AsInfo, CloudRegistry, GeoIpRegistry
 from repro.multiformats.peerid import PeerId
@@ -210,6 +212,21 @@ class Population:
         return out
 
 
+def _choices_table(population: list, weights) -> tuple[list, list[float], float, int]:
+    """``(population, cum, total, hi)``: what ``random.Random.choices``
+    computes from its arguments before its one ``random()``.
+
+    ``rng.choices(population, weights)[0]`` — and the ``cum_weights=``
+    form, whose ``cum`` is the running sum — is then
+    ``population[bisect(cum, rng.random() * total, 0, hi)]``, with no
+    stdlib frame entered and nothing re-accumulated per draw.
+    ``tests/workloads/test_spelled_draws.py`` holds the spelling to the
+    running interpreter's ``choices``.
+    """
+    cum = list(accumulate(weights))
+    return population, cum, cum[-1] + 0.0, len(cum) - 1
+
+
 def _build_as_table(rng: random.Random) -> list[tuple[AsInfo, str, float]]:
     """The global AS share table: named heads + Zipf tail.
 
@@ -228,8 +245,10 @@ def _build_as_table(rng: random.Random) -> list[tuple[AsInfo, str, float]]:
     far_count = N_TAIL_ASES - 90
     far_weights = [1.0 / i for i in range(1, far_count + 1)]
     far_scale = tail_total / sum(far_weights)
-    countries = [c for c, _ in _TAIL_AS_COUNTRIES]
-    weights = [w for _, w in _TAIL_AS_COUNTRIES]
+    countries, cum, total, hi = _choices_table(
+        [c for c, _ in _TAIL_AS_COUNTRIES], [w for _, w in _TAIL_AS_COUNTRIES]
+    )
+    rnd = rng.random
     next_asn = 60000
     next_rank = 300
     for position in range(N_TAIL_ASES):
@@ -238,7 +257,8 @@ def _build_as_table(rng: random.Random) -> list[tuple[AsInfo, str, float]]:
             if position < 90
             else far_weights[position - 90] * far_scale
         )
-        country = rng.choices(countries, weights)[0]
+        # rng.choices(countries, weights)[0]
+        country = countries[bisect(cum, rnd() * total, 0, hi)]
         info = AsInfo(next_asn + position, next_rank + position * 3,
                       f"SYNTH-AS-{next_asn + position}, {country}")
         table.append((info, country, share))

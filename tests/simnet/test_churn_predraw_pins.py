@@ -1,15 +1,16 @@
 """The compact world's churn pre-draw, pinned.
 
 ``test_compact_equivalence.py`` compares the pre-drawn schedules with
-``SessionProcess`` over six simulated hours; both sides draw through
-``ChurnModel``, so a change to how :func:`repro.simnet.compact._churn_schedules`
-spells those draws would need a shared bug to slip past it — and the
-hours past the comparison window are not compared at all. The sha256
-literals below were recorded at the commit *before* the stdlib calls
-(``derive_rng`` per peer, ``lognormvariate``) were written out inline:
-the initial online flags as built, the per-peer slice offsets and the
-raw delays, out to the default horizon and to a short one whose
-overshoot draw is most of every schedule.
+``SessionProcess`` over six simulated hours on a few hundred peers; the
+rest of a 24 h schedule, and every larger world, is compared by nothing
+else. The sha256 literals below were recorded at the commit *before*
+:func:`repro.simnet.compact._churn_schedules` wrote its stdlib calls
+(``derive_rng`` per peer, ``lognormvariate``) out inline: the initial
+online flags as built, the per-peer slice offsets and the raw delays,
+out to the default horizon and to a short one whose overshoot draw is
+most of every schedule.
+``tests/workloads/test_spelled_draws.py`` keeps the stdlib-calling loop
+as a reference.
 
 Regenerate (only for a PR that means to change the churn draws) with:
 
