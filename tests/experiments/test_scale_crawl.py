@@ -126,7 +126,9 @@ def test_tiny_end_to_end_report(monkeypatch):
     # crawler only sends one to a peer it dialed
     dialed = set().union(*(crawl.dialable for crawl in campaigns[0].crawls))
     assert 0 < doc["telemetry"]["materialized"] <= len(dialed) < TINY.n_peers
-    assert 0 < doc["telemetry"]["compact_bytes_per_peer"] < 5000
+    # 661.1 B/peer measured on CPython 3.11.7; the bound is 1.32x that,
+    # so a per-peer array or index that grows by a third fails here.
+    assert 0 < doc["telemetry"]["compact_bytes_per_peer"] <= 875
     assert doc["overall"] in {"PASS", "WARN", "FAIL"}
     assert report.render_text()
 

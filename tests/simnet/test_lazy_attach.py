@@ -9,6 +9,8 @@ that a late-attached stack answers exactly like an eager one.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from repro.bitswap.messages import WANT_HAVE, HaveResponse, WantHaveRequest
@@ -86,6 +88,30 @@ def test_failed_dial_builds_a_host_and_nothing_else(reachability):
     # never-reachable peers are DHT servers too (stale table entries)
     assert host.dht_server is True
     assert host.nat_private == (reachability == "never")
+
+
+def test_unmaterialized_world_bytes_per_peer():
+    # Population plus world at 2 000 peers, measured on CPython 3.11.7:
+    # 1 665.0 B/peer retained under tracemalloc (every allocation the
+    # build keeps: arrays, the digest index, the scheduled churn) and
+    # 948.0 B/peer by the world's own nbytes() accounting. The bounds
+    # allow 0.75x the peers per MiB, so a per-peer object that creeps
+    # back into the build fails the first and an array that grows per
+    # peer fails the second.
+    n_peers = 2000
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        compact = generate_compact_population(
+            PopulationConfig(n_peers=n_peers), derive_rng(SEED, "population")
+        )
+        world = build_compact_world(compact, ScenarioConfig(seed=SEED))
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert world.materialized == 0
+    assert retained / n_peers <= 2200
+    assert world.nbytes() / n_peers <= 1260
 
 
 def test_client_mode_is_a_host_fact():

@@ -95,8 +95,6 @@ def test_run_export_and_exit_code(entry, tmp_path, capsys, monkeypatch):
     "path", sorted(REPO_ROOT.glob("BENCH_*.json")), ids=lambda path: path.name
 )
 def test_committed_artifacts_parse_under_the_one_schema(path):
-    if path.name == "BENCH_kernel.json":
-        pytest.skip("the perf-gate baseline is not a graded artifact")
     check_schema(json.loads(path.read_text()))
     assert path.name in {entry.baseline for entry in cli.GRADED}
 
