@@ -13,7 +13,8 @@ performance boost.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from array import array
+from collections.abc import Callable, Iterator, Sequence
 
 from repro.dht.keyspace import KEY_BITS, key_int_for_peer, key_for_peer
 from repro.errors import SimulationError
@@ -32,6 +33,9 @@ class RoutingTable:
     go-ipfs v0.10 behaviour — evict on the first failed query — while
     chaos experiments raise it so transient injected faults do not
     strip the table bare.
+
+    A table filled by :meth:`view` is a read-only view of stored
+    entries until its first write (see there).
     """
 
     def __init__(
@@ -53,6 +57,9 @@ class RoutingTable:
         # the dominant per-peer memory cost at 100k+ peers.
         self._buckets: dict[int, dict[PeerId, int]] = {}
         self._size = 0
+        #: view state (see :meth:`view`): None, or ``(keys, peers_at,
+        #: grouped entries, populated bucket indexes, run bounds)``
+        self._view: tuple | None = None
         self._failures: dict[PeerId, int] = {}
         #: peers evicted by the failure score (degradation telemetry)
         self.evictions = 0
@@ -66,9 +73,16 @@ class RoutingTable:
     def __len__(self) -> int:
         return self._size
 
+    @property
+    def is_view(self) -> bool:
+        """True until a view's first write or diagnostic read."""
+        return self._view is not None
+
     def __contains__(self, peer_id: PeerId) -> bool:
         if peer_id == self.own_id:
             return False
+        if self._view is not None:
+            self._unview()
         bucket = self._buckets.get(self._bucket_for(peer_id))
         return bucket is not None and peer_id in bucket
 
@@ -88,6 +102,8 @@ class RoutingTable:
         """
         if peer_id == self.own_id:
             return False
+        if self._view is not None:
+            self._unview()
         key_int = key_int_for_peer(peer_id)
         distance = self.own_key_int ^ key_int
         index = (
@@ -119,7 +135,7 @@ class RoutingTable:
         breaks them raises :class:`SimulationError` and leaves the
         table empty.
         """
-        if self._size:
+        if self._size or self._view is not None:
             raise SimulationError("bulk load needs an empty routing table")
         own = self.own_key_int
         buckets = self._buckets
@@ -140,15 +156,77 @@ class RoutingTable:
             or any(len(bucket) > self.bucket_size for bucket in buckets.values())
         ):
             buckets.clear()
-            raise SimulationError(
-                "bulk load needs distinct peers other than our own id, "
-                f"at most {self.bucket_size} per bucket"
-            )
+            raise self._fill_error()
         self._size = size
+
+    def _fill_error(self) -> SimulationError:
+        return SimulationError(
+            "bulk load needs distinct peers other than our own id, "
+            f"at most {self.bucket_size} per bucket"
+        )
+
+    def view(
+        self,
+        entries: Sequence[int],
+        keys: Sequence[int],
+        peers_at: Callable[[Sequence[int]], list[PeerId]],
+    ) -> None:
+        """Fill this *empty* table as a read-only view of ``entries``.
+
+        ``entries`` are ints naming the peers :meth:`load` would take:
+        ``keys[e]`` is the DHT key int of entry ``e``, and ``peers_at``
+        maps a list of entries to the list of their ``PeerId`` objects.
+        The entries are grouped by bucket once, one common-prefix length
+        each, into one int array with the populated bucket indexes and
+        their run bounds beside it: no dict and no ``PeerId`` per
+        entry. :meth:`closest`, ``len`` and :meth:`failure_score` read
+        the view, and ``closest`` names only the peers it returns, in
+        one ``peers_at`` call. The first write (:meth:`add`,
+        :meth:`remove`, a :meth:`record_failure` that reaches the
+        threshold) or diagnostic read (:meth:`peers`,
+        :meth:`bucket_sizes`, ``in``) turns it into dict buckets by
+        ``load`` of the same entries. ``entries`` must meet ``load``'s
+        contract, checked here as there.
+        """
+        if self._size or self._view is not None:
+            raise SimulationError("bulk load needs an empty routing table")
+        own = self.own_key_int
+        runs: dict[int, list[int]] = {}
+        for entry in entries:
+            index = min(KEY_BITS - (own ^ keys[entry]).bit_length(), KEY_BITS - 1)
+            run = runs.get(index)
+            if run is None:
+                runs[index] = [entry]
+            else:
+                run.append(entry)
+        if (
+            len(set(entries)) != len(entries)
+            or own in map(keys.__getitem__, runs.get(KEY_BITS - 1, ()))
+            or any(len(run) > self.bucket_size for run in runs.values())
+        ):
+            raise self._fill_error()
+        populated = bytes(sorted(runs))
+        grouped = array("i")
+        bounds = array("H", [0])
+        for index in populated:
+            grouped.extend(runs[index])
+            bounds.append(len(grouped))
+        self._size = len(grouped)
+        self._view = (keys, peers_at, grouped, populated, bounds)
+
+    def _unview(self) -> None:
+        """Dict buckets for a view: ``load`` of its entries. They are in
+        bucket order, which keeps each bucket's own order, all that
+        ``load`` reads of the list order."""
+        _, peers_at, grouped, _, _ = self._view
+        self._size, self._view = 0, None
+        self.load(peers_at(grouped))
 
     def remove(self, peer_id: PeerId) -> None:
         """Evict a peer (e.g. after a failed dial)."""
         self._failures.pop(peer_id, None)
+        if self._view is not None:
+            self._unview()
         bucket = self._buckets.get(self._bucket_for(peer_id), {})
         if peer_id in bucket:
             del bucket[peer_id]
@@ -179,10 +257,11 @@ class RoutingTable:
         """Current consecutive-failure count for ``peer_id``."""
         return self._failures.get(peer_id, 0)
 
-    def _nearest_first(self, split: int) -> Iterator[Sequence[int]]:
-        """Populated bucket indexes in groups, nearest group first, for
-        a target sharing ``split`` leading bits with our own key."""
-        buckets = self._buckets
+    @staticmethod
+    def _nearest_first(split: int, buckets) -> Iterator[Sequence[int]]:
+        """The populated bucket indexes ``buckets`` in groups, nearest
+        group first, for a target sharing ``split`` leading bits with
+        our own key."""
         if split in buckets:
             yield (split,)
         deeper = [index for index in buckets if index > split]
@@ -210,32 +289,49 @@ class RoutingTable:
         hottest routing-table path (every FIND_NODE handler calls it),
         and a full bucket ``c`` answers it by sorting 20 entries.
         Distinct entries have distinct distances, so the result does
-        not depend on scan order.
+        not depend on scan order — nor on whether the groups come from
+        dict buckets or a view's entry runs.
         """
         target = int.from_bytes(target_key, "big")
         split = min(
             KEY_BITS - (self.own_key_int ^ target).bit_length(), KEY_BITS - 1
         )
-        buckets = self._buckets
         is_open = None if self.breakers is None else self.breakers.is_open
-        found: list[PeerId] = []
-        for group in self._nearest_first(split):
-            pairs = [
-                (key_int ^ target, peer_id)
-                for index in group
-                for peer_id, key_int in buckets[index].items()
-            ]
+        view = self._view
+        if view is None:
+            buckets = self._buckets
+        else:
+            # a view's pairs carry entry ints, named only once chosen
+            keys, peers_at, grouped, buckets, bounds = view
+            if is_open is not None:
+                is_open = lambda entry, is_open=is_open: is_open(peers_at((entry,))[0])
+        found: list = []
+        for group in self._nearest_first(split, buckets):
+            if view is None:
+                pairs = [
+                    (key_int ^ target, peer_id)
+                    for index in group
+                    for peer_id, key_int in buckets[index].items()
+                ]
+            else:
+                pairs = [
+                    (keys[entry] ^ target, entry)
+                    for run in map(buckets.index, group)
+                    for entry in grouped[bounds[run]:bounds[run + 1]]
+                ]
             if is_open is not None:
                 pairs = [pair for pair in pairs if not is_open(pair[1])]
             pairs.sort()
-            found += [peer_id for _, peer_id in pairs]
+            found += [entry for _, entry in pairs]
             if len(found) >= count:
                 del found[count:]
                 break
-        return found
+        return found if view is None else peers_at(found)
 
     def peers(self) -> list[PeerId]:
         """All table entries (used by the crawler's bucket dumps)."""
+        if self._view is not None:
+            self._unview()
         return [
             pid for index in sorted(self._buckets)
             for pid in self._buckets[index]
@@ -243,6 +339,8 @@ class RoutingTable:
 
     def bucket_sizes(self) -> dict[int, int]:
         """Populated bucket index -> entry count (diagnostics)."""
+        if self._view is not None:
+            self._unview()
         return {
             index: len(self._buckets[index])
             for index in sorted(self._buckets)

@@ -22,11 +22,11 @@ This module builds the *same world* from columnar state:
   with all that dials, remote handlers, the prober and the crawler
   read (region, class, transports, NAT flag, online bit,
   ``agent_version``, ``dht_server``). An RPC needs a node: the first
-  *delivered* ``dht/…`` RPC attaches the ``DhtNode`` and loads its
-  table, the first ``bitswap/…`` one the ``BitswapEngine`` (the host's
-  ``attach_protocol`` hook). That is exact: constructors schedule and
-  draw nothing, tables come from build-time arrays, and only a node's
-  own handlers ever mutate it.
+  *delivered* ``dht/…`` RPC attaches the ``DhtNode``, whose table reads
+  the stored entries until its first write; the first ``bitswap/…`` one
+  the ``BitswapEngine`` (the host's ``attach_protocol`` hook). That is
+  exact: constructors schedule and draw nothing, tables come from
+  build-time arrays, and only a node's own handlers ever mutate it.
 
 Equivalence is not asserted by analogy but *proved* by the differential
 harness in ``tests/simnet/test_compact_equivalence.py``: the same
@@ -82,20 +82,22 @@ def _peer_keys(n: int) -> tuple[list[bytes], list[int]]:
     """PeerID digests and DHT key ints for peers ``0..n`` by formula.
 
     ``PeerId.from_public_key(b"population-peer-%d" % i)`` is sha256 of
-    the key material; the DHT key is sha256 of the multihash encoding
-    (``\\x12\\x20`` + digest). Computing both directly skips the PeerId
-    objects entirely.
+    the key material. Computing it directly skips the PeerId objects
+    entirely.
     """
     sha = hashlib.sha256
-    digests: list[bytes] = []
-    key_ints: list[int] = []
-    for index in range(n):
-        digest = sha(b"population-peer-%d" % index).digest()
-        digests.append(digest)
-        key_ints.append(
-            int.from_bytes(sha(b"\x12\x20" + digest).digest(), "big")
-        )
-    return digests, key_ints
+    digests = [sha(b"population-peer-%d" % index).digest() for index in range(n)]
+    return digests, _dht_key_ints(digests)
+
+
+def _dht_key_ints(digests) -> list[int]:
+    """DHT key ints for sha256 PeerID digests: sha256 of the multihash
+    encoding (``\\x12\\x20`` + digest), as ``PeerId.dht_key_int``."""
+    sha = hashlib.sha256
+    return [
+        int.from_bytes(sha(b"\x12\x20" + digest).digest(), "big")
+        for digest in digests
+    ]
 
 
 def _churn_schedules(
@@ -229,6 +231,8 @@ class CompactWorld:
         self._churn_delays = array("d")       # concatenated raw delays
         self._churn_off = array("Q", [0])
         self._churn_cursor = array("Q")
+        # what every attached table's view reads (see `_table_view`)
+        self._view_args: tuple | None = None
 
     def __len__(self) -> int:
         return self.n
@@ -277,7 +281,8 @@ class CompactWorld:
         return host
 
     def node_at(self, index: int) -> DhtNode:
-        """Stage 2, ``dht/…``: the node and its loaded routing table."""
+        """Stage 2, ``dht/…``: the node and its routing table, a view of
+        the stored entries until the node's first write to it."""
         peer_id = self.peer_id_at(index)
         node = self.nodes.get(peer_id)
         if node is None:
@@ -287,11 +292,11 @@ class CompactWorld:
                 partial(derive_rng, self.seed, "dht", str(index)),
                 server=host.dht_server,
             )
-            # The precomputed fill in one load: the entries, in the
-            # insertion (= LRU) order, populate_routing_tables loads into
-            # an object world; never our own id, at most K_BUCKET_SIZE
-            # per bucket, which is what `load` requires (and checks).
-            node.routing_table.load(self.table_peer_ids(index))
+            # The precomputed fill: the entries, in the insertion
+            # (= LRU) order, populate_routing_tables loads into an
+            # object world; never our own id, at most K_BUCKET_SIZE per
+            # bucket, which is what `view` (and `load`) require.
+            node.routing_table.view(self._table_indices(index), *self._table_view())
             self.nodes[peer_id] = node
             self.materialized += 1
         return node
@@ -319,16 +324,26 @@ class CompactWorld:
             self.node_at(index)
             self.engine_at(index)
 
+    def _table_view(self):
+        """Every peer's DHT key int and the indices -> ``PeerId``s
+        lookup, shared by every table view; derived on the first attach
+        (``build`` attaches nothing, so it keeps no key ints)."""
+        if self._view_args is None:
+            # `_index` was filled in peer-index order
+            self._view_args = (_dht_key_ints(self._index), self.compact.peer_ids_at)
+        return self._view_args
+
+    def _table_indices(self, index: int) -> array:
+        """Peer ``index``'s routing-table entries as peer indices, in
+        insertion order."""
+        off = self._table_off
+        entries = self._table_entries[off[index]:off[index + 1]]
+        return array("i", map(self._server_order.__getitem__, entries))
+
     def table_peer_ids(self, index: int) -> list[PeerId]:
         """Peer ``index``'s routing-table entries, in insertion order,
         without materializing the node."""
-        entries = self._table_entries
-        order = self._server_order
-        pid_at = self.compact.peer_id_at
-        return [
-            pid_at(order[pos])
-            for pos in entries[self._table_off[index]:self._table_off[index + 1]]
-        ]
+        return self.compact.peer_ids_at(self._table_indices(index))
 
     def _resolve(self, peer_id: PeerId) -> SimHost | None:
         index = self._index.get(peer_id.multihash.digest)

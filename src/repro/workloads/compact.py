@@ -162,6 +162,12 @@ class CompactPopulation:
             self._peer_ids[index] = peer_id
         return peer_id
 
+    def peer_ids_at(self, indices) -> list[PeerId]:
+        """``peer_id_at`` of each index, reading the memo inline (a
+        routing-table view names up to 20 peers per FIND_NODE answer)."""
+        memo = self._peer_ids
+        return [memo[index] or self.peer_id_at(index) for index in indices]
+
     def country_at(self, index: int) -> str:
         return self.countries[self.peer_country[index]]
 

@@ -1,6 +1,7 @@
 """Tests for the k-bucket routing table."""
 
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -186,6 +187,21 @@ def _peer_pool() -> list[PeerId]:
 
 
 POOL = _peer_pool()
+#: POOL and OWN in key order: the stored positions a view indexes
+KEYED = sorted(POOL + [OWN], key=PeerId.dht_key_int)
+KEYED_INTS = [peer.dht_key_int() for peer in KEYED]
+POSITION = {peer: pos for pos, peer in enumerate(KEYED)}
+
+
+def view_of(peers: list[PeerId], **table_args) -> RoutingTable:
+    """A table that is a view of ``peers``, as positions into KEYED."""
+    table = RoutingTable(OWN, **table_args)
+    table.view(
+        array("i", [POSITION[peer] for peer in peers]),
+        KEYED_INTS,
+        lambda entries: [KEYED[entry] for entry in entries],
+    )
+    return table
 
 
 class OpenBreakers:
@@ -248,20 +264,25 @@ def apply_ops(table: RoutingTable, ops: list[tuple[str, PeerId]]) -> None:
 def test_closest_equals_brute_force(initial, ops, open_peers, bucket_size, seed):
     rng = random.Random(seed)
     table = RoutingTable(OWN, bucket_size=bucket_size, failure_threshold=2)
+    for peer in initial:
+        table.add(peer)  # repeats in `initial` are refreshes
+    # the twin: a view of what the adds kept, in bucket and LRU order
+    viewed = view_of(table.peers(), bucket_size=bucket_size, failure_threshold=2)
 
     def check():
         for target in probe_targets(table, rng):
             for count in (1, rng.randint(2, 19), K_BUCKET_SIZE, rng.randint(21, 50)):
-                assert table.closest(target, count) == brute_force_closest(
-                    table, target, count
-                )
+                expected = brute_force_closest(table, target, count)
+                assert table.closest(target, count) == expected
+                assert viewed.closest(target, count) == expected
+        assert len(viewed) == len(table)
 
-    for peer in initial:
-        table.add(peer)  # repeats in `initial` are refreshes
     check()
+    table.breakers = viewed.breakers = OpenBreakers(open_peers)
+    check()
+    assert viewed.is_view  # closest honoured is_open without converting
     apply_ops(table, ops)
-    check()
-    table.breakers = OpenBreakers(open_peers)
+    apply_ops(viewed, ops)
     check()
 
 
@@ -285,6 +306,7 @@ def test_closest_spills_past_a_filtered_first_bucket():
 
 def bucket_layout(table: RoutingTable) -> dict[int, list[tuple[PeerId, int]]]:
     """Populated buckets with their entries in least-recently-seen order."""
+    table.peers()  # a view turns into dict buckets first
     return {
         index: list(bucket.items())
         for index, bucket in table._buckets.items()
@@ -304,22 +326,33 @@ def assert_same_table(loaded: RoutingTable, replayed: RoutingTable) -> None:
     offered=offered_st.map(lambda peers: list(dict.fromkeys(peers))),
     ops=ops_st,
     bucket_size=st.sampled_from([3, K_BUCKET_SIZE]),
+    seed=st.integers(min_value=0, max_value=2**32),
 )
-def test_load_equals_replayed_add(offered, ops, bucket_size):
+def test_load_equals_replayed_add(offered, ops, bucket_size, seed):
     replayed = RoutingTable(OWN, bucket_size=bucket_size)
     # what a precomputed fill stores: the peers `add` accepted, in order
     accepted = [peer for peer in offered if replayed.add(peer)]
     loaded = RoutingTable(OWN, bucket_size=bucket_size)
     loaded.load(accepted)
+    viewed = view_of(accepted, bucket_size=bucket_size)
+    rng = random.Random(seed)
+    for target in probe_targets(replayed, rng):
+        for count in (1, rng.randint(2, 19), K_BUCKET_SIZE, rng.randint(21, 50)):
+            assert viewed.closest(target, count) == replayed.closest(target, count)
+    assert len(viewed) == len(replayed)
+    assert viewed.is_view
     assert_same_table(loaded, replayed)
-    # ... and the two stay the same table under later traffic:
-    # refreshes, rejections by full buckets, evictions
-    apply_ops(loaded, ops)
-    apply_ops(replayed, ops)
-    assert_same_table(loaded, replayed)
-    assert loaded.evictions == replayed.evictions
+    # ... and the three stay the same table under later traffic:
+    # refreshes, rejections by full buckets, evictions (the view's
+    # first write turns it into dict buckets)
+    tables = (loaded, viewed, replayed)
+    for table in tables:
+        apply_ops(table, ops)
     target = key_for_peer(pid(123456))
-    assert loaded.closest(target) == replayed.closest(target)
+    for table in (loaded, viewed):
+        assert table.closest(target) == replayed.closest(target)
+        assert_same_table(table, replayed)
+        assert table.evictions == replayed.evictions
 
 
 def _same_bucket_peers(count: int) -> list[PeerId]:
@@ -343,6 +376,10 @@ def test_load_rejects_what_add_would_not_take_whole(peers):
     assert len(table) == 0 and table.peers() == []
     table.load(peers[:1])  # still usable: the failed load left it empty
     assert table.peers() == peers[:1]
+    # a view holds its entries to the same contract
+    with pytest.raises(SimulationError):
+        view_of(peers, bucket_size=3)
+    assert view_of(peers[:1], bucket_size=3).peers() == peers[:1]
 
 
 def test_load_rejects_a_non_empty_table():

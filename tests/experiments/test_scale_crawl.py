@@ -107,8 +107,10 @@ def test_grading_warns_on_truncated_sessions():
 
 def test_tiny_end_to_end_report(monkeypatch):
     campaigns = []
+    worlds = []
 
     def recording(world, config):
+        worlds.append(world)
         campaigns.append(run_crawl_timeseries(world, config))
         return campaigns[-1]
 
@@ -126,6 +128,8 @@ def test_tiny_end_to_end_report(monkeypatch):
     # crawler only sends one to a peer it dialed
     dialed = set().union(*(crawl.dialable for crawl in campaigns[0].crawls))
     assert 0 < doc["telemetry"]["materialized"] <= len(dialed) < TINY.n_peers
+    # the crawler is no DHT server: no visited table was ever written to
+    assert all(node.routing_table.is_view for node in worlds[0].nodes.values())
     # 661.1 B/peer measured on CPython 3.11.7; the bound is 1.32x that,
     # so a per-peer array or index that grows by a third fails here.
     assert 0 < doc["telemetry"]["compact_bytes_per_peer"] <= 875

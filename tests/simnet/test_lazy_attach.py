@@ -33,9 +33,9 @@ SEED = 42
 ALL_TRANSPORTS = frozenset({Transport.TCP, Transport.QUIC, Transport.WEBSOCKET})
 
 
-def _world(**config):
+def _world(n_peers=N_PEERS, **config):
     compact = generate_compact_population(
-        PopulationConfig(n_peers=N_PEERS), derive_rng(SEED, "population")
+        PopulationConfig(n_peers=n_peers), derive_rng(SEED, "population")
     )
     world = build_compact_world(compact, ScenarioConfig(seed=SEED, **config))
     client = SimHost(
@@ -114,6 +114,31 @@ def test_unmaterialized_world_bytes_per_peer():
     assert world.nbytes() / n_peers <= 1260
 
 
+def test_attached_node_bytes():
+    # Bytes kept per attached node at 2 000 peers after one FIND_NODE
+    # to each of the first 50 reliable peers: node, table, the answers'
+    # PeerIds, the dial's connections and the per-peer key ints of the
+    # first attach. Measured on CPython 3.11.7: 12 429 B/node with each
+    # table a view of its stored entries, 27 465 B/node when every
+    # attach loaded dict buckets. The bound allows 1.33x the first, so
+    # a per-entry object that creeps back into the attach fails here.
+    world, client = _world(n_peers=2000, with_churn=False)
+    reliable = [
+        index for index in range(world.n)
+        if world.compact.reachability_at(index) == "reliable"
+    ][:50]
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for index in reliable:
+            _find_node(world, client, index)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert world.materialized == len(reliable) == 50
+    assert kept / world.materialized <= 16_500
+
+
 def test_client_mode_is_a_host_fact():
     world, _client = _world(nat_peers_in_dht=False)
     assert world.host_at(_first(world, "never", False)).dht_server is False
@@ -156,6 +181,7 @@ def test_first_delivered_rpc_attaches_exactly_one_node():
     # the client is no DHT server, so the handler learned nobody new
     table = world.table_peer_ids(index)
     assert len(node.routing_table) == len(table) > 0
+    assert node.routing_table.is_view, "answering FIND_NODE wrote nothing"
     assert set(node.routing_table.peers()) == set(table)
 
     # ... and the answer, and when it arrives, match an eager world's.
