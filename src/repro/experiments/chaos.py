@@ -176,11 +176,6 @@ class ChaosConfig:
     #: rungs of :data:`ARMS` to run; grading sets the last against the
     #: first.
     arms: tuple[str, ...] = ("bare", "retry")
-    #: Extra simulated seconds to run each level's world after the last
-    #: retrieval, letting in-flight dials and timers settle so the
-    #: level's :class:`NetworkStats` are coherent (the invariant tests
-    #: set this; 0 reports the instant the sweep ends).
-    settle_s: float = 0.0
 
     def __post_init__(self) -> None:
         if self.sweep not in SWEEPS:
@@ -301,13 +296,19 @@ def _seed_unannounced(config: ChaosConfig, label: str, scenario: Scenario):
     return root
 
 
-def run_level(
+def play_level(
     config: ChaosConfig,
     arm: str,
     intensity: float,
     obs: Observability | None = None,
-) -> ChaosLevel:
-    """One arm at one intensity, in its own fresh world."""
+) -> tuple[Scenario, FaultInjector, list[float | None], list[float | None]]:
+    """Build one level's fresh world and run its retrievals.
+
+    Returns the world, its injector and the announced and unannounced
+    retrieval outcomes. The simulation stops the instant the last
+    retrieval ends; a caller that wants settled counters keeps running
+    ``scenario.sim`` itself.
+    """
     sweep = SWEEPS[config.sweep]
     label = sweep.label
     scenario = build_world(
@@ -350,9 +351,20 @@ def run_level(
                 )
 
     sim.run_process(driver())
-    if config.settle_s > 0.0:
-        sim.run(until=sim.now + config.settle_s)
+    return scenario, injector, outcomes, unannounced
 
+
+def run_level(
+    config: ChaosConfig,
+    arm: str,
+    intensity: float,
+    obs: Observability | None = None,
+) -> ChaosLevel:
+    """One arm at one intensity, in its own fresh world."""
+    scenario, injector, outcomes, unannounced = play_level(
+        config, arm, intensity, obs
+    )
+    net = scenario.net
     latencies = [latency for latency in outcomes if latency is not None]
     p50, p90, p95 = (
         percentiles(latencies, [50, 90, 95]) if latencies else (None, None, None)

@@ -3,7 +3,7 @@
 Protocol per cell (one storm shape × one fleet arm): build a fresh
 world where a *HOME-class* publisher (2.5 MB/s uplink — the choke
 point) hosts the catalogue, front it with ``n_gateways`` DATACENTER
-bridge nodes behind consistent-hash routing, then replay a
+bridge nodes behind the arm's fleet routing, then replay a
 :mod:`repro.workloads.bursts` trace with one client process per
 request, each abandoning at ``deadline_s`` (the browser giving up).
 
@@ -81,20 +81,13 @@ RATIO_CAP = 99.0
 ARMS = ("stock", "hardened")
 #: What the hardened arm's bridges and fleet run with (stock: neither).
 HARDENED_OVERLOAD = OverloadConfig(
-    coalesce=True,
     max_inflight_misses=6,
     queue_capacity_bytes=4 * 1024 * 1024,
     queue_deadline_s=5.0,
     brownout_threshold=0.75,
     default_size_hint=256 * 1024,
 )
-HARDENED_FLEET = FleetConfig(
-    routing="consistent_hash",
-    failover=True,
-    health_window=16,
-    min_observations=8,
-    probe_interval_s=1.0,
-)
+HARDENED_FLEET = FleetConfig(probe_interval_s=1.0)
 #: per-gateway nginx cache (large enough to hold the catalogue — the
 #: experiment stresses the miss path, not eviction).
 CACHE_CAPACITY_BYTES = 64 * 1024 * 1024
@@ -249,9 +242,7 @@ def _run_cell(
         )
         for node in gateway_nodes
     ]
-    fleet = GatewayFleet(
-        sim, bridges, HARDENED_FLEET if hardened else FleetConfig()
-    )
+    fleet = GatewayFleet(sim, bridges, HARDENED_FLEET if hardened else None)
 
     #: (latency or None, was_shed) per request index.
     outcomes: list[tuple[float | None, bool] | None] = [None] * len(requests)

@@ -106,6 +106,8 @@ PUNCH_SUCCESS_FLOOR = 0.5
 AUTONAT_HELPERS = 12
 #: Bytes of the object each cell's NAT'ed pair publishes and retrieves.
 OBJECT_SIZE = 16 * 1024
+#: DCUtR hole-punching adoption per cell: none, then every peer.
+ADOPTIONS = (0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -117,7 +119,6 @@ class NatSweepConfig:
     crawl_hours: float = 2.0
     retrievals_per_cell: int = 5
     mixes: tuple[str, ...] = ("default", "cone_heavy", "symmetric_heavy")
-    adoptions: tuple[float, ...] = (0.0, 1.0)
     mapping_ttls: tuple[float, ...] = (DEFAULT_MAPPING_TTL_S, 30.0)
 
 
@@ -349,7 +350,7 @@ def run_nat_sweep(
             args=(config, mix, adoption, ttl),
         )
         for mix in config.mixes
-        for adoption in config.adoptions
+        for adoption in ADOPTIONS
         for ttl in config.mapping_ttls
     ]
     results = run_cells(cells, workers=workers)
@@ -374,7 +375,7 @@ def grade_sweep(results: NatSweepResults) -> GradedReport:
     """Grade the four claims the sweep is designed to check."""
     config = results.config
     default_ttl = config.mapping_ttls[0]
-    baseline = results.cell("default", config.adoptions[0], default_ttl)
+    baseline = results.cell("default", ADOPTIONS[0], default_ttl)
 
     target = TARGETS_BY_KEY["peer.undialable_fraction"]
     min_agreement = min(cell.autonat_agreement for cell in results.cells)

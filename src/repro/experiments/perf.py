@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections.abc import Generator
 from dataclasses import dataclass, field
 
-from repro.experiments.scenario import AWS_REGIONS, Scenario
+from repro.experiments.scenario import Scenario
 from repro.node.host import PublishReceipt, RetrievalReceipt
 from repro.obs import Observability
 from repro.utils.rng import derive_rng
@@ -30,7 +30,6 @@ from repro.workloads.objects import PERF_OBJECT_SIZE
 class PerfConfig:
     rounds: int = 12  # publications per region (paper: ~547)
     seed: int = 7
-    regions: tuple[str, ...] = tuple(AWS_REGIONS)
 
 
 @dataclass
@@ -80,6 +79,9 @@ def run_perf_experiment(
 ) -> PerfResults:
     """Drive the rounds to completion; returns all receipts.
 
+    Every vantage node of ``scenario`` takes its turn publishing, in
+    the order the scenario placed them, and the others retrieve.
+
     Passing an :class:`~repro.obs.Observability` records every phase of
     every operation as sim-time spans (and mirrors the network counters
     into its metrics registry) without changing any receipt: the tracer
@@ -88,9 +90,10 @@ def run_perf_experiment(
     if obs is not None:
         scenario.net.install_observability(obs)
     tracer = scenario.net.tracer
+    regions = list(scenario.vantage)
     results = PerfResults(
-        publications={region: [] for region in config.regions},
-        retrievals={region: [] for region in config.regions},
+        publications={region: [] for region in regions},
+        retrievals={region: [] for region in regions},
     )
     rng = derive_rng(config.seed, "perf-objects")
 
@@ -100,7 +103,7 @@ def run_perf_experiment(
         for node in scenario.vantage.values():
             yield from node.publish_peer_record()
         for round_index in range(config.rounds):
-            for publisher_region in config.regions:
+            for publisher_region in regions:
                 if tracer.enabled:
                     tracer.event(
                         "perf.round",
@@ -116,7 +119,7 @@ def run_perf_experiment(
                     results.failures += 1
                     continue
                 results.publications[publisher_region].append(receipt)
-                for region in config.regions:
+                for region in regions:
                     if region == publisher_region:
                         continue
                     getter = scenario.vantage[region]

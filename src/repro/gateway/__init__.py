@@ -17,7 +17,7 @@ of Figure 11 and Table 5.
 from repro.gateway.bridge import BridgedResponse, GatewayBridge
 from repro.gateway.cache import ObjectCache
 from repro.gateway.fleet import FleetConfig, FleetStats, GatewayFleet
-from repro.gateway.gateway import Gateway, UpstreamModel, default_upstream_model
+from repro.gateway.gateway import Gateway, default_upstream_model
 from repro.gateway.logs import AccessLogEntry, CacheTier, bin_traffic, tier_summary
 from repro.gateway.overload import (
     MissGate,
@@ -48,7 +48,6 @@ __all__ = [
     "ProviderHintCache",
     "ReplayConfig",
     "ReplayResult",
-    "UpstreamModel",
     "bin_traffic",
     "default_upstream_model",
     "resolve_tiers",

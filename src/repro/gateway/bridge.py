@@ -8,14 +8,15 @@ discovery + Bitswap fetches against the simulated world — the actual
 architecture of Section 3.4: "on one side is a DHT Server node, and on
 the other side is an nginx HTTP web server".
 
-With an :class:`~repro.gateway.overload.OverloadConfig` the bridge
-becomes overload-safe: concurrent misses for one CID coalesce into a
-single upstream retrieval, the number of in-flight misses is bounded,
-excess misses queue with a deadline and are shed with 503-equivalents
-(logged under :attr:`CacheTier.SHED`), and a saturated queue triggers
-brownout — stale entries are served without revalidation and recursive
-path resolution is refused. All of it defaults off; a bridge without
-an overload config replays byte-identically to the stock one.
+The bridge comes in two rungs. The stock bridge (``overload=None``)
+sends every miss upstream on its own. An
+:class:`~repro.gateway.overload.OverloadConfig` makes it overload-safe
+all at once: concurrent misses for one CID coalesce into a single
+upstream retrieval, the number of in-flight misses is bounded, excess
+misses queue with a deadline and are shed with 503-equivalents (logged
+under :attr:`CacheTier.SHED`), and a saturated queue triggers brownout
+— stale entries are served without revalidation and recursive path
+resolution is refused.
 """
 
 from __future__ import annotations
@@ -73,10 +74,12 @@ class GatewayBridge:
     ``proxy_cache_use_stale``. Without a TTL (the default) entries
     never go stale and the path is byte-identical to the stock bridge.
 
-    ``overload`` turns on single-flight coalescing, admission control
-    and brownout (see :mod:`repro.gateway.overload`); ``provider_hints``
-    is an optional shared :class:`ProviderHintCache` letting this bridge
-    skip DHT walks for content a sibling gateway already located.
+    ``overload=None`` is the stock bridge; an :class:`OverloadConfig`
+    turns on single-flight coalescing, admission control, the miss
+    queue and brownout together (see :mod:`repro.gateway.overload`).
+    ``provider_hints`` is an optional shared :class:`ProviderHintCache`
+    letting this bridge skip DHT walks for content a sibling gateway
+    already located.
     """
 
     def __init__(
@@ -107,9 +110,8 @@ class GatewayBridge:
         self.provider_hints = provider_hints
         self.overload_stats = OverloadStats()
         self._gate = (
-            MissGate(node.sim, overload, self.overload_stats)
-            if overload is not None and overload.admission_on
-            else None
+            None if overload is None
+            else MissGate(node.sim, overload, self.overload_stats)
         )
         #: in-flight single-flight retrievals, keyed by CID.
         self._inflight: dict[Cid, Future] = {}
@@ -225,10 +227,8 @@ class GatewayBridge:
         return receipt
 
     def _admit(self, size_hint: int | None) -> Generator:
-        """Pass admission control (no-op when it is off). Raises
-        :class:`OverloadError` when the request is shed."""
-        if self._gate is None:
-            return
+        """Pass admission control. Raises :class:`OverloadError` when
+        the request is shed."""
         hint = (
             size_hint if size_hint is not None
             else self.overload.default_size_hint
@@ -247,58 +247,48 @@ class GatewayBridge:
             receipt = yield from self._retrieve_upstream_hinted(cid)
         except Exception as error:
             self._inflight.pop(cid, None)
-            if self._gate is not None:
-                self._gate.release()
+            self._gate.release()
             shared.fail(error)
         else:
             self._inflight.pop(cid, None)
-            if self._gate is not None:
-                self._gate.release()
+            self._gate.release()
             shared.resolve(receipt)
 
     def _upstream_guarded(self, cid: Cid, size_hint: int | None) -> Generator:
-        """Upstream retrieval behind coalescing + admission control.
+        """Upstream retrieval behind coalescing + admission control
+        (the stock bridge goes straight upstream).
 
         Returns True when this request coalesced onto an existing
         flight. Raises :class:`OverloadError` when shed.
         """
-        config = self.overload
-        tracer = self.node.network.tracer
-        if config is None or not config.any_enabled:
+        if self._gate is None:
             self._count_launch(cid)
             yield from self._retrieve_upstream_hinted(cid)
             return False
-        if config.coalesce:
-            inflight = self._inflight.get(cid)
-            if inflight is not None:
-                self.overload_stats.coalesced_joins += 1
-                if tracer.enabled:
-                    tracer.event("gateway.coalesced", cid=str(cid))
-                yield inflight
-                return True
-            shared: Future = Future()
-            self._inflight[cid] = shared
-            try:
-                yield from self._admit(size_hint)
-            except OverloadError as error:
-                # Shed while queued for admission: every follower that
-                # coalesced onto this flight sheds with the leader.
-                self._inflight.pop(cid, None)
-                shared.fail(error)
-                raise
-            self.overload_stats.single_flights += 1
-            self._count_launch(cid)
-            self.node.sim.spawn(
-                self._single_flight(cid, shared), name=f"single-flight:{cid}"
-            )
-            yield shared
-            return False
-        yield from self._admit(size_hint)
-        self._count_launch(cid)
+        inflight = self._inflight.get(cid)
+        if inflight is not None:
+            self.overload_stats.coalesced_joins += 1
+            tracer = self.node.network.tracer
+            if tracer.enabled:
+                tracer.event("gateway.coalesced", cid=str(cid))
+            yield inflight
+            return True
+        shared: Future = Future()
+        self._inflight[cid] = shared
         try:
-            yield from self._retrieve_upstream_hinted(cid)
-        finally:
-            self._gate.release()
+            yield from self._admit(size_hint)
+        except OverloadError as error:
+            # Shed while queued for admission: every follower that
+            # coalesced onto this flight sheds with the leader.
+            self._inflight.pop(cid, None)
+            shared.fail(error)
+            raise
+        self.overload_stats.single_flights += 1
+        self._count_launch(cid)
+        self.node.sim.spawn(
+            self._single_flight(cid, shared), name=f"single-flight:{cid}"
+        )
+        yield shared
         return False
 
     # -- serving -----------------------------------------------------------

@@ -1,28 +1,25 @@
-"""A fleet of gateway bridges behind consistent-hash routing.
+"""A fleet of gateway bridges behind one load-balancer tier.
 
 The paper's ipfs.io is a *set* of gateways behind DNS round-robin
 (Section 3.4); each node's nginx cache is only as good as the slice of
 the CID space it keeps seeing. This module models the load-balancer
-tier the paper does not study:
+tier the paper does not study, in two rungs:
 
-- **routing disciplines** — stock ``round_robin`` rotates requests
-  across members like the paper's DNS round-robin, so every member
-  sees (and refetches) every hot CID; hardened ``consistent_hash``
-  maps CIDs onto a hash ring with virtual nodes, so each gateway owns
-  a stable slice of the content space (cache-friendly, one upstream
-  fetch per object fleet-wide) and losing a gateway moves only its
-  slice;
-- **health checks** — per-gateway rolling error windows plus a
-  latency-percentile estimator (reusing
-  :class:`~repro.resilience.rtt.RttEstimator`), fed passively by every
-  routed request and optionally by an active probe process on the
-  simulated clock;
-- **failover** — with ``failover`` on, routing walks the ring past
-  gateways that are marked offline or unhealthy (dead *or* shedding),
-  so a failed node's hash range redistributes to its ring successors
-  automatically; with it off, requests to a dead gateway surface
-  :class:`~repro.errors.GatewayDownError` (stock DNS behaviour: the
-  client eats the outage).
+- **stock** (``config=None``) — round-robin rotation across members
+  like the paper's DNS round-robin, so every member sees (and
+  refetches) every hot CID, and a request rotated onto a dead gateway
+  surfaces :class:`~repro.errors.GatewayDownError` (the client eats the
+  outage);
+- **hardened** (a :class:`FleetConfig`) — consistent-hash routing over
+  a ring with virtual nodes, so each gateway owns a stable slice of
+  the content space (cache-friendly, one upstream fetch per object
+  fleet-wide), plus failover: routing walks the ring past gateways
+  that are marked offline or unhealthy (dead *or* shedding), so a
+  failed node's hash range redistributes to its ring successors.
+
+Both rungs keep the health checks: a rolling error window per gateway,
+fed passively by every routed request and, when the config asks for
+it, by an active probe process on the simulated clock.
 
 Hashing uses SHA-256 over the CID's binary form — Python's built-in
 ``hash`` is salted per process and would break cross-run determinism.
@@ -39,8 +36,16 @@ from dataclasses import dataclass, field
 from repro.errors import GatewayDownError, ReproError
 from repro.gateway.bridge import BridgedResponse, GatewayBridge
 from repro.multiformats.cid import Cid
-from repro.resilience.rtt import AdaptiveTimeoutConfig, RttEstimator
 from repro.simnet.sim import Simulator
+
+#: ring points per gateway (more = smoother range distribution).
+VIRTUAL_NODES = 64
+#: request outcomes kept per gateway for the error window.
+HEALTH_WINDOW = 16
+#: outcomes needed before the error window is trusted.
+MIN_OBSERVATIONS = 8
+#: error fraction over the window that marks a gateway unhealthy.
+UNHEALTHY_ERROR_RATE = 0.5
 
 
 def _ring_point(data: bytes) -> int:
@@ -50,47 +55,14 @@ def _ring_point(data: bytes) -> int:
 
 @dataclass(frozen=True)
 class FleetConfig:
-    """Routing and health-check knobs. Defaults: DNS-style round-robin,
-    no failover, passive health accounting only — a fleet of one
-    behaves exactly like its single bridge, and a stock fleet spreads
-    every CID across all members the way the paper's DNS round-robin
-    does (Section 3.4)."""
+    """The hardened fleet: consistent-hash routing with failover (see
+    the module docstring). A fleet without one is the stock DNS
+    round-robin of Section 3.4."""
 
-    #: "round_robin" — the stock DNS rotation: consecutive requests hit
-    #: consecutive gateways, so a hot CID lands on *every* member and
-    #: each one refetches it upstream. "consistent_hash" — the hardened
-    #: ring: each CID has one owner, so the fleet fetches it once.
-    routing: str = "round_robin"
-    #: ring points per gateway (more = smoother range distribution).
-    virtual_nodes: int = 64
-    #: route around offline/unhealthy gateways.
-    failover: bool = False
-    #: request outcomes kept per gateway for the error window.
-    health_window: int = 16
-    #: error fraction over the window that marks a gateway unhealthy.
-    unhealthy_error_rate: float = 0.5
-    #: outcomes needed before the error window is trusted.
-    min_observations: int = 8
-    #: p90 served latency above this marks a gateway unhealthy
-    #: (None = latency never disqualifies).
-    latency_slo_s: float | None = None
     #: active liveness probe period (None = passive detection only).
     probe_interval_s: float | None = None
 
     def __post_init__(self) -> None:
-        if self.routing not in {"round_robin", "consistent_hash"}:
-            raise ReproError(f"unknown routing discipline: {self.routing!r}")
-        if self.virtual_nodes < 1:
-            raise ReproError(f"virtual_nodes must be >= 1, got {self.virtual_nodes}")
-        if self.health_window < 1 or self.min_observations < 1:
-            raise ReproError("health_window and min_observations must be >= 1")
-        if not 0.0 < self.unhealthy_error_rate <= 1.0:
-            raise ReproError(
-                f"unhealthy_error_rate must be in (0, 1], got "
-                f"{self.unhealthy_error_rate}"
-            )
-        if self.latency_slo_s is not None and self.latency_slo_s <= 0:
-            raise ReproError(f"latency_slo_s must be positive, got {self.latency_slo_s}")
         if self.probe_interval_s is not None and self.probe_interval_s <= 0:
             raise ReproError(
                 f"probe_interval_s must be positive, got {self.probe_interval_s}"
@@ -117,7 +89,8 @@ class FleetStats:
 
 
 class GatewayFleet:
-    """N bridges behind a consistent-hash ring with health checks."""
+    """N bridges behind round-robin (stock) or a consistent-hash ring
+    with failover (hardened), with health checks."""
 
     def __init__(
         self,
@@ -129,11 +102,11 @@ class GatewayFleet:
             raise ReproError("a fleet needs at least one gateway")
         self.sim = sim
         self.bridges = bridges
-        self.config = config if config is not None else FleetConfig()
+        self.config = config
         self.stats = FleetStats(served_by_gateway=[0] * len(bridges))
         ring: list[tuple[int, int]] = []
         for index in range(len(bridges)):
-            for replica in range(self.config.virtual_nodes):
+            for replica in range(VIRTUAL_NODES):
                 ring.append((_ring_point(b"vnode:%d:%d" % (index, replica)), index))
         ring.sort()
         self._ring = ring
@@ -145,27 +118,19 @@ class GatewayFleet:
         self._marked_offline: set[int] = set()
         #: rolling error window per gateway (1 = failed or shed).
         self._errors: list[deque[int]] = [
-            deque(maxlen=self.config.health_window) for _ in bridges
+            deque(maxlen=HEALTH_WINDOW) for _ in bridges
         ]
-        self._rtt = RttEstimator(
-            AdaptiveTimeoutConfig(
-                window=max(self.config.health_window, self.config.min_observations),
-                warmup=self.config.min_observations,
-            )
-        )
 
     # -- health ------------------------------------------------------------
 
-    def record_outcome(self, index: int, ok: bool, latency_s: float | None) -> None:
+    def record_outcome(self, index: int, ok: bool) -> None:
         """Feed one request outcome into gateway ``index``'s window."""
         self._errors[index].append(0 if ok else 1)
-        if ok and latency_s is not None:
-            self._rtt.observe(index, latency_s)
 
     def error_rate(self, index: int) -> float | None:
         """Error fraction over the window, or None while under-observed."""
         window = self._errors[index]
-        if len(window) < self.config.min_observations:
+        if len(window) < MIN_OBSERVATIONS:
             return None
         return sum(window) / len(window)
 
@@ -173,14 +138,7 @@ class GatewayFleet:
         if index in self._marked_offline:
             return False
         rate = self.error_rate(index)
-        if rate is not None and rate >= self.config.unhealthy_error_rate:
-            return False
-        slo = self.config.latency_slo_s
-        if slo is not None:
-            estimate = self._rtt.estimate_s(index, 90.0)
-            if estimate is not None and estimate > slo:
-                return False
-        return True
+        return rate is None or rate < UNHEALTHY_ERROR_RATE
 
     def _mark_offline(self, index: int) -> None:
         if index not in self._marked_offline:
@@ -206,7 +164,7 @@ class GatewayFleet:
     def run_probes(self, until_s: float) -> Generator:
         """Active health-check process: probe every
         ``probe_interval_s`` until the simulated horizon (spawn me)."""
-        interval = self.config.probe_interval_s
+        interval = None if self.config is None else self.config.probe_interval_s
         if interval is None:
             raise ReproError("run_probes needs probe_interval_s configured")
         while self.sim.now + interval <= until_s:
@@ -228,25 +186,14 @@ class GatewayFleet:
         self._round_robin = (index + 1) % len(self.bridges)
         return index
 
-    def _first_healthy_from(self, start: int) -> int:
-        """The first healthy member at or after ``start`` in index
-        order; ``start`` itself when nothing is healthy."""
-        for step in range(len(self.bridges)):
-            index = (start + step) % len(self.bridges)
-            if self.is_healthy(index):
-                return index
-        return start
-
     def route(self, cid: Cid) -> int:
-        """The consistent-hash choice for ``cid``: the ring primary,
-        or — with failover on — the first healthy gateway clockwise
-        from it. Falls back to the primary when nothing is healthy."""
+        """The hardened choice for ``cid``: the first healthy gateway
+        clockwise from its ring point. Falls back to the ring primary
+        when nothing is healthy."""
         position = bisect_right(self._ring_points, _ring_point(cid.encode_binary()))
         if position == len(self._ring):
             position = 0
         primary = self._ring[position][1]
-        if not self.config.failover:
-            return primary
         seen: set[int] = set()
         for step in range(len(self._ring)):
             index = self._ring[(position + step) % len(self._ring)][1]
@@ -270,32 +217,26 @@ class GatewayFleet:
     ) -> Generator:
         """Serve one GET through the fleet (a process; spawn or embed).
 
-        Routes by consistent hash, detects dead gateways on contact
-        (marking them so later requests route around), and feeds every
-        outcome back into the health windows.
+        Rotates (stock) or routes by consistent hash (hardened),
+        detects dead gateways on contact (marking them so later hardened
+        requests route around), and feeds every outcome back into the
+        health windows.
         """
         self.stats.requests += 1
-        round_robin = self.config.routing == "round_robin"
-        if round_robin:
-            primary = self._rotate()
-            index = (
-                self._first_healthy_from(primary)
-                if self.config.failover else primary
-            )
-        else:
+        hardened = self.config is not None
+        if hardened:
             primary = self.primary_for(cid)
             index = self.route(cid)
+        else:
+            primary = index = self._rotate()
         bridge = self.bridges[index]
         if not bridge.node.host.online:
-            # Connection refused. Mark it; with failover, re-route this
-            # very request to the next healthy gateway.
+            # Connection refused. Mark it; the hardened fleet re-routes
+            # this very request to the next healthy gateway.
             self._mark_offline(index)
-            self.record_outcome(index, ok=False, latency_s=None)
-            if self.config.failover:
-                index = (
-                    self._first_healthy_from((index + 1) % len(self.bridges))
-                    if round_robin else self.route(cid)
-                )
+            self.record_outcome(index, ok=False)
+            if hardened:
+                index = self.route(cid)
                 bridge = self.bridges[index]
             if not bridge.node.host.online:
                 self.stats.down_errors += 1
@@ -308,18 +249,15 @@ class GatewayFleet:
             )
         except GatewayDownError:
             self._mark_offline(index)
-            self.record_outcome(index, ok=False, latency_s=None)
+            self.record_outcome(index, ok=False)
             self.stats.down_errors += 1
             raise
         except Exception:
-            self.record_outcome(index, ok=False, latency_s=None)
+            self.record_outcome(index, ok=False)
             raise
         # A shed response is the gateway telling us it is overloaded:
         # count it against health so its range starts failing over.
-        self.record_outcome(
-            index, ok=not response.shed,
-            latency_s=None if response.shed else response.latency,
-        )
+        self.record_outcome(index, ok=not response.shed)
         if not response.shed:
             self.stats.served_by_gateway[index] += 1
         return response

@@ -2,24 +2,20 @@
 
 Requests flow nginx cache -> pinned node store -> upstream IPFS
 retrieval, mirroring the ipfs.io bridge (Section 3.4). Upstream
-latency comes from an :data:`UpstreamModel`: either the default
-distribution fitted to the paper's non-cached latencies (Fig 11a,
-median ≈ 4.04 s) or per-retrieval receipts from a live simulated
-:class:`~repro.node.host.IpfsNode` (see the gateway example).
+latency is drawn from :func:`default_upstream_model`, a distribution
+fitted to the paper's non-cached latencies (Fig 11a, median ≈ 4.04 s).
+:class:`~repro.gateway.bridge.GatewayBridge` is the variant whose
+misses are real retrievals on a live simulated network.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections.abc import Callable
 
 from repro.gateway.cache import ObjectCache
 from repro.gateway.logs import AccessLogEntry, CacheTier
 from repro.workloads.gateway_trace import GatewayRequest
-
-#: (request, rng) -> upstream retrieval latency in seconds.
-UpstreamModel = Callable[[GatewayRequest, random.Random], float]
 
 #: Fitted to Table 5's non-cached median of 4.04 s: the 1 s Bitswap
 #: window plus walks and fetch, log-normal around the remainder.
@@ -55,12 +51,10 @@ class Gateway:
         cache_capacity_bytes: int,
         pinned_cids: set[int],
         rng: random.Random,
-        upstream_model: UpstreamModel = default_upstream_model,
     ) -> None:
         self.web_cache = ObjectCache(cache_capacity_bytes)
         self.pinned_cids = set(pinned_cids)
         self.rng = rng
-        self.upstream_model = upstream_model
         self.log: list[AccessLogEntry] = []
 
     def serve(self, request: GatewayRequest) -> AccessLogEntry:
@@ -78,7 +72,7 @@ class Gateway:
             # Table 5 instead of migrating into the nginx tier.
         else:
             tier = CacheTier.NON_CACHED
-            latency = self.upstream_model(request, self.rng)
+            latency = default_upstream_model(request, self.rng)
             self.web_cache.insert(request.cid_index, request.size)
         entry = AccessLogEntry(
             timestamp=request.timestamp,
@@ -96,12 +90,3 @@ class Gateway:
     def replay(self, requests) -> list[AccessLogEntry]:
         """Serve a whole trace in timestamp order."""
         return [self.serve(request) for request in requests]
-
-    def combined_hit_rate(self) -> float:
-        """Share of requests served from either cache tier (>80 % in
-        the paper once the node store is counted)."""
-        if not self.log:
-            return 0.0
-        hit_tiers = (CacheTier.NGINX, CacheTier.NODE_STORE)
-        hits = sum(1 for entry in self.log if entry.tier in hit_tiers)
-        return hits / len(self.log)

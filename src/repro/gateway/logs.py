@@ -105,7 +105,10 @@ def referral_statistics(entries: Iterable[AccessLogEntry]) -> dict[str, float]:
     entries = list(entries)
     referred = [entry for entry in entries if entry.referrer is not None]
     if not entries:
-        return {"referred_share": 0.0, "semi_popular_share": 0.0}
+        return {
+            "referred_share": 0.0, "semi_popular_share": 0.0,
+            "semi_popular_sites": 0,
+        }
     semi = [
         entry for entry in referred if entry.referrer.startswith("site-")
     ]

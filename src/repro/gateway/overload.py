@@ -1,9 +1,12 @@
-"""Gateway overload control: admission, queueing and shedding.
+"""Gateway overload control: coalescing, admission, queueing, shedding.
 
 The paper's ipfs.io deployment absorbs 7.1 M requests/day through a
 single nginx + DHT-server pair (§3.4) — a choke point with no
-back-pressure story. This module gives the simulated bridge one:
+back-pressure story. This module gives the simulated bridge one: four
+mechanisms that switch on together.
 
+- **single-flight coalescing** — concurrent misses for one CID join
+  one in-flight upstream retrieval instead of each walking the DHT;
 - a bounded **in-flight miss semaphore** (``max_inflight_misses``) —
   only that many upstream retrievals run concurrently;
 - a **byte-bounded request queue** with deterministic deadline-based
@@ -19,8 +22,8 @@ back-pressure story. This module gives the simulated bridge one:
 
 Everything runs on the simulated clock via :class:`Simulator` timers —
 no wall-clock, no randomness — so shedding decisions are deterministic
-and replay byte-identically. A ``None`` config on the bridge is a
-strict no-op: none of this code runs and the stock path is unchanged.
+and replay byte-identically. The stock bridge (``overload=None``) runs
+none of this code; an :class:`OverloadConfig` turns all of it on.
 """
 
 from __future__ import annotations
@@ -36,36 +39,31 @@ from repro.simnet.sim import Future, Simulator, Timer
 
 @dataclass(frozen=True)
 class OverloadConfig:
-    """Knobs of the overload-safe bridge. Everything defaults off.
+    """Sizes of the hardened bridge's overload machinery.
 
-    ``coalesce`` turns on single-flight: concurrent misses for the same
-    CID join one in-flight upstream retrieval instead of each walking
-    the DHT. Admission control activates when ``max_inflight_misses``
-    is set; the queue exists only when ``queue_capacity_bytes`` is also
-    set (without it, misses beyond the semaphore shed immediately).
+    A bridge holding one coalesces same-CID misses, bounds in-flight
+    upstream retrievals, queues the overflow and browns out when the
+    queue saturates — all four at once (see the module docstring).
     """
 
-    #: single-flight coalescing of concurrent same-CID misses.
-    coalesce: bool = False
-    #: concurrent upstream retrievals allowed (None = unbounded).
-    max_inflight_misses: int | None = None
-    #: byte budget of the miss queue (None = no queue: overflow sheds).
-    queue_capacity_bytes: int | None = None
+    #: concurrent upstream retrievals allowed.
+    max_inflight_misses: int = 8
+    #: byte budget of the miss queue.
+    queue_capacity_bytes: int = 64 * 1024 * 1024
     #: how long a queued miss may wait before it is shed.
     queue_deadline_s: float = 10.0
-    #: queue saturation (queued/capacity) at which brownout begins
-    #: (None = never browns out).
-    brownout_threshold: float | None = None
+    #: queue saturation (queued/capacity) at which brownout begins.
+    brownout_threshold: float = 0.9
     #: bytes a request is assumed to cost when the caller has no hint
     #: (the gateway only learns Content-Length after the fetch).
     default_size_hint: int = 256 * 1024
 
     def __post_init__(self) -> None:
-        if self.max_inflight_misses is not None and self.max_inflight_misses < 1:
+        if self.max_inflight_misses < 1:
             raise ReproError(
                 f"max_inflight_misses must be >= 1, got {self.max_inflight_misses}"
             )
-        if self.queue_capacity_bytes is not None and self.queue_capacity_bytes <= 0:
+        if self.queue_capacity_bytes <= 0:
             raise ReproError(
                 f"queue_capacity_bytes must be positive, got "
                 f"{self.queue_capacity_bytes}"
@@ -74,9 +72,7 @@ class OverloadConfig:
             raise ReproError(
                 f"queue_deadline_s must be positive, got {self.queue_deadline_s}"
             )
-        if self.brownout_threshold is not None and not (
-            0.0 < self.brownout_threshold <= 1.0
-        ):
+        if not 0.0 < self.brownout_threshold <= 1.0:
             raise ReproError(
                 f"brownout_threshold must be in (0, 1], got "
                 f"{self.brownout_threshold}"
@@ -85,14 +81,6 @@ class OverloadConfig:
             raise ReproError(
                 f"default_size_hint must be positive, got {self.default_size_hint}"
             )
-
-    @property
-    def admission_on(self) -> bool:
-        return self.max_inflight_misses is not None
-
-    @property
-    def any_enabled(self) -> bool:
-        return self.coalesce or self.admission_on
 
 
 @dataclass
@@ -191,8 +179,6 @@ class MissGate:
     def __init__(
         self, sim: Simulator, config: OverloadConfig, stats: OverloadStats
     ) -> None:
-        if not config.admission_on:
-            raise ReproError("MissGate needs max_inflight_misses set")
         self.sim = sim
         self.config = config
         self.stats = stats
@@ -202,16 +188,12 @@ class MissGate:
 
     @property
     def saturation(self) -> float:
-        """Queue fullness in [0, 1] (0 when no queue is configured)."""
-        capacity = self.config.queue_capacity_bytes
-        if capacity is None:
-            return 0.0
-        return min(1.0, self.queued_bytes / capacity)
+        """Queue fullness in [0, 1]."""
+        return min(1.0, self.queued_bytes / self.config.queue_capacity_bytes)
 
     @property
     def in_brownout(self) -> bool:
-        threshold = self.config.brownout_threshold
-        return threshold is not None and self.saturation >= threshold
+        return self.saturation >= self.config.brownout_threshold
 
     def acquire(self, size_hint: int) -> Future | None:
         """Admit, enqueue, or shed one miss (see class docstring)."""
@@ -220,7 +202,7 @@ class MissGate:
             self.stats.admitted_immediately += 1
             return None
         capacity = self.config.queue_capacity_bytes
-        if capacity is None or self.queued_bytes + size_hint > capacity:
+        if self.queued_bytes + size_hint > capacity:
             self.stats.shed_overflow += 1
             raise OverloadError(
                 f"miss queue full ({self.queued_bytes}/{capacity} bytes)"

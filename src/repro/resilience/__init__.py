@@ -20,7 +20,7 @@ from repro.resilience.core import (
     ResilienceStats,
 )
 from repro.resilience.hedge import HedgeOutcome, first_success, hedged_call
-from repro.resilience.rtt import AdaptiveTimeoutConfig, RttEstimator
+from repro.resilience.rtt import RttEstimator
 
 __all__ = [
     "CLOSED",
@@ -28,7 +28,6 @@ __all__ = [
     "HALF_OPEN",
     "BreakerConfig",
     "BreakerRegistry",
-    "AdaptiveTimeoutConfig",
     "RttEstimator",
     "HedgeOutcome",
     "first_success",

@@ -13,9 +13,10 @@ Classic three-state machine, driven entirely by the simulated clock:
   reset on any success;
 - **open** — entered after ``failure_threshold`` consecutive failures;
   every request is refused until ``cooldown_s`` of sim-time passes;
-- **half-open** — after the cooldown, up to ``half_open_probes`` trial
-  requests may pass. A success closes the breaker; a failure re-opens
-  it with the cooldown escalated by ``cooldown_multiplier``.
+- **half-open** — after the cooldown, :data:`HALF_OPEN_PROBES` trial
+  request may pass. A success closes the breaker; a failure re-opens
+  it with the cooldown escalated by :data:`COOLDOWN_MULTIPLIER`, up
+  to :data:`MAX_COOLDOWN_S`.
 
 The registry holds one breaker per peer, created lazily on the first
 recorded failure, so a healthy network costs one dictionary miss per
@@ -36,6 +37,13 @@ CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half_open"
 
+#: trial requests allowed through a half-open breaker.
+HALF_OPEN_PROBES = 1
+#: cooldown escalation on a failed probe (repeat offenders wait
+#: longer), and its cap.
+COOLDOWN_MULTIPLIER = 2.0
+MAX_COOLDOWN_S = 600.0
+
 
 @dataclass(frozen=True)
 class BreakerConfig:
@@ -45,30 +53,15 @@ class BreakerConfig:
     failure_threshold: int = 3
     #: sim-seconds an open breaker refuses traffic before probing.
     cooldown_s: float = 60.0
-    #: trial requests allowed through a half-open breaker.
-    half_open_probes: int = 1
-    #: cooldown escalation on a failed probe (repeat offenders wait
-    #: longer, capped at ``max_cooldown_s``).
-    cooldown_multiplier: float = 2.0
-    max_cooldown_s: float = 600.0
 
     def __post_init__(self) -> None:
         if self.failure_threshold < 1:
             raise ReproError(
                 f"failure_threshold must be >= 1, got {self.failure_threshold}"
             )
-        if self.cooldown_s <= 0 or self.max_cooldown_s < self.cooldown_s:
+        if not 0 < self.cooldown_s <= MAX_COOLDOWN_S:
             raise ReproError(
-                f"need 0 < cooldown ({self.cooldown_s}) <= "
-                f"max ({self.max_cooldown_s})"
-            )
-        if self.half_open_probes < 1:
-            raise ReproError(
-                f"half_open_probes must be >= 1, got {self.half_open_probes}"
-            )
-        if self.cooldown_multiplier < 1.0:
-            raise ReproError(
-                f"cooldown_multiplier must be >= 1, got {self.cooldown_multiplier}"
+                f"need 0 < cooldown ({self.cooldown_s}) <= {MAX_COOLDOWN_S}"
             )
 
 
@@ -137,7 +130,7 @@ class BreakerRegistry:
 
         Open breakers whose cooldown has elapsed move to half-open
         here, and half-open breakers admit up to
-        ``config.half_open_probes`` trial requests.
+        :data:`HALF_OPEN_PROBES` trial requests.
         """
         breaker = self._breakers.get(peer_id)
         if breaker is None or breaker.state == CLOSED:
@@ -148,7 +141,7 @@ class BreakerRegistry:
                 return False
             self._transition(peer_id, breaker, HALF_OPEN)
             breaker.probes = 0
-        if breaker.probes < self.config.half_open_probes:
+        if breaker.probes < HALF_OPEN_PROBES:
             breaker.probes += 1
             return True
         self.skips += 1
@@ -177,8 +170,7 @@ class BreakerRegistry:
         if breaker.state == HALF_OPEN:
             # The probe failed: re-open with an escalated cooldown.
             breaker.cooldown_s = min(
-                self.config.max_cooldown_s,
-                breaker.cooldown_s * self.config.cooldown_multiplier,
+                MAX_COOLDOWN_S, breaker.cooldown_s * COOLDOWN_MULTIPLIER
             )
             breaker.opened_at = self._clock()
             self._transition(peer_id, breaker, OPEN)

@@ -10,9 +10,9 @@ central tendency plus a bounded percentile window for the spread
 
     deadline = clamp(multiplier * max(ewma, p<q>), min, max)
 
-Regions that have not produced ``warmup`` samples yet fall back to the
-aggregate estimate over all regions, and a completely cold estimator
-falls back to the caller's fixed default — so enabling adaptive
+Regions that have not produced :data:`WARMUP` samples yet fall back to
+the aggregate estimate over all regions, and a completely cold
+estimator falls back to the caller's fixed default — so enabling adaptive
 deadlines can never make the *first* queries behave differently from
 the fixed-timeout stack.
 
@@ -26,7 +26,6 @@ control-plane estimate.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Hashable
 
 from repro.errors import ReproError
@@ -38,38 +37,19 @@ DEADLINE_PERCENTILE = 95.0
 #: out longer than this, a second copy launches), and its floor.
 HEDGE_PERCENTILE = 90.0
 MIN_HEDGE_DELAY_S = 0.25
-
-
-@dataclass(frozen=True)
-class AdaptiveTimeoutConfig:
-    """Tunables of the deadline estimator."""
-
-    #: EWMA smoothing factor (RFC 6298 uses 1/8; walks see fewer,
-    #: burstier samples, so smooth a little less).
-    ewma_alpha: float = 0.2
-    #: samples kept per region for the percentile term.
-    window: int = 64
-    #: safety factor over the estimate.
-    multiplier: float = 3.0
-    #: deadline clamp. The ceiling stays at the fixed 10 s default so
-    #: adaptation only ever *tightens* the walk's timeout.
-    min_deadline_s: float = 1.0
-    max_deadline_s: float = 10.0
-    #: samples a key needs before its estimate is trusted.
-    warmup: int = 5
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ReproError(f"ewma_alpha must be in (0, 1], got {self.ewma_alpha}")
-        if self.window < 1 or self.warmup < 1:
-            raise ReproError("window and warmup must be >= 1")
-        if self.min_deadline_s <= 0 or self.max_deadline_s < self.min_deadline_s:
-            raise ReproError(
-                f"need 0 < min ({self.min_deadline_s}) <= "
-                f"max ({self.max_deadline_s}) deadline"
-            )
-        if self.multiplier <= 0:
-            raise ReproError(f"multiplier must be positive, got {self.multiplier}")
+#: EWMA smoothing factor (RFC 6298 uses 1/8; walks see fewer,
+#: burstier samples, so smooth a little less).
+EWMA_ALPHA = 0.2
+#: samples kept per region for the percentile term.
+WINDOW = 64
+#: samples a key needs before its estimate is trusted.
+WARMUP = 5
+#: safety factor over the estimate.
+DEADLINE_MULTIPLIER = 3.0
+#: deadline clamp. The ceiling stays at the fixed 10 s default so
+#: adaptation only ever *tightens* the walk's timeout.
+MIN_DEADLINE_S = 1.0
+MAX_DEADLINE_S = 10.0
 
 
 class _KeyState:
@@ -77,9 +57,9 @@ class _KeyState:
 
     __slots__ = ("ewma", "window")
 
-    def __init__(self, window: int) -> None:
+    def __init__(self) -> None:
         self.ewma: float | None = None
-        self.window: deque[float] = deque(maxlen=window)
+        self.window: deque[float] = deque(maxlen=WINDOW)
 
 
 class RttEstimator:
@@ -89,8 +69,7 @@ class RttEstimator:
     over all regions, which doubles as the fallback for cold regions.
     """
 
-    def __init__(self, config: AdaptiveTimeoutConfig | None = None) -> None:
-        self.config = config if config is not None else AdaptiveTimeoutConfig()
+    def __init__(self) -> None:
         self._by_key: dict[Hashable, _KeyState] = {}
         self.samples_observed = 0
 
@@ -102,18 +81,17 @@ class RttEstimator:
         targets = [self._state(key)] if key is None else [
             self._state(key), self._state(None)
         ]
-        alpha = self.config.ewma_alpha
         for state in targets:
             state.ewma = (
                 duration_s if state.ewma is None
-                else alpha * duration_s + (1.0 - alpha) * state.ewma
+                else EWMA_ALPHA * duration_s + (1.0 - EWMA_ALPHA) * state.ewma
             )
             state.window.append(duration_s)
 
     def _state(self, key: Hashable) -> _KeyState:
         state = self._by_key.get(key)
         if state is None:
-            state = _KeyState(self.config.window)
+            state = _KeyState()
             self._by_key[key] = state
         return state
 
@@ -121,7 +99,7 @@ class RttEstimator:
         """The key's state if warm, else the aggregate if warm, else None."""
         for candidate in (key, None):
             state = self._by_key.get(candidate)
-            if state is not None and len(state.window) >= self.config.warmup:
+            if state is not None and len(state.window) >= WARMUP:
                 return state
         return None
 
@@ -140,14 +118,10 @@ class RttEstimator:
         Returns ``default`` while cold (pass the fixed timeout the
         deadline replaces; ``None`` lets callers detect coldness).
         """
-        config = self.config
         estimate = self.estimate_s(key, DEADLINE_PERCENTILE)
         if estimate is None:
             return default
-        return min(
-            config.max_deadline_s,
-            max(config.min_deadline_s, estimate * config.multiplier),
-        )
+        return min(MAX_DEADLINE_S, max(MIN_DEADLINE_S, estimate * DEADLINE_MULTIPLIER))
 
     def hedge_delay_s(self, key: Hashable, default: float) -> float:
         """How long to give the original before launching a hedge.

@@ -28,6 +28,9 @@ from repro.errors import ReproError
 from repro.simnet.sim import Future, Simulator, TimeoutError_, with_timeout
 from repro.utils.rng import derive_rng
 
+#: growth factor of the exponential backoff between retries.
+BACKOFF_MULTIPLIER = 2.0
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -43,7 +46,6 @@ class RetryPolicy:
     max_attempts: int = 1
     base_delay_s: float = 0.5
     max_delay_s: float = 30.0
-    multiplier: float = 2.0
     #: "none" (deterministic exponential), "full" (uniform in
     #: [0, exp]), or "decorrelated" (AWS-style, needs ``previous``).
     jitter: str = "none"
@@ -80,7 +82,7 @@ class RetryPolicy:
                 rng.uniform(self.base_delay_s, max(self.base_delay_s, previous * 3)),
             )
         exponential = min(
-            self.max_delay_s, self.base_delay_s * self.multiplier ** (attempt - 1)
+            self.max_delay_s, self.base_delay_s * BACKOFF_MULTIPLIER ** (attempt - 1)
         )
         if self.jitter == "full":
             return min(

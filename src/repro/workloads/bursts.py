@@ -51,6 +51,9 @@ class BurstRequest:
     country: str
 
 
+#: the region whose demand surges in the diurnal storm.
+STORM_COUNTRY = "US"
+
 #: popularity skew inside the drop's hot set and background catalogue
 #: (flatter than the steady-state day: a fresh collection has no
 #: established favourites yet), and across the storm's objects.
@@ -102,8 +105,6 @@ class DiurnalStormConfig:
     duration_s: float = 120.0
     #: mean total request rate before diurnal shaping.
     baseline_rate_hz: float = 3.0
-    #: the region whose demand surges.
-    storm_country: str = "US"
     #: the window sits in US local afternoon on the compressed clock
     #: (t=75 s maps to local 15:00), where the diurnal curve peaks —
     #: a surge in the storm region's own daytime.
@@ -124,8 +125,6 @@ class DiurnalStormConfig:
             raise ReproError("need baseline_rate_hz >= 0 and storm_multiplier >= 1")
         if self.n_objects < 1:
             raise ReproError("need at least one object")
-        if self.storm_country not in {c for c, _, _ in STORM_COUNTRIES}:
-            raise ReproError(f"unknown storm country: {self.storm_country!r}")
 
 
 def _poisson_arrivals(
@@ -211,13 +210,13 @@ def generate_diurnal_storm(
         # keep each arrival with probability weight/peak, which yields
         # an inhomogeneous Poisson process shaped by the diurnal curve.
         peak_multiplier = (
-            config.storm_multiplier if country == config.storm_country else 1.0
+            config.storm_multiplier if country == STORM_COUNTRY else 1.0
         )
         peak_rate = config.baseline_rate_hz * share * 2.2 * peak_multiplier
         for timestamp in _poisson_arrivals(rng, peak_rate, 0.0, config.duration_s):
             weight = diurnal_weight(timestamp * day_scale, utc_offset) / 2.2
             in_storm = (
-                country == config.storm_country
+                country == STORM_COUNTRY
                 and config.storm_start_s <= timestamp < storm_end
             )
             if not in_storm:

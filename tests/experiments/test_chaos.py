@@ -187,9 +187,7 @@ def test_zero_intensity_plan_is_byte_identical_to_no_injector():
             ))
         results = run_perf_experiment(
             scenario,
-            PerfConfig(
-                rounds=1, seed=11, regions=("eu_central_1", "us_west_1")
-            ),
+            PerfConfig(rounds=1, seed=11),
         )
         return (
             results.all_publications(),

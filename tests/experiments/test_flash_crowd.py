@@ -98,7 +98,7 @@ class TestReport:
         assert payload["schema"] == "repro.graded/v1"
         assert payload["experiment"] == "overload"
         assert payload["config"]["n_gateways"] == 2
-        assert payload["config"]["storm"]["storm_country"] == "US"
+        assert payload["config"]["storm"]["n_objects"] == 8
         assert len(payload["cells"]) == 4
         for cell in payload["cells"]:
             assert set(cell) >= {

@@ -8,6 +8,7 @@ import json
 import pytest
 
 from repro.experiments.nat_sweep import (
+    ADOPTIONS,
     MIXES,
     NatSweepConfig,
     _run_cell,
@@ -23,7 +24,6 @@ TINY = NatSweepConfig(
     crawl_hours=1.0,
     retrievals_per_cell=1,
     mixes=("default", "cone_heavy"),
-    adoptions=(0.0, 1.0),
     mapping_ttls=(120.0,),
 )
 
@@ -46,7 +46,7 @@ class TestSharding:
     def test_grid_covers_cross_product(self, tiny_report):
         cells = tiny_report.cells
         assert len(cells) == (
-            len(TINY.mixes) * len(TINY.adoptions) * len(TINY.mapping_ttls)
+            len(TINY.mixes) * len(ADOPTIONS) * len(TINY.mapping_ttls)
         )
         assert [(c.mix, c.adoption) for c in cells] == [
             ("default", 0.0), ("default", 1.0),

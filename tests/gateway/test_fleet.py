@@ -6,7 +6,13 @@ import pytest
 from repro.dht.bootstrap import populate_routing_tables
 from repro.errors import GatewayDownError, ReproError
 from repro.gateway.bridge import GatewayBridge
-from repro.gateway.fleet import FleetConfig, GatewayFleet, _ring_point
+from repro.gateway.fleet import (
+    HEALTH_WINDOW,
+    MIN_OBSERVATIONS,
+    FleetConfig,
+    GatewayFleet,
+    _ring_point,
+)
 from repro.node.host import IpfsNode
 from repro.simnet.latency import PeerClass, Region
 from repro.simnet.network import SimNetwork
@@ -52,9 +58,8 @@ def world():
 
 
 def hash_fleet(sim, bridges, **kwargs) -> GatewayFleet:
-    return GatewayFleet(
-        sim, bridges, FleetConfig(routing="consistent_hash", **kwargs)
-    )
+    """The hardened fleet: consistent hash plus failover."""
+    return GatewayFleet(sim, bridges, FleetConfig(**kwargs))
 
 
 class TestConfig:
@@ -62,21 +67,14 @@ class TestConfig:
         with pytest.raises(ReproError):
             GatewayFleet(Simulator(), [])
 
-    def test_unknown_routing_rejected(self):
-        with pytest.raises(ReproError):
-            FleetConfig(routing="random")
-
-    @pytest.mark.parametrize("kwargs", [
-        {"virtual_nodes": 0},
-        {"health_window": 0},
-        {"unhealthy_error_rate": 0.0},
-        {"unhealthy_error_rate": 1.5},
-        {"latency_slo_s": 0.0},
-        {"probe_interval_s": 0.0},
-    ])
+    @pytest.mark.parametrize("kwargs", [{"probe_interval_s": 0.0}])
     def test_validation(self, kwargs):
         with pytest.raises(ReproError):
             FleetConfig(**kwargs)
+
+    def test_stock_fleet_has_no_probe_loop(self):
+        with pytest.raises(ReproError):
+            next(GatewayFleet(Simulator(), [object()]).run_probes(10.0))
 
 
 class TestRouting:
@@ -101,7 +99,7 @@ class TestRouting:
 
     def test_round_robin_rotates(self, world):
         sim, nodes, publisher, bridges, roots = world
-        fleet = GatewayFleet(sim, bridges)  # default: round_robin
+        fleet = GatewayFleet(sim, bridges)  # stock: round-robin
 
         def proc(root):
             return (yield from fleet.get(root))
@@ -146,35 +144,24 @@ class TestRouting:
 class TestHealth:
     def test_error_rate_needs_observations(self, world):
         sim, nodes, publisher, bridges, roots = world
-        fleet = hash_fleet(sim, bridges, min_observations=4)
-        fleet.record_outcome(0, ok=False, latency_s=None)
+        fleet = hash_fleet(sim, bridges)
+        for _ in range(MIN_OBSERVATIONS - 1):
+            fleet.record_outcome(0, ok=False)
         assert fleet.error_rate(0) is None  # under-observed
         assert fleet.is_healthy(0)
-        for _ in range(3):
-            fleet.record_outcome(0, ok=False, latency_s=None)
+        fleet.record_outcome(0, ok=False)
         assert fleet.error_rate(0) == 1.0
         assert not fleet.is_healthy(0)
 
     def test_window_rolls(self, world):
         sim, nodes, publisher, bridges, roots = world
-        fleet = hash_fleet(
-            sim, bridges, health_window=4, min_observations=4
-        )
-        for _ in range(4):
-            fleet.record_outcome(0, ok=False, latency_s=None)
+        fleet = hash_fleet(sim, bridges)
+        for _ in range(HEALTH_WINDOW):
+            fleet.record_outcome(0, ok=False)
         assert not fleet.is_healthy(0)
-        for _ in range(4):
-            fleet.record_outcome(0, ok=True, latency_s=0.1)
+        for _ in range(HEALTH_WINDOW):
+            fleet.record_outcome(0, ok=True)
         assert fleet.is_healthy(0)
-
-    def test_latency_slo_disqualifies(self, world):
-        sim, nodes, publisher, bridges, roots = world
-        fleet = hash_fleet(
-            sim, bridges, min_observations=4, latency_slo_s=1.0
-        )
-        for _ in range(8):
-            fleet.record_outcome(0, ok=True, latency_s=5.0)
-        assert not fleet.is_healthy(0)
 
     def test_probe_marks_offline_and_recovers(self, world):
         sim, nodes, publisher, bridges, roots = world
@@ -201,8 +188,8 @@ class TestHealth:
 class TestFailover:
     def test_without_failover_a_dead_gateway_errors(self, world):
         sim, nodes, publisher, bridges, roots = world
-        fleet = hash_fleet(sim, bridges)
-        primary = fleet.primary_for(roots[0])
+        fleet = GatewayFleet(sim, bridges)  # stock: no failover
+        primary = 0  # the rotation's first answer
         nodes[primary].host.set_online(False)
 
         def proc():
@@ -216,7 +203,7 @@ class TestFailover:
 
     def test_failover_reroutes_the_dead_range(self, world):
         sim, nodes, publisher, bridges, roots = world
-        fleet = hash_fleet(sim, bridges, failover=True)
+        fleet = hash_fleet(sim, bridges)
         primary = fleet.primary_for(roots[0])
         nodes[primary].host.set_online(False)
 
@@ -233,25 +220,10 @@ class TestFailover:
 
     def test_marked_gateway_routes_around_before_contact(self, world):
         sim, nodes, publisher, bridges, roots = world
-        fleet = hash_fleet(sim, bridges, failover=True)
+        fleet = hash_fleet(sim, bridges)
         primary = fleet.primary_for(roots[0])
         fleet._mark_offline(primary)
         assert fleet.route(roots[0]) != primary
-
-    def test_round_robin_failover_skips_unhealthy(self, world):
-        sim, nodes, publisher, bridges, roots = world
-        fleet = GatewayFleet(
-            sim, bridges, FleetConfig(failover=True)
-        )
-        fleet._mark_offline(0)
-
-        def proc(root):
-            return (yield from fleet.get(root))
-
-        for root in roots[:3]:
-            sim.run_process(proc(root))
-        assert fleet.stats.served_by_gateway[0] == 0
-        assert sum(fleet.stats.served_by_gateway) == 3
 
 
 class TestTotals:

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.experiments.gateway_exp import GatewayExperimentResults
 from repro.gateway.cache import ObjectCache
-from repro.gateway.gateway import Gateway, node_store_latency
+from repro.gateway.gateway import Gateway, default_upstream_model, node_store_latency
 from repro.gateway.logs import (
     CacheTier,
     bin_traffic,
@@ -108,7 +109,6 @@ def make_gateway(capacity=10_000, pinned=frozenset({7})):
         cache_capacity_bytes=capacity,
         pinned_cids=set(pinned),
         rng=derive_rng(1, "gw"),
-        upstream_model=lambda request, rng: 4.0,
     )
 
 
@@ -117,7 +117,8 @@ class TestGatewayTiers:
         gateway = make_gateway()
         entry = gateway.serve(request(cid=1))
         assert entry.tier == CacheTier.NON_CACHED
-        assert entry.latency == 4.0
+        # The miss is the gateway's first draw from its stream.
+        assert entry.latency == default_upstream_model(None, derive_rng(1, "gw"))
 
     def test_second_request_hits_nginx(self):
         gateway = make_gateway()
@@ -145,7 +146,8 @@ class TestGatewayTiers:
         gateway.serve(request(cid=1))  # miss
         gateway.serve(request(cid=1))  # nginx
         gateway.serve(request(cid=7))  # node store
-        assert gateway.combined_hit_rate() == pytest.approx(2 / 3)
+        results = GatewayExperimentResults(trace=None, log=gateway.log)
+        assert results.combined_hit_rate() == pytest.approx(2 / 3)
 
     def test_eviction_brings_requests_back_upstream(self):
         gateway = make_gateway(capacity=1000)
@@ -193,6 +195,10 @@ class TestLogAggregation:
         assert stats["referred_share"] == 0.25
         assert stats["semi_popular_share"] == 1.0
         assert stats["semi_popular_sites"] == 1
+        assert referral_statistics([]) == {
+            "referred_share": 0.0, "semi_popular_share": 0.0,
+            "semi_popular_sites": 0,
+        }
 
     def test_empty_tier_summary(self):
         rows = tier_summary([])

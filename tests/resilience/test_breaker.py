@@ -11,6 +11,7 @@ from repro.resilience import (
     BreakerConfig,
     BreakerRegistry,
 )
+from repro.resilience.breaker import MAX_COOLDOWN_S
 
 PEER = PeerId.from_public_key(b"breaker-peer-a")
 OTHER = PeerId.from_public_key(b"breaker-peer-b")
@@ -41,9 +42,7 @@ class TestConfig:
         with pytest.raises(ReproError):
             BreakerConfig(cooldown_s=0.0)
         with pytest.raises(ReproError):
-            BreakerConfig(half_open_probes=0)
-        with pytest.raises(ReproError):
-            BreakerConfig(cooldown_multiplier=0.5)
+            BreakerConfig(cooldown_s=MAX_COOLDOWN_S + 1.0)
 
 
 class TestTransitions:
@@ -115,7 +114,7 @@ class TestTransitions:
 
     def test_half_open_admits_only_the_configured_probes(self):
         clock = Clock()
-        registry = make(clock, half_open_probes=1)
+        registry = make(clock)
         for _ in range(3):
             registry.record_failure(PEER)
         clock.now = 60.0
@@ -139,7 +138,7 @@ class TestTransitions:
 
     def test_probe_failure_reopens_with_escalated_cooldown(self):
         clock = Clock()
-        registry = make(clock, cooldown_multiplier=2.0)
+        registry = make(clock)
         for _ in range(3):
             registry.record_failure(PEER)
         clock.now = 60.0
@@ -153,16 +152,15 @@ class TestTransitions:
 
     def test_cooldown_escalation_is_capped(self):
         clock = Clock()
-        registry = make(
-            clock, cooldown_s=100.0, cooldown_multiplier=10.0,
-            max_cooldown_s=250.0,
-        )
+        registry = make(clock, cooldown_s=400.0)
         for _ in range(3):
             registry.record_failure(PEER)
-        clock.now = 100.0
+        clock.now = 400.0
         assert registry.allow(PEER)
-        registry.record_failure(PEER)  # cooldown would be 1000, capped at 250
-        clock.now = 100.0 + 250.0
+        registry.record_failure(PEER)  # cooldown would be 800, capped at 600
+        clock.now = 400.0 + MAX_COOLDOWN_S - 1.0
+        assert not registry.allow(PEER)
+        clock.now = 400.0 + MAX_COOLDOWN_S
         assert registry.allow(PEER)
 
     def test_failures_while_open_are_ignored(self):
@@ -237,7 +235,7 @@ class TestSustainedAttack:
         assert not registry.allow(sybil)
         clock.now = 270.0 + 360.0
 
-        # Probe 3 fails: 360 -> 720, capped at max_cooldown_s = 600.
+        # Probe 3 fails: 360 -> 720, capped at MAX_COOLDOWN_S = 600.
         assert registry.allow(sybil)
         registry.record_failure(sybil)
         clock.now = 630.0 + 360.0

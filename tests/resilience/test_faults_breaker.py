@@ -11,21 +11,17 @@ from repro.errors import RetrievalError
 from repro.multiformats.cid import make_cid
 from repro.node.host import IpfsNode
 from repro.resilience import OPEN, BreakerConfig, Resilience, ResilienceConfig
+from repro.resilience.breaker import MAX_COOLDOWN_S
 from repro.simnet.faults import FaultInjector, FaultKind, FaultPlan, FaultRule
 from repro.simnet.network import SimNetwork
 from repro.simnet.sim import Simulator
 from repro.utils.rng import derive_rng
 from tests.helpers import build_world
 
-FOREVER = 1e9
-
-
 def breakers_on(node) -> Resilience:
     config = ResilienceConfig(
         breakers=True,
-        breaker=BreakerConfig(
-            failure_threshold=1, cooldown_s=FOREVER, max_cooldown_s=FOREVER
-        ),
+        breaker=BreakerConfig(failure_threshold=1, cooldown_s=MAX_COOLDOWN_S),
     )
     res = Resilience(config, node.sim, node.network)
     node.resilience = res

@@ -3,30 +3,21 @@
 import pytest
 
 from repro.errors import ReproError
-from repro.resilience import AdaptiveTimeoutConfig, RttEstimator
+from repro.resilience import RttEstimator
+from repro.resilience.rtt import WARMUP, WINDOW
 
 EU = "eu_central_1"
 US = "us_west_1"
 
 
-def warmed(key=EU, samples=(0.1, 0.1, 0.1, 0.1, 0.1), **overrides):
-    estimator = RttEstimator(AdaptiveTimeoutConfig(**overrides))
+def warmed(key=EU, samples=(0.1, 0.1, 0.1, 0.1, 0.1)):
+    estimator = RttEstimator()
     for sample in samples:
         estimator.observe(key, sample)
     return estimator
 
 
 class TestConfig:
-    def test_validation(self):
-        with pytest.raises(ReproError):
-            AdaptiveTimeoutConfig(ewma_alpha=0.0)
-        with pytest.raises(ReproError):
-            AdaptiveTimeoutConfig(window=0)
-        with pytest.raises(ReproError):
-            AdaptiveTimeoutConfig(min_deadline_s=2.0, max_deadline_s=1.0)
-        with pytest.raises(ReproError):
-            AdaptiveTimeoutConfig(multiplier=0.0)
-
     def test_negative_duration_rejected(self):
         with pytest.raises(ReproError):
             RttEstimator().observe(EU, -0.1)
@@ -40,7 +31,7 @@ class TestWarmup:
         assert estimator.hedge_delay_s(EU, 2.0) == 2.0
 
     def test_below_warmup_still_returns_the_default(self):
-        estimator = warmed(samples=(0.1,) * 4)  # warmup default is 5
+        estimator = warmed(samples=(0.1,) * (WARMUP - 1))
         assert estimator.deadline_s(EU, 10.0) == 10.0
 
     def test_warm_region_estimates(self):
@@ -83,14 +74,13 @@ class TestDeadline:
         assert estimator.deadline_s(US, 10.0) > estimator.deadline_s(EU, 10.0)
 
     def test_window_is_bounded(self):
-        estimator = warmed(samples=(5.0,) * 4, window=4, warmup=2)
-        for _ in range(4):
+        estimator = warmed(samples=(5.0,) * 4)
+        for _ in range(WINDOW):
             estimator.observe(EU, 0.1)
-        # The 5 s samples have been evicted from the 4-slot window; only
-        # the EWMA remembers them, decaying toward 0.1.
+        # The 5 s samples have been evicted from the window; only the
+        # EWMA remembers them, decaying toward 0.1.
         state = estimator._by_key[EU]
-        assert list(state.window) == [0.1] * 4
-        assert len(state.window) == 4
+        assert list(state.window) == [0.1] * WINDOW
 
 
 class TestHedgeDelay:

@@ -11,14 +11,11 @@ from repro.multiformats.cid import make_cid
 from repro.node.config import NodeConfig
 from repro.node.host import IpfsNode
 from repro.resilience import BreakerConfig, Resilience, ResilienceConfig
+from repro.resilience.breaker import MAX_COOLDOWN_S
 from repro.simnet.network import SimNetwork
 from repro.simnet.sim import Simulator
 from repro.utils.rng import derive_rng
 from tests.helpers import build_world
-
-#: A cooldown far longer than any walk, so tripped breakers stay open.
-FOREVER = 1e9
-
 
 def enable(node, **flags) -> Resilience:
     """Wire a Resilience facade onto a bare DhtNode after the fact
@@ -32,9 +29,8 @@ def enable(node, **flags) -> Resilience:
 
 
 def trip_breaker() -> BreakerConfig:
-    return BreakerConfig(
-        failure_threshold=1, cooldown_s=FOREVER, max_cooldown_s=FOREVER
-    )
+    # The longest cooldown outlasts any walk: tripped breakers stay open.
+    return BreakerConfig(failure_threshold=1, cooldown_s=MAX_COOLDOWN_S)
 
 
 class TestBreakersInWalks:

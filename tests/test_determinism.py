@@ -47,8 +47,7 @@ def _perf_run(
     )
     results = run_perf_experiment(
         scenario,
-        PerfConfig(rounds=2, seed=seed,
-                   regions=("eu_central_1", "us_west_1")),
+        PerfConfig(rounds=2, seed=seed),
         obs=obs,
     )
     return [

@@ -132,17 +132,15 @@ def test_object_cache_accounting(inserts, capacity):
 
 
 retry_policies = st.builds(
-    lambda attempts, base, extra, multiplier, jitter: RetryPolicy(
+    lambda attempts, base, extra, jitter: RetryPolicy(
         max_attempts=attempts,
         base_delay_s=base,
         max_delay_s=base + extra,
-        multiplier=multiplier,
         jitter=jitter,
     ),
     attempts=st.integers(min_value=2, max_value=8),
     base=st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
     extra=st.floats(min_value=0.0, max_value=30.0, allow_nan=False),
-    multiplier=st.floats(min_value=1.0, max_value=4.0, allow_nan=False),
     jitter=st.sampled_from(["none", "full", "decorrelated"]),
 )
 

@@ -30,7 +30,7 @@ def perf_results():
     )
     return run_perf_experiment(
         scenario,
-        PerfConfig(rounds=1, seed=30, regions=("eu_central_1", "us_west_1")),
+        PerfConfig(rounds=1, seed=30),
     )
 
 

@@ -23,9 +23,7 @@ class TestPolicy:
             RetryPolicy(jitter="bogus")
 
     def test_exponential_schedule(self):
-        policy = RetryPolicy(
-            max_attempts=5, base_delay_s=1.0, max_delay_s=30.0, multiplier=2.0
-        )
+        policy = RetryPolicy(max_attempts=5, base_delay_s=1.0, max_delay_s=30.0)
         rng = random.Random(0)
         delays = [policy.next_delay(n, 1.0, rng) for n in (1, 2, 3, 4)]
         assert delays == [1.0, 2.0, 4.0, 8.0]
@@ -80,7 +78,7 @@ class TestRetryDriver:
         assert now == 0.0
 
     def test_retries_until_success_with_backoff(self):
-        policy = RetryPolicy(max_attempts=3, base_delay_s=1.0, multiplier=2.0)
+        policy = RetryPolicy(max_attempts=3, base_delay_s=1.0)
         boom = ReproError("boom")
         result, attempts, now = self.run_retry(policy, {1: boom, 2: boom, 3: "ok"})
         assert result == "ok"

@@ -6,6 +6,7 @@ from repro.errors import ReproError
 from repro.utils.rng import derive_rng
 from repro.workloads.bursts import (
     STORM_COUNTRIES,
+    STORM_COUNTRY,
     DiurnalStormConfig,
     NftDropConfig,
     generate_diurnal_storm,
@@ -25,7 +26,7 @@ def small_drop(**kwargs) -> NftDropConfig:
 
 def small_storm(**kwargs) -> DiurnalStormConfig:
     defaults = dict(
-        duration_s=60.0, baseline_rate_hz=4.0, storm_country="US",
+        duration_s=60.0, baseline_rate_hz=4.0,
         storm_start_s=30.0, storm_duration_s=15.0, storm_multiplier=6.0,
         n_objects=12,
     )
@@ -119,7 +120,7 @@ class TestDiurnalStorm:
         storm_end = config.storm_start_s + config.storm_duration_s
         for request in requests:
             in_window = (
-                request.country == config.storm_country
+                request.country == STORM_COUNTRY
                 and config.storm_start_s <= request.timestamp < storm_end
             )
             assert request.hot == in_window
@@ -136,7 +137,6 @@ class TestDiurnalStorm:
         {"storm_start_s": 100.0},
         {"storm_multiplier": 0.5},
         {"n_objects": 0},
-        {"storm_country": "XX"},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ReproError):
