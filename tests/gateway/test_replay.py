@@ -1,10 +1,11 @@
 """Batched replay engine: tier resolution and window sharding.
 
 The engine's load-bearing claim is that its array-level front end makes
-*exactly* the decisions the object-level :class:`Gateway` makes: the
-nginx LRU, the pinned-store bypass, and the optimistic insert after a
-miss.  These tests replay the same trace through both and require the
-tier sequences to be equal element-for-element.
+*exactly* the decisions of a plain ``OrderedDict`` LRU gateway
+(``tests.helpers.reference_gateway``): the nginx LRU, the pinned-store
+bypass, and the optimistic insert after a miss.  These tests replay the
+same trace through both and require the tier sequences to be equal
+element-for-element.
 """
 
 from array import array
@@ -12,12 +13,7 @@ from array import array
 import pytest
 
 from repro.errors import ReproError
-from repro.gateway.gateway import (
-    Gateway,
-    default_upstream_model,
-    node_store_latency,
-)
-from repro.gateway.logs import CacheTier
+from repro.gateway.gateway import default_upstream_model, node_store_latency
 from repro.gateway.replay import (
     TIER_NAMES,
     TIER_NGINX,
@@ -35,6 +31,7 @@ from repro.workloads.gateway_trace import (
     GatewayTraceConfig,
     generate_columnar_trace,
 )
+from tests.helpers import reference_gateway
 
 
 @pytest.fixture(scope="module")
@@ -50,15 +47,10 @@ class TestResolveTiers:
         capacity = max(1, int(trace.total_bytes * fraction))
         tiers = resolve_tiers(trace, capacity)
 
-        gateway = Gateway(
-            cache_capacity_bytes=capacity,
-            pinned_cids=trace.pinned_cids,
-            rng=derive_rng(42, "gw"),
+        served = reference_gateway(
+            trace.iter_requests(), capacity, derive_rng(42, "gw")
         )
-        log = gateway.replay(trace.iter_requests())
-        assert len(tiers) == len(log)
-        for fast, entry in zip(tiers, log):
-            assert TIER_NAMES[fast] == entry.tier
+        assert [TIER_NAMES[fast] for fast in tiers] == [tier for tier, _ in served]
 
     def test_pinned_always_node_store(self, trace):
         tiers = resolve_tiers(trace, 1)

@@ -1,24 +1,29 @@
-"""Shared test helpers: compact simulated-world builders, and the
-sub-second shape of the ``figures`` datasets."""
+"""Shared test helpers: compact simulated-world builders, the
+sub-second shape of the ``figures`` datasets, and the gateway day's
+plain reference loop."""
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
 import random
-from collections.abc import Iterator
+from collections import OrderedDict
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from unittest import mock
 
 from repro.dht.bootstrap import populate_routing_tables
 from repro.dht.dht_node import DhtNode
 from repro.experiments import figures
+from repro.gateway.gateway import default_upstream_model, node_store_latency
+from repro.gateway.logs import CacheTier
 from repro.multiformats import multihash
 from repro.multiformats.peerid import PeerId
 from repro.simnet.latency import PeerClass, Region
 from repro.simnet.network import SimHost, SimNetwork
 from repro.simnet.sim import Simulator
 from repro.utils.rng import derive_rng
+from repro.workloads.gateway_trace import GatewayRequest
 
 
 @dataclass
@@ -107,3 +112,35 @@ TINY_FIGURES = figures.FiguresConfig(
     perf_peers=120, perf_rounds=1, population_peers=800, crawl_peers=40,
     crawl_hours=2.0, gateway_scale=2000,
 )
+
+
+def reference_gateway(
+    requests: Iterable[GatewayRequest], capacity_bytes: int, rng: random.Random
+) -> list[tuple[CacheTier, float]]:
+    """The gateway day served the plain way: ``(tier, latency)`` per
+    request from an ``OrderedDict`` LRU in front of the pinned store.
+
+    A hit refreshes recency and costs 0 s; a pinned CID bypasses the
+    LRU and draws :func:`node_store_latency`; anything else draws
+    :func:`default_upstream_model` and is inserted (an object larger
+    than the whole cache is declined), evicting the oldest entries
+    while over budget.
+    """
+    cache: OrderedDict[int, int] = OrderedDict()
+    used = 0
+    served = []
+    for request in requests:
+        cid, size = request.cid_index, request.size
+        if cid in cache:
+            cache.move_to_end(cid)
+            served.append((CacheTier.NGINX, 0.0))
+        elif request.pinned:
+            served.append((CacheTier.NODE_STORE, node_store_latency(rng)))
+        else:
+            served.append((CacheTier.NON_CACHED, default_upstream_model(None, rng)))
+            if size <= capacity_bytes:
+                cache[cid] = size
+                used += size
+                while used > capacity_bytes:
+                    used -= cache.popitem(last=False)[1]
+    return served

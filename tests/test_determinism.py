@@ -7,10 +7,7 @@ and require bit-identical outcomes.
 
 import hashlib
 
-from repro.experiments.gateway_exp import (
-    GatewayExperimentConfig,
-    run_gateway_experiment,
-)
+from repro.experiments.gateway_exp import run_gateway_experiment
 from repro.experiments.perf import PerfConfig, run_perf_experiment
 from repro.experiments.scenario import (
     IDLE_NAT_WORLD,
@@ -21,8 +18,9 @@ from repro.experiments.scenario import (
 from repro.obs import Observability
 from repro.tools.export import export_trace
 from repro.utils.rng import derive_rng
-from repro.workloads.gateway_trace import GatewayTraceConfig
 from repro.workloads.population import PopulationConfig, generate_population
+from tests.gateway.test_gateway_day import GATEWAY_DAY_SHA256, day_sha256
+from tests.gateway.test_gateway_day import SHAPES as GATEWAY_DAY_SHAPES
 
 #: sha256 of the exported JSONL trace of ``_perf_run(11, traced)``. If
 #: this changes, either the instrumentation or the event schedule moved
@@ -113,12 +111,9 @@ def test_idle_nat_world_preserves_golden_trace(tmp_path):
 
 
 def test_gateway_experiment_bit_identical():
-    config = GatewayExperimentConfig(trace=GatewayTraceConfig(scale=2000))
-    a = run_gateway_experiment(config)
-    b = run_gateway_experiment(config)
-    assert [(e.timestamp, e.cid_index, e.tier, e.latency) for e in a.log] == [
-        (e.timestamp, e.cid_index, e.tier, e.latency) for e in b.log
-    ]
+    shape = "scale2000-seed99"
+    results = run_gateway_experiment(GATEWAY_DAY_SHAPES[shape])
+    assert day_sha256(results.log) == GATEWAY_DAY_SHA256[shape]
 
 
 def test_population_is_reproducible_across_processes():
