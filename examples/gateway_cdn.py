@@ -48,7 +48,7 @@ def main() -> None:
     referrals = results.referrals()
     print(f"\nreferred traffic: {referrals['referred_share']:.1%} of requests "
           f"(paper 51.8%), {referrals['semi_popular_share']:.0%} of it from "
-          f"{referrals.get('semi_popular_sites', 0):.0f} semi-popular sites")
+          f"{referrals['semi_popular_sites']:.0f} semi-popular sites")
 
 
 if __name__ == "__main__":

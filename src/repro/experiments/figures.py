@@ -55,6 +55,7 @@ from repro.experiments.report import (
 from repro.experiments.runner import Cell, run_cells
 from repro.experiments.scenario import Scenario
 from repro.gateway.logs import CacheTier, TierSummary
+from repro.gateway.replay import TIER_NGINX, TIER_NODE_STORE, resolve_tiers
 from repro.measurement.stretch import retrieval_stretch
 from repro.multiformats.cid import make_cid
 from repro.node.config import NodeConfig
@@ -70,6 +71,7 @@ from repro.utils.stats import Cdf, mean, percentile
 from repro.validation.compare import Grade, grade_at_least, grade_distance
 from repro.validation.report import Claim, GradedReport
 from repro.validation.targets import TARGETS_BY_KEY
+from repro.workloads.gateway_trace import GatewayTraceConfig, generate_columnar_trace
 
 
 @dataclass(frozen=True)
@@ -665,7 +667,7 @@ def _table5(results: GatewayExperimentResults, c: _Claims) -> str:
         f"\ncombined cache hit rate: {combined:.1%} (paper: >80%)\n"
         f"referred traffic: {referrals['referred_share']:.1%} (paper 51.8%), "
         f"of which {referrals['semi_popular_share']:.1%} from "
-        f"{referrals.get('semi_popular_sites', 0):.0f} semi-popular sites "
+        f"{referrals['semi_popular_sites']:.0f} semi-popular sites "
         f"(paper 70.6% / 72 sites)"
     )
 
@@ -767,15 +769,16 @@ def _ablation_client_server(results: dict[str, tuple[list[float], int]], c: _Cla
 def run_gateway_cache(config: FiguresConfig, scale: int = 150):
     """(nginx request share, combined hit rate) per cache size — 1 % to
     30 % of the corpus — over the same day of traffic (Section 6.3)."""
-    seed = config.seeded(99)
-    corpus = sum(gateway_dataset(scale, seed=seed).trace.cid_sizes)
+    trace = generate_columnar_trace(
+        GatewayTraceConfig(scale=scale), derive_rng(config.seeded(99), "trace")
+    )
+    corpus = sum(trace.cid_sizes)
     results = {}
     for fraction in (0.01, 0.05, 0.15, 0.30):
-        day = gateway_dataset(
-            scale, seed=seed, cache_capacity_bytes=max(1, int(corpus * fraction))
-        )
-        nginx = next(row for row in day.tier_table() if row.tier is CacheTier.NGINX)
-        results[fraction] = (nginx.request_share, day.combined_hit_rate())
+        tiers = resolve_tiers(trace, max(1, int(corpus * fraction)))
+        nginx = tiers.count(TIER_NGINX)
+        hits = nginx + tiers.count(TIER_NODE_STORE)
+        results[fraction] = (nginx / len(tiers), hits / len(tiers))
     return results
 
 

@@ -85,7 +85,6 @@ HARDENED_OVERLOAD = OverloadConfig(
     queue_capacity_bytes=4 * 1024 * 1024,
     queue_deadline_s=5.0,
     brownout_threshold=0.75,
-    default_size_hint=256 * 1024,
 )
 HARDENED_FLEET = FleetConfig(probe_interval_s=1.0)
 #: per-gateway nginx cache (large enough to hold the catalogue — the

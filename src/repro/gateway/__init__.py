@@ -9,16 +9,17 @@ the ipfs.io deployment the paper instruments:
 - a full **IPFS retrieval** upstream for everything else — tier 3,
   seconds.
 
-:mod:`repro.gateway.gateway` serves requests and emits access-log
-entries; :mod:`repro.gateway.logs` aggregates them into the quantities
-of Figure 11 and Table 5.
+:mod:`repro.gateway.replay` resolves a day's tiers and samples the
+fitted latency models of :mod:`repro.gateway.gateway`;
+:mod:`repro.experiments.gateway_exp` turns that day into the
+quantities of Figure 11 and Table 5.
 """
 
 from repro.gateway.bridge import BridgedResponse, GatewayBridge
 from repro.gateway.cache import ObjectCache
 from repro.gateway.fleet import FleetConfig, FleetStats, GatewayFleet
-from repro.gateway.gateway import Gateway, default_upstream_model
-from repro.gateway.logs import AccessLogEntry, CacheTier, bin_traffic, tier_summary
+from repro.gateway.gateway import default_upstream_model
+from repro.gateway.logs import AccessLogEntry, CacheTier
 from repro.gateway.overload import (
     MissGate,
     OverloadConfig,
@@ -38,7 +39,6 @@ __all__ = [
     "CacheTier",
     "FleetConfig",
     "FleetStats",
-    "Gateway",
     "GatewayBridge",
     "GatewayFleet",
     "MissGate",
@@ -48,9 +48,7 @@ __all__ = [
     "ProviderHintCache",
     "ReplayConfig",
     "ReplayResult",
-    "bin_traffic",
     "default_upstream_model",
     "resolve_tiers",
     "run_replay",
-    "tier_summary",
 ]

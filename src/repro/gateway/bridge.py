@@ -1,12 +1,13 @@
 """Gateway bridged onto a live simulated IPFS network.
 
-The standalone :class:`~repro.gateway.gateway.Gateway` samples its
-non-cached latency from a fitted distribution (fast, good for the
-Table 5 / Figure 11 scale). This bridge instead wires the gateway's
-miss path to a real :class:`~repro.node.host.IpfsNode` doing full DHT
-discovery + Bitswap fetches against the simulated world — the actual
-architecture of Section 3.4: "on one side is a DHT Server node, and on
-the other side is an nginx HTTP web server".
+The gateway day behind Table 5 / Figure 11
+(:mod:`repro.experiments.gateway_exp`) samples its non-cached latency
+from a fitted distribution (fast, good at that scale). This bridge
+instead wires the gateway's miss path to a real
+:class:`~repro.node.host.IpfsNode` doing full DHT discovery + Bitswap
+fetches against the simulated world — the actual architecture of
+Section 3.4: "on one side is a DHT Server node, and on the other side
+is an nginx HTTP web server".
 
 The bridge comes in two rungs. The stock bridge (``overload=None``)
 sends every miss upstream on its own. An
@@ -30,6 +31,7 @@ from repro.gateway.cache import ObjectCache
 from repro.gateway.gateway import node_store_latency
 from repro.gateway.logs import AccessLogEntry, CacheTier
 from repro.gateway.overload import (
+    DEFAULT_SIZE_HINT,
     MissGate,
     OverloadConfig,
     OverloadStats,
@@ -229,10 +231,7 @@ class GatewayBridge:
     def _admit(self, size_hint: int | None) -> Generator:
         """Pass admission control. Raises :class:`OverloadError` when
         the request is shed."""
-        hint = (
-            size_hint if size_hint is not None
-            else self.overload.default_size_hint
-        )
+        hint = size_hint if size_hint is not None else DEFAULT_SIZE_HINT
         waiter = self._gate.acquire(hint)
         if waiter is not None:
             yield waiter

@@ -37,6 +37,11 @@ from repro.multiformats.peerid import PeerId
 from repro.simnet.sim import Future, Simulator, Timer
 
 
+#: Bytes a request is assumed to cost when the caller has no hint (the
+#: gateway only learns Content-Length after the fetch).
+DEFAULT_SIZE_HINT = 256 * 1024
+
+
 @dataclass(frozen=True)
 class OverloadConfig:
     """Sizes of the hardened bridge's overload machinery.
@@ -54,9 +59,6 @@ class OverloadConfig:
     queue_deadline_s: float = 10.0
     #: queue saturation (queued/capacity) at which brownout begins.
     brownout_threshold: float = 0.9
-    #: bytes a request is assumed to cost when the caller has no hint
-    #: (the gateway only learns Content-Length after the fetch).
-    default_size_hint: int = 256 * 1024
 
     def __post_init__(self) -> None:
         if self.max_inflight_misses < 1:
@@ -76,10 +78,6 @@ class OverloadConfig:
             raise ReproError(
                 f"brownout_threshold must be in (0, 1], got "
                 f"{self.brownout_threshold}"
-            )
-        if self.default_size_hint <= 0:
-            raise ReproError(
-                f"default_size_hint must be positive, got {self.default_size_hint}"
             )
 
 

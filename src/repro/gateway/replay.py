@@ -1,22 +1,18 @@
 """Batched full-day gateway replay: the 7.1 M-request day in minutes.
 
-The legacy path (:mod:`repro.experiments.gateway_exp`) materializes one
-:class:`~repro.workloads.gateway_trace.GatewayRequest` object per log
-line and serves each through :class:`~repro.gateway.gateway.Gateway` —
-fine at scale=50, infeasible at the paper's scale=1. This engine
-replays the same day in three batched stages:
+The day runs in three batched stages, and the figures' gateway day
+(:mod:`repro.experiments.gateway_exp`) runs the first two as they are:
 
 1. **Columnar trace** —
    :func:`~repro.workloads.gateway_trace.generate_columnar_trace`
-   produces the day as parallel arrays (``generate_gateway_trace``
-   is the object view of the same arrays: same seed ⇒ byte-identical
-   request stream).
+   produces the day as parallel arrays (``iter_requests`` is the
+   object view of the same arrays).
 2. **Tier resolution** — one sequential, RNG-free pass over the CID
-   column with a plain-dict LRU replicating
-   :class:`~repro.gateway.cache.ObjectCache` semantics exactly
-   (hit-refresh, oversize decline, FIFO eviction). The resulting tier
-   sequence is *identical* to what ``Gateway.replay`` would log —
-   pinned by tests — because tier decisions never consume randomness.
+   column with a plain-dict LRU with
+   :class:`~repro.gateway.cache.ObjectCache` semantics (hit-refresh,
+   oversize decline, FIFO eviction) in front of the pinned store.
+   Tier decisions never consume randomness, so the tier sequence is a
+   pure function of the trace and the cache size.
 3. **Batched windows** — the day is cut into fixed time windows
    (default 1800 s, the Fig 11b bin width) and each window becomes one
    deterministic :class:`~repro.experiments.runner.Cell`: latency
@@ -26,14 +22,13 @@ replays the same day in three batched stages:
 
 Two miss-tail backends:
 
-- ``model`` — misses and node-store hits sample the same fitted
-  latency distributions the legacy ``Gateway`` uses
-  (:func:`~repro.gateway.gateway.default_upstream_model`,
-  :func:`~repro.gateway.gateway.node_store_latency`). This is the
-  full-scale grading path: tier decisions are exact, latencies are
-  drawn per-window instead of from one sequential stream, so graded
-  metrics (shares, medians, percentiles) match the legacy path within
-  tolerance.
+- ``model`` — misses and node-store hits sample the fitted latency
+  distributions (:func:`~repro.gateway.gateway.default_upstream_model`,
+  :func:`~repro.gateway.gateway.node_store_latency`) through
+  :func:`sample_latencies`. This is the full-scale grading path: tier
+  decisions are the figures' day's, latencies are drawn per window
+  instead of from its one sequential stream, so graded metrics
+  (shares, medians, percentiles) match the figures within tolerance.
 - ``fleet`` — each window's misses replay through a fresh
   :class:`~repro.gateway.fleet.GatewayFleet` of real
   :class:`~repro.gateway.bridge.GatewayBridge` instances over a live
@@ -83,7 +78,7 @@ from repro.workloads.gateway_trace import (
 
 #: The nginx cache holds ~15 % of the corpus, which lands the nginx
 #: tier at Table 5's ≈46 % (the paper's gateway runs a bounded disk
-#: cache against 274 k distinct objects). The legacy experiment in
+#: cache against 274 k distinct objects). The figures' gateway day in
 #: :mod:`repro.experiments.gateway_exp` sizes its cache the same way.
 DEFAULT_CACHE_FRACTION_OF_CORPUS = 0.15
 
@@ -115,7 +110,7 @@ class ReplayConfig:
         default_factory=lambda: GatewayTraceConfig(scale=1)
     )
     #: nginx-cache budget as a fraction of the corpus bytes. The
-    #: legacy default (0.15) lands Table 5's ≈46 % nginx share at the
+    #: default (0.15) lands Table 5's ≈46 % nginx share at the
     #: conformance harness's scales; the full-scale day calibrates its
     #: own fraction (see ``full_day_config``).
     cache_fraction_of_corpus: float = DEFAULT_CACHE_FRACTION_OF_CORPUS
@@ -138,8 +133,8 @@ class ReplayConfig:
 def resolve_tiers(trace: ColumnarTrace, capacity_bytes: int) -> array:
     """Resolve the cache tier of every request in one sequential pass.
 
-    Replicates ``Gateway.serve`` + ``ObjectCache`` decision-for-
-    decision — hit refreshes recency, pinned CIDs bypass the nginx
+    Makes an ``ObjectCache`` LRU's decisions in front of the pinned
+    store — hit refreshes recency, pinned CIDs bypass the nginx
     cache, misses insert (oversize objects declined) and evict FIFO
     while over budget — using a plain insertion-ordered dict instead of
     per-request objects. No RNG is consumed: the tier sequence is a
@@ -157,6 +152,10 @@ def resolve_tiers(trace: ColumnarTrace, capacity_bytes: int) -> array:
             cache[cid] = cache.pop(cid)  # re-insert = move to MRU end
             tiers[index] = TIER_NGINX
         elif cid < n_pinned:
+            # Pinned content is already on local disk, and nginx
+            # bypasses its cache for it (double caching would only
+            # evict remote content): that keeps the node store at
+            # ~40 % of requests all day in Table 5.
             tiers[index] = TIER_NODE_STORE
         else:
             tiers[index] = TIER_NON_CACHED
@@ -191,23 +190,20 @@ def window_slices(
 # ----------------------------------------------------------------------
 
 
-def _model_cell(seed: int, window: int, tier_bytes: bytes) -> dict:
-    """Sample fitted latencies for one window (picklable cell body).
+def sample_latencies(
+    rnd: Callable[[], float], tiers: Iterable[int]
+) -> tuple[array, array]:
+    """Fitted latencies of a tier sequence, drawn from ``rnd`` in order:
+    ``(node_store, non_cached)``, each in request order.
 
-    The RNG stream derives from ``(seed, "replay-latency", window)``:
-    every window is independent of its siblings and of the worker
-    layout, which is what makes the merged day byte-identical for any
-    worker count.
-
-    Per node-store byte the loop draws what
+    Per node-store request the loop draws what
     :func:`~repro.gateway.gateway.node_store_latency` draws, per
-    non-cached byte what
+    non-cached request what
     :func:`~repro.gateway.gateway.default_upstream_model` draws — one
     ``lognormvariate`` each, written out so that no stdlib frame is
-    entered per sample; nginx and shed bytes draw nothing. Tests hold
-    the samples and the final generator state equal to the calls'.
+    entered per sample; nginx and shed requests draw nothing. Tests
+    hold the samples and the final generator state equal to the calls'.
     """
-    rnd = derive_rng(seed, "replay-latency", str(window)).random
     log, exp = math.log, math.exp
     magic = random.NV_MAGICCONST
     store_mu, store_sigma, store_max = (
@@ -216,7 +212,7 @@ def _model_cell(seed: int, window: int, tier_bytes: bytes) -> dict:
     rest_mu, rest_sigma = _LOG_REMAINDER, _NON_CACHED_SIGMA
     node_store = array("d")
     non_cached = array("d")
-    for tier in tier_bytes:
+    for tier in tiers:
         if tier == TIER_NODE_STORE or tier == TIER_NON_CACHED:
             # rng.normalvariate(0, 1), spelled out: Kinderman-Monahan.
             while True:
@@ -230,6 +226,19 @@ def _model_cell(seed: int, window: int, tier_bytes: bytes) -> dict:
                 node_store.append(latency if latency < store_max else store_max)
             else:
                 non_cached.append(1.0 + exp(rest_mu + z * rest_sigma))
+    return node_store, non_cached
+
+
+def _model_cell(seed: int, window: int, tier_bytes: bytes) -> dict:
+    """Sample fitted latencies for one window (picklable cell body).
+
+    The RNG stream derives from ``(seed, "replay-latency", window)``:
+    every window is independent of its siblings and of the worker
+    layout, which is what makes the merged day byte-identical for any
+    worker count.
+    """
+    rnd = derive_rng(seed, "replay-latency", str(window)).random
+    node_store, non_cached = sample_latencies(rnd, tier_bytes)
     return {
         "window": window,
         "node_store": node_store,
@@ -255,7 +264,6 @@ FLEET_OVERLOAD = OverloadConfig(
     queue_capacity_bytes=64 * 1024 * 1024,
     queue_deadline_s=20.0,
     brownout_threshold=0.9,
-    default_size_hint=256 * 1024,
 )
 FLEET_ROUTING = FleetConfig()
 
@@ -523,7 +531,7 @@ def run_replay(config: ReplayConfig, workers: int = 1) -> ReplayResult:
     """Stream one day through the batched pipeline.
 
     Stages 1–2 (trace generation, tier resolution) are sequential and
-    RNG-shared with the legacy path; stage 3 (latency sampling / the
+    the same as the figures' gateway day; stage 3 (latency sampling / the
     miss tail) shards per time window through ``run_cells``. The
     result is byte-identical for any ``workers`` count.
     """

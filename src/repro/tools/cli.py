@@ -270,7 +270,7 @@ DATASETS = (
                           help="divide the 7.1M-request day by this"))],
         lambda args, obs: gateway_dataset(args.scale, seed=args.seed),
         [("export", "write the access-log CSV", "log rows",
-          lambda results, obs, path: export.export_gateway_log(results.log, path))],
+          lambda results, obs, path: export.export_gateway_log(results.entries(), path))],
     ),
     Dataset(
         "trace", "traced perf run with per-phase latency breakdown",

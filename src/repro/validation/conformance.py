@@ -129,13 +129,15 @@ def run_peer_dataset(config: ValidationConfig) -> dict[str, float | None]:
 def run_gateway_dataset(config: ValidationConfig) -> dict[str, float]:
     """One replayed day of gateway traffic (Sections 4.2, 6.3)."""
     results = gateway_dataset(config.gateway_scale, seed=config.seed)
-    country_by_user = {entry.user: entry.country for entry in results.log}
-    user_countries = Counter(country_by_user.values())
+    trace = results.trace
+    user_countries = Counter(
+        trace.user_countries[user] for user in set(trace.user_ids)
+    )
     n_users = sum(user_countries.values())
     usage = results.usage_summary()
     tiers = {row.tier.value: row for row in results.tier_table()}
     referrals = results.referrals()
-    sizes = results.trace.cid_sizes
+    sizes = trace.cid_sizes
     size_median, = percentiles(sizes, [50])
 
     return {

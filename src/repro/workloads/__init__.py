@@ -27,7 +27,6 @@ from repro.workloads.gateway_trace import (
     ColumnarTrace,
     GatewayTraceConfig,
     generate_columnar_trace,
-    generate_gateway_trace,
     trace_stream_sha256,
 )
 from repro.workloads.objects import generate_corpus
@@ -52,6 +51,5 @@ __all__ = [
     "Population",
     "PopulationConfig",
     "generate_corpus",
-    "generate_gateway_trace",
     "generate_population",
 ]

@@ -25,12 +25,13 @@ import random
 from array import array
 from bisect import bisect
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
-from itertools import accumulate, repeat
+from dataclasses import dataclass
+from itertools import repeat
 from operator import itemgetter
 
 from repro.errors import ReproError
 from repro.workloads.objects import sample_object_size
+from repro.workloads.population import _choices_table
 
 #: The ipfs.io day (Section 4.2): requests, users and requested CIDs.
 TOTAL_REQUESTS = 7_100_000
@@ -109,39 +110,6 @@ class GatewayTraceConfig:
     @property
     def n_cids(self) -> int:
         return max(10, TOTAL_CIDS // self.scale)
-
-
-@dataclass
-class GatewayTrace:
-    """The generated day of traffic.
-
-    The aggregate views (:meth:`users`, :meth:`unique_cids`,
-    :meth:`total_bytes`) are computed once on first use and cached —
-    grading code calls them repeatedly on multi-million-request traces.
-    """
-
-    requests: list[GatewayRequest]
-    config: GatewayTraceConfig
-    cid_sizes: list[int] = field(default_factory=list)
-    pinned_cids: set[int] = field(default_factory=set)
-    _users: set[str] | None = field(default=None, init=False, repr=False)
-    _unique_cids: set[int] | None = field(default=None, init=False, repr=False)
-    _total_bytes: int | None = field(default=None, init=False, repr=False)
-
-    def users(self) -> set[str]:
-        if self._users is None:
-            self._users = {request.user for request in self.requests}
-        return self._users
-
-    def unique_cids(self) -> set[int]:
-        if self._unique_cids is None:
-            self._unique_cids = {request.cid_index for request in self.requests}
-        return self._unique_cids
-
-    def total_bytes(self) -> int:
-        if self._total_bytes is None:
-            self._total_bytes = sum(request.size for request in self.requests)
-        return self._total_bytes
 
 
 def _country_pool(rng: random.Random) -> tuple[list[str], list[float]]:
@@ -261,10 +229,6 @@ class ColumnarTrace:
     def n_requests(self) -> int:
         return len(self.timestamps)
 
-    @property
-    def pinned_cids(self) -> set[int]:
-        return set(range(self.n_pinned))
-
     def referrer_at(self, index: int) -> str | None:
         code = self.referrer_codes[index]
         if code == _REFERRER_NONE:
@@ -291,20 +255,11 @@ class ColumnarTrace:
         """Stream the day as :class:`GatewayRequest` objects."""
         return (self.request_at(index) for index in range(len(self.timestamps)))
 
-    def to_gateway_trace(self) -> GatewayTrace:
-        """Materialize the list-of-objects trace (small scales)."""
-        return GatewayTrace(
-            list(self.iter_requests()),
-            self.config,
-            list(self.cid_sizes),
-            self.pinned_cids,
-        )
-
 
 def trace_stream_sha256(requests: Iterable[GatewayRequest]) -> str:
     """Canonical digest of a request stream: the byte-identity
-    contract the tests pin per seed, for the columnar trace's
-    ``iter_requests()`` and for ``GatewayTrace.requests`` alike."""
+    contract the tests pin per seed over the columnar trace's
+    ``iter_requests()``."""
     digest = hashlib.sha256()
     for request in requests:
         line = "%r|%s|%s|%d|%d|%d|%s\n" % (
@@ -387,24 +342,24 @@ def generate_columnar_trace(
     # through the gateway.
     cid_sizes = [sample_object_size(rng) for _ in range(config.n_cids)]
     n_pinned = max(1, int(config.n_cids * PINNED_CID_FRACTION))
-    # list(accumulate(w)) is exactly the cum_weights rng.choices()
-    # builds internally; it bisects random() * (cum[-1] + 0.0) over
-    # [0, len - 1), so these land on the same index.
-    pinned_cum = list(accumulate(_zipf_weights(n_pinned, ZIPF_EXPONENT)))
-    pinned_total = pinned_cum[-1] + 0.0
-    pinned_hi = n_pinned - 1
-    open_cum = list(accumulate(_zipf_weights(config.n_cids - n_pinned, ZIPF_EXPONENT)))
-    open_total = open_cum[-1] + 0.0
-    open_hi = len(open_cum) - 1
+    # The tables rng.choices() builds before its one random(); the loop
+    # bisects into them itself (an open-slot index is offset by n_pinned).
+    _, pinned_cum, pinned_total, pinned_hi = _choices_table(
+        range(n_pinned), _zipf_weights(n_pinned, ZIPF_EXPONENT)
+    )
+    _, open_cum, open_total, open_hi = _choices_table(
+        range(n_pinned, config.n_cids),
+        _zipf_weights(config.n_cids - n_pinned, ZIPF_EXPONENT),
+    )
 
     n = config.n_requests
     rnd = rng.random
     # rng.choices(range(n_users), user_weights, k=n), spelled out the
     # same way and drawn a chunk at a time so the n boxed ints it would
     # return never exist at once.
-    user_cum = list(accumulate(user_weights))
-    user_total = user_cum[-1] + 0.0
-    user_hi = config.n_users - 1
+    _, user_cum, user_total, user_hi = _choices_table(
+        range(config.n_users), user_weights
+    )
     drawn_users = array("i")
     for start in range(0, n, _USER_CHUNK):
         drawn_users.extend(
@@ -517,10 +472,3 @@ def generate_columnar_trace(
         cid_count=len(set(cid_ids)),
     )
 
-
-def generate_gateway_trace(
-    config: GatewayTraceConfig, rng: random.Random
-) -> GatewayTrace:
-    """The day as :class:`GatewayRequest` objects (small scales): the
-    object view of :func:`generate_columnar_trace`'s arrays."""
-    return generate_columnar_trace(config, rng).to_gateway_trace()

@@ -19,6 +19,7 @@ from repro.experiments.gateway_exp import (
 )
 from repro.experiments.scenario import ScenarioConfig, build_scenario
 from repro.gateway.logs import CacheTier
+from repro.gateway.replay import TIER_NODE_STORE, TIER_NON_CACHED
 from repro.utils.rng import derive_rng
 from repro.validation.compare import Grade
 from repro.validation.targets import TARGETS_BY_KEY
@@ -116,7 +117,10 @@ class TestGatewayExperiment:
         )
 
     def test_log_covers_trace(self, results):
-        assert len(results.log) == len(results.trace.requests)
+        tiers = results.tiers
+        assert len(tiers) == len(results.trace)
+        assert len(results.node_store_latencies) == tiers.count(TIER_NODE_STORE)
+        assert len(results.non_cached_latencies) == tiers.count(TIER_NON_CACHED)
 
     def test_tier_shares_sum_to_one(self, results):
         rows = results.tier_table()
@@ -145,6 +149,6 @@ class TestGatewayExperiment:
 
     def test_usage_summary(self, results):
         usage = results.usage_summary()
-        assert usage["requests"] == len(results.log)
+        assert usage["requests"] == len(results.trace)
         assert usage["users"] > 0
         assert usage["bytes"] > 0

@@ -5,13 +5,14 @@ the Table 5 renderer's ``Shed`` row."""
 import dataclasses
 import pathlib
 import re
+from array import array
 from functools import partial
 
 import pytest
 
 from repro.experiments import figures
 from repro.experiments.figures import FIGURES, RUNNERS, render_tier_table
-from repro.gateway.logs import AccessLogEntry, CacheTier, tier_summary
+from repro.gateway.logs import CacheTier, TierSummary
 from tests.helpers import TINY_FIGURES
 
 DESIGN = (pathlib.Path(__file__).resolve().parents[2] / "DESIGN.md").read_text()
@@ -97,9 +98,10 @@ class TestBuilds:
 
     def test_gateway_log_with_no_referrers(self, datasets):
         results = datasets["gateway"]
-        self.rebuilt("gateway", dataclasses.replace(results, log=[
-            dataclasses.replace(entry, referrer=None) for entry in results.log
-        ]))
+        direct = array("h", bytes(2 * len(results.trace)))  # code 0: no referrer
+        self.rebuilt("gateway", dataclasses.replace(
+            results, trace=dataclasses.replace(results.trace, referrer_codes=direct)
+        ))
 
     def test_perf_run_where_one_region_has_no_retrieval(self, datasets):
         results = datasets["perf"]
@@ -133,15 +135,12 @@ class TestRun:
         assert [name for name, body in at_42.items() if body in one.body] == ["table1"]
 
 
-def entry(tier: CacheTier, latency: float, size: int = 1000) -> AccessLogEntry:
-    return AccessLogEntry(0.0, "u", "US", 0, size, latency, tier, None)
-
-
 def test_tier_table_shows_shed_only_when_it_served_something():
-    log = [entry(CacheTier.NGINX, 0.0), entry(CacheTier.NODE_STORE, 0.008),
-           entry(CacheTier.NON_CACHED, 4.0)]
-    stock = render_tier_table(tier_summary(log))  # raised KeyError: <CacheTier.SHED>
+    served = [TierSummary(CacheTier.NGINX, 0.0, 0.25, 0.25),
+              TierSummary(CacheTier.NODE_STORE, 0.008, 0.25, 0.25),
+              TierSummary(CacheTier.NON_CACHED, 4.0, 0.5, 0.25)]
+    stock = render_tier_table(served + [TierSummary(CacheTier.SHED, 0.0, 0.0, 0.0)])
     assert "Shed" not in stock and len(stock.splitlines()) == 3 + 3
-    shedding = render_tier_table(tier_summary(log + [entry(CacheTier.SHED, 0.0, size=0)]))
+    shedding = render_tier_table(served + [TierSummary(CacheTier.SHED, 0.0, 0.0, 0.25)])
     (shed,) = [line for line in shedding.splitlines() if line.startswith("Shed")]
     assert shed.split()[1:] == ["0.000", "s", "-", "0.0%", "-", "25.0%", "-"]

@@ -1,26 +1,48 @@
-"""Tests for the HTTP gateway: caches, tiers, logging."""
+"""Tests for the HTTP gateway: caches, tiers, the day's aggregates."""
+
+from array import array
 
 import pytest
 
 from repro.experiments.gateway_exp import GatewayExperimentResults
 from repro.gateway.cache import ObjectCache
-from repro.gateway.gateway import Gateway, default_upstream_model, node_store_latency
-from repro.gateway.logs import (
-    CacheTier,
-    bin_traffic,
-    referral_statistics,
-    request_rate_series,
-    tier_summary,
-)
+from repro.gateway.gateway import default_upstream_model, node_store_latency
+from repro.gateway.logs import CacheTier
+from repro.gateway.replay import resolve_tiers, sample_latencies
 from repro.utils.rng import derive_rng
-from repro.workloads.gateway_trace import GatewayRequest
+from repro.workloads.gateway_trace import ColumnarTrace, GatewayTraceConfig
+
+#: A referrer code naming semi-popular site 01 (see ColumnarTrace).
+SITE_01 = 2
 
 
-def request(cid=1, size=1000, ts=0.0, pinned=False, referrer=None, user="u1"):
-    return GatewayRequest(
-        timestamp=ts, user=user, country="US", cid_index=cid,
-        size=size, pinned=pinned, referrer=referrer,
+def serve(*requests, capacity=10_000):
+    """Serve hand-made ``(timestamp, cid, size[, referrer_code])``
+    requests the way :func:`run_gateway_experiment` serves a day, with
+    latencies from ``derive_rng(1, "gw")``. CID 0 is the one pinned."""
+    rows = [(*request, 0)[:4] for request in requests]  # direct by default
+    timestamps, cids, sizes, referrers = zip(*rows) if rows else ((),) * 4
+    cid_sizes = dict(zip(cids, sizes))
+    trace = ColumnarTrace(
+        config=GatewayTraceConfig(),
+        timestamps=array("d", timestamps),
+        user_ids=array("i", [0] * len(rows)),
+        cid_ids=array("i", cids),
+        referrer_codes=array("h", referrers),
+        cid_sizes=[cid_sizes.get(cid, 1) for cid in range(max(cids, default=0) + 1)],
+        user_countries=["US"],
+        n_pinned=1,
+        total_bytes=sum(sizes),
+        user_count=min(1, len(rows)),
+        cid_count=len(cid_sizes),
     )
+    tiers = resolve_tiers(trace, capacity)
+    node_store, non_cached = sample_latencies(derive_rng(1, "gw").random, tiers)
+    return GatewayExperimentResults(trace, tiers, node_store, non_cached)
+
+
+def tiers_and_latencies(results):
+    return [(entry.tier, entry.latency) for entry in results.entries()]
 
 
 class TestObjectCache:
@@ -104,57 +126,42 @@ class TestObjectCache:
         assert len(cache) <= 40
 
 
-def make_gateway(capacity=10_000, pinned=frozenset({7})):
-    return Gateway(
-        cache_capacity_bytes=capacity,
-        pinned_cids=set(pinned),
-        rng=derive_rng(1, "gw"),
-    )
-
-
 class TestGatewayTiers:
     def test_first_request_is_non_cached(self):
-        gateway = make_gateway()
-        entry = gateway.serve(request(cid=1))
-        assert entry.tier == CacheTier.NON_CACHED
-        # The miss is the gateway's first draw from its stream.
-        assert entry.latency == default_upstream_model(None, derive_rng(1, "gw"))
+        [(tier, latency)] = tiers_and_latencies(serve((0.0, 1, 1000)))
+        assert tier == CacheTier.NON_CACHED
+        # The miss is the day's first draw from its stream.
+        assert latency == default_upstream_model(derive_rng(1, "gw"))
 
     def test_second_request_hits_nginx(self):
-        gateway = make_gateway()
-        gateway.serve(request(cid=1))
-        entry = gateway.serve(request(cid=1))
-        assert entry.tier == CacheTier.NGINX
-        assert entry.latency == 0.0
+        served = tiers_and_latencies(serve((0.0, 1, 1000), (1.0, 1, 1000)))
+        assert served[1] == (CacheTier.NGINX, 0.0)
 
     def test_pinned_request_hits_node_store(self):
-        gateway = make_gateway()
-        entry = gateway.serve(request(cid=7, pinned=True))
-        assert entry.tier == CacheTier.NODE_STORE
-        assert entry.latency < 0.024  # "consistently ... below 24ms"
+        [(tier, latency)] = tiers_and_latencies(serve((0.0, 0, 1000)))
+        assert tier == CacheTier.NODE_STORE
+        assert latency < 0.024  # "consistently ... below 24ms"
 
     def test_pinned_content_stays_in_node_store_tier(self):
         # nginx bypasses its cache for node-store content (Table 5:
         # the node store keeps serving ~40% of requests all day).
-        gateway = make_gateway()
-        gateway.serve(request(cid=7, pinned=True))
-        entry = gateway.serve(request(cid=7, pinned=True))
-        assert entry.tier == CacheTier.NODE_STORE
+        served = tiers_and_latencies(serve((0.0, 0, 1000), (1.0, 0, 1000)))
+        assert [tier for tier, _ in served] == [CacheTier.NODE_STORE] * 2
 
     def test_combined_hit_rate(self):
-        gateway = make_gateway()
-        gateway.serve(request(cid=1))  # miss
-        gateway.serve(request(cid=1))  # nginx
-        gateway.serve(request(cid=7))  # node store
-        results = GatewayExperimentResults(trace=None, log=gateway.log)
+        results = serve(
+            (0.0, 1, 1000),  # miss
+            (1.0, 1, 1000),  # nginx
+            (2.0, 0, 1000),  # node store
+        )
         assert results.combined_hit_rate() == pytest.approx(2 / 3)
 
     def test_eviction_brings_requests_back_upstream(self):
-        gateway = make_gateway(capacity=1000)
-        gateway.serve(request(cid=1, size=800))
-        gateway.serve(request(cid=2, size=800))  # evicts 1
-        entry = gateway.serve(request(cid=1, size=800))
-        assert entry.tier == CacheTier.NON_CACHED
+        results = serve(
+            (0.0, 1, 800), (1.0, 2, 800), (2.0, 1, 800),  # 2 evicts 1
+            capacity=1000,
+        )
+        assert tiers_and_latencies(results)[2][0] == CacheTier.NON_CACHED
 
     def test_node_store_latency_bounded(self):
         rng = derive_rng(2, "lat")
@@ -163,18 +170,16 @@ class TestGatewayTiers:
 
 
 class TestLogAggregation:
-    def _log(self):
-        gateway = make_gateway()
-        entries = [
-            gateway.serve(request(cid=1, size=1000, ts=0.0)),
-            gateway.serve(request(cid=1, size=1000, ts=100.0)),
-            gateway.serve(request(cid=7, size=500, ts=2000.0, pinned=True)),
-            gateway.serve(request(cid=3, size=2000, ts=2200.0, referrer="site-01.example")),
-        ]
-        return entries
+    def _day(self):
+        return serve(
+            (0.0, 1, 1000),
+            (100.0, 1, 1000),
+            (2000.0, 0, 500),
+            (2200.0, 3, 2000, SITE_01),
+        )
 
     def test_tier_summary_shares(self):
-        rows = {row.tier: row for row in tier_summary(self._log())}
+        rows = {row.tier: row for row in self._day().tier_table()}
         assert rows[CacheTier.NGINX].request_share == 0.25
         assert rows[CacheTier.NODE_STORE].request_share == 0.25
         assert rows[CacheTier.NON_CACHED].request_share == 0.5
@@ -182,24 +187,26 @@ class TestLogAggregation:
         assert total == pytest.approx(1.0)
 
     def test_bin_traffic(self):
-        bins = bin_traffic(self._log(), bin_seconds=1800.0)
+        bins = self._day().traffic_bins(bin_seconds=1800.0)
         assert bins[0] == (0.0, 1, 1)  # one miss, one nginx hit
         assert bins[1] == (1800.0, 1, 1)
 
     def test_request_rate_series(self):
-        series = request_rate_series(self._log(), bin_seconds=300.0)
+        series = self._day().request_series(bin_seconds=300.0)
         assert series[0] == (0.0, 2)
 
     def test_referral_statistics(self):
-        stats = referral_statistics(self._log())
+        day = self._day()
+        assert [entry.referrer for entry in day.entries()][-1] == "site-01.example"
+        stats = day.referrals()
         assert stats["referred_share"] == 0.25
         assert stats["semi_popular_share"] == 1.0
         assert stats["semi_popular_sites"] == 1
-        assert referral_statistics([]) == {
+        assert serve().referrals() == {
             "referred_share": 0.0, "semi_popular_share": 0.0,
             "semi_popular_sites": 0,
         }
 
     def test_empty_tier_summary(self):
-        rows = tier_summary([])
+        rows = serve().tier_table()
         assert all(row.request_share == 0 for row in rows)

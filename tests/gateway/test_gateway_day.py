@@ -57,7 +57,7 @@ def day_sha256(entries) -> str:
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_gateway_day_is_pinned(shape):
     results = run_gateway_experiment(SHAPES[shape])
-    assert day_sha256(results.log) == GATEWAY_DAY_SHA256[shape]
+    assert day_sha256(results.entries()) == GATEWAY_DAY_SHA256[shape]
 
 
 def test_gateway_day_is_the_reference_loop():
@@ -66,6 +66,6 @@ def test_gateway_day_is_the_reference_loop():
     corpus = sum(results.trace.cid_sizes)
     capacity = max(1, int(corpus * DEFAULT_CACHE_FRACTION_OF_CORPUS))
     served = reference_gateway(
-        results.trace.requests, capacity, derive_rng(config.seed, "gateway")
+        results.trace.iter_requests(), capacity, derive_rng(config.seed, "gateway")
     )
-    assert [(entry.tier, entry.latency) for entry in results.log] == served
+    assert [(entry.tier, entry.latency) for entry in results.entries()] == served

@@ -29,7 +29,6 @@ class TestOverloadConfig:
         {"queue_deadline_s": 0.0},
         {"brownout_threshold": 0.0},
         {"brownout_threshold": 1.5},
-        {"default_size_hint": 0},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ReproError):

@@ -125,7 +125,7 @@ class TestModelCell:
             if tier == TIER_NODE_STORE:
                 node_store.append(node_store_latency(rng))
             elif tier == TIER_NON_CACHED:
-                non_cached.append(default_upstream_model(None, rng))
+                non_cached.append(default_upstream_model(rng))
         assert result["node_store"] == node_store
         assert result["non_cached"] == non_cached
         assert cell_rng.getstate() == rng.getstate()

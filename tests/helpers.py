@@ -137,7 +137,7 @@ def reference_gateway(
         elif request.pinned:
             served.append((CacheTier.NODE_STORE, node_store_latency(rng)))
         else:
-            served.append((CacheTier.NON_CACHED, default_upstream_model(None, rng)))
+            served.append((CacheTier.NON_CACHED, default_upstream_model(rng)))
             if size <= capacity_bytes:
                 cache[cid] = size
                 used += size

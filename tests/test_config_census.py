@@ -47,7 +47,7 @@ TEST_SEAMS = {
 }
 
 #: Settable config fields in ``src``: a ratchet, so growth shows in review.
-MAX_FIELDS = 125
+MAX_FIELDS = 124
 
 
 def _is_config(node: ast.AST) -> bool:

@@ -113,7 +113,7 @@ def test_idle_nat_world_preserves_golden_trace(tmp_path):
 def test_gateway_experiment_bit_identical():
     shape = "scale2000-seed99"
     results = run_gateway_experiment(GATEWAY_DAY_SHAPES[shape])
-    assert day_sha256(results.log) == GATEWAY_DAY_SHA256[shape]
+    assert day_sha256(results.entries()) == GATEWAY_DAY_SHA256[shape]
 
 
 def test_population_is_reproducible_across_processes():

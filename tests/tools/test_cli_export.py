@@ -77,10 +77,10 @@ class TestExporters:
             GatewayExperimentConfig(trace=GatewayTraceConfig(scale=2000))
         )
         path = tmp_path / "gateway.csv"
-        rows = export.export_gateway_log(results.log, path)
+        rows = export.export_gateway_log(results.entries(), path)
         with path.open() as handle:
             parsed = list(csv.DictReader(handle))
-        assert len(parsed) == rows == len(results.log)
+        assert len(parsed) == rows == len(results.trace)
         assert {row["cache_tier"] for row in parsed} <= {
             "nginx cache", "IPFS node store", "Non Cached",
         }

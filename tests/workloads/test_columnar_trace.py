@@ -2,13 +2,12 @@
 
 :func:`generate_columnar_trace` makes the day's draws and stores them
 as parallel arrays instead of 7.1 M ``GatewayRequest`` objects;
-``generate_gateway_trace`` and ``iter_requests`` are object views of
-those arrays. Three things hold the generator in place:
+``iter_requests`` is the object view of those arrays. Three things hold
+the generator in place:
 
 - sha256 literals of the request stream and of the generator's final
-  state, recorded from the separate object generator
-  ``generate_gateway_trace`` used to be, at the commit before it was
-  removed;
+  state, recorded from the separate object generator the trace once
+  had, at the commit before it was removed;
 - a reference loop written with plain ``rng.choice`` / ``rng.choices``
   / ``rng.uniform`` calls (the generator's hot loop spells out what
   those consume), compared on stream *and* generator state, so a
@@ -55,7 +54,6 @@ from repro.workloads.gateway_trace import (
     _zipf_weights,
     diurnal_weight,
     generate_columnar_trace,
-    generate_gateway_trace,
     trace_stream_sha256,
 )
 from repro.workloads.objects import sample_object_size
@@ -140,13 +138,13 @@ def config():
 
 
 @pytest.fixture(scope="module")
-def objects(config):
-    return generate_gateway_trace(config, derive_rng(42, "trace"))
+def columnar(config):
+    return generate_columnar_trace(config, derive_rng(42, "trace"))
 
 
 @pytest.fixture(scope="module")
-def columnar(config):
-    return generate_columnar_trace(config, derive_rng(42, "trace"))
+def objects(columnar):
+    return list(columnar.iter_requests())
 
 
 class TestPinnedStream:
@@ -301,44 +299,26 @@ class TestTimeBins:
 
 
 class TestObjectView:
-    def test_gateway_trace_is_the_columnar_stream(self, objects, columnar):
-        assert objects.requests == list(columnar.iter_requests())
-        assert trace_stream_sha256(objects.requests) == PINNED[42, False][0]
-        assert objects.pinned_cids == columnar.pinned_cids
-        assert objects.cid_sizes == columnar.cid_sizes
+    def test_request_objects_are_the_columnar_stream(self, objects, columnar):
+        assert trace_stream_sha256(objects) == PINNED[42, False][0]
+        for index, request in enumerate(objects):
+            assert request.pinned == (request.cid_index < columnar.n_pinned)
+            assert request.size == columnar.cid_sizes[request.cid_index]
 
     def test_different_seed_differs(self, config, objects):
         other = generate_columnar_trace(config, derive_rng(43, "trace"))
         assert trace_stream_sha256(other.iter_requests()) != (
-            trace_stream_sha256(objects.requests)
+            trace_stream_sha256(objects)
         )
 
 
 class TestAggregates:
     def test_counts_match_the_object_view(self, objects, columnar):
-        assert len(columnar) == len(objects.requests)
-        assert columnar.user_count == len(objects.users())
-        assert columnar.cid_count == len(objects.unique_cids())
-        assert columnar.total_bytes == objects.total_bytes()
+        assert len(columnar) == len(objects)
+        assert columnar.user_count == len({r.user for r in objects})
+        assert columnar.cid_count == len({r.cid_index for r in objects})
+        assert columnar.total_bytes == sum(r.size for r in objects)
 
     def test_timestamps_sorted(self, columnar):
         ts = columnar.timestamps
         assert all(ts[i] <= ts[i + 1] for i in range(len(ts) - 1))
-
-
-class TestGatewayTraceCaching:
-    """Regression: users()/unique_cids()/total_bytes() used to rescan
-    all n requests on every call — O(n) per call, called in loops."""
-
-    def test_computed_once(self, config):
-        trace = generate_gateway_trace(config, derive_rng(7, "trace"))
-        first = trace.users()
-        assert trace.users() is first  # cached object, not a rescan
-        assert trace.unique_cids() is trace.unique_cids()
-        assert trace.total_bytes() == trace.total_bytes()
-
-    def test_cached_values_correct(self, config):
-        trace = generate_gateway_trace(config, derive_rng(7, "trace"))
-        assert trace.users() == {r.user for r in trace.requests}
-        assert trace.unique_cids() == {r.cid_index for r in trace.requests}
-        assert trace.total_bytes() == sum(r.size for r in trace.requests)

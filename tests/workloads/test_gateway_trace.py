@@ -6,7 +6,7 @@ from repro.errors import ReproError
 from repro.utils.rng import derive_rng
 from repro.workloads.gateway_trace import (
     GatewayTraceConfig,
-    generate_gateway_trace,
+    generate_columnar_trace,
 )
 from repro.workloads.objects import (
     MEDIAN_OBJECT_SIZE,
@@ -18,19 +18,24 @@ from repro.workloads.objects import (
 
 @pytest.fixture(scope="module")
 def trace():
-    return generate_gateway_trace(
+    return generate_columnar_trace(
         GatewayTraceConfig(scale=400), derive_rng(77, "trace")
     )
 
 
-class TestScaling:
-    def test_request_count(self, trace):
-        assert trace.config.n_requests == 7_100_000 // 400
-        assert len(trace.requests) == trace.config.n_requests
+@pytest.fixture(scope="module")
+def requests(trace):
+    return list(trace.iter_requests())
 
-    def test_user_and_cid_universes(self, trace):
-        assert len(trace.users()) <= trace.config.n_users
-        assert len(trace.unique_cids()) <= trace.config.n_cids
+
+class TestScaling:
+    def test_request_count(self, trace, requests):
+        assert trace.config.n_requests == 7_100_000 // 400
+        assert len(requests) == trace.config.n_requests
+
+    def test_user_and_cid_universes(self, trace, requests):
+        assert len({r.user for r in requests}) <= trace.config.n_users
+        assert len({r.cid_index for r in requests}) <= trace.config.n_cids
 
     @pytest.mark.parametrize("scale", [0, -5, 7_100_001])
     def test_scale_outside_the_day_is_refused(self, scale):
@@ -41,51 +46,51 @@ class TestScaling:
 
     def test_the_one_request_day_is_the_largest_scale(self):
         config = GatewayTraceConfig(scale=7_100_000)
-        trace = generate_gateway_trace(config, derive_rng(77, "trace"))
-        assert len(trace.requests) == config.n_requests == 1
+        trace = generate_columnar_trace(config, derive_rng(77, "trace"))
+        assert len(trace) == config.n_requests == 1
 
 
 class TestStructure:
-    def test_sorted_by_time_within_day(self, trace):
-        times = [r.timestamp for r in trace.requests]
+    def test_sorted_by_time_within_day(self, requests):
+        times = [r.timestamp for r in requests]
         assert times == sorted(times)
         assert 0 <= times[0] and times[-1] < 86_400
 
-    def test_us_users_dominate(self, trace):
+    def test_us_users_dominate(self, requests):
         from collections import Counter
 
-        counts = Counter(r.country for r in trace.requests)
+        counts = Counter(r.country for r in requests)
         ordered = [country for country, _ in counts.most_common()]
         assert ordered[0] == "US"
         assert ordered[1] == "CN"
 
-    def test_pinned_share_near_paper(self, trace):
-        pinned = sum(1 for r in trace.requests if r.pinned) / len(trace.requests)
+    def test_pinned_share_near_paper(self, requests):
+        pinned = sum(1 for r in requests if r.pinned) / len(requests)
         assert abs(pinned - 0.402) < 0.05
 
-    def test_pinned_flag_consistent_with_set(self, trace):
-        for request in trace.requests[:2000]:
-            assert request.pinned == (request.cid_index in trace.pinned_cids)
+    def test_pinned_flag_consistent_with_set(self, trace, requests):
+        for request in requests[:2000]:
+            assert request.pinned == (request.cid_index < trace.n_pinned)
 
-    def test_referral_shares(self, trace):
-        referred = [r for r in trace.requests if r.referrer is not None]
-        assert abs(len(referred) / len(trace.requests) - 0.518) < 0.05
+    def test_referral_shares(self, requests):
+        referred = [r for r in requests if r.referrer is not None]
+        assert abs(len(referred) / len(requests) - 0.518) < 0.05
         semi = [r for r in referred if r.referrer.startswith("site-")]
         assert abs(len(semi) / len(referred) - 0.706) < 0.05
         assert len({r.referrer for r in semi}) <= 72
 
-    def test_diurnal_variation(self, trace):
+    def test_diurnal_variation(self, requests):
         from collections import Counter
 
-        hours = Counter(int(r.timestamp // 3600) for r in trace.requests)
+        hours = Counter(int(r.timestamp // 3600) for r in requests)
         assert max(hours.values()) > 1.3 * min(hours.values())
 
-    def test_popularity_is_skewed(self, trace):
+    def test_popularity_is_skewed(self, requests):
         from collections import Counter
 
-        counts = Counter(r.cid_index for r in trace.requests)
+        counts = Counter(r.cid_index for r in requests)
         top = sum(count for _, count in counts.most_common(len(counts) // 100))
-        assert top > 0.1 * len(trace.requests)  # top 1% of CIDs >10% of requests
+        assert top > 0.1 * len(requests)  # top 1% of CIDs >10% of requests
 
 
 class TestObjectSizes:
