@@ -85,6 +85,11 @@ def build_world(
     return world
 
 
+def backdrop_node(scenario, index: int) -> DhtNode:
+    """Backdrop peer ``index``'s DHT node in a built scenario."""
+    return scenario.backdrop[index]
+
+
 def rng_state_sha256(rng: random.Random) -> str:
     """Digest of a generator's stream position, for literal pins."""
     return hashlib.sha256(repr(rng.getstate()).encode("ascii")).hexdigest()
