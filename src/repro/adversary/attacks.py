@@ -120,7 +120,11 @@ class AttackState:
 
 def _honest_server_nodes(scenario: Scenario) -> list:
     """Every honest DHT server (backdrop and vantage), build order."""
-    nodes = [node for node in scenario.backdrop if node.server]
+    world = scenario.world
+    nodes = [
+        world.node_at(index) for index in range(len(world))
+        if world.host_at(index).dht_server
+    ]
     nodes.extend(node.dht for node in scenario.vantage.values())
     return nodes
 
@@ -165,9 +169,7 @@ def _install_eclipse(
         )
         # Sybils speak Bitswap like everyone else, over an empty store
         # (DONT_HAVE for every want — they never serve the content).
-        scenario.engines[peer_id] = BitswapEngine(
-            scenario.sim, scenario.net, host, MemoryBlockstore()
-        )
+        BitswapEngine(scenario.sim, scenario.net, host, MemoryBlockstore())
         for honest_id in honest_ids:
             node.routing_table.add(honest_id)
         state.sybils.append(node)
@@ -236,10 +238,10 @@ def _schedule_churn_storm(
     The simultaneity is what stresses retries (and what the per-peer
     jitter streams must keep from re-firing in lockstep).
     """
+    world = scenario.world
     prone = [
-        node.host
-        for node, peer in zip(scenario.backdrop, scenario.population.peers)
-        if peer.reachability == "churning"
+        world.host_at(index) for index in range(len(world))
+        if world.compact.reachability_at(index) == "churning"
     ]
     cohort_size = round(spec.intensity * len(prone))
     if cohort_size <= 0:
@@ -272,18 +274,14 @@ def _schedule_cloud_exodus(spec: AttackSpec, scenario: Scenario) -> None:
     provider with the most peers goes dark immediately; ``intensity``
     scales how much of its fleet is affected.
     """
-    counts = Counter(
-        peer.cloud_provider
-        for peer in scenario.population.peers
-        if peer.cloud_provider is not None
-    )
+    world = scenario.world
+    clouds = [world.compact.cloud_at(index) for index in range(len(world))]
+    counts = Counter(cloud for cloud in clouds if cloud is not None)
     if not counts:
         return
     top = sorted(counts.items(), key=lambda item: (-item[1], item[0]))[0][0]
     fleet = [
-        node.host
-        for node, peer in zip(scenario.backdrop, scenario.population.peers)
-        if peer.cloud_provider == top
+        world.host_at(index) for index, cloud in enumerate(clouds) if cloud == top
     ]
     removed = round(spec.intensity * len(fleet))
     if removed <= 0:

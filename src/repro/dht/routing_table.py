@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Callable, Iterator, Sequence
+from itertools import groupby
 
 from repro.dht.keyspace import KEY_BITS, key_int_for_peer, key_for_peer
 from repro.errors import SimulationError
@@ -190,37 +191,41 @@ class RoutingTable:
         """
         if self._size or self._view is not None:
             raise SimulationError("bulk load needs an empty routing table")
-        own = self.own_key_int
-        runs: dict[int, list[int]] = {}
-        for entry in entries:
-            index = min(KEY_BITS - (own ^ keys[entry]).bit_length(), KEY_BITS - 1)
-            run = runs.get(index)
-            if run is None:
-                runs[index] = [entry]
-            else:
-                run.append(entry)
+        # Each entry's XOR distance length: bucket KEY_BITS - length
+        # (length 0 is our own key). A stable sort by descending length
+        # groups the entries by ascending bucket, each in entry order.
+        lengths = list(map(
+            int.bit_length, map(self.own_key_int.__xor__, map(keys.__getitem__, entries))
+        ))
+        order = sorted(range(len(entries)), key=lengths.__getitem__, reverse=True)
+        populated = []
+        bounds = array("H", [0])
+        for length, run in groupby(map(lengths.__getitem__, order)):
+            populated.append(min(KEY_BITS - length, KEY_BITS - 1))
+            bounds.append(bounds[-1] + len(list(run)))
         if (
             len(set(entries)) != len(entries)
-            or own in map(keys.__getitem__, runs.get(KEY_BITS - 1, ()))
-            or any(len(run) > self.bucket_size for run in runs.values())
+            or 0 in lengths
+            or any(hi - lo > self.bucket_size for lo, hi in zip(bounds, bounds[1:]))
         ):
             raise self._fill_error()
-        populated = bytes(sorted(runs))
-        grouped = array("i")
-        bounds = array("H", [0])
-        for index in populated:
-            grouped.extend(runs[index])
-            bounds.append(len(grouped))
-        self._size = len(grouped)
-        self._view = (keys, peers_at, grouped, populated, bounds)
+        self._size = len(entries)
+        self._view = (
+            keys, peers_at, array("i", map(entries.__getitem__, order)),
+            bytes(populated), bounds,
+        )
 
     def _unview(self) -> None:
-        """Dict buckets for a view: ``load`` of its entries. They are in
-        bucket order, which keeps each bucket's own order, all that
-        ``load`` reads of the list order."""
-        _, peers_at, grouped, _, _ = self._view
-        self._size, self._view = 0, None
-        self.load(peers_at(grouped))
+        """Dict buckets for a view: what ``load`` of its entries builds.
+        They are grouped by bucket and checked already, so each run
+        becomes its bucket as it stands, keys read from the view."""
+        keys, peers_at, grouped, populated, bounds = self._view
+        self._view = None
+        peers = peers_at(grouped)
+        buckets = self._buckets
+        for run, index in enumerate(populated):
+            lo, hi = bounds[run], bounds[run + 1]
+            buckets[index] = dict(zip(peers[lo:hi], map(keys.__getitem__, grouped[lo:hi])))
 
     def remove(self, peer_id: PeerId) -> None:
         """Evict a peer (e.g. after a failed dial)."""

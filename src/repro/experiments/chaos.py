@@ -283,14 +283,15 @@ def _seed_unannounced(config: ChaosConfig, label: str, scenario: Scenario):
     payload = derive_rng(config.seed, f"{label}-unannounced").randbytes(OBJECT_SIZE)
     root = DagBuilder(store).add_bytes(payload).root
     target = key_for_cid(root)
+    world = scenario.world
     dialable = [
-        node for node in scenario.backdrop if not node.host.nat_private
+        index for index in range(len(world)) if not world.host_at(index).nat_private
     ]
     dialable.sort(
-        key=lambda node: xor_distance(target, key_for_peer(node.host.peer_id))
+        key=lambda index: xor_distance(target, key_for_peer(world.peer_id_at(index)))
     )
-    for node in dialable[:UNANNOUNCED_REPLICAS]:
-        cache = scenario.engines[node.host.peer_id].blockstore
+    for index in dialable[:UNANNOUNCED_REPLICAS]:
+        cache = world.engine_at(index).blockstore
         for cid in list(store.cids()):
             cache.put(store.get(cid))
     return root
@@ -370,7 +371,9 @@ def run_level(
         percentiles(latencies, [50, 90, 95]) if latencies else (None, None, None)
     )
     vantage = list(scenario.vantage.values())
-    evictions = sum(node.routing_table.evictions for node in scenario.backdrop)
+    evictions = sum(
+        node.routing_table.evictions for node in scenario.world.nodes.values()
+    )
     evictions += sum(node.dht.routing_table.evictions for node in vantage)
     return ChaosLevel(
         arm=arm,

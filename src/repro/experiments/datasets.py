@@ -77,7 +77,7 @@ def crawl_dataset(
 ) -> tuple[Scenario, CrawlCampaignResults]:
     """Crawler + uptime prober over a churning world (Sections 4.1, 5.3)."""
     scenario = build_world(n_peers, seed, label)
-    return scenario, run_crawl_timeseries(scenario, CrawlCampaignConfig(
+    return scenario, run_crawl_timeseries(scenario.world, CrawlCampaignConfig(
         crawl_interval_s=interval_s, duration_s=hours * 3600.0, seed=run_seed
     ))
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from repro.crawler.crawl import Crawler, CrawlResult
 from repro.crawler.prober import ProbeConfig, UptimeProber
 from repro.crawler.sessions import extract_sessions, online_intervals
-from repro.experiments.scenario import Scenario
 from repro.measurement.analysis import (
     AsShare,
     CloudShare,
@@ -38,6 +37,7 @@ from repro.measurement.churn_analysis import (
     uptime_fraction,
 )
 from repro.multiformats.peerid import PeerId
+from repro.simnet.compact import CompactWorld
 from repro.simnet.latency import PeerClass, Region
 from repro.simnet.network import SimHost
 from repro.utils.rng import derive_rng
@@ -96,18 +96,18 @@ class CrawlCampaignResults:
 
 
 def run_crawl_timeseries(
-    scenario: Scenario, config: CrawlCampaignConfig
+    world: CompactWorld, config: CrawlCampaignConfig
 ) -> CrawlCampaignResults:
     """Crawl the simulated world periodically, probing what it finds."""
-    sim = scenario.sim
+    sim = world.sim
     crawler_host = SimHost(
         PeerId.from_public_key(b"crawler-de"),
         region=Region.EU,
         peer_class=PeerClass.DATACENTER,
     )
-    scenario.net.register(crawler_host)
+    world.net.register(crawler_host)
     crawler = Crawler(
-        sim, scenario.net, crawler_host,
+        sim, world.net, crawler_host,
         derive_rng(config.seed, "crawler"),
         bucket_queries=config.bucket_queries,
     )
@@ -116,8 +116,8 @@ def run_crawl_timeseries(
         region=Region.EU,
         peer_class=PeerClass.DATACENTER,
     )
-    scenario.net.register(prober_host)
-    prober = UptimeProber(sim, scenario.net, prober_host, ProbeConfig())
+    world.net.register(prober_host)
+    prober = UptimeProber(sim, world.net, prober_host, ProbeConfig())
 
     results = CrawlCampaignResults()
     window_start = sim.now
@@ -126,7 +126,7 @@ def run_crawl_timeseries(
         end = sim.now + config.duration_s
         while sim.now < end:
             crawl_started = sim.now
-            result = yield from crawler.crawl(scenario.bootstrap_ids)
+            result = yield from crawler.crawl(world.bootstrap_ids)
             results.crawls.append(result)
             watched = sorted(result.peers_seen, key=PeerId.to_bytes)
             if config.probe_sample < 1.0:
@@ -145,7 +145,7 @@ def run_crawl_timeseries(
     window_end = sim.now
     results.window = (window_start, window_end)
     group_of = {
-        peer_id: scenario.country_of(peer_id) for peer_id in prober.timelines
+        peer_id: world.country_of(peer_id) for peer_id in prober.timelines
     }
     raw_sessions = extract_sessions(prober.timelines, group_of, window_end)
     results.sessions = filter_for_bias(raw_sessions, window_start, window_end)

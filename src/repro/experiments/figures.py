@@ -190,7 +190,7 @@ def _fig04a(dataset: tuple[Scenario, CrawlCampaignResults], c: _Claims) -> str:
     c.at_least("never_reachable_share", _ratio(len(never), probed) if reliable else None, 0.2,
                "probed peers split into all three reliability classes "
                "(paper: 1.4% reliable, ~1/3 never reachable)")
-    c.at_least("min_crawl_coverage", min(coverage) / len(scenario.backdrop), 0.7,
+    c.at_least("min_crawl_coverage", min(coverage) / len(scenario.world), 0.7,
                "every crawl reaches the bulk of the server population")
     c.target("undialable_fraction", "peer.undialable_fraction", mean_undialable,
              "a large minority of crawled peers is undialable (measured "
@@ -699,7 +699,9 @@ def _timed_walks(scenario: Scenario, targets: int, prefix: bytes) -> tuple[list[
 def _refill_tables(scenario: Scenario, extra: list, rng, **fill: Any) -> None:
     """Rebuild every routing table over the backdrop, the vantages and
     ``extra`` nodes."""
-    nodes = scenario.backdrop + [n.dht for n in scenario.vantage.values()] + extra
+    world = scenario.world
+    nodes = [world.node_at(index) for index in range(len(world))]
+    nodes += [n.dht for n in scenario.vantage.values()] + extra
     for node in nodes:
         for peer_id in list(node.routing_table.peers()):
             node.routing_table.remove(peer_id)
@@ -910,7 +912,8 @@ def run_replication(config: FiguresConfig, n_peers: int = 700, objects: int = 15
                 roots.append((yield from publisher.add_and_publish(payload))[0])
 
         scenario.sim.run_process(publish_all())
-        for node in scenario.backdrop:
+        world = scenario.world
+        for node in map(world.node_at, range(len(world))):
             if (node.provider_store.record_count()
                     and death_rng.random() < _HOLDER_DEATH_PROBABILITY):
                 node.host.set_online(False)

@@ -172,7 +172,7 @@ def _measure_undialable(
     scenario: Scenario, config: NatSweepConfig
 ) -> float | None:
     return run_crawl_timeseries(
-        scenario,
+        scenario.world,
         CrawlCampaignConfig(
             duration_s=config.crawl_hours * 3600.0,
             seed=config.seed,
@@ -185,26 +185,24 @@ def _measure_autonat(
 ) -> tuple[float, int]:
     """Classify every online backdrop peer; return (agreement, checked)."""
     service = AutoNatService(scenario.net)
+    world = scenario.world
+    hosts = [world.host_at(index) for index in range(len(world))]
     # Probe helpers: public peers currently online, the handful of
     # always-on reliable ones first. Churning helpers can drop offline
     # mid-probe; the AutoNAT probe timeout abandons those probes.
     candidates = [
-        node.host
-        for node in scenario.backdrop
-        if node.host.nat is None and node.host.reachable
+        index for index, host in enumerate(hosts)
+        if host.nat is None and host.reachable
     ]
     candidates.sort(
-        key=lambda host: (
-            scenario.spec_by_peer[host.peer_id].reachability != "reliable"
-        )
+        key=lambda index: world.compact.reachability_at(index) != "reliable"
     )
-    helpers = [host.peer_id for host in candidates][:AUTONAT_HELPERS]
+    helpers = [hosts[index].peer_id for index in candidates][:AUTONAT_HELPERS]
 
     agreements: list[bool] = []
 
     def classify_all():
-        for node in scenario.backdrop:
-            host = node.host
+        for host in hosts:
             if not host.online:
                 continue
             candidates = [h for h in helpers if h != host.peer_id]
@@ -233,7 +231,10 @@ def _run_cell(
         population, ScenarioConfig(seed=config.seed, nat_world=nat_world)
     )
     sim, net = scenario.sim, scenario.net
-    boxed = sum(1 for node in scenario.backdrop if node.host.nat is not None)
+    world = scenario.world
+    boxed = sum(
+        1 for index in range(len(world)) if world.host_at(index).nat is not None
+    )
 
     undialable = _measure_undialable(scenario, config)
     agreement, checked = _measure_autonat(scenario, config)

@@ -255,7 +255,7 @@ class CompactPopulation:
                 self.addr_asn[slot], self.addr_cloud[slot],
             )
         peers = [self.spec_at(index) for index in range(len(self))]
-        return Population(peers, geo, clouds, self.config)
+        return Population(peers, geo, clouds, self.config, self)
 
 
 def _peer_country_table() -> tuple[list[str], list[float], float, int]:

@@ -28,13 +28,17 @@ from __future__ import annotations
 
 import random
 from bisect import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
+from typing import TYPE_CHECKING
 
 from repro.measurement.registries import AsInfo, CloudRegistry, GeoIpRegistry
 from repro.multiformats.peerid import PeerId
 from repro.simnet.churn import ChurnModel
 from repro.simnet.latency import PeerClass, Region
+
+if TYPE_CHECKING:
+    from repro.workloads.compact import CompactPopulation
 
 # --------------------------------------------------------------------------
 # Calibration tables
@@ -197,6 +201,8 @@ class Population:
     geo: GeoIpRegistry
     clouds: CloudRegistry
     config: PopulationConfig
+    #: the columns these objects were built from (what the world is built from)
+    compact: CompactPopulation = field(compare=False, repr=False)
 
     def peer_ips(self) -> dict[PeerId, tuple[str, ...]]:
         return {peer.peer_id: peer.ips for peer in self.peers}

@@ -130,9 +130,10 @@ class TestPlacement:
         scenario = small_scenario()
         state = install_placement(AttackSpec("eclipse"), scenario, KEY, 5)
         assert len(state.sybils) == ECLIPSE_RING
+        world = scenario.world
         honest = [
-            node.host.peer_id for node in scenario.backdrop
-            if node.server and not node.host.nat_private and node.host.online
+            host.peer_id for host in map(world.host_at, range(len(world)))
+            if host.dht_server and not host.nat_private and host.online
         ]
         # Every Sybil sits strictly closer to the target than the
         # closest honest server: the 20-closest set is all attacker.

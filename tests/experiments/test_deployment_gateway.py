@@ -36,7 +36,7 @@ def campaign():
     config = CrawlCampaignConfig(
         crawl_interval_s=1800.0, duration_s=2 * 3600.0, bucket_queries=6
     )
-    return scenario, run_crawl_timeseries(scenario, config)
+    return scenario, run_crawl_timeseries(scenario.world, config)
 
 
 class TestCrawlCampaign:

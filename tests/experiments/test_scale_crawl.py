@@ -9,10 +9,7 @@ lives in the nightly job and ``benchmarks/test_scale_crawl.py``.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.crawler.crawl import CrawlResult
-from repro.errors import SimulationError
 from repro.experiments import scale
 from repro.experiments.deployment import (
     CrawlCampaignResults,
@@ -25,7 +22,6 @@ from repro.experiments.scale import (
 )
 from repro.measurement.churn_analysis import SessionObservation
 from repro.multiformats.peerid import PeerId
-from repro.simnet.compact import build_compact_world
 from repro.validation.compare import Grade
 
 TINY = ScaleCrawlConfig(n_peers=500, duration_s=2 * 3600.0, probe_sample=0.5)
@@ -135,21 +131,6 @@ def test_tiny_end_to_end_report(monkeypatch):
     assert 0 < doc["telemetry"]["compact_bytes_per_peer"] <= 875
     assert doc["overall"] in {"PASS", "WARN", "FAIL"}
     assert report.render_text()
-
-
-def test_campaign_that_outlives_the_churn_horizon_is_refused(monkeypatch):
-    """``run_scale_crawl`` builds its horizon from its own duration, so
-    this cannot happen by configuration; a world whose churn stopped
-    early must not grade if it ever does."""
-
-    def short_horizon(compact, config, *, churn_horizon_s):
-        return build_compact_world(compact, config, churn_horizon_s=600.0)
-
-    monkeypatch.setattr(scale, "build_compact_world", short_horizon)
-    with pytest.raises(SimulationError, match="churn schedules ran out"):
-        run_scale_crawl(ScaleCrawlConfig(
-            n_peers=300, duration_s=3600.0, probe_sample=0.5
-        ))
 
 
 def test_rerun_gives_the_same_document():

@@ -3,12 +3,8 @@
 import pytest
 
 from repro.experiments.perf import PerfConfig, run_perf_experiment
-from repro.experiments.scenario import (
-    AWS_REGIONS,
-    N_BOOTSTRAP,
-    ScenarioConfig,
-    build_scenario,
-)
+from repro.experiments.scenario import AWS_REGIONS, ScenarioConfig, build_scenario
+from repro.simnet.compact import N_BOOTSTRAP
 from repro.simnet.latency import AWS_REGION_MAP, PeerClass
 from repro.utils.rng import derive_rng
 from repro.workloads.population import PopulationConfig, generate_population
@@ -32,14 +28,15 @@ def scenario(small_population):
 
 class TestScenarioBuild:
     def test_every_peer_becomes_a_host(self, small_population, scenario):
-        assert len(scenario.backdrop) == len(small_population.peers)
+        assert len(scenario.world) == len(small_population.peers)
         for spec in small_population.peers[:50]:
-            host = scenario.net.hosts[spec.peer_id]
+            host = scenario.net.host(spec.peer_id)
+            assert host is scenario.world.host_at(spec.index)
             assert host.region == spec.region
 
     def test_never_reachable_peers_are_undialable(self, small_population, scenario):
         for spec in small_population.peers[:100]:
-            host = scenario.net.hosts[spec.peer_id]
+            host = scenario.world.host_at(spec.index)
             if spec.reachability == "never":
                 assert not host.reachable
 
@@ -51,15 +48,15 @@ class TestScenarioBuild:
     def test_bootstrap_peers_selected(self, scenario):
         assert len(scenario.bootstrap_ids) == N_BOOTSTRAP
         for peer_id in scenario.bootstrap_ids:
-            assert peer_id in scenario.net.hosts
+            assert scenario.net.host(peer_id) is not None
 
     def test_routing_tables_populated(self, scenario):
-        filled = [len(n.routing_table) for n in scenario.backdrop[:50]]
+        filled = [len(scenario.world.node_at(i).routing_table) for i in range(50)]
         assert all(size > 10 for size in filled)
 
     def test_country_lookup(self, small_population, scenario):
         spec = small_population.peers[0]
-        assert scenario.country_of(spec.peer_id) == spec.country
+        assert scenario.world.country_of(spec.peer_id) == spec.country
 
     def test_nat_peers_as_clients_option(self, small_population):
         scenario = build_scenario(
@@ -71,8 +68,8 @@ class TestScenarioBuild:
             for spec in small_population.peers
             if spec.reachability == "never"
         }
-        for node in scenario.backdrop[:40]:
-            assert not never_ids & set(node.routing_table.peers())
+        for index in range(40):
+            assert not never_ids & set(scenario.world.table_peer_ids(index))
 
 
 class TestPerfExperiment:

@@ -87,7 +87,7 @@ def build_world(
 
 def backdrop_node(scenario, index: int) -> DhtNode:
     """Backdrop peer ``index``'s DHT node in a built scenario."""
-    return scenario.backdrop[index]
+    return scenario.world.node_at(index)
 
 
 def rng_state_sha256(rng: random.Random) -> str:

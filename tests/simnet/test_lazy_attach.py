@@ -18,7 +18,8 @@ from repro.dht import rpc
 from repro.dht.dht_node import DhtNode
 from repro.dht.keyspace import key_for_peer
 from repro.errors import SimulationError, TransportTimeoutError
-from repro.experiments.scenario import ScenarioConfig
+from repro.experiments.perf import PerfConfig, run_perf_experiment
+from repro.experiments.scenario import AWS_REGIONS, ScenarioConfig, build_scenario
 from repro.multiformats.cid import make_cid
 from repro.multiformats.peerid import PeerId
 from repro.simnet.compact import build_compact_world
@@ -26,7 +27,7 @@ from repro.simnet.network import SimHost
 from repro.simnet.transport import Transport
 from repro.utils.rng import derive_rng
 from repro.workloads.compact import generate_compact_population
-from repro.workloads.population import PopulationConfig
+from repro.workloads.population import PopulationConfig, generate_population
 
 N_PEERS = 200
 SEED = 42
@@ -250,3 +251,21 @@ def test_churn_flip_on_a_stackless_host_drops_connections():
         assert not client.is_connected(host.peer_id)
         assert client.peer_id not in host.connections
     assert world.materialized == 0 and world.nodes == {}
+
+
+def test_pubget_world_attaches_lazily():
+    """The performance experiment's world at the e2e ``pubget`` shape
+    (2000 peers, the six vantages): the campaign's walks attach a DHT
+    node only where an RPC lands, and no backdrop peer ever gets a
+    Bitswap engine — retrievals fetch from the vantages."""
+    population = generate_population(
+        PopulationConfig(n_peers=2000), derive_rng(SEED, "bench-pop")
+    )
+    scenario = build_scenario(
+        population, ScenarioConfig(seed=SEED), vantage_regions=AWS_REGIONS
+    )
+    results = run_perf_experiment(scenario, PerfConfig(rounds=2, seed=SEED))
+    assert results.failures == 0 and results.all_retrievals()
+    world = scenario.world
+    assert 0 < world.materialized < len(world)
+    assert world.engines == {}

@@ -31,8 +31,8 @@ def world():
         ScenarioConfig(seed=777, with_churn=True),
         vantage_regions=["eu_central_1", "us_west_1", "ap_southeast_2"],
     )
-    for node in scenario.backdrop:
-        install_ipns_validator(node)
+    for index in range(len(scenario.world)):
+        install_ipns_validator(scenario.world.node_at(index))
     return scenario
 
 
@@ -112,7 +112,7 @@ def test_full_day_of_operations(world):
         return (yield from crawler.crawl(world.bootstrap_ids))
 
     result = sim.run_process(crawl())
-    assert len(result.peers_seen) > 0.5 * len(world.backdrop)
+    assert len(result.peers_seen) > 0.5 * len(world.world)
     assert 0.0 < result.dialable_fraction < 1.0
 
     # --- invariants across everything ------------------------------------

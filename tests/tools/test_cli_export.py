@@ -41,7 +41,7 @@ def campaign_results():
     )
     scenario = build_scenario(population, ScenarioConfig(seed=31))
     return run_crawl_timeseries(
-        scenario, CrawlCampaignConfig(duration_s=3600.0, crawl_interval_s=1800.0)
+        scenario.world, CrawlCampaignConfig(duration_s=3600.0, crawl_interval_s=1800.0)
     )
 
 
