@@ -431,8 +431,8 @@ class CompactWorld:
 
     def _start_churn(self) -> None:
         """Schedule every churning peer's first transition, in peer
-        order — the same schedule-call order ``build_scenario``'s
-        SessionProcess constructions make, so sequence numbers match."""
+        order — the schedule-call order of one SessionProcess per peer
+        started in peer order, so sequence numbers match."""
         schedule = self.sim.schedule
         off = self._churn_off
         delays = self._churn_delays
