@@ -94,15 +94,6 @@ N_RELAYS = 4
 _NAT_MODES = tuple(NatMode)
 
 
-def _draw_nat_mode(
-    mix: tuple[tuple[str, float], ...], rng: random.Random
-) -> NatMode:
-    modes, weights = zip(*mix)
-    if sum(weights) <= 0:
-        return NatMode.PUBLIC
-    return NatMode(rng.choices(modes, weights)[0])
-
-
 # -- per-peer precompute ------------------------------------------------
 
 
@@ -616,13 +607,14 @@ def build_compact_world(
     if nat_world is not None:
         world._nat_mode = bytearray(n)
         world._dcutr = bytearray(b"\x01") * n
+        modes, weights = zip(*nat_world.mix)
         for index in range(n):
-            if reach[index] != _REACH_NEVER:
+            if reach[index] != _REACH_NEVER or sum(weights) <= 0:
                 continue
             nat_rng = derive_rng(config.seed, "nat", str(index))
-            mode = _draw_nat_mode(nat_world.mix, nat_rng)
-            if mode is not NatMode.PUBLIC:
-                world._nat_mode[index] = _NAT_MODES.index(mode)
+            mode = _NAT_MODES.index(NatMode(nat_rng.choices(modes, weights)[0]))
+            if mode:
+                world._nat_mode[index] = mode
                 world._dcutr[index] = nat_rng.random() < nat_world.punch_adoption
                 world._online[index] = 1
 
