@@ -22,6 +22,7 @@ from repro.experiments.scale import (
 )
 from repro.measurement.churn_analysis import SessionObservation
 from repro.multiformats.peerid import PeerId
+from repro.simnet.compact import build_compact_world
 from repro.validation.compare import Grade
 
 TINY = ScaleCrawlConfig(n_peers=500, duration_s=2 * 3600.0, probe_sample=0.5)
@@ -131,6 +132,36 @@ def test_tiny_end_to_end_report(monkeypatch):
     assert 0 < doc["telemetry"]["compact_bytes_per_peer"] <= 875
     assert doc["overall"] in {"PASS", "WARN", "FAIL"}
     assert report.render_text()
+
+
+def test_campaign_that_outlives_the_churn_horizon_grades_in_full(monkeypatch):
+    """A schedule that runs out is redrawn draw for draw, so a world
+    pre-drawn to only 600 s runs and grades an hour-long campaign
+    exactly as one pre-drawn past its end."""
+    config = ScaleCrawlConfig(n_peers=300, duration_s=3600.0, probe_sample=0.5)
+    worlds, campaigns = [], []
+
+    def recording(world, campaign_config):
+        worlds.append(world)
+        campaigns.append(run_crawl_timeseries(world, campaign_config))
+        return campaigns[-1]
+
+    def short_horizon(compact, scenario_config, *, churn_horizon_s):
+        assert churn_horizon_s > config.duration_s
+        return build_compact_world(compact, scenario_config, churn_horizon_s=600.0)
+
+    monkeypatch.setattr(scale, "run_crawl_timeseries", recording)
+    full = run_scale_crawl(config).to_json_dict()
+    monkeypatch.setattr(scale, "build_compact_world", short_horizon)
+    short = run_scale_crawl(config).to_json_dict()
+    assert not worlds[0]._churn_redrawn
+    assert worlds[1]._churn_redrawn, "the campaign must outlive some schedules"
+    full_run, short_run = (
+        (c.timeseries(), c.sessions, c.uptime_by_peer) for c in campaigns
+    )
+    assert short_run == full_run
+    del full["telemetry"], short["telemetry"]
+    assert short == full
 
 
 def test_rerun_gives_the_same_document():
