@@ -19,6 +19,7 @@ on a network where 45.5 % of advertised peers are unreachable.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections.abc import Callable, Generator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
@@ -27,7 +28,7 @@ from repro.dht import rpc
 from repro.dht.keyspace import key_for_cid, key_for_peer, key_int_for_peer
 from repro.multiformats.cid import Cid
 from repro.multiformats.peerid import PeerId
-from repro.simnet.sim import Future, TimeoutError_, any_of, with_timeout
+from repro.simnet.sim import Future, TimeoutError_, with_timeout
 from repro.utils.retry import RetryPolicy, retry
 
 if TYPE_CHECKING:
@@ -87,7 +88,7 @@ class LookupStats:
     hedge_losses: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class _Candidate:
     peer_id: PeerId
     distance: int
@@ -95,6 +96,10 @@ class _Candidate:
     # new | inflight | ok | failed | skipped (breaker open) |
     # cancelled (lost a hedge race; not a failure, not a success)
     state: str = "new"
+
+
+def _distance(candidate: _Candidate) -> int:
+    return candidate.distance
 
 
 class _Walk:
@@ -118,14 +123,18 @@ class _Walk:
         self.target_int = int.from_bytes(target_key, "big")
         self.stats = LookupStats()
         self.candidates: dict[PeerId, _Candidate] = {}
-        self.inflight: dict[int, tuple[PeerId, Future]] = {}
+        #: every candidate, nearest first (distances are distinct)
+        self._by_distance: list[_Candidate] = []
+        #: launch tag -> ``[peer, settled RPC future or None]``, in
+        #: launch order
+        self.inflight: dict[int, list] = {}
         self._next_tag = 0
         self._dialing: set[PeerId] = set()
         # Hedging state (all dormant unless res.hedging_on): tags whose
         # hedge timer fired and await a duplicate launch, extra launch
         # budget those grants, original<->hedge tag pairs, which tags
-        # are hedge copies, and a future that wakes the walk loop when
-        # a timer fires while it is suspended on in-flight RPCs.
+        # are hedge copies, and the future the walk loop sleeps on while
+        # it waits: an RPC settling or a hedge timer firing resolves it.
         self._pending_hedges: list[int] = []
         self._hedge_slots = 0
         self._partner: dict[int, int] = {}
@@ -140,19 +149,17 @@ class _Walk:
             self._add_candidate(peer_id, depth=0)
 
     def _add_candidate(self, peer_id: PeerId, depth: int) -> None:
-        if peer_id == self.node.host.peer_id or peer_id in self.candidates:
+        if peer_id in self.candidates or peer_id == self.node.host.peer_id:
             return
         distance = key_int_for_peer(peer_id) ^ self.target_int
-        self.candidates[peer_id] = _Candidate(peer_id, distance, depth)
+        candidate = self.candidates[peer_id] = _Candidate(peer_id, distance, depth)
+        insort(self._by_distance, candidate, key=_distance)
         self.stats.peers_discovered += 1
 
     def _sorted_live(self) -> list[_Candidate]:
-        live = [
-            c for c in self.candidates.values()
-            if c.state in ("new", "inflight", "ok")
+        return [
+            c for c in self._by_distance if c.state in ("new", "inflight", "ok")
         ]
-        live.sort(key=lambda c: c.distance)
-        return live
 
     def _launch(
         self,
@@ -221,7 +228,7 @@ class _Walk:
             ).future
         else:
             future = attempt(1)
-        outcome: Future = Future()
+        entry = [candidate.peer_id, None]
 
         if as_hedge:
             original = self._pending_hedges.pop(0)
@@ -253,10 +260,13 @@ class _Walk:
                                  error=type(inner.exception()).__name__)
                 else:
                     hop_span.end()
-            outcome.resolve((tag, inner))
+            entry[1] = inner
+            # a cancelled hedge loser left `inflight`: it wakes no one
+            if self._wake is not None and tag in self.inflight:
+                self._wake.resolve()
 
         future.add_callback(settle)
-        self.inflight[tag] = (candidate.peer_id, outcome)
+        self.inflight[tag] = entry
 
     def _dial_ahead(self, live: list[_Candidate]) -> None:
         """Pre-dial the next closest candidates in the background.
@@ -291,6 +301,15 @@ class _Walk:
             self.node.network.dial(self.node.host, candidate.peer_id).add_callback(
                 on_dialed
             )
+
+    def _first_settled(self) -> tuple[int, Future] | None:
+        """``(tag, RPC future)`` of the earliest launched query that has
+        settled, or None: replies that settle together are taken in
+        launch order."""
+        for tag, (_, inner) in self.inflight.items():
+            if inner is not None:
+                return tag, inner
+        return None
 
     def run(
         self,
@@ -359,20 +378,17 @@ class _Walk:
                 self.stats.exhausted = True
                 done = [c for c in self._sorted_live() if c.state == "ok"]
                 return [c.peer_id for c in done[: self.k]]
-            waiters = [f for _, f in self.inflight.values()]
-            if res.hedging_on:
-                # A hedge timer firing must wake the suspended loop so
-                # the duplicate launches immediately, not on the next
-                # RPC settlement.
-                wake = Future()
-                self._wake = wake
-                waiters.append(wake)
-            winner = yield any_of(waiters)
-            self._wake = None
-            _, payload = winner
-            if payload is None:
-                continue  # a hedge timer fired; go launch the duplicate
-            tag, inner = payload
+            settled = self._first_settled()
+            if settled is None:
+                # Sleep until an RPC settles or a hedge timer fires (so
+                # the duplicate launches at once, not on the next reply).
+                self._wake = Future()
+                yield self._wake
+                self._wake = None
+                settled = self._first_settled()
+                if settled is None:
+                    continue  # a hedge timer fired; go launch the duplicate
+            tag, inner = settled
             peer_id, _ = self.inflight.pop(tag)
             candidate = self.candidates[peer_id]
             if tag in self._pending_hedges:

@@ -35,8 +35,9 @@ class RoutingTable:
     chaos experiments raise it so transient injected faults do not
     strip the table bare.
 
-    A table filled by :meth:`view` is a read-only view of stored
-    entries until its first write (see there).
+    A table filled by :meth:`view` reads stored entries for life and
+    copies a bucket into a dict only when a write changes it (see
+    there).
     """
 
     def __init__(
@@ -59,7 +60,8 @@ class RoutingTable:
         self._buckets: dict[int, dict[PeerId, int]] = {}
         self._size = 0
         #: view state (see :meth:`view`): None, or ``(keys, peers_at,
-        #: grouped entries, populated bucket indexes, run bounds)``
+        #: grouped entries, populated bucket indexes, run bounds)``; a
+        #: bucket in ``_buckets`` overrides its run
         self._view: tuple | None = None
         self._failures: dict[PeerId, int] = {}
         #: peers evicted by the failure score (degradation telemetry)
@@ -75,17 +77,19 @@ class RoutingTable:
         return self._size
 
     @property
-    def is_view(self) -> bool:
-        """True until a view's first write or diagnostic read."""
-        return self._view is not None
+    def copied_buckets(self) -> int:
+        """How many buckets of a :meth:`view` writes have turned into
+        dicts (0 for a table filled by :meth:`add` or :meth:`load`)."""
+        return len(self._buckets) if self._view is not None else 0
 
     def __contains__(self, peer_id: PeerId) -> bool:
         if peer_id == self.own_id:
             return False
-        if self._view is not None:
-            self._unview()
-        bucket = self._buckets.get(self._bucket_for(peer_id))
-        return bucket is not None and peer_id in bucket
+        index = self._bucket_for(peer_id)
+        bucket = self._buckets.get(index)
+        if bucket is not None:
+            return peer_id in bucket
+        return self._in_run(self._run(index), peer_id)
 
     def _bucket_for(self, peer_id: PeerId) -> int:
         # Inline common_prefix_length on the cached integer keys: the
@@ -103,8 +107,6 @@ class RoutingTable:
         """
         if peer_id == self.own_id:
             return False
-        if self._view is not None:
-            self._unview()
         key_int = key_int_for_peer(peer_id)
         distance = self.own_key_int ^ key_int
         index = (
@@ -113,7 +115,13 @@ class RoutingTable:
         )
         bucket = self._buckets.get(index)
         if bucket is None:
-            bucket = self._buckets[index] = {}
+            run = self._run(index)
+            if run is None:
+                bucket = self._buckets[index] = {}
+            elif len(run) >= self.bucket_size and not self._in_run(run, peer_id):
+                return False  # what the full bucket would say; nothing to copy
+            else:
+                bucket = self._copy(index, run)
         existing = bucket.pop(peer_id, None)
         if existing is not None:
             bucket[peer_id] = existing  # re-insert at the tail (refresh)
@@ -134,10 +142,12 @@ class RoutingTable:
         precomputed fill holds by construction, so the per-peer checks
         of ``add`` collapse into one check after the loop; a list that
         breaks them raises :class:`SimulationError` and leaves the
-        table empty.
+        table empty. A view that writes have emptied is empty too: it
+        becomes a table of dict buckets.
         """
-        if self._size or self._view is not None:
+        if self._size:
             raise SimulationError("bulk load needs an empty routing table")
+        self._view = None
         own = self.own_key_int
         buckets = self._buckets
         for peer_id in peers:
@@ -172,7 +182,7 @@ class RoutingTable:
         keys: Sequence[int],
         peers_at: Callable[[Sequence[int]], list[PeerId]],
     ) -> None:
-        """Fill this *empty* table as a read-only view of ``entries``.
+        """Fill this *empty* table with a view of ``entries``.
 
         ``entries`` are ints naming the peers :meth:`load` would take:
         ``keys[e]`` is the DHT key int of entry ``e``, and ``peers_at``
@@ -180,16 +190,19 @@ class RoutingTable:
         The entries are grouped by bucket once, one common-prefix length
         each, into one int array with the populated bucket indexes and
         their run bounds beside it: no dict and no ``PeerId`` per
-        entry. :meth:`closest`, ``len`` and :meth:`failure_score` read
-        the view, and ``closest`` names only the peers it returns, in
-        one ``peers_at`` call. The first write (:meth:`add`,
-        :meth:`remove`, a :meth:`record_failure` that reaches the
-        threshold) or diagnostic read (:meth:`peers`,
-        :meth:`bucket_sizes`, ``in``) turns it into dict buckets by
-        ``load`` of the same entries. ``entries`` must meet ``load``'s
-        contract, checked here as there.
+        entry. The runs stay for the table's life. Every read (``in``,
+        ``len``, :meth:`closest`, :meth:`peers`, :meth:`bucket_sizes`,
+        :meth:`failure_score`) reads them as they stand, and names
+        ``PeerId`` objects only for what it returns. A write copies on
+        write, one bucket at a time: the first :meth:`add`,
+        :meth:`remove` or evicting :meth:`record_failure` that changes a
+        bucket turns its run into the dict bucket ``load`` would have
+        built (entry order is its least-recently-seen order), and that
+        dict overrides the run from then on. A full run that turns a
+        newcomer away changes nothing and copies nothing. ``entries``
+        must meet ``load``'s contract, checked here as there.
         """
-        if self._size or self._view is not None:
+        if self._size:
             raise SimulationError("bulk load needs an empty routing table")
         # Each entry's XOR distance length: bucket KEY_BITS - length
         # (length 0 is our own key). A stable sort by descending length
@@ -209,30 +222,49 @@ class RoutingTable:
             or any(hi - lo > self.bucket_size for lo, hi in zip(bounds, bounds[1:]))
         ):
             raise self._fill_error()
+        self._buckets.clear()  # emptied buckets would override the runs
         self._size = len(entries)
         self._view = (
             keys, peers_at, array("i", map(entries.__getitem__, order)),
             bytes(populated), bounds,
         )
 
-    def _unview(self) -> None:
-        """Dict buckets for a view: what ``load`` of its entries builds.
-        They are grouped by bucket and checked already, so each run
-        becomes its bucket as it stands, keys read from the view."""
-        keys, peers_at, grouped, populated, bounds = self._view
-        self._view = None
-        peers = peers_at(grouped)
-        buckets = self._buckets
-        for run, index in enumerate(populated):
-            lo, hi = bounds[run], bounds[run + 1]
-            buckets[index] = dict(zip(peers[lo:hi], map(keys.__getitem__, grouped[lo:hi])))
+    def _run(self, index: int) -> array | None:
+        """A view's stored entries of bucket ``index`` in least-recently-
+        seen order, or None (not a view, or no run there). Callers look
+        in ``_buckets`` first: a copied bucket overrides its run."""
+        view = self._view
+        if view is None:
+            return None
+        populated, bounds = view[3], view[4]
+        run = populated.find(index)
+        if run < 0:
+            return None
+        return view[2][bounds[run]:bounds[run + 1]]
+
+    def _in_run(self, run: array | None, peer_id: PeerId) -> bool:
+        # distinct peers have distinct keys: compare keys, name no one
+        return run is not None and key_int_for_peer(peer_id) in map(
+            self._view[0].__getitem__, run
+        )
+
+    def _copy(self, index: int, run: array) -> dict[PeerId, int]:
+        """Bucket ``index``'s run as the dict ``load`` builds, installed
+        over the run."""
+        keys, peers_at = self._view[:2]
+        bucket = self._buckets[index] = dict(zip(peers_at(run), map(keys.__getitem__, run)))
+        return bucket
 
     def remove(self, peer_id: PeerId) -> None:
         """Evict a peer (e.g. after a failed dial)."""
         self._failures.pop(peer_id, None)
-        if self._view is not None:
-            self._unview()
-        bucket = self._buckets.get(self._bucket_for(peer_id), {})
+        index = self._bucket_for(peer_id)
+        bucket = self._buckets.get(index)
+        if bucket is None:
+            run = self._run(index)
+            if not self._in_run(run, peer_id):
+                return
+            bucket = self._copy(index, run)
         if peer_id in bucket:
             del bucket[peer_id]
             self._size -= 1
@@ -294,60 +326,78 @@ class RoutingTable:
         hottest routing-table path (every FIND_NODE handler calls it),
         and a full bucket ``c`` answers it by sorting 20 entries.
         Distinct entries have distinct distances, so the result does
-        not depend on scan order — nor on whether the groups come from
-        dict buckets or a view's entry runs.
+        not depend on scan order — nor on whether a group's buckets are
+        dicts, a view's entry runs, or some of each.
         """
         target = int.from_bytes(target_key, "big")
         split = min(
             KEY_BITS - (self.own_key_int ^ target).bit_length(), KEY_BITS - 1
         )
         is_open = None if self.breakers is None else self.breakers.is_open
+        buckets = self._buckets
         view = self._view
         if view is None:
-            buckets = self._buckets
+            indexes = buckets
         else:
-            # a view's pairs carry entry ints, named only once chosen
-            keys, peers_at, grouped, buckets, bounds = view
+            # a run's pairs carry entry ints, named only once chosen
+            keys, peers_at, grouped, populated, bounds = view
+            indexes = buckets.keys() | populated if buckets else populated
             if is_open is not None:
-                is_open = lambda entry, is_open=is_open: is_open(peers_at((entry,))[0])
+                is_open = lambda item, is_open=is_open: is_open(
+                    peers_at((item,))[0] if type(item) is int else item
+                )
         found: list = []
-        for group in self._nearest_first(split, buckets):
-            if view is None:
-                pairs = [
-                    (key_int ^ target, peer_id)
-                    for index in group
-                    for peer_id, key_int in buckets[index].items()
-                ]
-            else:
-                pairs = [
-                    (keys[entry] ^ target, entry)
-                    for run in map(buckets.index, group)
-                    for entry in grouped[bounds[run]:bounds[run + 1]]
-                ]
+        for group in self._nearest_first(split, indexes):
+            pairs = []
+            for index in group:
+                bucket = buckets.get(index)
+                if bucket is not None:
+                    pairs += [
+                        (key_int ^ target, peer_id)
+                        for peer_id, key_int in bucket.items()
+                    ]
+                else:
+                    run = populated.index(index)
+                    pairs += [
+                        (keys[entry] ^ target, entry)
+                        for entry in grouped[bounds[run]:bounds[run + 1]]
+                    ]
             if is_open is not None:
                 pairs = [pair for pair in pairs if not is_open(pair[1])]
             pairs.sort()
-            found += [entry for _, entry in pairs]
+            found += [item for _, item in pairs]
             if len(found) >= count:
                 del found[count:]
                 break
-        return found if view is None else peers_at(found)
+        if view is None:
+            return found
+        if not buckets:
+            return peers_at(found)
+        named = iter(peers_at([item for item in found if type(item) is int]))
+        return [next(named) if type(item) is int else item for item in found]
+
+    def _indexes(self) -> list[int]:
+        """Every bucket index with a dict or a run, ascending."""
+        if self._view is None:
+            return sorted(self._buckets)
+        return sorted(self._buckets.keys() | self._view[3])
+
+    def _bucket_peers(self, index: int) -> list[PeerId]:
+        bucket = self._buckets.get(index)
+        if bucket is not None:
+            return list(bucket)
+        return self._view[1](self._run(index))
 
     def peers(self) -> list[PeerId]:
         """All table entries (used by the crawler's bucket dumps)."""
-        if self._view is not None:
-            self._unview()
-        return [
-            pid for index in sorted(self._buckets)
-            for pid in self._buckets[index]
-        ]
+        return [pid for index in self._indexes() for pid in self._bucket_peers(index)]
 
     def bucket_sizes(self) -> dict[int, int]:
         """Populated bucket index -> entry count (diagnostics)."""
-        if self._view is not None:
-            self._unview()
-        return {
-            index: len(self._buckets[index])
-            for index in sorted(self._buckets)
-            if self._buckets[index]
-        }
+        sizes = {}
+        for index in self._indexes():
+            bucket = self._buckets.get(index)
+            size = len(bucket) if bucket is not None else len(self._run(index))
+            if size:
+                sizes[index] = size
+        return sizes

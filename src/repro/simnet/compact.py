@@ -380,12 +380,6 @@ class CompactWorld:
         elif method.startswith("bitswap/"):
             self.engine_at(index)
 
-    def materialize_all(self) -> None:
-        """Force the full object world (small-n differential tests)."""
-        for index in range(self.n):
-            self.node_at(index)
-            self.engine_at(index)
-
     def _table_view(self):
         """Every peer's DHT key int and the indices -> ``PeerId``s
         lookup, shared by every table view; derived on the first attach

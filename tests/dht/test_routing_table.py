@@ -2,6 +2,7 @@
 
 import random
 from array import array
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -253,6 +254,27 @@ def apply_ops(table: RoutingTable, ops: list[tuple[str, PeerId]]) -> None:
         getattr(table, op)(peer)
 
 
+def apply_ops_to_view(table: RoutingTable, ops: list[tuple[str, PeerId]]) -> None:
+    """``apply_ops`` on a view, holding every step to copy-on-write: a
+    write copies at most the one bucket it touches, a full bucket that
+    turns a newcomer away copies nothing, and no read copies at all."""
+    for op, peer in ops:
+        # which buckets are dicts is internal state: peek at it here
+        before = set(table._buckets)
+        result = getattr(table, op)(peer)
+        copied = set(table._buckets) - before
+        assert copied <= {bucket_index(OWN_KEY, key_for_peer(peer))}
+        if op == "add" and not result:
+            assert not copied, "a rejection by a full bucket copied it"
+        copies = table.copied_buckets
+        assert copies == len(before | copied)
+        assert (peer in table) == (peer in table.peers())
+        table.closest(key_for_peer(peer), K_BUCKET_SIZE)
+        table.bucket_sizes()
+        table.failure_score(peer)
+        assert table.copied_buckets == copies, "a read copied a bucket"
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     initial=offered_st,
@@ -280,9 +302,9 @@ def test_closest_equals_brute_force(initial, ops, open_peers, bucket_size, seed)
     check()
     table.breakers = viewed.breakers = OpenBreakers(open_peers)
     check()
-    assert viewed.is_view  # closest honoured is_open without converting
+    assert viewed.copied_buckets == 0  # closest honoured is_open by reading
     apply_ops(table, ops)
-    apply_ops(viewed, ops)
+    apply_ops_to_view(viewed, ops)
     check()
 
 
@@ -304,14 +326,19 @@ def test_closest_spills_past_a_filtered_first_bucket():
 # -- bulk ``load`` ≡ replayed ``add`` -----------------------------------------
 
 
-def bucket_layout(table: RoutingTable) -> dict[int, list[tuple[PeerId, int]]]:
-    """Populated buckets with their entries in least-recently-seen order."""
-    table.peers()  # a view turns into dict buckets first
-    return {
-        index: list(bucket.items())
-        for index, bucket in table._buckets.items()
-        if bucket
+def bucket_layout(table: RoutingTable) -> dict[int, list[PeerId]]:
+    """Populated buckets with their entries in least-recently-seen
+    order, through the public reads: ``peers`` lists them bucket by
+    bucket, ``bucket_sizes`` says where each bucket ends."""
+    peers = iter(table.peers())
+    layout = {
+        index: list(islice(peers, size))
+        for index, size in table.bucket_sizes().items()
     }
+    assert next(peers, None) is None
+    for index, bucket in layout.items():
+        assert {bucket_index(OWN_KEY, key_for_peer(p)) for p in bucket} == {index}
+    return layout
 
 
 def assert_same_table(loaded: RoutingTable, replayed: RoutingTable) -> None:
@@ -340,19 +367,38 @@ def test_load_equals_replayed_add(offered, ops, bucket_size, seed):
         for count in (1, rng.randint(2, 19), K_BUCKET_SIZE, rng.randint(21, 50)):
             assert viewed.closest(target, count) == replayed.closest(target, count)
     assert len(viewed) == len(replayed)
-    assert viewed.is_view
+    assert_same_table(viewed, replayed)
+    assert viewed.copied_buckets == 0
     assert_same_table(loaded, replayed)
     # ... and the three stay the same table under later traffic:
-    # refreshes, rejections by full buckets, evictions (the view's
-    # first write turns it into dict buckets)
-    tables = (loaded, viewed, replayed)
-    for table in tables:
-        apply_ops(table, ops)
+    # refreshes, rejections by full buckets, evictions (a write to the
+    # view copies the one bucket it changes)
+    apply_ops(loaded, ops)
+    apply_ops_to_view(viewed, ops)
+    apply_ops(replayed, ops)
     target = key_for_peer(pid(123456))
     for table in (loaded, viewed):
         assert table.closest(target) == replayed.closest(target)
         assert_same_table(table, replayed)
         assert table.evictions == replayed.evictions
+
+
+def test_a_write_to_a_view_copies_only_the_bucket_it_changes():
+    near = _same_bucket_peers(K_BUCKET_SIZE + 1)
+    full, newcomer = near[:-1], near[-1]
+    far = [p for p in POOL if bucket_index(OWN_KEY, key_for_peer(p)) == 1][:3]
+    viewed = view_of(full + far)
+    assert not viewed.add(newcomer)  # the full bucket turns it away
+    assert viewed.copied_buckets == 0
+    viewed.remove(newcomer)  # nobody to evict
+    assert viewed.copied_buckets == 0
+    assert viewed.add(full[0])  # a refresh moves it to the tail
+    assert viewed.copied_buckets == 1
+    assert bucket_layout(viewed) == {0: full[1:] + full[:1], 1: far}
+    viewed.remove(far[1])
+    assert viewed.copied_buckets == 2
+    assert bucket_layout(viewed) == {0: full[1:] + full[:1], 1: [far[0], far[2]]}
+    assert len(viewed) == K_BUCKET_SIZE + 2
 
 
 def _same_bucket_peers(count: int) -> list[PeerId]:
@@ -380,6 +426,30 @@ def test_load_rejects_what_add_would_not_take_whole(peers):
     with pytest.raises(SimulationError):
         view_of(peers, bucket_size=3)
     assert view_of(peers[:1], bucket_size=3).peers() == peers[:1]
+
+
+def test_an_emptied_table_fills_again_either_way():
+    # what a figure's table refill does: remove every entry, then fill
+    replayed = RoutingTable(OWN)
+    accepted = [peer for peer in POOL[:80] if replayed.add(peer)]
+    viewed, loaded = view_of(accepted), RoutingTable(OWN)
+    loaded.load(accepted)
+    for table, fill in ((viewed, "load"), (loaded, "view")):
+        for peer in table.peers():
+            table.remove(peer)
+        assert len(table) == 0 and table.peers() == [] and table.bucket_sizes() == {}
+        if fill == "load":
+            table.load(accepted)
+        else:
+            table.view(
+                array("i", [POSITION[peer] for peer in accepted]),
+                KEYED_INTS,
+                lambda entries: [KEYED[entry] for entry in entries],
+            )
+        assert_same_table(table, replayed)
+        assert table.copied_buckets == 0
+        target = key_for_peer(pid(4242))
+        assert table.closest(target) == replayed.closest(target)
 
 
 def test_load_rejects_a_non_empty_table():

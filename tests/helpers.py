@@ -90,6 +90,14 @@ def backdrop_node(scenario, index: int) -> DhtNode:
     return scenario.world.node_at(index)
 
 
+def materialize_all(world) -> None:
+    """Attach every peer's DHT node and Bitswap engine in a compact
+    world up front: the eager reference a lazy world must equal."""
+    for index in range(world.n):
+        world.node_at(index)
+        world.engine_at(index)
+
+
 def rng_state_sha256(rng: random.Random) -> str:
     """Digest of a generator's stream position, for literal pins."""
     return hashlib.sha256(repr(rng.getstate()).encode("ascii")).hexdigest()

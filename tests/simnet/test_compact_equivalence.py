@@ -2,8 +2,8 @@
 
 ``build_compact_world`` keeps peers as array rows until protocol code
 touches them. Attaching on first touch must be exact: a world whose
-every stack was attached up front (``materialize_all``) is the
-reference. This suite is the proof:
+every stack was attached up front (``tests.helpers.materialize_all``)
+is the reference. This suite is the proof:
 
 - structural equality: bootstrap set, online flags and per-peer
   routing-table membership read straight from the flat arrays, against
@@ -37,6 +37,7 @@ from repro.tools.export import export_trace
 from repro.utils.rng import derive_rng
 from repro.workloads.compact import generate_compact_population
 from repro.workloads.population import PopulationConfig
+from tests.helpers import materialize_all
 
 N_PEERS = 300
 SEED = 42
@@ -73,7 +74,7 @@ def test_structural_equality(population, config):
     tables = [world.table_peer_ids(i) for i in range(N_PEERS)]
     bootstrap = list(world.bootstrap_ids)
 
-    world.materialize_all()
+    materialize_all(world)
     assert world.bootstrap_ids == bootstrap
     for i in range(N_PEERS):
         node, reach = world.node_at(i), population.reachability_at(i)
@@ -157,7 +158,7 @@ def test_protocol_run_byte_identical(population):
     for arm, eager in (("lazy", False), ("eager", True)):
         world = build_compact_world(population, ScenarioConfig(seed=SEED))
         if eager:
-            world.materialize_all()
+            materialize_all(world)
         digests[arm], results = _campaign_digest(world)
         runs[arm] = (results.timeseries(), results.sessions, results.uptime_by_peer)
         # lazily, only peers that answered an RPC have a node, and the
