@@ -126,7 +126,7 @@ def test_attached_node_bytes(sender):
     # free slot takes it in, and either is a write to a view that
     # copies at most the one bucket it changes. Measured on CPython
     # 3.11.7: 12 547 B/node from a client and 12 257 B/node from a DHT
-    # server; 23 016 B/node from a DHT server when the first write
+    # server; 23 017 B/node from a DHT server when the first write
     # turned the whole table into dict buckets, 27 465 B/node when
     # every attach loaded dict buckets. The bound allows 1.33x the
     # client figure, so a per-entry object that creeps back into the
