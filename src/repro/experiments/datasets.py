@@ -34,10 +34,11 @@ from repro.node.config import NodeConfig
 from repro.obs import Observability
 from repro.utils.rng import derive_rng
 from repro.workloads.gateway_trace import GatewayTraceConfig
-from repro.workloads.population import Population, PopulationConfig, generate_population
+from repro.workloads.compact import CompactPopulation
+from repro.workloads.population import PopulationConfig, generate_population
 
 
-def _population(n_peers: int, seed: int, label: str) -> Population:
+def _population(n_peers: int, seed: int, label: str) -> CompactPopulation:
     return generate_population(PopulationConfig(n_peers=n_peers), derive_rng(seed, label))
 
 
@@ -66,7 +67,7 @@ def perf_dataset(
 
 def deployment_dataset(
     n_peers: int, *, seed: int, label: str
-) -> tuple[Population, PopulationAnalysis]:
+) -> tuple[CompactPopulation, PopulationAnalysis]:
     """The registry-join analysis over a population (Section 5)."""
     population = _population(n_peers, seed, label)
     return population, analyze_population(population)

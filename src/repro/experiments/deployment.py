@@ -42,7 +42,7 @@ from repro.simnet.latency import PeerClass, Region
 from repro.simnet.network import SimHost
 from repro.utils.rng import derive_rng
 from repro.utils.stats import Cdf
-from repro.workloads.population import Population
+from repro.workloads.compact import REACH_NEVER, REACH_RELIABLE, CompactPopulation
 
 
 @dataclass(frozen=True)
@@ -171,25 +171,28 @@ class PopulationAnalysis:
     never_by_country: dict[str, float]
 
 
-def analyze_population(population: Population) -> PopulationAnalysis:
-    """The pure-analysis pipeline over a (possibly very large) population."""
+def analyze_population(population: CompactPopulation) -> PopulationAnalysis:
+    """The pure-analysis pipeline over a (possibly very large)
+    population's columns: peers per PeerID, addresses per IP."""
+    geo, clouds = population.registries()
     peer_ips = population.peer_ips()
     ips = population.all_ips()
-    as_rows = as_distribution(ips, population.geo)
-    cloud_rows, non_cloud = cloud_distribution(ips, population.clouds)
+    as_rows = as_distribution(ips, geo)
+    cloud_rows, non_cloud = cloud_distribution(ips, clouds)
     # Reliability splits per country, in per-mille of all peers as in
     # Figure 7a.
-    total = len(population.peers)
+    total = len(population)
     reliable: dict[str, float] = {}
     never: dict[str, float] = {}
-    for spec in population.peers:
-        if spec.reachability == "reliable":
-            reliable[spec.country] = reliable.get(spec.country, 0) + 1 / total
-        elif spec.reachability == "never":
-            never[spec.country] = never.get(spec.country, 0) + 1 / total
+    splits = {REACH_RELIABLE: reliable, REACH_NEVER: never}
+    for index, reach in enumerate(population.peer_reach):
+        split = splits.get(reach)
+        if split is not None:
+            country = population.country_at(index)
+            split[country] = split.get(country, 0) + 1 / total
     return PopulationAnalysis(
-        country_shares=country_distribution(peer_ips, population.geo),
-        multihoming=multihoming_share(peer_ips, population.geo),
+        country_shares=country_distribution(peer_ips, geo),
+        multihoming=multihoming_share(peer_ips, geo),
         peers_per_ip=peers_per_ip_cdf(peer_ips),
         as_rows=as_rows,
         top10_as_share=top_as_cumulative_share(as_rows, 10),

@@ -43,16 +43,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.dht.bootstrap import populate_routing_tables
 from repro.errors import ReproError
 from repro.experiments.runner import Cell, run_cells
 from repro.gateway.bridge import GatewayBridge
-from repro.gateway.fleet import FleetConfig, GatewayFleet
+from repro.gateway.fleet import FleetConfig, GatewayFleet, build_fleet_world
 from repro.gateway.overload import OverloadConfig, ProviderHintCache
-from repro.node.host import IpfsNode
 from repro.simnet.latency import PeerClass, Region
-from repro.simnet.network import SimNetwork
-from repro.simnet.sim import Simulator, with_timeout
+from repro.simnet.sim import with_timeout
 from repro.utils.rng import derive_rng
 from repro.utils.stats import percentiles
 from repro.validation.compare import Grade, grade_at_least
@@ -184,29 +181,9 @@ def _run_cell(
     # The world derives from (seed, storm) only — both arms face the
     # same peers, the same catalogue and the same request trace; the
     # treatment is the overload machinery, nothing else.
-    sim = Simulator()
-    net = SimNetwork(sim, derive_rng(config.seed, "flash-net", storm_name))
-    world_rng = derive_rng(config.seed, "flash-world", storm_name)
-    publisher = IpfsNode(
-        sim, net, derive_rng(config.seed, "flash-pub", storm_name),
-        region=Region.EU, peer_class=PeerClass.HOME,
-    )
-    gateway_nodes = [
-        IpfsNode(
-            sim, net, derive_rng(config.seed, "flash-gw", storm_name, str(index)),
-            region=Region.NA_WEST, peer_class=PeerClass.DATACENTER,
-        )
-        for index in range(config.n_gateways)
-    ]
-    backdrop = [
-        IpfsNode(
-            sim, net, derive_rng(config.seed, "flash-bg", storm_name, str(index)),
-            region=world_rng.choice(list(Region)),
-        )
-        for index in range(config.n_backdrop)
-    ]
-    populate_routing_tables(
-        [n.dht for n in [publisher, *gateway_nodes, *backdrop]], world_rng
+    sim, publisher, gateway_nodes, _ = build_fleet_world(
+        config.seed, "flash", storm_name, Region.EU, PeerClass.HOME,
+        config.n_gateways, config.n_backdrop,
     )
 
     if storm_name == "nft_drop":

@@ -19,7 +19,7 @@ from repro.simnet.nat import DEFAULT_MAPPING_TTL_S, NatMode
 from repro.simnet.network import SimNetwork
 from repro.simnet.relay import CircuitDialer, NatTraversal
 from repro.simnet.sim import Simulator
-from repro.workloads.population import Population
+from repro.workloads.compact import CompactPopulation
 
 #: The paper's six vantage regions (Section 4.3, Table 1).
 AWS_REGIONS = [
@@ -103,7 +103,7 @@ class Scenario:
 
 
 def build_scenario(
-    population: Population,
+    population: CompactPopulation,
     config: ScenarioConfig | None = None,
     vantage_regions: list[str] | None = None,
 ) -> Scenario:
@@ -114,7 +114,7 @@ def build_scenario(
     do that explicitly, as go-ipfs does on startup).
     """
     world = build_compact_world(
-        population.compact,
+        population,
         config if config is not None else ScenarioConfig(),
         vantage_regions=vantage_regions,
     )

@@ -33,10 +33,15 @@ from collections import deque
 from collections.abc import Generator
 from dataclasses import dataclass, field
 
+from repro.dht.bootstrap import populate_routing_tables
 from repro.errors import GatewayDownError, ReproError
 from repro.gateway.bridge import BridgedResponse, GatewayBridge
 from repro.multiformats.cid import Cid
+from repro.node.host import IpfsNode
+from repro.simnet.latency import PeerClass, Region
+from repro.simnet.network import SimNetwork
 from repro.simnet.sim import Simulator
+from repro.utils.rng import derive_rng
 
 #: ring points per gateway (more = smoother range distribution).
 VIRTUAL_NODES = 64
@@ -46,6 +51,51 @@ HEALTH_WINDOW = 16
 MIN_OBSERVATIONS = 8
 #: error fraction over the window that marks a gateway unhealthy.
 UNHEALTHY_ERROR_RATE = 0.5
+
+
+def build_fleet_world(
+    seed: int,
+    prefix: str,
+    label: str,
+    publisher_region: Region,
+    publisher_class: PeerClass,
+    n_gateways: int,
+    n_backdrop: int,
+) -> tuple[Simulator, IpfsNode, list[IpfsNode], list[IpfsNode]]:
+    """A fresh object world for a fleet to front: ``(sim, publisher,
+    gateway nodes, backdrop)``, every routing table filled.
+
+    The gateway nodes are DATACENTER peers in NA_WEST; the backdrop's
+    regions are drawn from the world stream, which then fills the
+    tables. Streams are ``derive_rng(seed, f"{prefix}-<part>", label)``
+    for the ``net``, ``world`` and ``pub`` parts, and per node index
+    for the ``gw`` and ``bg`` parts.
+    """
+    sim = Simulator()
+    net = SimNetwork(sim, derive_rng(seed, f"{prefix}-net", label))
+    world_rng = derive_rng(seed, f"{prefix}-world", label)
+    publisher = IpfsNode(
+        sim, net, derive_rng(seed, f"{prefix}-pub", label),
+        region=publisher_region, peer_class=publisher_class,
+    )
+    gateways = [
+        IpfsNode(
+            sim, net, derive_rng(seed, f"{prefix}-gw", label, str(index)),
+            region=Region.NA_WEST, peer_class=PeerClass.DATACENTER,
+        )
+        for index in range(n_gateways)
+    ]
+    backdrop = [
+        IpfsNode(
+            sim, net, derive_rng(seed, f"{prefix}-bg", label, str(index)),
+            region=world_rng.choice(list(Region)),
+        )
+        for index in range(n_backdrop)
+    ]
+    populate_routing_tables(
+        [n.dht for n in [publisher, *gateways, *backdrop]], world_rng
+    )
+    return sim, publisher, gateways, backdrop
 
 
 def _ring_point(data: bytes) -> int:

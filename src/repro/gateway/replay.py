@@ -51,11 +51,10 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from repro.dht.bootstrap import populate_routing_tables
 from repro.errors import ReproError
 from repro.experiments.runner import Cell, run_cells
 from repro.gateway.bridge import GatewayBridge
-from repro.gateway.fleet import FleetConfig, GatewayFleet
+from repro.gateway.fleet import FleetConfig, GatewayFleet, build_fleet_world
 from repro.gateway.gateway import (
     _NODE_STORE_MAX_S,
     _NODE_STORE_MEDIAN_S,
@@ -65,10 +64,7 @@ from repro.gateway.gateway import (
 )
 from repro.gateway.logs import CacheTier
 from repro.gateway.overload import OverloadConfig, ProviderHintCache
-from repro.node.host import IpfsNode
 from repro.simnet.latency import PeerClass, Region
-from repro.simnet.network import SimNetwork
-from repro.simnet.sim import Simulator
 from repro.utils.rng import derive_rng
 from repro.workloads.gateway_trace import (
     ColumnarTrace,
@@ -285,29 +281,9 @@ def _fleet_cell(
     control, shedding and failover code paths, unmodified.
     """
     label = str(window)
-    sim = Simulator()
-    net = SimNetwork(sim, derive_rng(seed, "replay-net", label))
-    world_rng = derive_rng(seed, "replay-world", label)
-    publisher = IpfsNode(
-        sim, net, derive_rng(seed, "replay-pub", label),
-        region=Region.NA_WEST, peer_class=PeerClass.DATACENTER,
-    )
-    gateway_nodes = [
-        IpfsNode(
-            sim, net, derive_rng(seed, "replay-gw", label, str(index)),
-            region=Region.NA_WEST, peer_class=PeerClass.DATACENTER,
-        )
-        for index in range(FLEET_GATEWAYS)
-    ]
-    backdrop = [
-        IpfsNode(
-            sim, net, derive_rng(seed, "replay-bg", label, str(index)),
-            region=world_rng.choice(list(Region)),
-        )
-        for index in range(FLEET_BACKDROP)
-    ]
-    populate_routing_tables(
-        [n.dht for n in [publisher, *gateway_nodes, *backdrop]], world_rng
+    sim, publisher, gateway_nodes, _ = build_fleet_world(
+        seed, "replay", label, Region.NA_WEST, PeerClass.DATACENTER,
+        FLEET_GATEWAYS, FLEET_BACKDROP,
     )
 
     hints = ProviderHintCache()

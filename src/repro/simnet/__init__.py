@@ -16,7 +16,7 @@ DESIGN.md). It has four layers:
   :mod:`repro.simnet.nat` — NAT reachability and the AutoNAT protocol.
 """
 
-from repro.simnet.churn import ChurnModel, SessionProcess
+from repro.simnet.churn import ChurnModel
 from repro.simnet.latency import LatencyModel, PeerClass, Region
 from repro.simnet.nat import AutoNatService, NatBox, NatMode
 from repro.simnet.network import Connection, SimHost, SimNetwork
@@ -37,7 +37,6 @@ __all__ = [
     "PeerClass",
     "Process",
     "Region",
-    "SessionProcess",
     "SimHost",
     "SimNetwork",
     "Simulator",

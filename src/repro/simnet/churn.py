@@ -6,6 +6,11 @@ uptime varies by region (24.2 min in Hong Kong vs. more than double in
 Germany). We model session lengths as log-normal (the standard fit for
 P2P session-length measurements, cf. Stutzbach & Rejaie) with a
 region-configurable median, and offline gaps as log-normal as well.
+
+A world draws each churning peer's alternating sessions and gaps ahead
+of time (:mod:`repro.simnet.compact`); the process that draws them one
+transition at a time on the simulated clock is the reference those
+schedules are held to, in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -13,9 +18,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-
-from repro.simnet.network import SimHost
-from repro.simnet.sim import Simulator
 
 
 @dataclass(frozen=True)
@@ -44,55 +46,3 @@ ALWAYS_ON = ChurnModel(median_session_s=float("inf"))
 
 #: Share of a built world's churning peers that start online.
 WORLD_INITIAL_ONLINE_PROBABILITY = 0.8
-
-
-class SessionProcess:
-    """Drives a host's online flag through alternating sessions/gaps.
-
-    Starts the host mid-behaviour: with probability
-    ``initial_online_probability`` the host begins online; its first
-    transition is scheduled from a fresh sample.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        host: SimHost,
-        model: ChurnModel,
-        rng: random.Random,
-        initial_online_probability: float = 0.7,
-    ) -> None:
-        self._sim = sim
-        self._host = host
-        self._model = model
-        self._rng = rng
-        self.sessions_started = 0
-        if math.isinf(model.median_session_s):
-            host.set_online(True)
-            return
-        online = rng.random() < initial_online_probability
-        host.set_online(online)
-        if online:
-            self.sessions_started += 1
-            self._schedule_offline()
-        else:
-            self._schedule_online()
-
-    def _schedule_offline(self) -> None:
-        delay = self._model.sample_session_length(self._rng)
-
-        def go_offline() -> None:
-            self._host.set_online(False)
-            self._schedule_online()
-
-        self._sim.schedule(delay, go_offline)
-
-    def _schedule_online(self) -> None:
-        delay = self._model.sample_gap_length(self._rng)
-
-        def go_online() -> None:
-            self._host.set_online(True)
-            self.sessions_started += 1
-            self._schedule_offline()
-
-        self._sim.schedule(delay, go_online)

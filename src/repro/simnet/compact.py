@@ -17,8 +17,9 @@ experiments up to the network's real size:
   vantages' DHT nodes join that one fill after the peers, as live
   servers;
 - churn schedules are precomputed per peer into one flat delay array
-  (the per-peer streams of :class:`~repro.simnet.churn.SessionProcess`,
-  drawn ahead of time instead of lazily — same values, same order); a
+  (each peer's stream of alternating sessions and gaps, drawn ahead of
+  time instead of one transition at a time by a per-peer process — the
+  reference in ``tests/helpers.py``; same values, same order); a
   peer whose run outlives the pre-drawn horizon redraws its stream
   further out;
 - objects appear in two stages. A dial needs a host: naming a peer
@@ -121,7 +122,7 @@ def _dht_key_ints(digests) -> list[int]:
 
 def _churn_drawer(compact: CompactPopulation, seed: int):
     """``draw(index, horizon_s)``: peer ``index``'s churn as
-    :class:`~repro.simnet.churn.SessionProcess` draws it — ``None`` for
+    the reference churn process (``tests/helpers.py``) draws it — ``None`` for
     a peer that never churns, else its initial online state and its
     transition delays out to one overshoot draw past ``horizon_s``.
 
@@ -129,7 +130,7 @@ def _churn_drawer(compact: CompactPopulation, seed: int):
     per-peer derived stream; a redraw to a further horizon repeats the
     shorter one draw for draw. Delays are *raw* (not accumulated): the
     churn callback schedules ``delay`` so event times come out of the
-    same ``now + delay`` float accumulation ``SessionProcess``'s
+    same ``now + delay`` float accumulation the reference process's
     callbacks produce, bit for bit.
 
     The replay's stdlib calls are written out as the draws they make,
@@ -144,7 +145,7 @@ def _churn_drawer(compact: CompactPopulation, seed: int):
       — ``rng.lognormvariate(log(median), sigma)``, which is
       ``exp(rng.normalvariate(...))`` — is the Kinderman–Monahan loop
       inline, with ``log(median)`` taken once per country's model;
-    - a model whose median session is infinite (``SessionProcess``
+    - a model whose median session is infinite (the reference process
       holds such a host online and draws nothing more) has no
       parameters, so its peer is handled like a reliable one.
     """
@@ -181,7 +182,7 @@ def _churn_drawer(compact: CompactPopulation, seed: int):
         elapsed = 0.0
         # One overshoot draw past the horizon: every transition a run
         # bounded by the horizon can execute exists, scheduled exactly
-        # when SessionProcess would schedule it.
+        # when the reference process would schedule it.
         while elapsed <= horizon_s:
             # rng.normalvariate(0, 1): Kinderman–Monahan.
             while True:
@@ -416,7 +417,7 @@ class CompactWorld:
 
     def _start_churn(self) -> None:
         """Schedule every churning peer's first transition, in peer
-        order — the schedule-call order of one SessionProcess per peer
+        order — the schedule-call order of one reference process per peer
         started in peer order, so sequence numbers match."""
         schedule = self.sim.schedule
         off = self._churn_off

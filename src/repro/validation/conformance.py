@@ -38,6 +38,7 @@ from repro.validation.targets import (
     TARGETS,
     TARGETS_BY_KEY,
 )
+from repro.workloads.compact import REACH_NEVER
 
 #: Regions the paper finds slowest for retrievals (Table 4 / Fig 9a:
 #: af_south and ap_southeast; sa_east sits in the same far band).
@@ -103,9 +104,7 @@ def run_peer_dataset(config: ValidationConfig) -> dict[str, float | None]:
     population, analysis = deployment_dataset(
         config.population_peers, seed=config.seed, label="validate-pop"
     )
-    never = sum(
-        1 for spec in population.peers if spec.reachability == "never"
-    ) / len(population.peers)
+    never = population.peer_reach.count(REACH_NEVER) / len(population)
 
     _, campaign = crawl_dataset(
         config.crawl_peers, config.crawl_hours, config.crawl_interval_s,

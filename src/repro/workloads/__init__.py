@@ -30,12 +30,7 @@ from repro.workloads.gateway_trace import (
     trace_stream_sha256,
 )
 from repro.workloads.objects import generate_corpus
-from repro.workloads.population import (
-    PeerSpec,
-    Population,
-    PopulationConfig,
-    generate_population,
-)
+from repro.workloads.population import PopulationConfig, generate_population
 
 __all__ = [
     "BurstRequest",
@@ -47,8 +42,6 @@ __all__ = [
     "NftDropConfig",
     "generate_diurnal_storm",
     "generate_nft_drop",
-    "PeerSpec",
-    "Population",
     "PopulationConfig",
     "generate_corpus",
     "generate_population",

@@ -2,24 +2,23 @@
 
 :func:`generate_compact_population` is the one place the population's
 random draws are made. It stores the result as parallel arrays — about
-a hundred bytes per peer instead of the ~2 KB/peer object graph of
-``PeerSpec`` + ``PeerId`` + string IPs, which is what lets worlds reach
-a million peers (the same idiom as ``ColumnarTrace`` for the gateway
-day):
+a hundred bytes per peer instead of an object graph of ``PeerId`` and
+string IPs per peer, which is what lets worlds reach a million peers
+(the same idiom as ``ColumnarTrace`` for the gateway day):
 
 - per peer: country code, reachability, peer class, agent version, and
   an offset into the flat address table;
 - per address slot: packed IPv4, ASN, country code, cloud code.
 
-``PeerSpec``/``PeerId`` objects are views over the arrays:
-:meth:`CompactPopulation.spec_at` builds one peer's on demand, and
-:meth:`CompactPopulation.to_population` builds the whole
-``Population`` (specs + registries) — that is all
-:func:`repro.workloads.population.generate_population` does.
+These columns are the population: one row per PeerID and one slot per
+address, the two counting units of the deployment analysis. The
+per-peer accessors (``peer_id_at``, ``ips_at``, ...) read one row, and
+:meth:`CompactPopulation.registries` fills the GeoIP/AS and cloud
+registries the analysis joins against.
 
-``tests/workloads/test_compact_population.py`` pins the output (specs,
-registry contents in insertion order, and the generator's final state)
-to sha256 literals.
+``tests/workloads/test_compact_population.py`` pins the output (every
+per-peer field, registry contents in insertion order, and the
+generator's final state) to sha256 literals.
 """
 
 from __future__ import annotations
@@ -49,12 +48,10 @@ from repro.workloads.population import (
     _sample_class,
     _sample_extra_ip_count,
     _sample_reachability,
-    Population,
     PopulationConfig,
-    PeerSpec,
 )
 
-#: Reachability codes (array values -> ``PeerSpec.reachability`` tags).
+#: Reachability codes (array values -> the tags ``reachability_at`` names).
 REACHABILITY_NAMES = ("churning", "reliable", "never")
 REACH_CHURNING, REACH_RELIABLE, REACH_NEVER = 0, 1, 2
 
@@ -80,7 +77,7 @@ def unpack_ip(packed: int) -> str:
 
 
 class CompactPopulation:
-    """Struct-of-arrays peer state with lazy ``PeerSpec`` materialization."""
+    """Struct-of-arrays peer state; ``PeerId``s materialize on demand."""
 
     __slots__ = (
         "config",
@@ -200,32 +197,20 @@ class CompactPopulation:
         code = self.addr_cloud[self.ip_off[index]]
         return None if code < 0 else CLOUD_SHARES[code][0]
 
-    def spec_at(self, index: int) -> PeerSpec:
-        """Materialize the full ``PeerSpec`` for one peer."""
-        lo, hi = self.ip_off[index], self.ip_off[index + 1]
-        country = self.country_at(index)
-        return PeerSpec(
-            index=index,
-            peer_id=self.peer_id_at(index),
-            ips=self.ips_at(index),
-            country=country,
-            countries=tuple(
-                self.countries[self.addr_country[slot]]
-                for slot in range(lo, hi)
-            ),
-            asn=self.addr_asn[lo],
-            region=self._region_by_code[self.peer_country[index]],
-            cloud_provider=self.cloud_at(index),
-            reachability=REACHABILITY_NAMES[self.peer_reach[index]],
-            peer_class=PEER_CLASSES[self.peer_class[index]],
-            churn_model=_churn_model_for(country),
-            agent_version=_AGENT_NAMES[self.peer_agent[index]],
-        )
+    # -- the analysis view -----------------------------------------------
 
-    # -- the object view ------------------------------------------------
+    def peer_ips(self) -> dict[int, tuple[str, ...]]:
+        """Each peer's addresses, keyed by peer index (the per-PeerID
+        unit of the deployment analysis)."""
+        return {index: self.ips_at(index) for index in range(len(self))}
 
-    def to_population(self) -> Population:
-        """Materialize the full ``Population`` (specs + registries).
+    def all_ips(self) -> list[str]:
+        """Every distinct address, first sight in slot order (the per-IP
+        unit)."""
+        return [unpack_ip(packed) for packed in dict.fromkeys(self.addr_ip)]
+
+    def registries(self) -> tuple[GeoIpRegistry, CloudRegistry]:
+        """The GeoIP/AS and cloud registries of these addresses.
 
         Registries are filled in address creation order: the ten mega
         IPs first, then each address slot's IP on first sight.
@@ -254,8 +239,7 @@ class CompactPopulation:
                 self.addr_ip[slot], self.addr_country[slot],
                 self.addr_asn[slot], self.addr_cloud[slot],
             )
-        peers = [self.spec_at(index) for index in range(len(self))]
-        return Population(peers, geo, clouds, self.config, self)
+        return geo, clouds
 
 
 def _peer_country_table() -> tuple[list[str], list[float], float, int]:

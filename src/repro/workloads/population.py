@@ -28,12 +28,11 @@ from __future__ import annotations
 
 import random
 from bisect import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import TYPE_CHECKING
 
-from repro.measurement.registries import AsInfo, CloudRegistry, GeoIpRegistry
-from repro.multiformats.peerid import PeerId
+from repro.measurement.registries import AsInfo
 from repro.simnet.churn import ChurnModel
 from repro.simnet.latency import PeerClass, Region
 
@@ -171,53 +170,6 @@ class PopulationConfig:
     n_peers: int = 5000
 
 
-@dataclass(frozen=True)
-class PeerSpec:
-    """Everything the simulator and analysis need about one peer."""
-
-    index: int
-    peer_id: PeerId
-    ips: tuple[str, ...]
-    country: str  # of the primary address
-    countries: tuple[str, ...]
-    asn: int
-    region: Region
-    cloud_provider: str | None
-    reachability: str  # 'reliable' | 'never' | 'churning'
-    peer_class: PeerClass
-    churn_model: ChurnModel
-    agent_version: str
-
-    @property
-    def multihomed(self) -> bool:
-        return len(set(self.countries)) > 1
-
-
-@dataclass
-class Population:
-    """The generated peers plus their consistent lookup registries."""
-
-    peers: list[PeerSpec]
-    geo: GeoIpRegistry
-    clouds: CloudRegistry
-    config: PopulationConfig
-    #: the columns these objects were built from (what the world is built from)
-    compact: CompactPopulation = field(compare=False, repr=False)
-
-    def peer_ips(self) -> dict[PeerId, tuple[str, ...]]:
-        return {peer.peer_id: peer.ips for peer in self.peers}
-
-    def all_ips(self) -> list[str]:
-        seen: set[str] = set()
-        out: list[str] = []
-        for peer in self.peers:
-            for ip in peer.ips:
-                if ip not in seen:
-                    seen.add(ip)
-                    out.append(ip)
-        return out
-
-
 def _choices_table(population: list, weights) -> tuple[list, list[float], float, int]:
     """``(population, cum, total, hi)``: what ``random.Random.choices``
     computes from its arguments before its one ``random()``.
@@ -285,18 +237,15 @@ _AGENT_VERSIONS = [
 
 def generate_population(
     config: PopulationConfig, rng: random.Random
-) -> Population:
-    """Generate a population plus its consistent registries.
-
-    Deterministic for a given (config, RNG state). The draws are made
-    once, by :func:`repro.workloads.compact.generate_compact_population`
-    (country first, then addresses within that country's ASes; see its
-    docstring for the order); this is the object view of its arrays.
-    """
+) -> CompactPopulation:
+    """The population's columns: exactly
+    :func:`repro.workloads.compact.generate_compact_population`. The
+    name stays while the end-to-end benchmark's seam table
+    (``benchmarks/e2e/seams.py``) calls and times it."""
     # Imported here: compact.py imports this module's tables and types.
     from repro.workloads.compact import generate_compact_population
 
-    return generate_compact_population(config, rng).to_population()
+    return generate_compact_population(config, rng)
 
 
 def _mega_probability(country: str) -> float:

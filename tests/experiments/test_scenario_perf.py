@@ -28,16 +28,16 @@ def scenario(small_population):
 
 class TestScenarioBuild:
     def test_every_peer_becomes_a_host(self, small_population, scenario):
-        assert len(scenario.world) == len(small_population.peers)
-        for spec in small_population.peers[:50]:
-            host = scenario.net.host(spec.peer_id)
-            assert host is scenario.world.host_at(spec.index)
-            assert host.region == spec.region
+        assert len(scenario.world) == len(small_population)
+        for index in range(50):
+            host = scenario.net.host(small_population.peer_id_at(index))
+            assert host is scenario.world.host_at(index)
+            assert host.region == small_population.region_at(index)
 
     def test_never_reachable_peers_are_undialable(self, small_population, scenario):
-        for spec in small_population.peers[:100]:
-            host = scenario.world.host_at(spec.index)
-            if spec.reachability == "never":
+        for index in range(100):
+            host = scenario.world.host_at(index)
+            if small_population.reachability_at(index) == "never":
                 assert not host.reachable
 
     def test_vantage_nodes_in_right_regions(self, scenario):
@@ -55,8 +55,8 @@ class TestScenarioBuild:
         assert all(size > 10 for size in filled)
 
     def test_country_lookup(self, small_population, scenario):
-        spec = small_population.peers[0]
-        assert scenario.world.country_of(spec.peer_id) == spec.country
+        peer_id = small_population.peer_id_at(0)
+        assert scenario.world.country_of(peer_id) == small_population.country_at(0)
 
     def test_nat_peers_as_clients_option(self, small_population):
         scenario = build_scenario(
@@ -64,9 +64,9 @@ class TestScenarioBuild:
             ScenarioConfig(seed=71, nat_peers_in_dht=False, with_churn=False),
         )
         never_ids = {
-            spec.peer_id
-            for spec in small_population.peers
-            if spec.reachability == "never"
+            small_population.peer_id_at(index)
+            for index in range(len(small_population))
+            if small_population.reachability_at(index) == "never"
         }
         for index in range(40):
             assert not never_ids & set(scenario.world.table_peer_ids(index))

@@ -1,16 +1,16 @@
-"""The fleet worlds' nodes and routing tables, pinned.
+"""The fleet world's nodes and routing tables, pinned.
 
-The replay's ``fleet`` backend and the flash-crowd cells each build a
-small object world — a publisher, the gateway nodes, a DHT backdrop —
-and fill every table with
+The replay's ``fleet`` backend and the flash-crowd cells each build
+their world with :func:`repro.gateway.fleet.build_fleet_world` — a
+publisher, the gateway nodes, a DHT backdrop, every table filled by
 :func:`~repro.dht.bootstrap.populate_routing_tables` over the world's
-own stream. The sha256 literals below hash each node in fill order (its
-PeerId, region and peer class) and its routing table in table order:
-bucket sizes, then every entry bucket by bucket. CI runs this file
-under several ``PYTHONHASHSEED`` values, because the fill keeps sets.
-
-The nodes are captured where the world hands them to the fill; the
-cell stops there, since nothing after the fill shapes the world.
+own stream. The sha256 literals below were recorded from the two
+separate builders the cells had before they shared one, captured where
+each handed its nodes to the fill. They hash each node in fill order
+(its PeerId, region and peer class) and its routing table in table
+order: bucket sizes, then every entry bucket by bucket. CI runs this
+file under several ``PYTHONHASHSEED`` values, because the fill keeps
+sets.
 
 Regenerate (only for a change that means to move a fleet world) with:
 
@@ -25,9 +25,12 @@ from unittest import mock
 
 import pytest
 
-from repro.dht.bootstrap import populate_routing_tables
 from repro.experiments import flash_crowd
+from repro.experiments.flash_crowd import FlashCrowdConfig
 from repro.gateway import replay
+from repro.gateway.fleet import build_fleet_world
+from repro.gateway.replay import FLEET_BACKDROP, FLEET_GATEWAYS
+from repro.simnet.latency import PeerClass, Region
 
 #: world -> sha256 of its nodes and filled tables
 PINNED = {
@@ -49,46 +52,59 @@ def world_sha256(dhts) -> str:
     return digest.hexdigest()
 
 
-class _Filled(Exception):
-    """Stops the cell once its world's tables are filled."""
+_FLASH = FlashCrowdConfig(seed=42)
+
+#: world -> the cell's builder arguments: the replay's window 0 and the
+#: flash crowd's ``nft_drop`` storm, both at seed 42.
+WORLDS = {
+    "replay-window-0": (
+        42, "replay", "0", Region.NA_WEST, PeerClass.DATACENTER,
+        FLEET_GATEWAYS, FLEET_BACKDROP,
+    ),
+    "flash-nft_drop": (
+        42, "flash", "nft_drop", Region.EU, PeerClass.HOME,
+        _FLASH.n_gateways, _FLASH.n_backdrop,
+    ),
+}
 
 
-def _filled_world(module, run) -> list:
-    captured = []
-
-    def capture(dhts, rng):
-        populate_routing_tables(dhts, rng)
-        captured.append(dhts)
-        raise _Filled
-
-    with mock.patch.object(module, "populate_routing_tables", capture):
-        with pytest.raises(_Filled):
-            run()
-    return captured[0]
-
-
-def _replay_window_0():
-    empty = array("d")
-    return _filled_world(
-        replay, lambda: replay._fleet_cell(42, 0, 0.0, empty, array("q"), array("q"))
-    )
-
-
-def _flash_nft_drop():
-    config = flash_crowd.FlashCrowdConfig(seed=42)
-    return _filled_world(
-        flash_crowd, lambda: flash_crowd._run_cell(config, "nft_drop", "stock")
-    )
-
-
-WORLDS = {"replay-window-0": _replay_window_0, "flash-nft_drop": _flash_nft_drop}
+def _world_sha256(name: str) -> str:
+    _, publisher, gateways, backdrop = build_fleet_world(*WORLDS[name])
+    return world_sha256([node.dht for node in [publisher, *gateways, *backdrop]])
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_fleet_world_is_pinned(name):
-    assert world_sha256(WORLDS[name]()) == PINNED[name]
+    assert _world_sha256(name) == PINNED[name]
+
+
+class _Built(Exception):
+    """Stops a cell once it has asked for its world."""
+
+
+def _cell_world_args(module, run) -> tuple:
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        raise _Built
+
+    with mock.patch.object(module, "build_fleet_world", record):
+        with pytest.raises(_Built):
+            run()
+    return calls[0]
+
+
+def test_the_cells_build_the_pinned_worlds():
+    no_misses = array("q")
+    assert _cell_world_args(
+        replay, lambda: replay._fleet_cell(42, 0, 0.0, array("d"), no_misses, no_misses)
+    ) == WORLDS["replay-window-0"]
+    assert _cell_world_args(
+        flash_crowd, lambda: flash_crowd._run_cell(_FLASH, "nft_drop", "stock")
+    ) == WORLDS["flash-nft_drop"]
 
 
 if __name__ == "__main__":
     for name in sorted(PINNED):
-        print(f"    {name!r}: {world_sha256(WORLDS[name]())!r},")
+        print(f"    {name!r}: {_world_sha256(name)!r},")

@@ -1,11 +1,12 @@
 """Shared test helpers: compact simulated-world builders, the
-sub-second shape of the ``figures`` datasets, and the gateway day's
-plain reference loop."""
+sub-second shape of the ``figures`` datasets, and the plain reference
+loops a world's churn and the gateway day are held to."""
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import math
 import random
 from collections import OrderedDict
 from collections.abc import Iterable, Iterator
@@ -19,6 +20,7 @@ from repro.gateway.gateway import default_upstream_model, node_store_latency
 from repro.gateway.logs import CacheTier
 from repro.multiformats import multihash
 from repro.multiformats.peerid import PeerId
+from repro.simnet.churn import ChurnModel
 from repro.simnet.latency import PeerClass, Region
 from repro.simnet.network import SimHost, SimNetwork
 from repro.simnet.sim import Simulator
@@ -96,6 +98,60 @@ def materialize_all(world) -> None:
     for index in range(world.n):
         world.node_at(index)
         world.engine_at(index)
+
+
+class SessionProcess:
+    """Drives a host's online flag through alternating sessions/gaps,
+    one transition at a time on the simulated clock: the churn
+    reference a compact world's pre-drawn schedules must equal.
+
+    Starts the host mid-behaviour: with probability
+    ``initial_online_probability`` the host begins online; its first
+    transition is scheduled from a fresh sample.
+    """
+
+    def __init__(
+        self,
+        sim: Simulator,
+        host: SimHost,
+        model: ChurnModel,
+        rng: random.Random,
+        initial_online_probability: float = 0.7,
+    ) -> None:
+        self._sim = sim
+        self._host = host
+        self._model = model
+        self._rng = rng
+        self.sessions_started = 0
+        if math.isinf(model.median_session_s):
+            host.set_online(True)
+            return
+        online = rng.random() < initial_online_probability
+        host.set_online(online)
+        if online:
+            self.sessions_started += 1
+            self._schedule_offline()
+        else:
+            self._schedule_online()
+
+    def _schedule_offline(self) -> None:
+        delay = self._model.sample_session_length(self._rng)
+
+        def go_offline() -> None:
+            self._host.set_online(False)
+            self._schedule_online()
+
+        self._sim.schedule(delay, go_offline)
+
+    def _schedule_online(self) -> None:
+        delay = self._model.sample_gap_length(self._rng)
+
+        def go_online() -> None:
+            self._host.set_online(True)
+            self.sessions_started += 1
+            self._schedule_offline()
+
+        self._sim.schedule(delay, go_online)
 
 
 def rng_state_sha256(rng: random.Random) -> str:

@@ -3,11 +3,12 @@
 import math
 
 from repro.multiformats.peerid import PeerId
-from repro.simnet.churn import ALWAYS_ON, ChurnModel, SessionProcess
+from repro.simnet.churn import ALWAYS_ON, ChurnModel
 from repro.simnet.nat import AUTONAT_THRESHOLD, autonat_check
 from repro.simnet.network import SimHost, SimNetwork
 from repro.simnet.sim import Simulator
 from repro.utils.rng import derive_rng
+from tests.helpers import SessionProcess
 
 
 def make_host(name: bytes, **kwargs) -> SimHost:

@@ -9,7 +9,7 @@ is the reference. This suite is the proof:
   routing-table membership read straight from the flat arrays, against
   the materialized ``RoutingTable``/``SimHost`` objects;
 - behavioral equality: the churn transition log, against hosts driven
-  by :class:`~repro.simnet.churn.SessionProcess` — also past the
+  by :class:`tests.helpers.SessionProcess` — also past the
   pre-drawn horizon, where the world redraws a peer's schedule;
 - protocol byte-identity: drive the actual crawler + prober campaign
   over a lazy and an eager world and compare exported trace digests
@@ -29,7 +29,7 @@ import pytest
 from repro.experiments.deployment import CrawlCampaignConfig, run_crawl_timeseries
 from repro.experiments.scenario import ScenarioConfig
 from repro.obs import Observability
-from repro.simnet.churn import WORLD_INITIAL_ONLINE_PROBABILITY, SessionProcess
+from repro.simnet.churn import WORLD_INITIAL_ONLINE_PROBABILITY
 from repro.simnet.compact import build_compact_world
 from repro.simnet.network import SimHost
 from repro.simnet.sim import Simulator
@@ -37,7 +37,7 @@ from repro.tools.export import export_trace
 from repro.utils.rng import derive_rng
 from repro.workloads.compact import generate_compact_population
 from repro.workloads.population import PopulationConfig
-from tests.helpers import materialize_all
+from tests.helpers import SessionProcess, materialize_all
 
 N_PEERS = 300
 SEED = 42

@@ -126,8 +126,7 @@ def test_population_is_reproducible_across_processes():
     # several PYTHONHASHSEED values. If they ever fail, seed-derived
     # streams changed and every published result in EXPERIMENTS.md must
     # be regenerated.
-    first = population.peers[0]
-    assert str(first.peer_id) == "QmVfxp9vCET3itQZGSG7Kwa9Uk3Bvx4oU4zbwEjQieLBfn"
-    assert first.ips == ("42.42.99.60",)
+    assert str(population.peer_id_at(0)) == "QmVfxp9vCET3itQZGSG7Kwa9Uk3Bvx4oU4zbwEjQieLBfn"
+    assert population.ips_at(0) == ("42.42.99.60",)
     # the last peer's address sits behind every draw before it
-    assert population.peers[-1].ips == ("154.230.196.96",)
+    assert population.ips_at(len(population) - 1) == ("154.230.196.96",)

@@ -40,18 +40,23 @@ PINNED = {
 
 
 def population_sha256(population) -> str:
-    """Canonical digest: specs, then registry contents in iteration order."""
+    """Canonical digest: one line per peer from its accessors and
+    address slots, then registry contents in iteration order."""
     digest = hashlib.sha256()
 
     def put(*fields):
         digest.update(("|".join(map(str, fields)) + "\n").encode("ascii"))
 
-    for p in population.peers:
-        put("peer", p.index, p.peer_id, ",".join(p.ips), p.country,
-            ",".join(p.countries), p.asn, p.region.value, p.cloud_provider,
-            p.reachability, p.peer_class.value, repr(p.churn_model),
-            p.agent_version)
-    geo, clouds = population.geo, population.clouds
+    for i in range(len(population)):
+        slots = range(population.ip_off[i], population.ip_off[i + 1])
+        put("peer", i, population.peer_id_at(i), ",".join(population.ips_at(i)),
+            population.country_at(i),
+            ",".join(population.countries[population.addr_country[slot]] for slot in slots),
+            population.addr_asn[slots[0]], population.region_at(i).value,
+            population.cloud_at(i), population.reachability_at(i),
+            population.peer_class_at(i).value, repr(population.churn_model_at(i)),
+            population.agent_at(i))
+    geo, clouds = population.registries()
     for ip, country in geo._country_by_ip.items():
         put("geo", ip, country)
     for ip, asn in geo._asn_by_ip.items():
@@ -75,8 +80,8 @@ def test_population_is_pinned(seed):
 #: before the generator's stdlib calls were written out inline. At this
 #: size the shared pools fill past their 40-entry cap (225 evictions)
 #: and one packed-IP draw collides and is redrawn; the 400-peer rows
-#: reach neither. The arrays stand in for ``to_population()``, which
-#: would more than double the row's time.
+#: reach neither. The arrays stand in for the per-peer lines and the
+#: registries, which would more than double the row's time.
 PINNED_ARRAYS = {
     42: (
         "2d7f50e0817cd567d55edb1f8ca20fef49368787f61f815914f03dc755cfe760",
@@ -111,30 +116,10 @@ def test_arrays_are_pinned_at_scale(seed):
     assert _arrays_digests(seed) == PINNED_ARRAYS[seed]
 
 
-@pytest.mark.parametrize("seed", [42, 7])
-def test_accessors_and_spec_at_agree_with_the_population_view(seed):
-    config = PopulationConfig(n_peers=300)
-    compact = generate_compact_population(config, derive_rng(seed, "population"))
-    population = generate_population(config, derive_rng(seed, "population"))
-    assert len(compact) == len(population.peers)
-    for spec in population.peers:
-        i = spec.index
-        assert compact.spec_at(i) == spec
-        assert compact.peer_id_at(i) == spec.peer_id
-        assert compact.country_at(i) == spec.country
-        assert compact.region_at(i) == spec.region
-        assert compact.reachability_at(i) == spec.reachability
-        assert compact.peer_class_at(i) == spec.peer_class
-        assert compact.agent_at(i) == spec.agent_version
-        assert compact.churn_model_at(i) == spec.churn_model
-        assert compact.ips_at(i) == spec.ips
-        assert compact.cloud_at(i) == spec.cloud_provider
-
-
 def test_compact_is_actually_compact():
     compact = generate_compact_population(
         PopulationConfig(n_peers=2000), derive_rng(42, "population")
     )
-    # The whole point: tens of bytes per peer in arrays (peer ids and
-    # specs materialize lazily), versus ~kilobytes of objects.
+    # The whole point: tens of bytes per peer in arrays (peer ids
+    # materialize lazily), versus ~kilobytes of objects.
     assert compact.nbytes() / len(compact) < 200
