@@ -5,8 +5,10 @@ ablations at the frozen bench shape (``BENCH_figures.json``, pinned by
 ``BODY_SHA256`` and ``CHECKS`` were frozen from the 21 per-figure
 benches this registry replaced, before they were deleted: the sha256 of
 every rendered table or figure and the description of each of its 77
-shape checks, all ``[PASS]``. A displayed number that moves must edit
-them; nothing else may.
+shape checks, all ``[PASS]``. ``CHECKS`` also lists, in place, the 17
+paper-target registry rows the figures grade beside their shape checks
+(the other 10 registry rows are shape checks re-keyed). A displayed
+number that moves must edit them; nothing else may.
 """
 
 import pytest
@@ -72,6 +74,8 @@ CHECKS = {
         'the day is fully covered in 5-minute bins',
         'demand is diurnal: peak bin at least 1.5x the trough bin',
         'no empty bins (the gateway is busy all day, as in Fig 4b)',
+        'requests per distinct user over the day (paper 7.1 M / 101 k)',
+        'requests per distinct CID over the day (paper 7.1 M / 274 k)',
     ],
     "fig05": [
         'US and CN dominate (paper: 28.5% and 24.2%)',
@@ -79,11 +83,15 @@ CHECKS = {
         'top-five shares within 3 points of the paper',
         '~150 countries observed (152)',
         'multihoming share 9.0% (paper 8.8%)',
+        'US share of peers (paper 28.5%)',
+        'CN share of peers (paper 24.2%)',
     ],
     "fig06": [
         'US then CN lead (paper: 50.4% / 31.9%)',
         'US share within 5 points of the paper',
         '~59 countries send requests',
+        'US share of distinct users (paper 50.4%)',
+        'CN share of distinct users (paper 31.9%)',
     ],
     "fig07": [
         '~1.4% of peers reliable (measured 2.1%)',
@@ -105,6 +113,7 @@ CHECKS = {
         'RPC batch: 47% under 2 s (paper 43.3%)',
         'RPC batch: 38% at/over 5 s (paper 53.7%)',
         'overall publication median in the tens of seconds',
+        'median publication latency, all regions pooled (paper 33.8 s)',
     ],
     "fig09def": [
         '100% retrieval success (paper reports the same)',
@@ -112,6 +121,10 @@ CHECKS = {
         'both walks < 2 s for >=50% of retrievals (measured 72%)',
         'fetch: 100% under 1.26 s (paper >99%)',
         'retrieval floor at the 1 s Bitswap window',
+        'retrieval p50, all regions pooled (Table 4 Total row)',
+        'retrieval p90, all regions pooled (Table 4 Total row)',
+        'retrieval p95, all regions pooled (Table 4 Total row)',
+        'KS distance to the digitized Fig 9d retrieval CDF',
     ],
     "fig10": [
         'median stretch with window 4.8 is ~4 (paper 4.3): the cost of decentralization',
@@ -124,6 +137,8 @@ CHECKS = {
         '14% of objects below 100 kB (paper 20.9%)',
         'cache-hit fraction stays high across every 30-min bin',
         'no size/latency correlation (|r| = 0.02, paper 0.13)',
+        'median object size over the CID corpus, kB (paper 664.59)',
+        'CIDs in the corpus larger than 100 kB (paper 79.1%)',
     ],
     "table1": [
         'every region both publishes and retrieves',
@@ -145,6 +160,7 @@ CHECKS = {
         "publication medians land in the paper's tens-of-seconds band",
         "retrieval medians land in the paper's seconds band",
         'eu_central_1 has the fastest retrieval (as in the paper)',
+        'the slowest retrieval region is af-south, ap-southeast or sa-east',
     ],
     "table5": [
         'latency ordering: nginx < node store < non-cached',
@@ -152,7 +168,10 @@ CHECKS = {
         'non-cached median is seconds (paper 4.04 s)',
         'combined hit rate 91% exceeds 80% (paper: >80%)',
         'non-cached requests are the smallest class (paper 13.8%)',
+        'requests served by the nginx cache (paper 46.0%)',
+        'requests served by the IPFS node store (paper 40.2%)',
         'about half the traffic arrives via third-party referrers',
+        'referred traffic from the semi-popular sites (paper 70.6%)',
     ],
     "ablation.alpha": [
         'α=3 beats serial lookups (24s vs 56s)',

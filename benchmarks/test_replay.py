@@ -1,7 +1,7 @@
 """Full-day replay bench: the batched 7.1 M-request pipeline, CI-sized.
 
 The smoke test runs the committed ``BENCH_replay.json`` grid (a model
-arm at the quick-tier scale and a live-fleet arm) sharded across
+arm at scale 120 and a live-fleet arm) sharded across
 workers and checks the grades; the bytes are pinned for every graded
 artifact at once by ``test_graded_bench.py``.
 """

@@ -1,14 +1,11 @@
 """The four dataset runners: population → world → campaign, once.
 
 Every consumer of the paper's three datasets — the figure cells of
-:mod:`repro.experiments.figures`, the three dataset cells of
-:mod:`repro.validation.conformance` and the ``perf`` / ``deployment`` /
-``crawl`` / ``gateway`` / ``trace`` subcommands — builds them here,
-varying only what it really varies: size, world seed, run seed, the
-population's rng label, and for ``perf`` the ``NodeConfig`` / ``obs``
-the CLI passes. Kept apart from the figure registry because
-``repro.validation`` (which every graded pipeline imports) needs the
-runners and nothing else of it.
+:mod:`repro.experiments.figures` (which also grade the paper-target
+registry from them) and the ``perf`` / ``deployment`` / ``crawl`` /
+``gateway`` / ``trace`` subcommands — builds them here, varying only
+what it really varies: size, world seed, run seed, the population's rng
+label, and for ``perf`` the ``NodeConfig`` / ``obs`` the CLI passes.
 """
 
 from __future__ import annotations

@@ -96,7 +96,7 @@ GETTER_MODE: dict[str, NatMode | None] = {
     "symmetric_heavy": NatMode.SYMMETRIC,
 }
 
-#: AutoNAT agreement floor asserted by the conformance tier.
+#: AutoNAT agreement floor, also asserted by the nat tier (``validate``).
 AUTONAT_AGREEMENT_FLOOR = 0.95
 
 #: Minimum retrieval success rate for any cell (relay fallback floor).

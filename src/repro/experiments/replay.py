@@ -70,11 +70,10 @@ ANSWERED_FRACTION_FLOOR = (0.75, 0.15)
 def bench_replay_configs() -> list[ReplayConfig]:
     """The grid frozen into ``BENCH_replay.json`` (CI-sized).
 
-    The ``model`` arm runs at the conformance harness's quick-tier
-    scale (120) with the production 1800 s windows — 48 cells, so the
-    worker-sharded merge is exercised hard; the ``fleet`` arm runs at
-    scale 2000 with 6 h windows, small enough that building a fresh
-    simulated world per window stays CI-cheap.
+    The ``model`` arm runs at scale 120 with the production 1800 s
+    windows — 48 cells, so the worker-sharded merge is exercised hard;
+    the ``fleet`` arm runs at scale 2000 with 6 h windows, small enough
+    that building a fresh simulated world per window stays CI-cheap.
     """
     return [
         ReplayConfig(

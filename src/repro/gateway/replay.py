@@ -106,9 +106,9 @@ class ReplayConfig:
         default_factory=lambda: GatewayTraceConfig(scale=1)
     )
     #: nginx-cache budget as a fraction of the corpus bytes. The
-    #: default (0.15) lands Table 5's ≈46 % nginx share at the
-    #: conformance harness's scales; the full-scale day calibrates its
-    #: own fraction (see ``full_day_config``).
+    #: default (0.15) lands Table 5's ≈46 % nginx share at the CI
+    #: scales (40-120); the full-scale day calibrates its own fraction
+    #: (see ``full_day_config``).
     cache_fraction_of_corpus: float = DEFAULT_CACHE_FRACTION_OF_CORPUS
     #: window/cell width in trace seconds (Fig 11b uses 1800 s bins).
     window_s: float = 1800.0

@@ -76,7 +76,6 @@ from repro.tools.graded import (
     run_graded,
     scaled,
 )
-from repro.validation.conformance import QUICK, config_for_tier, run_conformance
 from repro.validation.nat_tier import NatTierConfig, run_nat_tier
 
 #: The flags of both chaos sweeps (``chaos-recovery`` adds one).
@@ -109,20 +108,10 @@ GRADED = (
     ),
     Graded(
         "validate",
-        "paper-fidelity conformance: grade the reproduction against the "
-        "paper's reported numbers",
-        "BENCH_fidelity.json",
-        # the nat tier sweeps its own seeds; the others are re-seedable
-        lambda seed, tier: (
-            NatTierConfig() if tier == "nat" else config_for_tier(tier, seed)
-        ),
-        lambda: QUICK,
-        lambda config, workers: (
-            run_nat_tier if isinstance(config, NatTierConfig) else run_conformance
-        )(config, workers),
-        [flag("--tier", "tier", "quick = CI scales, full = nightly scales, "
-              "nat = NAT-model seed stability",
-              choices=("quick", "full", "nat"), default="quick")],
+        "NAT-model seed stability: the crawl-measured undialable share and "
+        "AutoNAT agreement at three consecutive seeds (the paper-target "
+        "registry is graded by figures)",
+        "BENCH_fidelity.json", NatTierConfig, NatTierConfig, run_nat_tier,
     ),
     Graded(
         "attack",

@@ -1,4 +1,4 @@
-"""``validate --tier nat``: seed-stability conformance for the NAT model.
+"""``validate``: seed-stability conformance for the NAT model.
 
 The nat-sweep experiment (:mod:`repro.experiments.nat_sweep`) grades a
 single seed.  This tier asks the sharper question the paper's Section
@@ -7,7 +7,9 @@ the PASS band of the 45.5 % target across several seeds, and does the
 AutoNAT classifier keep agreeing with ground truth?  A model that only
 hits the band at one lucky seed is curve fitting, not reproduction.
 
-Each seed gets its own fresh world (default NAT mix, no hole-punch
+The sweep grades three consecutive seeds, ``seed`` to ``seed + 2``, so
+the global ``--seed`` moves it like every other graded run. Each seed
+gets its own fresh world (default NAT mix, no hole-punch
 adoption, default mapping TTL) and contributes two graded claims,
 scoped ``seed=<seed>``:
 
@@ -37,14 +39,15 @@ from repro.validation.compare import grade_at_least
 from repro.validation.report import Claim, GradedReport
 from repro.validation.targets import TARGETS_BY_KEY
 
-DEFAULT_TIER_SEEDS = (42, 43, 44)
+#: How many consecutive seeds one sweep grades.
+SEEDS_PER_SWEEP = 3
 
 
 @dataclass(frozen=True)
 class NatTierConfig:
-    """Scales for the nat conformance tier (one world per seed)."""
+    """Scales for the nat tier: one world per seed, ``seed`` onwards."""
 
-    seeds: tuple[int, ...] = DEFAULT_TIER_SEEDS
+    seed: int = 42
     n_peers: int = 250
     crawl_hours: float = 2.0
 
@@ -93,6 +96,6 @@ def run_nat_tier(
     config = config if config is not None else NatTierConfig()
     cells = [
         Cell(label=f"nat-tier:seed={seed}", fn=_seed_cell, args=(config, seed))
-        for seed in config.seeds
+        for seed in range(config.seed, config.seed + SEEDS_PER_SWEEP)
     ]
     return grade_nat_tier(config, run_cells(cells, workers=workers))

@@ -7,7 +7,10 @@ a scaled-down simulation can be expected to land on a number measured
 over the live network: structural shares generated by calibrated
 samplers get tight bands, order statistics of small-sample latency
 runs get wide ones (the known deviations in EXPERIMENTS.md document
-why the wide ones are wide).
+why the wide ones are wide). The key's prefix names the paper dataset
+(``peer.``, ``gateway.``, ``perf.``); the ``figures`` run grades every
+row once, in the figure that reads its data
+(:mod:`repro.experiments.figures`).
 
 Grading semantics by ``kind``:
 
@@ -36,19 +39,11 @@ from repro.validation.compare import (
 )
 from repro.workloads.gateway_trace import TOTAL_CIDS, TOTAL_REQUESTS, TOTAL_USERS
 
-PEER = "peer"
-GATEWAY = "gateway"
-PERFORMANCE = "performance"
-
-DATASETS = (PEER, GATEWAY, PERFORMANCE)
-
-
 @dataclass(frozen=True)
 class PaperTarget:
     """One reported quantity with its provenance and tolerance band."""
 
     key: str
-    dataset: str
     description: str
     source: str  # the paper table/figure/section the number comes from
     paper_value: float
@@ -100,7 +95,6 @@ TARGETS: tuple[PaperTarget, ...] = (
     # ---------------------------------------------------------------- peer
     PaperTarget(
         key="peer.country_share_us",
-        dataset=PEER,
         description="share of peers located in the United States",
         source="Fig 5 / Section 5.1",
         paper_value=0.285,
@@ -108,7 +102,6 @@ TARGETS: tuple[PaperTarget, ...] = (
     ),
     PaperTarget(
         key="peer.country_share_cn",
-        dataset=PEER,
         description="share of peers located in China",
         source="Fig 5 / Section 5.1",
         paper_value=0.242,
@@ -116,7 +109,6 @@ TARGETS: tuple[PaperTarget, ...] = (
     ),
     PaperTarget(
         key="peer.multihoming_share",
-        dataset=PEER,
         description="peers advertising addresses in multiple countries",
         source="Section 5.1",
         paper_value=0.088,
@@ -124,7 +116,6 @@ TARGETS: tuple[PaperTarget, ...] = (
     ),
     PaperTarget(
         key="peer.top10_as_share",
-        dataset=PEER,
         description="cumulative IP share of the ten largest ASes",
         source="Table 2 / Fig 7d",
         paper_value=0.649,
@@ -132,7 +123,6 @@ TARGETS: tuple[PaperTarget, ...] = (
     ),
     PaperTarget(
         key="peer.top100_as_share",
-        dataset=PEER,
         description="cumulative IP share of the hundred largest ASes",
         source="Section 5.2 / Fig 7d",
         paper_value=0.906,
@@ -140,7 +130,6 @@ TARGETS: tuple[PaperTarget, ...] = (
     ),
     PaperTarget(
         key="peer.cloud_ip_share",
-        dataset=PEER,
         description="fraction of peer IPs hosted in cloud providers",
         source="Table 3",
         paper_value=0.023,
@@ -148,7 +137,6 @@ TARGETS: tuple[PaperTarget, ...] = (
     ),
     PaperTarget(
         key="peer.never_reachable_share",
-        dataset=PEER,
         description="peers never reachable over the whole campaign",
         source="Section 5.3 / Fig 7b",
         paper_value=1 / 3,
@@ -156,7 +144,6 @@ TARGETS: tuple[PaperTarget, ...] = (
     ),
     PaperTarget(
         key="peer.undialable_fraction",
-        dataset=PEER,
         description="mean fraction of crawled peers that are undialable",
         source="Fig 4a / Section 5.3 (45.5 % of addresses)",
         paper_value=0.455,
@@ -164,7 +151,6 @@ TARGETS: tuple[PaperTarget, ...] = (
     ),
     PaperTarget(
         key="peer.session_under_8h",
-        dataset=PEER,
         description="observed DHT sessions shorter than eight hours",
         source="Section 5.3 / Fig 8",
         paper_value=0.876,
@@ -173,7 +159,6 @@ TARGETS: tuple[PaperTarget, ...] = (
     # ------------------------------------------------------------- gateway
     PaperTarget(
         key="gateway.user_share_us",
-        dataset=GATEWAY,
         description="share of gateway users located in the United States",
         source="Fig 6 / Section 4.2",
         paper_value=0.504,
@@ -181,7 +166,6 @@ TARGETS: tuple[PaperTarget, ...] = (
     ),
     PaperTarget(
         key="gateway.user_share_cn",
-        dataset=GATEWAY,
         description="share of gateway users located in China",
         source="Fig 6 / Section 4.2",
         paper_value=0.319,
@@ -189,7 +173,6 @@ TARGETS: tuple[PaperTarget, ...] = (
     ),
     PaperTarget(
         key="gateway.requests_per_user",
-        dataset=GATEWAY,
         description="requests per distinct user over the day",
         source="Section 4.2 (7.1 M requests / 101 k users)",
         paper_value=TOTAL_REQUESTS / TOTAL_USERS,
@@ -197,7 +180,6 @@ TARGETS: tuple[PaperTarget, ...] = (
     ),
     PaperTarget(
         key="gateway.requests_per_cid",
-        dataset=GATEWAY,
         description="requests per distinct CID over the day",
         source="Section 4.2 (7.1 M requests / 274 k CIDs)",
         paper_value=TOTAL_REQUESTS / TOTAL_CIDS,
@@ -205,7 +187,6 @@ TARGETS: tuple[PaperTarget, ...] = (
     ),
     PaperTarget(
         key="gateway.nginx_request_share",
-        dataset=GATEWAY,
         description="requests served from the nginx cache tier",
         source="Table 5",
         paper_value=0.460,
@@ -213,7 +194,6 @@ TARGETS: tuple[PaperTarget, ...] = (
     ),
     PaperTarget(
         key="gateway.node_store_request_share",
-        dataset=GATEWAY,
         description="requests served from the IPFS node store tier",
         source="Table 5",
         paper_value=0.402,
@@ -221,7 +201,6 @@ TARGETS: tuple[PaperTarget, ...] = (
     ),
     PaperTarget(
         key="gateway.combined_hit_rate",
-        dataset=GATEWAY,
         description="combined cache hit rate (nginx + node store)",
         source="Section 6.3 (reported as > 80 %)",
         paper_value=0.80,
@@ -230,7 +209,6 @@ TARGETS: tuple[PaperTarget, ...] = (
     ),
     PaperTarget(
         key="gateway.referred_share",
-        dataset=GATEWAY,
         description="traffic arriving via third-party referrers",
         source="Section 6.3, Gateway Referrals",
         paper_value=0.518,
@@ -238,7 +216,6 @@ TARGETS: tuple[PaperTarget, ...] = (
     ),
     PaperTarget(
         key="gateway.semi_popular_referral_share",
-        dataset=GATEWAY,
         description="referred traffic from the 72 semi-popular sites",
         source="Section 6.3, Gateway Referrals",
         paper_value=0.706,
@@ -246,7 +223,6 @@ TARGETS: tuple[PaperTarget, ...] = (
     ),
     PaperTarget(
         key="gateway.object_size_median_kb",
-        dataset=GATEWAY,
         description="median requested object size over the CID corpus",
         source="Fig 11a / Section 6.3",
         paper_value=664.59,
@@ -255,7 +231,6 @@ TARGETS: tuple[PaperTarget, ...] = (
     ),
     PaperTarget(
         key="gateway.object_size_over_100kb",
-        dataset=GATEWAY,
         description="fraction of objects larger than 100 kB",
         source="Fig 11a / Section 6.3",
         paper_value=0.791,
@@ -264,7 +239,6 @@ TARGETS: tuple[PaperTarget, ...] = (
     # --------------------------------------------------------- performance
     PaperTarget(
         key="perf.publication_p50_s",
-        dataset=PERFORMANCE,
         description="median publication latency, all regions pooled",
         source="Table 4 (Total row)",
         paper_value=33.8,
@@ -273,7 +247,6 @@ TARGETS: tuple[PaperTarget, ...] = (
     ),
     PaperTarget(
         key="perf.retrieval_p50_s",
-        dataset=PERFORMANCE,
         description="median retrieval latency, all regions pooled",
         source="Table 4 (Total row)",
         paper_value=2.90,
@@ -282,7 +255,6 @@ TARGETS: tuple[PaperTarget, ...] = (
     ),
     PaperTarget(
         key="perf.retrieval_p90_s",
-        dataset=PERFORMANCE,
         description="90th-percentile retrieval latency, all regions",
         source="Table 4 (Total row)",
         paper_value=4.34,
@@ -291,7 +263,6 @@ TARGETS: tuple[PaperTarget, ...] = (
     ),
     PaperTarget(
         key="perf.retrieval_p95_s",
-        dataset=PERFORMANCE,
         description="95th-percentile retrieval latency, all regions",
         source="Table 4 (Total row)",
         paper_value=4.74,
@@ -300,7 +271,6 @@ TARGETS: tuple[PaperTarget, ...] = (
     ),
     PaperTarget(
         key="perf.retrieval_success_rate",
-        dataset=PERFORMANCE,
         description="fraction of publish/retrieve operations succeeding",
         source="Section 6.2 (all retrievals succeeded)",
         paper_value=0.99,
@@ -309,7 +279,6 @@ TARGETS: tuple[PaperTarget, ...] = (
     ),
     PaperTarget(
         key="perf.retrieval_cdf_ks",
-        dataset=PERFORMANCE,
         description="KS distance to the digitized Fig 9d retrieval CDF",
         source="Fig 9d (digitized via Table 4 anchors)",
         paper_value=0.0,
@@ -318,7 +287,6 @@ TARGETS: tuple[PaperTarget, ...] = (
     ),
     PaperTarget(
         key="perf.slowest_region_is_far",
-        dataset=PERFORMANCE,
         description="slowest retrieval region is af-south/ap-southeast/sa-east",
         source="Table 4 / Fig 9a (af_south and ap_southeast slowest)",
         paper_value=1.0,
@@ -330,10 +298,3 @@ TARGETS_BY_KEY: dict[str, PaperTarget] = {t.key: t for t in TARGETS}
 
 if len(TARGETS_BY_KEY) != len(TARGETS):  # pragma: no cover - registry bug
     raise RuntimeError("duplicate target keys in the fidelity registry")
-
-
-def targets_for(dataset: str) -> tuple[PaperTarget, ...]:
-    """All registered targets of one dataset."""
-    if dataset not in DATASETS:
-        raise ValueError(f"unknown dataset {dataset!r}; expected one of {DATASETS}")
-    return tuple(t for t in TARGETS if t.dataset == dataset)

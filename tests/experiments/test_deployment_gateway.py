@@ -74,7 +74,7 @@ class TestCrawlCampaign:
         fig04a = next(f for f in figures.FIGURES if f.name == "fig04a")
         _, claims = fig04a.build((scenario, padded))
         measured = {claim.key: claim.measured for claim in claims}
-        assert measured["fig04a.undialable_fraction"] == results.undialable_fraction()
+        assert measured["peer.undialable_fraction"] == results.undialable_fraction()
 
     def test_undialable_fraction_is_undefined_when_no_crawl_saw_a_peer(self):
         assert CrawlCampaignResults().undialable_fraction() is None

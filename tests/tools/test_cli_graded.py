@@ -11,8 +11,8 @@ import pytest
 from repro.experiments import figures
 from repro.tools import cli
 from repro.tools.graded import write_atomic
-from repro.validation import conformance
 from repro.validation.compare import Grade, worst_grade
+from repro.validation.nat_tier import run_nat_tier
 from repro.validation.report import SCHEMA, GradedReport
 from tests.helpers import TINY_FIGURES
 
@@ -21,7 +21,7 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 #: Flags that shrink each entry to well under a second.
 TINY_FLAGS = {
     "figures": [],  # no flags of its own: the frozen shape is shrunk below
-    "validate": ["--tier", "quick"],  # with the quick tier shrunk below
+    "validate": [],  # no flags of its own: its run is shrunk below
     "attack": ["--peers", "80", "--retrievals", "1", "--attacks", "eclipse"],
     "nat-sweep": ["--peers", "40", "--hours", "0.5", "--retrievals", "0"],
     "flash-crowd": ["--gateways", "2", "--object-kib", "8", "--deadline", "4",
@@ -33,10 +33,8 @@ TINY_FLAGS = {
                        "--retrievals", "2", "--unannounced", "1"],
 }
 
-TINY_QUICK_TIER = conformance.ValidationConfig(
-    population_peers=800, crawl_peers=40, crawl_hours=2.0, perf_peers=120,
-    perf_rounds=1, gateway_scale=2000,
-)
+#: the nat tier's worlds, shrunk
+TINY_NAT_TIER = {"n_peers": 60, "crawl_hours": 0.5}
 
 TOP_LEVEL_KEYS = {"schema", "experiment", "config", "cells", "claims", "overall"}
 CLAIM_KEYS = {
@@ -66,7 +64,12 @@ def test_every_entry_has_tiny_flags():
 
 @entries
 def test_run_export_and_exit_code(entry, tmp_path, capsys, monkeypatch):
-    monkeypatch.setitem(conformance.TIERS, "quick", TINY_QUICK_TIER)
+    monkeypatch.setattr(cli, "GRADED", tuple(
+        dataclasses.replace(each, run=lambda config, workers: run_nat_tier(
+            dataclasses.replace(config, **TINY_NAT_TIER), workers,
+        )) if each.name == "validate" else each
+        for each in cli.GRADED
+    ))
     monkeypatch.setattr(figures, "BENCH", TINY_FIGURES)
     monkeypatch.setattr(figures, "FIGURES", tuple(  # the ablations shrink in test_figures.py
         figure for figure in figures.FIGURES if not figure.name.startswith("ablation.")
@@ -224,7 +227,7 @@ class TestBadInput:
         ["attack", "--attacks", "bogus"],
         ["attack", "--attacks", "eclipse,bogus"],
         ["flash-crowd", "--storms", "bogus"],
-        ["validate", "--tier", "huge"],
+        ["validate", "--tier", "quick"],
         ["replay", "--backend", "cloud"],
         ["chaos", "--arms", "bare,turbo"],
         ["chaos", "--intensities", "0.1,1.5"],

@@ -1,140 +1,126 @@
-"""Conformance runner: determinism, sharding equivalence, structure.
+"""The paper-target registry graded inside the ``figures`` run:
+determinism, sharding equivalence, structure.
 
-These tests run a deliberately tiny configuration (sub-second) so the
-suite stays fast; grading quality at real scale is covered by the
-seed-sweep test and the CI `validate` job.
+These tests run the four paper datasets at the tiny figures shape
+(sub-second) so the suite stays fast; grading quality at real scale is
+covered by the seed-sweep test and the CI ``figures`` gate.
 """
 
 import dataclasses
 import json
+from collections import Counter
 
 import pytest
 
+from repro.experiments import figures
 from repro.tools.graded import write_atomic
 from repro.validation.compare import Grade
-from repro.validation.conformance import (
-    FULL,
-    METRIC_KEYS_BY_DATASET,
-    QUICK,
-    ValidationConfig,
-    config_for_tier,
-    grade_measurements,
-    run_conformance,
-)
-from repro.validation.targets import DATASETS, TARGETS
+from repro.validation.targets import TARGETS, TARGETS_BY_KEY
+from tests.helpers import TINY_FIGURES
 
-TINY = ValidationConfig(
-    tier="quick",
-    seed=7,
-    population_peers=800,
-    crawl_peers=40,
-    crawl_hours=2.0,
-    crawl_interval_s=1800.0,
-    perf_peers=120,
-    perf_rounds=1,
-    gateway_scale=2000,
-)
+#: registry key prefix -> the datasets whose figures may grade it
+DATASETS_BY_PREFIX = {
+    "peer": {"deployment", "crawl"}, "gateway": {"gateway"}, "perf": {"perf"},
+}
+
+
+def registry_run(config, workers=1):
+    """The ``figures`` run over the paper's datasets (no ablations)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(figures, "FIGURES", tuple(
+            f for f in figures.FIGURES if not f.name.startswith("ablation.")
+        ))
+        return figures.run_figures(config, workers=workers)
+
+
+def registry_rows(report):
+    return [claim for claim in report.claims if claim.key in TARGETS_BY_KEY]
 
 
 @pytest.fixture(scope="module")
 def tiny_report():
-    return run_conformance(TINY, workers=1)
+    return registry_run(TINY_FIGURES)
 
 
 class TestDeterminism:
     def test_rerun_is_byte_identical(self, tiny_report):
-        again = run_conformance(TINY, workers=1)
-        assert again.to_json() == tiny_report.to_json()
+        assert registry_run(TINY_FIGURES).to_json() == tiny_report.to_json()
 
     def test_workers_do_not_change_results(self, tiny_report):
-        sharded = run_conformance(TINY, workers=2)
-        assert sharded.to_json() == tiny_report.to_json()
+        assert registry_run(TINY_FIGURES, workers=2).to_json() == tiny_report.to_json()
 
     def test_seed_changes_measurements(self, tiny_report):
-        other = run_conformance(
-            dataclasses.replace(TINY, seed=8), workers=1
-        )
-        assert other.to_json() != tiny_report.to_json()
+        other = registry_run(dataclasses.replace(TINY_FIGURES, seed=8))
+        assert [c.measured for c in registry_rows(other)] != [
+            c.measured for c in registry_rows(tiny_report)
+        ]
 
 
 class TestReportStructure:
     def test_covers_every_registered_target(self, tiny_report):
-        assert [(c.key, c.scope) for c in tiny_report.claims] == [
-            (t.key, t.dataset) for t in TARGETS
-        ]
-        assert {c.scope for c in tiny_report.claims} == set(DATASETS)
+        # each registry row exactly once, however many figures read its data
+        assert Counter(c.key for c in registry_rows(tiny_report)) == Counter(
+            t.key for t in TARGETS
+        )
+
+    def test_metric_keys_partition_targets(self, tiny_report):
+        datasets = {figure.name: figure.dataset for figure in figures.FIGURES}
+        for claim in registry_rows(tiny_report):
+            prefix = claim.key.split(".")[0]
+            assert datasets[claim.scope] in DATASETS_BY_PREFIX[prefix], claim.key
 
     def test_json_schema(self, tiny_report):
         doc = json.loads(tiny_report.to_json())
         assert doc["schema"] == "repro.graded/v1"
-        assert doc["experiment"] == "fidelity"
-        assert doc["config"] == dataclasses.asdict(TINY)
-        assert doc["cells"] == []
-        assert len(doc["claims"]) == len(TARGETS)
-        for entry, target in zip(doc["claims"], TARGETS):
+        assert doc["experiment"] == "figures"
+        registry = [entry for entry in doc["claims"] if entry["key"] in TARGETS_BY_KEY]
+        assert len(registry) == len(TARGETS)
+        for entry in registry:
             assert set(entry) == {
                 "key", "scope", "description", "measured", "expected",
                 "error", "grade",
             }
-            assert entry["expected"] == round(target.paper_value, 6)
-            assert target.source in entry["description"]
+            assert entry["expected"] == round(TARGETS_BY_KEY[entry["key"]].paper_value, 6)
 
     def test_counts_sum_to_metric_count(self, tiny_report):
-        grades = [claim.grade for claim in tiny_report.claims]
+        grades = [claim.grade for claim in tiny_report.claims if claim.grade]
         tally = tiny_report.render_text().splitlines()[-1]
+        infos = len(tiny_report.claims) - len(grades)
         assert tally == (
             f"overall: {tiny_report.overall.value} "
             f"({grades.count(Grade.PASS)} PASS / {grades.count(Grade.WARN)} "
-            f"WARN / {grades.count(Grade.FAIL)} FAIL)"
+            f"WARN / {grades.count(Grade.FAIL)} FAIL"
+            + (f", {infos} info)" if infos else ")")
         )
         assert tiny_report.failed() == (Grade.FAIL in grades)
 
     def test_render_text_lists_every_metric(self, tiny_report):
         text = tiny_report.render_text()
-        for claim in tiny_report.claims:
-            assert claim.key in text
+        for target in TARGETS:
+            assert target.key in text
 
     def test_artifact_round_trips(self, tiny_report, tmp_path):
-        path = tmp_path / "fidelity.json"
+        path = tmp_path / "figures.json"
         write_atomic(str(path), tiny_report.to_json())
         assert path.read_text() == tiny_report.to_json()
         assert list(tmp_path.iterdir()) == [path]
 
 
 class TestGradeMeasurements:
-    def _measurements(self):
-        return {t.key: t.paper_value for t in TARGETS}
-
     def test_paper_values_grade_pass(self):
-        report = grade_measurements(QUICK, self._measurements())
-        assert all(c.grade is Grade.PASS for c in report.claims)
-        assert report.overall is Grade.PASS and not report.failed()
+        claims = figures._Claims("fig")
+        for target in TARGETS:
+            claims.target(target.key, target.paper_value, target.description)
+        assert [c.key for c in claims.rows] == [t.key for t in TARGETS]
+        assert all(c.grade is Grade.PASS for c in claims.rows)
 
     def test_missing_key_rejected(self):
-        broken = self._measurements()
-        del broken["peer.country_share_us"]
-        with pytest.raises(ValueError, match="missing"):
-            grade_measurements(QUICK, broken)
+        # a registry quantity the run could not define FAILs its row
+        claims = figures._Claims("fig")
+        claims.target("peer.country_share_us", None, "no peers")
+        (claim,) = claims.rows
+        assert (claim.measured, claim.grade) == (None, Grade.FAIL)
 
     def test_unknown_key_rejected(self):
-        broken = self._measurements()
-        broken["peer.bogus"] = 1.0
-        with pytest.raises(ValueError, match="no registered target"):
-            grade_measurements(QUICK, broken)
-
-
-class TestTierConfigs:
-    def test_tiers_resolve(self):
-        assert config_for_tier("quick", seed=5).seed == 5
-        assert config_for_tier("quick", seed=5).population_peers == \
-            QUICK.population_peers
-        assert config_for_tier("full", seed=1).tier == "full"
-        assert FULL.population_peers > QUICK.population_peers
-
-    def test_unknown_tier_rejected(self):
-        with pytest.raises(ValueError):
-            config_for_tier("nonsense", seed=1)
-
-    def test_metric_keys_partition_targets(self):
-        keys = [k for d in DATASETS for k in METRIC_KEYS_BY_DATASET[d]]
-        assert keys == [t.key for t in TARGETS]
+        with pytest.raises(KeyError):
+            figures._Claims("fig").target("peer.bogus", 1.0, "")
