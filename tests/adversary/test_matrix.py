@@ -7,6 +7,7 @@ PASS — plus the determinism properties (worker-count invariance,
 zero-intensity cells identical to clean cells) the CI gate pins.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -20,6 +21,12 @@ from repro.adversary import (
 )
 from repro.validation.compare import Grade
 
+#: sha256 of ``grade_matrix(eclipse_results).to_json()``, frozen before
+#: the defense arm's node config was re-spelled as a protection rung.
+#: Not to be edited to make a refactor pass.
+ECLIPSE_MATRIX_SHA256 = (
+    "b5068074207114fc6941b7578a54a3511edd1ba477d8a1bf723176ad44283cbc"
+)
 
 @pytest.fixture(scope="module")
 def eclipse_results():
@@ -98,6 +105,10 @@ class TestDeterminism:
 
 
 class TestArtifact:
+    def test_graded_json_matches_the_frozen_sha256(self, eclipse_results):
+        text = grade_matrix(eclipse_results).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == ECLIPSE_MATRIX_SHA256
+
     def test_canonical_json_round_trips_and_carries_the_schema(
         self, eclipse_results
     ):
