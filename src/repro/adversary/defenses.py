@@ -8,11 +8,10 @@ go-ipfs v0.10 stack ("off") and once with every defense enabled
   over-replication of record stores. A Sybil ring owning the 20
   closest peers captures at most half of a 40-peer store set, so
   records survive on honest peers just outside the ring;
-- **the resilience layer** — circuit breakers (repeatedly-failing
-  eclipse peers get skipped), hedged walks, adaptive deadlines and the
-  Bitswap-broadcast fallback, exactly PR 3's machinery;
-- **the retry stack** — jittered, per-peer-decorrelated backoff on
-  walks, stores, dials and Bitswap wants;
+- **the ``resilient`` protection rung** — jittered, per-peer-
+  decorrelated backoff on walks, stores, dials and Bitswap wants, plus
+  circuit breakers (repeatedly-failing eclipse peers get skipped),
+  hedged walks, adaptive deadlines and the Bitswap-broadcast fallback;
 - **aggressive re-publishing** — provider records are re-announced
   every ``DEFENSE_REPUBLISH_S`` instead of every 12 h, repairing
   whatever records an incident wiped out.
@@ -20,11 +19,10 @@ go-ipfs v0.10 stack ("off") and once with every defense enabled
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
+from repro.dht.lookup import LookupConfig
 from repro.errors import ReproError
-from repro.experiments.chaos import full_resilience_config, resilient_node_config
 from repro.node.config import NodeConfig
 
 #: Hydra-style replication factor for record stores (2x the paper's k).
@@ -52,11 +50,9 @@ class DefenseSpec:
         """
         if not self.hardened:
             return None
-        config = resilient_node_config()
-        return dataclasses.replace(
-            config,
-            lookup=dataclasses.replace(config.lookup, store_k=DEFENSE_STORE_K),
-            resilience=full_resilience_config(),
+        return NodeConfig(
+            protection="resilient",
+            lookup=LookupConfig(store_k=DEFENSE_STORE_K),
             republish_interval_s=DEFENSE_REPUBLISH_S,
             # Dial providers straight from the addresses GET_PROVIDERS
             # responses carry (post-v0.10 go-ipfs). Under an incident

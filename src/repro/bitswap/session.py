@@ -8,8 +8,8 @@ Rocha et al., "Accelerating Content Routing with Bitswap").
 
 from __future__ import annotations
 
-import random
 from collections.abc import Generator
+from typing import TYPE_CHECKING
 
 from repro.bitswap.engine import BitswapEngine
 from repro.errors import RetrievalError
@@ -18,7 +18,10 @@ from repro.multiformats.cid import Cid
 from repro.multiformats.multicodec import CODEC_DAG_PB
 from repro.multiformats.peerid import PeerId
 from repro.simnet.sim import Future, TimeoutError_, with_timeout
-from repro.utils.retry import JitterStreams, RetryPolicy, retry
+from repro.utils.retry import JitterStreams, retry
+
+if TYPE_CHECKING:
+    from repro.resilience import Resilience
 
 #: how long a provider may stay silent on a want before the session
 #: re-sends it or moves on.
@@ -28,32 +31,30 @@ SILENCE_TIMEOUT_S = 8.0
 class BitswapSession:
     """Fetches whole Merkle-DAGs, tracking useful peers.
 
-    With a ``retry_policy`` the session re-broadcasts a want to the
-    same provider after :data:`SILENCE_TIMEOUT_S` of no answer
-    (go-bitswap re-sends its wantlist on session timeouts) before
-    moving to the next provider; without one (the default) a provider
-    gets exactly one chance per block, as the seed behaviour had it.
+    Above the ``bare`` rung of the node's ``resilience`` facade the
+    session re-broadcasts a want to the same provider after
+    :data:`SILENCE_TIMEOUT_S` of no answer (go-bitswap re-sends its
+    wantlist on session timeouts) before moving to the next provider;
+    on the bare rung (and without a facade) a provider gets exactly one
+    chance per block, as the seed behaviour had it.
     """
 
     def __init__(
         self,
         engine: BitswapEngine,
         providers: list[PeerId],
-        retry_policy: RetryPolicy | None = None,
-        rng: random.Random | None = None,
-        resilience=None,
+        resilience: "Resilience | None" = None,
     ) -> None:
         if not providers:
             raise RetrievalError("session needs at least one provider")
         self.engine = engine
         self.providers = list(providers)
-        self.retry_policy = retry_policy
-        self.rng = rng
-        #: optional :class:`repro.resilience.Resilience`; when set with
-        #: breakers on, failed providers feed the breaker and providers
-        #: with open breakers are tried last. Block durations are *not*
-        #: fed to the RTT estimator (they are bandwidth-bound, which
-        #: would pollute the control-plane RTT estimate).
+        #: the node's :class:`repro.resilience.Resilience`: its rung
+        #: picks the re-want schedule, and on the top rung failed
+        #: providers feed the breaker and providers with open breakers
+        #: are tried last. Block durations are *not* fed to the RTT
+        #: estimator (they are bandwidth-bound, which would pollute the
+        #: control-plane RTT estimate).
         self.resilience = resilience
         #: per-provider jitter streams so sessions re-wanting after the
         #: same silence window don't back off in lockstep.
@@ -63,7 +64,7 @@ class BitswapSession:
 
     def _silence_timeout(self, peer_id: PeerId) -> float:
         res = self.resilience
-        if res is None or not res.adaptive_on:
+        if res is None or not res.enabled:
             return SILENCE_TIMEOUT_S
         remote = self.engine.network.host(peer_id)
         region = remote.region if remote is not None else None
@@ -73,13 +74,13 @@ class BitswapSession:
         """Session providers, open-breaker peers pushed to the back."""
         providers = list(self.providers)
         res = self.resilience
-        if res is not None and res.breakers_on and len(providers) > 1:
+        if res is not None and res.enabled and len(providers) > 1:
             providers.sort(key=lambda peer_id: res.is_open(peer_id))
         return providers
 
     def _fetch_from(self, cid: Cid, peer_id: PeerId) -> Generator:
         """Fetch one block from one provider, re-wanting after silence."""
-        policy = self.retry_policy
+        policy = None if self.resilience is None else self.resilience.want_policy
         if policy is None or not policy.enabled:
             result = yield from self.engine.fetch_block(cid, peer_id)
             return result

@@ -35,7 +35,7 @@ from repro.errors import PublishError
 from repro.multiformats.cid import Cid
 from repro.multiformats.multiaddr import Multiaddr
 from repro.multiformats.peerid import PeerId
-from repro.resilience import DISABLED_RESILIENCE_CONFIG, Resilience
+from repro.resilience import Resilience
 from repro.simnet.network import SimHost, SimNetwork
 from repro.simnet.sim import Future, Simulator, TimeoutError_, all_of, with_timeout
 from repro.utils.retry import JitterStreams, retry
@@ -66,15 +66,12 @@ class DhtNode:
         self.server = server
         self.config = lookup_config if lookup_config is not None else LookupConfig()
         self.resilience = (
-            resilience
-            if resilience is not None
-            else Resilience(DISABLED_RESILIENCE_CONFIG, sim, network)
+            resilience if resilience is not None else Resilience("bare", sim, network)
         )
         self.routing_table = RoutingTable(
-            host.peer_id, failure_threshold=self.config.failure_threshold
+            host.peer_id, failure_threshold=self.resilience.eviction_threshold
         )
-        if self.resilience.breakers_on:
-            self.routing_table.breakers = self.resilience.breakers
+        self.routing_table.breakers = self.resilience.breakers
         #: per-remote-peer RNG streams for retry backoff jitter, so one
         #: incident failing many RPCs at once cannot re-fire them in
         #: lockstep (see :class:`~repro.utils.retry.JitterStreams`).
@@ -226,10 +223,11 @@ class DhtNode:
         request_size: int,
         timeout_s: float,
     ) -> Future:
-        """One record-store RPC, re-attempted under ``store_retry``.
+        """One record-store RPC, re-attempted under the rung's store
+        schedule.
 
-        With the default (disabled) policy this is exactly the bare
-        timeout-wrapped RPC the fire-and-forget publisher always sent.
+        On the ``bare`` rung this is exactly the timeout-wrapped RPC the
+        fire-and-forget publisher always sent.
         """
 
         tracer = self.network.tracer
@@ -246,7 +244,7 @@ class DhtNode:
                 timeout_s,
             )
 
-        policy = self.config.store_retry
+        policy = self.resilience.store_policy
         if not policy.enabled:
             future = attempt(1)
         else:
@@ -261,7 +259,7 @@ class DhtNode:
                     attempt, on_retry,
                 )
             ).future
-        if self.resilience.breakers_on:
+        if self.resilience.enabled:
             def feed_breaker(settled: Future) -> None:
                 if settled.failed:
                     self.resilience.record_failure(peer_id)

@@ -29,7 +29,7 @@ from repro.dht.keyspace import key_for_cid, key_for_peer, key_int_for_peer
 from repro.multiformats.cid import Cid
 from repro.multiformats.peerid import PeerId
 from repro.simnet.sim import Future, TimeoutError_, with_timeout
-from repro.utils.retry import RetryPolicy, retry
+from repro.utils.retry import retry
 
 if TYPE_CHECKING:
     from repro.dht.dht_node import DhtNode
@@ -52,16 +52,6 @@ class LookupConfig:
 
     alpha: int = ALPHA
     k: int = 20
-    #: per-hop retry schedule; the default (max_attempts=1) reproduces
-    #: go-ipfs v0.10, which abandons a candidate on its first failure.
-    rpc_retry: RetryPolicy = RetryPolicy()
-    #: retry schedule for record-store RPCs (ADD_PROVIDER, PUT_VALUE,
-    #: PUT_PEER_RECORD); default off — the paper's publisher is
-    #: fire-and-forget.
-    store_retry: RetryPolicy = RetryPolicy()
-    #: consecutive query failures before a peer is evicted from the
-    #: routing table (1 = evict immediately, the v0.10 behaviour).
-    failure_threshold: int = 1
     #: replication factor for record *stores* only (provide /
     #: put_value / peer records). ``None`` keeps the paper's k = 20;
     #: a larger value is the hydra-style extra-replication defense —
@@ -130,7 +120,7 @@ class _Walk:
         self.inflight: dict[int, list] = {}
         self._next_tag = 0
         self._dialing: set[PeerId] = set()
-        # Hedging state (all dormant unless res.hedging_on): tags whose
+        # Hedging state (all dormant unless res.enabled): tags whose
         # hedge timer fired and await a duplicate launch, extra launch
         # budget those grants, original<->hedge tag pairs, which tags
         # are hedge copies, and the future the walk loop sleeps on while
@@ -176,7 +166,7 @@ class _Walk:
         tag = self._next_tag
         self._next_tag += 1
         region = None
-        if res.adaptive_on or res.hedging_on:
+        if res.enabled:
             remote = network.host(candidate.peer_id)
             region = remote.region if remote is not None else None
         hop_span = None
@@ -189,7 +179,7 @@ class _Walk:
         def attempt(attempt_index: int) -> Future:
             self.stats.rpcs_sent += 1
             timeout_s = RPC_TIMEOUT_S
-            if res.adaptive_on:
+            if res.enabled:
                 timeout_s = res.rpc_deadline_s(region, timeout_s)
             wrapped = with_timeout(
                 sim,
@@ -199,7 +189,7 @@ class _Walk:
                 ),
                 timeout_s,
             )
-            if res.rtt is not None:
+            if res.enabled:
                 started = sim.now
 
                 def observe(settled: Future) -> None:
@@ -209,7 +199,7 @@ class _Walk:
                 wrapped.add_callback(observe)
             return wrapped
 
-        policy = self.config.rpc_retry
+        policy = res.hop_policy
         if policy.enabled:
             def on_retry(attempt_index: int, error: BaseException) -> None:
                 network.stats.retries_attempted += 1
@@ -223,7 +213,7 @@ class _Walk:
                     policy, attempt, on_retry,
                     # Adaptive mode keeps the whole retried hop inside
                     # the fixed budget one un-retried hop used to get.
-                    deadline_s=RPC_TIMEOUT_S if res.adaptive_on else None,
+                    deadline_s=RPC_TIMEOUT_S if res.enabled else None,
                 )
             ).future
         else:
@@ -237,7 +227,7 @@ class _Walk:
             self._hedge_tags.add(tag)
             self.stats.hedges_launched += 1
             res.count_hedge_launched()
-        elif res.hedging_on:
+        elif res.enabled:
             delay = res.hedge_delay_s(region)
 
             def maybe_hedge() -> None:
@@ -283,7 +273,7 @@ class _Walk:
                 break
             if candidate.state != "new" or candidate.peer_id in self._dialing:
                 continue
-            if self.res.breakers_on and self.res.is_open(candidate.peer_id):
+            if self.res.enabled and self.res.is_open(candidate.peer_id):
                 continue
             if self.node.host.is_connected(candidate.peer_id):
                 continue
@@ -363,7 +353,7 @@ class _Walk:
                         break
                     if candidate.state != "new":
                         continue
-                    if res.breakers_on and not res.allow(candidate.peer_id):
+                    if res.enabled and not res.allow(candidate.peer_id):
                         candidate.state = "skipped"
                         self.stats.skipped_breaker += 1
                         continue

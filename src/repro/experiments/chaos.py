@@ -2,11 +2,13 @@
 
 The paper evaluates IPFS in its network's steady state; this experiment
 asks how retrieval *degrades* when the network misbehaves, and what
-each layer of protection buys back. Three protocol stacks form a
-ladder (:data:`ARMS`): ``bare`` is the seed's fire-and-forget stack,
-``retry`` adds retry/backoff everywhere, ``resilient`` adds the
-:mod:`repro.resilience` layer (breakers, hedging, adaptive deadlines,
-degraded-mode fallbacks) on top of the retries. Two sweeps
+each layer of protection buys back. The arms are the rungs of the
+protection ladder (:data:`ARMS`, one :attr:`NodeConfig.protection
+<repro.node.config.NodeConfig.protection>` value each): ``bare`` is the
+seed's fire-and-forget stack, ``retry`` adds retry/backoff everywhere,
+``resilient`` adds the :mod:`repro.resilience` layer (breakers,
+hedging, adaptive deadlines, degraded-mode fallbacks) on top of the
+retries. Two sweeps
 (:data:`SWEEPS`) run arms of that ladder across a fault intensity:
 
 - ``loss`` — a *static* world under silent RPC loss, ``bare`` vs
@@ -39,7 +41,6 @@ from typing import Any
 
 from repro.blockstore.memory import MemoryBlockstore
 from repro.dht.keyspace import key_for_cid, key_for_peer, xor_distance
-from repro.dht.lookup import LookupConfig
 from repro.errors import ReproError
 from repro.experiments.datasets import build_world
 from repro.experiments.runner import run_cells, sweep_cells
@@ -47,11 +48,10 @@ from repro.experiments.scenario import Scenario
 from repro.merkledag.builder import DagBuilder
 from repro.node.config import NodeConfig
 from repro.obs import Observability
-from repro.resilience import BreakerConfig, ResilienceConfig
+from repro.resilience import PROTECTIONS
 from repro.simnet.faults import FaultInjector, FaultKind, FaultPlan, FaultRule
 from repro.simnet.network import NetworkStats
 from repro.simnet.sim import with_timeout
-from repro.utils.retry import RetryPolicy
 from repro.utils.rng import derive_rng
 from repro.utils.stats import percentiles
 from repro.validation.compare import Grade
@@ -77,58 +77,11 @@ RETRIEVAL_SPACING_S = 130.0
 UNANNOUNCED_REPLICAS = 8
 
 
-def resilient_node_config() -> NodeConfig:
-    """A :class:`NodeConfig` with the full retry/backoff stack on.
-
-    Per-hop walk retries, store-RPC re-attempts, dial backoff and
-    Bitswap re-wants, all with decorrelated jitter, plus a routing
-    table that tolerates two consecutive failures before evicting.
-    """
-    backoff = RetryPolicy(
-        max_attempts=3, base_delay_s=0.25, max_delay_s=4.0, jitter="decorrelated"
-    )
-    return NodeConfig(
-        lookup=LookupConfig(
-            rpc_retry=RetryPolicy(
-                max_attempts=2, base_delay_s=0.25, max_delay_s=2.0,
-                jitter="decorrelated",
-            ),
-            store_retry=backoff,
-            failure_threshold=3,
-        ),
-        dial_retry=backoff,
-        bitswap_retry=backoff,
-    )
-
-
-def full_resilience_config() -> ResilienceConfig:
-    """Every resilience feature on, tuned for incident weather.
-
-    The breaker trips after two consecutive failures (the sweep's
-    retrievals are minutes apart, so a 90 s cooldown spans roughly one
-    retrieval — long enough to skip a dead peer for the rest of an
-    attempt, short enough to re-probe within the level).
-    """
-    return ResilienceConfig(
-        breakers=True,
-        hedging=True,
-        adaptive_timeouts=True,
-        fallbacks=True,
-        breaker=BreakerConfig(failure_threshold=2, cooldown_s=90.0),
-    )
-
-
-#: The ladder, weakest first: arm -> the :class:`NodeConfig` every node
-#: of its worlds runs (``None`` = the stock config, exactly the seed's
-#: stack). The four :class:`ResilienceConfig` flags are only ever all
-#: off or all on, so they are this one step.
-ARMS: dict[str, Callable[[], NodeConfig | None]] = {
-    "bare": lambda: None,
-    "retry": resilient_node_config,
-    "resilient": lambda: dataclasses.replace(
-        resilient_node_config(), resilience=full_resilience_config()
-    ),
-}
+#: The ladder, weakest first: each arm is the protection rung every
+#: vantage node of its worlds runs (the backdrop stays ``bare``). A
+#: rung is all of its mechanisms at once; see
+#: :data:`repro.resilience.core.PROTECTIONS`.
+ARMS = PROTECTIONS
 
 #: Summed over the vantage nodes' ``ResilienceStats`` into each level
 #: (zero below the ``resilient`` arm by construction).
@@ -315,7 +268,7 @@ def play_level(
     scenario = build_world(
         config.n_peers, config.seed, f"{label}-pop",
         [PUBLISHER_REGION, GETTER_REGION],
-        with_churn=sweep.churn, node_config=ARMS[arm](),
+        with_churn=sweep.churn, node_config=NodeConfig(protection=arm),
     )
     sim, net = scenario.sim, scenario.net
     if obs is not None:

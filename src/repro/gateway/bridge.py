@@ -41,7 +41,7 @@ from repro.multiformats.cid import Cid
 from repro.multiformats.peerid import PeerId
 from repro.node.host import IpfsNode, RetrievalReceipt, synthesize_multiaddr
 from repro.simnet.sim import Future
-from repro.utils.retry import RetryPolicy, retry
+from repro.utils.retry import retry
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class BridgedResponse:
     latency: float
     size: int
     #: served from a cache entry past its TTL because the upstream
-    #: revalidation failed (degraded mode; resilience fallbacks only).
+    #: revalidation failed (degraded mode; the ``resilient`` rung only).
     degraded: bool = False
     #: turned away by admission control (a 503; nothing was served).
     shed: bool = False
@@ -64,14 +64,10 @@ class BridgedResponse:
 class GatewayBridge:
     """An HTTP entry point backed by a co-located IPFS node.
 
-    ``retry_policy`` re-attempts failed upstream retrievals with
-    backoff before surfacing an error to the HTTP client (the ipfs.io
-    bridge retries transient upstream failures rather than 502-ing).
-
     With a ``cache_ttl_s``, nginx cache entries older than the TTL are
     revalidated upstream; when the revalidation fails and
-    ``serve_stale`` is on (it defaults to the bridge node's resilience
-    ``fallbacks`` flag) the stale bytes are served with
+    ``serve_stale`` is on (it defaults to on when the bridge node runs
+    the ``resilient`` protection rung) the stale bytes are served with
     ``degraded=True`` instead of surfacing the error — nginx's
     ``proxy_cache_use_stale``. Without a TTL (the default) entries
     never go stale and the path is byte-identical to the stock bridge.
@@ -88,7 +84,6 @@ class GatewayBridge:
         self,
         node: IpfsNode,
         cache_capacity_bytes: int,
-        retry_policy: RetryPolicy | None = None,
         cache_ttl_s: float | None = None,
         serve_stale: bool | None = None,
         overload: OverloadConfig | None = None,
@@ -102,11 +97,9 @@ class GatewayBridge:
         self.web_cache = ObjectCache(
             cache_capacity_bytes, on_evict=self._forget_cached_at
         )
-        self.retry_policy = retry_policy
         self.cache_ttl_s = cache_ttl_s
         self.serve_stale = (
-            serve_stale if serve_stale is not None
-            else node.resilience.fallbacks_on
+            serve_stale if serve_stale is not None else node.resilience.enabled
         )
         self.overload = overload
         self.provider_hints = provider_hints
@@ -152,24 +145,6 @@ class GatewayBridge:
 
     # -- upstream paths ----------------------------------------------------
 
-    def _retrieve_upstream(self, cid: Cid) -> Generator:
-        """The miss path: a full network retrieval, retried per policy."""
-        policy = self.retry_policy
-        if policy is None or not policy.enabled:
-            receipt = yield from self.node.retrieve(cid)
-            return receipt
-
-        def attempt(_attempt: int) -> Future:
-            return self.node.sim.spawn(self.node.retrieve(cid)).future
-
-        def on_retry(_attempt: int, _error: BaseException) -> None:
-            self.node.network.stats.retries_attempted += 1
-
-        receipt = yield from retry(
-            self.node.sim, self.node.rng, policy, attempt, on_retry
-        )
-        return receipt
-
     def _fetch_from_hint(self, cid: Cid, provider: PeerId) -> Generator:
         """Fetch straight from a known provider: dial + Bitswap, no
         DHT walks (the failover fast path fed by the fleet's shared
@@ -182,16 +157,11 @@ class GatewayBridge:
             yield from retry(
                 node.sim,
                 node.dht.retry_jitter.for_peer(provider),
-                node.config.dial_retry,
+                node.resilience.dial_policy,
                 lambda _attempt: node.network.dial(node.host, provider),
             )
         dial_duration = node.sim.now - dial_start
-        session = BitswapSession(
-            node.bitswap, [provider],
-            retry_policy=node.config.bitswap_retry,
-            rng=node.rng,
-            resilience=node.resilience if node.config.resilience.any_enabled else None,
-        )
+        session = BitswapSession(node.bitswap, [provider], node.resilience)
         fetch_start = node.sim.now
         yield from session.fetch_dag(cid)
         return RetrievalReceipt(
@@ -211,7 +181,7 @@ class GatewayBridge:
         """Upstream retrieval, preferring a shared provider hint."""
         hints = self.provider_hints
         if hints is None:
-            receipt = yield from self._retrieve_upstream(cid)
+            receipt = yield from self.node.retrieve(cid)
             return receipt
         provider = hints.get(cid)
         if provider is not None:
@@ -223,7 +193,7 @@ class GatewayBridge:
             else:
                 self.overload_stats.hint_fetches += 1
                 return receipt
-        receipt = yield from self._retrieve_upstream(cid)
+        receipt = yield from self.node.retrieve(cid)
         if isinstance(receipt, RetrievalReceipt):
             hints.put(cid, receipt.provider)
         return receipt

@@ -17,8 +17,7 @@ from repro.errors import IpnsError
 from repro.ipns.record import DEFAULT_VALIDITY_S, IpnsRecord, ipns_key_for, make_record
 from repro.multiformats.cid import Cid
 from repro.multiformats.peerid import PeerId
-from repro.simnet.sim import Future, with_timeout
-from repro.utils.retry import RetryPolicy, retry
+from repro.simnet.sim import with_timeout
 
 
 def install_ipns_validator(node: DhtNode) -> None:
@@ -85,30 +84,15 @@ class IpnsPublisher:
 
 
 class IpnsResolver:
-    """Resolves ``/ipns/<PeerID>`` names to CIDs.
+    """Resolves ``/ipns/<PeerID>`` names to CIDs."""
 
-    ``retry_policy`` re-runs the whole resolution walk with backoff
-    when it yields no valid record — a transiently unreachable record
-    holder (or an injected fault) then costs a retry, not a failure.
-    """
-
-    #: fixed ceiling on one resolution walk; with adaptive timeouts on,
-    #: the budget tightens to
+    #: fixed ceiling on one resolution walk; on the ``resilient`` rung
+    #: of the DHT node the budget tightens to
     #: :data:`~repro.resilience.core.WALK_HOP_BUDGET` per-hop deadlines.
     RESOLVE_BUDGET_S = 60.0
 
-    def __init__(
-        self,
-        dht: DhtNode,
-        retry_policy: RetryPolicy | None = None,
-        resilience=None,
-    ) -> None:
+    def __init__(self, dht: DhtNode) -> None:
         self.dht = dht
-        self.retry_policy = retry_policy
-        self.resilience = (
-            resilience if resilience is not None
-            else getattr(dht, "resilience", None)
-        )
 
     def _resolve_once(self, name: PeerId) -> Generator:
         raw, _stats = yield from self.dht.get_value(ipns_key_for(name))
@@ -122,11 +106,11 @@ class IpnsResolver:
     def _bounded_resolve_once(self, name: PeerId) -> Generator:
         """One resolution walk under the adaptive time budget.
 
-        With adaptive timeouts off this is :meth:`_resolve_once`
+        Below the ``resilient`` rung this is :meth:`_resolve_once`
         verbatim — no extra process, no timer.
         """
-        res = self.resilience
-        if res is None or not res.adaptive_on:
+        res = self.dht.resilience
+        if not res.enabled:
             value = yield from self._resolve_once(name)
             return value
         budget = res.walk_budget_s(self.RESOLVE_BUDGET_S)
@@ -141,21 +125,6 @@ class IpnsResolver:
         (unknown name, expired record, or forged bytes).
         """
         with self.dht.network.tracer.span("ipns.resolve", name=str(name)) as span:
-            value = yield from self._resolve(name)
+            value = yield from self._bounded_resolve_once(name)
             span.set_attrs(value=str(value))
             return value
-
-    def _resolve(self, name: PeerId) -> Generator:
-        policy = self.retry_policy
-        if policy is None or not policy.enabled:
-            value = yield from self._bounded_resolve_once(name)
-            return value
-
-        def attempt(_attempt: int) -> Future:
-            return self.dht.sim.spawn(self._bounded_resolve_once(name)).future
-
-        def on_retry(_attempt: int, _error: BaseException) -> None:
-            self.dht.network.stats.retries_attempted += 1
-
-        value = yield from retry(self.dht.sim, self.dht.rng, policy, attempt, on_retry)
-        return value

@@ -6,8 +6,8 @@ from dataclasses import dataclass, field
 
 from repro.dht.lookup import LookupConfig
 from repro.dht.records import REPUBLISH_INTERVAL_S
-from repro.resilience import ResilienceConfig
-from repro.utils.retry import RetryPolicy
+from repro.errors import ReproError
+from repro.resilience import PROTECTIONS
 
 
 @dataclass(frozen=True)
@@ -21,6 +21,7 @@ class NodeConfig:
     (:data:`~repro.bitswap.messages.BITSWAP_TIMEOUT_S`), 24 h expiry
     (:data:`~repro.dht.records.EXPIRY_INTERVAL_S`), the 900-entry
     address book (:data:`~repro.node.addressbook.ADDRESS_BOOK_CAPACITY`).
+    How hard the node fights failures is one knob, ``protection``.
     """
 
     republish_interval_s: float = REPUBLISH_INTERVAL_S
@@ -34,20 +35,18 @@ class NodeConfig:
     #: the v0.10 build the paper measures performs the second walk
     #: (Figure 9e), so the default is off.
     provider_addr_hints: bool = False
-    #: Dial schedule for peer routing (step 3 of the retrieval path).
-    #: The default — two attempts, no backoff — is exactly go-ipfs's
-    #: immediate second dial over the peer's other addresses, which
-    #: the seed hard-coded as a lone ``retry once``.
-    dial_retry: RetryPolicy = RetryPolicy(
-        max_attempts=2, base_delay_s=0.0, max_delay_s=0.0
-    )
-    #: Per-provider Bitswap re-want policy: after
-    #: :data:`~repro.bitswap.session.SILENCE_TIMEOUT_S` of silence the
-    #: session re-sends the want instead of writing the provider off.
-    #: Off by default (the paper's go-bitswap session behaviour at
-    #: measurement time).
-    bitswap_retry: RetryPolicy = RetryPolicy()
-    #: Graceful-degradation features (circuit breakers, adaptive
-    #: deadlines, hedging, fallbacks); every flag defaults off, so the
-    #: stock node is byte-identical to the pre-resilience stack.
-    resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
+    #: The node's rung of the protection ladder
+    #: (:data:`~repro.resilience.core.PROTECTIONS`): ``"bare"`` is the
+    #: go-ipfs v0.10 node the paper measures, ``"retry"`` adds jittered
+    #: backoff to walks, stores, dials and Bitswap wants, and
+    #: ``"resilient"`` adds breakers, hedging, adaptive deadlines and
+    #: fallbacks. The rung's retry schedules and thresholds are
+    #: constants of :mod:`repro.resilience.core`.
+    protection: str = "bare"
+
+    def __post_init__(self) -> None:
+        if self.protection not in PROTECTIONS:
+            raise ReproError(
+                f"protection must be one of {', '.join(PROTECTIONS)}, "
+                f"got {self.protection!r}"
+            )

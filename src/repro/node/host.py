@@ -153,7 +153,7 @@ class IpfsNode:
             if dht_server is not None
             else not nat_private and nat is None
         )
-        self.resilience = Resilience(self.config.resilience, sim, network)
+        self.resilience = Resilience(self.config.protection, sim, network)
         self.dht = DhtNode(sim, network, self.host, rng, server=server,
                            lookup_config=self.config.lookup,
                            resilience=self.resilience)
@@ -286,10 +286,8 @@ class IpfsNode:
             # self-report addresses with a 30 min TTL), else the second
             # DHT walk.
             peer_walk = 0.0
-            breakers = (
-                self.resilience.breakers if self.resilience.breakers_on else None
-            )
             if not via_bitswap and not self.host.is_connected(provider):
+                breakers = self.resilience.breakers
                 if self.address_book.lookup(provider, breakers=breakers) is None:
                     hint = (
                         self.dht.address_hints.pop(provider, None)
@@ -310,13 +308,13 @@ class IpfsNode:
                             self.address_book.record(provider, record.addresses)
 
             # Peer routing: connect to the provider. Failed handshakes are
-            # re-dialed under the node's dial policy (the default of two
-            # immediate attempts is go-ipfs walking the peer's other
-            # addresses).
+            # re-dialed under the rung's dial schedule (the bare rung's
+            # two immediate attempts are go-ipfs walking the peer's
+            # other addresses).
             dial_start = self.sim.now
             with tracer.span("retrieve.dial"):
                 if not self.host.is_connected(provider):
-                    if self.resilience.hedging_on and alternates:
+                    if self.resilience.enabled and alternates:
                         provider = yield from self._dial_hedged(
                             provider, alternates[0]
                         )
@@ -325,7 +323,7 @@ class IpfsNode:
                             yield from retry(
                                 self.sim,
                                 self.dht.retry_jitter.for_peer(provider),
-                                self.config.dial_retry,
+                                self.resilience.dial_policy,
                                 lambda _attempt: self.network.dial(self.host, provider),
                                 self._count_retry,
                             )
@@ -337,12 +335,7 @@ class IpfsNode:
 
             # Content exchange.
             fetch_start = self.sim.now
-            session = BitswapSession(
-                self.bitswap, [provider],
-                retry_policy=self.config.bitswap_retry,
-                rng=self.rng,
-                resilience=self.resilience if self.config.resilience.any_enabled else None,
-            )
+            session = BitswapSession(self.bitswap, [provider], self.resilience)
             with tracer.span("retrieve.fetch"):
                 if recursive:
                     yield from session.fetch_dag(cid)
@@ -386,7 +379,7 @@ class IpfsNode:
         records, _ = yield from self.dht.find_providers(cid)
         provider_walk = self.sim.now - walk_start
         if not records:
-            if self.resilience.fallbacks_on:
+            if self.resilience.enabled:
                 peer = yield from self._fallback_discover(cid)
                 if peer is not None:
                     return peer, [], (
@@ -429,7 +422,7 @@ class IpfsNode:
         peer = yield bitswap_process.future
         if peer is not None:
             return peer, [], (self.sim.now - start, 0.0, True, False)
-        if self.resilience.fallbacks_on:
+        if self.resilience.enabled:
             peer = yield from self._fallback_discover(cid)
             if peer is not None:
                 return peer, [], (self.sim.now - start, 0.0, True, True)
@@ -473,7 +466,7 @@ class IpfsNode:
 
                 future = self.sim.spawn(
                     retry(self.sim, self.dht.retry_jitter.for_peer(peer_id),
-                          self.config.dial_retry, attempt, self._count_retry)
+                          res.dial_policy, attempt, self._count_retry)
                 ).future
 
                 def feed(settled: Future) -> None:

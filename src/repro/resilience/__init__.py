@@ -1,24 +1,15 @@
-"""Graceful degradation under churn (Sections 5–6 of the paper).
+"""Protection rungs above the paper's stock node (Sections 5–6).
 
-Four independent, individually-flagged mechanisms: per-peer circuit
-breakers, adaptive RPC deadlines from an online RTT estimator, hedged
-requests, and degraded-mode fallbacks (Bitswap broadcast, stale
-gateway serves). All default off; see :mod:`repro.resilience.core`.
+A node runs one rung of :data:`PROTECTIONS`: ``bare`` (go-ipfs v0.10),
+``retry`` (jittered backoff everywhere) or ``resilient`` (the retries
+plus per-peer circuit breakers, adaptive RPC deadlines from an online
+RTT estimator, hedged requests and degraded-mode fallbacks: Bitswap
+broadcast, stale gateway serves). The default is ``bare``; see
+:mod:`repro.resilience.core`.
 """
 
-from repro.resilience.breaker import (
-    CLOSED,
-    HALF_OPEN,
-    OPEN,
-    BreakerConfig,
-    BreakerRegistry,
-)
-from repro.resilience.core import (
-    DISABLED_RESILIENCE_CONFIG,
-    Resilience,
-    ResilienceConfig,
-    ResilienceStats,
-)
+from repro.resilience.breaker import CLOSED, HALF_OPEN, OPEN, BreakerRegistry
+from repro.resilience.core import PROTECTIONS, Resilience, ResilienceStats
 from repro.resilience.hedge import HedgeOutcome, first_success, hedged_call
 from repro.resilience.rtt import RttEstimator
 
@@ -26,14 +17,12 @@ __all__ = [
     "CLOSED",
     "OPEN",
     "HALF_OPEN",
-    "BreakerConfig",
     "BreakerRegistry",
     "RttEstimator",
     "HedgeOutcome",
     "first_success",
     "hedged_call",
+    "PROTECTIONS",
     "Resilience",
-    "ResilienceConfig",
     "ResilienceStats",
-    "DISABLED_RESILIENCE_CONFIG",
 ]

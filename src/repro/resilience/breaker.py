@@ -11,8 +11,9 @@ Classic three-state machine, driven entirely by the simulated clock:
 
 - **closed** — traffic flows; consecutive failures are counted and
   reset on any success;
-- **open** — entered after ``failure_threshold`` consecutive failures;
-  every request is refused until ``cooldown_s`` of sim-time passes;
+- **open** — entered after :data:`FAILURE_THRESHOLD` consecutive
+  failures; every request is refused until :data:`COOLDOWN_S` of
+  sim-time passes;
 - **half-open** — after the cooldown, :data:`HALF_OPEN_PROBES` trial
   request may pass. A success closes the breaker; a failure re-opens
   it with the cooldown escalated by :data:`COOLDOWN_MULTIPLIER`, up
@@ -27,9 +28,7 @@ decisions are a pure function of the outcome sequence and sim-time.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 
-from repro.errors import ReproError
 from repro.multiformats.peerid import PeerId
 
 #: Breaker states (plain strings: they travel into metrics and traces).
@@ -37,32 +36,19 @@ CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half_open"
 
+#: consecutive failures that trip a closed breaker open. The chaos
+#: sweep's retrievals are minutes apart, so two strikes and a 90 s
+#: cooldown skip a dead peer for the rest of one retrieval and re-probe
+#: it within the next.
+FAILURE_THRESHOLD = 2
+#: sim-seconds an open breaker refuses traffic before probing.
+COOLDOWN_S = 90.0
 #: trial requests allowed through a half-open breaker.
 HALF_OPEN_PROBES = 1
 #: cooldown escalation on a failed probe (repeat offenders wait
 #: longer), and its cap.
 COOLDOWN_MULTIPLIER = 2.0
 MAX_COOLDOWN_S = 600.0
-
-
-@dataclass(frozen=True)
-class BreakerConfig:
-    """Tunables of the per-peer failure detector."""
-
-    #: consecutive failures that trip a closed breaker open.
-    failure_threshold: int = 3
-    #: sim-seconds an open breaker refuses traffic before probing.
-    cooldown_s: float = 60.0
-
-    def __post_init__(self) -> None:
-        if self.failure_threshold < 1:
-            raise ReproError(
-                f"failure_threshold must be >= 1, got {self.failure_threshold}"
-            )
-        if not 0 < self.cooldown_s <= MAX_COOLDOWN_S:
-            raise ReproError(
-                f"need 0 < cooldown ({self.cooldown_s}) <= {MAX_COOLDOWN_S}"
-            )
 
 
 class _PeerBreaker:
@@ -87,11 +73,9 @@ class BreakerRegistry:
 
     def __init__(
         self,
-        config: BreakerConfig,
         clock: Callable[[], float],
         on_transition: TransitionHook | None = None,
     ) -> None:
-        self.config = config
         self._clock = clock
         self._on_transition = on_transition
         self._breakers: dict[PeerId, _PeerBreaker] = {}
@@ -158,14 +142,14 @@ class BreakerRegistry:
         # A half-open probe (or a straggler from before the trip)
         # succeeded: the peer is back.
         breaker.failures = 0
-        breaker.cooldown_s = self.config.cooldown_s
+        breaker.cooldown_s = COOLDOWN_S
         self._transition(peer_id, breaker, CLOSED)
 
     def record_failure(self, peer_id: PeerId) -> None:
         """A request toward the peer failed (timeout, reset, garbage)."""
         breaker = self._breakers.get(peer_id)
         if breaker is None:
-            breaker = _PeerBreaker(self.config.cooldown_s)
+            breaker = _PeerBreaker(COOLDOWN_S)
             self._breakers[peer_id] = breaker
         if breaker.state == HALF_OPEN:
             # The probe failed: re-open with an escalated cooldown.
@@ -178,7 +162,7 @@ class BreakerRegistry:
         if breaker.state == OPEN:
             return  # concurrent requests from before the trip
         breaker.failures += 1
-        if breaker.failures >= self.config.failure_threshold:
+        if breaker.failures >= FAILURE_THRESHOLD:
             breaker.opened_at = self._clock()
             self._transition(peer_id, breaker, OPEN)
 

@@ -1,14 +1,16 @@
 """The resilience facade: one object the protocol stack consults.
 
-`Resilience` bundles the circuit-breaker registry (:mod:`.breaker`),
-the RTT estimator (:mod:`.rtt`) and the bookkeeping for hedges and
-degraded-mode fallbacks behind a single always-present object. Every
-feature is gated by its own flag in :class:`ResilienceConfig`, and all
-flags default **off**: a disabled `Resilience` allocates no registry,
-no estimator, draws no randomness, schedules nothing, and its
-record/allow methods are early-return no-ops — runs without the flags
-stay byte-identical to the tree before this layer existed (the golden
-trace in ``tests/test_determinism.py`` enforces it).
+`Resilience` holds a node's protection rung (:data:`PROTECTIONS`) and
+everything the rung decides: the retry schedules of walk hops, record
+stores, dials and Bitswap re-wants, the routing table's eviction
+threshold, and — on the ``resilient`` rung only — the circuit-breaker
+registry (:mod:`.breaker`), the RTT estimator (:mod:`.rtt`) and the
+bookkeeping for hedges and degraded-mode fallbacks. The stack branches
+on one bool, :attr:`Resilience.enabled`. Below the top rung the facade
+allocates no registry, no estimator, draws no randomness, schedules
+nothing, and its record/allow methods are early-return no-ops; the
+``bare`` rung is go-ipfs v0.10 exactly (the golden trace in
+``tests/test_determinism.py`` enforces it).
 
 Counters live in two places on purpose: :class:`ResilienceStats` is a
 plain per-node struct experiments aggregate cheaply, and when the
@@ -19,18 +21,13 @@ runs can be inspected with the standard trace tooling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable
 
 from repro.multiformats.peerid import PeerId
-from repro.resilience.breaker import (
-    CLOSED,
-    HALF_OPEN,
-    OPEN,
-    BreakerConfig,
-    BreakerRegistry,
-)
+from repro.resilience.breaker import CLOSED, HALF_OPEN, OPEN, BreakerRegistry
 from repro.resilience.rtt import RttEstimator
+from repro.utils.retry import RetryPolicy
 
 if TYPE_CHECKING:
     from repro.simnet.network import Network
@@ -43,30 +40,36 @@ FALLBACK_WINDOW_S = 2.0
 #: adaptive cap on an IPNS resolve: this many per-hop deadlines.
 WALK_HOP_BUDGET = 6
 
+#: The protection ladder, weakest first. ``bare`` is the paper's
+#: go-ipfs v0.10: a walk abandons a candidate on its first failure, the
+#: publisher is fire-and-forget, a dial gets one immediate second try
+#: and one failed query evicts a peer. ``retry`` re-attempts walk hops,
+#: stores, dials and Bitswap wants with jittered backoff and evicts on
+#: the third strike. ``resilient`` adds breakers, hedging, adaptive
+#: deadlines and fallbacks on top of the retries.
+PROTECTIONS = ("bare", "retry", "resilient")
 
-@dataclass(frozen=True)
-class ResilienceConfig:
-    """Feature flags and tunables for the resilience layer.
+NO_RETRY = RetryPolicy()
+#: go-ipfs's immediate second dial over the peer's other addresses.
+REDIAL = RetryPolicy(max_attempts=2, base_delay_s=0.0, max_delay_s=0.0)
+#: the hardened rungs' schedule for stores, dials and Bitswap re-wants.
+BACKOFF = RetryPolicy(
+    max_attempts=3, base_delay_s=0.25, max_delay_s=4.0, jitter="decorrelated"
+)
+#: the hardened rungs' per-hop walk schedule: one re-attempt, so a hop
+#: stays near the budget one un-retried query gets.
+HOP_BACKOFF = RetryPolicy(
+    max_attempts=2, base_delay_s=0.25, max_delay_s=2.0, jitter="decorrelated"
+)
 
-    Each flag enables one independent mechanism; all default off so the
-    stock stack is bit-for-bit unchanged.
-    """
-
-    #: per-peer circuit breakers fed by dial/RPC outcomes.
-    breakers: bool = False
-    #: race a delayed duplicate for slow walk queries and dials.
-    hedging: bool = False
-    #: replace fixed RPC timeouts with RTT-derived deadlines.
-    adaptive_timeouts: bool = False
-    #: degraded modes: Bitswap broadcast after walk exhaustion, stale
-    #: gateway cache entries served with a `degraded` flag.
-    fallbacks: bool = False
-
-    breaker: BreakerConfig = field(default_factory=BreakerConfig)
-
-    @property
-    def any_enabled(self) -> bool:
-        return self.breakers or self.hedging or self.adaptive_timeouts or self.fallbacks
+#: rung -> (walk hop, record store, dial, Bitswap re-want) schedules.
+RETRY_SCHEDULES = {
+    "bare": (NO_RETRY, NO_RETRY, REDIAL, NO_RETRY),
+    "retry": (HOP_BACKOFF, BACKOFF, BACKOFF, BACKOFF),
+    "resilient": (HOP_BACKOFF, BACKOFF, BACKOFF, BACKOFF),
+}
+#: rung -> consecutive query failures before a routing-table eviction.
+EVICTION_THRESHOLDS = {"bare": 1, "retry": 3, "resilient": 3}
 
 
 @dataclass
@@ -91,35 +94,29 @@ class Resilience:
 
     def __init__(
         self,
-        config: ResilienceConfig,
+        protection: str,
         sim: "Simulator",
         network: "Network | None" = None,
     ) -> None:
-        self.config = config
         self.sim = sim
         self.network = network
-        # Hot paths branch on these plain bools, not attribute chains.
-        self.breakers_on = config.breakers
-        self.hedging_on = config.hedging
-        self.adaptive_on = config.adaptive_timeouts
-        self.fallbacks_on = config.fallbacks
+        (
+            self.hop_policy, self.store_policy, self.dial_policy, self.want_policy
+        ) = RETRY_SCHEDULES[protection]
+        self.eviction_threshold = EVICTION_THRESHOLDS[protection]
+        #: the top rung: breakers, hedging, adaptive deadlines and
+        #: fallbacks, all on together. Hot paths branch on this bool.
+        self.enabled = protection == "resilient"
         self.stats = ResilienceStats()
-        self.breakers: BreakerRegistry | None = (
-            BreakerRegistry(
-                config.breaker,
-                clock=lambda: sim.now,
-                on_transition=self._on_breaker_transition,
-            )
-            if config.breakers
-            else None
-        )
+        self.breakers: BreakerRegistry | None = None
         # Hedging shares the estimator: its launch delay is a quantile
         # of the same observed durations the deadline is derived from.
-        self.rtt: RttEstimator | None = (
-            RttEstimator()
-            if (config.adaptive_timeouts or config.hedging)
-            else None
-        )
+        self.rtt: RttEstimator | None = None
+        if self.enabled:
+            self.breakers = BreakerRegistry(
+                clock=lambda: sim.now, on_transition=self._on_breaker_transition
+            )
+            self.rtt = RttEstimator()
 
     # -- circuit breakers ------------------------------------------------
 
@@ -170,7 +167,7 @@ class Resilience:
 
     def rpc_deadline_s(self, region: Hashable, default: float) -> float:
         """The deadline for one RPC toward ``region`` (default when cold)."""
-        if self.rtt is None or not self.adaptive_on:
+        if self.rtt is None:
             return default
         deadline = self.rtt.deadline_s(region, None)
         if deadline is None:
@@ -183,7 +180,7 @@ class Resilience:
 
         Never exceeds ``default`` — adaptation only tightens budgets.
         """
-        if self.rtt is None or not self.adaptive_on:
+        if self.rtt is None:
             return default
         deadline = self.rtt.deadline_s(None, None)
         if deadline is None:
@@ -227,7 +224,3 @@ class Resilience:
         if network is not None and network.obs is not None:
             network.obs.metrics.counter(name).inc()
 
-
-#: Shared config for nodes constructed without an explicit one; frozen,
-#: so one instance can safely back every disabled-by-default node.
-DISABLED_RESILIENCE_CONFIG = ResilienceConfig()

@@ -61,6 +61,7 @@ from repro.experiments.scale import (
     bench_scale_config,
     run_scale_crawl,
 )
+from repro.node.config import NodeConfig
 from repro.obs import Observability
 from repro.tools import export
 from repro.tools.graded import (
@@ -212,7 +213,7 @@ def _perf(args: argparse.Namespace, obs: Observability | None, resilient: bool =
     return perf_dataset(
         args.peers, args.rounds, seed=args.seed, run_seed=args.seed,
         label="cli-pop", obs=obs,
-        node_config=chaos.ARMS["resilient"]() if resilient else None,
+        node_config=NodeConfig(protection="resilient") if resilient else None,
     )[1]
 
 

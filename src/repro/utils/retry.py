@@ -1,11 +1,10 @@
 """Retry with exponential backoff over simulated time.
 
-Every protocol layer that talks to remote peers (DHT walks, provider
-publication, Bitswap sessions, IPNS resolution, the gateway fetch path)
-faces the same failure modes: dial timeouts against the 45.5 % of
-undialable peers, RPCs that never return because the target churned
-offline, and — under the chaos experiments — injected loss, resets and
-blackholes. A :class:`RetryPolicy` gives them one principled answer
+Every protocol layer that talks to remote peers (DHT walks, record
+stores, peer-routing dials, Bitswap sessions) faces the same failure
+modes: dial timeouts against the 45.5 % of undialable peers, RPCs that
+never return because the target churned offline, and — under the chaos
+experiments — injected loss, resets and blackholes. A :class:`RetryPolicy` gives them one principled answer
 instead of ad-hoc "retry once" code.
 
 Delays follow capped exponential backoff with optional jitter.
@@ -37,19 +36,15 @@ class RetryPolicy:
     """Backoff schedule and budgets for one class of operation.
 
     ``max_attempts`` counts the first try: 1 means "no retries" (the
-    default, preserving pre-retry behaviour exactly). ``deadline_s``
-    bounds the whole operation in simulated time measured from its
-    first attempt; a retry whose backoff sleep would cross the deadline
-    is not attempted.
+    default, preserving pre-retry behaviour exactly).
     """
 
     max_attempts: int = 1
     base_delay_s: float = 0.5
     max_delay_s: float = 30.0
-    #: "none" (deterministic exponential), "full" (uniform in
-    #: [0, exp]), or "decorrelated" (AWS-style, needs ``previous``).
+    #: "none" (deterministic exponential) or "decorrelated"
+    #: (AWS-style, needs ``previous``).
     jitter: str = "none"
-    deadline_s: float | None = None
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -58,7 +53,7 @@ class RetryPolicy:
             raise ReproError(
                 f"need 0 <= base ({self.base_delay_s}) <= cap ({self.max_delay_s})"
             )
-        if self.jitter not in ("none", "full", "decorrelated"):
+        if self.jitter not in ("none", "decorrelated"):
             raise ReproError(f"unknown jitter mode: {self.jitter!r}")
 
     @property
@@ -72,24 +67,18 @@ class RetryPolicy:
 
         ``previous`` is the delay used before the previous retry (pass
         ``base_delay_s`` initially); it only matters for decorrelated
-        jitter. The result is always within [0, max_delay_s], and for
-        jittered modes within [base_delay_s, max_delay_s] whenever
-        base <= cap (guaranteed by construction).
+        jitter. The result is always within [0, max_delay_s], and with
+        jitter within [base_delay_s, max_delay_s] (base <= cap is
+        guaranteed by construction).
         """
         if self.jitter == "decorrelated":
             return min(
                 self.max_delay_s,
                 rng.uniform(self.base_delay_s, max(self.base_delay_s, previous * 3)),
             )
-        exponential = min(
+        return min(
             self.max_delay_s, self.base_delay_s * BACKOFF_MULTIPLIER ** (attempt - 1)
         )
-        if self.jitter == "full":
-            return min(
-                self.max_delay_s,
-                max(self.base_delay_s, rng.uniform(0.0, exponential)),
-            )
-        return exponential
 
 
 class JitterStreams:
@@ -147,17 +136,13 @@ def retry(
     called before each re-attempt (used for stats counters). Raises the
     last error once attempts or the deadline are exhausted.
 
-    ``deadline_s`` is the *caller's* remaining budget (e.g. an adaptive
-    walk deadline) and composes with ``policy.deadline_s`` — the
-    tighter of the two wins. When a budget is active every attempt is
-    truncated to the remaining budget via ``with_timeout``, so the last
-    attempt cannot overshoot what the caller has left; without one,
-    attempts run unwrapped exactly as before.
+    ``deadline_s`` is the caller's remaining budget (e.g. an adaptive
+    walk deadline): a retry whose backoff sleep would cross it is not
+    attempted, and every attempt is truncated to what is left via
+    ``with_timeout``, so the last attempt cannot overshoot it. Without
+    one, attempts run unwrapped exactly as before.
     """
-    deadline = None if policy.deadline_s is None else sim.now + policy.deadline_s
-    if deadline_s is not None:
-        budget = sim.now + deadline_s
-        deadline = budget if deadline is None else min(deadline, budget)
+    deadline = None if deadline_s is None else sim.now + deadline_s
     previous = policy.base_delay_s
     last_error: BaseException | None = None
     for attempt in range(1, policy.max_attempts + 1):

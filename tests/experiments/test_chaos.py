@@ -11,18 +11,19 @@ import pytest
 
 from repro.errors import ReproError
 from repro.experiments.chaos import (
+    ARMS,
     RECOVERY,
     ChaosConfig,
-    full_resilience_config,
     grade_chaos,
-    resilient_node_config,
     run_chaos,
     run_level,
 )
 from repro.experiments.perf import PerfConfig, run_perf_experiment
 from repro.experiments.scenario import ScenarioConfig, build_scenario
 from repro.obs import Observability
+from repro.resilience import Resilience
 from repro.simnet.faults import FaultInjector, FaultPlan
+from repro.simnet.sim import Simulator
 from repro.utils.rng import derive_rng
 from repro.validation.compare import Grade
 from repro.workloads.population import PopulationConfig, generate_population
@@ -200,12 +201,15 @@ def test_zero_intensity_plan_is_byte_identical_to_no_injector():
 
 
 def test_resilient_node_config_enables_every_layer():
-    config = resilient_node_config()
-    assert config.lookup.rpc_retry.enabled
-    assert config.lookup.store_retry.enabled
-    assert config.lookup.failure_threshold > 1
-    assert config.dial_retry.enabled
-    assert config.bitswap_retry.enabled
+    # The retry rung: every retry layer on, nothing of the top rung.
+    res = Resilience("retry", Simulator())
+    assert res.hop_policy.enabled
+    assert res.store_policy.enabled
+    assert res.eviction_threshold > 1
+    assert res.dial_policy.enabled
+    assert res.want_policy.enabled
+    assert not res.enabled
+    assert res.breakers is None and res.rtt is None
 
 
 @pytest.mark.parametrize("fields", [
@@ -288,7 +292,13 @@ class TestChaosRecovery:
         assert level.unannounced_succeeded == 0
 
     def test_full_resilience_config_turns_everything_on(self):
-        flags = full_resilience_config()
-        assert flags.breakers and flags.hedging
-        assert flags.adaptive_timeouts and flags.fallbacks
-        assert flags.any_enabled
+        assert ARMS == ("bare", "retry", "resilient")
+        res = Resilience("resilient", Simulator())
+        assert res.enabled
+        assert res.breakers is not None and res.rtt is not None
+        # The top rung keeps the retry rung's schedules underneath.
+        retry = Resilience("retry", Simulator())
+        assert (res.hop_policy, res.store_policy, res.dial_policy, res.want_policy) == (
+            retry.hop_policy, retry.store_policy, retry.dial_policy, retry.want_policy
+        )
+        assert res.eviction_threshold == retry.eviction_threshold

@@ -9,7 +9,6 @@ from repro.gateway.bridge import GatewayBridge
 from repro.gateway.logs import CacheTier
 from repro.node.config import NodeConfig
 from repro.node.host import IpfsNode
-from repro.resilience import ResilienceConfig
 from repro.simnet.latency import PeerClass, Region
 from repro.simnet.network import SimNetwork
 from repro.simnet.sim import Simulator
@@ -26,7 +25,7 @@ def world():
     bridge_node = IpfsNode(
         sim, net, derive_rng(94, "gwnode"), region=Region.NA_WEST,
         peer_class=PeerClass.DATACENTER,
-        config=NodeConfig(resilience=ResilienceConfig(fallbacks=True)),
+        config=NodeConfig(protection="resilient"),
     )
     publisher = IpfsNode(sim, net, derive_rng(94, "pub"), region=Region.EU)
     backdrop = [
@@ -110,7 +109,7 @@ class TestStaleServing:
 
     def test_serve_stale_defaults_to_the_resilience_flag(self, world):
         sim, node, publisher, root, data = world
-        assert make_bridge(node).serve_stale  # fallbacks on -> stale on
+        assert make_bridge(node).serve_stale  # resilient rung -> stale on
         assert not make_bridge(publisher).serve_stale  # stock node
 
     def test_no_ttl_entries_never_go_stale(self, world):

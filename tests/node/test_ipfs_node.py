@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dht.bootstrap import populate_routing_tables
-from repro.errors import ProviderNotFoundError, RetrievalError
+from repro.errors import ProviderNotFoundError, ReproError, RetrievalError
 from repro.merkledag.chunker import DEFAULT_CHUNK_SIZE
 from repro.multiformats.cid import make_cid
 from repro.node.config import NodeConfig
@@ -264,6 +264,25 @@ class TestRetrieval:
 
         receipt = sim.run_process(proc())
         assert receipt.via_bitswap
+
+
+class TestProtection:
+    @pytest.mark.parametrize("protection", ["bare", "retry", "resilient"])
+    def test_the_node_runs_its_rung(self, protection):
+        sim = Simulator()
+        node = IpfsNode(
+            sim, SimNetwork(sim, derive_rng(5, "net")), derive_rng(5, "node"),
+            config=NodeConfig(protection=protection),
+        )
+        assert node.dht.resilience is node.resilience
+        assert node.resilience.enabled == (protection == "resilient")
+        assert node.dht.routing_table.failure_threshold == (
+            1 if protection == "bare" else 3
+        )
+
+    def test_unknown_rung_is_refused(self):
+        with pytest.raises(ReproError, match="protection"):
+            NodeConfig(protection="hedging")
 
 
 class TestIdentity:

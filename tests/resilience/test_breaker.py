@@ -1,17 +1,13 @@
 """Tests for the per-peer circuit breaker registry."""
 
-import pytest
-
-from repro.errors import ReproError
 from repro.multiformats.peerid import PeerId
-from repro.resilience import (
-    CLOSED,
-    HALF_OPEN,
-    OPEN,
-    BreakerConfig,
-    BreakerRegistry,
+from repro.resilience import CLOSED, HALF_OPEN, OPEN, BreakerRegistry
+from repro.resilience.breaker import (
+    COOLDOWN_MULTIPLIER,
+    COOLDOWN_S,
+    FAILURE_THRESHOLD,
+    MAX_COOLDOWN_S,
 )
-from repro.resilience.breaker import MAX_COOLDOWN_S
 
 PEER = PeerId.from_public_key(b"breaker-peer-a")
 OTHER = PeerId.from_public_key(b"breaker-peer-b")
@@ -27,22 +23,21 @@ class Clock:
         return self.now
 
 
-def make(clock, hook=None, **overrides) -> BreakerRegistry:
-    defaults = dict(failure_threshold=3, cooldown_s=60.0)
-    defaults.update(overrides)
-    return BreakerRegistry(
-        BreakerConfig(**defaults), clock=clock, on_transition=hook
-    )
+def make(clock, hook=None) -> BreakerRegistry:
+    return BreakerRegistry(clock=clock, on_transition=hook)
+
+
+def trip(registry: BreakerRegistry, peer_id: PeerId) -> None:
+    """The threshold of consecutive failures: opens a closed breaker."""
+    for _ in range(FAILURE_THRESHOLD):
+        registry.record_failure(peer_id)
 
 
 class TestConfig:
     def test_validation(self):
-        with pytest.raises(ReproError):
-            BreakerConfig(failure_threshold=0)
-        with pytest.raises(ReproError):
-            BreakerConfig(cooldown_s=0.0)
-        with pytest.raises(ReproError):
-            BreakerConfig(cooldown_s=MAX_COOLDOWN_S + 1.0)
+        # What the removed per-node breaker config used to validate.
+        assert FAILURE_THRESHOLD >= 1
+        assert 0 < COOLDOWN_S <= MAX_COOLDOWN_S
 
 
 class TestTransitions:
@@ -55,8 +50,8 @@ class TestTransitions:
 
     def test_opens_after_consecutive_failures(self):
         registry = make(Clock())
-        registry.record_failure(PEER)
-        registry.record_failure(PEER)
+        for _ in range(FAILURE_THRESHOLD - 1):
+            registry.record_failure(PEER)
         assert registry.state(PEER) == CLOSED
         registry.record_failure(PEER)
         assert registry.state(PEER) == OPEN
@@ -65,25 +60,23 @@ class TestTransitions:
 
     def test_success_resets_the_failure_streak(self):
         registry = make(Clock())
-        registry.record_failure(PEER)
-        registry.record_failure(PEER)
+        for _ in range(FAILURE_THRESHOLD - 1):
+            registry.record_failure(PEER)
         registry.record_success(PEER)
-        registry.record_failure(PEER)
-        registry.record_failure(PEER)
+        for _ in range(FAILURE_THRESHOLD - 1):
+            registry.record_failure(PEER)
         assert registry.state(PEER) == CLOSED
 
     def test_peers_are_independent(self):
         registry = make(Clock())
-        for _ in range(3):
-            registry.record_failure(PEER)
+        trip(registry, PEER)
         assert registry.is_open(PEER)
         assert not registry.is_open(OTHER)
         assert registry.allow(OTHER)
 
     def test_refusals_count_skips(self):
         registry = make(Clock())
-        for _ in range(3):
-            registry.record_failure(PEER)
+        trip(registry, PEER)
         assert not registry.allow(PEER)
         assert not registry.allow(PEER)
         assert registry.skips == 2
@@ -91,20 +84,18 @@ class TestTransitions:
     def test_cooldown_elapses_into_half_open_via_allow(self):
         clock = Clock()
         registry = make(clock)
-        for _ in range(3):
-            registry.record_failure(PEER)
-        clock.now = 59.9
+        trip(registry, PEER)
+        clock.now = COOLDOWN_S - 0.1
         assert not registry.allow(PEER)
-        clock.now = 60.0
+        clock.now = COOLDOWN_S
         assert registry.allow(PEER)  # the probe
         assert registry.state(PEER) == HALF_OPEN
 
     def test_is_open_is_read_only(self):
         clock = Clock()
         registry = make(clock)
-        for _ in range(3):
-            registry.record_failure(PEER)
-        clock.now = 120.0
+        trip(registry, PEER)
+        clock.now = 2 * COOLDOWN_S
         # Past the cooldown the peer is no longer treated as open, but
         # a read must not consume the probe or change state.
         assert not registry.is_open(PEER)
@@ -115,68 +106,71 @@ class TestTransitions:
     def test_half_open_admits_only_the_configured_probes(self):
         clock = Clock()
         registry = make(clock)
-        for _ in range(3):
-            registry.record_failure(PEER)
-        clock.now = 60.0
+        trip(registry, PEER)
+        clock.now = COOLDOWN_S
         assert registry.allow(PEER)
         assert not registry.allow(PEER)  # probe budget spent
 
     def test_probe_success_closes_and_resets_cooldown(self):
         clock = Clock()
         registry = make(clock)
-        for _ in range(3):
-            registry.record_failure(PEER)
-        clock.now = 60.0
+        trip(registry, PEER)
+        clock.now = COOLDOWN_S
         assert registry.allow(PEER)
         registry.record_success(PEER)
         assert registry.state(PEER) == CLOSED
         # A later trip starts from the base cooldown again.
-        for _ in range(3):
-            registry.record_failure(PEER)
-        clock.now += 60.0
+        trip(registry, PEER)
+        clock.now += COOLDOWN_S
         assert registry.allow(PEER)
 
     def test_probe_failure_reopens_with_escalated_cooldown(self):
         clock = Clock()
         registry = make(clock)
-        for _ in range(3):
-            registry.record_failure(PEER)
-        clock.now = 60.0
+        trip(registry, PEER)
+        clock.now = COOLDOWN_S
         assert registry.allow(PEER)
         registry.record_failure(PEER)
         assert registry.state(PEER) == OPEN
-        clock.now = 60.0 + 60.0
-        assert not registry.allow(PEER)  # doubled cooldown not over yet
-        clock.now = 60.0 + 120.0
+        clock.now = COOLDOWN_S + COOLDOWN_S
+        assert not registry.allow(PEER)  # escalated cooldown not over yet
+        clock.now = COOLDOWN_S + COOLDOWN_MULTIPLIER * COOLDOWN_S
         assert registry.allow(PEER)
 
     def test_cooldown_escalation_is_capped(self):
         clock = Clock()
-        registry = make(clock, cooldown_s=400.0)
-        for _ in range(3):
+        registry = make(clock)
+        trip(registry, PEER)
+        # Fail probes until the escalation reaches the cap, then once
+        # more: the cooldown stays at the cap instead of doubling.
+        cooldown = COOLDOWN_S
+        while True:
+            clock.now += cooldown
+            assert registry.allow(PEER)
             registry.record_failure(PEER)
-        clock.now = 400.0
-        assert registry.allow(PEER)
-        registry.record_failure(PEER)  # cooldown would be 800, capped at 600
-        clock.now = 400.0 + MAX_COOLDOWN_S - 1.0
+            if cooldown == MAX_COOLDOWN_S:
+                break
+            cooldown = min(MAX_COOLDOWN_S, cooldown * COOLDOWN_MULTIPLIER)
+        opened = clock.now
+        clock.now = opened + MAX_COOLDOWN_S - 1.0
         assert not registry.allow(PEER)
-        clock.now = 400.0 + MAX_COOLDOWN_S
+        clock.now = opened + MAX_COOLDOWN_S
         assert registry.allow(PEER)
 
     def test_failures_while_open_are_ignored(self):
         clock = Clock()
         registry = make(clock)
-        for _ in range(6):
+        for _ in range(3 * FAILURE_THRESHOLD):
             registry.record_failure(PEER)
-        clock.now = 60.0
+        clock.now = COOLDOWN_S
         # Extra failures while open must not extend or escalate.
         assert registry.allow(PEER)
 
     def test_open_peers_listing(self):
         registry = make(Clock())
-        for _ in range(3):
-            registry.record_failure(PEER)
-        registry.record_failure(OTHER)
+        trip(registry, PEER)
+        for _ in range(FAILURE_THRESHOLD - 1):
+            registry.record_failure(OTHER)
         assert registry.open_peers() == [PEER]
 
 
@@ -187,9 +181,8 @@ class TestTransitionHook:
         registry = make(
             clock, hook=lambda peer, old, new: seen.append((old, new))
         )
-        for _ in range(3):
-            registry.record_failure(PEER)
-        clock.now = 60.0
+        trip(registry, PEER)
+        clock.now = COOLDOWN_S
         registry.allow(PEER)
         registry.record_success(PEER)
         assert seen == [
@@ -211,64 +204,63 @@ class TestSustainedAttack:
     def test_repeated_trips_escalate_then_recover(self):
         from repro.adversary.sybil import mine_sybil_ids
 
+        base = COOLDOWN_S
         clock = Clock()
-        registry = make(clock, cooldown_s=90.0)
+        registry = make(clock)
         (sybil,) = mine_sybil_ids(b"\x5a" * 32, 1, label="breaker-sybil")
 
-        for _ in range(3):
-            registry.record_failure(sybil)
+        trip(registry, sybil)
         assert registry.state(sybil) == OPEN
         assert not registry.allow(sybil)
 
-        # Probe 1 fails: cooldown escalates 90 -> 180.
-        clock.now = 90.0
+        # Probe 1 fails: the cooldown escalates base -> 2 base.
+        clock.now = base
         assert registry.allow(sybil)
         registry.record_failure(sybil)
-        clock.now = 90.0 + 90.0
+        clock.now = base + base
         assert not registry.allow(sybil)  # the base cooldown is history
-        clock.now = 90.0 + 180.0
+        clock.now = base + 2 * base
 
-        # Probe 2 fails: 180 -> 360.
+        # Probe 2 fails: 2 base -> 4 base.
         assert registry.allow(sybil)
         registry.record_failure(sybil)
-        clock.now = 270.0 + 180.0
+        clock.now = 3 * base + 2 * base
         assert not registry.allow(sybil)
-        clock.now = 270.0 + 360.0
+        clock.now = 3 * base + 4 * base
 
-        # Probe 3 fails: 360 -> 720, capped at MAX_COOLDOWN_S = 600.
+        # Probe 3 fails: 4 base -> 8 base, capped at MAX_COOLDOWN_S.
+        capped = min(MAX_COOLDOWN_S, 8 * base)
+        assert capped < 8 * base
         assert registry.allow(sybil)
         registry.record_failure(sybil)
-        clock.now = 630.0 + 360.0
+        clock.now = 7 * base + 4 * base
         assert not registry.allow(sybil)
-        clock.now = 630.0 + 600.0
+        clock.now = 7 * base + capped
         assert registry.allow(sybil)
 
         # The attack window closes; the probe succeeds. The breaker
         # closes and the *next* trip waits the base cooldown again.
         registry.record_success(sybil)
         assert registry.state(sybil) == CLOSED
-        for _ in range(3):
-            registry.record_failure(sybil)
-        clock.now = 1230.0 + 90.0
+        trip(registry, sybil)
+        clock.now = 7 * base + capped + base
         assert registry.allow(sybil)
 
     def test_escalation_is_per_peer(self):
         from repro.adversary.sybil import mine_sybil_ids
 
         clock = Clock()
-        registry = make(clock, cooldown_s=90.0)
+        registry = make(clock)
         ring = mine_sybil_ids(b"\xa5" * 32, 2, label="breaker-ring")
 
-        # Escalate the first Sybil's cooldown to 180.
-        for _ in range(3):
-            registry.record_failure(ring[0])
-        clock.now = 90.0
+        # Escalate the first Sybil's cooldown to twice the base.
+        trip(registry, ring[0])
+        clock.now = COOLDOWN_S
         assert registry.allow(ring[0])
         registry.record_failure(ring[0])
 
         # The second Sybil trips fresh: its cooldown is still the base.
-        for _ in range(3):
-            registry.record_failure(ring[1])
-        clock.now = 90.0 + 90.0
+        trip(registry, ring[1])
+        clock.now = COOLDOWN_S + COOLDOWN_S
         assert registry.allow(ring[1])   # base cooldown elapsed
-        assert not registry.allow(ring[0])  # escalated: needs 180 more
+        assert not registry.allow(ring[0])  # escalated: needs twice the base

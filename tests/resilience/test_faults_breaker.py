@@ -1,6 +1,6 @@
-"""Injected MALFORMED / RESET faults must feed the circuit breaker:
-the walk treats both as query failures, so repeat offenders trip open
-and later walks skip them. Bitswap must tolerate the empty replies
+"""Injected MALFORMED / RESET faults must feed the circuit breaker of
+the ``resilient`` rung: the walk treats both as query failures, so
+repeat offenders trip open and later walks skip them. Bitswap must tolerate the empty replies
 without crashing (they carry ``None`` in place of a response body)."""
 
 import pytest
@@ -10,22 +10,21 @@ from repro.dht.keyspace import key_for_cid, key_for_peer, xor_distance
 from repro.errors import RetrievalError
 from repro.multiformats.cid import make_cid
 from repro.node.host import IpfsNode
-from repro.resilience import OPEN, BreakerConfig, Resilience, ResilienceConfig
-from repro.resilience.breaker import MAX_COOLDOWN_S
+from repro.resilience import OPEN, Resilience
+from repro.resilience.breaker import FAILURE_THRESHOLD
 from repro.simnet.faults import FaultInjector, FaultKind, FaultPlan, FaultRule
 from repro.simnet.network import SimNetwork
 from repro.simnet.sim import Simulator
 from repro.utils.rng import derive_rng
 from tests.helpers import build_world
 
-def breakers_on(node) -> Resilience:
-    config = ResilienceConfig(
-        breakers=True,
-        breaker=BreakerConfig(failure_threshold=1, cooldown_s=MAX_COOLDOWN_S),
-    )
-    res = Resilience(config, node.sim, node.network)
+def resilient(node) -> Resilience:
+    """Put a bare DhtNode on the ``resilient`` rung (as its constructor
+    does when handed the facade)."""
+    res = Resilience("resilient", node.sim, node.network)
     node.resilience = res
     node.routing_table.breakers = res.breakers
+    node.routing_table.failure_threshold = res.eviction_threshold
     return res
 
 
@@ -39,13 +38,16 @@ class TestFaultsFeedTheBreaker:
     def test_malformed_responses_open_breakers(self):
         world = build_world(n=40, seed=41)
         node = world.node(0)
-        res = breakers_on(node)
+        res = resilient(node)
         injector = install(world, FaultRule(FaultKind.MALFORMED, 1.0), seed=41)
 
         def proc():
             return (yield from node.walk_closest(key_for_cid(make_cid(b"garbage"))))
 
-        peers, stats = world.sim.run_process(proc())
+        # A walk charges each queried peer once: the breaker's threshold
+        # of walks charges the same peers again.
+        for _ in range(FAILURE_THRESHOLD):
+            peers, stats = world.sim.run_process(proc())
         # Every reply was garbage: no peer succeeded, every queried
         # peer was charged a failure, and their breakers tripped.
         assert peers == []
@@ -60,13 +62,14 @@ class TestFaultsFeedTheBreaker:
     def test_reset_faults_open_breakers(self):
         world = build_world(n=40, seed=42)
         node = world.node(0)
-        res = breakers_on(node)
+        res = resilient(node)
         injector = install(world, FaultRule(FaultKind.RESET, 1.0), seed=42)
 
         def proc():
             return (yield from node.walk_closest(key_for_cid(make_cid(b"resets"))))
 
-        _, stats = world.sim.run_process(proc())
+        for _ in range(FAILURE_THRESHOLD):
+            _, stats = world.sim.run_process(proc())
         assert stats.rpcs_ok == 0
         assert stats.rpcs_failed > 0
         assert injector.stats.by_kind["reset"] > 0
@@ -75,7 +78,7 @@ class TestFaultsFeedTheBreaker:
     def test_later_walks_skip_peers_tripped_by_faults(self):
         world = build_world(n=60, seed=43)
         node = world.node(0)
-        res = breakers_on(node)
+        res = resilient(node)
         key = key_for_cid(make_cid(b"selective rot"))
         # Only the peers closest to the target misbehave; the rest of
         # the network answers honestly and keeps re-revealing them.
@@ -90,8 +93,9 @@ class TestFaultsFeedTheBreaker:
         def walk():
             return (yield from node.walk_closest(key))
 
-        _, first = world.sim.run_process(walk())
-        assert first.rpcs_failed > 0
+        for _ in range(FAILURE_THRESHOLD):
+            _, first = world.sim.run_process(walk())
+            assert first.rpcs_failed > 0
         assert res.stats.breaker_opened > 0
         tripped = set(res.breakers.open_peers())
         assert tripped <= rotten

@@ -1,6 +1,7 @@
-"""Integration tests: the resilience layer inside DHT walks and the
+"""Integration tests: the ``resilient`` rung inside DHT walks and the
 retrieval pipeline (breaker skips, adaptive deadlines, hedged queries,
-and the degraded-mode Bitswap fallback)."""
+and the degraded-mode Bitswap fallback). Each test runs the whole rung
+and asserts that its one mechanism fires."""
 
 import pytest
 
@@ -10,37 +11,41 @@ from repro.errors import ProviderNotFoundError
 from repro.multiformats.cid import make_cid
 from repro.node.config import NodeConfig
 from repro.node.host import IpfsNode
-from repro.resilience import BreakerConfig, Resilience, ResilienceConfig
-from repro.resilience.breaker import MAX_COOLDOWN_S
+from repro.resilience import Resilience
+from repro.resilience.breaker import FAILURE_THRESHOLD
 from repro.simnet.network import SimNetwork
 from repro.simnet.sim import Simulator
 from repro.utils.rng import derive_rng
 from tests.helpers import build_world
 
-def enable(node, **flags) -> Resilience:
-    """Wire a Resilience facade onto a bare DhtNode after the fact
+def enable(node) -> Resilience:
+    """Put a bare DhtNode on the ``resilient`` rung after the fact
     (mirrors what the DhtNode constructor does when handed one)."""
-    config = ResilienceConfig(**flags)
-    res = Resilience(config, node.sim, node.network)
+    res = Resilience("resilient", node.sim, node.network)
     node.resilience = res
-    if res.breakers_on:
-        node.routing_table.breakers = res.breakers
+    node.routing_table.breakers = res.breakers
+    node.routing_table.failure_threshold = res.eviction_threshold
     return res
 
 
-def trip_breaker() -> BreakerConfig:
-    # The longest cooldown outlasts any walk: tripped breakers stay open.
-    return BreakerConfig(failure_threshold=1, cooldown_s=MAX_COOLDOWN_S)
+def trip(res: Resilience, peer_id) -> None:
+    """Open the peer's breaker: the rung's threshold of failures."""
+    for _ in range(FAILURE_THRESHOLD):
+        res.record_failure(peer_id)
 
 
 class TestBreakersInWalks:
     def test_walk_failures_open_breakers(self):
         world = build_world(n=60, seed=21, offline_fraction=0.5)
         node = world.node(0)
-        res = enable(node, breakers=True, breaker=trip_breaker())
+        res = enable(node)
 
         def proc():
-            return (yield from node.walk_closest(key_for_cid(make_cid(b"churny"))))
+            # A walk charges a dead peer once; the rung's threshold of
+            # walks toward one key charges the same dead peers again.
+            for _ in range(FAILURE_THRESHOLD):
+                result = yield from node.walk_closest(key_for_cid(make_cid(b"churny")))
+            return result
 
         peers, stats = world.sim.run_process(proc())
         assert peers  # the walk still converges
@@ -51,7 +56,7 @@ class TestBreakersInWalks:
     def test_open_breakers_skip_rediscovered_candidates(self):
         world = build_world(n=60, seed=22)
         node = world.node(0)
-        res = enable(node, breakers=True, breaker=trip_breaker())
+        res = enable(node)
         key = key_for_cid(make_cid(b"skip target"))
         # Trip the breakers of the peers closest to the target: the
         # seed list filters them out, but other responses re-reveal
@@ -61,7 +66,7 @@ class TestBreakersInWalks:
             key=lambda p: xor_distance(key_for_peer(p), key),
         )[:3]
         for peer_id in closest:
-            res.record_failure(peer_id)
+            trip(res, peer_id)
         assert res.breakers.open_peers()
 
         def proc():
@@ -78,10 +83,10 @@ class TestBreakersInWalks:
     def test_open_breaker_filters_routing_table_without_evicting(self):
         world = build_world(n=40, seed=23)
         node = world.node(0)
-        res = enable(node, breakers=True, breaker=trip_breaker())
+        res = enable(node)
         key = key_for_cid(make_cid(b"filter"))
         victim = node.routing_table.closest(key, 1)[0]
-        res.record_failure(victim)
+        trip(res, victim)
         assert victim not in node.routing_table.closest(key, 40)
         assert victim in node.routing_table  # open != evicted
 
@@ -90,20 +95,22 @@ class TestAdaptiveDeadlines:
     def test_warm_walks_use_adaptive_deadlines_and_converge(self):
         world = build_world(n=60, seed=24)
         node = world.node(0)
-        res = enable(node, adaptive_timeouts=True)
+        res = enable(node)
 
         def proc():
             yield from node.walk_closest(key_for_cid(make_cid(b"warmup")))
             return (yield from node.walk_closest(key_for_cid(make_cid(b"second"))))
 
-        peers, _ = world.sim.run_process(proc())
-        assert len(peers) == 20
+        peers, stats = world.sim.run_process(proc())
+        # The rung also hedges: the second walk's two races settle, and
+        # each cancelled loser drops out of the k closest it returns.
+        assert len(peers) == 20 - stats.hedge_wins - stats.hedge_losses == 18
         assert res.rtt.samples_observed > 5
         assert res.stats.adaptive_deadlines > 0
 
     def test_cold_estimator_counts_nothing(self):
         world = build_world(n=20, seed=25)
-        res = enable(world.node(0), adaptive_timeouts=True)
+        res = enable(world.node(0))
         assert res.rpc_deadline_s("eu_central_1", 10.0) == 10.0
         assert res.stats.adaptive_deadlines == 0
 
@@ -114,7 +121,7 @@ class TestHedgedWalks:
         # the 5 s dial timeout, well past the hedge delay.
         world = build_world(n=60, seed=26, offline_fraction=0.4)
         node = world.node(0)
-        res = enable(node, hedging=True)
+        res = enable(node)
 
         def proc():
             return (yield from node.walk_closest(key_for_cid(make_cid(b"hedge me"))))
@@ -130,7 +137,9 @@ class TestDisabledParity:
     def test_stock_node_has_resilience_fully_off(self):
         world = build_world(n=40, seed=27)
         node = world.node(0)
-        assert not node.resilience.config.any_enabled
+        assert node.resilience.eviction_threshold == 1
+        assert not node.resilience.enabled
+        assert node.resilience.breakers is None and node.resilience.rtt is None
 
         def proc():
             return (yield from node.walk_closest(key_for_cid(make_cid(b"stock"))))
@@ -156,7 +165,7 @@ def build_cluster(n: int, seed: int, protagonist_config: NodeConfig | None):
     return sim, nodes
 
 
-FALLBACKS_ON = NodeConfig(resilience=ResilienceConfig(fallbacks=True))
+FALLBACKS_ON = NodeConfig(protection="resilient")
 
 
 class TestDegradedModeFallback:

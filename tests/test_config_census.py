@@ -11,9 +11,15 @@ code that reads it.
 A field only ``tests`` set is a constant too, unless it is a *size
 seam*: a world, grid, rate or duration a tier-1 test must shrink to
 stay fast. Those are listed in :data:`TEST_SEAMS` with the reason.
+
+How hard a node fights failures is one knob, ``NodeConfig.protection``:
+the per-mechanism flag classes, the config factories that spelled the
+rungs and the ``*_on`` switches the hot paths branched on may not come
+back under ``src/repro``.
 """
 
 import ast
+import re
 from functools import cache
 from pathlib import Path
 
@@ -21,7 +27,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 #: The fields only tests set, each with why it stays a field.
 TEST_SEAMS = {
-    "ProbeConfig.probe_via_dial": "leaves with ROADMAP 2(a)",
+    "ProbeConfig.probe_via_dial": "leaves with ROADMAP 5(a)",
     "FlashCrowdConfig.n_backdrop": "world: the tiny grid's DHT backdrop is smaller",
     "FlashCrowdConfig.nft_drop": "world: the tiny grid replays a shorter, sparser drop",
     "FlashCrowdConfig.outage_offset_s":
@@ -51,7 +57,7 @@ TEST_SEAMS = {
 }
 
 #: Settable config fields in ``src``: a ratchet, so growth shows in review.
-MAX_FIELDS = 115
+MAX_FIELDS = 102
 
 
 def _is_config(node: ast.AST) -> bool:
@@ -124,3 +130,39 @@ def test_no_field_only_tests_set():
     assert len(census) <= MAX_FIELDS, (
         f"{len(census)} settable config fields, ratchet is {MAX_FIELDS}"
     )
+
+
+#: What spelled the protection rungs before ``NodeConfig.protection``.
+GONE = {
+    "ResilienceConfig", "BreakerConfig", "resilient_node_config",
+    "full_resilience_config",
+}
+#: A per-mechanism switch (``breakers_on``, ``hedging_on``, ...).
+SWITCH = re.compile(r"[a-z]\w*_on")
+
+
+def _defined_or_read(node: ast.AST) -> list[str]:
+    """The names one node defines, imports or reads as an attribute."""
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+        return [node.name]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return [alias.name.rsplit(".", 1)[-1] for alias in node.names]
+    if isinstance(node, ast.Name):
+        return [node.id]
+    return []
+
+
+def test_the_protection_rung_is_the_only_knob():
+    paths = sorted((ROOT / "src" / "repro").rglob("*.py"))
+    assert len(paths) > 100  # the walk found the tree
+    found = sorted(
+        f"{path.relative_to(ROOT)}:{node.lineno}: {name}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text()))
+        for name in _defined_or_read(node)
+        if name in GONE
+        or (isinstance(node, ast.Attribute) and SWITCH.fullmatch(name))
+    )
+    assert not found, f"per-mechanism protection knobs under src/repro: {found}"

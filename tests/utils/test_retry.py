@@ -42,7 +42,7 @@ class TestPolicy:
 
 
 class TestRetryDriver:
-    def run_retry(self, policy, outcomes, seed=1):
+    def run_retry(self, policy, outcomes, seed=1, deadline_s=None):
         """Drive retry() over scripted attempt outcomes.
 
         ``outcomes`` maps attempt number -> value or exception; returns
@@ -60,7 +60,8 @@ class TestRetryDriver:
 
         def proc():
             result = yield from retry(
-                sim, derive_rng(seed, "retry"), policy, factory
+                sim, derive_rng(seed, "retry"), policy, factory,
+                deadline_s=deadline_s,
             )
             return result
 
@@ -93,12 +94,10 @@ class TestRetryDriver:
         assert attempts == [1, 2]
 
     def test_deadline_stops_before_sleeping_across_it(self):
-        policy = RetryPolicy(
-            max_attempts=10, base_delay_s=4.0, deadline_s=10.0
-        )
+        policy = RetryPolicy(max_attempts=10, base_delay_s=4.0)
         boom = ReproError("boom")
         result, attempts, now = self.run_retry(
-            policy, {n: boom for n in range(1, 11)}
+            policy, {n: boom for n in range(1, 11)}, deadline_s=10.0
         )
         assert result is boom
         # Backoff 4 s, then 8 s would cross the 10 s deadline.
@@ -150,25 +149,6 @@ class TestRetryDriver:
         with pytest.raises(TimeoutError_):
             sim.run_process(proc())
         assert sim.now == pytest.approx(2.0)
-
-    def test_tighter_of_caller_and_policy_deadline_wins(self):
-        def timed_out_at(policy_deadline, caller_deadline):
-            sim = Simulator()
-
-            def proc():
-                return (yield from retry(
-                    sim, derive_rng(1, "retry"),
-                    RetryPolicy(deadline_s=policy_deadline),
-                    lambda _attempt: Future(),
-                    deadline_s=caller_deadline,
-                ))
-
-            with pytest.raises(TimeoutError_):
-                sim.run_process(proc())
-            return sim.now
-
-        assert timed_out_at(10.0, 1.5) == pytest.approx(1.5)
-        assert timed_out_at(1.5, 10.0) == pytest.approx(1.5)
 
     def test_last_attempt_is_truncated_to_the_remaining_budget(self):
         sim = Simulator()
@@ -266,7 +246,8 @@ class TestJitterStreams:
         retries jittering off one shared stream would re-fire with
         identical (or phase-shifted but correlated) schedules."""
         policy = RetryPolicy(
-            max_attempts=4, base_delay_s=0.5, max_delay_s=30.0, jitter="full"
+            max_attempts=4, base_delay_s=0.5, max_delay_s=30.0,
+            jitter="decorrelated",
         )
         streams = JitterStreams("retrier")
         schedules = []
