@@ -840,7 +840,7 @@ def run_gateway_cache(config: FiguresConfig, scale: int = 150):
     corpus = sum(trace.cid_sizes)
     results = {}
     for fraction in (0.01, 0.05, 0.15, 0.30):
-        tiers = resolve_tiers(trace, max(1, int(corpus * fraction)))
+        tiers, _ = resolve_tiers(trace, max(1, int(corpus * fraction)))
         nginx = tiers.count(TIER_NGINX)
         hits = nginx + tiers.count(TIER_NODE_STORE)
         results[fraction] = (nginx / len(tiers), hits / len(tiers))

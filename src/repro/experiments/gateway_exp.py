@@ -47,10 +47,12 @@ class GatewayExperimentConfig:
 @dataclass
 class GatewayExperimentResults:
     """The served day as columns: the trace, each request's tier code,
-    and the node-store and non-cached latencies in request order."""
+    the bytes requested per tier code, and the node-store and
+    non-cached latencies in request order."""
 
     trace: ColumnarTrace
     tiers: array
+    tier_bytes: list[int]
     node_store_latencies: array
     non_cached_latencies: array
 
@@ -123,9 +125,6 @@ class GatewayExperimentResults:
     def tier_table(self) -> list[TierSummary]:
         """Per-tier medians and shares (Table 5), one row per tier."""
         n = len(self.tiers)
-        tier_bytes = [0] * len(TIER_NAMES)
-        for tier, size in zip(self.tiers, self.sizes()):
-            tier_bytes[tier] += size
         latencies = {
             TIER_NGINX: [0.0],  # every nginx hit is served in 0 s
             TIER_NODE_STORE: self.node_store_latencies,
@@ -140,7 +139,7 @@ class GatewayExperimentResults:
             rows.append(TierSummary(
                 tier=tier,
                 median_latency=percentile(latencies[code], 50),
-                traffic_share=tier_bytes[code] / self.trace.total_bytes,
+                traffic_share=self.tier_bytes[code] / self.trace.total_bytes,
                 request_share=count / n,
             ))
         return rows
@@ -155,13 +154,16 @@ class GatewayExperimentResults:
     def referrals(self) -> dict[str, float]:
         """Referral shares (Section 6.3 "Gateway Referrals"): referrer
         code 0 is a direct hit, a positive code a semi-popular site."""
-        codes = self.trace.referrer_codes
-        semi = [code for code in codes if code > 0]
-        referred = len(codes) - codes.count(0)
+        trace = self.trace
+        referred = trace.referred_count
         return {
-            "referred_share": referred / len(codes) if codes else 0.0,
-            "semi_popular_share": len(semi) / referred if referred else 0.0,
-            "semi_popular_sites": len(set(semi)),
+            "referred_share": referred / len(trace) if len(trace) else 0.0,
+            "semi_popular_share": (
+                trace.semi_popular_count / referred if referred else 0.0
+            ),
+            "semi_popular_sites": len(
+                {code for code in trace.referrer_codes if code > 0}
+            ),
         }
 
     # -- headline usage numbers (Section 4.2) -------------------------------
@@ -181,8 +183,10 @@ def run_gateway_experiment(config: GatewayExperimentConfig) -> GatewayExperiment
     if capacity is None:
         corpus_bytes = sum(trace.cid_sizes)
         capacity = max(1, int(corpus_bytes * DEFAULT_CACHE_FRACTION_OF_CORPUS))
-    tiers = resolve_tiers(trace, capacity)
+    tiers, tier_bytes = resolve_tiers(trace, capacity)
     node_store, non_cached = sample_latencies(
         derive_rng(config.seed, "gateway").random, tiers
     )
-    return GatewayExperimentResults(trace, tiers, node_store, non_cached)
+    return GatewayExperimentResults(
+        trace, tiers, tier_bytes, node_store, non_cached
+    )

@@ -47,7 +47,7 @@ import math
 import random
 import time
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -126,7 +126,9 @@ class ReplayConfig:
 # ----------------------------------------------------------------------
 
 
-def resolve_tiers(trace: ColumnarTrace, capacity_bytes: int) -> array:
+def resolve_tiers(
+    trace: ColumnarTrace, capacity_bytes: int
+) -> tuple[array, list[int]]:
     """Resolve the cache tier of every request in one sequential pass.
 
     Makes an ``ObjectCache`` LRU's decisions in front of the pinned
@@ -135,6 +137,11 @@ def resolve_tiers(trace: ColumnarTrace, capacity_bytes: int) -> array:
     while over budget — using a plain insertion-ordered dict instead of
     per-request objects. No RNG is consumed: the tier sequence is a
     pure function of the trace and the capacity.
+
+    Returns the tier column and the bytes requested per tier, indexed
+    by tier code: the nginx and non-cached bytes are summed as the
+    tiers are decided, the node store has the rest of the day's bytes,
+    and nothing is shed here.
     """
     if capacity_bytes <= 0:
         raise ReproError(f"capacity must be positive, got {capacity_bytes}")
@@ -142,10 +149,11 @@ def resolve_tiers(trace: ColumnarTrace, capacity_bytes: int) -> array:
     sizes = trace.cid_sizes
     tiers = array("b", bytes(len(trace)))
     cache: dict[int, int] = {}  # cid -> size, oldest-inserted first
-    used = 0
+    used = nginx_bytes = miss_bytes = 0
     for index, cid in enumerate(trace.cid_ids):
         if cid in cache:
-            cache[cid] = cache.pop(cid)  # re-insert = move to MRU end
+            cache[cid] = size = cache.pop(cid)  # re-insert = move to MRU end
+            nginx_bytes += size
             tiers[index] = TIER_NGINX
         elif cid < n_pinned:
             # Pinned content is already on local disk, and nginx
@@ -156,13 +164,15 @@ def resolve_tiers(trace: ColumnarTrace, capacity_bytes: int) -> array:
         else:
             tiers[index] = TIER_NON_CACHED
             size = sizes[cid]
+            miss_bytes += size
             if size <= capacity_bytes:
                 cache[cid] = size
                 used += size
                 while used > capacity_bytes:
                     oldest = next(iter(cache))
                     used -= cache.pop(oldest)
-    return tiers
+    store_bytes = trace.total_bytes - nginx_bytes - miss_bytes
+    return tiers, [nginx_bytes, store_bytes, miss_bytes, 0]
 
 
 def window_slices(
@@ -496,11 +506,45 @@ def _percentile(at: Callable[[int], float], n: int, q: float) -> float:
     return at(lower) * (1.0 - fraction) + at(upper) * fraction
 
 
-def _sorted_array(chunks: Iterable[array]) -> array:
+#: The merge sorts a stage's latency samples about this many at a time.
+_SORT_BUCKET = 1 << 14
+#: Every this-many-th sample of each sorted run votes for the pivots.
+_PIVOT_STRIDE = 64
+
+
+def _sorted_array(runs: Iterable[array]) -> array:
+    """``array("d", sorted(all samples))``, without boxing every sample
+    at once.
+
+    Each run (one window's samples) is sorted on its own, and no
+    original is held once its sorted copy exists. Shared pivots, taken
+    from a regular sample of the sorted runs, then split every run with
+    ``bisect_right``; value range by value range, the runs' slices are
+    concatenated in run order, sorted and appended. Every copy of a
+    value falls in the same range, and a range's copies keep run order
+    and, within a run, input order — exactly ``sorted()``'s stable
+    order over the concatenated runs, float for float, for any values
+    without NaN (latencies are finite and positive).
+    """
+    runs = [array("d", sorted(run)) for run in runs]
+    total = sum(map(len, runs))
+    sample = sorted(
+        value for run in runs for value in run[_PIVOT_STRIDE - 1::_PIVOT_STRIDE]
+    )
+    ranges = min(total // _SORT_BUCKET, len(sample)) + 1
+    pivots = [sample[len(sample) * k // ranges] for k in range(1, ranges)]
     merged = array("d")
-    for chunk in chunks:
-        merged.extend(chunk)
-    return array("d", sorted(merged))
+    starts = [0] * len(runs)
+    for pivot in pivots + [math.inf]:
+        bucket: list[float] = []
+        for index, run in enumerate(runs):
+            start = starts[index]
+            stop = bisect_right(run, pivot, start)
+            bucket.extend(run[start:stop])
+            starts[index] = stop
+        bucket.sort()
+        merged.fromlist(bucket)
+    return merged
 
 
 def run_replay(config: ReplayConfig, workers: int = 1) -> ReplayResult:
@@ -520,7 +564,7 @@ def run_replay(config: ReplayConfig, workers: int = 1) -> ReplayResult:
     capacity = max(1, int(corpus * config.cache_fraction_of_corpus))
 
     resolve_started = time.perf_counter()
-    tiers = resolve_tiers(trace, capacity)
+    tiers, bytes_by_tier = resolve_tiers(trace, capacity)
     timings["resolve_s"] = time.perf_counter() - resolve_started
 
     slices = window_slices(trace.timestamps, config.window_s)
@@ -562,9 +606,9 @@ def run_replay(config: ReplayConfig, workers: int = 1) -> ReplayResult:
     timings["windows_s"] = time.perf_counter() - cells_started
 
     merge_started = time.perf_counter()
-    sizes = trace.cid_sizes
     # Sheds overlay the front-end decision: a shed miss served nothing.
     if config.miss_backend == "fleet":
+        sizes, cid_ids = trace.cid_sizes, trace.cid_ids
         for (start, stop, _window), result in zip(slices, cell_results):
             shed = result["shed"]
             cursor = 0
@@ -572,13 +616,14 @@ def run_replay(config: ReplayConfig, workers: int = 1) -> ReplayResult:
                 if tiers[index] == TIER_NON_CACHED:
                     if shed[cursor]:
                         tiers[index] = TIER_SHED
+                        bytes_by_tier[TIER_NON_CACHED] -= sizes[cid_ids[index]]
                     cursor += 1
 
     names = ("nginx", "node_store", "non_cached", "shed")
     counts = dict.fromkeys(names, 0)
     windows: list[WindowSummary] = []
     for start, stop, window in slices:
-        window_tiers = tiers[start:stop]
+        window_tiers = tiers[start:stop].tobytes()  # bytes.count is a C scan
         per_window = [window_tiers.count(code) for code in range(len(names))]
         for name, count in zip(names, per_window):
             counts[name] += count
@@ -592,15 +637,11 @@ def run_replay(config: ReplayConfig, workers: int = 1) -> ReplayResult:
                 shed=per_window[TIER_SHED],
             )
         )
-    bytes_by_tier = [0] * len(names)
-    for tier, cid in zip(tiers, trace.cid_ids):
-        bytes_by_tier[tier] += sizes[cid]
-    bytes_by_tier[TIER_SHED] = 0  # a shed request served nothing
     tier_bytes = dict(zip(names, bytes_by_tier))
 
     if config.miss_backend == "model":
-        node_store = _sorted_array(r["node_store"] for r in cell_results)
-        non_cached = _sorted_array(r["non_cached"] for r in cell_results)
+        node_store = _sorted_array(r.pop("node_store") for r in cell_results)
+        non_cached = _sorted_array(r.pop("non_cached") for r in cell_results)
         overload_totals: dict[str, int] = {}
         failovers = marked_offline = down_errors = 0
     else:
@@ -623,7 +664,7 @@ def run_replay(config: ReplayConfig, workers: int = 1) -> ReplayResult:
             ],
             workers,
         )
-        node_store = _sorted_array(r["node_store"] for r in store_cells)
+        node_store = _sorted_array(r.pop("node_store") for r in store_cells)
         non_cached = _sorted_array(
             array(
                 "d",
@@ -647,17 +688,14 @@ def run_replay(config: ReplayConfig, workers: int = 1) -> ReplayResult:
     timings["merge_s"] = time.perf_counter() - merge_started
     timings["total_s"] = time.perf_counter() - started
 
-    referred_count = len(trace) - trace.referrer_codes.count(0)
-    semi_popular_count = sum(1 for code in trace.referrer_codes if code > 0)
-
     return ReplayResult(
         config=config,
         backend=config.miss_backend,
         n_requests=len(trace),
         user_count=trace.user_count,
         cid_count=trace.cid_count,
-        referred_count=referred_count,
-        semi_popular_count=semi_popular_count,
+        referred_count=trace.referred_count,
+        semi_popular_count=trace.semi_popular_count,
         total_bytes=trace.total_bytes,
         served_bytes=sum(tier_bytes.values()),
         tier_counts=counts,

@@ -159,11 +159,11 @@ _SQUEEZE_AMPLITUDE = math.hypot(1.0, 0.45)
 _SQUEEZE_OMEGA = 2 * math.pi / SECONDS_PER_DAY
 _SQUEEZE_GUARD = 1e-9
 
-#: Requests are appended to the columns of their time-of-day bin as
-#: they are drawn (15-minute bins) and sorted bin by bin; the user
+#: Each request's index is appended to its time-of-day bin as it is
+#: drawn (15-minute bins), and the day is sorted bin by bin; the user
 #: column is drawn this many requests at a time.
 _TIME_BINS = 96
-_USER_CHUNK = 65_536
+_USER_CHUNK = 8192
 
 
 def _squeeze_phase(utc_offset: int) -> float:
@@ -204,10 +204,11 @@ class ColumnarTrace:
     """The day of traffic as parallel arrays instead of request objects.
 
     Per-request state is four machine-typed arrays (18 bytes per
-    request instead of a ~250-byte :class:`GatewayRequest`); everything
-    else (country, size, pinned flag, user/referrer strings) is derived
-    on demand from the per-user / per-CID side tables. Aggregates are
-    computed once at construction.
+    request instead of a ~250-byte :class:`GatewayRequest`), each the
+    one copy of its column; everything else (country, size, pinned
+    flag, user/referrer strings) is derived on demand from the
+    per-user / per-CID side tables. The aggregates are counted by the
+    generator, so no reader re-walks the day for them.
     """
 
     config: GatewayTraceConfig
@@ -221,6 +222,8 @@ class ColumnarTrace:
     total_bytes: int
     user_count: int  # distinct users that issued >= 1 request
     cid_count: int  # distinct CIDs requested >= 1 time
+    referred_count: int  # requests with a referrer (code != 0)
+    semi_popular_count: int  # requests referred by a semi-popular site
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -275,31 +278,43 @@ def trace_stream_sha256(requests: Iterable[GatewayRequest]) -> str:
     return digest.hexdigest()
 
 
-def _sorted_columns(
-    bins: list[tuple[array, array, array, array]]
-) -> tuple[array, array, array, array]:
-    """Concatenate the time bins into the day's four sorted columns.
+def _sorted_columns(bins: list[array], columns: list[array]) -> list[array]:
+    """Gather generation-order columns into the day's timestamp order.
 
-    Bins arrive in time order and no timestamp straddles two of them,
-    so a stable argsort inside each bin is the stable argsort of the
-    whole day: requests with equal timestamps keep generation order.
-    The list is emptied on the way, so each bin is freed once copied.
+    ``bins[b]`` holds, in generation order, the indices of the requests
+    whose timestamp (``columns[0]``) falls in time bin ``b``. Bins
+    arrive in time order and no timestamp straddles two of them, so a
+    stable sort of each bin's indices by timestamp is the stable argsort
+    of the whole day: requests with equal timestamps keep generation
+    order. The columns are then gathered one at a time, last first, and
+    ``columns`` is emptied on the way, so each generation-order column
+    is freed as soon as its sorted copy exists.
     """
-    day = (array("d"), array("i"), array("i"), array("h"))
-    bins.reverse()
-    while bins:
-        columns = bins.pop()
-        seconds = columns[0].tolist()
-        if len(seconds) > 1:  # itemgetter needs two indices to return a tuple
-            in_order = itemgetter(
-                *sorted(range(len(seconds)), key=seconds.__getitem__)
-            )
-            columns = [
-                array(column.typecode, in_order(column)) for column in columns
-            ]
-        for merged, column in zip(day, columns):
-            merged.extend(column)
+    seconds = columns[0]
+    for held in bins:
+        held[:] = array("i", sorted(held, key=seconds.__getitem__))
+    del seconds
+    day = []
+    while columns:
+        day.append(_gathered(columns.pop(), bins))
+    day.reverse()
     return day
+
+
+def _gathered(column: array, bins: list[array]) -> array:
+    """``column`` at the bins' indices, bin after bin, in one array
+    allocated at its final size."""
+    typecode = column.typecode
+    merged = array(typecode, [0]) * len(column)
+    start = 0
+    for held in bins:
+        stop = start + len(held)
+        if stop - start > 1:  # itemgetter needs two indices to return a tuple
+            merged[start:stop] = array(typecode, itemgetter(*held)(column))
+        elif held:
+            merged[start] = column[held[0]]
+        start = stop
+    return merged
 
 
 def generate_columnar_trace(
@@ -326,10 +341,15 @@ def generate_columnar_trace(
     :func:`diurnal_weight` and calls the definition itself only inside
     the ``_SQUEEZE_GUARD`` band around equality (see the constants).
 
-    No per-request Python object outlives its iteration: the user
-    column is drawn in chunks straight into its array, each accepted
-    request is appended to the four typed columns of its time bin, and
-    :func:`_sorted_columns` sorts bin by bin.
+    No per-request Python object outlives its iteration, and the day is
+    held once: the user column is drawn in chunks straight into its
+    array, each accepted request's timestamp, CID and referrer code are
+    stored at its index in generation-order columns beside it
+    (allocated at the day's size) and only the index is appended to
+    its time bin, and :func:`_sorted_columns` sorts bin by bin and
+    gathers the four columns into timestamp order one at a time, each
+    generation-order column freed as soon as its sorted copy exists.
+    The referral aggregates are counted as the draws are made.
     """
     countries, country_weights = _country_pool(rng)
 
@@ -396,20 +416,12 @@ def generate_columnar_trace(
     # product day * random() can round up to day itself, hence the
     # extra bin.
     bins_per_second = _TIME_BINS / day
-    bins = [
-        (array("d"), array("i"), array("i"), array("h"))
-        for _ in range(_TIME_BINS + 1)
-    ]
-    appenders = [tuple(column.append for column in columns) for columns in bins]
-    # The full-catalog override touches no draw: generation positions
-    # 0, stride, 2*stride, ... take catalog slots 0, 1, 2, ...
-    sweep_stride = _catalog_sweep_stride(config)
-    sweeps = (
-        zip(range(0, n, sweep_stride), range(config.n_cids))
-        if sweep_stride
-        else iter(())
-    )
-    next_sweep, sweep_slot = next(sweeps, (-1, 0))
+    bins = [array("i") for _ in range(_TIME_BINS + 1)]
+    add_to_bin = [held.append for held in bins]
+    drawn_seconds = array("d", [0.0]) * n
+    drawn_cids = array("i", [0]) * n
+    drawn_codes = array("h", [0]) * n
+    referred_count = semi_popular_count = 0
     for index, user_id in enumerate(drawn_users):
         # The fallback offset is drawn for every request, whether or not
         # the user's country needs it: that is the stream the pinned
@@ -433,30 +445,33 @@ def generate_columnar_trace(
             cid = bisect(pinned_cum, rnd() * pinned_total, 0, pinned_hi)
         else:
             cid = n_pinned + bisect(open_cum, rnd() * open_total, 0, open_hi)
-        if index == next_sweep:
-            cid = sweep_slot
-            next_sweep, sweep_slot = next(sweeps, (-1, 0))
         code = _REFERRER_NONE
         if rnd() < referred:
+            referred_count += 1
             if rnd() < semi_popular:
                 while (draw := bits(site_bits)) >= n_sites:
                     pass
                 code = draw + 1
+                semi_popular_count += 1
             else:
                 while (draw := bits(tail_bits)) >= n_tail:
                     pass
                 code = -1 - draw
-        add_second, add_user, add_cid, add_referrer = appenders[
-            int(second * bins_per_second)
-        ]
-        add_second(second)
-        add_user(user_id)
-        add_cid(cid)
-        add_referrer(code)
-    # The bound appends hold the bins; without them each bin is freed
-    # as soon as _sorted_columns has copied it out.
-    del drawn_users, appenders
-    timestamps, user_ids, cid_ids, referrer_codes = _sorted_columns(bins)
+        drawn_seconds[index] = second
+        drawn_cids[index] = cid
+        drawn_codes[index] = code
+        add_to_bin[int(second * bins_per_second)](index)
+    # The full-catalog override touches no draw: generation positions
+    # 0, stride, 2*stride, ... take catalog slots 0, 1, 2, ...
+    sweep_stride = _catalog_sweep_stride(config)
+    if sweep_stride:
+        for slot, index in zip(range(config.n_cids), range(0, n, sweep_stride)):
+            drawn_cids[index] = slot
+    # _sorted_columns holds the only reference to each column, so that
+    # each is freed once it is gathered.
+    columns = [drawn_seconds, drawn_users, drawn_cids, drawn_codes]
+    del drawn_seconds, drawn_users, drawn_cids, drawn_codes, add_to_bin
+    timestamps, user_ids, cid_ids, referrer_codes = _sorted_columns(bins, columns)
 
     return ColumnarTrace(
         config=config,
@@ -470,5 +485,7 @@ def generate_columnar_trace(
         total_bytes=sum(map(cid_sizes.__getitem__, cid_ids)),
         user_count=len(set(user_ids)),
         cid_count=len(set(cid_ids)),
+        referred_count=referred_count,
+        semi_popular_count=semi_popular_count,
     )
 

@@ -35,10 +35,14 @@ def serve(*requests, capacity=10_000):
         total_bytes=sum(sizes),
         user_count=min(1, len(rows)),
         cid_count=len(cid_sizes),
+        referred_count=sum(1 for code in referrers if code != 0),
+        semi_popular_count=sum(1 for code in referrers if code > 0),
     )
-    tiers = resolve_tiers(trace, capacity)
+    tiers, tier_bytes = resolve_tiers(trace, capacity)
     node_store, non_cached = sample_latencies(derive_rng(1, "gw").random, tiers)
-    return GatewayExperimentResults(trace, tiers, node_store, non_cached)
+    return GatewayExperimentResults(
+        trace, tiers, tier_bytes, node_store, non_cached
+    )
 
 
 def tiers_and_latencies(results):

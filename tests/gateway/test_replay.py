@@ -9,10 +9,14 @@ element-for-element.
 """
 
 from array import array
+from unittest import mock
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from repro.errors import ReproError
+from repro.gateway import replay
 from repro.gateway.gateway import default_upstream_model, node_store_latency
 from repro.gateway.replay import (
     TIER_NAMES,
@@ -22,6 +26,7 @@ from repro.gateway.replay import (
     TIER_SHED,
     ReplayConfig,
     _model_cell,
+    _sorted_array,
     resolve_tiers,
     run_replay,
     window_slices,
@@ -45,7 +50,7 @@ class TestResolveTiers:
     @pytest.mark.parametrize("fraction", [0.02, 0.15, 0.5])
     def test_matches_object_gateway(self, trace, fraction):
         capacity = max(1, int(trace.total_bytes * fraction))
-        tiers = resolve_tiers(trace, capacity)
+        tiers, _ = resolve_tiers(trace, capacity)
 
         served = reference_gateway(
             trace.iter_requests(), capacity, derive_rng(42, "gw")
@@ -53,7 +58,7 @@ class TestResolveTiers:
         assert [TIER_NAMES[fast] for fast in tiers] == [tier for tier, _ in served]
 
     def test_pinned_always_node_store(self, trace):
-        tiers = resolve_tiers(trace, 1)
+        tiers, _ = resolve_tiers(trace, 1)
         for tier, cid in zip(tiers, trace.cid_ids):
             if cid < trace.n_pinned:
                 assert tier == TIER_NODE_STORE
@@ -63,11 +68,21 @@ class TestResolveTiers:
     def test_tiny_cache_never_hits_nginx_twice_in_a_row(self, trace):
         # A 1-byte cache can never retain an object, so nothing can
         # ever be served from nginx.
-        tiers = resolve_tiers(trace, 1)
+        tiers, _ = resolve_tiers(trace, 1)
         assert TIER_NGINX not in set(tiers)
 
+    @pytest.mark.parametrize("fraction", [0.02, 0.5])
+    def test_tier_bytes_are_each_tiers_requested_bytes(self, trace, fraction):
+        tiers, tier_bytes = resolve_tiers(trace, max(1, int(trace.total_bytes * fraction)))
+        expected = [0, 0, 0, 0]
+        for tier, cid in zip(tiers, trace.cid_ids):
+            expected[tier] += trace.cid_sizes[cid]
+        assert tier_bytes == expected
+        assert expected[TIER_NGINX] and expected[TIER_NON_CACHED]
+        assert sum(tier_bytes) == trace.total_bytes
+
     def test_infinite_cache_hits_after_first_touch(self, trace):
-        tiers = resolve_tiers(trace, trace.total_bytes * 10)
+        tiers, _ = resolve_tiers(trace, trace.total_bytes * 10)
         seen = set()
         for tier, cid in zip(tiers, trace.cid_ids):
             if cid < trace.n_pinned:
@@ -96,6 +111,54 @@ class TestWindowSlices:
     def test_single_window_covers_day(self, trace):
         slices = window_slices(trace.timestamps, 1e9)
         assert slices == [(0, len(trace), 0)]
+
+
+#: Runs of latency-like samples: few distinct values, so duplicates
+#: land on (and straddle) the pivots; zeros of both signs; any finite
+#: or infinite float but NaN.
+samples = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.008, 0.024, 1.0, 4.04]),
+    st.floats(allow_nan=False),
+)
+runs_of_samples = st.lists(st.lists(samples, max_size=40), max_size=8)
+
+
+class TestSortedArray:
+    """The merge's value-bucketed sort is ``sorted()``, float for float.
+
+    Bucket and pivot-sample sizes are shrunk so that a few dozen samples
+    already split into many value ranges."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        runs=runs_of_samples,
+        bucket=st.integers(1, 16),
+        stride=st.integers(1, 8),
+    )
+    @example(runs=[], bucket=1, stride=1)
+    @example(runs=[[], [], []], bucket=1, stride=1)
+    @example(runs=[[3.0, 1.0, 2.0]], bucket=1, stride=1)
+    @example(runs=[[7.5] * 30, [7.5] * 11], bucket=2, stride=1)
+    @example(runs=[[1.0, 2.0, 2.0, 2.0], [2.0, 2.0, 3.0], [2.0]], bucket=1, stride=1)
+    @example(runs=[[0.0, -0.0, 1.0], [-0.0, 0.0]], bucket=1, stride=1)
+    def test_equals_one_sorted_call(self, runs, bucket, stride):
+        expected = array("d", sorted(value for run in runs for value in run))
+        with mock.patch.object(replay, "_SORT_BUCKET", bucket), mock.patch.object(
+            replay, "_PIVOT_STRIDE", stride
+        ):
+            merged = _sorted_array(array("d", run) for run in runs)
+        assert merged.tobytes() == expected.tobytes()
+
+    def test_default_sizes_split_a_large_stage(self):
+        rng = derive_rng(3, "sort")
+        runs = [
+            array("d", (rng.lognormvariate(0.0, 1.0) for _ in range(rng.randrange(9000))))
+            for _ in range(48)
+        ]
+        total = sum(map(len, runs))
+        assert total > 8 * replay._SORT_BUCKET  # several value ranges
+        expected = array("d", sorted(value for run in runs for value in run))
+        assert _sorted_array(iter(runs)).tobytes() == expected.tobytes()
 
 
 class TestModelCell:

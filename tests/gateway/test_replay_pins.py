@@ -94,7 +94,7 @@ def test_model_replay_equals_the_reference_loops():
     result = run_replay(config)
     trace = generate_columnar_trace(config.trace, derive_rng(config.seed, "trace"))
     capacity = max(1, int(sum(trace.cid_sizes) * config.cache_fraction_of_corpus))
-    tiers = resolve_tiers(trace, capacity)
+    tiers, _ = resolve_tiers(trace, capacity)
 
     tier_bytes = dict.fromkeys(NAMES, 0)
     for tier, cid in zip(tiers, trace.cid_ids):
@@ -141,7 +141,7 @@ def test_a_shed_miss_serves_no_bytes(monkeypatch):
 
     trace = generate_columnar_trace(config.trace, derive_rng(config.seed, "trace"))
     capacity = max(1, int(sum(trace.cid_sizes) * config.cache_fraction_of_corpus))
-    tiers = resolve_tiers(trace, capacity)
+    tiers, _ = resolve_tiers(trace, capacity)
     misses = [
         trace.cid_sizes[cid]
         for tier, cid in zip(tiers, trace.cid_ids)

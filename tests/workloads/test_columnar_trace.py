@@ -26,6 +26,7 @@ sort to the whole-day stable sort it replaced.
 import math
 import random
 import tracemalloc
+import weakref
 from array import array
 
 import pytest
@@ -258,25 +259,40 @@ class TestTimeBins:
             assert indices[0] >= 0 and indices[-1] <= _TIME_BINS
 
     def test_equal_timestamps_keep_generation_order(self):
-        def bin_of(*rows):
-            columns = array("d"), array("i"), array("i"), array("h")
-            for row in rows:
-                for column, value in zip(columns, row):
-                    column.append(value)
-            return columns
-
-        bins = [
-            bin_of((5.0, 1, 10, 0), (2.5, 2, 20, -7), (5.0, 3, 30, 4), (2.5, 4, 40, 0)),
-            bin_of(),  # an empty and a one-request bin pass through
-            bin_of((9.0, 5, 50, 1)),
-            bin_of((11.0, 7, 70, 0), (11.0, 6, 60, 0)),
+        # Seven requests in generation order; each bin holds the indices
+        # of its requests, in generation order too.
+        seconds = [5.0, 9.0, 2.5, 11.0, 5.0, 11.0, 2.5]
+        columns = [
+            array("d", seconds),
+            array("i", [100 + index for index in range(7)]),
+            array("i", [10 * index for index in range(7)]),
+            array("h", [0, 1, -7, 0, 4, 0, -2]),
         ]
-        timestamps, user_ids, cid_ids, referrer_codes = _sorted_columns(bins)
-        assert bins == []  # each bin is released as it is copied out
-        assert timestamps == array("d", [2.5, 2.5, 5.0, 5.0, 9.0, 11.0, 11.0])
-        assert user_ids == array("i", [2, 4, 1, 3, 5, 7, 6])
-        assert cid_ids == array("i", [20, 40, 10, 30, 50, 70, 60])
-        assert referrer_codes == array("h", [-7, 0, 0, 4, 1, 0, 0])
+        originals = [weakref.ref(column) for column in columns]
+        bins = [
+            array("i", [0, 2, 4, 6]),
+            array("i"),  # an empty and a one-request bin pass through
+            array("i", [1]),
+            array("i", [3, 5]),
+        ]
+        timestamps, user_ids, cid_ids, referrer_codes = _sorted_columns(
+            bins, columns
+        )
+        # the columns list is emptied and every generation-order column
+        # freed; each bin is left holding its indices in timestamp order
+        assert columns == []
+        assert [original() for original in originals] == [None] * 4
+        assert bins == [
+            array("i", [2, 6, 0, 4]), array("i"), array("i", [1]), array("i", [3, 5]),
+        ]
+        order = [2, 6, 0, 4, 1, 3, 5]  # stable by timestamp
+        assert timestamps == array("d", [seconds[index] for index in order])
+        assert user_ids == array("i", [100 + index for index in order])
+        assert cid_ids == array("i", [10 * index for index in order])
+        assert referrer_codes == array("h", [-7, -2, 0, 4, 1, 0, 0])
+        assert [column.typecode for column in (
+            timestamps, user_ids, cid_ids, referrer_codes
+        )] == ["d", "i", "i", "h"]
 
     def test_chunked_user_draw_is_one_choices_call(self, monkeypatch):
         # 7 100 requests in chunks of 1 000: seven full chunks and a rest
@@ -318,6 +334,10 @@ class TestAggregates:
         assert columnar.user_count == len({r.user for r in objects})
         assert columnar.cid_count == len({r.cid_index for r in objects})
         assert columnar.total_bytes == sum(r.size for r in objects)
+        assert columnar.referred_count == sum(1 for r in objects if r.referrer)
+        assert columnar.semi_popular_count == sum(
+            1 for r in objects if r.referrer and r.referrer.startswith("site-")
+        )
 
     def test_timestamps_sorted(self, columnar):
         ts = columnar.timestamps
