@@ -20,17 +20,17 @@ from repro.experiments.deployment import (
     analyze_population,
     run_crawl_timeseries,
 )
-from repro.experiments.gateway_exp import (
-    GatewayExperimentConfig,
-    GatewayExperimentResults,
-    run_gateway_experiment,
-)
 from repro.experiments.perf import PerfConfig, PerfResults, run_perf_experiment
 from repro.experiments.scenario import AWS_REGIONS, Scenario, ScenarioConfig, build_scenario
+from repro.gateway.replay import ReplayConfig, ReplayResult, replay_trace
 from repro.node.config import NodeConfig
 from repro.obs import Observability
 from repro.utils.rng import derive_rng
-from repro.workloads.gateway_trace import GatewayTraceConfig
+from repro.workloads.gateway_trace import (
+    ColumnarTrace,
+    GatewayTraceConfig,
+    generate_columnar_trace,
+)
 from repro.workloads.compact import CompactPopulation
 from repro.workloads.population import PopulationConfig, generate_population
 
@@ -80,11 +80,9 @@ def crawl_dataset(
     ))
 
 
-def gateway_dataset(
-    scale: int, *, seed: int, cache_capacity_bytes: int | None = None
-) -> GatewayExperimentResults:
-    """One replayed day at the gateway (Sections 4.2, 6.3)."""
-    return run_gateway_experiment(GatewayExperimentConfig(
-        trace=GatewayTraceConfig(scale=scale),
-        cache_capacity_bytes=cache_capacity_bytes, seed=seed,
-    ))
+def gateway_dataset(scale: int, *, seed: int) -> tuple[ColumnarTrace, ReplayResult]:
+    """One day at the gateway, served by the replay's model backend
+    (Sections 4.2, 6.3)."""
+    config = ReplayConfig(seed=seed, trace=GatewayTraceConfig(scale=scale))
+    trace = generate_columnar_trace(config.trace, derive_rng(seed, "trace"))
+    return trace, replay_trace(trace, config)

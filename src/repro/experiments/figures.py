@@ -53,7 +53,6 @@ from repro.experiments.deployment import (
     PopulationAnalysis,
     observed_reliability,
 )
-from repro.experiments.gateway_exp import GatewayExperimentResults
 from repro.experiments.perf import PerfResults
 from repro.experiments.report import (
     render_cdf,
@@ -64,7 +63,14 @@ from repro.experiments.report import (
 from repro.experiments.runner import Cell, run_cells
 from repro.experiments.scenario import Scenario
 from repro.gateway.logs import CacheTier, TierSummary
-from repro.gateway.replay import TIER_NGINX, TIER_NODE_STORE, resolve_tiers
+from repro.gateway.replay import (
+    TIER_NGINX,
+    TIER_NODE_STORE,
+    ReplayResult,
+    request_latencies,
+    resolve_tiers,
+    window_slices,
+)
 from repro.measurement.stretch import retrieval_stretch
 from repro.multiformats.cid import make_cid
 from repro.node.config import NodeConfig
@@ -76,7 +82,7 @@ from repro.obs import (
     walk_share,
 )
 from repro.utils.rng import derive_rng
-from repro.utils.stats import Cdf, mean, percentile, percentiles
+from repro.utils.stats import Cdf, mean, pearson_correlation, percentile, percentiles
 from repro.validation.compare import (
     Grade,
     grade_at_least,
@@ -85,7 +91,11 @@ from repro.validation.compare import (
 )
 from repro.validation.report import Claim, GradedReport
 from repro.validation.targets import RETRIEVAL_CDF_FIG9D, TARGETS_BY_KEY
-from repro.workloads.gateway_trace import GatewayTraceConfig, generate_columnar_trace
+from repro.workloads.gateway_trace import (
+    ColumnarTrace,
+    GatewayTraceConfig,
+    generate_columnar_trace,
+)
 
 
 @dataclass(frozen=True)
@@ -581,41 +591,46 @@ _CACHE_TIERS = {
 }
 
 
-def _fig04b(results: GatewayExperimentResults, c: _Claims) -> str:
-    series = results.request_series(300.0)
-    usage = results.usage_summary()
+def _fig04b(dataset: tuple[ColumnarTrace, ReplayResult], c: _Claims) -> str:
+    trace, result = dataset
+    series = [
+        (window * 300.0, stop - start)
+        for start, stop, window in window_slices(trace.timestamps, 300.0)
+    ]
     counts = [count for _, count in series]
     c.at_least("bins", len(series), 280, "the day is fully covered in 5-minute bins")
     c.at_least("peak_over_trough", _ratio(max(counts), min(counts)), 1.5,
                "demand is diurnal: peak bin at least 1.5x the trough bin")
     c.at_least("min_bin_requests", min(counts), 1,
                "no empty bins (the gateway is busy all day, as in Fig 4b)")
-    c.target("gateway.requests_per_user", _ratio(usage["requests"], usage["users"]),
+    c.target("gateway.requests_per_user", result.requests_per_user,
              "requests per distinct user over the day (paper 7.1 M / 101 k)")
-    c.target("gateway.requests_per_cid", _ratio(usage["requests"], usage["unique_cids"]),
+    c.target("gateway.requests_per_cid", result.requests_per_cid,
              "requests per distinct CID over the day (paper 7.1 M / 274 k)")
     return render_series(
         "Fig 4b — gateway requests per 5-min bin (gateway clock, PST)",
         [(start, f"{count:6d} requests") for start, count in series],
         every=12,  # print hourly
     ) + (
-        f"\nday total: {usage['requests']:.0f} requests from {usage['users']:.0f} "
-        f"users over {usage['unique_cids']:.0f} CIDs, "
-        f"{usage['bytes'] / 1e12:.2f} TB (paper: 7.1 M / 101 k / 274 k / 6.57 TB "
+        f"\nday total: {result.n_requests} requests from {result.user_count} "
+        f"users over {result.cid_count} CIDs, "
+        f"{result.total_bytes / 1e12:.2f} TB (paper: 7.1 M / 101 k / 274 k / 6.57 TB "
         f"at scale 1)"
     )
 
 
-def _fig06(results: GatewayExperimentResults, c: _Claims) -> str:
-    shares = results.user_country_shares()
+def _fig06(dataset: tuple[ColumnarTrace, ReplayResult], c: _Claims) -> str:
+    trace, _ = dataset
+    countries = trace.user_countries
+    requests = Counter(countries[user] for user in trace.user_ids)
+    shares = {country: count / len(trace) for country, count in requests.most_common()}
     c.at_least("us_cn_lead_margin", _lead_margin(shares, ["US", "CN"]), 1.0,
                "US then CN lead (paper: 50.4% / 31.9%)")
     c.at_most("us_share_deviation", abs(shares.get("US", 0) - _USER_COUNTRIES["US"]), 0.05,
               "US share within 5 points of the paper")
     c.within("countries", len(shares), 40, 70, "~59 countries send requests")
     # the figure counts requests; the paper's user shares count distinct users
-    trace = results.trace
-    users = Counter(trace.user_countries[user] for user in set(trace.user_ids))
+    users = Counter(countries[user] for user in set(trace.user_ids))
     c.target("gateway.user_share_us", _ratio(users["US"], sum(users.values())),
              "US share of distinct users (paper 50.4%)")
     c.target("gateway.user_share_cn", _ratio(users["CN"], sum(users.values())),
@@ -626,10 +641,16 @@ def _fig06(results: GatewayExperimentResults, c: _Claims) -> str:
     )
 
 
-def _fig11(results: GatewayExperimentResults, c: _Claims) -> str:
-    latency, size = results.latency_cdf(), results.size_cdf()
-    bins = results.traffic_bins(1800.0)
-    correlation = results.size_latency_correlation()
+def _fig11(dataset: tuple[ColumnarTrace, ReplayResult], c: _Claims) -> str:
+    trace, result = dataset
+    sizes = [trace.cid_sizes[cid] for cid in trace.cid_ids]
+    _, latencies = request_latencies(trace, result.config)
+    latency, size = Cdf.from_samples(latencies), Cdf.from_samples(sizes)
+    correlation = pearson_correlation([float(s) for s in sizes], latencies)
+    bins = [
+        (w.window * result.config.window_s, w.nginx + w.node_store, w.non_cached)
+        for w in result.windows
+    ]
     under_250ms = latency.probability_at(0.25)
     under_100k = size.probability_at(100 * 1024)
     c.at_least("served_under_250ms", under_250ms, 0.6,
@@ -643,10 +664,11 @@ def _fig11(results: GatewayExperimentResults, c: _Claims) -> str:
                min((hit / (hit + miss) for _, hit, miss in bins if hit + miss > 50),
                    default=None),
                0.5, "cache-hit fraction stays high across every 30-min bin")
-    c.at_most("size_latency_abs_r", abs(correlation), 0.3,
-              f"no size/latency correlation (|r| = {abs(correlation):.2f}, paper 0.13)")
+    c.info("size_latency_abs_r", abs(correlation), 0.13,
+           f"size/latency |r| = {abs(correlation):.2f} (paper 0.13): latency is "
+           "drawn from the tier alone, so this cannot fail (known deviation 8)")
     # the CDF above weighs objects by request; the paper's sizes are the corpus's
-    corpus = results.trace.cid_sizes
+    corpus = trace.cid_sizes
     c.target("gateway.object_size_median_kb", percentile(corpus, 50) / 1000.0,
              "median object size over the CID corpus, kB (paper 664.59)")
     c.target("gateway.object_size_over_100kb",
@@ -693,14 +715,25 @@ def render_tier_table(rows: Sequence[TierSummary]) -> str:
     )
 
 
-def _table5(results: GatewayExperimentResults, c: _Claims) -> str:
-    rows = results.tier_table()
-    tiers = {row.tier: row for row in rows}
-    nginx, node_store, non_cached = (
-        tiers[CacheTier.NGINX], tiers[CacheTier.NODE_STORE], tiers[CacheTier.NON_CACHED]
+def _tier_row(result: ReplayResult, tier: CacheTier) -> TierSummary:
+    """Table 5's row for ``tier``; a tier that served nothing is all 0."""
+    name = tier.name.lower()  # the tier's key in ReplayResult
+    if not result.tier_counts[name]:
+        return TierSummary(tier, 0.0, 0.0, 0.0)
+    return TierSummary(
+        tier=tier,
+        median_latency=result.tier_percentile(name, 50),
+        traffic_share=result.tier_bytes[name] / result.total_bytes,
+        request_share=result.tier_counts[name] / result.n_requests,
     )
-    combined = results.combined_hit_rate()
-    referrals = results.referrals()
+
+
+def _table5(dataset: tuple[ColumnarTrace, ReplayResult], c: _Claims) -> str:
+    trace, result = dataset
+    rows = [_tier_row(result, tier) for tier in CacheTier]
+    nginx, node_store, non_cached = rows[:3]
+    combined = result.combined_hit_rate
+    sites = len({code for code in trace.referrer_codes if code > 0})
     c.at_most("latency_ordering_margin",
               _pick(max, [_ratio(nginx.median_latency, node_store.median_latency),
                           _ratio(node_store.median_latency, non_cached.median_latency)]), 1.0,
@@ -720,17 +753,17 @@ def _table5(results: GatewayExperimentResults, c: _Claims) -> str:
              "requests served by the nginx cache (paper 46.0%)")
     c.target("gateway.node_store_request_share", node_store.request_share,
              "requests served by the IPFS node store (paper 40.2%)")
-    c.target("gateway.referred_share", referrals["referred_share"],
+    c.target("gateway.referred_share", result.referred_share,
              "about half the traffic arrives via third-party referrers")
-    c.target("gateway.semi_popular_referral_share", referrals["semi_popular_share"],
+    c.target("gateway.semi_popular_referral_share", result.semi_popular_referral_share,
              "referred traffic from the semi-popular sites (paper 70.6%)")
     c.info("node_store_traffic_share", node_store.traffic_share, 0.38,
            "node-store share of bytes served (known deviation 5)")
     return render_tier_table(rows) + (
         f"\ncombined cache hit rate: {combined:.1%} (paper: >80%)\n"
-        f"referred traffic: {referrals['referred_share']:.1%} (paper 51.8%), "
-        f"of which {referrals['semi_popular_share']:.1%} from "
-        f"{referrals['semi_popular_sites']:.0f} semi-popular sites "
+        f"referred traffic: {result.referred_share:.1%} (paper 51.8%), "
+        f"of which {result.semi_popular_referral_share:.1%} from "
+        f"{sites} semi-popular sites "
         f"(paper 70.6% / 72 sites)"
     )
 

@@ -10,9 +10,8 @@ the ipfs.io deployment the paper instruments:
   seconds.
 
 :mod:`repro.gateway.replay` resolves a day's tiers and samples the
-fitted latency models of :mod:`repro.gateway.gateway`;
-:mod:`repro.experiments.gateway_exp` turns that day into the
-quantities of Figure 11 and Table 5.
+fitted latency models of :mod:`repro.gateway.gateway`; its
+:class:`ReplayResult` is the day Figures 4b, 6 and 11 and Table 5 read.
 """
 
 from repro.gateway.bridge import BridgedResponse, GatewayBridge

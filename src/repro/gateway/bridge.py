@@ -1,8 +1,8 @@
 """Gateway bridged onto a live simulated IPFS network.
 
 The gateway day behind Table 5 / Figure 11
-(:mod:`repro.experiments.gateway_exp`) samples its non-cached latency
-from a fitted distribution (fast, good at that scale). This bridge
+(:mod:`repro.gateway.replay`'s model backend) samples its non-cached
+latency from a fitted distribution (fast, good at that scale). This bridge
 instead wires the gateway's miss path to a real
 :class:`~repro.node.host.IpfsNode` doing full DHT discovery + Bitswap
 fetches against the simulated world — the actual architecture of

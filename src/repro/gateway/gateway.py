@@ -6,7 +6,7 @@ hit draws :func:`node_store_latency`; a miss draws
 :func:`default_upstream_model`, a distribution fitted to the paper's
 non-cached latencies (Fig 11a, median ≈ 4.04 s).
 :func:`~repro.gateway.replay.sample_latencies` draws the same two
-models for a whole day of tiers;
+models for one replay window's tiers;
 :class:`~repro.gateway.bridge.GatewayBridge` is the variant whose
 misses are real retrievals on a live simulated network.
 """

@@ -1,7 +1,9 @@
 """Batched full-day gateway replay: the 7.1 M-request day in minutes.
 
-The day runs in three batched stages, and the figures' gateway day
-(:mod:`repro.experiments.gateway_exp`) runs the first two as they are:
+The day runs in three batched stages. :func:`run_replay` runs all
+three; :func:`replay_trace` runs the last two on a trace in hand, which
+is how :func:`~repro.experiments.datasets.gateway_dataset` serves the
+figures and ``repro gateway``:
 
 1. **Columnar trace** —
    :func:`~repro.workloads.gateway_trace.generate_columnar_trace`
@@ -25,10 +27,10 @@ Two miss-tail backends:
 - ``model`` — misses and node-store hits sample the fitted latency
   distributions (:func:`~repro.gateway.gateway.default_upstream_model`,
   :func:`~repro.gateway.gateway.node_store_latency`) through
-  :func:`sample_latencies`. This is the full-scale grading path: tier
-  decisions are the figures' day's, latencies are drawn per window
-  instead of from its one sequential stream, so graded metrics
-  (shares, medians, percentiles) match the figures within tolerance.
+  :func:`sample_latencies`. This is the one server of the day: the
+  figures and the graded replay read it, and :func:`request_latencies`
+  gives the same draws in request order (the access log, Fig 11's
+  size/latency r).
 - ``fleet`` — each window's misses replay through a fresh
   :class:`~repro.gateway.fleet.GatewayFleet` of real
   :class:`~repro.gateway.bridge.GatewayBridge` instances over a live
@@ -49,7 +51,7 @@ import time
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from repro.errors import ReproError
 from repro.experiments.runner import Cell, run_cells
@@ -62,7 +64,7 @@ from repro.gateway.gateway import (
     _NON_CACHED_MEDIAN_REMAINDER_S,
     _NON_CACHED_SIGMA,
 )
-from repro.gateway.logs import CacheTier
+from repro.gateway.logs import AccessLogEntry, CacheTier
 from repro.gateway.overload import OverloadConfig, ProviderHintCache
 from repro.simnet.latency import PeerClass, Region
 from repro.utils.rng import derive_rng
@@ -74,8 +76,7 @@ from repro.workloads.gateway_trace import (
 
 #: The nginx cache holds ~15 % of the corpus, which lands the nginx
 #: tier at Table 5's ≈46 % (the paper's gateway runs a bounded disk
-#: cache against 274 k distinct objects). The figures' gateway day in
-#: :mod:`repro.experiments.gateway_exp` sizes its cache the same way.
+#: cache against 274 k distinct objects).
 DEFAULT_CACHE_FRACTION_OF_CORPUS = 0.15
 
 #: Array-friendly tier codes (stage 2 output, one byte per request).
@@ -548,23 +549,37 @@ def _sorted_array(runs: Iterable[array]) -> array:
 
 
 def run_replay(config: ReplayConfig, workers: int = 1) -> ReplayResult:
-    """Stream one day through the batched pipeline.
-
-    Stages 1–2 (trace generation, tier resolution) are sequential and
-    the same as the figures' gateway day; stage 3 (latency sampling / the
-    miss tail) shards per time window through ``run_cells``. The
-    result is byte-identical for any ``workers`` count.
-    """
-    timings: dict[str, float] = {}
+    """Generate ``config``'s day (stage 1) and replay it
+    (:func:`replay_trace`). The trace lives until this returns."""
     started = time.perf_counter()
     trace = generate_columnar_trace(config.trace, derive_rng(config.seed, "trace"))
-    timings["generate_s"] = time.perf_counter() - started
+    generate_s = time.perf_counter() - started
+    result = replay_trace(trace, config, workers)
+    result.timings = {
+        "generate_s": generate_s,
+        **result.timings,
+        "total_s": time.perf_counter() - started,
+    }
+    return result
 
-    corpus = sum(trace.cid_sizes)
-    capacity = max(1, int(corpus * config.cache_fraction_of_corpus))
 
+def _capacity(trace: ColumnarTrace, config: ReplayConfig) -> int:
+    """The nginx-cache budget in bytes: ``config``'s share of the corpus."""
+    return max(1, int(sum(trace.cid_sizes) * config.cache_fraction_of_corpus))
+
+
+def replay_trace(
+    trace: ColumnarTrace, config: ReplayConfig, workers: int = 1
+) -> ReplayResult:
+    """Serve one generated day through stages 2–3 and merge it.
+
+    Tier resolution is sequential; stage 3 (latency sampling / the
+    miss tail) shards per time window through ``run_cells``. The result
+    is byte-identical for any ``workers`` count.
+    """
+    timings: dict[str, float] = {}
     resolve_started = time.perf_counter()
-    tiers, bytes_by_tier = resolve_tiers(trace, capacity)
+    tiers, bytes_by_tier = resolve_tiers(trace, _capacity(trace, config))
     timings["resolve_s"] = time.perf_counter() - resolve_started
 
     slices = window_slices(trace.timestamps, config.window_s)
@@ -686,7 +701,6 @@ def run_replay(config: ReplayConfig, workers: int = 1) -> ReplayResult:
             down_errors += result["down_errors"]
 
     timings["merge_s"] = time.perf_counter() - merge_started
-    timings["total_s"] = time.perf_counter() - started
 
     return ReplayResult(
         config=config,
@@ -709,3 +723,46 @@ def run_replay(config: ReplayConfig, workers: int = 1) -> ReplayResult:
         windows=windows,
         timings=timings,
     )
+
+
+def request_latencies(
+    trace: ColumnarTrace, config: ReplayConfig
+) -> tuple[array, array]:
+    """Each request's tier code and latency, in request order.
+
+    The model backend's own draws: the same tiers and the same
+    per-window streams as :func:`replay_trace`, so each tier's
+    latencies, sorted, are :class:`ReplayResult`'s arrays float for
+    float. nginx hits cost 0 s.
+    """
+    if config.miss_backend != "model":
+        raise ReproError("request latencies come from the model backend only")
+    tiers, _ = resolve_tiers(trace, _capacity(trace, config))
+    latencies = array("d", bytes(8 * len(tiers)))
+    for start, stop, window in window_slices(trace.timestamps, config.window_s):
+        cell = _model_cell(config.seed, window, tiers[start:stop].tobytes())
+        drawn = {
+            TIER_NODE_STORE: iter(cell["node_store"]),
+            TIER_NON_CACHED: iter(cell["non_cached"]),
+        }
+        for index in range(start, stop):
+            if tiers[index] != TIER_NGINX:
+                latencies[index] = next(drawn[tiers[index]])
+    return tiers, latencies
+
+
+def access_log(trace: ColumnarTrace, config: ReplayConfig) -> Iterator[AccessLogEntry]:
+    """The served day as access-log rows, in request order."""
+    tiers, latencies = request_latencies(trace, config)
+    for index, latency in enumerate(latencies):
+        request = trace.request_at(index)
+        yield AccessLogEntry(
+            timestamp=request.timestamp,
+            user=request.user,
+            country=request.country,
+            cid_index=request.cid_index,
+            size=request.size,
+            latency=latency,
+            tier=TIER_NAMES[tiers[index]],
+            referrer=request.referrer,
+        )

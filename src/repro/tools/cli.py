@@ -61,6 +61,7 @@ from repro.experiments.scale import (
     bench_scale_config,
     run_scale_crawl,
 )
+from repro.gateway.replay import access_log
 from repro.node.config import NodeConfig
 from repro.obs import Observability
 from repro.tools import export
@@ -260,7 +261,8 @@ DATASETS = (
                           help="divide the 7.1M-request day by this"))],
         lambda args, obs: gateway_dataset(args.scale, seed=args.seed),
         [("export", "write the access-log CSV", "log rows",
-          lambda results, obs, path: export.export_gateway_log(results.entries(), path))],
+          lambda results, obs, path: export.export_gateway_log(
+              access_log(results[0], results[1].config), path))],
     ),
     Dataset(
         "trace", "traced perf run with per-phase latency breakdown",

@@ -1,11 +1,13 @@
 """Integration tests for the deployment and gateway experiments."""
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
 from repro.crawler.crawl import CrawlResult
 from repro.experiments import figures
+from repro.experiments.datasets import gateway_dataset
 from repro.experiments.deployment import (
     CrawlCampaignConfig,
     CrawlCampaignResults,
@@ -13,17 +15,12 @@ from repro.experiments.deployment import (
     observed_reliability,
     run_crawl_timeseries,
 )
-from repro.experiments.gateway_exp import (
-    GatewayExperimentConfig,
-    run_gateway_experiment,
-)
 from repro.experiments.scenario import ScenarioConfig, build_scenario
-from repro.gateway.logs import CacheTier
-from repro.gateway.replay import TIER_NODE_STORE, TIER_NON_CACHED
+from repro.gateway.replay import request_latencies, window_slices
 from repro.utils.rng import derive_rng
+from repro.utils.stats import pearson_correlation
 from repro.validation.compare import Grade
 from repro.validation.targets import TARGETS_BY_KEY
-from repro.workloads.gateway_trace import GatewayTraceConfig
 from repro.workloads.population import PopulationConfig, generate_population
 
 
@@ -111,44 +108,46 @@ class TestPopulationAnalysis:
 
 class TestGatewayExperiment:
     @pytest.fixture(scope="class")
-    def results(self):
-        return run_gateway_experiment(
-            GatewayExperimentConfig(trace=GatewayTraceConfig(scale=500))
-        )
+    def day(self):
+        return gateway_dataset(500, seed=99)
 
-    def test_log_covers_trace(self, results):
-        tiers = results.tiers
-        assert len(tiers) == len(results.trace)
-        assert len(results.node_store_latencies) == tiers.count(TIER_NODE_STORE)
-        assert len(results.non_cached_latencies) == tiers.count(TIER_NON_CACHED)
+    def test_log_covers_trace(self, day):
+        trace, result = day
+        assert result.n_requests == len(trace)
+        assert len(result.node_store_latencies) == result.tier_counts["node_store"]
+        assert len(result.non_cached_latencies) == result.tier_counts["non_cached"]
 
-    def test_tier_shares_sum_to_one(self, results):
-        rows = results.tier_table()
-        assert sum(row.request_share for row in rows) == pytest.approx(1.0)
-        assert sum(row.traffic_share for row in rows) == pytest.approx(1.0)
+    def test_tier_shares_sum_to_one(self, day):
+        trace, result = day
+        assert sum(result.tier_counts.values()) == len(trace)
+        assert sum(result.tier_bytes.values()) == trace.total_bytes
 
-    def test_latency_ordering(self, results):
-        rows = {row.tier: row for row in results.tier_table()}
-        assert rows[CacheTier.NGINX].median_latency == 0.0
-        assert rows[CacheTier.NODE_STORE].median_latency < 0.024
-        assert rows[CacheTier.NON_CACHED].median_latency > 1.0
+    def test_latency_ordering(self, day):
+        _, result = day
+        assert result.tier_percentile("nginx", 50) == 0.0
+        assert result.tier_percentile("node_store", 50) < 0.024
+        assert result.tier_percentile("non_cached", 50) > 1.0
 
-    def test_combined_hit_rate_high(self, results):
-        assert results.combined_hit_rate() > 0.6
+    def test_combined_hit_rate_high(self, day):
+        assert day[1].combined_hit_rate > 0.6
 
-    def test_user_shares_us_led(self, results):
-        shares = results.user_country_shares()
-        assert list(shares)[0] == "US"
+    def test_user_shares_us_led(self, day):
+        trace, _ = day
+        countries = Counter(trace.user_countries[user] for user in trace.user_ids)
+        assert countries.most_common(1)[0][0] == "US"
 
-    def test_series_cover_day(self, results):
-        series = results.request_series(3600.0)
-        assert len(series) >= 20  # nearly every hour busy
+    def test_series_cover_day(self, day):
+        trace, _ = day
+        assert len(window_slices(trace.timestamps, 3600.0)) >= 20  # nearly every hour busy
 
-    def test_correlation_small(self, results):
-        assert abs(results.size_latency_correlation()) < 0.4
+    def test_correlation_small(self, day):
+        trace, result = day
+        _, latencies = request_latencies(trace, result.config)
+        sizes = [float(trace.cid_sizes[cid]) for cid in trace.cid_ids]
+        assert abs(pearson_correlation(sizes, latencies)) < 0.4
 
-    def test_usage_summary(self, results):
-        usage = results.usage_summary()
-        assert usage["requests"] == len(results.trace)
-        assert usage["users"] > 0
-        assert usage["bytes"] > 0
+    def test_usage_summary(self, day):
+        trace, result = day
+        assert result.n_requests == len(trace)
+        assert result.user_count > 0
+        assert result.total_bytes > 0

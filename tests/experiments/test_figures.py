@@ -99,10 +99,12 @@ class TestBuilds:
         assert "fig08.session_count" in keys and "fig08.de_over_hk_median" not in keys
 
     def test_gateway_log_with_no_referrers(self, datasets):
-        results = datasets["gateway"]
-        direct = array("h", bytes(2 * len(results.trace)))  # code 0: no referrer
-        self.rebuilt("gateway", dataclasses.replace(
-            results, trace=dataclasses.replace(results.trace, referrer_codes=direct)
+        trace, result = datasets["gateway"]
+        direct = array("h", bytes(2 * len(trace)))  # code 0: no referrer
+        nobody = dict(referred_count=0, semi_popular_count=0)
+        self.rebuilt("gateway", (
+            dataclasses.replace(trace, referrer_codes=direct, **nobody),
+            dataclasses.replace(result, **nobody),
         ))
 
     def test_perf_run_where_one_region_has_no_retrieval(self, datasets):

@@ -4,11 +4,16 @@ from array import array
 
 import pytest
 
-from repro.experiments.gateway_exp import GatewayExperimentResults
 from repro.gateway.cache import ObjectCache
 from repro.gateway.gateway import default_upstream_model, node_store_latency
 from repro.gateway.logs import CacheTier
-from repro.gateway.replay import resolve_tiers, sample_latencies
+from repro.gateway.replay import (
+    ReplayConfig,
+    WindowSummary,
+    access_log,
+    replay_trace,
+    window_slices,
+)
 from repro.utils.rng import derive_rng
 from repro.workloads.gateway_trace import ColumnarTrace, GatewayTraceConfig
 
@@ -18,8 +23,9 @@ SITE_01 = 2
 
 def serve(*requests, capacity=10_000):
     """Serve hand-made ``(timestamp, cid, size[, referrer_code])``
-    requests the way :func:`run_gateway_experiment` serves a day, with
-    latencies from ``derive_rng(1, "gw")``. CID 0 is the one pinned."""
+    requests the way the replay's model backend serves a day, behind a
+    ``capacity``-byte nginx cache: the ``(trace, ReplayResult)`` pair.
+    CID 0 is the one pinned."""
     rows = [(*request, 0)[:4] for request in requests]  # direct by default
     timestamps, cids, sizes, referrers = zip(*rows) if rows else ((),) * 4
     cid_sizes = dict(zip(cids, sizes))
@@ -38,15 +44,15 @@ def serve(*requests, capacity=10_000):
         referred_count=sum(1 for code in referrers if code != 0),
         semi_popular_count=sum(1 for code in referrers if code > 0),
     )
-    tiers, tier_bytes = resolve_tiers(trace, capacity)
-    node_store, non_cached = sample_latencies(derive_rng(1, "gw").random, tiers)
-    return GatewayExperimentResults(
-        trace, tiers, tier_bytes, node_store, non_cached
-    )
+    # the half byte keeps int(corpus * fraction) at capacity despite rounding
+    fraction = (capacity + 0.5) / sum(trace.cid_sizes)
+    config = ReplayConfig(seed=1, cache_fraction_of_corpus=fraction)
+    return trace, replay_trace(trace, config)
 
 
-def tiers_and_latencies(results):
-    return [(entry.tier, entry.latency) for entry in results.entries()]
+def tiers_and_latencies(day):
+    trace, result = day
+    return [(entry.tier, entry.latency) for entry in access_log(trace, result.config)]
 
 
 class TestObjectCache:
@@ -134,8 +140,8 @@ class TestGatewayTiers:
     def test_first_request_is_non_cached(self):
         [(tier, latency)] = tiers_and_latencies(serve((0.0, 1, 1000)))
         assert tier == CacheTier.NON_CACHED
-        # The miss is the day's first draw from its stream.
-        assert latency == default_upstream_model(derive_rng(1, "gw"))
+        # The miss is the first draw from window 0's stream.
+        assert latency == default_upstream_model(derive_rng(1, "replay-latency", "0"))
 
     def test_second_request_hits_nginx(self):
         served = tiers_and_latencies(serve((0.0, 1, 1000), (1.0, 1, 1000)))
@@ -153,19 +159,19 @@ class TestGatewayTiers:
         assert [tier for tier, _ in served] == [CacheTier.NODE_STORE] * 2
 
     def test_combined_hit_rate(self):
-        results = serve(
+        _, result = serve(
             (0.0, 1, 1000),  # miss
             (1.0, 1, 1000),  # nginx
             (2.0, 0, 1000),  # node store
         )
-        assert results.combined_hit_rate() == pytest.approx(2 / 3)
+        assert result.combined_hit_rate == pytest.approx(2 / 3)
 
     def test_eviction_brings_requests_back_upstream(self):
-        results = serve(
+        day = serve(
             (0.0, 1, 800), (1.0, 2, 800), (2.0, 1, 800),  # 2 evicts 1
             capacity=1000,
         )
-        assert tiers_and_latencies(results)[2][0] == CacheTier.NON_CACHED
+        assert tiers_and_latencies(day)[2][0] == CacheTier.NON_CACHED
 
     def test_node_store_latency_bounded(self):
         rng = derive_rng(2, "lat")
@@ -183,34 +189,34 @@ class TestLogAggregation:
         )
 
     def test_tier_summary_shares(self):
-        rows = {row.tier: row for row in self._day().tier_table()}
-        assert rows[CacheTier.NGINX].request_share == 0.25
-        assert rows[CacheTier.NODE_STORE].request_share == 0.25
-        assert rows[CacheTier.NON_CACHED].request_share == 0.5
-        total = sum(row.traffic_share for row in rows.values())
-        assert total == pytest.approx(1.0)
+        trace, result = self._day()
+        assert result.tier_counts == {
+            "nginx": 1, "node_store": 1, "non_cached": 2, "shed": 0,
+        }
+        assert sum(result.tier_bytes.values()) == trace.total_bytes
 
     def test_bin_traffic(self):
-        bins = self._day().traffic_bins(bin_seconds=1800.0)
-        assert bins[0] == (0.0, 1, 1)  # one miss, one nginx hit
-        assert bins[1] == (1800.0, 1, 1)
+        _, result = self._day()
+        assert result.windows == [
+            WindowSummary(0, requests=2, nginx=1, node_store=0, non_cached=1, shed=0),
+            WindowSummary(1, requests=2, nginx=0, node_store=1, non_cached=1, shed=0),
+        ]
 
     def test_request_rate_series(self):
-        series = self._day().request_series(bin_seconds=300.0)
-        assert series[0] == (0.0, 2)
+        trace, _ = self._day()
+        assert window_slices(trace.timestamps, 300.0)[0] == (0, 2, 0)
 
     def test_referral_statistics(self):
-        day = self._day()
-        assert [entry.referrer for entry in day.entries()][-1] == "site-01.example"
-        stats = day.referrals()
-        assert stats["referred_share"] == 0.25
-        assert stats["semi_popular_share"] == 1.0
-        assert stats["semi_popular_sites"] == 1
-        assert serve().referrals() == {
-            "referred_share": 0.0, "semi_popular_share": 0.0,
-            "semi_popular_sites": 0,
-        }
+        trace, result = self._day()
+        assert trace.request_at(3).referrer == "site-01.example"
+        assert result.referred_share == 0.25
+        assert result.semi_popular_referral_share == 1.0
+        _, empty = serve()
+        assert empty.referred_count == 0
+        assert empty.semi_popular_referral_share == 0.0
 
     def test_empty_tier_summary(self):
-        rows = serve().tier_table()
-        assert all(row.request_share == 0 for row in rows)
+        _, result = serve()
+        assert set(result.tier_counts.values()) == {0}
+        for tier in ("nginx", "node_store", "non_cached"):
+            assert result.tier_percentile(tier, 50) == 0.0

@@ -52,9 +52,7 @@ class TestResolveTiers:
         capacity = max(1, int(trace.total_bytes * fraction))
         tiers, _ = resolve_tiers(trace, capacity)
 
-        served = reference_gateway(
-            trace.iter_requests(), capacity, derive_rng(42, "gw")
-        )
+        served = reference_gateway(trace.iter_requests(), capacity, 42)
         assert [TIER_NAMES[fast] for fast in tiers] == [tier for tier, _ in served]
 
     def test_pinned_always_node_store(self, trace):

@@ -57,7 +57,7 @@ TEST_SEAMS = {
 }
 
 #: Settable config fields in ``src``: a ratchet, so growth shows in review.
-MAX_FIELDS = 102
+MAX_FIELDS = 99
 
 
 def _is_config(node: ast.AST) -> bool:
@@ -112,7 +112,7 @@ def _census() -> dict[str, set[str]]:
 
 def test_every_config_field_is_set_somewhere():
     census = _census()
-    assert len(census) > 100  # the walk found the tree
+    assert len(census) > 90  # the walk found the tree
     never_set = [field for field, tops in census.items() if not tops]
     assert not never_set, f"config fields nothing sets: {never_set}"
 

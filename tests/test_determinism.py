@@ -7,7 +7,6 @@ and require bit-identical outcomes.
 
 import hashlib
 
-from repro.experiments.gateway_exp import run_gateway_experiment
 from repro.experiments.perf import PerfConfig, run_perf_experiment
 from repro.experiments.scenario import (
     IDLE_NAT_WORLD,
@@ -19,8 +18,6 @@ from repro.obs import Observability
 from repro.tools.export import export_trace
 from repro.utils.rng import derive_rng
 from repro.workloads.population import PopulationConfig, generate_population
-from tests.gateway.test_gateway_day import GATEWAY_DAY_SHA256, day_sha256
-from tests.gateway.test_gateway_day import SHAPES as GATEWAY_DAY_SHAPES
 
 #: sha256 of the exported JSONL trace of ``_perf_run(11, traced)``. If
 #: this changes, either the instrumentation or the event schedule moved
@@ -108,12 +105,6 @@ def test_idle_nat_world_preserves_golden_trace(tmp_path):
     )
     assert digest == GOLDEN_TRACE_SHA256
     assert receipts == _perf_run(11)
-
-
-def test_gateway_experiment_bit_identical():
-    shape = "scale2000-seed99"
-    results = run_gateway_experiment(GATEWAY_DAY_SHAPES[shape])
-    assert day_sha256(results.entries()) == GATEWAY_DAY_SHA256[shape]
 
 
 def test_population_is_reproducible_across_processes():

@@ -7,16 +7,13 @@ import json
 import pytest
 
 from repro.experiments.deployment import CrawlCampaignConfig, run_crawl_timeseries
-from repro.experiments.gateway_exp import (
-    GatewayExperimentConfig,
-    run_gateway_experiment,
-)
+from repro.experiments.datasets import gateway_dataset
 from repro.experiments.perf import PerfConfig, run_perf_experiment
 from repro.experiments.scenario import ScenarioConfig, build_scenario
+from repro.gateway.replay import access_log
 from repro.tools import export
 from repro.tools.cli import main
 from repro.utils.rng import derive_rng
-from repro.workloads.gateway_trace import GatewayTraceConfig
 from repro.workloads.population import PopulationConfig, generate_population
 
 
@@ -74,14 +71,12 @@ class TestExporters:
             assert float(row["length_s"]) >= 0
 
     def test_gateway_csv(self, tmp_path):
-        results = run_gateway_experiment(
-            GatewayExperimentConfig(trace=GatewayTraceConfig(scale=2000))
-        )
+        trace, result = gateway_dataset(2000, seed=99)
         path = tmp_path / "gateway.csv"
-        rows = export.export_gateway_log(results.entries(), path)
+        rows = export.export_gateway_log(access_log(trace, result.config), path)
         with path.open() as handle:
             parsed = list(csv.DictReader(handle))
-        assert len(parsed) == rows == len(results.trace)
+        assert len(parsed) == rows == len(trace)
         assert {row["cache_tier"] for row in parsed} <= {
             "nginx cache", "IPFS node store", "Non Cached",
         }
