@@ -13,7 +13,11 @@ froze them at its parent commit, before it replaced the six layouts; the
 took the registry's value and band — DESIGN §5m has old and new side by
 side; the ``chaos`` / ``chaos_recovery`` blocks the first of theirs,
 PR 22, whose level records are held to the pre-unification modules by
-the sha256 oracle of ``tests/experiments/test_chaos.py``).
+the sha256 oracle of ``tests/experiments/test_chaos.py``). The gateway
+rows of ``figures`` were re-frozen once more when the figures' gateway
+day became the replay's one latency stream: three Table 5 medians moved
+and ``fig11.size_latency_abs_r`` became informational (the ledger has
+old and new side by side).
 The literals are the oracle: regenerating an artifact must reproduce
 them, and they are not to be edited to make a layout change pass.
 
@@ -193,7 +197,7 @@ PINNED = {
     ),
     "figures": (
         "PASS",
-        "eaa28d15ce0c6b3ba513a4b08d4acd791220236c426a51c89515364032303fb3",
+        "1a6a269d3eddb9769f822c7cd714217521d614c52bae63fe07e4f9bfa7a62880",
         [
             ('figures', 'ablation.alpha.alpha6_over_alpha3_p50', 'ablation.alpha', 0.790883, 0.4, 'PASS'),
             ('figures', 'ablation.alpha.serial_over_alpha3_p50', 'ablation.alpha', 2.292033, 1.0, 'PASS'),
@@ -247,7 +251,7 @@ PINNED = {
             ('figures', 'fig11.object_size_p50_kib', 'fig11', 512.761719, 750.0, 'PASS'),
             ('figures', 'fig11.objects_under_100k', 'fig11', 0.141707, 0.4, 'PASS'),
             ('figures', 'fig11.served_under_250ms', 'fig11', 0.908169, 0.6, 'PASS'),
-            ('figures', 'fig11.size_latency_abs_r', 'fig11', 0.023543, 0.3, 'PASS'),
+            ('figures', 'fig11.size_latency_abs_r', 'fig11', 0.021787, 0.13, 'info'),
             ('figures', 'gateway.combined_hit_rate', 'table5', 0.908169, 0.8, 'PASS'),
             ('figures', 'gateway.nginx_request_share', 'table5', 0.506715, 0.46, 'PASS'),
             ('figures', 'gateway.node_store_request_share', 'table5', 0.401454, 0.402, 'PASS'),
@@ -290,10 +294,10 @@ PINNED = {
             ('figures', 'table4.publication_p95_s', 'table4', 53.864957, 138.1, 'info'),
             ('figures', 'table4.retrieval_median_worst_s', 'table4', 2.500065, 3.75, 'PASS'),
             ('figures', 'table5.cached_over_non_cached_requests', 'table5', 4.371656, 1.0, 'PASS'),
-            ('figures', 'table5.latency_ordering_margin', 'table5', 0.001995, 1.0, 'PASS'),
-            ('figures', 'table5.node_store_p50_s', 'table5', 0.008028, 0.024, 'PASS'),
+            ('figures', 'table5.latency_ordering_margin', 'table5', 0.00198, 1.0, 'PASS'),
+            ('figures', 'table5.node_store_p50_s', 'table5', 0.008007, 0.024, 'PASS'),
             ('figures', 'table5.node_store_traffic_share', 'table5', 0.298268, 0.38, 'info'),
-            ('figures', 'table5.non_cached_p50_s', 'table5', 4.023252, 5.0, 'PASS'),
+            ('figures', 'table5.non_cached_p50_s', 'table5', 4.04393, 5.0, 'PASS'),
         ],
     ),
     "chaos": (
@@ -347,8 +351,8 @@ def test_row_counts_are_the_ones_the_artifacts_were_frozen_with():
     }
     assert graded == {
         "attack": 46, "fidelity": 6, "nat": 4, "overload": 9,
-        "replay": 14, "scale": 6, "figures": 94, "chaos": 6,
+        "replay": 14, "scale": 6, "figures": 93, "chaos": 6,
         "chaos_recovery": 13,
     }
     assert sum(1 for row in PINNED["replay"][2] if row[-1] == "info") == 20
-    assert sum(1 for row in PINNED["figures"][2] if row[-1] == "info") == 5
+    assert sum(1 for row in PINNED["figures"][2] if row[-1] == "info") == 6
