@@ -184,8 +184,7 @@ TINY_FIGURES = figures.FiguresConfig(
 
 
 def reference_gateway(
-    requests: Iterable[GatewayRequest], capacity_bytes: int, seed: int,
-    window_s: float = 1800.0,
+    requests: Iterable[GatewayRequest], capacity_bytes: int, seed: int
 ) -> list[tuple[CacheTier, float]]:
     """The gateway day served the plain way: ``(tier, latency)`` per
     request from an ``OrderedDict`` LRU in front of the pinned store.
@@ -194,16 +193,16 @@ def reference_gateway(
     LRU and draws :func:`node_store_latency`; anything else draws
     :func:`default_upstream_model` and is inserted (an object larger
     than the whole cache is declined), evicting the oldest entries
-    while over budget. Each ``window_s`` window of the day draws from
-    its own ``derive_rng(seed, "replay-latency", str(window))`` stream.
+    while over budget. Each 1800 s window of the day draws from its own
+    ``derive_rng(seed, "replay-latency", str(window))`` stream.
     """
     cache: OrderedDict[int, int] = OrderedDict()
     used = 0
     served = []
     window = rng = None
     for request in requests:
-        if int(request.timestamp // window_s) != window:
-            window = int(request.timestamp // window_s)
+        if int(request.timestamp // 1800.0) != window:
+            window = int(request.timestamp // 1800.0)
             rng = derive_rng(seed, "replay-latency", str(window))
         cid, size = request.cid_index, request.size
         if cid in cache:
