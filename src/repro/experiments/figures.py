@@ -646,7 +646,7 @@ def _fig11(dataset: tuple[ColumnarTrace, ReplayResult], c: _Claims) -> str:
     sizes = [trace.cid_sizes[cid] for cid in trace.cid_ids]
     _, latencies = request_latencies(trace, result.config)
     latency, size = Cdf.from_samples(latencies), Cdf.from_samples(sizes)
-    correlation = pearson_correlation([float(s) for s in sizes], latencies)
+    correlation = pearson_correlation(sizes, latencies)
     bins = [
         (w.window * result.config.window_s, w.nginx + w.node_store, w.non_cached)
         for w in result.windows

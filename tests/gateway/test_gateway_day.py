@@ -11,10 +11,12 @@ for request, and :class:`ReplayResult`'s latency arrays, which must be
 those same draws sorted.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
 
+from repro.errors import ReproError
 from repro.gateway.replay import (
     DEFAULT_CACHE_FRACTION_OF_CORPUS,
     TIER_NODE_STORE,
@@ -91,3 +93,9 @@ def test_request_latencies_are_the_replay_stream(shape):
     ):
         drawn = sorted(latency for tier, latency in zip(tiers, latencies) if tier == code)
         assert drawn and drawn == replayed.tolist()
+
+
+def test_request_latencies_are_the_model_backends_only():
+    config = dataclasses.replace(SHAPES["scale2000-seed99"], miss_backend="fleet")
+    with pytest.raises(ReproError):
+        request_latencies(_trace(config), config)
