@@ -21,9 +21,15 @@ from repro.dht.bootstrap import populate_routing_tables
 from repro.node.host import IpfsNode
 from repro.node.pinning_service import PinningService
 from repro.simnet.latency import PeerClass, Region
-from repro.simnet.nat import autonat_check
+from repro.simnet.nat import (
+    DEFAULT_KEEPALIVE_INTERVAL_S,
+    NatBox,
+    NatMode,
+    autonat_check,
+    seed_keepalive_mapping,
+)
 from repro.simnet.network import SimNetwork
-from repro.simnet.relay import CircuitDialer, NatType
+from repro.simnet.relay import CircuitDialer
 from repro.simnet.sim import Simulator
 from repro.utils.rng import derive_rng
 
@@ -33,14 +39,17 @@ def main() -> None:
     net = SimNetwork(sim, derive_rng(55, "net"))
     rng = derive_rng(55, "world")
 
-    # The protagonist: a home node behind a cone NAT.
+    # The protagonist: a home node behind a port-restricted cone NAT.
+    nat = NatBox(NatMode.PORT_RESTRICTED,
+                 keepalive_interval_s=DEFAULT_KEEPALIVE_INTERVAL_S)
     author = IpfsNode(sim, net, derive_rng(55, "author"), region=Region.EU,
-                      peer_class=PeerClass.HOME, nat_private=True)
-    author.host.nat_type = NatType.CONE
+                      peer_class=PeerClass.HOME, nat=nat)
     reader = IpfsNode(sim, net, derive_rng(55, "reader"), region=Region.NA_WEST)
     service_node = IpfsNode(sim, net, derive_rng(55, "svc"),
                             region=Region.NA_EAST)
     relay_node = IpfsNode(sim, net, derive_rng(55, "relay"), region=Region.EU)
+    # Its long-lived connection to the relay holds one mapping open.
+    seed_keepalive_mapping(author.host, relay_node.peer_id)
     backdrop = [
         IpfsNode(sim, net, derive_rng(55, "bg", str(i)),
                  region=rng.choice(list(Region)))
@@ -51,8 +60,9 @@ def main() -> None:
         rng,
     )
 
-    # 1. AutoNAT: the author asks peers to dial back; fewer than three
-    #    succeed, so it stays a DHT client (Section 2.3).
+    # 1. AutoNAT: the author asks peers to dial back; its box filters
+    #    every stranger, so no more than three land and it stays a DHT
+    #    client (Section 2.3).
     candidates = [node.peer_id for node in backdrop[:8]]
     reachable = sim.run_process(autonat_check(net, author.host, candidates))
     print(f"AutoNAT verdict: publicly reachable = {reachable} "

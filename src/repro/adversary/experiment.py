@@ -41,14 +41,13 @@ from repro.experiments.chaos import (
     RETRIEVAL_SPACING_S,
     cold_retrieve,
 )
+from repro.experiments.datasets import build_world
 from repro.experiments.runner import Cell, run_cells
-from repro.experiments.scenario import ScenarioConfig, build_scenario
 from repro.simnet.faults import FaultInjector
 from repro.utils.rng import derive_rng
 from repro.utils.stats import percentiles
 from repro.validation.compare import Grade, grade_at_least
 from repro.validation.report import Claim, GradedReport
-from repro.workloads.population import PopulationConfig, generate_population
 
 #: Suppression below this (in success-rate points) means the attack
 #: did not measurably bite; recovery is then graded PASS trivially.
@@ -171,17 +170,11 @@ def _run_cell(
     config: AttackMatrixConfig, attack: AttackSpec, defense_name: str
 ) -> AttackCellResult:
     """One matrix cell in its own fresh world (picklable for sharding)."""
-    population = generate_population(
-        PopulationConfig(n_peers=config.n_peers),
-        derive_rng(config.seed, "attack-pop"),
-    )
     arm = defense(defense_name)
-    scenario = build_scenario(
-        population,
-        ScenarioConfig(
-            seed=config.seed, with_churn=False, node_config=arm.node_config()
-        ),
-        vantage_regions=[PUBLISHER_REGION, GETTER_REGION],
+    scenario = build_world(
+        config.n_peers, config.seed, "attack-pop",
+        [PUBLISHER_REGION, GETTER_REGION],
+        with_churn=False, node_config=arm.node_config(),
     )
     sim, net = scenario.sim, scenario.net
     publisher = scenario.vantage[PUBLISHER_REGION]

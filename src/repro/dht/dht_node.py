@@ -8,8 +8,12 @@ A node runs in one of two modes (Section 2.3):
 - **client** — NAT'ed or otherwise unreachable; issues lookups but
   stores nothing and never enters routing tables.
 
-Mode is decided at join time by AutoNAT (see
-:func:`repro.simnet.nat.autonat_check`) or forced via configuration.
+Mode is set by whoever builds the node, not by AutoNAT at join time:
+:class:`~repro.node.host.IpfsNode` makes NAT'ed hosts clients unless
+told otherwise, and the world builder sets each host's ``dht_server``
+from its population tag (``ScenarioConfig.nat_peers_in_dht`` keeps
+never-reachable peers as stale server entries, as crawls observe).
+:func:`repro.simnet.nat.autonat_check` is the dial-back check itself.
 """
 
 from __future__ import annotations

@@ -32,32 +32,26 @@ from repro.experiments.chaos import (
     RETRIEVAL_SPACING_S,
     cold_retrieve,
 )
+from repro.experiments.datasets import build_world
 from repro.experiments.deployment import CrawlCampaignConfig, run_crawl_timeseries
 from repro.experiments.runner import Cell, run_cells
-from repro.experiments.scenario import (
-    DEFAULT_NAT_MIX,
-    NatWorldConfig,
-    Scenario,
-    ScenarioConfig,
-    build_scenario,
-)
+from repro.experiments.scenario import DEFAULT_NAT_MIX, NatWorldConfig, Scenario
 from repro.node.host import IpfsNode
 from repro.simnet.latency import AWS_REGION_MAP, PeerClass
 from repro.simnet.nat import (
     DEFAULT_KEEPALIVE_INTERVAL_S,
     DEFAULT_MAPPING_TTL_S,
-    AutoNatService,
     NatBox,
     NatMode,
-    ground_truth_public,
+    autonat_check,
     seed_keepalive_mapping,
 )
+from repro.simnet.relay import cold_dialable
 from repro.utils.rng import derive_rng
 from repro.utils.stats import percentiles
 from repro.validation.compare import grade_at_least
 from repro.validation.report import Claim, GradedReport
 from repro.validation.targets import TARGETS_BY_KEY
-from repro.workloads.population import PopulationConfig, generate_population
 
 #: NAT-mode mixes for the never-reachable cohort. ``cone_heavy`` makes
 #: the mapping-TTL axis bite (full-cone dialability dies with the
@@ -184,7 +178,6 @@ def _measure_autonat(
     scenario: Scenario, config: NatSweepConfig
 ) -> tuple[float, int]:
     """Classify every online backdrop peer; return (agreement, checked)."""
-    service = AutoNatService(scenario.net)
     world = scenario.world
     hosts = [world.host_at(index) for index in range(len(world))]
     # Probe helpers: public peers currently online, the handful of
@@ -206,9 +199,8 @@ def _measure_autonat(
             if not host.online:
                 continue
             candidates = [h for h in helpers if h != host.peer_id]
-            result = yield from service.classify(host, candidates)
-            truth = ground_truth_public(host, scenario.sim.now)
-            agreements.append(result.public == truth)
+            public = yield from autonat_check(scenario.net, host, candidates)
+            agreements.append(public == cold_dialable(host, scenario.sim.now))
 
     scenario.sim.run_process(classify_all())
     checked = len(agreements)
@@ -220,15 +212,11 @@ def _run_cell(
     config: NatSweepConfig, mix_name: str, adoption: float, ttl: float
 ) -> NatCellResult:
     """One sweep cell in its own fresh world (picklable for sharding)."""
-    population = generate_population(
-        PopulationConfig(n_peers=config.n_peers),
-        derive_rng(config.seed, "nat-sweep-pop"),
-    )
     nat_world = NatWorldConfig(
         mix=MIXES[mix_name], punch_adoption=adoption, mapping_ttl_s=ttl
     )
-    scenario = build_scenario(
-        population, ScenarioConfig(seed=config.seed, nat_world=nat_world)
+    scenario = build_world(
+        config.n_peers, config.seed, "nat-sweep-pop", nat_world=nat_world
     )
     sim, net = scenario.sim, scenario.net
     world = scenario.world

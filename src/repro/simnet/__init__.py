@@ -13,19 +13,19 @@ DESIGN.md). It has four layers:
   spikes of Figure 9c.
 - :mod:`repro.simnet.network` — hosts, dialing, connections and RPC
   delivery; :mod:`repro.simnet.churn` — peer session (uptime) models;
-  :mod:`repro.simnet.nat` — NAT reachability and the AutoNAT protocol.
+  :mod:`repro.simnet.nat` — NAT boxes and the AutoNAT dial-back check;
+  :mod:`repro.simnet.relay` — circuit relays and DCUtR hole punching.
 """
 
 from repro.simnet.churn import ChurnModel
 from repro.simnet.latency import LatencyModel, PeerClass, Region
-from repro.simnet.nat import AutoNatService, NatBox, NatMode
+from repro.simnet.nat import NatBox, NatMode, autonat_check
 from repro.simnet.network import Connection, SimHost, SimNetwork
 from repro.simnet.relay import CircuitDialer, NatTraversal
 from repro.simnet.sim import Future, Process, Simulator, all_of, any_of, sleep, with_timeout
 from repro.simnet.transport import Transport, TransportProfile
 
 __all__ = [
-    "AutoNatService",
     "ChurnModel",
     "CircuitDialer",
     "Connection",
@@ -44,6 +44,7 @@ __all__ = [
     "TransportProfile",
     "all_of",
     "any_of",
+    "autonat_check",
     "sleep",
     "with_timeout",
 ]

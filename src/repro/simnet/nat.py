@@ -1,4 +1,4 @@
-"""NAT behaviour, observed-address discovery and AutoNAT (Section 2.3).
+"""NAT behaviour and AutoNAT (Section 2.3).
 
 The paper's headline connectivity finding — 45.5 % of DHT entries are
 undialable, concentrated behind NATs — emerges here instead of being a
@@ -21,25 +21,19 @@ connections every go-ipfs node maintains without scheduling events).
 Port allocation is a deterministic counter — no RNG — so replays and
 sharded experiment cells are byte-identical.
 
-On top of the boxes sit the two discovery protocols:
-
-- :func:`discover_observed_address` — the STUN-like exchange: dial a
-  public helper and learn which external endpoint it saw;
-- :func:`autonat_check` / :class:`AutoNatService` — dial-back
-  classification. Helpers dial the subject back *from a fresh observer
-  endpoint* (the amplification guard real AutoNAT uses), so only
-  genuinely cold-dialable peers — public hosts, and full-cone boxes
-  with a live mapping — classify as reachable.
-
-New peers join the DHT as *clients* by default; if more than
-:data:`AUTONAT_THRESHOLD` dial-backs land, the peer upgrades itself to
-a *DHT server*, otherwise it stays a client (the pre-v0.5 behaviour
-whose removal the paper credits with a significant boost, Section 6.4).
+On top of the boxes sits AutoNAT, :func:`autonat_check`: helpers dial
+the subject back *from a fresh observer endpoint* (the amplification
+guard real AutoNAT uses), so only genuinely cold-dialable peers —
+public hosts, and full-cone boxes with a live mapping — classify as
+reachable. A peer whose check sees more than :data:`AUTONAT_THRESHOLD`
+dial-backs land qualifies as a *DHT server* (Section 2.3). Built worlds
+do not run the check at join time: the world builder sets each host's
+``dht_server`` from its population tag, and the ``nat-sweep`` scores
+AutoNAT's verdicts against :func:`repro.simnet.relay.cold_dialable`.
 """
 
 from __future__ import annotations
 
-import random
 from collections.abc import Generator
 from dataclasses import dataclass
 from enum import Enum
@@ -183,16 +177,6 @@ class NatBox:
         )
         return port
 
-    def expire(self, now: float) -> int:
-        """Drop dead mappings; returns how many were evicted."""
-        dead = [
-            key for key, mapping in self._mappings.items()
-            if not self._is_live(mapping, now)
-        ]
-        for key in dead:
-            del self._mappings[key]
-        return len(dead)
-
     # -- queries -----------------------------------------------------------
 
     def has_live_mapping(self, now: float) -> bool:
@@ -229,9 +213,6 @@ class NatBox:
         mapping = self._mappings.get((src_peer, src_port))
         return mapping is not None and self._is_live(mapping, now)
 
-    def live_mappings(self, now: float) -> int:
-        return sum(1 for m in self._mappings.values() if self._is_live(m, now))
-
 
 def seed_keepalive_mapping(
     host: SimHost, bootstrap_peer: PeerId, now: float = 0.0
@@ -245,82 +226,36 @@ def seed_keepalive_mapping(
 
 
 # ---------------------------------------------------------------------------
-# Observed-address discovery (STUN-like)
-# ---------------------------------------------------------------------------
-
-
-def discover_observed_address(
-    network: SimNetwork, host: SimHost, helper_id: PeerId
-) -> Generator:
-    """Learn our external endpoint as a public helper observes it.
-
-    A process: dial the helper (identify's ``observedAddr`` rides the
-    connection we just opened), read the external port off our own
-    NAT mapping toward it, disconnect, and remember the result on
-    ``host.observed_port``. Public hosts observe their listen port.
-    """
-    yield network.dial(host, helper_id)
-    helper = network.host(helper_id)
-    helper_port = helper.listen_port if helper is not None else DEFAULT_LISTEN_PORT
-    if host.nat is None:
-        observed = host.listen_port
-    else:
-        observed = host.nat.external_port_toward(
-            helper_id, helper_port, network.sim.now
-        )
-    network.disconnect(host, helper_id)
-    host.observed_port = observed
-    return observed
-
-
-# ---------------------------------------------------------------------------
 # AutoNAT
 # ---------------------------------------------------------------------------
 
 
 def autonat_check(
-    network: SimNetwork,
-    host: SimHost,
-    candidate_peers: list[PeerId],
-    from_observer: bool = True,
+    network: SimNetwork, host: SimHost, candidate_peers: list[PeerId]
 ) -> Generator:
     """Run AutoNAT dial-back probes; returns True if publicly reachable.
 
     A process (``yield from``-able): asks up to :data:`AUTONAT_PROBES`
-    of the candidate peers to dial back, counts successes, and compares
-    against the threshold. ``from_observer`` makes the dial-backs
+    of the candidate peers — the subject itself never counts — to dial
+    back, and compares the successes against the threshold. Dial-backs
     arrive from fresh observer endpoints (the AutoNAT v2 amplification
-    guard), so a restricted cone cannot pass just because the helper
-    happens to hold one of its mappings; hosts without a
-    :class:`NatBox` are unaffected by the flag.
-    """
-    probes = []
-    for peer_id in candidate_peers[:AUTONAT_PROBES]:
-        remote = network.host(peer_id)
-        if remote is None or not remote.online:
-            continue
-        probes.append(
-            network.dial(remote, host.peer_id, from_observer=from_observer)
-        )
-    if not probes:
-        return False
-    successes = yield from _settle_probes(network, host, probes)
-    return successes > AUTONAT_THRESHOLD
-
-
-def _settle_probes(
-    network: SimNetwork, host: SimHost, probes: list
-) -> Generator:
-    """Wait for dial-back probes (bounded), count and clean up successes.
+    guard), so a restricted cone cannot pass just because a helper
+    happens to hold one of its mappings.
 
     A helper that churns offline mid-dial leaves its probe future
     unsettled forever; the timeout abandons such probes and scores
     whatever did settle.
     """
+    probes = []
+    for peer_id in candidate_peers[:AUTONAT_PROBES]:
+        remote = network.host(peer_id)
+        if remote is None or not remote.online or peer_id == host.peer_id:
+            continue
+        probes.append(network.dial(remote, host.peer_id, from_observer=True))
+    if not probes:
+        return False
     try:
-        yield with_timeout(
-            network.sim, all_of(probes), AUTONAT_PROBE_TIMEOUT_S
-        )
+        yield with_timeout(network.sim, all_of(probes), AUTONAT_PROBE_TIMEOUT_S)
     except Exception:  # noqa: BLE001 - abandoned probes count as failures
         pass
     successes = 0
@@ -331,65 +266,4 @@ def _settle_probes(
         # Dial-backs opened reverse connections purely for probing.
         connection = probe.result()
         network.disconnect(network.hosts[connection.local], host.peer_id)
-    return successes
-
-
-@dataclass(frozen=True)
-class AutoNatResult:
-    """One classification: the verdict and the evidence behind it."""
-
-    peer_id: PeerId
-    verdict: str  # "public" | "private"
-    probes: int
-    successes: int
-
-    @property
-    def public(self) -> bool:
-        return self.verdict == "public"
-
-
-class AutoNatService:
-    """Dial-back reachability classification over a SimNetwork.
-
-    Replaces the world builder's static reachability tags: the verdict
-    for each peer is whatever actually happened when helpers dialed it
-    back. Results are cached per peer (go-ipfs re-checks rarely).
-    """
-
-    def __init__(self, network: SimNetwork, rng: random.Random | None = None) -> None:
-        self.network = network
-        self.rng = rng
-        self.verdicts: dict[PeerId, AutoNatResult] = {}
-
-    def classify(
-        self, host: SimHost, candidate_peers: list[PeerId]
-    ) -> Generator:
-        """A process: classify one host; returns an :class:`AutoNatResult`."""
-        probes = []
-        for peer_id in candidate_peers[:AUTONAT_PROBES]:
-            remote = self.network.host(peer_id)
-            if remote is None or not remote.online or peer_id == host.peer_id:
-                continue
-            probes.append(
-                self.network.dial(remote, host.peer_id, from_observer=True)
-            )
-        successes = 0
-        if probes:
-            successes = yield from _settle_probes(self.network, host, probes)
-        verdict = "public" if successes > AUTONAT_THRESHOLD else "private"
-        result = AutoNatResult(
-            peer_id=host.peer_id, verdict=verdict,
-            probes=len(probes), successes=successes,
-        )
-        self.verdicts[host.peer_id] = result
-        host.autonat_verdict = verdict
-        return result
-
-
-def ground_truth_public(host: SimHost, now: float) -> bool:
-    """What AutoNAT *should* conclude for a host, from its NAT state."""
-    if host.nat_private or not host.online:
-        return False
-    if host.nat is None:
-        return True
-    return host.nat.admits_stranger(now)
+    return successes > AUTONAT_THRESHOLD

@@ -130,10 +130,6 @@ class SimHost:
         #: means the host is bound directly to a public address.
         self.nat: NatBox | None = None
         self.listen_port = DEFAULT_LISTEN_PORT
-        #: external endpoint learned via observed-address discovery
-        self.observed_port: int | None = None
-        #: cached AutoNAT verdict ("public" / "private") once classified
-        self.autonat_verdict: str | None = None
         #: whether this host speaks DCUtR (hole-punch upgrades)
         self.dcutr = False
         #: identify facts, set by whoever builds the host: is this a DHT

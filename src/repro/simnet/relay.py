@@ -13,15 +13,14 @@ Two mechanisms the paper mentions but could not yet rely on:
   direct connection.
 
 Relayed traffic pays both hops' latency and shares the relay's
-bandwidth. Hole punching has two implementations: when either endpoint
-carries a :class:`~repro.simnet.nat.NatBox`, DCUtR is a *real*
-simultaneous open — each side maps an outbound flow toward the other's
-observed endpoint and the punch lands iff both boxes admit the
-resulting source ports, which reproduces the classic compatibility
-matrix (cone x cone works, symmetric x port-restricted does not)
-emergently, with no random draw. Hosts without boxes keep the legacy
-aggregate-probability model (the ~70 % DCUtR success rate reported in
-the wild).
+bandwidth. DCUtR is a *real* simultaneous open: each side maps an
+outbound flow toward the other's observed endpoint and the punch lands
+iff both sides admit the resulting source ports. Boxed endpoints ask
+their :class:`~repro.simnet.nat.NatBox`, which reproduces the classic
+compatibility matrix (cone x cone works, symmetric x port-restricted
+does not) emergently, with no random draw; a host without a box admits
+the punch unless it is statically ``nat_private``, the rule
+:attr:`SimHost.reachable` applies to a dial.
 
 :class:`NatTraversal`, installed via
 :meth:`SimNetwork.install_traversal`, chains the pieces into the dial
@@ -33,7 +32,6 @@ from __future__ import annotations
 
 from collections.abc import Generator
 from dataclasses import dataclass, field
-from enum import Enum
 
 from repro.errors import DialError, PartitionError
 from repro.multiformats.peerid import PeerId
@@ -46,19 +44,6 @@ from repro.simnet.network import (
 from repro.simnet.sim import Future
 from repro.simnet.transport import Transport
 
-#: Aggregate DCUtR success probabilities by NAT type (legacy model for
-#: hosts without a NatBox).
-PUNCH_SUCCESS = {"cone": 0.85, "symmetric": 0.15}
-
-#: Public (non-NAT'ed) endpoints always "punch" trivially.
-_PUBLIC = "public"
-
-
-class NatType(str, Enum):
-    CONE = "cone"
-    SYMMETRIC = "symmetric"
-
-
 @dataclass
 class RelayService:
     """Relay capability for one public host.
@@ -70,7 +55,6 @@ class RelayService:
     host: SimHost
     capacity: int = 128
     reservations: dict[PeerId, float] = field(default_factory=dict)
-    bytes_relayed: int = 0
 
     def reserve(self, peer: SimHost, now: float) -> bool:
         """Grant (or refresh) a reservation; False when full/offline."""
@@ -260,11 +244,6 @@ class CircuitDialer:
             raise PartitionError(
                 f"partition severs hole-punch coordination to {target_id}"
             )
-        deterministic = src.nat is not None or target.nat is not None
-        if not deterministic:
-            success_probability = min(
-                self._punch_probability(src), self._punch_probability(target)
-            )
         direct_rtt = 2 * self.network.latency.one_way(
             src.region, src.peer_class, target.region, target.peer_class,
             self.network.rng,
@@ -274,10 +253,7 @@ class CircuitDialer:
             # The simultaneous open crosses the cut directly; both
             # sides' packets die there and the relay circuit stays up.
             return False
-        if deterministic:
-            if not self._simultaneous_open(src, target, connection.relay):
-                return False
-        elif self.network.rng.random() >= success_probability:
+        if not self._simultaneous_open(src, target, connection.relay):
             return False
         self.punches_succeeded += 1
         src.connections[target_id] = Connection(
@@ -306,16 +282,17 @@ class CircuitDialer:
     def _simultaneous_open(
         self, src: SimHost, target: SimHost, relay_id: PeerId | None
     ) -> bool:
-        """The deterministic DCUtR outcome for NatBox'ed endpoints.
+        """The deterministic DCUtR outcome.
 
         Each side fires an outbound flow at the *observed* endpoint of
         the other (binding its own NAT mapping in the process); the
-        punch lands iff both boxes then admit the other side's actual
+        punch lands iff both sides then admit the other side's actual
         source port. Cone NATs reuse their WAN port, so observed ==
         actual and the mappings line up; a symmetric NAT allocates a
         fresh port per destination, so its peer aimed at a stale
         endpoint — only an address-restricted (or looser) peer still
-        admits the flow.
+        admits the flow. A boxless side admits anything unless it is
+        statically ``nat_private``.
         """
         now = self.network.sim.now
         src_observed = self._observed_port(src, relay_id)
@@ -330,19 +307,17 @@ class CircuitDialer:
             if target.nat is not None
             else target.listen_port
         )
-        into_target = target.nat is None or target.nat.allows_inbound(
-            src.peer_id, src_actual, now
+        into_target = (
+            not target.nat_private
+            if target.nat is None
+            else target.nat.allows_inbound(src.peer_id, src_actual, now)
         )
-        into_src = src.nat is None or src.nat.allows_inbound(
-            target.peer_id, dst_actual, now
+        into_src = (
+            not src.nat_private
+            if src.nat is None
+            else src.nat.allows_inbound(target.peer_id, dst_actual, now)
         )
         return into_target and into_src
-
-    def _punch_probability(self, host: SimHost) -> float:
-        if not host.nat_private:
-            return 1.0
-        nat_type = getattr(host, "nat_type", NatType.CONE)
-        return PUNCH_SUCCESS[NatType(nat_type).value]
 
 
 def cold_dialable(host: SimHost, now: float) -> bool:
@@ -367,9 +342,7 @@ class NatTraversal:
     def __init__(self, network: SimNetwork, dialer: CircuitDialer) -> None:
         self.network = network
         self.dialer = dialer
-        self.direct_dials = 0
         self.relay_dials = 0
-        self.upgrades_attempted = 0
         self.upgrades_succeeded = 0
 
     def dial(self, src: SimHost, target_id: PeerId) -> Future:
@@ -382,12 +355,10 @@ class NatTraversal:
     def _dial(self, src: SimHost, target_id: PeerId) -> Generator:
         connection = yield from self.dialer.dial(src, target_id)
         if connection.relay is None:
-            self.direct_dials += 1
             return connection
         self.relay_dials += 1
         target = self.network.host(target_id)
         if src.dcutr and target is not None and target.dcutr:
-            self.upgrades_attempted += 1
             try:
                 upgraded = yield from self.dialer.hole_punch(src, target_id)
             except (DialError, PartitionError):

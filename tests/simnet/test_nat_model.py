@@ -1,12 +1,14 @@
 """Tests for the NAT mapping state machine and emergent dialability.
 
-Covers the :class:`NatBox` modes (STUN taxonomy), observed-address
-discovery, AutoNAT dial-back classification against ground truth, the
-deterministic DCUtR compatibility matrix, the traversal dial chain
-(direct -> relay -> hole punch), and the fault-injection regressions
-(partitions must sever relay reservations and in-flight hole-punch
-coordination).
+Covers the :class:`NatBox` modes (STUN taxonomy), AutoNAT dial-back
+classification against ground truth, the deterministic DCUtR
+compatibility matrix, the traversal dial chain (direct -> relay -> hole
+punch), the fault-injection regressions (partitions must sever relay
+reservations and in-flight hole-punch coordination), and a guard that
+the NAT layer keeps one model of each mechanism.
 """
+
+import inspect
 
 import pytest
 
@@ -19,12 +21,12 @@ from repro.simnet.nat import (
     NatBox,
     NatMode,
     autonat_check,
-    discover_observed_address,
-    ground_truth_public,
     seed_keepalive_mapping,
 )
+from repro.simnet import nat as nat_module
+from repro.simnet import relay as relay_module
 from repro.simnet.network import DEFAULT_LISTEN_PORT, SimHost, SimNetwork
-from repro.simnet.relay import CircuitDialer, NatTraversal, cold_dialable
+from repro.simnet.relay import CircuitDialer, NatTraversal, RelayService, cold_dialable
 from repro.simnet.sim import Simulator
 from repro.utils.rng import derive_rng
 
@@ -64,8 +66,9 @@ class TestNatBox:
         box = NatBox(NatMode.FULL_CONE, mapping_ttl_s=10.0)
         box.map_outbound(PEER_A, 4001, now=0.0)
         assert box.has_live_mapping(now=10.0)
+        assert box.external_port_toward(PEER_A, 4001, now=10.0) is not None
         assert not box.has_live_mapping(now=10.1)
-        assert box.expire(now=10.1) == 1
+        assert box.external_port_toward(PEER_A, 4001, now=10.1) is None
 
     def test_dead_mapping_reports_no_external_port(self):
         box = NatBox(NatMode.FULL_CONE, mapping_ttl_s=10.0)
@@ -73,13 +76,6 @@ class TestNatBox:
         assert box.external_port_toward(PEER_A, 4001, now=5.0) is not None
         assert box.external_port_toward(PEER_A, 4001, now=20.0) is None
         assert box.external_port_toward(PEER_B, 4001, now=5.0) is None
-
-    def test_live_mappings_counts_only_live(self):
-        box = NatBox(NatMode.SYMMETRIC, mapping_ttl_s=10.0)
-        box.map_outbound(PEER_A, 4001, now=0.0)
-        box.map_outbound(PEER_B, 4001, now=8.0)
-        assert box.live_mappings(now=9.0) == 2
-        assert box.live_mappings(now=15.0) == 1
 
     def test_outbound_refreshes_mapping(self):
         box = NatBox(NatMode.FULL_CONE, mapping_ttl_s=10.0)
@@ -172,27 +168,6 @@ def boxed_host(net, name: bytes, mode: NatMode, **box_kwargs) -> SimHost:
     return host
 
 
-class TestObservedAddress:
-    def test_boxed_host_learns_external_port(self):
-        sim, net, helpers = make_world()
-        host = boxed_host(net, b"subject", NatMode.SYMMETRIC, port_base=9000)
-        observed = sim.run_process(
-            discover_observed_address(net, host, helpers[0].peer_id)
-        )
-        assert observed == 9000
-        assert host.observed_port == 9000
-        assert helpers[0].peer_id not in host.connections  # cleaned up
-
-    def test_public_host_observes_listen_port(self):
-        sim, net, helpers = make_world()
-        host = SimHost(pid(b"subject"), region=Region.NA_WEST)
-        net.register(host)
-        observed = sim.run_process(
-            discover_observed_address(net, host, helpers[0].peer_id)
-        )
-        assert observed == DEFAULT_LISTEN_PORT
-
-
 class TestAutoNatEmergent:
     def classify(self, sim, net, host, helpers):
         return sim.run_process(
@@ -231,9 +206,9 @@ class TestAutoNatEmergent:
             seed_keepalive_mapping(host, helpers[0].peer_id)
         for host in subjects.values():
             verdict = self.classify(sim, net, host, helpers)
-            assert verdict == ground_truth_public(host, sim.now)
-        assert ground_truth_public(subjects[NatMode.FULL_CONE], sim.now)
-        assert not ground_truth_public(subjects[NatMode.SYMMETRIC], sim.now)
+            assert verdict == cold_dialable(host, sim.now)
+        assert cold_dialable(subjects[NatMode.FULL_CONE], sim.now)
+        assert not cold_dialable(subjects[NatMode.SYMMETRIC], sim.now)
 
     def test_threshold_needs_more_than_three_helpers(self):
         sim, net, helpers = make_world()
@@ -241,6 +216,15 @@ class TestAutoNatEmergent:
         net.register(host)
         few = helpers[: AUTONAT_THRESHOLD]  # 3 probes can never exceed 3
         assert self.classify(sim, net, host, few) is False
+
+    def test_own_dial_back_does_not_count(self):
+        """A subject listed among its own candidates is skipped: three
+        helpers plus itself are still only three dial-backs."""
+        sim, net, helpers = make_world()
+        host = SimHost(pid(b"subject"), region=Region.NA_WEST)
+        net.register(host)
+        candidates = [*helpers[:AUTONAT_THRESHOLD], host]
+        assert self.classify(sim, net, host, candidates) is False
 
 
 def punch_world(src_mode, dst_mode, seed=1):
@@ -424,3 +408,37 @@ class TestPartitionSeversNatPaths:
         # The severed coordination also tore down the relayed connection.
         assert dst.peer_id not in src.connections
         assert dialer.punches_succeeded == 0
+
+
+#: Second models of the punch and AutoNAT mechanisms, and NAT state
+#: nothing reads: each mechanism has one model, so none may come back.
+RETIRED = {
+    nat_module: (
+        "AutoNatService", "AutoNatResult", "ground_truth_public",
+        "discover_observed_address",
+    ),
+    relay_module: ("PUNCH_SUCCESS", "NatType"),
+    NatBox: ("expire", "live_mappings"),
+    CircuitDialer: ("_punch_probability",),
+}
+
+
+class TestOneNatModel:
+    @pytest.mark.parametrize("owner", list(RETIRED), ids=lambda o: o.__name__)
+    def test_retired_names_are_gone(self, owner):
+        assert [name for name in RETIRED[owner] if hasattr(owner, name)] == []
+
+    def test_no_write_only_state(self):
+        host = SimHost(pid(b"subject"))
+        assert not hasattr(host, "observed_port")
+        assert not hasattr(host, "autonat_verdict")
+        net = SimNetwork(Simulator(), derive_rng(1, "net"))
+        traversal = NatTraversal(net, CircuitDialer(net))
+        assert not hasattr(traversal, "direct_dials")
+        assert not hasattr(traversal, "upgrades_attempted")
+        assert not hasattr(RelayService(host), "bytes_relayed")
+
+    def test_autonat_dial_backs_always_come_from_observers(self):
+        assert list(inspect.signature(autonat_check).parameters) == [
+            "network", "host", "candidate_peers",
+        ]

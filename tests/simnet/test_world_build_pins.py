@@ -83,7 +83,8 @@ def _host_facts(host) -> list:
         host.nat_private, host.dcutr, host.dht_server,
         None if nat is None else [
             nat.mode.value, nat._port_base, nat.mapping_ttl_s,
-            nat.keepalive_interval_s, nat.live_mappings(0.0),
+            nat.keepalive_interval_s,
+            sum(nat._is_live(mapping, 0.0) for mapping in nat._mappings.values()),
         ],
     ]
 
