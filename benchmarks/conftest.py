@@ -10,8 +10,9 @@ import pathlib
 # at that moment and restore only those: a module first imported while
 # the shims are in place keeps one (test_shims_are_fully_removed fails).
 # This file always had the world builder imported before any bench ran,
-# and benchmarks/e2e is frozen to feature PRs (ROADMAP item 4), so it
-# keeps doing that until the tracer resolves its seams before installing.
+# and benchmarks/e2e is frozen to feature PRs (a ROADMAP house rule;
+# its repair is item 1(b)), so it keeps doing that until the tracer
+# resolves its seams before installing.
 import repro.experiments.scenario  # noqa: F401
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"

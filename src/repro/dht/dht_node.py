@@ -49,6 +49,31 @@ from repro.utils.retry import JitterStreams, retry
 PROVIDER_ADDR_TTL_S = 30 * 60.0
 
 
+def learn_about(network: SimNetwork, table: RoutingTable, sender: PeerId) -> None:
+    """Offer an RPC sender to ``table`` if its host is a DHT server."""
+    remote = network.host(sender)
+    if remote is not None and remote.dht_server:
+        table.add(sender)
+
+
+def answer_find_node(
+    network: SimNetwork,
+    table: RoutingTable,
+    sender: PeerId,
+    request: rpc.FindNodeRequest,
+) -> tuple[rpc.FindNodeResponse, int]:
+    """A server's FIND_NODE answer from ``table``: learn the sender,
+    then return the k closest peers to the target. The one
+    implementation: :meth:`DhtNode._on_find_node` calls it, and so does
+    a compact world's peer that has a routing table but no node yet
+    (:class:`~repro.simnet.compact.CompactWorld`)."""
+    learn_about(network, table, sender)
+    response = rpc.FindNodeResponse(
+        tuple(table.closest(request.target_key, K_BUCKET_SIZE))
+    )
+    return response, response.wire_size()
+
+
 class DhtNode:
     """Kademlia DHT participation for one host."""
 
@@ -126,17 +151,13 @@ class DhtNode:
 
     def _learn_about(self, sender: PeerId) -> None:
         """Add an RPC sender to our routing table if it is a server."""
-        remote = self.network.host(sender)
-        if remote is not None and remote.dht_server:
-            self.routing_table.add(sender)
+        learn_about(self.network, self.routing_table, sender)
 
     def _closer_peers(self, target_key: bytes) -> tuple[PeerId, ...]:
         return tuple(self.routing_table.closest(target_key, K_BUCKET_SIZE))
 
     def _on_find_node(self, sender: PeerId, request: rpc.FindNodeRequest):
-        self._learn_about(sender)
-        response = rpc.FindNodeResponse(self._closer_peers(request.target_key))
-        return response, response.wire_size()
+        return answer_find_node(self.network, self.routing_table, sender, request)
 
     def _on_add_provider(self, sender: PeerId, request: rpc.AddProviderRequest):
         self._learn_about(sender)

@@ -40,6 +40,13 @@ class RoutingTable:
     there).
     """
 
+    # A crawled peer of a compact world attaches a table and nothing
+    # else, so the table is its whole per-peer DHT cost.
+    __slots__ = (
+        "own_id", "own_key", "own_key_int", "bucket_size", "failure_threshold",
+        "_buckets", "_size", "_view", "_failures", "evictions", "breakers",
+    )
+
     def __init__(
         self,
         own_id: PeerId,

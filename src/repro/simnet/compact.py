@@ -22,18 +22,22 @@ experiments up to the network's real size:
   reference in ``tests/helpers.py``; same values, same order); a
   peer whose run outlives the pre-drawn horizon redraws its stream
   further out;
-- objects appear in two stages. A dial needs a host: naming a peer
+- objects appear in three stages. A dial needs a host: naming a peer
   (``net.host_resolver``, ``host_at``) builds only the ``SimHost``,
   with all that dials, remote handlers, the prober and the crawler
   read (region, class, transports, NAT flag and box, online bit,
-  ``agent_version``, ``dht_server``, ``dcutr``). An RPC needs a node:
-  the first *delivered* ``dht/…`` RPC attaches the ``DhtNode``, whose
-  table reads the stored entries until its first write; the first
-  ``bitswap/…`` one the ``BitswapEngine`` (the host's
+  ``agent_version``, ``dht_server``, ``dcutr``). A FIND_NODE needs a
+  table: the first *delivered* ``dht/FIND_NODE`` to a DHT server
+  attaches only its ``RoutingTable``, a view that reads the stored
+  entries until its first write, and answers through
+  :func:`~repro.dht.dht_node.answer_find_node` — a crawler's bucket
+  dump never gets further. Any other ``dht/…`` RPC needs a node: the
+  ``DhtNode`` adopts that table object; the first ``bitswap/…`` one
+  attaches the ``BitswapEngine`` (both through the host's
   ``attach_protocol`` hook). That is exact: constructors schedule and
-  draw nothing, tables come from build-time arrays, and only a node's
-  own handlers ever mutate it. Boxed peers and relays are attached at
-  build, where their keepalive mappings and reservations are made.
+  draw nothing, tables come from build-time arrays, and only a peer's
+  own handlers ever mutate them. Boxed peers and relays are attached
+  at build, where their keepalive mappings and reservations are made.
 
 ``tests/simnet/test_compact_equivalence.py`` holds a lazily attached
 world to one whose every stack was attached up front (and both to a
@@ -52,9 +56,10 @@ from functools import partial
 
 from repro.bitswap.engine import BitswapEngine
 from repro.blockstore.memory import MemoryBlockstore
+from repro.dht import rpc
 from repro.dht.bootstrap import STALE_FRACTION, KeyspaceTree, sample_table_positions
-from repro.dht.dht_node import DhtNode
-from repro.dht.routing_table import K_BUCKET_SIZE
+from repro.dht.dht_node import DhtNode, answer_find_node
+from repro.dht.routing_table import K_BUCKET_SIZE, RoutingTable
 from repro.multiformats.peerid import PeerId
 from repro.node.host import IpfsNode
 from repro.simnet.churn import WORLD_INITIAL_ONLINE_PROBABILITY
@@ -256,8 +261,11 @@ class CompactWorld:
         self.bootstrap_ids: list[PeerId] = []
         #: materialized state, keyed by peer index / PeerId
         self._hosts: dict[int, SimHost] = {}
+        #: every attached routing table, a node's or a table-only peer's
+        self._tables: dict[int, RoutingTable] = {}
         self.nodes: dict[PeerId, DhtNode] = {}
         self.engines: dict[PeerId, BitswapEngine] = {}
+        #: peers whose DHT state (a table, maybe a node) has attached
         self.materialized = 0
         #: the always-on datacenter nodes, by AWS region name
         self.vantage: dict[str, IpfsNode] = {}
@@ -306,14 +314,15 @@ class CompactWorld:
         return bool(self._online[index])
 
     def is_materialized(self, index: int) -> bool:
-        return self.peer_id_at(index) in self.nodes
+        """Whether peer ``index``'s DHT state has attached."""
+        return index in self._tables
 
     # -- lazy materialization ------------------------------------------
 
     def host_at(self, index: int) -> SimHost:
         """Stage 1: the bare host, carrying every fact a dial, a remote
         ``_learn_about``, the prober and the crawler read; the protocol
-        stack waits for the first delivered RPC (:meth:`_attach`)."""
+        state waits for the first delivered RPC (:meth:`_attach`)."""
         host = self._hosts.get(index)
         if host is None:
             compact = self.compact
@@ -343,29 +352,42 @@ class CompactWorld:
             self._hosts[index] = host
         return host
 
+    def _table_at(self, index: int) -> RoutingTable:
+        """Stage 2: peer ``index``'s routing table, a view of the stored
+        entries until its first write (the bare default: eviction on
+        the first failure, no breakers)."""
+        table = self._tables.get(index)
+        if table is None:
+            table = self._tables[index] = RoutingTable(self.peer_id_at(index))
+            # The precomputed fill: the entries, in the insertion
+            # (= LRU) order, populate_routing_tables loads into an
+            # object world; never our own id, at most K_BUCKET_SIZE per
+            # bucket, which is what `view` (and `load`) require.
+            table.view(self._table_indices(index), *self._table_view())
+            self.materialized += 1
+        return table
+
     def node_at(self, index: int) -> DhtNode:
-        """Stage 2, ``dht/…``: the node and its routing table, a view of
-        the stored entries until the node's first write to it."""
+        """Stage 3, ``dht/…``: the node, over the peer's one table."""
         peer_id = self.peer_id_at(index)
         node = self.nodes.get(peer_id)
         if node is None:
             host = self.host_at(index)
+            if index in self._tables:
+                # the table-only FIND_NODE answer makes way for the node's
+                host.unregister_handler(rpc.FIND_NODE)
+            table = self._table_at(index)
             node = DhtNode(
                 self.sim, self.net, host,
                 partial(derive_rng, self.seed, "dht", str(index)),
                 server=host.dht_server,
             )
-            # The precomputed fill: the entries, in the insertion
-            # (= LRU) order, populate_routing_tables loads into an
-            # object world; never our own id, at most K_BUCKET_SIZE per
-            # bucket, which is what `view` (and `load`) require.
-            node.routing_table.view(self._table_indices(index), *self._table_view())
+            node.routing_table = table
             self.nodes[peer_id] = node
-            self.materialized += 1
         return node
 
     def engine_at(self, index: int) -> BitswapEngine:
-        """Stage 2, ``bitswap/…``: an engine over an empty store."""
+        """Stage 3, ``bitswap/…``: an engine over an empty store."""
         peer_id = self.peer_id_at(index)
         engine = self.engines.get(peer_id)
         if engine is None:
@@ -375,8 +397,13 @@ class CompactWorld:
         return engine
 
     def _attach(self, index: int, method: str) -> None:
-        """``SimHost.attach_protocol``: build the stack ``method`` speaks."""
-        if method.startswith("dht/"):
+        """``SimHost.attach_protocol``: build what ``method`` needs. A
+        DHT server answers FIND_NODE from its table alone."""
+        host = self._hosts[index]
+        if method == rpc.FIND_NODE and host.dht_server:
+            table = self._table_at(index)
+            host.register_handler(method, partial(answer_find_node, self.net, table))
+        elif method.startswith("dht/"):
             self.node_at(index)
         elif method.startswith("bitswap/"):
             self.engine_at(index)

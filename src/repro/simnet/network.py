@@ -160,6 +160,12 @@ class SimHost:
             raise SimulationError(f"duplicate handler for {method!r}")
         self._handlers[method] = handler
 
+    def unregister_handler(self, method: str) -> None:
+        """Drop ``method``'s handler, so the stack that attaches next can
+        register its own (a compact world hands a peer's FIND_NODE from
+        its table-only answer to the DHT node that adopts the table)."""
+        del self._handlers[method]
+
     def handler_for(self, method: str) -> RpcHandler:
         try:
             return self._handlers[method]
