@@ -121,14 +121,14 @@ def test_tiny_end_to_end_report(monkeypatch):
     for row in doc["cells"]:
         assert row["total"] == row["dialable"] + row["undialable"]
     assert doc["telemetry"]["events_processed"] > 0
-    # a DHT node exists only where a FIND_NODE was delivered, and the
-    # crawler only sends one to a peer it dialed
+    # a routing table attaches only where a FIND_NODE was delivered, and
+    # the crawler only sends one to a peer it dialed
     dialed = set().union(*(crawl.dialable for crawl in campaigns[0].crawls))
     assert 0 < doc["telemetry"]["materialized"] <= len(dialed) < TINY.n_peers
     # the crawler is no DHT server: no visited table was ever written to
-    assert [
-        node.routing_table.copied_buckets for node in worlds[0].nodes.values()
-    ] == [0] * len(worlds[0].nodes)
+    tables = list(worlds[0]._tables.values())
+    assert len(tables) == doc["telemetry"]["materialized"]
+    assert [table.copied_buckets for table in tables] == [0] * len(tables)
     # 661.1 B/peer measured on CPython 3.11.7; the bound is 1.32x that,
     # so a per-peer array or index that grows by a third fails here.
     assert 0 < doc["telemetry"]["compact_bytes_per_peer"] <= 875
