@@ -10,7 +10,9 @@ paper-target registry rows the figures grade beside their shape checks
 (the other 10 registry rows are shape checks re-keyed). A displayed
 number that moves must edit them; nothing else may. Since the gateway
 day has one latency stream, ``fig11.size_latency_abs_r`` is an
-informational row and no longer among them.
+informational row and no longer among them. The ``ablation.hydra`` and
+``ablation.client_server`` entries were re-frozen when their arms became
+build inputs of the one table fill (the ledger has old and new).
 """
 
 import pytest
@@ -53,11 +55,11 @@ BODY_SHA256 = {
     "ablation.alpha":
         "e90d29948b0b8366bf6a86f8f995188b581230508affe05f6b1673dacdc8b468",
     "ablation.client_server":
-        "cb2e353217691e1a541541f30bf92c99926e4c76e97887604bf42f7c1c0adea5",
+        "cf41252729de34199be8079114f7fa7ea7235128e3294b967e2dc4f1792733e2",
     "ablation.gateway_cache":
         "c3f0fd2b9b0fd4327e5d90003328650721752df509252d0976548ebec2f6bac3",
     "ablation.hydra":
-        "b8be80db31d40304129ea261b341bec8df596ade5d9b96041352a0c41f596707",
+        "e69121ad26fafc298396132444505a0830e75324ddee11cbc71a5a7fc35f8df6",
     "ablation.parallel_lookup":
         "8e21555c628c75128b0ddfc847f27adf6f62192a70507dd7d67a78469dad155e",
     "ablation.replication":
@@ -179,8 +181,8 @@ CHECKS = {
         'raising α from 3 to 6 shows diminishing returns (19s vs 24s)',
     ],
     "ablation.client_server": [
-        "excluding NAT'ed peers speeds walks up substantially (4s vs 30s median)",
-        'and slashes failed RPCs (3 vs 214)',
+        "excluding NAT'ed peers speeds walks up substantially (5s vs 32s median)",
+        'and slashes failed RPCs (6 vs 226)',
     ],
     "ablation.gateway_cache": [
         'nginx hit share grows monotonically with cache size',

@@ -180,18 +180,14 @@ def sample_table_positions(
         extend(chosen)
 
 
-def populate_routing_tables(
-    nodes: list[DhtNode],
-    rng: random.Random,
-    stale_fraction: float = STALE_FRACTION,
-) -> None:
+def populate_routing_tables(nodes: list[DhtNode], rng: random.Random) -> None:
     """Fill k-buckets of every node from the server subset of ``nodes``.
 
     Only DHT servers are inserted into tables (the client/server rule
     of Section 2.3); client nodes still get tables so they can launch
     lookups. Each bucket receives at most its table's bucket size.
 
-    ``stale_fraction`` bounds the share of *unreachable* peers per
+    :data:`STALE_FRACTION` bounds the share of *unreachable* peers per
     bucket. Live routing tables are continuously maintained, so they
     are much healthier than the crawl-wide 45.5 % undialable rate —
     but never perfectly clean, and those stale entries are what the
@@ -219,6 +215,6 @@ def populate_routing_tables(
         picks: list[int] = []
         sample_table_positions(
             picks, node.host.peer_id.dht_key_int(), tree,
-            cap, int(cap * stale_fraction), rng,
+            cap, int(cap * STALE_FRACTION), rng,
         )
         node.routing_table.load([ids[position] for position in picks])

@@ -86,6 +86,7 @@ class DhtNode:
         server: bool = True,
         lookup_config: LookupConfig | None = None,
         resilience: Resilience | None = None,
+        routing_table: RoutingTable | None = None,
     ) -> None:
         self.sim = sim
         self.network = network
@@ -97,10 +98,13 @@ class DhtNode:
         self.resilience = (
             resilience if resilience is not None else Resilience("bare", sim, network)
         )
-        self.routing_table = RoutingTable(
-            host.peer_id, failure_threshold=self.resilience.eviction_threshold
-        )
-        self.routing_table.breakers = self.resilience.breakers
+        # A compact world's staged table is adopted, not rebuilt; either
+        # way the node's rung sets its eviction threshold and breakers.
+        if routing_table is None:
+            routing_table = RoutingTable(host.peer_id)
+        routing_table.failure_threshold = self.resilience.eviction_threshold
+        routing_table.breakers = self.resilience.breakers
+        self.routing_table = routing_table
         #: per-remote-peer RNG streams for retry backoff jitter, so one
         #: incident failing many RPCs at once cannot re-fire them in
         #: lockstep (see :class:`~repro.utils.retry.JitterStreams`).

@@ -52,14 +52,3 @@ class HydraBooster:
             head.provider_store = self.shared_providers
             head.peer_record_store = self.shared_peer_records
             self.heads.append(head)
-
-    def head_ids(self) -> list[PeerId]:
-        return [head.host.peer_id for head in self.heads]
-
-    def record_count(self) -> int:
-        return self.shared_providers.record_count()
-
-    def sightings(self) -> int:
-        """How many provider records the booster has absorbed — the
-        metric hydra operators report ("sybil sightings")."""
-        return self.record_count()

@@ -33,12 +33,11 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any
 
-from repro.dht.bootstrap import populate_routing_tables
-from repro.dht.hydra import HydraBooster
 from repro.dht.keyspace import key_for_cid
 from repro.dht.lookup import LookupConfig
 from repro.experiments.datasets import (
@@ -81,6 +80,7 @@ from repro.obs import (
     retrieval_breakdown,
     walk_share,
 )
+from repro.simnet import compact
 from repro.utils.rng import derive_rng
 from repro.utils.stats import Cdf, mean, pearson_correlation, percentile, percentiles
 from repro.validation.compare import (
@@ -771,6 +771,54 @@ def _table5(dataset: tuple[ColumnarTrace, ReplayResult], c: _Claims) -> str:
 # -- ablations (DESIGN.md §5): each its own dataset of small worlds ---------------
 
 
+#: Every ablation's arms as world inputs, by the label its table shows:
+#: ``ScenarioConfig`` fields that already exist (``LookupConfig.alpha`` /
+#: ``k``, ``NodeConfig.parallel_discovery``, ``nat_peers_in_dht``), or a
+#: ``(name, value)`` patch of a :mod:`repro.simnet.compact` constant the
+#: builder reads. No arm edits a world after it is built.
+KNOCKOUTS: dict[str, dict[Any, Mapping[str, Any] | tuple[str, Any]]] = {
+    "ablation.alpha": {
+        a: {"node_config": NodeConfig(lookup=LookupConfig(alpha=a))} for a in (1, 3, 6)
+    },
+    "ablation.client_server": {
+        # the default world keeps NAT'ed peers as stale servers; here they fill up to half a bucket
+        "pre-v0.5 (NAT'ed peers are servers)": ("STALE_FRACTION", 0.5),
+        "post-v0.5 (NAT'ed peers are clients)": {"nat_peers_in_dht": False},
+    },
+    "ablation.hydra": {
+        "plain DHT": {},
+        "with hydra booster (140 heads)": ("HYDRA_HEADS", 140),
+    },
+    "ablation.parallel_lookup": {
+        "sequential (Bitswap then DHT)": {"node_config": NodeConfig(parallel_discovery=False)},
+        "parallel (Bitswap + DHT race)": {"node_config": NodeConfig(parallel_discovery=True)},
+    },
+    "ablation.replication": {
+        k: {"node_config": NodeConfig(lookup=LookupConfig(k=k))} for k in (1, 2, 5, 20)
+    },
+}
+
+
+@contextmanager
+def patched(name: str, value: Any) -> Iterator[None]:
+    """``repro.simnet.compact.<name>`` set to ``value`` for the block and
+    restored however the block ends."""
+    saved = getattr(compact, name)
+    setattr(compact, name, value)
+    try:
+        yield
+    finally:
+        setattr(compact, name, saved)
+
+
+def _arm_world(knockout, *world: Any, **scenario: Any) -> Scenario:
+    """``build_world(*world, **scenario)`` under one arm's knock-out."""
+    if isinstance(knockout, tuple):
+        with patched(*knockout):
+            return build_world(*world, **scenario)
+    return build_world(*world, **scenario, **knockout)
+
+
 def _timed_walks(scenario: Scenario, targets: int, prefix: bytes) -> tuple[list[float], int]:
     """Latencies and failed RPCs of ``targets`` closest-peers walks from
     the EU vantage, cold each time."""
@@ -792,27 +840,14 @@ def _timed_walks(scenario: Scenario, targets: int, prefix: bytes) -> tuple[list[
     return latencies, failures
 
 
-def _refill_tables(scenario: Scenario, extra: list, rng, **fill: Any) -> None:
-    """Rebuild every routing table over the backdrop, the vantages and
-    ``extra`` nodes."""
-    world = scenario.world
-    nodes = [world.node_at(index) for index in range(len(world))]
-    nodes += [n.dht for n in scenario.vantage.values()] + extra
-    for node in nodes:
-        for peer_id in list(node.routing_table.peers()):
-            node.routing_table.remove(peer_id)
-    populate_routing_tables(nodes, rng, **fill)
-
-
 def run_alpha(config: FiguresConfig, n_peers: int = 800, walks: int = 18):
     """Closest-peers walk latencies per lookup concurrency α (the paper
     keeps Kademlia's α = 3, Section 3.2)."""
     return {
-        alpha: _timed_walks(build_world(
-            n_peers, config.seeded(2000 + alpha), "alpha-pop", ["eu_central_1"],
-            node_config=NodeConfig(lookup=LookupConfig(alpha=alpha)),
+        alpha: _timed_walks(_arm_world(
+            knockout, n_peers, config.seeded(2000 + alpha), "alpha-pop", ["eu_central_1"],
         ), walks, b"alpha")[0]
-        for alpha in (1, 3, 6)
+        for alpha, knockout in KNOCKOUTS["ablation.alpha"].items()
     }
 
 
@@ -834,18 +869,13 @@ def _ablation_alpha(results: dict[int, list[float]], c: _Claims) -> str:
 def run_client_server(config: FiguresConfig, n_peers: int = 800, walks: int = 15):
     """Walks with NAT'ed peers as DHT servers filling up to half of each
     bucket (pre-v0.5) vs demoted to clients by AutoNAT (Section 6.4)."""
-    seed = config.seeded(3000)
-    results = {}
-    for regime, nat_in_dht, stale_fraction in (
-        ("pre-v0.5 (NAT'ed peers are servers)", True, 0.5),
-        ("post-v0.5 (NAT'ed peers are clients)", False, 0.05),
-    ):
-        scenario = build_world(n_peers, seed, "cs-pop", ["eu_central_1"],
-                          nat_peers_in_dht=nat_in_dht, with_churn=False)
-        _refill_tables(scenario, [], derive_rng(seed, "cs-tables"),
-                       stale_fraction=stale_fraction)
-        results[regime] = _timed_walks(scenario, walks, b"cs")
-    return results
+    return {
+        regime: _timed_walks(_arm_world(
+            knockout, n_peers, config.seeded(3000), "cs-pop", ["eu_central_1"],
+            with_churn=False,
+        ), walks, b"cs")
+        for regime, knockout in KNOCKOUTS["ablation.client_server"].items()
+    }
 
 
 def _ablation_client_server(results: dict[str, tuple[list[float], int]], c: _Claims) -> str:
@@ -901,12 +931,10 @@ def run_hydra(config: FiguresConfig, n_peers: int = 700, rounds: int = 15):
     contributing 140 always-on heads, 20 % of the DHT's identities."""
     seed = config.seeded(5000)
     results = {}
-    for name, heads in (("plain DHT", 0), ("with hydra booster (140 heads)", 140)):
-        scenario = build_world(n_peers, seed, "hydra-pop", ["eu_central_1", "us_west_1"])
-        if heads:
-            booster = HydraBooster(scenario.sim, scenario.net)
-            booster.spawn_heads(heads, derive_rng(seed, "heads"))
-            _refill_tables(scenario, booster.heads, derive_rng(seed, "hydra-tables"))
+    for name, knockout in KNOCKOUTS["ablation.hydra"].items():
+        scenario = _arm_world(
+            knockout, n_peers, seed, "hydra-pop", ["eu_central_1", "us_west_1"]
+        )
         publisher, getter = scenario.vantage["eu_central_1"], scenario.vantage["us_west_1"]
         rng = derive_rng(seed, "content")
         walk_durations: list[float] = []
@@ -952,12 +980,9 @@ def run_parallel_lookup(config: FiguresConfig, n_peers: int = 900, rounds: int =
     the trade Section 6.2 proposes)."""
     seed = config.seeded(4000)
     results = {}
-    for name, parallel in (
-        ("sequential (Bitswap then DHT)", False), ("parallel (Bitswap + DHT race)", True),
-    ):
+    for name, knockout in KNOCKOUTS["ablation.parallel_lookup"].items():
         scenario, perf = perf_dataset(
-            n_peers, rounds, seed=seed, run_seed=seed, label="par-pop",
-            node_config=NodeConfig(parallel_discovery=parallel),
+            n_peers, rounds, seed=seed, run_seed=seed, label="par-pop", **knockout
         )
         results[name] = (
             [r.total_duration for r in perf.all_retrievals()], scenario.net.stats.rpcs_sent
@@ -991,10 +1016,10 @@ def run_replication(config: FiguresConfig, n_peers: int = 700, objects: int = 15
     60 % of record holders depart for good, no republish (why Section
     3.1 picks k = 20)."""
     results = {}
-    for k in (1, 2, 5, 20):
-        scenario = build_world(
-            n_peers, config.seeded(1000 + k), "ablation-pop", ["eu_central_1", "us_west_1"],
-            node_config=NodeConfig(lookup=LookupConfig(k=k)), with_churn=False,
+    for k, knockout in KNOCKOUTS["ablation.replication"].items():
+        scenario = _arm_world(
+            knockout, n_peers, config.seeded(1000 + k), "ablation-pop",
+            ["eu_central_1", "us_west_1"], with_churn=False,
         )
         publisher, getter = scenario.vantage["eu_central_1"], scenario.vantage["us_west_1"]
         rng = derive_rng(config.seeded(k), "objects")
@@ -1009,7 +1034,8 @@ def run_replication(config: FiguresConfig, n_peers: int = 700, objects: int = 15
 
         scenario.sim.run_process(publish_all())
         world = scenario.world
-        for node in map(world.node_at, range(len(world))):
+        # only an attached node can hold a record; deaths are drawn in peer order
+        for node in sorted(world.nodes.values(), key=lambda n: world.index_of(n.host.peer_id)):
             if (node.provider_store.record_count()
                     and death_rng.random() < _HOLDER_DEATH_PROBABILITY):
                 node.host.set_online(False)

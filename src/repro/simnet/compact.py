@@ -14,8 +14,8 @@ experiments up to the network's real size:
   uses (:func:`~repro.dht.bootstrap.sample_table_positions`), walking
   one :class:`~repro.dht.bootstrap.KeyspaceTree` per world and
   sampling each bucket from a window of the sorted server order; the
-  vantages' DHT nodes join that one fill after the peers, as live
-  servers;
+  vantages' DHT nodes, then any Hydra heads, join that one fill after
+  the peers, as live servers;
 - churn schedules are precomputed per peer into one flat delay array
   (each peer's stream of alternating sessions and gaps, drawn ahead of
   time instead of one transition at a time by a per-peer process — the
@@ -59,6 +59,7 @@ from repro.blockstore.memory import MemoryBlockstore
 from repro.dht import rpc
 from repro.dht.bootstrap import STALE_FRACTION, KeyspaceTree, sample_table_positions
 from repro.dht.dht_node import DhtNode, answer_find_node
+from repro.dht.hydra import HydraBooster
 from repro.dht.routing_table import K_BUCKET_SIZE, RoutingTable
 from repro.multiformats.peerid import PeerId
 from repro.node.host import IpfsNode
@@ -98,6 +99,11 @@ N_RELAYS = 4
 
 #: NAT-mode column codes: the index into this tuple, 0 (public) unboxed.
 _NAT_MODES = tuple(NatMode)
+
+#: How many Hydra booster heads (Section 8) a world hosts: spawned
+#: after the vantages and filled with them as live servers. The
+#: ``ablation.hydra`` knock-out patches it for one build; 0 builds none.
+HYDRA_HEADS = 0
 
 
 # -- per-peer precompute ------------------------------------------------
@@ -237,9 +243,9 @@ class CompactWorld:
     """A lazily-materialized world over a :class:`CompactPopulation`.
 
     Peers are indices ``0..n``; the vantages (full
-    :class:`~repro.node.host.IpfsNode` objects, ``vantage``) follow
-    them as ``n, n+1, ...`` in routing-table entries. Serves the
-    crawl/churn experiment stack directly (``sim``, ``net``,
+    :class:`~repro.node.host.IpfsNode` objects, ``vantage``), then any
+    ``hydra`` heads, follow them as ``n, n+1, ...`` in routing-table
+    entries. Serves the crawl/churn experiment stack directly (``sim``, ``net``,
     ``bootstrap_ids``, ``country_of``); hosts appear on demand via the
     network's resolver hook.
     """
@@ -269,6 +275,8 @@ class CompactWorld:
         self.materialized = 0
         #: the always-on datacenter nodes, by AWS region name
         self.vantage: dict[str, IpfsNode] = {}
+        #: the world's Hydra booster (``HYDRA_HEADS`` heads), if any
+        self.hydra: HydraBooster | None = None
         #: the NAT traversal layer (a world with at least one box)
         self.circuit_dialer: CircuitDialer | None = None
         self.traversal: NatTraversal | None = None
@@ -289,7 +297,7 @@ class CompactWorld:
         # schedules redrawn past the build's horizon, by peer index
         self._churn_redrawn: dict[int, list[float]] = {}
         self._churn_draw = None
-        # routing-table entries -> PeerIds, vantages (indices >= n) included
+        # routing-table entries -> PeerIds, vantages and heads (indices >= n) included
         self._ids_at = compact.peer_ids_at
         self._all_ids: list[PeerId] = []
         # what every attached table's view reads (see `_table_view`)
@@ -376,13 +384,11 @@ class CompactWorld:
             if index in self._tables:
                 # the table-only FIND_NODE answer makes way for the node's
                 host.unregister_handler(rpc.FIND_NODE)
-            table = self._table_at(index)
             node = DhtNode(
                 self.sim, self.net, host,
                 partial(derive_rng, self.seed, "dht", str(index)),
-                server=host.dht_server,
+                server=host.dht_server, routing_table=self._table_at(index),
             )
-            node.routing_table = table
             self.nodes[peer_id] = node
         return node
 
@@ -415,13 +421,13 @@ class CompactWorld:
         if self._view_args is None:
             # `_index` was filled in peer-index order
             keys = _dht_key_ints(self._index)
-            keys += [node.peer_id.dht_key_int() for node in self.vantage.values()]
+            keys += [peer_id.dht_key_int() for peer_id in self._all_ids[self.n:]]
             self._view_args = (keys, self._ids_at)
         return self._view_args
 
     def _table_indices(self, index: int) -> array:
         """Peer ``index``'s routing-table entries as peer indices, in
-        insertion order (``n + j``: the ``j``-th vantage)."""
+        insertion order (``n + j``: the ``j``-th vantage or head)."""
         off = self._table_off
         entries = self._table_entries[off[index]:off[index + 1]]
         return array("i", map(self._server_order.__getitem__, entries))
@@ -431,9 +437,9 @@ class CompactWorld:
         without materializing the node."""
         return self._ids_at(self._table_indices(index))
 
-    def _vantage_ids_at(self, indices) -> list[PeerId]:
-        """``_ids_at`` of a world with vantages: every peer's PeerId,
-        then the vantages', named at build."""
+    def _extra_ids_at(self, indices) -> list[PeerId]:
+        """``_ids_at`` of a world with vantages or heads: every peer's
+        PeerId, then theirs, named at build."""
         return list(map(self._all_ids.__getitem__, indices))
 
     def _resolve(self, peer_id: PeerId) -> SimHost | None:
@@ -516,15 +522,15 @@ class CompactWorld:
 
     # -- routing-table precompute --------------------------------------
 
-    def _fill_tables(self, rng: random.Random, key_ints: list[int]) -> None:
-        """Every peer's routing table, then every vantage's, as
-        positions into the sorted server order:
-        :func:`~repro.dht.bootstrap.sample_table_positions` per node
-        (``key_ints[i]`` is node ``i``'s DHT key, the vantages' after
-        the peers') over one shared tree, dropped on return, appended to
-        one flat array. The vantages are live servers, and their tables
-        are loaded from the array — the draws ``populate_routing_tables``
-        makes over the peers' nodes followed by the vantages'."""
+    def _fill_tables(self, rng: random.Random, key_ints: list[int], extra: list[DhtNode]) -> None:
+        """Every peer's routing table, then every ``extra`` node's (the
+        vantages', then any Hydra heads'), as positions into the sorted
+        server order: :func:`~repro.dht.bootstrap.sample_table_positions`
+        per node (``key_ints[i]`` is node ``i``'s DHT key) over one shared
+        tree, dropped on return, appended to one flat array. The ``extra``
+        nodes are live servers, and their tables are loaded from the array
+        — the draws ``populate_routing_tables`` makes over the peers'
+        nodes followed by ``extra``."""
         n = self.n
         reach = self.compact.peer_reach
         in_dht = self.nat_peers_in_dht
@@ -548,8 +554,8 @@ class CompactWorld:
             )
             off.append(len(entries))
         self._server_order = array("i", order)
-        for j, node in enumerate(self.vantage.values()):
-            node.dht.routing_table.load(self._ids_at(self._table_indices(n + j)))
+        for j, node in enumerate(extra):
+            node.routing_table.load(self._ids_at(self._table_indices(n + j)))
 
     # -- accounting ----------------------------------------------------
 
@@ -658,11 +664,16 @@ def build_compact_world(
         if nat_world is not None:
             node.host.dcutr = True
         world.vantage[name] = node
-    if world.vantage:
+    extra = [node.dht for node in world.vantage.values()]
+    if HYDRA_HEADS:
+        world.hydra = HydraBooster(sim, net)
+        world.hydra.spawn_heads(HYDRA_HEADS, derive_rng(config.seed, "heads"))
+        extra += world.hydra.heads
+    if extra:
         world._all_ids = compact.peer_ids_at(range(n))
-        world._all_ids += [node.peer_id for node in world.vantage.values()]
-        world._ids_at = world._vantage_ids_at
-        key_ints += [node.peer_id.dht_key_int() for node in world.vantage.values()]
+        world._all_ids += [node.host.peer_id for node in extra]
+        world._ids_at = world._extra_ids_at
+        key_ints += [peer_id.dht_key_int() for peer_id in world._all_ids[n:]]
 
     # The NAT traversal layer: only when at least one box exists. An
     # enabled-but-idle NAT world installs nothing, so the dial path —
@@ -670,6 +681,6 @@ def build_compact_world(
     if any(world._nat_mode):
         world._install_traversal(reliable)
 
-    world._fill_tables(derive_rng(config.seed, "tables"), key_ints)
+    world._fill_tables(derive_rng(config.seed, "tables"), key_ints, extra)
     net.host_resolver = world._resolve
     return world

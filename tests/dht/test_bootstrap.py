@@ -16,6 +16,13 @@ from repro.dht.bootstrap import populate_routing_tables
 from repro.dht.keyspace import KEY_BITS, key_for_peer
 from repro.dht.routing_table import RoutingTable
 from repro.errors import SimulationError
+from repro.experiments import figures
+from repro.experiments.scenario import ScenarioConfig
+from repro.simnet import compact
+from repro.simnet.compact import build_compact_world
+from repro.utils.rng import derive_rng
+from repro.workloads.compact import generate_compact_population
+from repro.workloads.population import PopulationConfig
 from tests.helpers import build_world
 
 
@@ -84,6 +91,29 @@ def _populate_by_add(nodes, rng, stale_fraction=0.05):
     return leftover_draws
 
 
+def _fill_by_kernel(nodes, rng, max_stale):
+    """``populate_routing_tables`` with the kernel's own ``max_stale`` in
+    place of the ``STALE_FRACTION`` quota."""
+    ordered = sorted(
+        (int.from_bytes(key_for_peer(n.host.peer_id), "big"), n.host.peer_id, n)
+        for n in nodes
+        if n.server
+    )
+    ids = [peer_id for _, peer_id, _ in ordered]
+    tree = bootstrap.KeyspaceTree(
+        [key for key, _, _ in ordered],
+        [i for i, (_, _, n) in enumerate(ordered) if n.host.reachable],
+        [i for i, (_, _, n) in enumerate(ordered) if not n.host.reachable],
+    )
+    for node in nodes:
+        cap = node.routing_table.bucket_size
+        picks = []
+        bootstrap.sample_table_positions(
+            picks, node.host.peer_id.dht_key_int(), tree, cap, max_stale, rng
+        )
+        node.routing_table.load([ids[position] for position in picks])
+
+
 def _mixed_world(n, seed):
     """Servers, clients and offline (stale) servers; tables left empty."""
     return build_world(
@@ -96,8 +126,8 @@ def _mixed_world(n, seed):
     "n, stale_fraction, bucket_size",
     [
         (60, 0.05, 20), (400, 0.05, 20), (1500, 0.05, 20),
-        # the kernel's other parameters: no stale quota at all, the
-        # client/server ablation's larger one, a non-default bucket
+        # the kernel's other parameters: no stale quota at all, a larger
+        # one (the kernel's max_stale), a non-default bucket
         (400, 0.0, 20), (400, 0.25, 20), (400, 0.05, 8),
         # bucket sizes alternating over one call: the tree is shared, so
         # a cap-dependent value cached in a node would leak between them
@@ -116,7 +146,10 @@ def test_bulk_load_equals_the_add_loop(n, stale_fraction, bucket_size, seed):
 
     expected_rng, actual_rng = random.Random(seed), random.Random(seed)
     leftover_draws = _populate_by_add(expected.nodes, expected_rng, stale_fraction)
-    populate_routing_tables(actual.nodes, actual_rng, stale_fraction)
+    if stale_fraction == bootstrap.STALE_FRACTION:
+        populate_routing_tables(actual.nodes, actual_rng)
+    else:
+        _fill_by_kernel(actual.nodes, actual_rng, int(bucket_size * stale_fraction))
 
     assert actual_rng.getstate() == expected_rng.getstate()
     for ours, theirs in zip(actual.nodes, expected.nodes):
@@ -182,18 +215,41 @@ def test_non_empty_table_is_refused_and_left_as_it_was():
     assert len(first.routing_table) == 1
 
 
-def test_emptied_tables_can_be_filled_again():
-    # The hydra ablation's path: remove every entry (which leaves the
-    # emptied bucket dicts behind), widen the node list, fill again.
-    world = _mixed_world(200, 9)
-    populate_routing_tables(world.nodes, random.Random(9))
-    for node in world.nodes:
-        for peer_id in node.routing_table.peers():
-            node.routing_table.remove(peer_id)
-        assert len(node.routing_table) == 0
-    fresh = _mixed_world(200, 9)
-    populate_routing_tables(world.nodes, random.Random(10))
-    populate_routing_tables(fresh.nodes, random.Random(10))
-    for ours, theirs in zip(world.nodes, fresh.nodes):
-        assert ours.routing_table.peers() == theirs.routing_table.peers()
-        assert len(ours.routing_table) == len(theirs.routing_table)
+def test_hydra_heads_join_the_one_fill():
+    """A Hydra arm is a build input: with ``HYDRA_HEADS`` patched for one
+    build, the heads follow the vantage into the world's one table fill
+    as live servers, each loading its table from the fill's row, and
+    they sit in the peers' tables. The patch ends with its block, also
+    when the build raises."""
+    population = generate_compact_population(
+        PopulationConfig(n_peers=300), derive_rng(11, "population")
+    )
+    config = ScenarioConfig(seed=11, with_churn=False)
+    with figures.patched("HYDRA_HEADS", 12):
+        world = build_compact_world(population, config, vantage_regions=["eu_central_1"])
+    assert compact.HYDRA_HEADS == 0
+    heads = world.hydra.heads
+    assert len(heads) == 12
+    head_ids = {head.host.peer_id for head in heads}
+    for j, head in enumerate(heads):
+        assert head.server and head.host.reachable
+        row = world.table_peer_ids(world.n + 1 + j)  # after the one vantage
+        assert len(head.routing_table) == len(row) > 0
+        assert set(head.routing_table.peers()) == set(row)
+    holding = [
+        index for index in range(world.n) if head_ids & set(world.table_peer_ids(index))
+    ]
+    assert len(holding) > world.n // 10
+    assert head_ids & set(world.node_at(holding[0]).routing_table.peers())
+    assert head_ids & set(world.vantage["eu_central_1"].dht.routing_table.peers())
+
+    plain = build_compact_world(population, config, vantage_regions=["eu_central_1"])
+    assert plain.hydra is None
+    assert not any(
+        head_ids & set(plain.table_peer_ids(index)) for index in range(plain.n)
+    )
+
+    with pytest.raises(KeyError):
+        with figures.patched("HYDRA_HEADS", 12):
+            build_compact_world(population, config, vantage_regions=["no_such_region"])
+    assert compact.HYDRA_HEADS == 0

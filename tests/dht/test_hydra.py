@@ -20,7 +20,7 @@ def world_with_hydra(n=60, heads=10, seed=95):
 class TestHeads:
     def test_heads_are_distinct_servers(self):
         world, booster = world_with_hydra()
-        ids = booster.head_ids()
+        ids = [head.host.peer_id for head in booster.heads]
         assert len(set(ids)) == 10
         for head in booster.heads:
             assert head.server
@@ -35,7 +35,7 @@ class TestHeads:
         assert booster.heads[5].provider_store.providers_for(
             make_cid(b"x"), now=1.0
         )
-        assert booster.record_count() == 1
+        assert booster.shared_providers.record_count() == 1
 
     def test_spawn_more_heads_extends(self):
         world, booster = world_with_hydra(heads=4)
@@ -60,7 +60,7 @@ class TestBoosterAbsorbsRecords:
             if booster.shared_providers.providers_for(cid, world.sim.now):
                 hits += 1
         assert hits >= 3
-        assert booster.sightings() >= hits
+        assert booster.shared_providers.record_count() >= hits
 
     def test_any_head_serves_a_record_stored_on_another(self):
         world, booster = world_with_hydra(n=50, heads=25, seed=97)

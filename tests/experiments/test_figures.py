@@ -90,6 +90,12 @@ class TestBuilds:
             claims += rows
         return claims
 
+    def test_each_world_ablation_runs_its_knockout_arms(self, datasets):
+        # every arm that builds a world is a row of the one table
+        assert set(figures.KNOCKOUTS) == ABLATIONS - {"ablation.gateway_cache"}
+        for name, arms in figures.KNOCKOUTS.items():
+            assert list(datasets[name]) == list(arms), name
+
     def test_campaign_with_no_hk_or_de_sessions(self, datasets):
         scenario, campaign = datasets["crawl"]
         elsewhere = dataclasses.replace(campaign, sessions=[

@@ -21,12 +21,14 @@ from repro.dht import rpc
 from repro.dht.dht_node import DhtNode
 from repro.dht.keyspace import key_for_peer
 from repro.dht.records import ProviderRecord
+from repro.dht.routing_table import RoutingTable
 from repro.errors import SimulationError, TransportTimeoutError
 from repro.experiments.deployment import CrawlCampaignConfig, run_crawl_timeseries
 from repro.experiments.perf import PerfConfig, run_perf_experiment
 from repro.experiments.scenario import AWS_REGIONS, ScenarioConfig, build_scenario
 from repro.multiformats.cid import make_cid
 from repro.multiformats.peerid import PeerId
+from repro.resilience import Resilience
 from repro.simnet.compact import build_compact_world
 from repro.simnet.network import SimHost
 from repro.simnet.transport import Transport
@@ -299,6 +301,40 @@ def test_node_adopts_the_staged_table():
     # later FIND_NODEs reach the node's handler, over the same table
     assert world.host_at(index).handler_for(rpc.FIND_NODE) == node._on_find_node
     assert _find_node(world, client, index).result().closer_peers
+
+
+def test_node_at_builds_one_table_and_keeps_it(monkeypatch):
+    """``node_at`` on an untouched peer stages its table and the node
+    adopts that object: one ``RoutingTable`` is built, none dropped."""
+    world, _client = _world(with_churn=False)
+    index = _first(world, "reliable", True)
+    built = []
+    init = RoutingTable.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RoutingTable, "__init__", counting_init)
+    node = world.node_at(index)
+    assert built == [world._tables[index]]
+    assert node.routing_table is world._tables[index]
+    assert world.materialized == 1 and list(world.nodes.values()) == [node]
+
+
+def test_an_adopted_table_takes_the_nodes_rung():
+    """A table handed to ``DhtNode`` gets the node's eviction threshold
+    and breakers, so a non-bare rung keeps them over a staged table."""
+    world, client = _world(with_churn=False)
+    staged = RoutingTable(client.peer_id)
+    resilience = Resilience("resilient", world.sim, world.net)
+    node = DhtNode(
+        world.sim, world.net, client, derive_rng(SEED, "rung"),
+        resilience=resilience, routing_table=staged,
+    )
+    assert node.routing_table is staged
+    assert staged.failure_threshold == resilience.eviction_threshold == 3
+    assert staged.breakers is resilience.breakers is not None
 
 
 def test_find_node_to_a_non_server_still_raises():

@@ -10,6 +10,12 @@ population, its per-peer spec and the one-transition-at-a-time churn
 process (now the reference in ``tests/helpers.py``) may not come back
 under ``src/repro``. The gateway fleet's object world has one builder,
 which the replay and the flash-crowd cells both call.
+
+Routing tables are filled once, when a world is built: the fleet world
+is the one ``src/`` caller of ``populate_routing_tables``, and no
+experiment edits a built world's tables (an ablation arm is a build
+input, ``figures.KNOCKOUTS``), so no ``src/repro/experiments`` module
+calls ``populate_routing_tables`` or ``RoutingTable.remove``.
 """
 
 import ast
@@ -102,8 +108,33 @@ def test_one_fleet_world_builder():
     for cell in ("gateway/replay.py", "experiments/flash_crowd.py"):
         assert _calls(trees[cell], "build_fleet_world") == 1, cell
     # A second object world would fill its tables itself: the fleet
-    # world and the figures' table refill are the only object fills.
+    # world is the only object fill.
     fillers = sorted(
         name for name, tree in trees.items() if _calls(tree, "populate_routing_tables")
     )
-    assert fillers == ["experiments/figures.py", "gateway/fleet.py"]
+    assert fillers == ["gateway/fleet.py"]
+
+
+def _table_removals(tree: ast.AST) -> int:
+    """Calls of ``<...table>.remove(...)``: a routing-table edit."""
+    return sum(
+        1
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "remove"
+        and ast.unparse(node.func.value).endswith("table")
+    )
+
+
+def test_no_experiment_refills_a_built_world():
+    experiments = {
+        name: tree for name, tree in _trees().items() if name.startswith("experiments/")
+    }
+    assert "experiments/figures.py" in experiments
+    editors = sorted(
+        name
+        for name, tree in experiments.items()
+        if _calls(tree, "populate_routing_tables") or _table_removals(tree)
+    )
+    assert not editors, f"experiments editing routing tables after build: {editors}"

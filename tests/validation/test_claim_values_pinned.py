@@ -17,7 +17,10 @@ the sha256 oracle of ``tests/experiments/test_chaos.py``). The gateway
 rows of ``figures`` were re-frozen once more when the figures' gateway
 day became the replay's one latency stream: three Table 5 medians moved
 and ``fig11.size_latency_abs_r`` became informational (the ledger has
-old and new side by side).
+old and new side by side). The ``ablation.hydra`` and
+``ablation.client_server`` rows were re-frozen once when those arms
+became build inputs of the one table fill instead of refills of a
+built world (the ledger has old and new side by side).
 The literals are the oracle: regenerating an artifact must reproduce
 them, and they are not to be edited to make a layout change pass.
 
@@ -197,17 +200,17 @@ PINNED = {
     ),
     "figures": (
         "PASS",
-        "1a6a269d3eddb9769f822c7cd714217521d614c52bae63fe07e4f9bfa7a62880",
+        "d16f650db7c9ef30ce18276cb428c0118ca59eb46567e941168eb71dbc8d04f9",
         [
             ('figures', 'ablation.alpha.alpha6_over_alpha3_p50', 'ablation.alpha', 0.790883, 0.4, 'PASS'),
             ('figures', 'ablation.alpha.serial_over_alpha3_p50', 'ablation.alpha', 2.292033, 1.0, 'PASS'),
-            ('figures', 'ablation.client_server.post_over_pre_failed_rpcs', 'ablation.client_server', 0.014019, 1.0, 'PASS'),
-            ('figures', 'ablation.client_server.post_over_pre_p50', 'ablation.client_server', 0.135025, 0.75, 'PASS'),
+            ('figures', 'ablation.client_server.post_over_pre_failed_rpcs', 'ablation.client_server', 0.026549, 1.0, 'PASS'),
+            ('figures', 'ablation.client_server.post_over_pre_p50', 'ablation.client_server', 0.141854, 0.75, 'PASS'),
             ('figures', 'ablation.gateway_cache.gain_from_15_to_30_percent', 'ablation.gateway_cache', 0.045528, 0.15, 'PASS'),
             ('figures', 'ablation.gateway_cache.largest_hit_share_drop', 'ablation.gateway_cache', -0.045528, 0.02, 'PASS'),
             ('figures', 'ablation.gateway_cache.smallest_cache_hit_share', 'ablation.gateway_cache', 0.257558, 0.15, 'PASS'),
-            ('figures', 'ablation.hydra.boosted_over_plain_p90', 'ablation.hydra', 0.386502, 1.25, 'PASS'),
-            ('figures', 'ablation.hydra.plain_over_boosted_p50', 'ablation.hydra', 1.195835, 1.0, 'PASS'),
+            ('figures', 'ablation.hydra.boosted_over_plain_p90', 'ablation.hydra', 0.250883, 1.25, 'PASS'),
+            ('figures', 'ablation.hydra.plain_over_boosted_p50', 'ablation.hydra', 1.223719, 1.0, 'PASS'),
             ('figures', 'ablation.parallel_lookup.p50_saved_s', 'ablation.parallel_lookup', 1.1019, 1.2, 'PASS'),
             ('figures', 'ablation.parallel_lookup.parallel_over_sequential_rpcs', 'ablation.parallel_lookup', 0.98094, 0.95, 'PASS'),
             ('figures', 'ablation.replication.k1_survival', 'ablation.replication', 0.333333, 0.75, 'PASS'),
