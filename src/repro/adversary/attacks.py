@@ -118,8 +118,18 @@ class AttackState:
         return sum(node.queries_censored for node in self.sybils)
 
 
+def _honest_server_hosts(scenario: Scenario) -> list[SimHost]:
+    """Every honest DHT server's host (backdrop and vantage), build
+    order: what a plan that reads identities and reachability needs."""
+    world = scenario.world
+    hosts = [host for host in map(world.host_at, range(len(world))) if host.dht_server]
+    hosts.extend(node.host for node in scenario.vantage.values())
+    return hosts
+
+
 def _honest_server_nodes(scenario: Scenario) -> list:
-    """Every honest DHT server (backdrop and vantage), build order."""
+    """Every honest DHT server's node (backdrop and vantage), build
+    order: attached, because the eclipse writes to their tables."""
     world = scenario.world
     nodes = [
         world.node_at(index) for index in range(len(world))
@@ -202,11 +212,10 @@ def _censor_plan(
         return FaultPlan()
     target_int = int.from_bytes(target_key, "big")
     servers = [
-        node for node in _honest_server_nodes(scenario)
-        if not node.host.nat_private
+        host for host in _honest_server_hosts(scenario) if not host.nat_private
     ]
-    servers.sort(key=lambda node: node.host.peer_id.dht_key_int() ^ target_int)
-    censors = frozenset(node.host.peer_id for node in servers[:chosen])
+    servers.sort(key=lambda host: host.peer_id.dht_key_int() ^ target_int)
+    censors = frozenset(host.peer_id for host in servers[:chosen])
     return FaultPlan.of(
         FaultRule(
             FaultKind.LOSS,

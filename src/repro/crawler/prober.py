@@ -5,15 +5,19 @@ be accessible. Specifically, we select an interval of 0.5x the observed
 uptime, starting at a minimum of 30 seconds and ending at a maximum of
 15 minutes."
 
-Each probe records whether the peer was reachable at that instant. By
-default probes are *oracle* checks (one event each) so that multi-day
-windows over thousands of peers stay cheap; ``probe_via_dial=True``
-pays full dial semantics instead (used by the fidelity tests).
+Each probe records whether the peer was reachable at that instant, into
+the peer's :class:`PeerTimeline`, which keeps the runs of equal outcomes
+and not the probes: memory grows with the sessions a campaign sees, not
+with its length. By default probes are *oracle* checks (one event each)
+so that multi-day windows over thousands of peers stay cheap;
+``probe_via_dial=True`` pays full dial semantics instead (used by the
+fidelity tests).
 """
 
 from __future__ import annotations
 
-from collections.abc import Generator
+from array import array
+from collections.abc import Generator, Iterator
 from dataclasses import dataclass, field
 
 from repro.multiformats.peerid import PeerId
@@ -33,11 +37,45 @@ class ProbeConfig:
 
 @dataclass
 class PeerTimeline:
-    """Probe observations for one peer: (time, was_online) pairs."""
+    """One peer's probe outcomes, as runs of equal outcomes.
+
+    ``bounds`` holds the first and the last probe time of each run, flat
+    (``first, last, first, last, ...``); ``first_online`` is the first
+    run's outcome, and the runs alternate from it. That is all
+    :mod:`repro.crawler.sessions` reads: a session is an online run.
+    """
 
     peer_id: PeerId
-    observations: list[tuple[float, bool]] = field(default_factory=list)
-    current_uptime_s: float = 0.0  # length of the ongoing observed session
+    first_online: bool = False
+    bounds: array = field(default_factory=lambda: array("d"))
+
+    @property
+    def online(self) -> bool:
+        """The last probe's outcome (False before any probe)."""
+        return bool(self.bounds) and self.first_online ^ (len(self.bounds) % 4 == 0)
+
+    @property
+    def current_uptime_s(self) -> float:
+        """The ongoing observed session's length: from its first
+        probe to the last one, 0 while offline."""
+        return self.bounds[-1] - self.bounds[-2] if self.online else 0.0
+
+    def record(self, when: float, online: bool) -> None:
+        """Add a probe at ``when`` (no earlier than the last one)."""
+        bounds = self.bounds
+        if bounds and online == self.online:
+            bounds[-1] = when
+            return
+        if not bounds:
+            self.first_online = online
+        bounds.append(when)
+        bounds.append(when)
+
+    def runs(self) -> Iterator[tuple[float, float, bool]]:
+        """Each run's first and last probe time and outcome, in order."""
+        bounds = self.bounds
+        for run in range(len(bounds) // 2):
+            yield bounds[2 * run], bounds[2 * run + 1], self.first_online ^ (run % 2 == 1)
 
 
 class UptimeProber:
@@ -92,16 +130,7 @@ class UptimeProber:
         return True
 
     def _probe_loop(self, timeline: PeerTimeline) -> Generator:
-        last_online_start: float | None = None
         while not self._stopped:
             online = yield from self._probe_once(timeline.peer_id)
-            now = self.sim.now
-            timeline.observations.append((now, online))
-            if online:
-                if last_online_start is None:
-                    last_online_start = now
-                timeline.current_uptime_s = now - last_online_start
-            else:
-                last_online_start = None
-                timeline.current_uptime_s = 0.0
+            timeline.record(self.sim.now, online)
             yield self._interval_for(timeline)

@@ -9,11 +9,15 @@ analysis of Section 5.3 justifies: old peers are likelier to stay).
 Only *DHT servers* are ever inserted (Section 2.3): the caller filters
 out clients, which is the v0.5 change the paper credits with a major
 performance boost.
+
+A precomputed fill can be read without a table: a *run view* is the
+tuple ``(entries, keys, peers_at, base, runs)`` over a slice of a flat
+array of stored entries (see :func:`bucket_runs`), and :func:`nearest`
+answers from it. :meth:`RoutingTable.view` makes a table of one.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections.abc import Callable, Iterator, Sequence
 from itertools import groupby
 
@@ -23,6 +27,176 @@ from repro.multiformats.peerid import PeerId
 
 #: Bucket capacity and record replication factor (Section 2.3).
 K_BUCKET_SIZE = 20
+
+
+def _fill_error(bucket_size: int) -> SimulationError:
+    return SimulationError(
+        "bulk load needs distinct peers other than our own id, "
+        f"at most {bucket_size} per bucket"
+    )
+
+
+def bucket_runs(
+    own_key_int: int,
+    keys: Sequence[int],
+    entries: Sequence[int],
+    lo: int,
+    hi: int,
+    bucket_size: int = K_BUCKET_SIZE,
+) -> bytes:
+    """The bucket runs of the stored entries ``entries[lo:hi]``.
+
+    The entries are ints naming the peers :meth:`RoutingTable.load`
+    would take, ``keys[e]`` being the DHT key int of entry ``e``, stored
+    as a precomputed fill stores them: grouped by bucket, each group in
+    least-recently-seen order. The result is ``bytes``, the populated
+    bucket indexes in stored order followed by each run's length (a
+    bucket holds at most ``bucket_size`` <= 255 entries): with ``lo``
+    it locates every run, so a view over the slice copies nothing. The
+    entries must meet ``load``'s contract and be grouped, or
+    :class:`SimulationError` is raised.
+    """
+    stored = entries[lo:hi]
+    # Each entry's XOR distance length: bucket KEY_BITS - length
+    # (length 0 is our own key).
+    lengths = list(map(
+        int.bit_length, map(own_key_int.__xor__, map(keys.__getitem__, stored))
+    ))
+    populated = []
+    sizes = []
+    for length, run in groupby(lengths):
+        populated.append(min(KEY_BITS - length, KEY_BITS - 1))
+        sizes.append(len(list(run)))
+    if (
+        len(set(stored)) != len(stored)
+        or 0 in lengths
+        or len(set(populated)) != len(populated)  # a bucket split in two
+        or max(sizes, default=0) > bucket_size
+    ):
+        raise _fill_error(bucket_size)
+    return bytes(populated + sizes)
+
+
+def run_bounds(view: tuple | None, index: int) -> tuple[int, int] | None:
+    """Where bucket ``index``'s run lies in a run view's entries, or
+    None (no view, or no run there)."""
+    if view is None:
+        return None
+    base, runs = view[3], view[4]
+    populated = len(runs) >> 1
+    run = runs.find(index, 0, populated)
+    if run < 0:
+        return None
+    lo = base + sum(runs[populated:populated + run])
+    return lo, lo + runs[populated + run]
+
+
+def run_holds(view: tuple, bounds: tuple[int, int] | None, key_int: int) -> bool:
+    """Whether the run at ``bounds`` holds the peer with DHT key
+    ``key_int``. Distinct peers have distinct keys, so keys are
+    compared and no one is named."""
+    if bounds is None:
+        return False
+    entries, keys = view[:2]
+    return key_int in map(keys.__getitem__, entries[bounds[0]:bounds[1]])
+
+
+def run_takes(view: tuple, bounds: tuple[int, int], key_int: int, bucket_size: int) -> bool:
+    """Whether :meth:`RoutingTable.add` of the peer with DHT key
+    ``key_int`` changes the run at ``bounds``: the run has room, or
+    already holds the peer (a refresh moves it to the tail)."""
+    return bounds[1] - bounds[0] < bucket_size or run_holds(view, bounds, key_int)
+
+
+def _nearest_first(split: int, buckets) -> Iterator[Sequence[int]]:
+    """The populated bucket indexes ``buckets`` in groups, nearest
+    group first, for a target sharing ``split`` leading bits with our
+    own key."""
+    if split in buckets:
+        yield (split,)
+    deeper = [index for index in buckets if index > split]
+    if deeper:
+        yield deeper
+    for index in sorted(buckets, reverse=True):
+        if index < split:
+            yield (index,)
+
+
+def nearest(
+    own_key_int: int,
+    target_key: bytes,
+    count: int,
+    buckets: dict[int, dict[PeerId, int]],
+    view: tuple | None = None,
+    is_open: Callable[[PeerId], bool] | None = None,
+) -> list[PeerId]:
+    """The ``count`` peers closest to ``target_key`` by XOR among the
+    dict ``buckets`` (bucket index -> peer -> DHT key int) and the runs
+    of ``view``, a dict bucket overriding its run; peers for which
+    ``is_open`` holds are skipped. The one closest-k selection:
+    :meth:`RoutingTable.closest` and a compact world's table stage
+    both answer through it.
+
+    Exact, but without scanning the whole table (the selection of
+    go-libp2p-kbucket's ``NearestPeers``). Let the target share ``c``
+    leading bits with our own key. Entries of bucket ``c`` differ from
+    us at bit ``c``, as the target does, so they share more than ``c``
+    bits with it; entries of every bucket above ``c`` agree with us at
+    bit ``c``, so they share exactly ``c``; entries of a bucket
+    ``j < c`` share exactly ``j``. A longer shared prefix is a smaller
+    distance, hence every entry of bucket ``c`` is closer than every
+    entry of the buckets above it (one group, their distances
+    interleave), which are closer than bucket ``c - 1``, then
+    ``c - 2``, ... ``0``. Sort group by group and stop once ``count``
+    peers are out: this is the hottest routing-table path (every
+    FIND_NODE answer takes it), and a full bucket ``c`` answers it by
+    sorting 20 entries. Distinct entries have distinct distances, so
+    the result does not depend on scan order — nor on whether a
+    group's buckets are dicts, runs, or some of each. A run's pairs
+    carry entry ints, named only once chosen.
+    """
+    target = int.from_bytes(target_key, "big")
+    split = min(KEY_BITS - (own_key_int ^ target).bit_length(), KEY_BITS - 1)
+    if view is None:
+        indexes = buckets
+    else:
+        entries, keys, peers_at, base, runs = view
+        n_runs = len(runs) >> 1
+        populated = runs[:n_runs]
+        indexes = buckets.keys() | set(populated) if buckets else populated
+        if is_open is not None:
+            is_open = lambda item, is_open=is_open: is_open(
+                peers_at((item,))[0] if type(item) is int else item
+            )
+    found: list = []
+    for group in _nearest_first(split, indexes):
+        pairs = []
+        for index in group:
+            bucket = buckets.get(index)
+            if bucket is not None:
+                pairs += [
+                    (key_int ^ target, peer_id) for peer_id, key_int in bucket.items()
+                ]
+            else:
+                run = populated.find(index)
+                lo = base + sum(runs[n_runs:n_runs + run])
+                pairs += [
+                    (keys[entry] ^ target, entry)
+                    for entry in entries[lo:lo + runs[n_runs + run]]
+                ]
+        if is_open is not None:
+            pairs = [pair for pair in pairs if not is_open(pair[1])]
+        pairs.sort()
+        found += [item for _, item in pairs]
+        if len(found) >= count:
+            del found[count:]
+            break
+    if view is None:
+        return found
+    if not buckets:
+        return peers_at(found)
+    named = iter(peers_at([item for item in found if type(item) is int]))
+    return [next(named) if type(item) is int else item for item in found]
 
 
 class RoutingTable:
@@ -40,8 +214,8 @@ class RoutingTable:
     there).
     """
 
-    # A crawled peer of a compact world attaches a table and nothing
-    # else, so the table is its whole per-peer DHT cost.
+    # A compact world attaches a table only where a write changes the
+    # stored fill, so the table is a written peer's whole DHT cost.
     __slots__ = (
         "own_id", "own_key", "own_key_int", "bucket_size", "failure_threshold",
         "_buckets", "_size", "_view", "_failures", "evictions", "breakers",
@@ -66,8 +240,7 @@ class RoutingTable:
         # the dominant per-peer memory cost at 100k+ peers.
         self._buckets: dict[int, dict[PeerId, int]] = {}
         self._size = 0
-        #: view state (see :meth:`view`): None, or ``(keys, peers_at,
-        #: grouped entries, populated bucket indexes, run bounds)``; a
+        #: the run view this table reads (see :meth:`view`), or None; a
         #: bucket in ``_buckets`` overrides its run
         self._view: tuple | None = None
         self._failures: dict[PeerId, int] = {}
@@ -96,7 +269,7 @@ class RoutingTable:
         bucket = self._buckets.get(index)
         if bucket is not None:
             return peer_id in bucket
-        return self._in_run(self._run(index), peer_id)
+        return run_holds(self._view, run_bounds(self._view, index), key_int_for_peer(peer_id))
 
     def _bucket_for(self, peer_id: PeerId) -> int:
         # Inline common_prefix_length on the cached integer keys: the
@@ -122,13 +295,13 @@ class RoutingTable:
         )
         bucket = self._buckets.get(index)
         if bucket is None:
-            run = self._run(index)
-            if run is None:
+            bounds = run_bounds(self._view, index)
+            if bounds is None:
                 bucket = self._buckets[index] = {}
-            elif len(run) >= self.bucket_size and not self._in_run(run, peer_id):
+            elif not run_takes(self._view, bounds, key_int, self.bucket_size):
                 return False  # what the full bucket would say; nothing to copy
             else:
-                bucket = self._copy(index, run)
+                bucket = self._copy(index, bounds)
         existing = bucket.pop(peer_id, None)
         if existing is not None:
             bucket[peer_id] = existing  # re-insert at the tail (refresh)
@@ -174,91 +347,47 @@ class RoutingTable:
             or any(len(bucket) > self.bucket_size for bucket in buckets.values())
         ):
             buckets.clear()
-            raise self._fill_error()
+            raise _fill_error(self.bucket_size)
         self._size = size
-
-    def _fill_error(self) -> SimulationError:
-        return SimulationError(
-            "bulk load needs distinct peers other than our own id, "
-            f"at most {self.bucket_size} per bucket"
-        )
 
     def view(
         self,
         entries: Sequence[int],
         keys: Sequence[int],
         peers_at: Callable[[Sequence[int]], list[PeerId]],
+        base: int,
+        runs: bytes,
     ) -> None:
-        """Fill this *empty* table with a view of ``entries``.
+        """Fill this *empty* table with the run view ``(entries, keys,
+        peers_at, base, runs)``.
 
-        ``entries`` are ints naming the peers :meth:`load` would take:
-        ``keys[e]`` is the DHT key int of entry ``e``, and ``peers_at``
-        maps a list of entries to the list of their ``PeerId`` objects.
-        The entries are grouped by bucket once, one common-prefix length
-        each, into one int array with the populated bucket indexes and
-        their run bounds beside it: no dict and no ``PeerId`` per
-        entry. The runs stay for the table's life. Every read (``in``,
-        ``len``, :meth:`closest`, :meth:`peers`, :meth:`bucket_sizes`,
-        :meth:`failure_score`) reads them as they stand, and names
-        ``PeerId`` objects only for what it returns. A write copies on
-        write, one bucket at a time: the first :meth:`add`,
-        :meth:`remove` or evicting :meth:`record_failure` that changes a
-        bucket turns its run into the dict bucket ``load`` would have
-        built (entry order is its least-recently-seen order), and that
-        dict overrides the run from then on. A full run that turns a
-        newcomer away changes nothing and copies nothing. ``entries``
-        must meet ``load``'s contract, checked here as there.
+        ``runs`` is :func:`bucket_runs` of ``entries`` from ``base`` (for
+        this table's own key and bucket size): ``keys[e]`` is the DHT
+        key int of entry ``e``, and ``peers_at`` maps a list of entries
+        to the list of their ``PeerId`` objects. The table keeps
+        references, no copy: no dict and no ``PeerId`` per entry. Every
+        read (``in``, ``len``, :meth:`closest`, :meth:`peers`,
+        :meth:`bucket_sizes`, :meth:`failure_score`) reads the runs as
+        they stand, and names ``PeerId`` objects only for what it
+        returns. A write copies on write, one bucket at a time: the
+        first :meth:`add`, :meth:`remove` or evicting
+        :meth:`record_failure` that changes a bucket turns its run into
+        the dict bucket :meth:`load` would have built (entry order is
+        its least-recently-seen order), and that dict overrides the run
+        from then on. A full run that turns a newcomer away changes
+        nothing and copies nothing.
         """
         if self._size:
             raise SimulationError("bulk load needs an empty routing table")
-        # Each entry's XOR distance length: bucket KEY_BITS - length
-        # (length 0 is our own key). A stable sort by descending length
-        # groups the entries by ascending bucket, each in entry order.
-        lengths = list(map(
-            int.bit_length, map(self.own_key_int.__xor__, map(keys.__getitem__, entries))
-        ))
-        order = sorted(range(len(entries)), key=lengths.__getitem__, reverse=True)
-        populated = []
-        bounds = array("H", [0])
-        for length, run in groupby(map(lengths.__getitem__, order)):
-            populated.append(min(KEY_BITS - length, KEY_BITS - 1))
-            bounds.append(bounds[-1] + len(list(run)))
-        if (
-            len(set(entries)) != len(entries)
-            or 0 in lengths
-            or any(hi - lo > self.bucket_size for lo, hi in zip(bounds, bounds[1:]))
-        ):
-            raise self._fill_error()
         self._buckets.clear()  # emptied buckets would override the runs
-        self._size = len(entries)
-        self._view = (
-            keys, peers_at, array("i", map(entries.__getitem__, order)),
-            bytes(populated), bounds,
-        )
+        self._size = sum(runs[len(runs) >> 1:])
+        self._view = (entries, keys, peers_at, base, runs)
 
-    def _run(self, index: int) -> array | None:
-        """A view's stored entries of bucket ``index`` in least-recently-
-        seen order, or None (not a view, or no run there). Callers look
-        in ``_buckets`` first: a copied bucket overrides its run."""
-        view = self._view
-        if view is None:
-            return None
-        populated, bounds = view[3], view[4]
-        run = populated.find(index)
-        if run < 0:
-            return None
-        return view[2][bounds[run]:bounds[run + 1]]
-
-    def _in_run(self, run: array | None, peer_id: PeerId) -> bool:
-        # distinct peers have distinct keys: compare keys, name no one
-        return run is not None and key_int_for_peer(peer_id) in map(
-            self._view[0].__getitem__, run
-        )
-
-    def _copy(self, index: int, run: array) -> dict[PeerId, int]:
+    def _copy(self, index: int, bounds: tuple[int, int]) -> dict[PeerId, int]:
         """Bucket ``index``'s run as the dict ``load`` builds, installed
         over the run."""
-        keys, peers_at = self._view[:2]
+        entries, keys, peers_at = self._view[:3]
+        run = entries[bounds[0]:bounds[1]]
         bucket = self._buckets[index] = dict(zip(peers_at(run), map(keys.__getitem__, run)))
         return bucket
 
@@ -268,10 +397,10 @@ class RoutingTable:
         index = self._bucket_for(peer_id)
         bucket = self._buckets.get(index)
         if bucket is None:
-            run = self._run(index)
-            if not self._in_run(run, peer_id):
+            bounds = run_bounds(self._view, index)
+            if not run_holds(self._view, bounds, key_int_for_peer(peer_id)):
                 return
-            bucket = self._copy(index, run)
+            bucket = self._copy(index, bounds)
         if peer_id in bucket:
             del bucket[peer_id]
             self._size -= 1
@@ -301,99 +430,28 @@ class RoutingTable:
         """Current consecutive-failure count for ``peer_id``."""
         return self._failures.get(peer_id, 0)
 
-    @staticmethod
-    def _nearest_first(split: int, buckets) -> Iterator[Sequence[int]]:
-        """The populated bucket indexes ``buckets`` in groups, nearest
-        group first, for a target sharing ``split`` leading bits with
-        our own key."""
-        if split in buckets:
-            yield (split,)
-        deeper = [index for index in buckets if index > split]
-        if deeper:
-            yield deeper
-        for index in sorted(buckets, reverse=True):
-            if index < split:
-                yield (index,)
-
     def closest(self, target_key: bytes, count: int = K_BUCKET_SIZE) -> list[PeerId]:
-        """The ``count`` known peers closest to ``target_key`` by XOR.
-
-        Exact, but without scanning the whole table (the selection of
-        go-libp2p-kbucket's ``NearestPeers``). Let the target share
-        ``c`` leading bits with our own key. Entries of bucket ``c``
-        differ from us at bit ``c``, as the target does, so they share
-        more than ``c`` bits with it; entries of every bucket above
-        ``c`` agree with us at bit ``c``, so they share exactly ``c``;
-        entries of a bucket ``j < c`` share exactly ``j``. A longer
-        shared prefix is a smaller distance, hence every entry of
-        bucket ``c`` is closer than every entry of the buckets above it
-        (one group, their distances interleave), which are closer than
-        bucket ``c - 1``, then ``c - 2``, ... ``0``. Sort group by
-        group and stop once ``count`` peers are out: this is the
-        hottest routing-table path (every FIND_NODE handler calls it),
-        and a full bucket ``c`` answers it by sorting 20 entries.
-        Distinct entries have distinct distances, so the result does
-        not depend on scan order — nor on whether a group's buckets are
-        dicts, a view's entry runs, or some of each.
-        """
-        target = int.from_bytes(target_key, "big")
-        split = min(
-            KEY_BITS - (self.own_key_int ^ target).bit_length(), KEY_BITS - 1
+        """The ``count`` known peers closest to ``target_key`` by XOR,
+        skipping peers whose breaker is open (see :func:`nearest`)."""
+        return nearest(
+            self.own_key_int, target_key, count, self._buckets, self._view,
+            None if self.breakers is None else self.breakers.is_open,
         )
-        is_open = None if self.breakers is None else self.breakers.is_open
-        buckets = self._buckets
-        view = self._view
-        if view is None:
-            indexes = buckets
-        else:
-            # a run's pairs carry entry ints, named only once chosen
-            keys, peers_at, grouped, populated, bounds = view
-            indexes = buckets.keys() | populated if buckets else populated
-            if is_open is not None:
-                is_open = lambda item, is_open=is_open: is_open(
-                    peers_at((item,))[0] if type(item) is int else item
-                )
-        found: list = []
-        for group in self._nearest_first(split, indexes):
-            pairs = []
-            for index in group:
-                bucket = buckets.get(index)
-                if bucket is not None:
-                    pairs += [
-                        (key_int ^ target, peer_id)
-                        for peer_id, key_int in bucket.items()
-                    ]
-                else:
-                    run = populated.index(index)
-                    pairs += [
-                        (keys[entry] ^ target, entry)
-                        for entry in grouped[bounds[run]:bounds[run + 1]]
-                    ]
-            if is_open is not None:
-                pairs = [pair for pair in pairs if not is_open(pair[1])]
-            pairs.sort()
-            found += [item for _, item in pairs]
-            if len(found) >= count:
-                del found[count:]
-                break
-        if view is None:
-            return found
-        if not buckets:
-            return peers_at(found)
-        named = iter(peers_at([item for item in found if type(item) is int]))
-        return [next(named) if type(item) is int else item for item in found]
 
     def _indexes(self) -> list[int]:
         """Every bucket index with a dict or a run, ascending."""
         if self._view is None:
             return sorted(self._buckets)
-        return sorted(self._buckets.keys() | self._view[3])
+        runs = self._view[4]
+        return sorted(self._buckets.keys() | set(runs[:len(runs) >> 1]))
 
     def _bucket_peers(self, index: int) -> list[PeerId]:
         bucket = self._buckets.get(index)
         if bucket is not None:
             return list(bucket)
-        return self._view[1](self._run(index))
+        entries, _, peers_at = self._view[:3]
+        lo, hi = run_bounds(self._view, index)
+        return peers_at(entries[lo:hi])
 
     def peers(self) -> list[PeerId]:
         """All table entries (used by the crawler's bucket dumps)."""
@@ -404,7 +462,11 @@ class RoutingTable:
         sizes = {}
         for index in self._indexes():
             bucket = self._buckets.get(index)
-            size = len(bucket) if bucket is not None else len(self._run(index))
+            if bucket is not None:
+                size = len(bucket)
+            else:
+                lo, hi = run_bounds(self._view, index)
+                size = hi - lo
             if size:
                 sizes[index] = size
         return sizes

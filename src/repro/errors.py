@@ -57,7 +57,25 @@ class DialError(ReproError):
 
 
 class TransportTimeoutError(DialError):
-    """Raised when a dial or handshake exceeds its transport timeout."""
+    """Raised when a dial or handshake exceeds its transport timeout.
+
+    Holds the dial's target, timeout and transport, and spells them
+    only when the message is read: a crawl fails thousands of dials
+    whose messages nobody reads, and naming a target base58-encodes
+    its PeerId and caches the string on it.
+    """
+
+    def __init__(self, target: object, timeout_s: float, transport: object) -> None:
+        super().__init__(target, timeout_s, transport)
+        self.target = target
+        self.timeout_s = timeout_s
+        self.transport = transport
+
+    def __str__(self) -> str:
+        return (
+            f"dial to {self.target} timed out after {self.timeout_s}s "
+            f"({self.transport.value})"
+        )
 
 
 class RetrievalError(ReproError):

@@ -26,18 +26,23 @@ experiments up to the network's real size:
   (``net.host_resolver``, ``host_at``) builds only the ``SimHost``,
   with all that dials, remote handlers, the prober and the crawler
   read (region, class, transports, NAT flag and box, online bit,
-  ``agent_version``, ``dht_server``, ``dcutr``). A FIND_NODE needs a
-  table: the first *delivered* ``dht/FIND_NODE`` to a DHT server
-  attaches only its ``RoutingTable``, a view that reads the stored
-  entries until its first write, and answers through
-  :func:`~repro.dht.dht_node.answer_find_node` — a crawler's bucket
-  dump never gets further. Any other ``dht/…`` RPC needs a node: the
-  ``DhtNode`` adopts that table object; the first ``bitswap/…`` one
-  attaches the ``BitswapEngine`` (both through the host's
-  ``attach_protocol`` hook). That is exact: constructors schedule and
-  draw nothing, tables come from build-time arrays, and only a peer's
-  own handlers ever mutate them. Boxed peers and relays are attached
-  at build, where their keepalive mappings and reservations are made.
+  ``agent_version``, ``dht_server``, ``dcutr``). A FIND_NODE needs the
+  stored fill: the first *delivered* ``dht/FIND_NODE`` to a DHT server
+  keeps only its bucket runs over its slice of the flat table array
+  (:func:`~repro.dht.routing_table.bucket_runs`, one ``bytes`` of a
+  few dozen bytes), and every FIND_NODE it gets is answered from them
+  by :func:`~repro.dht.routing_table.nearest`, the selection
+  ``RoutingTable.closest`` makes — a crawler's bucket dump never gets
+  further. A ``RoutingTable``, a view over the same runs, is built
+  only when a write would change them: a FIND_NODE whose sender
+  ``learn_about`` would add, or the node. Any other ``dht/…`` RPC
+  needs a node: the ``DhtNode`` adopts that table object; the first
+  ``bitswap/…`` one attaches the ``BitswapEngine`` (both through the
+  host's ``attach_protocol`` hook). That is exact: constructors
+  schedule and draw nothing, tables come from build-time arrays, and
+  only a peer's own handlers ever mutate them. Boxed peers and relays
+  are attached at build, where their keepalive mappings and
+  reservations are made.
 
 ``tests/simnet/test_compact_equivalence.py`` holds a lazily attached
 world to one whose every stack was attached up front (and both to a
@@ -60,7 +65,15 @@ from repro.dht import rpc
 from repro.dht.bootstrap import STALE_FRACTION, KeyspaceTree, sample_table_positions
 from repro.dht.dht_node import DhtNode, answer_find_node
 from repro.dht.hydra import HydraBooster
-from repro.dht.routing_table import K_BUCKET_SIZE, RoutingTable
+from repro.dht.keyspace import KEY_BITS, key_int_for_peer
+from repro.dht.routing_table import (
+    K_BUCKET_SIZE,
+    RoutingTable,
+    bucket_runs,
+    nearest,
+    run_bounds,
+    run_takes,
+)
 from repro.multiformats.peerid import PeerId
 from repro.node.host import IpfsNode
 from repro.simnet.churn import WORLD_INITIAL_ONLINE_PROBABILITY
@@ -267,11 +280,14 @@ class CompactWorld:
         self.bootstrap_ids: list[PeerId] = []
         #: materialized state, keyed by peer index / PeerId
         self._hosts: dict[int, SimHost] = {}
-        #: every attached routing table, a node's or a table-only peer's
+        #: each table-stage peer's bucket runs (see `_runs_at`)
+        self._runs: dict[int, bytes] = {}
+        #: every routing-table object: a node's, or a written-to peer's
         self._tables: dict[int, RoutingTable] = {}
         self.nodes: dict[PeerId, DhtNode] = {}
         self.engines: dict[PeerId, BitswapEngine] = {}
-        #: peers whose DHT state (a table, maybe a node) has attached
+        #: peers whose DHT state (runs, maybe a table and a node) has
+        #: attached
         self.materialized = 0
         #: the always-on datacenter nodes, by AWS region name
         self.vantage: dict[str, IpfsNode] = {}
@@ -300,8 +316,9 @@ class CompactWorld:
         # routing-table entries -> PeerIds, vantages and heads (indices >= n) included
         self._ids_at = compact.peer_ids_at
         self._all_ids: list[PeerId] = []
-        # what every attached table's view reads (see `_table_view`)
+        # what every table-stage peer reads (see `_table_view`)
         self._view_args: tuple | None = None
+        self._own_keys: list[int] = []
 
     def __len__(self) -> int:
         return self.n
@@ -323,7 +340,7 @@ class CompactWorld:
 
     def is_materialized(self, index: int) -> bool:
         """Whether peer ``index``'s DHT state has attached."""
-        return index in self._tables
+        return index in self._runs
 
     # -- lazy materialization ------------------------------------------
 
@@ -360,19 +377,32 @@ class CompactWorld:
             self._hosts[index] = host
         return host
 
+    def _runs_at(self, index: int) -> bytes:
+        """Stage 2: peer ``index``'s bucket runs over its slice of the
+        stored fill: the entries, in the insertion (= LRU) order
+        populate_routing_tables loads into an object world, grouped by
+        bucket as the fill walks them; never our own id, at most
+        K_BUCKET_SIZE per bucket, which is what `bucket_runs` (like
+        `load`) requires."""
+        runs = self._runs.get(index)
+        if runs is None:
+            entries, keys, _ = self._table_view()
+            off = self._table_off
+            runs = self._runs[index] = bucket_runs(
+                self._own_keys[index], keys, entries, off[index], off[index + 1]
+            )
+            self.materialized += 1
+        return runs
+
     def _table_at(self, index: int) -> RoutingTable:
-        """Stage 2: peer ``index``'s routing table, a view of the stored
-        entries until its first write (the bare default: eviction on
-        the first failure, no breakers)."""
+        """Peer ``index``'s routing table, a view over its runs until
+        its first write (the bare default: eviction on the first
+        failure, no breakers)."""
         table = self._tables.get(index)
         if table is None:
+            runs = self._runs_at(index)
             table = self._tables[index] = RoutingTable(self.peer_id_at(index))
-            # The precomputed fill: the entries, in the insertion
-            # (= LRU) order, populate_routing_tables loads into an
-            # object world; never our own id, at most K_BUCKET_SIZE per
-            # bucket, which is what `view` (and `load`) require.
-            table.view(self._table_indices(index), *self._table_view())
-            self.materialized += 1
+            table.view(*self._table_view(), self._table_off[index], runs)
         return table
 
     def node_at(self, index: int) -> DhtNode:
@@ -402,28 +432,63 @@ class CompactWorld:
             )
         return engine
 
-    def _attach(self, index: int, method: str) -> None:
+    def _attach(self, index: int, method: str):
         """``SimHost.attach_protocol``: build what ``method`` needs. A
-        DHT server answers FIND_NODE from its table alone."""
+        DHT server answers FIND_NODE from its runs alone, through a
+        handler it does not keep."""
         host = self._hosts[index]
         if method == rpc.FIND_NODE and host.dht_server:
-            table = self._table_at(index)
-            host.register_handler(method, partial(answer_find_node, self.net, table))
-        elif method.startswith("dht/"):
+            self._runs_at(index)
+            return partial(self._find_node, index)
+        if method.startswith("dht/"):
             self.node_at(index)
         elif method.startswith("bitswap/"):
             self.engine_at(index)
+        return None
 
-    def _table_view(self):
-        """Every peer's DHT key int and the indices -> ``PeerId``s
-        lookup, shared by every table view; derived on the first attach
+    def _find_node(
+        self, index: int, sender: PeerId, request: rpc.FindNodeRequest
+    ) -> tuple[rpc.FindNodeResponse, int]:
+        """A table-stage peer's FIND_NODE answer: ``answer_find_node``'s,
+        read from the runs. A sender ``learn_about`` would write into
+        them first attaches the table, which takes this and every later
+        FIND_NODE."""
+        view = (*self._table_view(), self._table_off[index], self._runs[index])
+        own = self._own_keys[index]
+        remote = self.net.host(sender)
+        if remote is not None and remote.dht_server:
+            key_int = key_int_for_peer(sender)
+            distance = own ^ key_int
+            bounds = run_bounds(view, min(KEY_BITS - distance.bit_length(), KEY_BITS - 1))
+            if distance and (bounds is None or run_takes(view, bounds, key_int, K_BUCKET_SIZE)):
+                handler = partial(answer_find_node, self.net, self._table_at(index))
+                self._hosts[index].register_handler(rpc.FIND_NODE, handler)
+                return handler(sender, request)
+        response = rpc.FindNodeResponse(
+            tuple(nearest(own, request.target_key, K_BUCKET_SIZE, {}, view))
+        )
+        return response, response.wire_size()
+
+    def _table_view(self) -> tuple:
+        """What every run view reads: the flat table array, each stored
+        position's DHT key int and the positions -> ``PeerId``s lookup;
+        derived on the first attach, with every peer's own key int
         (``build`` attaches nothing, so it keeps no key ints)."""
         if self._view_args is None:
             # `_index` was filled in peer-index order
             keys = _dht_key_ints(self._index)
             keys += [peer_id.dht_key_int() for peer_id in self._all_ids[self.n:]]
-            self._view_args = (keys, self._ids_at)
+            self._own_keys = keys
+            self._view_args = (
+                self._table_entries,
+                [keys[index] for index in self._server_order],
+                self._peers_at,
+            )
         return self._view_args
+
+    def _peers_at(self, positions) -> list[PeerId]:
+        """The ``PeerId``s at stored positions of the server order."""
+        return self._ids_at(map(self._server_order.__getitem__, positions))
 
     def _table_indices(self, index: int) -> array:
         """Peer ``index``'s routing-table entries as peer indices, in

@@ -138,7 +138,9 @@ class SimHost:
         self.agent_version = "unknown"
         #: optional hook (compact worlds) called with the method name on
         #: a :meth:`handler_for` miss; it may attach the protocol's stack
-        self.attach_protocol: Callable[[str], None] | None = None
+        #: (which registers its handlers), or return a handler for this
+        #: one call that nothing keeps
+        self.attach_protocol: Callable[[str], RpcHandler | None] | None = None
         self.network: SimNetwork | None = None
         self.connections: dict[PeerId, Connection] = {}
         #: access-link serialization: times until which this host's
@@ -167,15 +169,12 @@ class SimHost:
         del self._handlers[method]
 
     def handler_for(self, method: str) -> RpcHandler:
-        try:
-            return self._handlers[method]
-        except KeyError:
-            pass
-        if self.attach_protocol is not None:
-            self.attach_protocol(method)
-            if method in self._handlers:
-                return self._handlers[method]
-        raise SimulationError(f"{self.peer_id} has no handler for {method!r}")
+        handler = self._handlers.get(method)
+        if handler is None and self.attach_protocol is not None:
+            handler = self.attach_protocol(method) or self._handlers.get(method)
+        if handler is None:
+            raise SimulationError(f"{self.peer_id} has no handler for {method!r}")
+        return handler
 
     @property
     def reachable(self) -> bool:
@@ -410,11 +409,7 @@ class SimNetwork:
                 if not src.online:
                     return
                 self.stats.dials_failed += 1
-                future.fail(
-                    TransportTimeoutError(
-                        f"dial to {target_id} timed out after {timeout}s ({transport.value})"
-                    )
-                )
+                future.fail(TransportTimeoutError(target_id, timeout, transport))
 
             self.sim.schedule(timeout, fail)
             return future

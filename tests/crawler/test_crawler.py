@@ -3,9 +3,11 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crawler.crawl import Crawler, bucket_probe_key
-from repro.crawler.prober import ProbeConfig, UptimeProber
+from repro.crawler.prober import PeerTimeline, ProbeConfig, UptimeProber
 from repro.crawler.sessions import extract_sessions, online_intervals
 from repro.dht.keyspace import common_prefix_length, key_for_peer
 from repro.multiformats.peerid import PeerId
@@ -148,6 +150,28 @@ class TestCrawl:
         )
 
 
+def spy_probes(prober):
+    """Every probe's ``(peer, time, outcome)``, read as ``_probe_once``
+    returns it: a timeline keeps runs, not probes."""
+    probes = []
+    probe_once = prober._probe_once
+
+    def spy(peer_id):
+        online = yield from probe_once(peer_id)
+        probes.append((peer_id, prober.sim.now, online))
+        return online
+
+    prober._probe_once = spy
+    return probes
+
+
+def thinned(peer, probes) -> PeerTimeline:
+    timeline = PeerTimeline(peer)
+    for when, online in probes:
+        timeline.record(when, online)
+    return timeline
+
+
 class TestProber:
     def _probe_world(self, seed=60):
         world = build_world(n=10, seed=seed)
@@ -158,27 +182,36 @@ class TestProber:
 
     def test_observes_state_changes(self):
         world, prober = self._probe_world()
+        probes = spy_probes(prober)
         target = world.node(3).host
         prober.watch([target.peer_id])
         world.sim.schedule(300.0, lambda: target.set_online(False))
         world.sim.schedule(900.0, lambda: target.set_online(True))
         world.sim.run(until=1800.0)
         prober.stop()
-        states = [online for _, online in prober.timelines[target.peer_id].observations]
+        states = [online for _, _, online in probes]
         assert True in states and False in states
+        # the timeline keeps each run's first and last probe, no more
+        timeline = prober.timelines[target.peer_id]
+        every = [(when, online) for _, when, online in probes]
+        assert list(timeline.runs()) == list(thinned(target.peer_id, every).runs())
+        assert len(timeline.bounds) == 6 < len(probes)  # online, offline, online
 
     def test_interval_adapts_to_uptime(self):
         world, prober = self._probe_world(seed=61)
+        probes = spy_probes(prober)
         target = world.node(0).host
         prober.watch([target.peer_id])
         world.sim.run(until=3 * 3600.0)
         prober.stop()
-        times = [t for t, _ in prober.timelines[target.peer_id].observations]
+        times = [when for _, when, _ in probes]
         gaps = [b - a for a, b in zip(times, times[1:])]
         # Early probes every 30 s; once uptime accumulates, the
         # interval grows and clamps at 15 min.
         assert min(gaps) == pytest.approx(30.0)
         assert max(gaps) == pytest.approx(15 * 60.0)
+        timeline = prober.timelines[target.peer_id]
+        assert list(timeline.runs()) == [(times[0], times[-1], True)]
 
     def test_watch_is_idempotent(self):
         world, prober = self._probe_world(seed=62)
@@ -189,6 +222,7 @@ class TestProber:
 
     def test_probe_via_dial_mode(self):
         world, prober = self._probe_world(seed=63)
+        probes = spy_probes(prober)
         prober.config = ProbeConfig(probe_via_dial=True)
         online = world.node(1).host
         offline = world.node(2).host
@@ -196,17 +230,64 @@ class TestProber:
         prober.watch([online.peer_id, offline.peer_id])
         world.sim.run(until=120.0)
         prober.stop()
-        assert prober.timelines[online.peer_id].observations[0][1] is True
-        assert prober.timelines[offline.peer_id].observations[0][1] is False
+        first = {}
+        for peer_id, _, outcome in probes:
+            first.setdefault(peer_id, outcome)
+        assert first == {online.peer_id: True, offline.peer_id: False}
+        assert prober.timelines[online.peer_id].first_online is True
+        assert prober.timelines[offline.peer_id].first_online is False
+
+
+def sessions_of_every_probe(probes, window_end):
+    """Sessions and intervals from the full probe list: the reference
+    a thinned timeline must equal."""
+    sessions, intervals = [], []
+    start = last = None
+    for when, online in probes:
+        if online:
+            if start is None:
+                start = when
+            last = when
+        elif start is not None:
+            sessions.append((start, max(last, start)))
+            intervals.append((start, last))
+            start = None
+    if start is not None:
+        sessions.append((start, window_end))
+        intervals.append((start, window_end))
+    return sessions, intervals
+
+
+#: probe lists: strictly later times, any outcomes
+probes_st = st.lists(
+    st.tuples(st.floats(min_value=0.5, max_value=900.0), st.booleans()), max_size=60
+).map(lambda steps: [
+    (sum(gap for gap, _ in steps[:i + 1]), online) for i, (_, online) in enumerate(steps)
+])
+
+
+@settings(max_examples=200, deadline=None)
+@given(probes=probes_st)
+def test_thinned_timeline_gives_the_full_lists_sessions(probes):
+    peer = PeerId.from_public_key(b"p")
+    timeline = thinned(peer, probes)
+    window_end = probes[-1][0] + 60.0 if probes else 60.0
+    sessions, intervals = sessions_of_every_probe(probes, window_end)
+    got = extract_sessions({peer: timeline}, {peer: "US"}, window_end)
+    assert [(s.start, s.end) for s in got] == sessions
+    assert online_intervals({peer: timeline}, window_end) == {peer: intervals}
+    assert timeline.online == (bool(probes) and probes[-1][1])
+    # what the prober's next interval reads: the open session's length
+    uptime = probes[-1][0] - sessions[-1][0] if timeline.online else 0.0
+    assert timeline.current_uptime_s == uptime
+    # at most two stored times per run of equal outcomes
+    changes = sum(a[1] != b[1] for a, b in zip(probes, probes[1:]))
+    assert len(timeline.bounds) == (2 * (changes + 1) if probes else 0)
 
 
 class TestSessionExtraction:
     def _timeline(self, peer, observations):
-        from repro.crawler.prober import PeerTimeline
-
-        timeline = PeerTimeline(peer)
-        timeline.observations = observations
-        return timeline
+        return thinned(peer, observations)
 
     def test_sessions_split_on_offline(self):
         peer = PeerId.from_public_key(b"p")

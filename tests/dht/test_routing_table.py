@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.crawler.crawl import bucket_probe_key
 from repro.dht.keyspace import bucket_index, key_for_peer, xor_distance
-from repro.dht.routing_table import K_BUCKET_SIZE, RoutingTable
+from repro.dht.routing_table import K_BUCKET_SIZE, RoutingTable, bucket_runs
 from repro.errors import SimulationError
 from repro.multiformats.peerid import PeerId
 
@@ -194,14 +194,24 @@ KEYED_INTS = [peer.dht_key_int() for peer in KEYED]
 POSITION = {peer: pos for pos, peer in enumerate(KEYED)}
 
 
-def view_of(peers: list[PeerId], **table_args) -> RoutingTable:
-    """A table that is a view of ``peers``, as positions into KEYED."""
-    table = RoutingTable(OWN, **table_args)
-    table.view(
-        array("i", [POSITION[peer] for peer in peers]),
-        KEYED_INTS,
-        lambda entries: [KEYED[entry] for entry in entries],
+def fill_view(table: RoutingTable, peers: list[PeerId]) -> None:
+    """View ``peers`` as a fill stores them: positions into KEYED,
+    grouped by bucket, each bucket in the given (LRU) order, behind one
+    unrelated stored entry (a view reads its slice of a flat array)."""
+    grouped = sorted(peers, key=lambda peer: bucket_index(OWN_KEY, key_for_peer(peer)))
+    entries = array("i", [POSITION[POOL[0]]] + [POSITION[peer] for peer in grouped])
+    runs = bucket_runs(
+        table.own_key_int, KEYED_INTS, entries, 1, len(entries), table.bucket_size
     )
+    table.view(
+        entries, KEYED_INTS, lambda positions: [KEYED[pos] for pos in positions], 1, runs
+    )
+
+
+def view_of(peers: list[PeerId], **table_args) -> RoutingTable:
+    """A table that is a view of ``peers`` (see :func:`fill_view`)."""
+    table = RoutingTable(OWN, **table_args)
+    fill_view(table, peers)
     return table
 
 
@@ -428,6 +438,19 @@ def test_load_rejects_what_add_would_not_take_whole(peers):
     assert view_of(peers[:1], bucket_size=3).peers() == peers[:1]
 
 
+def test_bucket_runs_needs_each_bucket_stored_in_one_run():
+    near = _same_bucket_peers(2)
+    far = [p for p in POOL if bucket_index(OWN_KEY, key_for_peer(p)) == 1][:1]
+    own = OWN.dht_key_int()
+    entries = array("i", [POSITION[peer] for peer in near + far])
+    assert bucket_runs(own, KEYED_INTS, entries, 0, 3) == bytes([0, 1, 2, 1])
+    assert bucket_runs(own, KEYED_INTS, entries, 1, 3) == bytes([0, 1, 1, 1])
+    assert bucket_runs(own, KEYED_INTS, entries, 3, 3) == b""
+    split = array("i", [POSITION[peer] for peer in (near[0], far[0], near[1])])
+    with pytest.raises(SimulationError):
+        bucket_runs(own, KEYED_INTS, split, 0, 3)
+
+
 def test_an_emptied_table_fills_again_either_way():
     # what a figure's table refill does: remove every entry, then fill
     replayed = RoutingTable(OWN)
@@ -441,11 +464,7 @@ def test_an_emptied_table_fills_again_either_way():
         if fill == "load":
             table.load(accepted)
         else:
-            table.view(
-                array("i", [POSITION[peer] for peer in accepted]),
-                KEYED_INTS,
-                lambda entries: [KEYED[entry] for entry in entries],
-            )
+            fill_view(table, accepted)
         assert_same_table(table, replayed)
         assert table.copied_buckets == 0
         target = key_for_peer(pid(4242))

@@ -125,10 +125,11 @@ def test_tiny_end_to_end_report(monkeypatch):
     # the crawler only sends one to a peer it dialed
     dialed = set().union(*(crawl.dialable for crawl in campaigns[0].crawls))
     assert 0 < doc["telemetry"]["materialized"] <= len(dialed) < TINY.n_peers
-    # the crawler is no DHT server: no visited table was ever written to
-    tables = list(worlds[0]._tables.values())
-    assert len(tables) == doc["telemetry"]["materialized"]
-    assert [table.copied_buckets for table in tables] == [0] * len(tables)
+    # every visited peer answered from its stored runs; the crawler is
+    # no DHT server, so it wrote to none of them, and a table object
+    # exists only where a write did
+    assert len(worlds[0]._runs) == doc["telemetry"]["materialized"]
+    assert worlds[0]._tables == {} and worlds[0].nodes == {}
     # 661.1 B/peer measured on CPython 3.11.7; the bound is 1.32x that,
     # so a per-peer array or index that grows by a third fails here.
     assert 0 < doc["telemetry"]["compact_bytes_per_peer"] <= 875

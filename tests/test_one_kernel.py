@@ -16,6 +16,9 @@ is the one ``src/`` caller of ``populate_routing_tables``, and no
 experiment edits a built world's tables (an ablation arm is a build
 input, ``figures.KNOCKOUTS``), so no ``src/repro/experiments`` module
 calls ``populate_routing_tables`` or ``RoutingTable.remove``.
+
+Every FIND_NODE answer picks its closest peers with one function,
+``routing_table.nearest``.
 """
 
 import ast
@@ -138,3 +141,48 @@ def test_no_experiment_refills_a_built_world():
         if _calls(tree, "populate_routing_tables") or _table_removals(tree)
     )
     assert not editors, f"experiments editing routing tables after build: {editors}"
+
+
+def _functions(trees: dict[str, ast.AST]):
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield name, node
+
+
+def _sorts_by_xor(function: ast.AST) -> bool:
+    """Whether a function both XORs and sorts: the shape of a closest-k
+    selection by Kademlia distance."""
+    nodes = list(ast.walk(function))
+    xors = any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.BitXor) for n in nodes)
+    sorts = any(
+        isinstance(n, ast.Call) and (
+            isinstance(n.func, ast.Attribute) and n.func.attr == "sort"
+            or isinstance(n.func, ast.Name) and n.func.id in ("sorted", "nsmallest")
+        )
+        for n in nodes
+    )
+    return xors and sorts
+
+
+def test_one_closest_k_selection():
+    """Every FIND_NODE answer — a ``RoutingTable``'s, and a compact
+    world's peer that answers from its stored runs — takes the one
+    selection, ``routing_table.nearest``. The censor plan's pick of
+    the honest servers nearest a target is the attacker's choice over
+    hosts, not an answer from a table."""
+    trees = _trees()
+    selections = sorted(
+        f"{name}:{function.name}"
+        for name, function in _functions(trees)
+        if _sorts_by_xor(function)
+    )
+    assert selections == [
+        "adversary/attacks.py:_censor_plan", "dht/routing_table.py:nearest",
+    ]
+    callers = sorted(
+        f"{name}:{function.name}"
+        for name, function in _functions(trees)
+        if _calls(function, "nearest")
+    )
+    assert callers == ["dht/routing_table.py:closest", "simnet/compact.py:_find_node"]
