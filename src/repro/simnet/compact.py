@@ -84,7 +84,7 @@ from repro.simnet.nat import (
     NatMode,
     seed_keepalive_mapping,
 )
-from repro.simnet.network import SimHost, SimNetwork
+from repro.simnet.network import RpcHandler, SimHost, SimNetwork
 from repro.simnet.relay import CircuitDialer, NatTraversal
 from repro.simnet.sim import Simulator
 from repro.simnet.transport import Transport
@@ -432,7 +432,7 @@ class CompactWorld:
             )
         return engine
 
-    def _attach(self, index: int, method: str):
+    def _attach(self, index: int, method: str) -> RpcHandler | None:
         """``SimHost.attach_protocol``: build what ``method`` needs. A
         DHT server answers FIND_NODE from its runs alone, through a
         handler it does not keep."""

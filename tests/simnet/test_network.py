@@ -65,6 +65,19 @@ class TestDial:
 
         assert sim.run_process(proc()) == 5.0
 
+    def test_dial_timeout_names_its_target_only_when_read(self):
+        sim, net = make_net()
+        a, b = make_host(b"a"), make_host(b"b", online=False)
+        net.register(a)
+        net.register(b)
+        future = net.dial(a, b.peer_id)
+        sim.run(until=60.0)
+        error = future.exception()
+        assert isinstance(error, TransportTimeoutError)
+        assert b.peer_id._b58 is None, "the failure spelled its target"
+        transport = error.transport.value
+        assert str(error) == f"dial to {b.peer_id} timed out after 5.0s ({transport})"
+
     def test_dial_to_nat_peer_times_out(self):
         sim, net = make_net()
         a, b = make_host(b"a"), make_host(b"b", nat_private=True)
