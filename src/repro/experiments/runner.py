@@ -11,9 +11,10 @@ nondeterminism is erased by reassembling results in cell order.
 ``run_cells(cells, workers=1)`` is therefore the experiment-level
 parallelism primitive: ``workers <= 1`` runs every cell inline (no
 subprocesses, no pickling — the exact call sequence the sequential
-code always made), larger values shard cells across a
-:class:`~concurrent.futures.ProcessPoolExecutor`. Callers merging
-results into JSONL get byte-identical files for any worker count.
+code always made, and no pool module imported), larger values shard
+cells across a :class:`~concurrent.futures.ProcessPoolExecutor`.
+Callers merging results into JSONL get byte-identical files for any
+worker count.
 
 Cells must be picklable: module-level functions with dataclass/config
 arguments. Closures and per-cell ``Observability`` objects are not — a
@@ -23,7 +24,6 @@ caller that wants a level traced runs that cell's function itself.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -76,6 +76,10 @@ def run_cells(cells: Iterable[Cell], workers: int = 1) -> list[Any]:
             except Exception as exc:
                 raise CellError(cell.label, exc) from exc
         return results
+    # imported here, so a process that only runs cells inline loads
+    # neither `concurrent.futures` nor `multiprocessing` (about 2 MiB)
+    from concurrent.futures import ProcessPoolExecutor
+
     results = [None] * len(cells)
     with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
         futures = [

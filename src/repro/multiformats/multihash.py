@@ -30,9 +30,14 @@ _HASHERS = {
 _NAME_TO_CODE = {name: code for code, (name, _) in _HASHERS.items()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Multihash:
-    """A decoded multihash: hash function code plus raw digest."""
+    """A decoded multihash: hash function code plus raw digest.
+
+    Slotted: one sits under every named PeerId and CID. Equality and
+    the hash run over the field tuple ``(code, digest)``; ``PeerId``'s
+    hash, and with it every seeded set order, is built on that value.
+    """
 
     code: int
     digest: bytes

@@ -37,8 +37,10 @@ experiments up to the network's real size:
   only when a write would change them: a FIND_NODE whose sender
   ``learn_about`` would add, or the node. Any other ``dht/…`` RPC
   needs a node: the ``DhtNode`` adopts that table object; the first
-  ``bitswap/…`` one attaches the ``BitswapEngine`` (both through the
-  host's ``attach_protocol`` hook). That is exact: constructors
+  ``bitswap/…`` one attaches the ``BitswapEngine`` (both through
+  ``attach_protocol``, one hook that every host of the world shares,
+  called with the host and the method; the world finds the peer from
+  the host's digest). That is exact: constructors
   schedule and draw nothing, tables come from build-time arrays, and
   only a peer's own handlers ever mutate them. Boxed peers and relays
   are attached at build, where their keepalive mappings and
@@ -280,6 +282,9 @@ class CompactWorld:
         self.bootstrap_ids: list[PeerId] = []
         #: materialized state, keyed by peer index / PeerId
         self._hosts: dict[int, SimHost] = {}
+        #: every host's ``attach_protocol``: one bound method, not one
+        #: per host
+        self._attach_hook = self._attach
         #: each table-stage peer's bucket runs (see `_runs_at`)
         self._runs: dict[int, bytes] = {}
         #: every routing-table object: a node's, or a written-to peer's
@@ -372,7 +377,7 @@ class CompactWorld:
                 host.dcutr = self._dcutr[index] == 1
             host.agent_version = compact.agent_at(index)
             host.dht_server = self.nat_peers_in_dht or reach != _REACH_NEVER
-            host.attach_protocol = partial(self._attach, index)
+            host.attach_protocol = self._attach_hook
             self.net.register(host)
             self._hosts[index] = host
         return host
@@ -432,11 +437,12 @@ class CompactWorld:
             )
         return engine
 
-    def _attach(self, index: int, method: str) -> RpcHandler | None:
-        """``SimHost.attach_protocol``: build what ``method`` needs. A
+    def _attach(self, host: SimHost, method: str) -> RpcHandler | None:
+        """``SimHost.attach_protocol``, one hook for every host: build
+        what ``method`` needs on the peer whose digest names ``host``. A
         DHT server answers FIND_NODE from its runs alone, through a
         handler it does not keep."""
-        host = self._hosts[index]
+        index = self._index[host.peer_id.multihash.digest]
         if method == rpc.FIND_NODE and host.dht_server:
             self._runs_at(index)
             return partial(self._find_node, index)

@@ -136,11 +136,12 @@ class SimHost:
         #: server (only those enter routing tables), and its agent string
         self.dht_server = False
         self.agent_version = "unknown"
-        #: optional hook (compact worlds) called with the method name on
-        #: a :meth:`handler_for` miss; it may attach the protocol's stack
+        #: optional hook (compact worlds: one shared by all their hosts)
+        #: called with this host and the method name on a
+        #: :meth:`handler_for` miss; it may attach the protocol's stack
         #: (which registers its handlers), or return a handler for this
         #: one call that nothing keeps
-        self.attach_protocol: Callable[[str], RpcHandler | None] | None = None
+        self.attach_protocol: Callable[[SimHost, str], RpcHandler | None] | None = None
         self.network: SimNetwork | None = None
         self.connections: dict[PeerId, Connection] = {}
         #: access-link serialization: times until which this host's
@@ -171,7 +172,7 @@ class SimHost:
     def handler_for(self, method: str) -> RpcHandler:
         handler = self._handlers.get(method)
         if handler is None and self.attach_protocol is not None:
-            handler = self.attach_protocol(method) or self._handlers.get(method)
+            handler = self.attach_protocol(self, method) or self._handlers.get(method)
         if handler is None:
             raise SimulationError(f"{self.peer_id} has no handler for {method!r}")
         return handler

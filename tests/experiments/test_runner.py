@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +43,28 @@ class TestRunCells:
         cells = [Cell("ok", _square, (2,)), Cell("bad", _boom, (7,))]
         with pytest.raises(CellError, match="'bad'"):
             run_cells(cells, workers=1)
+
+    def test_inline_path_imports_no_pool_modules(self):
+        # A process that only ever runs cells inline (every benchmark
+        # workload) must not pay for the process-pool machinery: the
+        # CLI and an inline run_cells load neither module.
+        script = textwrap.dedent(
+            """
+            import sys
+            import repro.tools.cli
+            from repro.experiments.runner import Cell, run_cells
+            assert run_cells([Cell("a", abs, (-1,)), Cell("b", abs, (-2,))], workers=1) == [1, 2]
+            print(sorted({"concurrent.futures", "multiprocessing"} & set(sys.modules)))
+            """
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        path = [str(src), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, check=True,
+            capture_output=True, text=True,
+        )
+        assert out.stdout.strip() == "[]"
 
     def test_pool_error_carries_label(self):
         cells = [Cell(f"c{i}", _square, (i,)) for i in range(3)]

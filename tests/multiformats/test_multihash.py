@@ -1,17 +1,21 @@
 """Tests for multihash encoding and self-certification."""
 
+import copy
 import hashlib
+import pickle
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import DecodeError
+from repro.multiformats.cid import make_cid
 from repro.multiformats.multihash import (
     SHA2_256,
     Multihash,
     multihash_digest,
 )
+from repro.multiformats.peerid import PeerId
 
 
 class TestDigest:
@@ -84,3 +88,30 @@ class TestSelfCertification:
 
 def test_constants():
     assert SHA2_256 == 0x12
+
+
+class TestSlots:
+    """A Multihash sits under every named PeerId and CID, so it carries
+    no ``__dict__``; its hash, and with it every set order built on
+    PeerIds, is that of the field tuple."""
+
+    def test_no_instance_dict(self):
+        mh = multihash_digest(b"slots")
+        assert not hasattr(mh, "__dict__")
+        assert Multihash.__slots__ == ("code", "digest")
+
+    def test_hash_is_the_field_tuple_hash(self):
+        mh = multihash_digest(b"slots")
+        assert hash(mh) == hash((mh.code, mh.digest))
+        assert hash(PeerId(mh)) == hash((mh,))
+
+    @pytest.mark.parametrize("clone", [
+        lambda obj: pickle.loads(pickle.dumps(obj)),
+        copy.deepcopy,
+    ], ids=["pickle", "deepcopy"])
+    def test_round_trips_equal_and_hash_equal(self, clone):
+        mh = multihash_digest(b"slots")
+        for obj in (mh, PeerId(mh), make_cid(b"slots")):
+            copied = clone(obj)
+            assert copied == obj
+            assert hash(copied) == hash(obj)
