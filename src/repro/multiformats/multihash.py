@@ -37,6 +37,12 @@ class Multihash:
     Slotted: one sits under every named PeerId and CID. Equality and
     the hash run over the field tuple ``(code, digest)``; ``PeerId``'s
     hash, and with it every seeded set order, is built on that value.
+
+    Frozen: writing a field raises ``FrozenInstanceError``. Writing any
+    other name raises too, but its type depends on the Python: the
+    frozen ``__setattr__`` that ``dataclass(slots=True)`` generates
+    calls ``super()`` on the class it replaced, so CPython 3.11 raises
+    ``TypeError`` from that call.
     """
 
     code: int

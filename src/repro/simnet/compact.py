@@ -90,6 +90,7 @@ from repro.simnet.network import RpcHandler, SimHost, SimNetwork
 from repro.simnet.relay import CircuitDialer, NatTraversal
 from repro.simnet.sim import Simulator
 from repro.simnet.transport import Transport
+from repro.utils.columns import index_typecode
 from repro.utils.rng import _seed_to_bytes, derive_rng
 from repro.workloads.compact import REACHABILITY_NAMES, CompactPopulation
 
@@ -240,7 +241,7 @@ def _churn_schedules(
     :func:`_churn_drawer` call per peer."""
     draw = _churn_drawer(compact, seed)
     online = bytearray(len(compact))
-    off = array("Q", [0])
+    off = array("I", [0])
     delays = array("d")
     reach = compact.peer_reach
     for index in range(len(compact)):
@@ -309,12 +310,14 @@ class CompactWorld:
         self._nat_mode = bytearray()
         self._dcutr = bytearray()
         self._index: dict[bytes, int] = {}    # PeerID digest -> peer index
-        self._server_order = array("i")       # table position -> peer index
-        self._table_entries = array("i")      # concatenated table positions
-        self._table_off = array("Q", [0])     # per-peer [off, off+1) slices
+        # index columns, each as narrow as its bound allows
+        # (`index_typecode`); `_fill_tables` sizes the first two
+        self._server_order = array("H")       # table position -> peer index
+        self._table_entries = array("H")      # concatenated table positions
+        self._table_off = array("I", [0])     # per-peer [off, off+1) slices
         self._churn_delays = array("d")       # concatenated raw delays
-        self._churn_off = array("Q", [0])
-        self._churn_cursor = array("Q")
+        self._churn_off = array("I", [0])
+        self._churn_cursor = array("I")
         # schedules redrawn past the build's horizon, by peer index
         self._churn_redrawn: dict[int, list[float]] = {}
         self._churn_draw = None
@@ -615,7 +618,8 @@ class CompactWorld:
         for pos, index in enumerate(order):
             (live if online[index] else stale).append(pos)
 
-        entries = self._table_entries
+        # every stored entry is a position in `order`
+        entries = self._table_entries = array(index_typecode(len(order)))
         off = self._table_off
         max_stale = int(K_BUCKET_SIZE * STALE_FRACTION)
         tree = KeyspaceTree(keys, live, stale)
@@ -624,7 +628,7 @@ class CompactWorld:
                 entries, own_int, tree, K_BUCKET_SIZE, max_stale, rng
             )
             off.append(len(entries))
-        self._server_order = array("i", order)
+        self._server_order = array(index_typecode(len(key_ints)), order)
         for j, node in enumerate(extra):
             node.routing_table.load(self._ids_at(self._table_indices(n + j)))
 
@@ -692,7 +696,7 @@ def build_compact_world(
         for index in range(n):
             world._online[index] = 1 if reach[index] != _REACH_NEVER else 0
         world._churn_off.extend([0] * n)
-    world._churn_cursor = array("Q", world._churn_off[:n])
+    world._churn_cursor = world._churn_off[:n]
     if config.with_churn:
         world._start_churn()
 

@@ -10,6 +10,8 @@ This subpackage holds protocol-agnostic building blocks:
   the measurement pipeline.
 - :mod:`repro.utils.rng` — deterministic random-stream derivation so
   that experiments are reproducible bit for bit.
+- :mod:`repro.utils.columns` — the typecode of an integer index column
+  from the bound of its values.
 """
 
 from repro.utils.baseenc import (

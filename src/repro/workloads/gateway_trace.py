@@ -30,6 +30,7 @@ from itertools import repeat
 from operator import itemgetter
 
 from repro.errors import ReproError
+from repro.utils.columns import index_typecode
 from repro.workloads.objects import sample_object_size
 from repro.workloads.population import _choices_table
 
@@ -203,9 +204,12 @@ _LONG_TAIL_SITES = 2000
 class ColumnarTrace:
     """The day of traffic as parallel arrays instead of request objects.
 
-    Per-request state is four machine-typed arrays (18 bytes per
-    request instead of a ~250-byte :class:`GatewayRequest`), each the
-    one copy of its column; everything else (country, size, pinned
+    Per-request state is four machine-typed arrays (14 to 18 bytes per
+    request instead of a ~250-byte :class:`GatewayRequest`: the user
+    and CID columns take 2 bytes each where ``n_users`` or ``n_cids``
+    is at most 65 536, 4 otherwise, see
+    :func:`~repro.utils.columns.index_typecode`), each the one copy of
+    its column; everything else (country, size, pinned
     flag, user/referrer strings) is derived on demand from the
     per-user / per-CID side tables. The aggregates are counted by the
     generator, so no reader re-walks the day for them.
@@ -213,8 +217,8 @@ class ColumnarTrace:
 
     config: GatewayTraceConfig
     timestamps: array  # 'd', sorted ascending (gateway clock seconds)
-    user_ids: array  # 'i', index into user_countries
-    cid_ids: array  # 'i', index into cid_sizes; pinned iff < n_pinned
+    user_ids: array  # 'H' or 'I', index into user_countries
+    cid_ids: array  # 'H' or 'I', index into cid_sizes; pinned iff < n_pinned
     referrer_codes: array  # 'h', see _REFERRER_NONE encoding above
     cid_sizes: list[int]
     user_countries: list[str]
@@ -380,7 +384,7 @@ def generate_columnar_trace(
     _, user_cum, user_total, user_hi = _choices_table(
         range(config.n_users), user_weights
     )
-    drawn_users = array("i")
+    drawn_users = array(index_typecode(config.n_users))
     for start in range(0, n, _USER_CHUNK):
         drawn_users.extend(
             [
@@ -419,7 +423,7 @@ def generate_columnar_trace(
     bins = [array("i") for _ in range(_TIME_BINS + 1)]
     add_to_bin = [held.append for held in bins]
     drawn_seconds = array("d", [0.0]) * n
-    drawn_cids = array("i", [0]) * n
+    drawn_cids = array(index_typecode(config.n_cids), [0]) * n
     drawn_codes = array("h", [0]) * n
     referred_count = semi_popular_count = 0
     for index, user_id in enumerate(drawn_users):

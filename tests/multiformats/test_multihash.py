@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import pickle
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given
@@ -99,6 +100,24 @@ class TestSlots:
         mh = multihash_digest(b"slots")
         assert not hasattr(mh, "__dict__")
         assert Multihash.__slots__ == ("code", "digest")
+
+    def test_field_writes_raise_frozen_instance_error(self):
+        mh = multihash_digest(b"slots")
+        with pytest.raises(FrozenInstanceError):
+            mh.code = SHA2_256
+        with pytest.raises(FrozenInstanceError):
+            del mh.digest
+        assert mh == multihash_digest(b"slots")
+
+    def test_non_field_writes_raise(self):
+        # FrozenInstanceError is an AttributeError; CPython 3.11 raises
+        # TypeError from the generated __setattr__'s super() call. Which
+        # one is the Python's business: only that the write fails is
+        # pinned.
+        mh = multihash_digest(b"slots")
+        with pytest.raises((AttributeError, TypeError)):
+            mh.extra = 1
+        assert not hasattr(mh, "extra")
 
     def test_hash_is_the_field_tuple_hash(self):
         mh = multihash_digest(b"slots")

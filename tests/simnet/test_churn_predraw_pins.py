@@ -20,6 +20,7 @@ Regenerate (only for a PR that means to change the churn draws) with:
 from __future__ import annotations
 
 import hashlib
+from array import array
 from functools import cache
 
 import pytest
@@ -32,7 +33,8 @@ from repro.workloads.population import PopulationConfig
 
 N_PEERS = 3000
 
-#: (seed, churn_horizon_s) -> sha256 of (online as built, churn_off, churn_delays)
+#: (seed, churn_horizon_s) -> sha256 of (online as built, churn_off as
+#: 8-byte values, churn_delays)
 PINNED = {
     (42, 600.0): (
         "c25886520bfb46199da5af2c26153913d1f761f56f06c25c71876bbe5eb67689",
@@ -68,9 +70,13 @@ def _churn_digests(seed: int, horizon_s: float) -> tuple[str, str, str]:
     world = build_compact_world(
         _population(seed), ScenarioConfig(seed=seed), churn_horizon_s=horizon_s
     )
+    # the offsets are hashed as 8-byte values, the width they were
+    # pinned at, whatever width the world stores them in
     return tuple(
         hashlib.sha256(bytes(column)).hexdigest()
-        for column in (world._online, world._churn_off, world._churn_delays)
+        for column in (
+            world._online, array("Q", world._churn_off), world._churn_delays
+        )
     )
 
 

@@ -5,7 +5,10 @@
 shared kernel passes it. The sha256 literals below were recorded at the
 commit *before* the per-peer bisect walk was replaced by the per-world
 prefix tree: the three table arrays :meth:`CompactWorld._fill_tables`
-writes and the position of the shared ``"tables"`` stream afterwards.
+writes, as fixed-width values (4-byte entries and server order, 8-byte
+offsets: the widths they were recorded at, whatever width the world
+stores them in), and the position of the shared ``"tables"`` stream
+afterwards.
 ``tests/dht/test_bootstrap.py`` keeps the replaced walk itself as a
 reference loop.
 
@@ -17,6 +20,7 @@ Regenerate (only for a PR that means to change the fill) with:
 from __future__ import annotations
 
 import hashlib
+from array import array
 from unittest import mock
 
 import pytest
@@ -24,6 +28,7 @@ import pytest
 from repro.experiments.scenario import ScenarioConfig
 from repro.simnet import compact as compact_module
 from repro.simnet.compact import build_compact_world
+from repro.utils.columns import index_typecode
 from repro.utils.rng import derive_rng
 from repro.workloads.compact import generate_compact_population
 from repro.workloads.population import PopulationConfig
@@ -72,9 +77,9 @@ def _fill_digests(seed: int, nat_peers_in_dht: bool) -> tuple[str, str]:
         )
     (rng,) = tables_rng
     tables = hashlib.sha256(
-        world._table_entries.tobytes()
-        + world._table_off.tobytes()
-        + world._server_order.tobytes()
+        array("i", world._table_entries).tobytes()
+        + array("Q", world._table_off).tobytes()
+        + array("i", world._server_order).tobytes()
     ).hexdigest()
     return tables, rng_state_sha256(rng)
 
@@ -82,6 +87,30 @@ def _fill_digests(seed: int, nat_peers_in_dht: bool) -> tuple[str, str]:
 @pytest.mark.parametrize("seed, nat_peers_in_dht", sorted(PINNED))
 def test_table_fill_is_pinned(seed, nat_peers_in_dht):
     assert _fill_digests(seed, nat_peers_in_dht) == PINNED[seed, nat_peers_in_dht]
+
+
+def test_four_byte_fill_equals_the_two_byte_fill():
+    # Past 65 536 servers (the 200 k-peer run has 136 k) the positions
+    # take 4 bytes. Forcing that width on a small world must give the
+    # same values, bucket runs and answers as its 2-byte fill.
+    population = generate_compact_population(
+        PopulationConfig(n_peers=600), derive_rng(42, "population")
+    )
+    config = ScenarioConfig(seed=42)
+    narrow = build_compact_world(population, config, vantage_regions=["us_west_1"])
+    with mock.patch.object(compact_module, "index_typecode", lambda limit: "I"):
+        wide = build_compact_world(population, config, vantage_regions=["us_west_1"])
+    assert narrow._table_entries.typecode == index_typecode(len(narrow._server_order)) == "H"
+    assert narrow._server_order.typecode == "H"
+    assert wide._table_entries.typecode == wide._server_order.typecode == "I"
+    for column in ("_table_entries", "_table_off", "_server_order"):
+        assert getattr(narrow, column).tolist() == getattr(wide, column).tolist()
+    target = derive_rng(42, "target").randbytes(32)
+    for index in range(0, narrow.n + 1, 50):
+        assert narrow.table_peer_ids(index) == wide.table_peer_ids(index)
+        if index < narrow.n:
+            assert narrow._runs_at(index) == wide._runs_at(index)
+            assert narrow._table_at(index).closest(target) == wide._table_at(index).closest(target)
 
 
 if __name__ == "__main__":

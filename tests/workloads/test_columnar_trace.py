@@ -31,6 +31,7 @@ from array import array
 
 import pytest
 
+from repro.utils.columns import index_typecode
 from repro.utils.rng import derive_rng
 from repro.workloads import gateway_trace
 from repro.workloads.gateway_trace import (
@@ -171,10 +172,12 @@ class TestPinnedStream:
         assert any(country.startswith("T") for country in countries)
         assert any(country in _COUNTRY_UTC_OFFSET for country in countries)
 
-    def test_narrow_column_typecodes(self, columnar):
+    def test_narrow_column_typecodes(self, columnar, config):
+        # the user and CID columns are as wide as their bounds need:
+        # 2 bytes at SCALE (1 010 users, 2 740 CIDs)
         assert columnar.timestamps.typecode == "d"
-        assert columnar.user_ids.typecode == "i"
-        assert columnar.cid_ids.typecode == "i"
+        assert columnar.user_ids.typecode == index_typecode(config.n_users) == "H"
+        assert columnar.cid_ids.typecode == index_typecode(config.n_cids) == "H"
         assert columnar.referrer_codes.typecode == "h"
 
 
