@@ -1,9 +1,9 @@
 """Scale-crawl bench: the graded Fig 4a/8 campaign, CI-sized.
 
 Runs the committed ``BENCH_scale.json`` configuration and checks the
-grades; everything except the telemetry block (wall clock, RSS — the
-only machine-dependent fields) is pinned against the committed artifact
-by ``test_graded_bench.py``. The saved text drops those fields, so CI
+grades; everything except the telemetry's wall clocks and RSS (the only
+machine-dependent fields) is pinned against the committed artifact by
+``test_graded_bench.py``. The saved text drops those fields, so CI
 can require that it rewrites ``results/scale_crawl.txt`` byte for byte.
 The 200 k-peer version of the same experiment runs in the nightly job.
 """

@@ -55,6 +55,3 @@ class LedgerBook:
 
     def total_sent(self) -> int:
         return sum(ledger.bytes_sent for ledger in self._ledgers.values())
-
-    def total_received(self) -> int:
-        return sum(ledger.bytes_received for ledger in self._ledgers.values())

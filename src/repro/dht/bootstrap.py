@@ -23,21 +23,28 @@ comparison per level and a bounded sample of the other side. A node
 holds only what the sorted keys and the live/stale split determine —
 bucket size, stale quota and every draw stay in the walk — so one tree
 serves any bucket size, and creating nodes on first reach is
-order-independent and RNG-free. The walk yields positions in the
-sorted server order, so the same code fills object tables here and the
-flat arrays of :class:`~repro.simnet.compact.CompactWorld`.
+order-independent and RNG-free. :func:`fill_positions` is the one
+fill every world runs: it sorts the servers, splits them live/stale,
+walks one tree per node and stores every pick as a position in the
+sorted server order, all tables in one flat array. An object world
+(:func:`populate_routing_tables`) and a
+:class:`~repro.simnet.compact.CompactWorld` both read their tables as
+run views over that array (:meth:`RoutingTable.view`).
 """
 
 from __future__ import annotations
 
 import math
 import random
+from array import array
 from bisect import bisect_left
-from collections.abc import Generator
+from collections.abc import Generator, Sequence
 
 from repro.dht.dht_node import DhtNode
 from repro.dht.keyspace import KEY_BITS, key_for_peer
+from repro.dht.routing_table import K_BUCKET_SIZE, bucket_runs
 from repro.multiformats.peerid import PeerId
+from repro.utils.columns import index_typecode
 
 
 def join_network(node: DhtNode, bootstrap_peers: list[PeerId]) -> Generator:
@@ -180,12 +187,45 @@ def sample_table_positions(
         extend(chosen)
 
 
+def fill_positions(
+    key_ints: Sequence[int],
+    servers: Sequence[int],
+    live: Sequence,
+    max_stale: int,
+    rng: random.Random,
+) -> tuple[list[int], list[int], array, array]:
+    """Every node's k-bucket fill, as positions into the sorted servers.
+
+    Node ``i`` has DHT key ``key_ints[i]``; ``servers`` are the nodes
+    that tables may hold, and ``live[i]`` says whether node ``i`` is
+    reachable. Returns ``(order, keys, entries, off)``: the servers
+    sorted by key, their keys, and one flat array of every node's
+    :func:`sample_table_positions` picks (``K_BUCKET_SIZE`` per bucket,
+    at most ``max_stale`` unreachable), node ``i``'s at
+    ``entries[off[i]:off[i + 1]]``, each a position in ``order``. The
+    tree the walks share is dropped on return.
+    """
+    order = sorted(servers, key=key_ints.__getitem__)
+    keys = [key_ints[index] for index in order]
+    live_positions: list[int] = []
+    stale_positions: list[int] = []
+    for position, index in enumerate(order):
+        (live_positions if live[index] else stale_positions).append(position)
+    entries = array(index_typecode(len(order)))
+    off = array("I", [0])
+    tree = KeyspaceTree(keys, live_positions, stale_positions)
+    for own_int in key_ints:
+        sample_table_positions(entries, own_int, tree, K_BUCKET_SIZE, max_stale, rng)
+        off.append(len(entries))
+    return order, keys, entries, off
+
+
 def populate_routing_tables(nodes: list[DhtNode], rng: random.Random) -> None:
     """Fill k-buckets of every node from the server subset of ``nodes``.
 
     Only DHT servers are inserted into tables (the client/server rule
     of Section 2.3); client nodes still get tables so they can launch
-    lookups. Each bucket receives at most its table's bucket size.
+    lookups. Each bucket receives at most ``K_BUCKET_SIZE`` peers.
 
     :data:`STALE_FRACTION` bounds the share of *unreachable* peers per
     bucket. Live routing tables are continuously maintained, so they
@@ -193,28 +233,27 @@ def populate_routing_tables(nodes: list[DhtNode], rng: random.Random) -> None:
     but never perfectly clean, and those stale entries are what the
     walk's dial timeouts hit.
 
-    Every table must be empty on entry: each node's picks go to
-    :meth:`RoutingTable.load` in one call, which raises
-    :class:`~repro.errors.SimulationError` on a table that holds a peer.
+    Each table becomes a run view over the one :func:`fill_positions`
+    array (:meth:`RoutingTable.view`), so every table must be empty on
+    entry: ``view`` raises :class:`~repro.errors.SimulationError` on a
+    table that holds a peer.
     """
-    ordered = sorted(
-        (int.from_bytes(key_for_peer(n.host.peer_id), "big"), n.host.peer_id, n)
-        for n in nodes
-        if n.server
+    key_ints = [node.host.peer_id.dht_key_int() for node in nodes]
+    order, keys, entries, off = fill_positions(
+        key_ints,
+        [index for index, node in enumerate(nodes) if node.server],
+        [node.host.reachable for node in nodes],
+        int(K_BUCKET_SIZE * STALE_FRACTION),
+        rng,
     )
-    keys = [key for key, _, _ in ordered]
-    ids = [peer_id for _, peer_id, _ in ordered]
-    live: list[int] = []
-    stale: list[int] = []
-    for position, (_, _, node) in enumerate(ordered):
-        (live if node.host.reachable else stale).append(position)
+    ids = [nodes[index].host.peer_id for index in order]
 
-    tree = KeyspaceTree(keys, live, stale)
-    for node in nodes:
-        cap = node.routing_table.bucket_size
-        picks: list[int] = []
-        sample_table_positions(
-            picks, node.host.peer_id.dht_key_int(), tree,
-            cap, int(cap * STALE_FRACTION), rng,
+    def peers_at(positions) -> list[PeerId]:
+        return list(map(ids.__getitem__, positions))
+
+    for index, node in enumerate(nodes):
+        lo, hi = off[index], off[index + 1]
+        node.routing_table.view(
+            entries, keys, peers_at, lo,
+            bucket_runs(key_ints[index], keys, entries, lo, hi),
         )
-        node.routing_table.load([ids[position] for position in picks])

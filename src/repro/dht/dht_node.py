@@ -26,7 +26,6 @@ from repro.dht.keyspace import key_for_cid, key_for_peer
 from repro.dht.lookup import (
     RPC_TIMEOUT_S,
     LookupConfig,
-    LookupStats,
     find_peer_record,
     find_providers,
     find_value,
@@ -433,8 +432,3 @@ class DhtNode:
     def get_value(self, key: bytes) -> Generator:
         """Resolve an opaque value; returns ``(value_or_None, stats)``."""
         return find_value(self, key)
-
-    # convenience used by tests/experiments -----------------------------
-
-    def lookup_stats_type(self) -> type[LookupStats]:
-        return LookupStats

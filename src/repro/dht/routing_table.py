@@ -29,32 +29,25 @@ from repro.multiformats.peerid import PeerId
 K_BUCKET_SIZE = 20
 
 
-def _fill_error(bucket_size: int) -> SimulationError:
-    return SimulationError(
-        "bulk load needs distinct peers other than our own id, "
-        f"at most {bucket_size} per bucket"
-    )
-
-
 def bucket_runs(
     own_key_int: int,
     keys: Sequence[int],
     entries: Sequence[int],
     lo: int,
     hi: int,
-    bucket_size: int = K_BUCKET_SIZE,
 ) -> bytes:
     """The bucket runs of the stored entries ``entries[lo:hi]``.
 
-    The entries are ints naming the peers :meth:`RoutingTable.load`
-    would take, ``keys[e]`` being the DHT key int of entry ``e``, stored
-    as a precomputed fill stores them: grouped by bucket, each group in
-    least-recently-seen order. The result is ``bytes``, the populated
-    bucket indexes in stored order followed by each run's length (a
-    bucket holds at most ``bucket_size`` <= 255 entries): with ``lo``
-    it locates every run, so a view over the slice copies nothing. The
-    entries must meet ``load``'s contract and be grouped, or
-    :class:`SimulationError` is raised.
+    The entries are ints naming peers, ``keys[e]`` being the DHT key
+    int of entry ``e``, stored as a precomputed fill stores them:
+    grouped by bucket, each group in least-recently-seen order. The
+    result is ``bytes``, the populated bucket indexes in stored order
+    followed by each run's length (a bucket holds at most
+    ``K_BUCKET_SIZE`` <= 255 entries): with ``lo`` it locates every
+    run, so a view over the slice copies nothing. The entries must be
+    what replayed :meth:`RoutingTable.add` calls would keep whole — no
+    duplicate, not our own key, at most ``K_BUCKET_SIZE`` per bucket —
+    and grouped, or :class:`SimulationError` is raised.
     """
     stored = entries[lo:hi]
     # Each entry's XOR distance length: bucket KEY_BITS - length
@@ -71,9 +64,12 @@ def bucket_runs(
         len(set(stored)) != len(stored)
         or 0 in lengths
         or len(set(populated)) != len(populated)  # a bucket split in two
-        or max(sizes, default=0) > bucket_size
+        or max(sizes, default=0) > K_BUCKET_SIZE
     ):
-        raise _fill_error(bucket_size)
+        raise SimulationError(
+            "a stored fill needs distinct peers other than our own id, "
+            f"grouped by bucket, at most {K_BUCKET_SIZE} per bucket"
+        )
     return bytes(populated + sizes)
 
 
@@ -101,11 +97,11 @@ def run_holds(view: tuple, bounds: tuple[int, int] | None, key_int: int) -> bool
     return key_int in map(keys.__getitem__, entries[bounds[0]:bounds[1]])
 
 
-def run_takes(view: tuple, bounds: tuple[int, int], key_int: int, bucket_size: int) -> bool:
+def run_takes(view: tuple, bounds: tuple[int, int], key_int: int) -> bool:
     """Whether :meth:`RoutingTable.add` of the peer with DHT key
     ``key_int`` changes the run at ``bounds``: the run has room, or
     already holds the peer (a refresh moves it to the tail)."""
-    return bounds[1] - bounds[0] < bucket_size or run_holds(view, bounds, key_int)
+    return bounds[1] - bounds[0] < K_BUCKET_SIZE or run_holds(view, bounds, key_int)
 
 
 def _nearest_first(split: int, buckets) -> Iterator[Sequence[int]]:
@@ -217,20 +213,14 @@ class RoutingTable:
     # A compact world attaches a table only where a write changes the
     # stored fill, so the table is a written peer's whole DHT cost.
     __slots__ = (
-        "own_id", "own_key", "own_key_int", "bucket_size", "failure_threshold",
+        "own_id", "own_key", "own_key_int", "failure_threshold",
         "_buckets", "_size", "_view", "_failures", "evictions", "breakers",
     )
 
-    def __init__(
-        self,
-        own_id: PeerId,
-        bucket_size: int = K_BUCKET_SIZE,
-        failure_threshold: int = 1,
-    ) -> None:
+    def __init__(self, own_id: PeerId, failure_threshold: int = 1) -> None:
         self.own_id = own_id
         self.own_key = key_for_peer(own_id)
         self.own_key_int = key_int_for_peer(own_id)
-        self.bucket_size = bucket_size
         self.failure_threshold = max(1, failure_threshold)
         # Bucket dicts map peer -> cached DHT key int; insertion order
         # doubles as the least-recently-seen order (a refresh re-inserts
@@ -259,7 +249,7 @@ class RoutingTable:
     @property
     def copied_buckets(self) -> int:
         """How many buckets of a :meth:`view` writes have turned into
-        dicts (0 for a table filled by :meth:`add` or :meth:`load`)."""
+        dicts (0 for a table that is not a view)."""
         return len(self._buckets) if self._view is not None else 0
 
     def __contains__(self, peer_id: PeerId) -> bool:
@@ -298,7 +288,7 @@ class RoutingTable:
             bounds = run_bounds(self._view, index)
             if bounds is None:
                 bucket = self._buckets[index] = {}
-            elif not run_takes(self._view, bounds, key_int, self.bucket_size):
+            elif not run_takes(self._view, bounds, key_int):
                 return False  # what the full bucket would say; nothing to copy
             else:
                 bucket = self._copy(index, bounds)
@@ -306,49 +296,11 @@ class RoutingTable:
         if existing is not None:
             bucket[peer_id] = existing  # re-insert at the tail (refresh)
             return True
-        if len(bucket) >= self.bucket_size:
+        if len(bucket) >= K_BUCKET_SIZE:
             return False
         bucket[peer_id] = key_int
         self._size += 1
         return True
-
-    def load(self, peers: Sequence[PeerId]) -> None:
-        """Fill this *empty* table from ``peers`` in one pass.
-
-        Equivalent to calling :meth:`add` on each peer in order — same
-        buckets, same least-recently-seen order within each — for a
-        list that ``add`` would accept whole: no duplicate, not our own
-        id, at most ``bucket_size`` peers per bucket. That is what a
-        precomputed fill holds by construction, so the per-peer checks
-        of ``add`` collapse into one check after the loop; a list that
-        breaks them raises :class:`SimulationError` and leaves the
-        table empty. A view that writes have emptied is empty too: it
-        becomes a table of dict buckets.
-        """
-        if self._size:
-            raise SimulationError("bulk load needs an empty routing table")
-        self._view = None
-        own = self.own_key_int
-        buckets = self._buckets
-        for peer_id in peers:
-            key_int = peer_id.dht_key_int()
-            # our own key (distance 0) lands in the top bucket here and
-            # is rejected below
-            index = min(KEY_BITS - (own ^ key_int).bit_length(), KEY_BITS - 1)
-            bucket = buckets.get(index)
-            if bucket is None:
-                buckets[index] = {peer_id: key_int}
-            else:
-                bucket[peer_id] = key_int
-        size = sum(map(len, buckets.values()))
-        if (
-            size != len(peers)
-            or self.own_id in buckets.get(KEY_BITS - 1, ())
-            or any(len(bucket) > self.bucket_size for bucket in buckets.values())
-        ):
-            buckets.clear()
-            raise _fill_error(self.bucket_size)
-        self._size = size
 
     def view(
         self,
@@ -362,9 +314,10 @@ class RoutingTable:
         peers_at, base, runs)``.
 
         ``runs`` is :func:`bucket_runs` of ``entries`` from ``base`` (for
-        this table's own key and bucket size): ``keys[e]`` is the DHT
-        key int of entry ``e``, and ``peers_at`` maps a list of entries
-        to the list of their ``PeerId`` objects. The table keeps
+        this table's own key): ``keys[e]`` is the DHT key int of entry
+        ``e``, and ``peers_at`` maps a list of entries to the list of
+        their ``PeerId`` objects. Every bulk fill takes this path
+        (:func:`~repro.dht.bootstrap.fill_positions`). The table keeps
         references, no copy: no dict and no ``PeerId`` per entry. Every
         read (``in``, ``len``, :meth:`closest`, :meth:`peers`,
         :meth:`bucket_sizes`, :meth:`failure_score`) reads the runs as
@@ -372,20 +325,21 @@ class RoutingTable:
         returns. A write copies on write, one bucket at a time: the
         first :meth:`add`, :meth:`remove` or evicting
         :meth:`record_failure` that changes a bucket turns its run into
-        the dict bucket :meth:`load` would have built (entry order is
-        its least-recently-seen order), and that dict overrides the run
-        from then on. A full run that turns a newcomer away changes
-        nothing and copies nothing.
+        the dict bucket that replaying :meth:`add` over the run's
+        entries would have built (entry order is its least-recently-seen
+        order), and that dict overrides the run from then on. A full run
+        that turns a newcomer away changes nothing and copies nothing.
+        A view that writes have emptied is empty: it takes a new view.
         """
         if self._size:
-            raise SimulationError("bulk load needs an empty routing table")
+            raise SimulationError("a view needs an empty routing table")
         self._buckets.clear()  # emptied buckets would override the runs
         self._size = sum(runs[len(runs) >> 1:])
         self._view = (entries, keys, peers_at, base, runs)
 
     def _copy(self, index: int, bounds: tuple[int, int]) -> dict[PeerId, int]:
-        """Bucket ``index``'s run as the dict ``load`` builds, installed
-        over the run."""
+        """Bucket ``index``'s run as the dict replayed ``add`` calls
+        build, installed over the run."""
         entries, keys, peers_at = self._view[:3]
         run = entries[bounds[0]:bounds[1]]
         bucket = self._buckets[index] = dict(zip(peers_at(run), map(keys.__getitem__, run)))

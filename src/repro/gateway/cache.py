@@ -74,8 +74,3 @@ class ObjectCache:
             self.evictions += 1
             if self.on_evict is not None:
                 self.on_evict(evicted_key)
-
-    def hit_rate(self) -> float:
-        """Hits over all lookups so far (0.0 when untouched)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

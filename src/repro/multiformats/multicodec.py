@@ -46,8 +46,3 @@ def codec_name(code: int) -> str:
         return _CODE_TO_NAME[code]
     except KeyError:
         raise CidError(f"unknown multicodec code: {code:#x}") from None
-
-
-def is_known_codec(code: int) -> bool:
-    """Whether ``code`` appears in our subset of the multicodec table."""
-    return code in _CODE_TO_NAME

@@ -168,9 +168,6 @@ class Tracer:
         self.events.append(record)
         return record
 
-    def current_span(self) -> Span | None:
-        return self._context[-1] if self._context else None
-
     # -- bookkeeping -----------------------------------------------------
 
     def _next_id(self) -> int:
@@ -193,14 +190,8 @@ class Tracer:
 
     # -- reading ---------------------------------------------------------
 
-    def finished_spans(self) -> list[Span]:
-        return [span for span in self.spans if span.end_time is not None]
-
     def open_spans(self) -> list[Span]:
         return [span for span in self.spans if span.end_time is None]
-
-    def spans_named(self, name: str) -> list[Span]:
-        return [span for span in self.spans if span.name == name]
 
     def children_of(self, span: Span) -> list[Span]:
         return [s for s in self.spans if s.parent_id == span.span_id]
@@ -243,9 +234,6 @@ class NullTracer(Tracer):
         return self._null_span
 
     def event(self, name: str, /, **attrs: AttrValue) -> TraceEvent | None:
-        return None
-
-    def current_span(self) -> Span | None:
         return None
 
 

@@ -9,13 +9,14 @@ experiments up to the network's real size:
   :class:`~repro.workloads.compact.CompactPopulation`; a NAT world adds
   two byte columns beside them, each never-reachable peer's drawn NAT
   mode and every peer's DCUtR bit;
-- routing tables are precomputed as flat position arrays by the same
-  per-node kernel :func:`~repro.dht.bootstrap.populate_routing_tables`
-  uses (:func:`~repro.dht.bootstrap.sample_table_positions`), walking
-  one :class:`~repro.dht.bootstrap.KeyspaceTree` per world and
-  sampling each bucket from a window of the sorted server order; the
-  vantages' DHT nodes, then any Hydra heads, join that one fill after
-  the peers, as live servers;
+- routing tables are precomputed as flat position arrays by the one
+  fill every world runs, :func:`~repro.dht.bootstrap.fill_positions`
+  (an object world's :func:`~repro.dht.bootstrap.populate_routing_tables`
+  runs it too), which walks one
+  :class:`~repro.dht.bootstrap.KeyspaceTree` per world and samples
+  each bucket from a window of the sorted server order; the vantages'
+  DHT nodes, then any Hydra heads, join that one fill after the peers,
+  as live servers;
 - churn schedules are precomputed per peer into one flat delay array
   (each peer's stream of alternating sessions and gaps, drawn ahead of
   time instead of one transition at a time by a per-peer process — the
@@ -64,7 +65,7 @@ from functools import partial
 from repro.bitswap.engine import BitswapEngine
 from repro.blockstore.memory import MemoryBlockstore
 from repro.dht import rpc
-from repro.dht.bootstrap import STALE_FRACTION, KeyspaceTree, sample_table_positions
+from repro.dht.bootstrap import STALE_FRACTION, fill_positions
 from repro.dht.dht_node import DhtNode, answer_find_node
 from repro.dht.hydra import HydraBooster
 from repro.dht.keyspace import KEY_BITS, key_int_for_peer
@@ -387,11 +388,10 @@ class CompactWorld:
 
     def _runs_at(self, index: int) -> bytes:
         """Stage 2: peer ``index``'s bucket runs over its slice of the
-        stored fill: the entries, in the insertion (= LRU) order
-        populate_routing_tables loads into an object world, grouped by
+        stored fill: the entries in insertion (= LRU) order, grouped by
         bucket as the fill walks them; never our own id, at most
-        K_BUCKET_SIZE per bucket, which is what `bucket_runs` (like
-        `load`) requires."""
+        K_BUCKET_SIZE per bucket, which is what `bucket_runs` requires.
+        An object world's tables are views over the same runs."""
         runs = self._runs.get(index)
         if runs is None:
             entries, keys, _ = self._table_view()
@@ -469,7 +469,7 @@ class CompactWorld:
             key_int = key_int_for_peer(sender)
             distance = own ^ key_int
             bounds = run_bounds(view, min(KEY_BITS - distance.bit_length(), KEY_BITS - 1))
-            if distance and (bounds is None or run_takes(view, bounds, key_int, K_BUCKET_SIZE)):
+            if distance and (bounds is None or run_takes(view, bounds, key_int)):
                 handler = partial(answer_find_node, self.net, self._table_at(index))
                 self._hosts[index].register_handler(rpc.FIND_NODE, handler)
                 return handler(sender, request)
@@ -599,38 +599,28 @@ class CompactWorld:
     def _fill_tables(self, rng: random.Random, key_ints: list[int], extra: list[DhtNode]) -> None:
         """Every peer's routing table, then every ``extra`` node's (the
         vantages', then any Hydra heads'), as positions into the sorted
-        server order: :func:`~repro.dht.bootstrap.sample_table_positions`
-        per node (``key_ints[i]`` is node ``i``'s DHT key) over one shared
-        tree, dropped on return, appended to one flat array. The ``extra``
-        nodes are live servers, and their tables are loaded from the array
-        — the draws ``populate_routing_tables`` makes over the peers'
-        nodes followed by ``extra``."""
+        server order: one :func:`~repro.dht.bootstrap.fill_positions`
+        (``key_ints[i]`` is node ``i``'s DHT key), whose flat array and
+        offsets the world keeps. The ``extra`` nodes are live servers;
+        their tables stay dict tables, which a run writes to throughout,
+        filled by :meth:`~repro.dht.routing_table.RoutingTable.add` over
+        their stored entries in order."""
         n = self.n
         reach = self.compact.peer_reach
         in_dht = self.nat_peers_in_dht
         servers = [i for i in range(n) if in_dht or reach[i] != _REACH_NEVER]
         servers += range(n, len(key_ints))
-        order = sorted(servers, key=key_ints.__getitem__)
-        keys = [key_ints[i] for i in order]
         online = self._online + b"\x01" * (len(key_ints) - n)
-        live: list[int] = []
-        stale: list[int] = []
-        for pos, index in enumerate(order):
-            (live if online[index] else stale).append(pos)
-
-        # every stored entry is a position in `order`
-        entries = self._table_entries = array(index_typecode(len(order)))
-        off = self._table_off
+        # read here, so that `figures.patched("STALE_FRACTION", ...)`
+        # reaches the fill
         max_stale = int(K_BUCKET_SIZE * STALE_FRACTION)
-        tree = KeyspaceTree(keys, live, stale)
-        for own_int in key_ints:
-            sample_table_positions(
-                entries, own_int, tree, K_BUCKET_SIZE, max_stale, rng
-            )
-            off.append(len(entries))
+        order, _, self._table_entries, self._table_off = fill_positions(
+            key_ints, servers, online, max_stale, rng
+        )
         self._server_order = array(index_typecode(len(key_ints)), order)
         for j, node in enumerate(extra):
-            node.routing_table.load(self._ids_at(self._table_indices(n + j)))
+            for peer_id in self._ids_at(self._table_indices(n + j)):
+                node.routing_table.add(peer_id)
 
     # -- accounting ----------------------------------------------------
 

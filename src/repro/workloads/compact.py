@@ -63,12 +63,6 @@ _CLASS_CODE = {cls: code for code, cls in enumerate(PEER_CLASSES)}
 _AGENT_NAMES = [name for name, _ in _AGENT_VERSIONS]
 
 
-def pack_ip(ip: str) -> int:
-    """``"a.b.c.d"`` -> the 32-bit integer the compact arrays store."""
-    a, b, c, d = ip.split(".")
-    return (((int(a) << 8) | int(b)) << 16) | (int(c) << 8) | int(d)
-
-
 def unpack_ip(packed: int) -> str:
     return "%d.%d.%d.%d" % (
         (packed >> 24) & 0xFF, (packed >> 16) & 0xFF,

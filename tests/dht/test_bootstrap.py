@@ -1,9 +1,10 @@
-"""``populate_routing_tables`` runs the one fill kernel
-(``sample_table_positions``: a walk down the per-world ``KeyspaceTree``
-that spells out ``random.sample``'s draws) and hands each node's picks
-to ``RoutingTable.load`` in one call. The loop it replaced — a shift
-and five bisects per bucket for every node, real ``rng.sample`` calls,
-one ``add`` per pick — is kept here as the reference: same tables, same
+"""``populate_routing_tables`` runs the one fill every world runs
+(``fill_positions``: per node, a walk down the per-world
+``KeyspaceTree`` that spells out ``random.sample``'s draws) and gives
+each node a run view over the flat array of picks
+(``RoutingTable.view``). The loop it replaced — a shift and five
+bisects per bucket for every node, real ``rng.sample`` calls, one
+``add`` per pick — is kept here as the reference: same tables, same
 order, same RNG stream."""
 
 import bisect
@@ -14,7 +15,7 @@ import pytest
 from repro.dht import bootstrap
 from repro.dht.bootstrap import populate_routing_tables
 from repro.dht.keyspace import KEY_BITS, key_for_peer
-from repro.dht.routing_table import RoutingTable
+from repro.dht.routing_table import K_BUCKET_SIZE, RoutingTable
 from repro.errors import SimulationError
 from repro.experiments import figures
 from repro.experiments.scenario import ScenarioConfig
@@ -26,9 +27,10 @@ from repro.workloads.population import PopulationConfig
 from tests.helpers import build_world
 
 
-def _populate_by_add(nodes, rng, stale_fraction=0.05):
-    """The fill as it was before the bulk load and the shared tree:
-    every node rediscovers its bucket intervals, one ``add`` per pick."""
+def _populate_by_add(nodes, rng, caps, stale_fraction=0.05):
+    """The fill as it was before the bulk fill and the shared tree:
+    every node rediscovers its bucket intervals, one ``add`` per pick;
+    node ``i`` takes at most ``caps[i % len(caps)]`` per bucket."""
     servers = [n for n in nodes if n.server]
     ordered = sorted(
         (int.from_bytes(key_for_peer(n.host.peer_id), "big"), n.host.peer_id, n)
@@ -41,9 +43,9 @@ def _populate_by_add(nodes, rng, stale_fraction=0.05):
     stale_positions = [i for i, ok in enumerate(reachable) if not ok]
     leftover_draws = 0
 
-    for node in nodes:
+    for index, node in enumerate(nodes):
         own_int = node.host.peer_id.dht_key_int()
-        cap = node.routing_table.bucket_size
+        cap = caps[index % len(caps)]
         add = node.routing_table.add
         cur_lo, cur_hi = 0, len(keys)
         for bucket in range(KEY_BITS):
@@ -91,9 +93,11 @@ def _populate_by_add(nodes, rng, stale_fraction=0.05):
     return leftover_draws
 
 
-def _fill_by_kernel(nodes, rng, max_stale):
-    """``populate_routing_tables`` with the kernel's own ``max_stale`` in
-    place of the ``STALE_FRACTION`` quota."""
+def _fill_by_kernel(nodes, rng, caps, stale_fraction):
+    """``populate_routing_tables`` with the kernel's own ``cap`` and
+    ``max_stale`` in place of ``K_BUCKET_SIZE`` and the
+    ``STALE_FRACTION`` quota; each pick is replayed through ``add``
+    (no bucket receives more than ``K_BUCKET_SIZE``, so it takes all)."""
     ordered = sorted(
         (int.from_bytes(key_for_peer(n.host.peer_id), "big"), n.host.peer_id, n)
         for n in nodes
@@ -105,13 +109,14 @@ def _fill_by_kernel(nodes, rng, max_stale):
         [i for i, (_, _, n) in enumerate(ordered) if n.host.reachable],
         [i for i, (_, _, n) in enumerate(ordered) if not n.host.reachable],
     )
-    for node in nodes:
-        cap = node.routing_table.bucket_size
+    for index, node in enumerate(nodes):
+        cap = caps[index % len(caps)]
         picks = []
         bootstrap.sample_table_positions(
-            picks, node.host.peer_id.dht_key_int(), tree, cap, max_stale, rng
+            picks, node.host.peer_id.dht_key_int(), tree,
+            cap, int(cap * stale_fraction), rng,
         )
-        node.routing_table.load([ids[position] for position in picks])
+        assert all(node.routing_table.add(ids[position]) for position in picks)
 
 
 def _mixed_world(n, seed):
@@ -127,29 +132,26 @@ def _mixed_world(n, seed):
     [
         (60, 0.05, 20), (400, 0.05, 20), (1500, 0.05, 20),
         # the kernel's other parameters: no stale quota at all, a larger
-        # one (the kernel's max_stale), a non-default bucket
+        # one (the kernel's max_stale), a smaller per-bucket cap
         (400, 0.0, 20), (400, 0.25, 20), (400, 0.05, 8),
-        # bucket sizes alternating over one call: the tree is shared, so
-        # a cap-dependent value cached in a node would leak between them
+        # caps alternating over one tree: it is shared, so a
+        # cap-dependent value cached in a node would leak between them
         (400, 0.05, (8, 20)),
     ],
 )
 def test_bulk_load_equals_the_add_loop(n, stale_fraction, bucket_size, seed):
     expected, actual = _mixed_world(n, seed), _mixed_world(n, seed)
-    sizes = bucket_size if isinstance(bucket_size, tuple) else (bucket_size,)
-    for world in (expected, actual):
-        for index, node in enumerate(world.nodes):
-            node.routing_table.bucket_size = sizes[index % len(sizes)]
+    caps = bucket_size if isinstance(bucket_size, tuple) else (bucket_size,)
     assert [a.host.peer_id for a in actual.nodes] == [e.host.peer_id for e in expected.nodes]
     assert any(not node.server for node in actual.nodes)
     assert any(node.server and not node.host.reachable for node in actual.nodes)
 
     expected_rng, actual_rng = random.Random(seed), random.Random(seed)
-    leftover_draws = _populate_by_add(expected.nodes, expected_rng, stale_fraction)
-    if stale_fraction == bootstrap.STALE_FRACTION:
+    leftover_draws = _populate_by_add(expected.nodes, expected_rng, caps, stale_fraction)
+    if (stale_fraction, caps) == (bootstrap.STALE_FRACTION, (K_BUCKET_SIZE,)):
         populate_routing_tables(actual.nodes, actual_rng)
     else:
-        _fill_by_kernel(actual.nodes, actual_rng, int(bucket_size * stale_fraction))
+        _fill_by_kernel(actual.nodes, actual_rng, caps, stale_fraction)
 
     assert actual_rng.getstate() == expected_rng.getstate()
     for ours, theirs in zip(actual.nodes, expected.nodes):
@@ -196,7 +198,7 @@ def test_one_tree_per_call_and_one_boundary_bisect_per_node(monkeypatch):
 
 def test_fill_never_calls_add(monkeypatch):
     def no_add(self, peer_id):
-        raise AssertionError("populate_routing_tables must bulk-load")
+        raise AssertionError("populate_routing_tables must fill views")
 
     monkeypatch.setattr(RoutingTable, "add", no_add)
     world = _mixed_world(120, 7)
@@ -218,9 +220,9 @@ def test_non_empty_table_is_refused_and_left_as_it_was():
 def test_hydra_heads_join_the_one_fill():
     """A Hydra arm is a build input: with ``HYDRA_HEADS`` patched for one
     build, the heads follow the vantage into the world's one table fill
-    as live servers, each loading its table from the fill's row, and
-    they sit in the peers' tables. The patch ends with its block, also
-    when the build raises."""
+    as live servers, each adding its table's entries from the fill's
+    row, and they sit in the peers' tables. The patch ends with its
+    block, also when the build raises."""
     population = generate_compact_population(
         PopulationConfig(n_peers=300), derive_rng(11, "population")
     )

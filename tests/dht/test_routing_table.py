@@ -54,28 +54,29 @@ def test_remove():
 
 
 def test_bucket_capacity_enforced():
-    table = RoutingTable(pid(0), bucket_size=3)
+    table = RoutingTable(pid(0))
     added = sum(1 for n in range(1, 200) if table.add(pid(n)))
     sizes = table.bucket_sizes()
-    assert all(size <= 3 for size in sizes.values())
-    assert added == len(table)
+    assert all(size <= K_BUCKET_SIZE for size in sizes.values())
+    assert K_BUCKET_SIZE in sizes.values()  # some bucket filled up
+    assert added == len(table) < 199
 
 
 def test_full_bucket_rejects_newcomer():
-    table = RoutingTable(pid(0), bucket_size=2)
-    # Find three peers that land in the same bucket.
+    table = RoutingTable(pid(0))
+    # Find K_BUCKET_SIZE + 1 peers that land in the same bucket.
     own_key = key_for_peer(pid(0))
     by_bucket: dict[int, list[PeerId]] = {}
     for n in range(1, 500):
         bucket = bucket_index(own_key, key_for_peer(pid(n)))
         group = by_bucket.setdefault(bucket, [])
         group.append(pid(n))
-        if len(group) == 3:
-            a, b, c = group
+        if len(group) == K_BUCKET_SIZE + 1:
+            *full, newcomer = group
             break
-    assert table.add(a) and table.add(b)
-    assert not table.add(c)
-    assert c not in table
+    assert all(table.add(peer) for peer in full)
+    assert not table.add(newcomer)
+    assert newcomer not in table
 
 
 def test_closest_returns_sorted_by_xor():
@@ -159,7 +160,7 @@ def test_remove_clears_failure_score():
 @settings(max_examples=20)
 @given(st.sets(st.integers(min_value=1, max_value=10_000), min_size=1, max_size=60))
 def test_closest_is_exact_property(ns):
-    table = RoutingTable(pid(0), bucket_size=100)
+    table = RoutingTable(pid(0))
     for n in ns:
         table.add(pid(n))
     target = key_for_peer(pid(123456))
@@ -200,9 +201,7 @@ def fill_view(table: RoutingTable, peers: list[PeerId]) -> None:
     unrelated stored entry (a view reads its slice of a flat array)."""
     grouped = sorted(peers, key=lambda peer: bucket_index(OWN_KEY, key_for_peer(peer)))
     entries = array("i", [POSITION[POOL[0]]] + [POSITION[peer] for peer in grouped])
-    runs = bucket_runs(
-        table.own_key_int, KEYED_INTS, entries, 1, len(entries), table.bucket_size
-    )
+    runs = bucket_runs(table.own_key_int, KEYED_INTS, entries, 1, len(entries))
     table.view(
         entries, KEYED_INTS, lambda positions: [KEYED[pos] for pos in positions], 1, runs
     )
@@ -290,16 +289,15 @@ def apply_ops_to_view(table: RoutingTable, ops: list[tuple[str, PeerId]]) -> Non
     initial=offered_st,
     ops=ops_st,
     open_peers=st.sets(peers_st, max_size=30),
-    bucket_size=st.sampled_from([3, K_BUCKET_SIZE]),
     seed=st.integers(min_value=0, max_value=2**32),
 )
-def test_closest_equals_brute_force(initial, ops, open_peers, bucket_size, seed):
+def test_closest_equals_brute_force(initial, ops, open_peers, seed):
     rng = random.Random(seed)
-    table = RoutingTable(OWN, bucket_size=bucket_size, failure_threshold=2)
+    table = RoutingTable(OWN, failure_threshold=2)
     for peer in initial:
         table.add(peer)  # repeats in `initial` are refreshes
     # the twin: a view of what the adds kept, in bucket and LRU order
-    viewed = view_of(table.peers(), bucket_size=bucket_size, failure_threshold=2)
+    viewed = view_of(table.peers(), failure_threshold=2)
 
     def check():
         for target in probe_targets(table, rng):
@@ -333,7 +331,7 @@ def test_closest_spills_past_a_filtered_first_bucket():
     assert got == brute_force_closest(table, target, K_BUCKET_SIZE)
 
 
-# -- bulk ``load`` ≡ replayed ``add`` -----------------------------------------
+# -- a stored fill's view ≡ replayed ``add`` -----------------------------
 
 
 def bucket_layout(table: RoutingTable) -> dict[int, list[PeerId]]:
@@ -351,27 +349,24 @@ def bucket_layout(table: RoutingTable) -> dict[int, list[PeerId]]:
     return layout
 
 
-def assert_same_table(loaded: RoutingTable, replayed: RoutingTable) -> None:
-    assert bucket_layout(loaded) == bucket_layout(replayed)
-    assert loaded.peers() == replayed.peers()
-    assert len(loaded) == len(replayed)
-    assert loaded.bucket_sizes() == replayed.bucket_sizes()
+def assert_same_table(viewed: RoutingTable, replayed: RoutingTable) -> None:
+    assert bucket_layout(viewed) == bucket_layout(replayed)
+    assert viewed.peers() == replayed.peers()
+    assert len(viewed) == len(replayed)
+    assert viewed.bucket_sizes() == replayed.bucket_sizes()
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     offered=offered_st.map(lambda peers: list(dict.fromkeys(peers))),
     ops=ops_st,
-    bucket_size=st.sampled_from([3, K_BUCKET_SIZE]),
     seed=st.integers(min_value=0, max_value=2**32),
 )
-def test_load_equals_replayed_add(offered, ops, bucket_size, seed):
-    replayed = RoutingTable(OWN, bucket_size=bucket_size)
+def test_view_equals_replayed_add(offered, ops, seed):
+    replayed = RoutingTable(OWN)
     # what a precomputed fill stores: the peers `add` accepted, in order
     accepted = [peer for peer in offered if replayed.add(peer)]
-    loaded = RoutingTable(OWN, bucket_size=bucket_size)
-    loaded.load(accepted)
-    viewed = view_of(accepted, bucket_size=bucket_size)
+    viewed = view_of(accepted)
     rng = random.Random(seed)
     for target in probe_targets(replayed, rng):
         for count in (1, rng.randint(2, 19), K_BUCKET_SIZE, rng.randint(21, 50)):
@@ -379,18 +374,15 @@ def test_load_equals_replayed_add(offered, ops, bucket_size, seed):
     assert len(viewed) == len(replayed)
     assert_same_table(viewed, replayed)
     assert viewed.copied_buckets == 0
-    assert_same_table(loaded, replayed)
-    # ... and the three stay the same table under later traffic:
+    # ... and the two stay the same table under later traffic:
     # refreshes, rejections by full buckets, evictions (a write to the
     # view copies the one bucket it changes)
-    apply_ops(loaded, ops)
     apply_ops_to_view(viewed, ops)
     apply_ops(replayed, ops)
     target = key_for_peer(pid(123456))
-    for table in (loaded, viewed):
-        assert table.closest(target) == replayed.closest(target)
-        assert_same_table(table, replayed)
-        assert table.evictions == replayed.evictions
+    assert viewed.closest(target) == replayed.closest(target)
+    assert_same_table(viewed, replayed)
+    assert viewed.evictions == replayed.evictions
 
 
 def test_a_write_to_a_view_copies_only_the_bucket_it_changes():
@@ -422,20 +414,16 @@ def _same_bucket_peers(count: int) -> list[PeerId]:
     [
         pytest.param([POOL[0], OWN, POOL[1]], id="own-id"),
         pytest.param([POOL[0], POOL[1], POOL[0]], id="duplicate"),
-        pytest.param(_same_bucket_peers(4), id="over-full-bucket"),
+        pytest.param(_same_bucket_peers(K_BUCKET_SIZE + 1), id="over-full-bucket"),
     ],
 )
-def test_load_rejects_what_add_would_not_take_whole(peers):
-    table = RoutingTable(OWN, bucket_size=3)
+def test_view_rejects_what_add_would_not_take_whole(peers):
+    table = RoutingTable(OWN)
     with pytest.raises(SimulationError):
-        table.load(peers)
+        fill_view(table, peers)
     assert len(table) == 0 and table.peers() == []
-    table.load(peers[:1])  # still usable: the failed load left it empty
+    fill_view(table, peers[:1])  # still usable: the failed view left it empty
     assert table.peers() == peers[:1]
-    # a view holds its entries to the same contract
-    with pytest.raises(SimulationError):
-        view_of(peers, bucket_size=3)
-    assert view_of(peers[:1], bucket_size=3).peers() == peers[:1]
 
 
 def test_bucket_runs_needs_each_bucket_stored_in_one_run():
@@ -452,28 +440,27 @@ def test_bucket_runs_needs_each_bucket_stored_in_one_run():
 
 
 def test_an_emptied_table_fills_again_either_way():
-    # what a figure's table refill does: remove every entry, then fill
+    # remove every entry, then fill: a view and a table of dict buckets
+    # both take a new view
     replayed = RoutingTable(OWN)
     accepted = [peer for peer in POOL[:80] if replayed.add(peer)]
-    viewed, loaded = view_of(accepted), RoutingTable(OWN)
-    loaded.load(accepted)
-    for table, fill in ((viewed, "load"), (loaded, "view")):
+    viewed, added = view_of(accepted), RoutingTable(OWN)
+    for peer in accepted:
+        added.add(peer)
+    for table in (viewed, added):
         for peer in table.peers():
             table.remove(peer)
         assert len(table) == 0 and table.peers() == [] and table.bucket_sizes() == {}
-        if fill == "load":
-            table.load(accepted)
-        else:
-            fill_view(table, accepted)
+        fill_view(table, accepted)
         assert_same_table(table, replayed)
         assert table.copied_buckets == 0
         target = key_for_peer(pid(4242))
         assert table.closest(target) == replayed.closest(target)
 
 
-def test_load_rejects_a_non_empty_table():
+def test_view_rejects_a_non_empty_table():
     table = RoutingTable(OWN)
     table.add(POOL[0])
     with pytest.raises(SimulationError):
-        table.load([POOL[1]])
+        fill_view(table, [POOL[1]])
     assert table.peers() == [POOL[0]]

@@ -1,8 +1,8 @@
 """The compact world's routing-table fill, pinned.
 
 ``test_compact_equivalence.py`` compares two worlds that both run
-:func:`repro.dht.bootstrap.sample_table_positions`, so a bug in the
-shared kernel passes it. The sha256 literals below were recorded at the
+:func:`repro.dht.bootstrap.fill_positions`, so a bug in the shared
+fill passes it. The sha256 literals below were recorded at the
 commit *before* the per-peer bisect walk was replaced by the per-world
 prefix tree: the three table arrays :meth:`CompactWorld._fill_tables`
 writes, as fixed-width values (4-byte entries and server order, 8-byte
@@ -25,6 +25,7 @@ from unittest import mock
 
 import pytest
 
+from repro.dht import bootstrap
 from repro.experiments.scenario import ScenarioConfig
 from repro.simnet import compact as compact_module
 from repro.simnet.compact import build_compact_world
@@ -98,7 +99,10 @@ def test_four_byte_fill_equals_the_two_byte_fill():
     )
     config = ScenarioConfig(seed=42)
     narrow = build_compact_world(population, config, vantage_regions=["us_west_1"])
-    with mock.patch.object(compact_module, "index_typecode", lambda limit: "I"):
+    # the fill allocates the entries, the world the server order
+    wide_typecode = lambda limit: "I"
+    with mock.patch.object(bootstrap, "index_typecode", wide_typecode), \
+            mock.patch.object(compact_module, "index_typecode", wide_typecode):
         wide = build_compact_world(population, config, vantage_regions=["us_west_1"])
     assert narrow._table_entries.typecode == index_typecode(len(narrow._server_order)) == "H"
     assert narrow._server_order.typecode == "H"

@@ -17,6 +17,13 @@ experiment edits a built world's tables (an ablation arm is a build
 input, ``figures.KNOCKOUTS``), so no ``src/repro/experiments`` module
 calls ``populate_routing_tables`` or ``RoutingTable.remove``.
 
+Every world fills its tables with one function,
+``bootstrap.fill_positions``: the object world's
+``populate_routing_tables`` and ``CompactWorld._fill_tables`` both call
+it, it alone builds a ``KeyspaceTree`` and walks it, and a bulk fill is
+a ``RoutingTable.view`` (no ``load``; every bucket holds
+``K_BUCKET_SIZE``, no ``bucket_size``).
+
 Every FIND_NODE answer picks its closest peers with one function,
 ``routing_table.nearest``.
 """
@@ -26,6 +33,7 @@ import dataclasses
 import inspect
 from pathlib import Path
 
+from repro.dht.routing_table import RoutingTable
 from repro.experiments.scale import ScaleCrawlConfig
 from repro.simnet.compact import build_compact_world
 
@@ -186,3 +194,44 @@ def test_one_closest_k_selection():
         if _calls(function, "nearest")
     )
     assert callers == ["dht/routing_table.py:closest", "simnet/compact.py:_find_node"]
+
+
+def _named_calls(tree: ast.AST, function: str) -> int:
+    """Calls of ``function`` by name or as an attribute (``m.function``)."""
+    return sum(
+        1
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == function
+    )
+
+
+def test_one_table_fill():
+    """The tree and the walk run in ``fill_positions`` alone, anywhere
+    in ``src/`` (module level included), and both worlds' fills call it."""
+    trees = _trees()
+    (fill,) = [
+        function for name, function in _functions(trees)
+        if f"{name}:{function.name}" == "dht/bootstrap.py:fill_positions"
+    ]
+    for part in ("KeyspaceTree", "sample_table_positions"):
+        callers = {
+            name: count for name, tree in trees.items()
+            if (count := _named_calls(tree, part))
+        }
+        assert callers == {"dht/bootstrap.py": 1}, part
+        assert _named_calls(fill, part) == 1, part
+    fillers = sorted(
+        f"{name}:{function.name}"
+        for name, function in _functions(trees)
+        if _named_calls(function, "fill_positions")
+    )
+    assert fillers == [
+        "dht/bootstrap.py:populate_routing_tables", "simnet/compact.py:_fill_tables",
+    ]
+
+
+def test_a_bulk_fill_is_a_view_of_k_buckets():
+    assert not hasattr(RoutingTable, "load")
+    assert "bucket_size" not in inspect.signature(RoutingTable).parameters
+    assert "bucket_size" not in RoutingTable.__slots__

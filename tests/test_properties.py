@@ -100,7 +100,7 @@ def test_closest_is_globally_consistent(keys):
     from repro.dht.routing_table import RoutingTable
 
     peers = [PeerId.from_public_key(k) for k in keys]
-    table = RoutingTable(peers[0], bucket_size=50)
+    table = RoutingTable(peers[0])
     for peer in peers[1:]:
         table.add(peer)
     target = key_for_peer(PeerId.from_public_key(b"target"))
