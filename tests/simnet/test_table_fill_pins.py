@@ -9,6 +9,10 @@ writes, as fixed-width values (4-byte entries and server order, 8-byte
 offsets: the widths they were recorded at, whatever width the world
 stores them in), and the position of the shared ``"tables"`` stream
 afterwards.
+``RUNS_PINNED`` holds every peer's bucket runs (what a table-stage
+peer answers FIND_NODE from), recorded while they were computed by
+XOR-scanning each peer's stored entries, before the keyspace walk
+derived them.
 ``tests/dht/test_bootstrap.py`` keeps the replaced walk itself as a
 reference loop.
 
@@ -58,6 +62,18 @@ PINNED = {
 }
 
 
+#: (seed, nat_peers_in_dht) -> sha256 of every peer's runs, in peer
+#: order. Runs depend on the server keys alone, not on the live/stale
+#: draws, and a peer's key does not depend on the seed: with every
+#: peer a server, both seeds give the same runs.
+RUNS_PINNED = {
+    (42, False): "74ba2ce645e7a4f5135e679ebbac3133180705d781ef3eca221a65cfe31c77b5",
+    (42, True): "6eb5ca44b9b7815f6659f15fa856ebf8a360838763d345571081b6b77145b062",
+    (43, False): "f2d10383407407b4fb07fbf55dc6e34f58ea5d56db29f1557d43b9ad36c3917a",
+    (43, True): "6eb5ca44b9b7815f6659f15fa856ebf8a360838763d345571081b6b77145b062",
+}
+
+
 def _fill_digests(seed: int, nat_peers_in_dht: bool) -> tuple[str, str]:
     population = generate_compact_population(
         PopulationConfig(n_peers=N_PEERS), derive_rng(seed, "population")
@@ -85,9 +101,27 @@ def _fill_digests(seed: int, nat_peers_in_dht: bool) -> tuple[str, str]:
     return tables, rng_state_sha256(rng)
 
 
+def _runs_digest(seed: int, nat_peers_in_dht: bool) -> str:
+    population = generate_compact_population(
+        PopulationConfig(n_peers=N_PEERS), derive_rng(seed, "population")
+    )
+    world = build_compact_world(
+        population, ScenarioConfig(seed=seed, nat_peers_in_dht=nat_peers_in_dht)
+    )
+    runs = [world._runs_at(index) for index in range(world.n)]
+    return hashlib.sha256(
+        b"".join(len(peer_runs).to_bytes(2, "big") + peer_runs for peer_runs in runs)
+    ).hexdigest()
+
+
 @pytest.mark.parametrize("seed, nat_peers_in_dht", sorted(PINNED))
 def test_table_fill_is_pinned(seed, nat_peers_in_dht):
     assert _fill_digests(seed, nat_peers_in_dht) == PINNED[seed, nat_peers_in_dht]
+
+
+@pytest.mark.parametrize("seed, nat_peers_in_dht", sorted(RUNS_PINNED))
+def test_bucket_runs_are_pinned(seed, nat_peers_in_dht):
+    assert _runs_digest(seed, nat_peers_in_dht) == RUNS_PINNED[seed, nat_peers_in_dht]
 
 
 def test_four_byte_fill_equals_the_two_byte_fill():
@@ -121,3 +155,5 @@ if __name__ == "__main__":
     for key in sorted(PINNED):
         tables, state = _fill_digests(*key)
         print(f'    {key}: (\n        "{tables}",\n        "{state}",\n    ),')
+    for key in sorted(PINNED):
+        print(f'    {key}: "{_runs_digest(*key)}",')
