@@ -29,7 +29,10 @@ walks one tree per node and stores every pick as a position in the
 sorted server order, all tables in one flat array. An object world
 (:func:`populate_routing_tables`) and a
 :class:`~repro.simnet.compact.CompactWorld` both read their tables as
-run views over that array (:meth:`RoutingTable.view`).
+run views over that array (:meth:`RoutingTable.view`), and both take a
+table's bucket runs from :func:`table_runs`: the same walk, reading
+window sizes instead of drawing picks, so a table's ~200 stored
+entries are never scanned to find its buckets.
 """
 
 from __future__ import annotations
@@ -39,10 +42,11 @@ import random
 from array import array
 from bisect import bisect_left
 from collections.abc import Generator, Sequence
+from itertools import groupby
 
 from repro.dht.dht_node import DhtNode
 from repro.dht.keyspace import KEY_BITS, key_for_peer
-from repro.dht.routing_table import K_BUCKET_SIZE, bucket_runs
+from repro.dht.routing_table import K_BUCKET_SIZE
 from repro.multiformats.peerid import PeerId
 from repro.utils.columns import index_typecode
 
@@ -187,23 +191,69 @@ def sample_table_positions(
         extend(chosen)
 
 
+def run_tree(keys: list[int]) -> KeyspaceTree:
+    """A tree over the sorted server keys ``keys`` for
+    :func:`table_runs` alone: runs read window sizes, not the
+    live/stale split, so it holds none."""
+    return KeyspaceTree(keys, [], [])
+
+
+def table_runs(own_int: int, tree: KeyspaceTree) -> bytes:
+    """The bucket runs of the fill :func:`sample_table_positions` makes
+    for ``own_int`` at ``K_BUCKET_SIZE``, without reading the fill.
+
+    The same walk, taking sizes instead of picks: the sibling window at
+    ``depth`` is bucket ``depth``, and it yields every peer it holds up
+    to k, then exactly k (a sampled window tops its live picks up from
+    the stale ones). Only the wholesale tail's entries, at most k, are
+    placed by their XOR distance; they are in key order, so each bucket
+    among them is one run. The result is ``bytes``, the populated bucket
+    indexes in stored order followed by each run's length (at most
+    ``K_BUCKET_SIZE`` <= 255): with a table's offset into the flat fill
+    it locates every run (:meth:`~repro.dht.routing_table.RoutingTable.view`).
+    """
+    keys, nodes = tree.keys, tree.nodes
+    populated: list[int] = []
+    sizes: list[int] = []
+    own = tree.root
+    for depth in range(KEY_BITS):
+        if own[1] - own[0] <= K_BUCKET_SIZE:
+            # An entry whose XOR distance has `length` bits is in bucket
+            # KEY_BITS - length; length 0 is our own key, never stored.
+            lengths = [
+                length for pos in range(own[0], own[1])
+                if (length := (own_int ^ keys[pos]).bit_length())
+            ]
+            for length, run in groupby(lengths):
+                populated.append(KEY_BITS - length)
+                sizes.append(len(list(run)))
+            break
+        boundary, low, high = nodes.get((depth, own[0])) or tree.split(depth, own)
+        own, sibling = (high, low) if own_int >= boundary else (low, high)
+        if sibling[1] > sibling[0]:
+            populated.append(depth)
+            sizes.append(min(sibling[1] - sibling[0], K_BUCKET_SIZE))
+    return bytes(populated + sizes)
+
+
 def fill_positions(
     key_ints: Sequence[int],
     servers: Sequence[int],
     live: Sequence,
     max_stale: int,
     rng: random.Random,
-) -> tuple[list[int], list[int], array, array]:
+) -> tuple[list[int], KeyspaceTree, array, array]:
     """Every node's k-bucket fill, as positions into the sorted servers.
 
     Node ``i`` has DHT key ``key_ints[i]``; ``servers`` are the nodes
     that tables may hold, and ``live[i]`` says whether node ``i`` is
-    reachable. Returns ``(order, keys, entries, off)``: the servers
-    sorted by key, their keys, and one flat array of every node's
-    :func:`sample_table_positions` picks (``K_BUCKET_SIZE`` per bucket,
-    at most ``max_stale`` unreachable), node ``i``'s at
-    ``entries[off[i]:off[i + 1]]``, each a position in ``order``. The
-    tree the walks share is dropped on return.
+    reachable. Returns ``(order, tree, entries, off)``: the servers
+    sorted by key, the tree the walks shared (``tree.keys`` are the
+    sorted servers' keys; :func:`table_runs` walks it again), and one
+    flat array of every node's :func:`sample_table_positions` picks
+    (``K_BUCKET_SIZE`` per bucket, at most ``max_stale`` unreachable),
+    node ``i``'s at ``entries[off[i]:off[i + 1]]``, each a position in
+    ``order``.
     """
     order = sorted(servers, key=key_ints.__getitem__)
     keys = [key_ints[index] for index in order]
@@ -217,7 +267,7 @@ def fill_positions(
     for own_int in key_ints:
         sample_table_positions(entries, own_int, tree, K_BUCKET_SIZE, max_stale, rng)
         off.append(len(entries))
-    return order, keys, entries, off
+    return order, tree, entries, off
 
 
 def populate_routing_tables(nodes: list[DhtNode], rng: random.Random) -> None:
@@ -234,12 +284,13 @@ def populate_routing_tables(nodes: list[DhtNode], rng: random.Random) -> None:
     walk's dial timeouts hit.
 
     Each table becomes a run view over the one :func:`fill_positions`
-    array (:meth:`RoutingTable.view`), so every table must be empty on
+    array (:meth:`RoutingTable.view`), its runs walked on the fill's
+    own tree (:func:`table_runs`), so every table must be empty on
     entry: ``view`` raises :class:`~repro.errors.SimulationError` on a
     table that holds a peer.
     """
     key_ints = [node.host.peer_id.dht_key_int() for node in nodes]
-    order, keys, entries, off = fill_positions(
+    order, tree, entries, off = fill_positions(
         key_ints,
         [index for index, node in enumerate(nodes) if node.server],
         [node.host.reachable for node in nodes],
@@ -252,8 +303,6 @@ def populate_routing_tables(nodes: list[DhtNode], rng: random.Random) -> None:
         return list(map(ids.__getitem__, positions))
 
     for index, node in enumerate(nodes):
-        lo, hi = off[index], off[index + 1]
         node.routing_table.view(
-            entries, keys, peers_at, lo,
-            bucket_runs(key_ints[index], keys, entries, lo, hi),
+            entries, tree.keys, peers_at, off[index], table_runs(key_ints[index], tree)
         )

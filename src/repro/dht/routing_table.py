@@ -12,14 +12,17 @@ performance boost.
 
 A precomputed fill can be read without a table: a *run view* is the
 tuple ``(entries, keys, peers_at, base, runs)`` over a slice of a flat
-array of stored entries (see :func:`bucket_runs`), and :func:`nearest`
-answers from it. :meth:`RoutingTable.view` makes a table of one.
+array of stored entries, and :func:`nearest` answers from it.
+``runs`` is one ``bytes``: the populated bucket indexes in stored
+order, then each run's length. The fill's keyspace walk derives it
+(:func:`~repro.dht.bootstrap.table_runs`) without reading the entries.
+:meth:`RoutingTable.view` makes a table of one.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
-from itertools import groupby
+from itertools import filterfalse
 
 from repro.dht.keyspace import KEY_BITS, key_int_for_peer, key_for_peer
 from repro.errors import SimulationError
@@ -27,50 +30,6 @@ from repro.multiformats.peerid import PeerId
 
 #: Bucket capacity and record replication factor (Section 2.3).
 K_BUCKET_SIZE = 20
-
-
-def bucket_runs(
-    own_key_int: int,
-    keys: Sequence[int],
-    entries: Sequence[int],
-    lo: int,
-    hi: int,
-) -> bytes:
-    """The bucket runs of the stored entries ``entries[lo:hi]``.
-
-    The entries are ints naming peers, ``keys[e]`` being the DHT key
-    int of entry ``e``, stored as a precomputed fill stores them:
-    grouped by bucket, each group in least-recently-seen order. The
-    result is ``bytes``, the populated bucket indexes in stored order
-    followed by each run's length (a bucket holds at most
-    ``K_BUCKET_SIZE`` <= 255 entries): with ``lo`` it locates every
-    run, so a view over the slice copies nothing. The entries must be
-    what replayed :meth:`RoutingTable.add` calls would keep whole — no
-    duplicate, not our own key, at most ``K_BUCKET_SIZE`` per bucket —
-    and grouped, or :class:`SimulationError` is raised.
-    """
-    stored = entries[lo:hi]
-    # Each entry's XOR distance length: bucket KEY_BITS - length
-    # (length 0 is our own key).
-    lengths = list(map(
-        int.bit_length, map(own_key_int.__xor__, map(keys.__getitem__, stored))
-    ))
-    populated = []
-    sizes = []
-    for length, run in groupby(lengths):
-        populated.append(min(KEY_BITS - length, KEY_BITS - 1))
-        sizes.append(len(list(run)))
-    if (
-        len(set(stored)) != len(stored)
-        or 0 in lengths
-        or len(set(populated)) != len(populated)  # a bucket split in two
-        or max(sizes, default=0) > K_BUCKET_SIZE
-    ):
-        raise SimulationError(
-            "a stored fill needs distinct peers other than our own id, "
-            f"grouped by bucket, at most {K_BUCKET_SIZE} per bucket"
-        )
-    return bytes(populated + sizes)
 
 
 def run_bounds(view: tuple | None, index: int) -> tuple[int, int] | None:
@@ -143,13 +102,14 @@ def nearest(
     distance, hence every entry of bucket ``c`` is closer than every
     entry of the buckets above it (one group, their distances
     interleave), which are closer than bucket ``c - 1``, then
-    ``c - 2``, ... ``0``. Sort group by group and stop once ``count``
+    ``c - 2``, ... ``0``. Order group by group and stop once ``count``
     peers are out: this is the hottest routing-table path (every
     FIND_NODE answer takes it), and a full bucket ``c`` answers it by
-    sorting 20 entries. Distinct entries have distinct distances, so
-    the result does not depend on scan order — nor on whether a
-    group's buckets are dicts, runs, or some of each. A run's pairs
-    carry entry ints, named only once chosen.
+    sorting 20 ints. Distinct entries have distinct distances, so each
+    group is a dict keyed by distance, sorted by key alone; the result
+    does not depend on scan order — nor on whether a group's buckets
+    are dicts, runs, or some of each. A run's entries stay ints, named
+    only once chosen.
     """
     target = int.from_bytes(target_key, "big")
     split = min(KEY_BITS - (own_key_int ^ target).bit_length(), KEY_BITS - 1)
@@ -166,24 +126,18 @@ def nearest(
             )
     found: list = []
     for group in _nearest_first(split, indexes):
-        pairs = []
+        by_distance = {}
         for index in group:
             bucket = buckets.get(index)
             if bucket is not None:
-                pairs += [
-                    (key_int ^ target, peer_id) for peer_id, key_int in bucket.items()
-                ]
+                by_distance.update(zip(map(target.__xor__, bucket.values()), bucket))
             else:
                 run = populated.find(index)
                 lo = base + sum(runs[n_runs:n_runs + run])
-                pairs += [
-                    (keys[entry] ^ target, entry)
-                    for entry in entries[lo:lo + runs[n_runs + run]]
-                ]
-        if is_open is not None:
-            pairs = [pair for pair in pairs if not is_open(pair[1])]
-        pairs.sort()
-        found += [item for _, item in pairs]
+                stored = entries[lo:lo + runs[n_runs + run]]
+                by_distance.update(zip(map(target.__xor__, map(keys.__getitem__, stored)), stored))
+        nearest_first = map(by_distance.__getitem__, sorted(by_distance))
+        found += nearest_first if is_open is None else filterfalse(is_open, nearest_first)
         if len(found) >= count:
             del found[count:]
             break
@@ -313,10 +267,15 @@ class RoutingTable:
         """Fill this *empty* table with the run view ``(entries, keys,
         peers_at, base, runs)``.
 
-        ``runs`` is :func:`bucket_runs` of ``entries`` from ``base`` (for
-        this table's own key): ``keys[e]`` is the DHT key int of entry
-        ``e``, and ``peers_at`` maps a list of entries to the list of
-        their ``PeerId`` objects. Every bulk fill takes this path
+        ``runs`` locates this table's buckets in ``entries`` from
+        ``base``: the populated bucket indexes in stored order, then
+        each run's length, as :func:`~repro.dht.bootstrap.table_runs`
+        derives them for this table's own key from the walk that stored
+        the entries. Each bucket is one run in least-recently-seen
+        order, never our own key, at most ``K_BUCKET_SIZE`` entries.
+        ``keys[e]`` is the DHT key int of entry ``e``, and ``peers_at``
+        maps a list of entries to the list of their ``PeerId`` objects.
+        Every bulk fill takes this path
         (:func:`~repro.dht.bootstrap.fill_positions`). The table keeps
         references, no copy: no dict and no ``PeerId`` per entry. Every
         read (``in``, ``len``, :meth:`closest`, :meth:`peers`,

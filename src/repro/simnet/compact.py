@@ -30,10 +30,13 @@ experiments up to the network's real size:
   ``agent_version``, ``dht_server``, ``dcutr``). A FIND_NODE needs the
   stored fill: the first *delivered* ``dht/FIND_NODE`` to a DHT server
   keeps only its bucket runs over its slice of the flat table array
-  (:func:`~repro.dht.routing_table.bucket_runs`, one ``bytes`` of a
-  few dozen bytes), and every FIND_NODE it gets is answered from them
-  by :func:`~repro.dht.routing_table.nearest`, the selection
-  ``RoutingTable.closest`` makes — a crawler's bucket dump never gets
+  (one ``bytes`` of a few dozen bytes), which the fill's keyspace walk
+  derives from window sizes without reading the slice
+  (:func:`~repro.dht.bootstrap.table_runs`, on one tree the first
+  attach grows). Every FIND_NODE it gets is answered from them by
+  :func:`~repro.dht.routing_table.nearest`, the selection
+  ``RoutingTable.closest`` makes, naming its peers through one list
+  indexed by table position — a crawler's bucket dump never gets
   further. A ``RoutingTable``, a view over the same runs, is built
   only when a write would change them: a FIND_NODE whose sender
   ``learn_about`` would add, or the node. Any other ``dht/…`` RPC
@@ -65,14 +68,13 @@ from functools import partial
 from repro.bitswap.engine import BitswapEngine
 from repro.blockstore.memory import MemoryBlockstore
 from repro.dht import rpc
-from repro.dht.bootstrap import STALE_FRACTION, fill_positions
+from repro.dht.bootstrap import STALE_FRACTION, fill_positions, run_tree, table_runs
 from repro.dht.dht_node import DhtNode, answer_find_node
 from repro.dht.hydra import HydraBooster
 from repro.dht.keyspace import KEY_BITS, key_int_for_peer
 from repro.dht.routing_table import (
     K_BUCKET_SIZE,
     RoutingTable,
-    bucket_runs,
     nearest,
     run_bounds,
     run_takes,
@@ -328,6 +330,10 @@ class CompactWorld:
         # what every table-stage peer reads (see `_table_view`)
         self._view_args: tuple | None = None
         self._own_keys: list[int] = []
+        # the keyspace tree `_runs_at` walks, grown from the first attach
+        self._run_tree = None
+        # table position -> PeerId, each named on first use (`_peers_at`)
+        self._named: list[PeerId | None] = []
 
     def __len__(self) -> int:
         return self.n
@@ -388,17 +394,13 @@ class CompactWorld:
 
     def _runs_at(self, index: int) -> bytes:
         """Stage 2: peer ``index``'s bucket runs over its slice of the
-        stored fill: the entries in insertion (= LRU) order, grouped by
-        bucket as the fill walks them; never our own id, at most
-        K_BUCKET_SIZE per bucket, which is what `bucket_runs` requires.
-        An object world's tables are views over the same runs."""
+        stored fill, derived by the fill's own keyspace walk
+        (:func:`~repro.dht.bootstrap.table_runs`), as an object world's
+        tables are."""
         runs = self._runs.get(index)
         if runs is None:
-            entries, keys, _ = self._table_view()
-            off = self._table_off
-            runs = self._runs[index] = bucket_runs(
-                self._own_keys[index], keys, entries, off[index], off[index + 1]
-            )
+            self._table_view()
+            runs = self._runs[index] = table_runs(self._own_keys[index], self._run_tree)
             self.materialized += 1
         return runs
 
@@ -481,23 +483,30 @@ class CompactWorld:
     def _table_view(self) -> tuple:
         """What every run view reads: the flat table array, each stored
         position's DHT key int and the positions -> ``PeerId``s lookup;
-        derived on the first attach, with every peer's own key int
-        (``build`` attaches nothing, so it keeps no key ints)."""
+        derived on the first attach, with every peer's own key int, the
+        tree the runs are walked on and the empty position -> ``PeerId``
+        list (``build`` attaches nothing, so it keeps none of them)."""
         if self._view_args is None:
             # `_index` was filled in peer-index order
             keys = _dht_key_ints(self._index)
             keys += [peer_id.dht_key_int() for peer_id in self._all_ids[self.n:]]
             self._own_keys = keys
-            self._view_args = (
-                self._table_entries,
-                [keys[index] for index in self._server_order],
-                self._peers_at,
-            )
+            server_keys = [keys[index] for index in self._server_order]
+            self._run_tree = run_tree(server_keys)
+            self._named = [None] * len(server_keys)
+            self._view_args = (self._table_entries, server_keys, self._peers_at)
         return self._view_args
 
     def _peers_at(self, positions) -> list[PeerId]:
-        """The ``PeerId``s at stored positions of the server order."""
-        return self._ids_at(map(self._server_order.__getitem__, positions))
+        """The ``PeerId``s at stored positions of the server order: the
+        very objects ``_ids_at`` returns, kept by position once named."""
+        named = self._named
+        return [named[position] or self._name(position) for position in positions]
+
+    def _name(self, position: int) -> PeerId:
+        (peer_id,) = self._ids_at((self._server_order[position],))
+        self._named[position] = peer_id
+        return peer_id
 
     def _table_indices(self, index: int) -> array:
         """Peer ``index``'s routing-table entries as peer indices, in

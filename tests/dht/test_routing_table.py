@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from repro.crawler.crawl import bucket_probe_key
 from repro.dht.keyspace import bucket_index, key_for_peer, xor_distance
-from repro.dht.routing_table import K_BUCKET_SIZE, RoutingTable, bucket_runs
+from repro.dht.routing_table import K_BUCKET_SIZE, RoutingTable
 from repro.errors import SimulationError
 from repro.multiformats.peerid import PeerId
+from tests.helpers import bucket_runs
 
 
 def pid(n: int) -> PeerId:
@@ -418,6 +419,9 @@ def _same_bucket_peers(count: int) -> list[PeerId]:
     ],
 )
 def test_view_rejects_what_add_would_not_take_whole(peers):
+    # A fill's walk derives runs that hold all this by construction;
+    # the reference runs `fill_view` takes refuse a stored fill that
+    # does not.
     table = RoutingTable(OWN)
     with pytest.raises(SimulationError):
         fill_view(table, peers)

@@ -1,6 +1,6 @@
 """Shared test helpers: compact simulated-world builders, the
-sub-second shape of the ``figures`` datasets, and the plain reference
-loops a world's churn and the gateway day are held to."""
+sub-second shape of the ``figures`` datasets, and the plain references
+a world's bucket runs, its churn and the gateway day are held to."""
 
 from __future__ import annotations
 
@@ -9,12 +9,16 @@ import hashlib
 import math
 import random
 from collections import OrderedDict
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import groupby
 from unittest import mock
 
 from repro.dht.bootstrap import populate_routing_tables
 from repro.dht.dht_node import DhtNode
+from repro.dht.keyspace import KEY_BITS
+from repro.dht.routing_table import K_BUCKET_SIZE
+from repro.errors import SimulationError
 from repro.experiments import figures
 from repro.gateway.gateway import default_upstream_model, node_store_latency
 from repro.gateway.logs import CacheTier
@@ -152,6 +156,52 @@ class SessionProcess:
             self._schedule_offline()
 
         self._sim.schedule(delay, go_online)
+
+
+def bucket_runs(
+    own_key_int: int,
+    keys: Sequence[int],
+    entries: Sequence[int],
+    lo: int,
+    hi: int,
+) -> bytes:
+    """The bucket runs of the stored entries ``entries[lo:hi]``, by an
+    XOR scan of them: the reference the keyspace walk's
+    :func:`~repro.dht.bootstrap.table_runs` is held to.
+
+    The entries are ints naming peers, ``keys[e]`` being the DHT key
+    int of entry ``e``, stored as a precomputed fill stores them:
+    grouped by bucket, each group in least-recently-seen order. The
+    result is ``bytes``, the populated bucket indexes in stored order
+    followed by each run's length (a bucket holds at most
+    ``K_BUCKET_SIZE`` <= 255 entries): with ``lo`` it locates every
+    run, so a view over the slice copies nothing. The entries must be
+    what replayed ``RoutingTable.add`` calls would keep whole — no
+    duplicate, not our own key, at most ``K_BUCKET_SIZE`` per bucket —
+    and grouped, or :class:`SimulationError` is raised.
+    """
+    stored = entries[lo:hi]
+    # Each entry's XOR distance length: bucket KEY_BITS - length
+    # (length 0 is our own key).
+    lengths = list(map(
+        int.bit_length, map(own_key_int.__xor__, map(keys.__getitem__, stored))
+    ))
+    populated = []
+    sizes = []
+    for length, run in groupby(lengths):
+        populated.append(min(KEY_BITS - length, KEY_BITS - 1))
+        sizes.append(len(list(run)))
+    if (
+        len(set(stored)) != len(stored)
+        or 0 in lengths
+        or len(set(populated)) != len(populated)  # a bucket split in two
+        or max(sizes, default=0) > K_BUCKET_SIZE
+    ):
+        raise SimulationError(
+            "a stored fill needs distinct peers other than our own id, "
+            f"grouped by bucket, at most {K_BUCKET_SIZE} per bucket"
+        )
+    return bytes(populated + sizes)
 
 
 def rng_state_sha256(rng: random.Random) -> str:

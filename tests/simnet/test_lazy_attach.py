@@ -13,6 +13,7 @@ and that a late-attached peer answers exactly like an eager one.
 
 from __future__ import annotations
 
+import operator
 import tracemalloc
 
 import pytest
@@ -131,13 +132,16 @@ def test_attached_node_bytes(sender):
     # to each of the first 50 reliable peers: the bucket runs (no
     # table: a FIND_NODE that writes nothing keeps only the runs), the
     # answers' PeerIds, the dial's connections and the per-peer key
-    # ints of the first attach. A DHT-server sender is also offered to
+    # ints, the run tree and the position -> PeerId list of the first
+    # attach. A DHT-server sender is also offered to
     # the answering peer: a full bucket turns it away, a refresh or a
     # free slot takes it in, and either is a write that attaches a
     # table over the runs, copying the one bucket it changes. Measured
-    # on CPython 3.11.7: 8 150 B/peer from a client and 8 170-8 215
-    # B/peer from a DHT server (two tables written; the spread is the
-    # hash seed); 9 113 and 9 147 B/peer with a per-host attach hook
+    # on CPython 3.11.7: 8 757 B/peer from a client and 8 779 B/peer
+    # from a DHT server (two tables written); 8 150 and 8 170-8 215
+    # B/peer (the spread is the hash seed) when the runs came from an
+    # XOR scan of the stored entries, with no tree and no position
+    # list; 9 113 and 9 147 B/peer with a per-host attach hook
     # and an unslotted Multihash, 10 107 and 10 211 B/peer when every
     # FIND_NODE attached a table view, 12 511 and 12 182 B/peer when it
     # attached a whole DhtNode. The bound allows 1.33x the client
@@ -162,6 +166,40 @@ def test_attached_node_bytes(sender):
     assert world.nodes == {}
     assert (world._tables == {}) == (sender == "client")
     assert kept / world.materialized <= 10_840
+
+
+@pytest.mark.parametrize("vantages", [[], ["eu_central_1"]])
+def test_answers_name_peers_by_table_position(vantages):
+    """A table-stage answer names its peers through one list indexed
+    by table position, filled on first use with the very ``PeerId``
+    objects the population memo holds (or ``_all_ids``, in a world
+    with vantages); the build names none of them."""
+    compact = generate_compact_population(
+        PopulationConfig(n_peers=N_PEERS), derive_rng(SEED, "population")
+    )
+    world = build_compact_world(
+        compact, ScenarioConfig(seed=SEED, with_churn=False), vantage_regions=vantages
+    )
+    assert world._named == [] and world._run_tree is None
+    client = SimHost(PeerId.from_public_key(b"lazy-attach-client"), transports=ALL_TRANSPORTS)
+    world.net.register(client)
+    reliable = [
+        index for index in range(world.n)
+        if world.compact.reachability_at(index) == "reliable"
+    ][:5]
+    answers = [_find_node(world, client, index).result().closer_peers for index in reliable]
+    owner = world._all_ids if vantages else compact._peer_ids
+    named = [
+        (position, peer_id) for position, peer_id in enumerate(world._named)
+        if peer_id is not None
+    ]
+    assert len(world._named) == len(world._server_order)
+    assert {peer_id for _, peer_id in named} == {p for answer in answers for p in answer}
+    for position, peer_id in named:
+        assert peer_id is owner[world._server_order[position]]
+    positions = range(0, len(world._server_order), 7)
+    expected = world._ids_at(world._server_order[position] for position in positions)
+    assert all(map(operator.is_, world._peers_at(positions), expected))
 
 
 def test_client_mode_is_a_host_fact():

@@ -20,9 +20,13 @@ calls ``populate_routing_tables`` or ``RoutingTable.remove``.
 Every world fills its tables with one function,
 ``bootstrap.fill_positions``: the object world's
 ``populate_routing_tables`` and ``CompactWorld._fill_tables`` both call
-it, it alone builds a ``KeyspaceTree`` and walks it, and a bulk fill is
-a ``RoutingTable.view`` (no ``load``; every bucket holds
-``K_BUCKET_SIZE``, no ``bucket_size``).
+it, and a bulk fill is a ``RoutingTable.view`` (no ``load``; every
+bucket holds ``K_BUCKET_SIZE``, no ``bucket_size``). The
+``KeyspaceTree`` and its walks live in ``dht/bootstrap.py`` alone,
+which serves both the fill and a table's bucket runs
+(``bootstrap.table_runs``, what both worlds' views read); no module
+derives runs by XOR-scanning stored entries (that scan is the test
+reference, ``tests.helpers.bucket_runs``).
 
 Every FIND_NODE answer picks its closest peers with one function,
 ``routing_table.nearest``.
@@ -33,6 +37,7 @@ import dataclasses
 import inspect
 from pathlib import Path
 
+from repro.dht.bootstrap import table_runs
 from repro.dht.routing_table import RoutingTable
 from repro.experiments.scale import ScaleCrawlConfig
 from repro.simnet.compact import build_compact_world
@@ -207,20 +212,24 @@ def _named_calls(tree: ast.AST, function: str) -> int:
 
 
 def test_one_table_fill():
-    """The tree and the walk run in ``fill_positions`` alone, anywhere
-    in ``src/`` (module level included), and both worlds' fills call it."""
+    """The tree and the walk have one home, ``dht/bootstrap.py``,
+    anywhere in ``src/`` (module level included): ``fill_positions``
+    builds the tree it samples, ``run_tree`` the one a compact world
+    walks for runs alone. Both worlds' fills call ``fill_positions``."""
     trees = _trees()
-    (fill,) = [
-        function for name, function in _functions(trees)
-        if f"{name}:{function.name}" == "dht/bootstrap.py:fill_positions"
-    ]
-    for part in ("KeyspaceTree", "sample_table_positions"):
+    functions = {f"{name}:{function.name}": function for name, function in _functions(trees)}
+    homes = {
+        "KeyspaceTree": {"fill_positions": 1, "run_tree": 1},
+        "sample_table_positions": {"fill_positions": 1},
+    }
+    for part, counts in homes.items():
         callers = {
             name: count for name, tree in trees.items()
             if (count := _named_calls(tree, part))
         }
-        assert callers == {"dht/bootstrap.py": 1}, part
-        assert _named_calls(fill, part) == 1, part
+        assert callers == {"dht/bootstrap.py": sum(counts.values())}, part
+        for home, count in counts.items():
+            assert _named_calls(functions[f"dht/bootstrap.py:{home}"], part) == count, part
     fillers = sorted(
         f"{name}:{function.name}"
         for name, function in _functions(trees)
@@ -229,6 +238,40 @@ def test_one_table_fill():
     assert fillers == [
         "dht/bootstrap.py:populate_routing_tables", "simnet/compact.py:_fill_tables",
     ]
+
+
+def _groups_by_xor(function: ast.AST) -> bool:
+    """Whether a function both XORs and groups: the shape of a scan
+    that finds bucket runs from keys' XOR distances."""
+    nodes = list(ast.walk(function))
+    xors = any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.BitXor) for n in nodes)
+    return xors and _named_calls(function, "groupby") > 0
+
+
+def test_runs_come_from_the_walk():
+    """Both worlds take a table's bucket runs from the fill's walk.
+    Only ``table_runs`` groups keys by XOR distance, and it takes no
+    stored entries: it places the wholesale tail's at most k keys,
+    read off its window. No module names the stored-entry scan."""
+    trees = _trees()
+    walkers = sorted(
+        f"{name}:{function.name}"
+        for name, function in _functions(trees)
+        if _named_calls(function, "table_runs")
+    )
+    assert walkers == ["dht/bootstrap.py:populate_routing_tables", "simnet/compact.py:_runs_at"]
+    scanners = sorted(
+        f"{name}:{function.name}"
+        for name, function in _functions(trees)
+        if _groups_by_xor(function)
+    )
+    assert scanners == ["dht/bootstrap.py:table_runs"]
+    assert list(inspect.signature(table_runs).parameters) == ["own_int", "tree"]
+    found = sorted(
+        name for name, tree in trees.items()
+        for node in ast.walk(tree) if "bucket_runs" in _named(node)
+    )
+    assert not found, f"modules naming the stored-entry scan: {found}"
 
 
 def test_a_bulk_fill_is_a_view_of_k_buckets():
