@@ -22,7 +22,7 @@ order, then each run's length. The fill's keyspace walk derives it
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
-from itertools import filterfalse
+from operator import itemgetter
 
 from repro.dht.keyspace import KEY_BITS, key_int_for_peer, key_for_peer
 from repro.errors import SimulationError
@@ -30,6 +30,9 @@ from repro.multiformats.peerid import PeerId
 
 #: Bucket capacity and record replication factor (Section 2.3).
 K_BUCKET_SIZE = 20
+
+#: A ``(distance, item)`` pair's sort key in :func:`nearest`
+_distance = itemgetter(0)
 
 
 def run_bounds(view: tuple | None, index: int) -> tuple[int, int] | None:
@@ -102,14 +105,16 @@ def nearest(
     distance, hence every entry of bucket ``c`` is closer than every
     entry of the buckets above it (one group, their distances
     interleave), which are closer than bucket ``c - 1``, then
-    ``c - 2``, ... ``0``. Order group by group and stop once ``count``
+    ``c - 2``, ... ``0``. Sort group by group and stop once ``count``
     peers are out: this is the hottest routing-table path (every
     FIND_NODE answer takes it), and a full bucket ``c`` answers it by
-    sorting 20 ints. Distinct entries have distinct distances, so each
-    group is a dict keyed by distance, sorted by key alone; the result
-    does not depend on scan order — nor on whether a group's buckets
-    are dicts, runs, or some of each. A run's entries stay ints, named
-    only once chosen.
+    sorting 20 entries. Distinct entries have distinct distances, so a
+    group's ``(distance, item)`` pairs are sorted by their int distance
+    alone (a tuple comparison would test the distances for equality
+    first, and could compare a ``PeerId`` with an entry int), and the
+    result does not depend on scan order — nor on whether a group's
+    buckets are dicts, runs, or some of each. A run's pairs carry
+    entry ints, named only once chosen.
     """
     target = int.from_bytes(target_key, "big")
     split = min(KEY_BITS - (own_key_int ^ target).bit_length(), KEY_BITS - 1)
@@ -126,18 +131,24 @@ def nearest(
             )
     found: list = []
     for group in _nearest_first(split, indexes):
-        by_distance = {}
+        pairs = []
         for index in group:
             bucket = buckets.get(index)
             if bucket is not None:
-                by_distance.update(zip(map(target.__xor__, bucket.values()), bucket))
+                pairs += [
+                    (key_int ^ target, peer_id) for peer_id, key_int in bucket.items()
+                ]
             else:
                 run = populated.find(index)
                 lo = base + sum(runs[n_runs:n_runs + run])
-                stored = entries[lo:lo + runs[n_runs + run]]
-                by_distance.update(zip(map(target.__xor__, map(keys.__getitem__, stored)), stored))
-        nearest_first = map(by_distance.__getitem__, sorted(by_distance))
-        found += nearest_first if is_open is None else filterfalse(is_open, nearest_first)
+                pairs += [
+                    (keys[entry] ^ target, entry)
+                    for entry in entries[lo:lo + runs[n_runs + run]]
+                ]
+        if is_open is not None:
+            pairs = [pair for pair in pairs if not is_open(pair[1])]
+        pairs.sort(key=_distance)
+        found += [item for _, item in pairs]
         if len(found) >= count:
             del found[count:]
             break
