@@ -19,7 +19,7 @@ on a network where 45.5 % of advertised peers are unreachable.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_right
 from collections.abc import Callable, Generator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
@@ -88,10 +88,6 @@ class _Candidate:
     state: str = "new"
 
 
-def _distance(candidate: _Candidate) -> int:
-    return candidate.distance
-
-
 class _Walk:
     """Shared machinery for all three walk kinds."""
 
@@ -113,8 +109,11 @@ class _Walk:
         self.target_int = int.from_bytes(target_key, "big")
         self.stats = LookupStats()
         self.candidates: dict[PeerId, _Candidate] = {}
-        #: every candidate, nearest first (distances are distinct)
+        #: every candidate, nearest first (distances are distinct), and
+        #: their distances in the same order, which the insert bisects
         self._by_distance: list[_Candidate] = []
+        self._distances: list[int] = []
+        self._own_key_int = node.routing_table.own_key_int
         #: launch tag -> ``[peer, settled RPC future or None]``, in
         #: launch order
         self.inflight: dict[int, list] = {}
@@ -139,11 +138,16 @@ class _Walk:
             self._add_candidate(peer_id, depth=0)
 
     def _add_candidate(self, peer_id: PeerId, depth: int) -> None:
-        if peer_id in self.candidates or peer_id == self.node.host.peer_id:
+        if peer_id in self.candidates:
             return
-        distance = key_int_for_peer(peer_id) ^ self.target_int
+        key_int = key_int_for_peer(peer_id)
+        if key_int == self._own_key_int:
+            return  # the walker itself
+        distance = key_int ^ self.target_int
         candidate = self.candidates[peer_id] = _Candidate(peer_id, distance, depth)
-        insort(self._by_distance, candidate, key=_distance)
+        position = bisect_right(self._distances, distance)
+        self._distances.insert(position, distance)
+        self._by_distance.insert(position, candidate)
         self.stats.peers_discovered += 1
 
     def _sorted_live(self) -> list[_Candidate]:

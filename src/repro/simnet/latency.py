@@ -172,9 +172,11 @@ _RATE_MIN: dict[tuple[PeerClass, PeerClass], float] = {
     for b in PeerClass
 }
 
-#: peer class -> uniform processing-delay bounds.
-_PROCESSING_BOUNDS: dict[PeerClass, tuple[float, float]] = {
-    cls: _CLASS_PROFILES[cls].processing_delay_s for cls in PeerClass
+#: peer class -> (low, high - low) of its uniform processing delay.
+_PROCESSING_SPANS: dict[PeerClass, tuple[float, float]] = {
+    cls: (low, high - low)
+    for cls in PeerClass
+    for low, high in (_CLASS_PROFILES[cls].processing_delay_s,)
 }
 
 
@@ -187,8 +189,9 @@ class LatencyModel:
     """
 
     def __init__(self, jitter: tuple[float, float] = (0.85, 1.35)) -> None:
-        self._jitter = jitter
-        self._jitter_low, self._jitter_high = jitter
+        low, high = jitter
+        self._jitter_low = low
+        self._jitter_span = high - low
         #: (region_a, class_a, region_b, class_b) -> rtt/2 + access sum
         #: in ms, filled lazily (729 combinations at most).
         self._base_ms: dict[tuple, float] = {}
@@ -214,19 +217,21 @@ class LatencyModel:
                 + _ACCESS_SUM_MS[(class_a, class_b)]
             )
             self._base_ms[key] = base
-        return base * rng.uniform(self._jitter_low, self._jitter_high) / 1000.0
+        # `rng.uniform(low, high)` as random.py computes it, without
+        # its frame (same for the other two draws below)
+        return base * (self._jitter_low + self._jitter_span * rng.random()) / 1000.0
 
     def processing_delay(self, peer_class: PeerClass, rng: random.Random) -> float:
         """Server-side handling delay for one RPC, in seconds."""
-        low, high = _PROCESSING_BOUNDS[peer_class]
-        return rng.uniform(low, high)
+        low, span = _PROCESSING_SPANS[peer_class]
+        return low + span * rng.random()
 
     def transfer_time(
         self, size_bytes: int, sender: PeerClass, receiver: PeerClass, rng: random.Random
     ) -> float:
         """Seconds to push ``size_bytes`` (bottleneck of both uplinks)."""
         rate = _RATE_MIN[(sender, receiver)]
-        return size_bytes / rate * rng.uniform(self._jitter_low, self._jitter_high)
+        return size_bytes / rate * (self._jitter_low + self._jitter_span * rng.random())
 
     @staticmethod
     def class_profile(peer_class: PeerClass) -> ClassProfile:

@@ -496,16 +496,11 @@ class SimNetwork:
             # *is* the loss, so nothing closes it artificially.
             future.add_callback(finish)
 
-        def on_dialed(dial_future: Future) -> None:
-            if dial_future.failed:
-                future.fail(dial_future.exception())  # type: ignore[arg-type]
-                return
-            self._send_request(src, target_id, method, payload, request_size, future)
-
+        exchange = _Exchange(self, src, target_id, method, payload, request_size, future)
         if src.is_connected(target_id):
-            self._send_request(src, target_id, method, payload, request_size, future)
+            exchange.send()
         elif auto_dial:
-            self.dial(src, target_id).add_callback(on_dialed)
+            self.dial(src, target_id).add_callback(exchange.dialed)
         else:
             future.fail(DialError(f"not connected to {target_id}"))
         return future
@@ -545,8 +540,26 @@ class SimNetwork:
         receiver.rx_free_at = finish
         return finish - now
 
-    def _send_request(
+
+class _Exchange:
+    """One RPC on the wire: its request, its target and the caller's
+    future. The three scheduled hops are its bound methods — the request
+    reaches the target (:meth:`deliver`), the target answers after its
+    processing delay (:meth:`respond`), the answer reaches the caller
+    (:meth:`complete`) — so an RPC allocates this one object instead of
+    a closure per hop. Nothing but its pending event (or the dial it
+    waits on) refers to it: once the last hop has run, it and what it
+    carries are garbage.
+    """
+
+    __slots__ = (
+        "net", "src", "target_id", "method", "payload", "request_size",
+        "future", "target", "fault", "response",
+    )
+
+    def __init__(
         self,
+        net: SimNetwork,
         src: SimHost,
         target_id: PeerId,
         method: str,
@@ -554,34 +567,62 @@ class SimNetwork:
         request_size: int,
         future: Future,
     ) -> None:
-        target = self.hosts.get(target_id)
-        if target is None and self.host_resolver is not None:
-            target = self.host_resolver(target_id)
+        self.net = net
+        self.src = src
+        self.target_id = target_id
+        self.method = method
+        self.payload = payload
+        self.request_size = request_size
+        self.future = future
+        #: set by :meth:`send` before any hop is scheduled
+        self.target: SimHost | None = None
+        self.fault: FaultKind | None = None
+        #: the handler's answer, carried from :meth:`respond` to
+        #: :meth:`complete`
+        self.response: Any = None
+
+    def dialed(self, dial_future: Future) -> None:
+        """The auto-dial settled: send over it, or fail with it."""
+        if dial_future.failed:
+            self.future.fail(dial_future.exception())  # type: ignore[arg-type]
+            return
+        self.send()
+
+    def send(self) -> None:
+        net = self.net
+        src = self.src
+        target_id = self.target_id
+        future = self.future
+        target = net.hosts.get(target_id)
+        if target is None and net.host_resolver is not None:
+            target = net.host_resolver(target_id)
         if target is None:
             future.fail(DialError(f"unknown peer {target_id}"))
             return
+        self.target = target
 
         # Outbound traffic keeps the sender's NAT mapping warm: an
         # active RPC stream is what holds a binding open past its TTL.
         if src.nat is not None:
-            src.nat.map_outbound(target_id, target.listen_port, self.sim.now)
+            src.nat.map_outbound(target_id, target.listen_port, net.sim.now)
 
-        fault: FaultKind | None = None
-        if self.faults is not None:
-            if self.faults.severed(src, target.region, self.sim.now):
+        fault = None
+        faults = net.faults
+        if faults is not None:
+            if faults.severed(src, target.region, net.sim.now):
                 # The partition reset the connection under us.
-                self.stats.faults_injected += 1
-                self.disconnect(src, target_id)
+                net.stats.faults_injected += 1
+                net.disconnect(src, target_id)
                 future.fail(
                     PartitionError(f"partition severs RPC {src.peer_id} -> {target_id}")
                 )
                 return
-            fault = self.faults.rpc_fault(target, self.sim.now, method)
+            fault = self.fault = faults.rpc_fault(target, net.sim.now, self.method)
             if fault is not None:
-                self.stats.faults_injected += 1
+                net.stats.faults_injected += 1
 
-        upstream = self._one_way_between(src, target) + self._occupy_link(
-            src, target, request_size
+        upstream = net._one_way_between(src, target) + net._occupy_link(
+            src, target, self.request_size
         )
         if fault in (FaultKind.LOSS, FaultKind.BLACKHOLE):
             # The request (or its answer) vanishes: the future never
@@ -589,82 +630,86 @@ class SimNetwork:
             # caller's timeout is what recovers.
             return
         if fault is FaultKind.RESET:
-            def reset() -> None:
-                if not src.online:
-                    return
-                self.disconnect(src, target_id)
-                future.fail(
-                    FaultInjectionError(f"connection to {target_id} reset mid-RPC")
-                )
-
-            self.sim.schedule(upstream, reset)
+            net.sim.schedule(upstream, self.reset)
             return
+        net.sim.schedule(upstream, self.deliver)
 
-        def _severed_in_flight(endpoint: SimHost, toward: Region) -> bool:
-            """A partition that activated while this RPC was on the
-            wire: traffic already in flight dies at the fault boundary
-            exactly like a freshly-issued RPC, instead of slipping
-            through a cut that tore its connection down."""
-            if future.done or self.faults is None:
-                return False
-            if not self.faults.severed(endpoint, toward, self.sim.now):
-                return False
-            self.stats.faults_injected += 1
-            self.disconnect(src, target_id)
-            future.fail(
-                PartitionError(
-                    f"partition severs in-flight RPC {src.peer_id} -> {target_id}"
-                )
+    def reset(self) -> None:
+        if not self.src.online:
+            return
+        self.net.disconnect(self.src, self.target_id)
+        self.future.fail(
+            FaultInjectionError(f"connection to {self.target_id} reset mid-RPC")
+        )
+
+    def _severed(self, endpoint: SimHost, toward: Region) -> bool:
+        """A partition that activated while this RPC was on the wire:
+        traffic already in flight dies at the fault boundary exactly like
+        a freshly-issued RPC, instead of slipping through a cut that tore
+        its connection down. Called only while a fault injector is
+        installed."""
+        net = self.net
+        future = self.future
+        if future.done or not net.faults.severed(endpoint, toward, net.sim.now):
+            return False
+        net.stats.faults_injected += 1
+        net.disconnect(self.src, self.target_id)
+        future.fail(
+            PartitionError(
+                f"partition severs in-flight RPC {self.src.peer_id} -> {self.target_id}"
             )
-            return True
+        )
+        return True
 
-        def deliver() -> None:
-            if not target.online:
-                return  # request lost; caller's timeout handles it
-            if _severed_in_flight(src, target.region):
-                return  # the request never crosses the new cut
-            processing = self.latency.processing_delay(target.peer_class, self.rng)
-            if self.faults is not None:
-                processing *= self.faults.processing_factor(target, self.sim.now)
+    def deliver(self) -> None:
+        target = self.target
+        if not target.online:
+            return  # request lost; caller's timeout handles it
+        net = self.net
+        faults = net.faults
+        if faults is not None and self._severed(self.src, target.region):
+            return  # the request never crosses the new cut
+        processing = net.latency.processing_delay(target.peer_class, net.rng)
+        if faults is not None:
+            processing *= faults.processing_factor(target, net.sim.now)
+        net.sim.schedule(processing, self.respond)
 
-            def respond() -> None:
-                if not target.online:
-                    return
-                if fault is FaultKind.MALFORMED:
-                    response, response_size = None, 16
-                    downstream = self._one_way_between(
-                        target, src
-                    ) + self._occupy_link(target, src, response_size)
-                    self.stats.bytes_transferred += request_size + response_size
-                    self.sim.schedule(downstream, lambda: _complete(response))
-                    return
-                try:
-                    response, response_size = target.handler_for(method)(
-                        src.peer_id, payload
-                    )
-                except SimulationError:
-                    raise
-                except Exception as exc:  # noqa: BLE001 - remote handler fault
-                    future.fail(exc)
-                    return
-                downstream = self._one_way_between(target, src) + self._occupy_link(
-                    target, src, response_size
+    def respond(self) -> None:
+        target = self.target
+        if not target.online:
+            return
+        src = self.src
+        if self.fault is FaultKind.MALFORMED:
+            response, response_size = None, 16
+        else:
+            try:
+                response, response_size = target.handler_for(self.method)(
+                    src.peer_id, self.payload
                 )
-                self.stats.bytes_transferred += request_size + response_size
-                self.sim.schedule(downstream, lambda: _complete(response))
-
-            self.sim.schedule(processing, respond)
-
-        def _complete(response: Any) -> None:
-            if not src.online:
+            except SimulationError:
+                raise
+            except Exception as exc:  # noqa: BLE001 - remote handler fault
+                self.future.fail(exc)
                 return
-            if future.done:
-                # The caller's timeout already abandoned this RPC (see
-                # with_timeout); a late reply is not a completion.
-                return
-            if _severed_in_flight(target, src.region):
-                return  # the response dies crossing back over the cut
-            self.stats.rpcs_completed += 1
-            future.resolve(response)
+        net = self.net
+        downstream = net._one_way_between(target, src) + net._occupy_link(
+            target, src, response_size
+        )
+        net.stats.bytes_transferred += self.request_size + response_size
+        self.response = response
+        net.sim.schedule(downstream, self.complete)
 
-        self.sim.schedule(upstream, deliver)
+    def complete(self) -> None:
+        src = self.src
+        if not src.online:
+            return
+        future = self.future
+        if future.done:
+            # The caller's timeout already abandoned this RPC (see
+            # with_timeout); a late reply is not a completion.
+            return
+        net = self.net
+        if net.faults is not None and self._severed(self.target, src.region):
+            return  # the response dies crossing back over the cut
+        net.stats.rpcs_completed += 1
+        future.resolve(self.response)

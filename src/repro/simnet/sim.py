@@ -374,6 +374,32 @@ def all_of(futures: Iterable[Future]) -> Future:
     return combined
 
 
+class _Deadline:
+    """One :func:`with_timeout` wrapper: the timer's callback
+    (:meth:`expire`) and the inner future's (:meth:`settled`) are bound
+    methods of this one slotted object rather than two closures."""
+
+    __slots__ = ("inner", "wrapped", "seconds", "timer")
+
+    def __init__(self, sim: Simulator, inner: Future, seconds: float) -> None:
+        self.inner = inner
+        self.wrapped = Future()
+        self.seconds = seconds
+        self.timer = sim.schedule(seconds, self.expire)
+
+    def expire(self) -> None:
+        error = TimeoutError_(f"timed out after {self.seconds}s")
+        self.wrapped.fail(error)
+        self.inner.fail(error)
+
+    def settled(self, inner: Future) -> None:
+        self.timer.cancel()
+        if inner.failed:
+            self.wrapped.fail(inner.exception())  # type: ignore[arg-type]
+        else:
+            self.wrapped.resolve(inner.result())
+
+
 def with_timeout(sim: Simulator, future: Future, seconds: float) -> Future:
     """Wrap ``future`` so it fails with :class:`TimeoutError_` after
     ``seconds`` if it has not settled.
@@ -383,21 +409,6 @@ def with_timeout(sim: Simulator, future: Future, seconds: float) -> Future:
     not count as a completion in the network stats — this is what keeps
     ``rpcs_completed + rpcs_timed_out <= rpcs_sent`` an invariant).
     """
-    wrapped = Future()
-
-    def on_timeout() -> None:
-        error = TimeoutError_(f"timed out after {seconds}s")
-        wrapped.fail(error)
-        future.fail(error)
-
-    timer = sim.schedule(seconds, on_timeout)
-
-    def on_done(inner: Future) -> None:
-        timer.cancel()
-        if inner.failed:
-            wrapped.fail(inner.exception())  # type: ignore[arg-type]
-        else:
-            wrapped.resolve(inner.result())
-
-    future.add_callback(on_done)
-    return wrapped
+    deadline = _Deadline(sim, future, seconds)
+    future.add_callback(deadline.settled)
+    return deadline.wrapped

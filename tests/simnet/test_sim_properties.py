@@ -1,7 +1,9 @@
 """Property tests for kernel determinism under the fast-path
 optimizations (lazy cancellation, event-cell recycling, slotted
 futures), plus the memory-retention audit: settled futures and
-cancelled timers must not pin their callbacks.
+cancelled timers must not pin their callbacks, and an RPC's in-flight
+object and ``with_timeout``'s deadline object must not pin its request
+or response once the simulation has run.
 
 The determinism contract, as stated in the module docstring of
 :mod:`repro.simnet.sim`: events scheduled for the same instant fire in
@@ -19,7 +21,9 @@ import weakref
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.simnet.sim import _FREE_LIST_CAP, Future, Simulator
+from repro.multiformats.peerid import PeerId
+from repro.simnet.network import SimHost, SimNetwork
+from repro.simnet.sim import _FREE_LIST_CAP, Future, Simulator, TimeoutError_, with_timeout
 
 N_EVENTS = 10_000
 
@@ -192,3 +196,67 @@ def sleep_then_join(process):
     yield 0.5
     value = yield process.future
     return value
+
+
+def _rpc_under_deadline(seconds: float, target_online: bool = True):
+    """One RPC from ``a`` to ``b`` under ``with_timeout(seconds)``, run
+    to the end. Returns weakrefs to the request payload and to every
+    response the handler built, how the caller's future settled, and
+    the network's counters."""
+    sim = Simulator()
+    net = SimNetwork(sim, random.Random(7))
+    a = SimHost(PeerId.from_public_key(b"a"))
+    b = SimHost(PeerId.from_public_key(b"b"))
+    net.register(a)
+    net.register(b)
+    responses: list[weakref.ref] = []
+
+    def handler(sender, request):
+        response = _Payload()
+        responses.append(weakref.ref(response))
+        return response, 64
+
+    b.register_handler("echo", handler)
+    net.dial(a, b.peer_id)
+    sim.run()  # connected: the RPC below goes straight onto the wire
+    payload = _Payload()
+    request = weakref.ref(payload)
+    wrapped = with_timeout(sim, net.rpc(a, b.peer_id, "echo", payload), seconds)
+    del payload
+    if not target_online:
+        # the request is on its way when the target churns offline
+        sim.schedule(0.0, lambda: b.set_online(False))
+    sim.run()
+    outcome = "failed" if wrapped.failed else "resolved"
+    if wrapped.failed:
+        assert isinstance(wrapped.exception(), TimeoutError_)
+    del wrapped  # the caller lets go of its future, as a walk does
+    gc.collect()
+    return request, responses, outcome, net.stats
+
+
+def test_completed_rpc_releases_request_and_response():
+    request, responses, outcome, stats = _rpc_under_deadline(10.0)
+    assert outcome == "resolved" and stats.rpcs_completed == 1
+    assert len(responses) == 1
+    assert request() is None, "completed RPC retained its request"
+    assert responses[0]() is None, "completed RPC retained its response"
+
+
+def test_expired_rpc_releases_request():
+    """The deadline fires and no reply ever comes: the target went
+    offline with the request on the wire."""
+    request, responses, outcome, stats = _rpc_under_deadline(10.0, target_online=False)
+    assert outcome == "failed" and stats.rpcs_completed == 0
+    assert responses == []
+    assert request() is None, "expired RPC retained its request"
+
+
+def test_late_reply_after_expiry_releases_request_and_response():
+    """The deadline fires while the request is on the wire; the target
+    still answers, and the answer reaches a caller that has given up."""
+    request, responses, outcome, stats = _rpc_under_deadline(1e-6)
+    assert outcome == "failed" and stats.rpcs_completed == 0
+    assert len(responses) == 1 and stats.bytes_transferred > 0
+    assert request() is None, "late-answered RPC retained its request"
+    assert responses[0]() is None, "late reply was retained"

@@ -16,6 +16,11 @@ arrays and generator state. CI runs this file on every supported
 CPython: a change to ``random`` (a threshold, a draw order,
 ``_randbelow``) fails here loudly instead of silently building another
 world.
+
+The latency model (:class:`repro.simnet.latency.LatencyModel`) spells
+its three per-RPC ``uniform`` draws the same way, as
+``a + (b - a) * random()``; the last three tests hold each one to
+``rng.uniform(a, b)``.
 """
 
 from __future__ import annotations
@@ -34,6 +39,15 @@ from hypothesis import given, settings
 from repro.measurement.registries import AsInfo
 from repro.simnet.churn import WORLD_INITIAL_ONLINE_PROBABILITY, ChurnModel
 from repro.simnet.compact import _churn_schedules
+from repro.simnet.latency import (
+    _ACCESS_SUM_MS,
+    _CLASS_PROFILES,
+    _RATE_MIN,
+    _RTT_PAIR_MS,
+    LatencyModel,
+    PeerClass,
+    Region,
+)
 from repro.utils.rng import _seed_to_bytes, derive_rng
 from repro.workloads import compact as compact_module
 from repro.workloads.compact import (
@@ -263,6 +277,57 @@ def test_cloud_roll_is_the_running_sum_loop(roll):
             break
     got = bisect(_CLOUD_CUM, roll)
     assert (got if got < len(CLOUD_SHARES) else -1) == want
+
+
+# ----------------------------------------------------------------------
+# the latency model's draws against ``rng.uniform``
+# ----------------------------------------------------------------------
+
+jitters = st.tuples(
+    st.floats(0.0, 10.0, allow_nan=False), st.floats(0.0, 10.0, allow_nan=False)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=seeds, jitter=jitters,
+    regions=st.tuples(st.sampled_from(Region), st.sampled_from(Region)),
+    classes=st.tuples(st.sampled_from(PeerClass), st.sampled_from(PeerClass)),
+)
+def test_one_way_jitter(seed, jitter, regions, classes):
+    (region_a, region_b), (class_a, class_b) = regions, classes
+    base = _RTT_PAIR_MS[regions] / 2.0 + _ACCESS_SUM_MS[classes]
+    model = LatencyModel(jitter)
+    assert_same(
+        seed,
+        lambda rng: base * rng.uniform(*jitter) / 1000.0,
+        lambda rng: model.one_way(region_a, class_a, region_b, class_b, rng),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=seeds, peer_class=st.sampled_from(PeerClass))
+def test_processing_delay(seed, peer_class):
+    model = LatencyModel()
+    assert_same(
+        seed,
+        lambda rng: rng.uniform(*_CLASS_PROFILES[peer_class].processing_delay_s),
+        lambda rng: model.processing_delay(peer_class, rng),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=seeds, jitter=jitters, size=st.integers(0, 2**31),
+    classes=st.tuples(st.sampled_from(PeerClass), st.sampled_from(PeerClass)),
+)
+def test_transfer_time_jitter(seed, jitter, size, classes):
+    model = LatencyModel(jitter)
+    assert_same(
+        seed,
+        lambda rng: size / _RATE_MIN[classes] * rng.uniform(*jitter),
+        lambda rng: model.transfer_time(size, *classes, rng),
+    )
 
 
 # ----------------------------------------------------------------------
