@@ -17,8 +17,8 @@ from repro.merkledag.dag import DagNode
 from repro.multiformats.cid import Cid
 from repro.multiformats.multicodec import CODEC_DAG_PB
 from repro.multiformats.peerid import PeerId
-from repro.simnet.sim import Future, TimeoutError_, with_timeout
-from repro.utils.retry import JitterStreams, retry
+from repro.simnet.sim import Future, with_timeout
+from repro.utils.retry import JitterStreams
 
 if TYPE_CHECKING:
     from repro.resilience import Resilience
@@ -35,15 +35,15 @@ class BitswapSession:
     session re-broadcasts a want to the same provider after
     :data:`SILENCE_TIMEOUT_S` of no answer (go-bitswap re-sends its
     wantlist on session timeouts) before moving to the next provider;
-    on the bare rung (and without a facade) a provider gets exactly one
-    chance per block, as the seed behaviour had it.
+    on the bare rung a provider gets exactly one chance per block, as
+    the seed behaviour had it.
     """
 
     def __init__(
         self,
         engine: BitswapEngine,
         providers: list[PeerId],
-        resilience: "Resilience | None" = None,
+        resilience: "Resilience",
     ) -> None:
         if not providers:
             raise RetrievalError("session needs at least one provider")
@@ -64,7 +64,7 @@ class BitswapSession:
 
     def _silence_timeout(self, peer_id: PeerId) -> float:
         res = self.resilience
-        if res is None or not res.enabled:
+        if not res.enabled:
             return SILENCE_TIMEOUT_S
         remote = self.engine.network.host(peer_id)
         region = remote.region if remote is not None else None
@@ -74,17 +74,17 @@ class BitswapSession:
         """Session providers, open-breaker peers pushed to the back."""
         providers = list(self.providers)
         res = self.resilience
-        if res is not None and res.enabled and len(providers) > 1:
+        if res.enabled and len(providers) > 1:
             providers.sort(key=lambda peer_id: res.is_open(peer_id))
         return providers
 
     def _fetch_from(self, cid: Cid, peer_id: PeerId) -> Generator:
         """Fetch one block from one provider, re-wanting after silence."""
-        policy = None if self.resilience is None else self.resilience.want_policy
-        if policy is None or not policy.enabled:
+        res = self.resilience
+        if not res.want_policy.enabled:
+            # One want, waited on in place: no silence deadline to arm.
             result = yield from self.engine.fetch_block(cid, peer_id)
             return result
-        network = self.engine.network
 
         def attempt(_attempt: int) -> Future:
             process = self.engine.sim.spawn(self.engine.fetch_block(cid, peer_id))
@@ -92,13 +92,7 @@ class BitswapSession:
                 self.engine.sim, process.future, self._silence_timeout(peer_id)
             )
 
-        def on_retry(_attempt: int, error: BaseException) -> None:
-            network.stats.retries_attempted += 1
-            if isinstance(error, TimeoutError_):
-                network.stats.rpcs_timed_out += 1
-
-        rng = self._jitter.for_peer(peer_id)
-        result = yield from retry(self.engine.sim, rng, policy, attempt, on_retry)
+        result = yield res.call(res.want_policy, self._jitter, peer_id, attempt)
         return result
 
     def _fetch_one(self, cid: Cid) -> Generator:
@@ -112,14 +106,12 @@ class BitswapSession:
                 result = yield from self._fetch_from(cid, peer_id)
             except Exception as exc:  # noqa: BLE001 - try next provider
                 last_error = exc
-                if res is not None:
-                    res.record_failure(peer_id)
+                res.record_failure(peer_id)
                 # Peers that fail stop being preferred for this session.
                 if peer_id in self.providers and len(self.providers) > 1:
                     self.providers.remove(peer_id)
                 continue
-            if res is not None:
-                res.record_success(peer_id)
+            res.record_success(peer_id)
             self.blocks_fetched += 1
             self.bytes_fetched += result.block.size
             return result.block

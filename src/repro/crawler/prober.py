@@ -10,8 +10,8 @@ the peer's :class:`PeerTimeline`, which keeps the runs of equal outcomes
 and not the probes: memory grows with the sessions a campaign sees, not
 with its length. By default probes are *oracle* checks (one event each)
 so that multi-day windows over thousands of peers stay cheap;
-``probe_via_dial=True`` pays full dial semantics instead (used by the
-fidelity tests).
+``probe_via_dial=True`` pays full dial semantics instead. Only the
+crawler's unit test sets it: no experiment runs the dialing prober yet.
 """
 
 from __future__ import annotations

@@ -41,7 +41,7 @@ from repro.multiformats.peerid import PeerId
 from repro.resilience import Resilience
 from repro.simnet.network import SimHost, SimNetwork
 from repro.simnet.sim import Future, Simulator, TimeoutError_, all_of, with_timeout
-from repro.utils.retry import JitterStreams, retry
+from repro.utils.retry import JitterStreams
 
 #: How long a record holder trusts a provider's self-reported address
 #: (go-ipfs peerstore provider-address TTL is 30 minutes).
@@ -272,29 +272,9 @@ class DhtNode:
                 timeout_s,
             )
 
-        policy = self.resilience.store_policy
-        if not policy.enabled:
-            future = attempt(1)
-        else:
-            def on_retry(_attempt: int, error: BaseException) -> None:
-                self.network.stats.retries_attempted += 1
-                if isinstance(error, TimeoutError_):
-                    self.network.stats.rpcs_timed_out += 1
-
-            future = self.sim.spawn(
-                retry(
-                    self.sim, self.retry_jitter.for_peer(peer_id), policy,
-                    attempt, on_retry,
-                )
-            ).future
-        if self.resilience.enabled:
-            def feed_breaker(settled: Future) -> None:
-                if settled.failed:
-                    self.resilience.record_failure(peer_id)
-                else:
-                    self.resilience.record_success(peer_id)
-
-            future.add_callback(feed_breaker)
+        res = self.resilience
+        future = res.call(res.store_policy, self.retry_jitter, peer_id, attempt)
+        res.judge(peer_id, future)
         if span is not None:
             def finish(settled: Future) -> None:
                 if settled.failed:

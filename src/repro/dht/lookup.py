@@ -29,7 +29,6 @@ from repro.dht.keyspace import key_for_cid, key_for_peer, key_int_for_peer
 from repro.multiformats.cid import Cid
 from repro.multiformats.peerid import PeerId
 from repro.simnet.sim import Future, TimeoutError_, with_timeout
-from repro.utils.retry import retry
 
 if TYPE_CHECKING:
     from repro.dht.dht_node import DhtNode
@@ -203,25 +202,12 @@ class _Walk:
                 wrapped.add_callback(observe)
             return wrapped
 
-        policy = res.hop_policy
-        if policy.enabled:
-            def on_retry(attempt_index: int, error: BaseException) -> None:
-                network.stats.retries_attempted += 1
-                if isinstance(error, TimeoutError_):
-                    network.stats.rpcs_timed_out += 1
-
-            future = self.node.sim.spawn(
-                retry(
-                    self.node.sim,
-                    self.node.retry_jitter.for_peer(candidate.peer_id),
-                    policy, attempt, on_retry,
-                    # Adaptive mode keeps the whole retried hop inside
-                    # the fixed budget one un-retried hop used to get.
-                    deadline_s=RPC_TIMEOUT_S if res.enabled else None,
-                )
-            ).future
-        else:
-            future = attempt(1)
+        future = res.call(
+            res.hop_policy, self.node.retry_jitter, candidate.peer_id, attempt,
+            # Adaptive mode keeps the whole retried hop inside the fixed
+            # budget one un-retried hop used to get.
+            deadline_s=RPC_TIMEOUT_S if res.enabled else None,
+        )
         entry = [candidate.peer_id, None]
 
         if as_hedge:

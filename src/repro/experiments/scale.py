@@ -1,11 +1,11 @@
 """Paper-scale crawl + churn over compact worlds (Figs 4a/8 at 200 k).
 
-The deployment experiments in :mod:`repro.experiments.deployment` drive
-the real crawler and prober over a fully materialized world, which tops
-out around tens of thousands of peers. This module runs the *same*
-campaign — same crawler, same prober, same analysis pipeline — over a
+:func:`repro.experiments.deployment.run_crawl_timeseries` drives the
+real crawler and prober over a
 :class:`~repro.simnet.compact.CompactWorld`, where peers exist as rows
-in flat arrays until the crawler dials them. That pushes Figure 4a
+in flat arrays until the crawler dials them. This module runs that
+*same* campaign — same crawler, same prober, same analysis pipeline —
+at the paper's size and grades it. That pushes Figure 4a
 (crawl timeseries) and Figure 8 (session-length churn) to the paper's
 own scale: the crawler saw ~25-50 k concurrent peers in a network
 estimated at hundreds of thousands, so a 200 k world is the first point

@@ -41,7 +41,6 @@ from repro.multiformats.cid import Cid
 from repro.multiformats.peerid import PeerId
 from repro.node.host import IpfsNode, RetrievalReceipt, synthesize_multiaddr
 from repro.simnet.sim import Future
-from repro.utils.retry import retry
 
 
 @dataclass(frozen=True)
@@ -154,12 +153,7 @@ class GatewayBridge:
         node.address_book.record(provider, (synthesize_multiaddr(provider),))
         dial_start = node.sim.now
         if not node.host.is_connected(provider):
-            yield from retry(
-                node.sim,
-                node.dht.retry_jitter.for_peer(provider),
-                node.resilience.dial_policy,
-                lambda _attempt: node.network.dial(node.host, provider),
-            )
+            yield node.dial(provider)
         dial_duration = node.sim.now - dial_start
         session = BitswapSession(node.bitswap, [provider], node.resilience)
         fetch_start = node.sim.now

@@ -45,7 +45,6 @@ from repro.simnet.nat import NatBox
 from repro.simnet.network import SimHost, SimNetwork
 from repro.simnet.sim import Future, Simulator, any_of
 from repro.simnet.transport import Transport
-from repro.utils.retry import retry
 
 
 @dataclass(frozen=True)
@@ -179,8 +178,20 @@ class IpfsNode:
             connection.remote, (synthesize_multiaddr(connection.remote),)
         )
 
-    def _count_retry(self, _attempt: int, _error: BaseException) -> None:
-        self.network.stats.retries_attempted += 1
+    def dial(self, peer_id: PeerId) -> Future:
+        """Connect to ``peer_id`` under the rung's dial schedule.
+
+        Failed handshakes are re-dialed (the bare rung's two immediate
+        attempts are go-ipfs walking the peer's other addresses), and on
+        the top rung the outcome feeds the peer's breaker.
+        """
+        res = self.resilience
+        future = res.call(
+            res.dial_policy, self.dht.retry_jitter, peer_id,
+            lambda _attempt: self.network.dial(self.host, peer_id),
+        )
+        res.judge(peer_id, future)
+        return future
 
     # -- publication path (Section 3.1) -----------------------------------
 
@@ -307,10 +318,7 @@ class IpfsNode:
                                 )
                             self.address_book.record(provider, record.addresses)
 
-            # Peer routing: connect to the provider. Failed handshakes are
-            # re-dialed under the rung's dial schedule (the bare rung's
-            # two immediate attempts are go-ipfs walking the peer's
-            # other addresses).
+            # Peer routing: connect to the provider.
             dial_start = self.sim.now
             with tracer.span("retrieve.dial"):
                 if not self.host.is_connected(provider):
@@ -319,18 +327,7 @@ class IpfsNode:
                             provider, alternates[0]
                         )
                     else:
-                        try:
-                            yield from retry(
-                                self.sim,
-                                self.dht.retry_jitter.for_peer(provider),
-                                self.resilience.dial_policy,
-                                lambda _attempt: self.network.dial(self.host, provider),
-                                self._count_retry,
-                            )
-                        except Exception:
-                            self.resilience.record_failure(provider)
-                            raise
-                        self.resilience.record_success(provider)
+                        yield self.dial(provider)
             dial_duration = self.sim.now - dial_start
 
             # Content exchange.
@@ -458,32 +455,13 @@ class IpfsNode:
         (the caller fetches from that provider).
         """
         res = self.resilience
-
-        def dial_factory(peer_id: PeerId):
-            def factory() -> Future:
-                def attempt(_attempt: int) -> Future:
-                    return self.network.dial(self.host, peer_id)
-
-                future = self.sim.spawn(
-                    retry(self.sim, self.dht.retry_jitter.for_peer(peer_id),
-                          res.dial_policy, attempt, self._count_retry)
-                ).future
-
-                def feed(settled: Future) -> None:
-                    if settled.failed:
-                        res.record_failure(peer_id)
-                    else:
-                        res.record_success(peer_id)
-
-                future.add_callback(feed)
-                return future
-
-            return factory
-
         remote = self.network.host(primary)
         delay = res.hedge_delay_s(remote.region if remote is not None else None)
         outcome = yield from hedged_call(
-            self.sim, dial_factory(primary), dial_factory(backup), delay
+            self.sim,
+            functools.partial(self.dial, primary),
+            functools.partial(self.dial, backup),
+            delay,
         )
         if outcome.hedged:
             res.count_hedge_launched()

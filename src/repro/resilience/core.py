@@ -6,11 +6,14 @@ stores, dials and Bitswap re-wants, the routing table's eviction
 threshold, and — on the ``resilient`` rung only — the circuit-breaker
 registry (:mod:`.breaker`), the RTT estimator (:mod:`.rtt`) and the
 bookkeeping for hedges and degraded-mode fallbacks. The stack branches
-on one bool, :attr:`Resilience.enabled`. Below the top rung the facade
-allocates no registry, no estimator, draws no randomness, schedules
-nothing, and its record/allow methods are early-return no-ops; the
-``bare`` rung is go-ipfs v0.10 exactly (the golden trace in
-``tests/test_determinism.py`` enforces it).
+on one bool, :attr:`Resilience.enabled`. What a rung does to one
+remote call lives here alone: :meth:`Resilience.call` runs it under a
+schedule (the one caller of :func:`repro.utils.retry.retry`) and
+:meth:`Resilience.judge` feeds its outcome to the peer's breaker.
+Below the top rung the facade allocates no registry, no estimator,
+draws no randomness, schedules nothing, and its record/allow methods
+are early-return no-ops; the ``bare`` rung is go-ipfs v0.10 exactly
+(the golden trace in ``tests/test_determinism.py`` enforces it).
 
 Counters live in two places on purpose: :class:`ResilienceStats` is a
 plain per-node struct experiments aggregate cheaply, and when the
@@ -27,7 +30,8 @@ from typing import TYPE_CHECKING, Hashable
 from repro.multiformats.peerid import PeerId
 from repro.resilience.breaker import CLOSED, HALF_OPEN, OPEN, BreakerRegistry
 from repro.resilience.rtt import RttEstimator
-from repro.utils.retry import RetryPolicy
+from repro.simnet.sim import Future, TimeoutError_
+from repro.utils.retry import AttemptFactory, JitterStreams, RetryPolicy, retry
 
 if TYPE_CHECKING:
     from repro.simnet.network import Network
@@ -117,6 +121,53 @@ class Resilience:
                 clock=lambda: sim.now, on_transition=self._on_breaker_transition
             )
             self.rtt = RttEstimator()
+
+    # -- one remote call -------------------------------------------------
+
+    def call(
+        self,
+        policy: RetryPolicy,
+        jitter: JitterStreams,
+        peer_id: PeerId,
+        attempt: AttemptFactory,
+        deadline_s: float | None = None,
+    ) -> Future:
+        """One remote call toward ``peer_id`` under ``policy``.
+
+        Without retries this is the bare ``attempt(1)``. Otherwise one
+        spawned :func:`retry` process backs off on the peer's
+        ``jitter`` stream and counts each re-attempt. It schedules what
+        ``yield from retry(...)`` would: a spawn runs its first step
+        inline, and a settled attempt resumes it, then the caller.
+        """
+        if not policy.enabled:
+            return attempt(1)
+        return self.sim.spawn(
+            retry(
+                self.sim, jitter.for_peer(peer_id), policy, attempt,
+                self._tally_retry, deadline_s,
+            )
+        ).future
+
+    def judge(self, peer_id: PeerId, future: Future) -> None:
+        """Feed ``future``'s outcome to ``peer_id``'s breaker once it
+        settles; a no-op below the top rung."""
+        if self.breakers is None:
+            return
+
+        def feed(settled: Future) -> None:
+            if settled.failed:
+                self.record_failure(peer_id)
+            else:
+                self.record_success(peer_id)
+
+        future.add_callback(feed)
+
+    def _tally_retry(self, _attempt: int, error: BaseException) -> None:
+        stats = self.network.stats
+        stats.retries_attempted += 1
+        if isinstance(error, TimeoutError_):
+            stats.rpcs_timed_out += 1
 
     # -- circuit breakers ------------------------------------------------
 

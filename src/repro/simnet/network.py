@@ -81,7 +81,11 @@ class NetworkStats:
 
     - ``dials_attempted == dials_succeeded + dials_failed``
     - ``rpcs_completed + rpcs_timed_out <= rpcs_sent``
-    - ``bytes_transferred > 0`` iff ``rpcs_completed > 0``
+    - ``bytes_transferred > 0`` iff ``rpcs_completed > 0``, as long as
+      some reply reaches a caller still waiting for it: a reply that
+      arrives after its caller's deadline adds its bytes and no
+      completion, so a run whose every reply is late reads bytes with
+      zero completions.
     """
 
     dials_attempted: int = 0

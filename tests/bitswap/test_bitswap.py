@@ -14,6 +14,7 @@ from repro.merkledag.builder import DagBuilder
 from repro.merkledag.reader import DagReader
 from repro.multiformats.cid import make_cid
 from repro.multiformats.peerid import PeerId
+from repro.resilience import Resilience
 from repro.simnet.network import SimHost, SimNetwork
 from repro.simnet.sim import Simulator
 from repro.utils.rng import derive_rng
@@ -35,6 +36,11 @@ def make_pair(seed=1):
 
     sim.run_process(connect())
     return sim, net, a, b
+
+
+def bare(engine: BitswapEngine) -> Resilience:
+    """The go-ipfs v0.10 rung: one want per provider per block."""
+    return Resilience("bare", engine.sim, engine.network)
 
 
 class TestWantList:
@@ -207,7 +213,7 @@ class TestSession:
         sim, a, b, root = self._dag_world(payload)
 
         def proc():
-            session = BitswapSession(a, [b.host.peer_id])
+            session = BitswapSession(a, [b.host.peer_id], bare(a))
             yield from session.fetch_dag(root)
             return session
 
@@ -221,9 +227,9 @@ class TestSession:
         sim, a, b, root = self._dag_world(payload)
 
         def proc():
-            session = BitswapSession(a, [b.host.peer_id])
+            session = BitswapSession(a, [b.host.peer_id], bare(a))
             yield from session.fetch_dag(root)
-            second = BitswapSession(a, [b.host.peer_id])
+            second = BitswapSession(a, [b.host.peer_id], bare(a))
             yield from second.fetch_dag(root)
             return second
 
@@ -243,7 +249,9 @@ class TestSession:
         full.blockstore.put(block)
 
         def proc():
-            session = BitswapSession(getter, [empty.host.peer_id, full.host.peer_id])
+            session = BitswapSession(
+                getter, [empty.host.peer_id, full.host.peer_id], bare(getter)
+            )
             got = yield from session._fetch_one(block.cid)
             return got
 
@@ -252,13 +260,13 @@ class TestSession:
     def test_no_providers_rejected(self):
         sim, net, a, b = make_pair()
         with pytest.raises(RetrievalError):
-            BitswapSession(a, [])
+            BitswapSession(a, [], bare(a))
 
     def test_all_providers_failing_raises(self):
         sim, net, a, b = make_pair()
 
         def proc():
-            session = BitswapSession(a, [b.host.peer_id])
+            session = BitswapSession(a, [b.host.peer_id], bare(a))
             try:
                 yield from session.fetch_dag(make_cid(b"void"))
             except RetrievalError:

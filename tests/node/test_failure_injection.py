@@ -17,6 +17,7 @@ from repro.errors import RetrievalError
 from repro.merkledag.builder import DagBuilder
 from repro.multiformats.cid import make_cid
 from repro.multiformats.peerid import PeerId
+from repro.resilience import Resilience
 from repro.simnet.network import SimHost, SimNetwork
 from repro.simnet.sim import Simulator, TimeoutError_, with_timeout
 from repro.utils.rng import derive_rng
@@ -70,7 +71,8 @@ class TestForgedBlocks:
 
         def proc():
             session = BitswapSession(
-                getter, [evil.peer_id, honest.host.peer_id]
+                getter, [evil.peer_id, honest.host.peer_id],
+                Resilience("bare", sim, net),
             )
             got = yield from session.fetch_one(block.cid)
             return got, session.providers
@@ -93,7 +95,9 @@ class TestChurnDuringRetrieval:
             yield net.dial(getter.host, provider.host.peer_id)
             # Kill the provider while blocks are still missing.
             sim.schedule(0.05, lambda: provider.host.set_online(False))
-            session = BitswapSession(getter, [provider.host.peer_id])
+            session = BitswapSession(
+                getter, [provider.host.peer_id], Resilience("bare", sim, net)
+            )
             try:
                 yield with_timeout(
                     sim, sim.spawn(session.fetch_dag(result.root)).future, 30.0
@@ -113,7 +117,9 @@ class TestChurnDuringRetrieval:
         def proc():
             yield net.dial(getter.host, provider.host.peer_id)
             sim.schedule(0.08, lambda: provider.host.set_online(False))
-            session = BitswapSession(getter, [provider.host.peer_id])
+            session = BitswapSession(
+                getter, [provider.host.peer_id], Resilience("bare", sim, net)
+            )
             try:
                 yield with_timeout(
                     sim, sim.spawn(session.fetch_dag(result.root)).future, 30.0
